@@ -188,29 +188,48 @@ impl RunList {
         self.links_valid = true;
     }
 
-    /// Inserts `idx`, keeping the links (when live) sorted by core index.
-    pub(crate) fn insert(&mut self, running: &mut [bool], idx: usize) {
-        debug_assert!(!running[idx]);
-        running[idx] = true;
-        self.len += 1;
-        if !self.links_valid {
-            return;
-        }
+    /// Applies one walk's membership changes (`true` = join), given in
+    /// strictly ascending core order, in a single forward pass: `after`
+    /// (the last member known to precede the next change) only moves
+    /// forward, so the batch costs O(changes + members passed over).
+    fn apply(&mut self, running: &mut [bool], changes: &[(usize, bool)]) {
+        debug_assert!(changes.windows(2).all(|w| w[0].0 < w[1].0));
         let mut after = NO_CORE;
-        let mut cursor = self.head;
-        while cursor != NO_CORE && cursor < idx {
-            after = cursor;
-            cursor = self.next[cursor];
-        }
-        self.next[idx] = cursor;
-        self.prev[idx] = after;
-        if cursor != NO_CORE {
-            self.prev[cursor] = idx;
-        }
-        if after == NO_CORE {
-            self.head = idx;
-        } else {
-            self.next[after] = idx;
+        for &(idx, join) in changes {
+            if !join {
+                // A leave is O(1) and hands its predecessor to the cursor.
+                if self.links_valid {
+                    after = self.prev[idx];
+                }
+                self.remove(running, idx);
+                continue;
+            }
+            debug_assert!(!running[idx]);
+            running[idx] = true;
+            self.len += 1;
+            if !self.links_valid {
+                continue;
+            }
+            let mut cursor = if after == NO_CORE {
+                self.head
+            } else {
+                self.next[after]
+            };
+            while cursor != NO_CORE && cursor < idx {
+                after = cursor;
+                cursor = self.next[cursor];
+            }
+            self.next[idx] = cursor;
+            self.prev[idx] = after;
+            if cursor != NO_CORE {
+                self.prev[cursor] = idx;
+            }
+            if after == NO_CORE {
+                self.head = idx;
+            } else {
+                self.next[after] = idx;
+            }
+            after = idx;
         }
     }
 
@@ -527,15 +546,91 @@ pub(crate) fn walk_cluster(cluster: &mut Cluster, view: &mut CoreView<'_>, ctx: 
     cluster.due = due;
 
     // Apply the walk's membership changes before anything after the walk
-    // consults or edits the run list.
-    let mut membership = std::mem::take(&mut cluster.membership);
-    for &(local, join) in &membership {
-        if join {
-            cluster.running.insert(view.running, local);
-        } else {
-            cluster.running.remove(view.running, local);
+    // consults or edits the run list. Both walks emit them in ascending
+    // local order.
+    cluster.running.apply(view.running, &cluster.membership);
+    cluster.membership.clear();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `(head, [(member, prev, next)])`: the links restricted to the
+    /// members (a non-member's links are stale by design).
+    fn member_links(list: &RunList, running: &[bool]) -> (usize, Vec<(usize, usize, usize)>) {
+        let members = (0..running.len())
+            .filter(|&idx| running[idx])
+            .map(|idx| (idx, list.prev[idx], list.next[idx]))
+            .collect();
+        (list.head, members)
+    }
+
+    /// Applies `changes` and checks the links against a rebuild from the
+    /// membership flags.
+    fn apply_and_check(list: &mut RunList, running: &mut [bool], changes: &[(usize, bool)]) {
+        list.apply(running, changes);
+        let mut rebuilt = RunList::new(running.len());
+        rebuilt.invalidate_links();
+        rebuilt.ensure_links(running);
+        assert_eq!(
+            member_links(list, running),
+            member_links(&rebuilt, running),
+            "after {changes:?}"
+        );
+        assert_eq!(list.len, running.iter().filter(|&&m| m).count());
+    }
+
+    #[test]
+    fn batched_apply_keeps_the_links_equal_to_a_rebuild() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut below = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for cores in [1usize, 2, 5, 16, 64] {
+            let mut running = vec![false; cores];
+            let mut list = RunList::new(cores);
+            for _ in 0..400 {
+                // Each core changes with probability 1/4, 1/2 or 3/4.
+                let rate = 1 + below(3);
+                let changes: Vec<(usize, bool)> = (0..cores)
+                    .filter(|_| below(4) < rate)
+                    .map(|idx| (idx, !running[idx]))
+                    .collect();
+                apply_and_check(&mut list, &mut running, &changes);
+            }
         }
     }
-    membership.clear();
-    cluster.membership = membership;
+
+    #[test]
+    fn joins_around_the_ends_and_beside_leaves() {
+        let mut running = vec![false; 10];
+        let mut list = RunList::new(10);
+        apply_and_check(&mut list, &mut running, &[(4, true), (6, true)]);
+        // Before the head and after the tail.
+        apply_and_check(&mut list, &mut running, &[(1, true), (9, true)]);
+        // A join right before a leave, a leave then a join right after it.
+        apply_and_check(
+            &mut list,
+            &mut running,
+            &[(3, true), (4, false), (5, true), (6, false), (7, true)],
+        );
+        // The head leaves while a new head joins; the tail leaves.
+        apply_and_check(
+            &mut list,
+            &mut running,
+            &[(0, true), (1, false), (9, false)],
+        );
+        // Everyone leaves, then the list refills from empty.
+        apply_and_check(
+            &mut list,
+            &mut running,
+            &[(0, false), (3, false), (5, false), (7, false)],
+        );
+        assert_eq!(list.head, NO_CORE);
+        apply_and_check(&mut list, &mut running, &[(2, true), (8, true)]);
+    }
 }

@@ -182,17 +182,27 @@ impl PlacementPolicy for Placement {
                 let cores = chip.cores;
                 let capacity = chip.max_sections_per_core;
                 let mut hosted = vec![0usize; cores];
+                // Cores still below capacity: once none is, every section
+                // stays on its preferred core without scanning the chip.
+                let mut free = if capacity > 0 { cores } else { 0 };
                 sections
                     .iter()
                     .map(|s| {
                         let preferred = s.id.0 % cores;
                         // Spill to the next core with free capacity; relax
                         // the limit when the whole chip is full.
-                        let chosen = (0..cores)
-                            .map(|offset| (preferred + offset) % cores)
-                            .find(|c| hosted[*c] < capacity)
-                            .unwrap_or(preferred);
+                        let chosen = if free == 0 {
+                            preferred
+                        } else {
+                            (0..cores)
+                                .map(|offset| (preferred + offset) % cores)
+                                .find(|c| hosted[*c] < capacity)
+                                .unwrap_or(preferred)
+                        };
                         hosted[chosen] += 1;
+                        if hosted[chosen] == capacity {
+                            free -= 1;
+                        }
                         CoreId(chosen)
                     })
                     .collect()
@@ -440,6 +450,60 @@ mod tests {
         assert_eq!(assigned[0], CoreId(0));
         assert_eq!(assigned[1], CoreId(1));
         assert!(assigned[2].0 < 2);
+    }
+
+    /// The round-robin spill as a scan of the whole chip for every
+    /// section: the reference the below-capacity count must reproduce
+    /// exactly.
+    fn round_robin_scan(sections: &[SectionSpan], chip: &ChipView) -> Vec<CoreId> {
+        let cores = chip.cores;
+        let capacity = chip.max_sections_per_core;
+        let mut hosted = vec![0usize; cores];
+        sections
+            .iter()
+            .map(|s| {
+                let preferred = s.id.0 % cores;
+                let chosen = (0..cores)
+                    .map(|offset| (preferred + offset) % cores)
+                    .find(|c| hosted[*c] < capacity)
+                    .unwrap_or(preferred);
+                hosted[chosen] += 1;
+                CoreId(chosen)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn round_robin_matches_the_linear_spill_scan() {
+        for cores in [1, 2, 7, 64, 1024] {
+            for capacity in [1, 2, 8] {
+                let mut c = chip(cores);
+                c.max_sections_per_core = capacity;
+                let full = cores * capacity;
+                for count in [0, full / 2, full - 1, full, 141 * cores] {
+                    // Consecutive ids, then gapped ones. A stride sharing a
+                    // factor with the core count (2 on the even chips, 7
+                    // on the 7-core one) leaves some cores never
+                    // preferred, so sections spill off full preferred
+                    // cores before the chip is full. Ids start at the
+                    // last core, so its spills wrap around the chip.
+                    for stride in [1, 2, 3, 7] {
+                        let sections: Vec<SectionSpan> = spans(&vec![1; count])
+                            .into_iter()
+                            .map(|mut s| {
+                                s.id = SectionId(s.id.0 * stride + cores - 1);
+                                s
+                            })
+                            .collect();
+                        assert_eq!(
+                            Placement::RoundRobin.assign(&sections, &c),
+                            round_robin_scan(&sections, &c),
+                            "{cores} cores, capacity {capacity}, {count} sections, stride {stride}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
