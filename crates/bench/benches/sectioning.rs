@@ -1,11 +1,10 @@
 //! Throughput of the functional front-end: instructions sectioned per
 //! second, comparing the streaming arena pipeline (machine → sectioner →
-//! arena, one pass) against the retired two-pass path (materialise the
-//! trace, then run the sequential analysis) and against replaying an
-//! already-materialised trace through the sectioner.
+//! arena, one pass) against replaying an already-materialised trace
+//! through the sectioner.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use parsecs_core::{SectionedTrace, TraceArena};
+use parsecs_core::TraceArena;
 use parsecs_machine::Machine;
 use parsecs_workloads::scale;
 
@@ -24,11 +23,6 @@ fn bench_sectioning(c: &mut Criterion) {
         BenchmarkId::new("streaming_from_program", elements),
         &program,
         |b, p| b.iter(|| TraceArena::from_program(p, fuel).unwrap()),
-    );
-    group.bench_with_input(
-        BenchmarkId::new("legacy_two_pass", elements),
-        &program,
-        |b, p| b.iter(|| SectionedTrace::from_program(p, fuel).unwrap()),
     );
     group.bench_with_input(
         BenchmarkId::new("sectioner_replay", elements),

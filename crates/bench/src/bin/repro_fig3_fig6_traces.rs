@@ -3,7 +3,7 @@
 //! as section sizes, and the 45-instruction parallel trace split into five
 //! sections.
 
-use parsecs_core::SectionedTrace;
+use parsecs_core::TraceArena;
 use parsecs_driver::{Runner, SequentialBackend};
 use parsecs_workloads::sum;
 
@@ -27,26 +27,26 @@ fn main() {
 
     // Figures 4 and 6: the fork-version sections.
     let fork = sum::fork_program(&data);
-    let sectioned = SectionedTrace::from_program(&fork, 100_000).expect("runs");
+    let arena = TraceArena::from_program(&fork, 100_000).expect("runs");
     println!(
         "Figure 4/6: parallel run of sum(t,5) — {} instructions in {} sections",
-        sectioned.len() - 5,
-        sectioned.sections().len()
+        arena.len() - 5,
+        arena.sections().len()
     );
     println!("(45 instructions in 5 sections in the paper, longest section 16)");
-    for span in sectioned.sections() {
+    for span in arena.sections() {
         let creator = span
             .creator
             .map(|(s, seq)| format!("forked by {} at trace index {}", s, seq))
             .unwrap_or_else(|| "initial section".to_string());
         println!("  {}: {} instructions ({creator})", span.id, span.len());
-        for record in sectioned.section_records(span.id) {
-            println!("    {:>6}  {}", record.name(), record.mnemonic);
+        for seq in span.start..span.end {
+            println!("    {:>6}  {}", arena.name(seq), arena.mnemonic(seq));
         }
     }
     println!(
         "result: {:?} (expected {:?})",
-        sectioned.outputs(),
+        arena.outputs(),
         sum::expected(&data)
     );
 }

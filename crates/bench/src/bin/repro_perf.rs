@@ -21,16 +21,12 @@
 //! workload is pre-executed once through [`TraceArena::from_program`]
 //! (machine → streaming sectioner → arena, one pass) and both engines
 //! simulate the same arena. The pipeline itself is also measured: the
-//! `chain_sum` cell times the retired two-pass front-end
-//! (`Machine::run_traced` + `SectionedTrace::from_trace`) against the
-//! streaming pipeline and records the speedup plus the arena's
+//! `chain_sum` cell times the streaming pipeline and records the arena's
 //! bytes-per-instruction footprint.
 //!
 //! The run fails (exit code 1) when any cell reports a forced stall
 //! release — the deadlock detector fired, so the timings cannot be
-//! trusted — when the headline speedup drops below the 5x bar, or (full
-//! mode) when the streaming pipeline's advantage over the two-pass
-//! front-end drops below 2x on the 1.2M-instruction chain_sum cell; CI
+//! trusted — or when the headline speedup drops below the 5x bar; CI
 //! runs the quick grid under the same engine gates.
 //!
 //! A **validation guard row** always rides along: the stats-only
@@ -78,7 +74,7 @@ use std::time::Instant;
 use parsecs_bench::{json, AttributionTotals};
 use parsecs_core::{
     ChainAffine, ChromeTraceWriter, CountingProbe, ForkFallback, ManyCoreSim, NoopProbe,
-    ScheduleBounds, SectionedTrace, SimConfig, TraceArena,
+    ScheduleBounds, SimConfig, TraceArena,
 };
 use parsecs_isa::Program;
 use parsecs_noc::NocConfig;
@@ -119,13 +115,12 @@ struct Row {
     headline: bool,
 }
 
-/// Streaming-vs-two-pass front-end comparison on the headline workload.
+/// The streaming front-end's time and footprint on the `chain_sum`
+/// workload.
 struct Pipeline {
     workload: String,
     instructions: u64,
-    legacy_ms: f64,
     streaming_ms: f64,
-    speedup: f64,
     arena_bytes_per_insn: f64,
 }
 
@@ -330,19 +325,12 @@ fn arena_of(program: &Program, fuel: u64) -> std::rc::Rc<TraceArena> {
     std::rc::Rc::new(TraceArena::from_program(program, fuel).expect("workload halts within fuel"))
 }
 
-/// Times the two front-ends on one program: the retired two-pass path
-/// (materialise the trace, then section it) against the streaming
-/// pipeline (best of 3 each).
+/// Times the streaming pipeline on one program (best of 3 after an
+/// untimed warm-up).
 fn measure_pipeline(name: &str, program: &Program, fuel: u64) -> Pipeline {
-    // One untimed warm-up per path, so neither side's first timed round
-    // runs cold.
-    std::hint::black_box(SectionedTrace::from_program(program, fuel).expect("halts"));
     let mut arena = TraceArena::from_program(program, fuel).expect("halts");
-    let mut legacy_ms = f64::INFINITY;
     let mut streaming_ms = f64::INFINITY;
     for _ in 0..3 {
-        let (_, ms) = timed(|| SectionedTrace::from_program(program, fuel).expect("halts"));
-        legacy_ms = legacy_ms.min(ms);
         let (streamed, ms) = timed(|| TraceArena::from_program(program, fuel).expect("halts"));
         streaming_ms = streaming_ms.min(ms);
         arena = streamed;
@@ -350,9 +338,7 @@ fn measure_pipeline(name: &str, program: &Program, fuel: u64) -> Pipeline {
     Pipeline {
         workload: name.to_string(),
         instructions: arena.len() as u64,
-        legacy_ms,
         streaming_ms,
-        speedup: legacy_ms / streaming_ms,
         arena_bytes_per_insn: arena.bytes_per_instruction(),
     }
 }
@@ -454,14 +440,14 @@ fn measure(cell: &Cell) -> Row {
     let event = cell.sim.simulate_arena(&cell.trace).expect("simulates");
     let reference = cell
         .sim
-        .simulate_arena_reference(&cell.trace)
+        .simulate_reference(&cell.trace, &mut NoopProbe)
         .expect("reference simulates");
     let mut event_ms = f64::INFINITY;
     let mut reference_ms = f64::INFINITY;
     for _ in 0..RUNS {
         let (_, ms) = timed(|| {
             cell.sim
-                .simulate_arena_reference(&cell.trace)
+                .simulate_reference(&cell.trace, &mut NoopProbe)
                 .expect("reference simulates")
         });
         reference_ms = reference_ms.min(ms);
@@ -589,9 +575,7 @@ fn to_json(
             .str("workload", &pipeline.workload)
             .str("config", "pipeline")
             .field("instructions", pipeline.instructions)
-            .fixed("legacy_ms", pipeline.legacy_ms, 3)
             .fixed("streaming_ms", pipeline.streaming_ms, 3)
-            .fixed("pipeline_speedup", pipeline.speedup, 2)
             .fixed("arena_bytes_per_insn", pipeline.arena_bytes_per_insn, 1)
             .build(),
     );
@@ -740,7 +724,7 @@ fn main() {
     let rows: Vec<Row> = grid.iter().map(measure).collect();
     print_table(&rows);
 
-    // Front-end pipeline comparison on the chain_sum workload.
+    // Front-end pipeline time and footprint on the chain_sum workload.
     let chain_n = if quick { 8_000 } else { 110_000 };
     let pipeline = measure_pipeline(
         &format!("chain_sum-{chain_n}"),
@@ -748,13 +732,10 @@ fn main() {
         scale::chain_sum_fuel(chain_n),
     );
     println!(
-        "pipeline {:<22} {:>9} insns  legacy {:>7.1} ms  streaming {:>7.1} ms  \
-         {:>4.1}x  arena {:>5.1} B/insn",
+        "pipeline {:<22} {:>9} insns  streaming {:>7.1} ms  arena {:>5.1} B/insn",
         pipeline.workload,
         pipeline.instructions,
-        pipeline.legacy_ms,
         pipeline.streaming_ms,
-        pipeline.speedup,
         pipeline.arena_bytes_per_insn,
     );
 
@@ -876,17 +857,6 @@ fn main() {
             "FAIL: headline speedup {:.1}x is below the 5x acceptance bar \
              (machine noise? rerun on an idle machine)",
             headline.speedup
-        );
-        failed = true;
-    }
-    // The streaming pipeline must beat the retired two-pass front-end by
-    // >=2x on the full-size chain_sum cell (quick-mode instances are too
-    // small for a stable ratio, so the gate only arms in full mode).
-    if !quick && pipeline.speedup < 2.0 {
-        eprintln!(
-            "FAIL: streaming pipeline speedup {:.1}x is below the 2x \
-             acceptance bar on {}",
-            pipeline.speedup, pipeline.workload
         );
         failed = true;
     }

@@ -11,10 +11,15 @@
 //!
 //! The main entry points are:
 //!
-//! * [`SectionedTrace`] — splits the dynamic trace of a fork program into
-//!   the paper's totally-ordered sections and resolves every
-//!   producer→consumer pair (register *and* memory renaming);
-//! * [`ManyCoreSim`] — the timing model: sections are placed on cores, each
+//! * [`TraceArena::from_program`] (re-exported from `parsecs-trace`) —
+//!   runs a fork program through the streaming sectioner, which splits
+//!   its dynamic trace into the paper's totally-ordered sections and
+//!   resolves every producer→consumer pair (register *and* memory
+//!   renaming);
+//! * [`ManyCoreSim`] — the timing model over that arena
+//!   ([`ManyCoreSim::simulate_arena`], [`ManyCoreSim::simulate_arena_probed`],
+//!   and the cycle-stepping oracle [`ManyCoreSim::simulate_reference`]):
+//!   sections are placed on cores, each
 //!   core fetches one instruction per cycle along its current section and
 //!   computes control instead of predicting it, remote operands are
 //!   obtained through renaming requests travelling over the NoC, and each
@@ -27,7 +32,7 @@
 //! ## Example
 //!
 //! ```
-//! use parsecs_core::{ManyCoreSim, SimConfig};
+//! use parsecs_core::{ManyCoreSim, SimConfig, TraceArena};
 //!
 //! // The paper's Figure 5: sum with fork/endfork, summing 5 elements.
 //! let program = parsecs_asm::assemble(
@@ -56,8 +61,9 @@
 //!            addq $8, %rsp
 //!            endfork",
 //! ).expect("assembles");
-//! let sim = ManyCoreSim::new(SimConfig::default());
-//! let result = sim.run(&program).expect("simulates");
+//! let config = SimConfig::default();
+//! let arena = TraceArena::from_program(&program, config.fuel).expect("runs");
+//! let result = ManyCoreSim::new(config).simulate_arena(&arena).expect("simulates");
 //! assert_eq!(result.outputs, vec![21]);
 //! assert!(result.stats.sections >= 5);
 //! assert!(result.stats.fetch_ipc > 1.0, "parallel fetch exceeds one instruction per cycle");
@@ -74,8 +80,6 @@ mod drain;
 mod error;
 mod placement;
 mod reference;
-mod rename;
-mod section;
 mod sim;
 mod timing;
 
@@ -83,8 +87,6 @@ pub use cluster::cluster_windows;
 pub use config::SimConfig;
 pub use error::{FallbackReason, ForkFallback, SimError};
 pub use placement::{ChainAffine, ChipView, LoadAware, Placement, PlacementPolicy, SectionDeps};
-pub use rename::{verify_single_assignment, MemoryAliasTable, RegisterAliasTable, RenameTag};
-pub use section::{InstRecord, SectionId, SectionSpan, SectionedTrace, SourceDep, SourceKind};
 pub use sim::{ManyCoreSim, SimResult};
 pub use timing::{format_figure10, InstTiming, SimStats};
 // The static-analysis vocabulary of `parsecs-check`; re-exported so
@@ -96,9 +98,13 @@ pub use parsecs_check::{
     DrainSafety, InvariantViolation, Progress, ScheduleBounds, StaticBounds, WaitEdge, WaitKind,
     WalkSafety,
 };
-// The streaming trace pipeline this crate's engines consume; re-exported
-// so simulator callers can build arenas without a separate dependency.
-pub use parsecs_trace::{PackedDep, StreamingSectioner, TraceArena, TraceError};
+// The streaming trace pipeline and the section/dependence vocabulary
+// this crate's engines consume; re-exported so simulator callers can
+// build arenas without a separate dependency.
+pub use parsecs_trace::{
+    PackedDep, SectionId, SectionSpan, SourceDep, SourceKind, StreamingSectioner, TraceArena,
+    TraceError,
+};
 // The telemetry vocabulary of `parsecs-obs`; re-exported so callers of
 // the probed simulation paths ([`ManyCoreSim::simulate_arena_probed`],
 // [`SimStats::attribution`]) can consume probes and breakdowns without a

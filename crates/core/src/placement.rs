@@ -16,7 +16,7 @@ use std::fmt;
 
 use parsecs_noc::{CoreId, NocConfig, Topology};
 
-use crate::{InstRecord, SectionId, SectionSpan, SourceKind};
+use crate::{SectionId, SectionSpan, SourceKind};
 
 /// A static description of the chip a placement decides over.
 #[derive(Debug, Clone)]
@@ -58,28 +58,8 @@ pub struct SectionDeps {
 }
 
 impl SectionDeps {
-    /// Builds the summary from the resolved instruction records, counting
-    /// one edge weight per remote register or memory source.
-    pub fn from_records(sections: usize, records: &[InstRecord]) -> SectionDeps {
-        let mut weights: Vec<HashMap<usize, u32>> = vec![HashMap::new(); sections];
-        for record in records {
-            for dep in record.reg_sources.iter().chain(&record.mem_sources) {
-                if let SourceKind::Remote {
-                    producer_section, ..
-                } = dep.kind
-                {
-                    *weights[record.section.0]
-                        .entry(producer_section.0)
-                        .or_insert(0) += 1;
-                }
-            }
-        }
-        SectionDeps::from_weights(weights)
-    }
-
-    /// Builds the summary from an arena-backed trace — the same edges as
-    /// [`SectionDeps::from_records`], read off the shared dependence
-    /// slice.
+    /// Builds the summary from an arena-backed trace, counting one edge
+    /// weight per remote register or memory source.
     pub fn from_arena(sections: usize, arena: &parsecs_trace::TraceArena) -> SectionDeps {
         let mut weights: Vec<HashMap<usize, u32>> = vec![HashMap::new(); sections];
         for seq in 0..arena.len() {
@@ -578,23 +558,25 @@ mod tests {
         assert_eq!(ChainAffine.name(), "chain-affine");
     }
 
-    use crate::section::SourceDep;
+    use crate::SourceDep;
 
-    fn record(seq: usize, section: usize, reg_sources: Vec<SourceDep>) -> crate::InstRecord {
-        crate::InstRecord {
-            seq,
-            ip: 0,
-            mnemonic: "movq",
-            section: SectionId(section),
-            index_in_section: 0,
-            kind: parsecs_machine::TraceKind::Other,
-            is_control: false,
-            is_load: false,
-            is_store: false,
-            reg_sources,
-            mem_sources: Vec::new(),
-            writes: Vec::new(),
+    /// An arena of one record per `(section, remote reg sources)` entry —
+    /// all `from_arena` reads.
+    fn deps_arena(records: &[(usize, Vec<SourceDep>)]) -> parsecs_trace::TraceArena {
+        let mut arena = parsecs_trace::TraceArena::new();
+        for (section, reg_sources) in records {
+            arena.push_record(
+                0,
+                "movq",
+                SectionId(*section),
+                parsecs_machine::TraceKind::Other,
+                false,
+                reg_sources,
+                &[],
+                &[],
+            );
         }
+        arena
     }
 
     fn remote_dep(producer: usize, producer_section: usize) -> SourceDep {
@@ -609,12 +591,12 @@ mod tests {
 
     #[test]
     fn section_deps_count_remote_edges_per_producer() {
-        let records = vec![
-            record(0, 0, vec![]),
-            record(1, 1, vec![remote_dep(0, 0), remote_dep(0, 0)]),
-            record(2, 2, vec![remote_dep(1, 1), remote_dep(0, 0)]),
-        ];
-        let deps = SectionDeps::from_records(3, &records);
+        let arena = deps_arena(&[
+            (0, vec![]),
+            (1, vec![remote_dep(0, 0), remote_dep(0, 0)]),
+            (2, vec![remote_dep(1, 1), remote_dep(0, 0)]),
+        ]);
+        let deps = SectionDeps::from_arena(3, &arena);
         assert!(deps.producers(SectionId(0)).is_empty());
         assert_eq!(deps.producers(SectionId(1)), &[(SectionId(0), 2)]);
         assert_eq!(
@@ -632,12 +614,8 @@ mod tests {
         c.noc.base_latency = 50;
         c.noc.per_hop_latency = 50;
         let sections = spans(&[4, 4, 4]);
-        let records = vec![record(
-            8,
-            2,
-            (0..4).map(|_| remote_dep(4, 1)).collect::<Vec<_>>(),
-        )];
-        let deps = SectionDeps::from_records(3, &records);
+        let arena = deps_arena(&[(2, (0..4).map(|_| remote_dep(4, 1)).collect())]);
+        let deps = SectionDeps::from_arena(3, &arena);
         let assigned = ChainAffine.assign_with_deps(&sections, &c, &deps);
         assert_eq!(
             assigned[2], assigned[1],

@@ -33,7 +33,7 @@ use parsecs_trace::TraceArena;
 
 use crate::chip::{ChipState, StallTable, NO_SECTION, NO_STALL};
 use crate::drain::{fetch_computable, Resolver};
-use crate::sim::{stall_cause, Prepared};
+use crate::sim::{stall_cause, Setup};
 use crate::{ManyCoreSim, SimError, SimResult};
 
 /// Simulates an arena-backed trace by stepping the chip one cycle at a
@@ -46,23 +46,20 @@ pub(crate) fn simulate<P: SimProbe>(
     probe: &mut P,
 ) -> Result<SimResult, SimError> {
     let config = sim.config();
-    config.validate().map_err(SimError::Config)?;
-    let mut check = sim.precheck(arena)?;
-    let sections = arena.sections();
-    let n = arena.len();
-
-    let prepared = sim.prepare(arena)?;
-    // The reference never forks, but it computes (and reports) the same
-    // fork verdict as the event engine, so [`SimResult`]s stay
+    // The reference never forks, but it runs the same setup as the event
+    // engine and reports the same fork verdict, so [`SimResult`]s stay
     // bit-identical — including the typed fallback and the attached
     // progress/walk verdicts.
-    let (_, fork_fallback) = sim.fork_decision(arena, check.as_deref(), &prepared.core_of);
-    sim.attach_verdicts(arena, check.as_deref_mut(), &prepared.core_of);
-    let Prepared {
+    let Setup {
         core_of,
         mut network,
         created_by,
-    } = prepared;
+        check,
+        clusters: _,
+        fork_fallback,
+    } = sim.setup(arena)?;
+    let sections = arena.sections();
+    let n = arena.len();
     let mut resolver = Resolver::new(config, arena, n);
     let mut chip = ChipState::new(config.cores, sections.len());
     let mut stalls = StallTable::new(sections.len());

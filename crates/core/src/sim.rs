@@ -2,8 +2,9 @@
 //!
 //! The simulator models the paper's execution as two coupled layers:
 //!
-//! 1. a *functional* layer — [`SectionedTrace`] runs the program, splits it
-//!    into sections and resolves every producer/consumer pair; and
+//! 1. a *functional* layer — [`TraceArena::from_program`] runs the
+//!    program through the streaming sectioner, which splits it into
+//!    sections and resolves every producer/consumer pair; and
 //! 2. a *timing* layer — this crate places sections on cores and advances
 //!    the chip: every core fetches one instruction per cycle along its
 //!    current section (computing control in the fetch stage rather than
@@ -11,6 +12,10 @@
 //!    remote operands are obtained through renaming requests charged with
 //!    the NoC latency, memory instructions go through the address-rename
 //!    and memory-access stages, and each section retires in order.
+//!
+//! The engine's entry points take the arena: [`ManyCoreSim::simulate_arena`]
+//! and [`ManyCoreSim::simulate_arena_probed`] run the event-driven engine,
+//! [`ManyCoreSim::simulate_reference`] the cycle-stepping reference.
 //!
 //! The timing layer is split into focused modules:
 //!
@@ -75,7 +80,6 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 use parsecs_check::{bound_schedule, certify_walk, prove_progress, CheckReport};
-use parsecs_isa::Program;
 use parsecs_noc::{CoreId, Network, NocStats};
 use parsecs_obs::{CoreBreakdown, CycleAttribution, NoopProbe, SimProbe, StallCause, TickGauges};
 use parsecs_pool::Pool;
@@ -85,7 +89,7 @@ use crate::chip::{ChipState, NO_SECTION, NO_STALL};
 use crate::cluster::{cluster_windows, partition, schedule, walk_cluster, Cluster, WalkCtx};
 use crate::drain::{Resolver, INCOMPLETE, UNKNOWN};
 use crate::error::{FallbackReason, ForkFallback};
-use crate::{InstTiming, SectionId, SectionSpan, SectionedTrace, SimConfig, SimError, SimStats};
+use crate::{InstTiming, SectionId, SectionSpan, SimConfig, SimError, SimStats};
 
 pub(crate) use crate::chip::StallTable;
 
@@ -191,13 +195,19 @@ pub struct ManyCoreSim {
     config: SimConfig,
 }
 
-/// Everything both engines derive from the configuration before timing
-/// starts: the section placement, the freshly created NoC and the
-/// fork-site → created-section map.
-pub(crate) struct Prepared {
+/// Everything both engines derive from the configuration and the arena
+/// before timing starts ([`ManyCoreSim::setup`]): the section placement,
+/// the freshly created NoC, the fork-site → created-section map, the
+/// validated run's check report, and the fork verdict.
+pub(crate) struct Setup {
     pub(crate) core_of: Vec<CoreId>,
     pub(crate) network: Network<SectionId>,
     pub(crate) created_by: HashMap<usize, SectionId>,
+    pub(crate) check: Option<Box<CheckReport>>,
+    /// How many clusters the event engine runs; the reference engine
+    /// never forks and ignores it.
+    pub(crate) clusters: usize,
+    pub(crate) fork_fallback: Option<ForkFallback>,
 }
 
 /// Whether the arena's static analysis authorises the parallel drain: a
@@ -254,95 +264,17 @@ impl ManyCoreSim {
         &self.config
     }
 
-    /// Runs `program` functionally through the streaming trace pipeline
-    /// ([`TraceArena::from_program`]: the machine pushes each retired
-    /// instruction into the sectioner, which renames and resolves on the
-    /// fly) and simulates its distributed execution with the event-driven
-    /// engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Config`] for an invalid configuration and
-    /// [`SimError::Machine`] if the functional pre-execution fails.
-    pub fn run(&self, program: &Program) -> Result<SimResult, SimError> {
-        self.run_probed(program, &mut NoopProbe)
-    }
-
-    /// Like [`ManyCoreSim::run`], with a telemetry probe observing the
-    /// timing run (see [`ManyCoreSim::simulate_arena_probed`] for the
-    /// zero-cost contract). The functional pre-execution is not probed —
-    /// probes observe the timing model only.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ManyCoreSim::run`].
-    pub fn run_probed<P: SimProbe>(
-        &self,
-        program: &Program,
-        probe: &mut P,
-    ) -> Result<SimResult, SimError> {
-        self.config.validate().map_err(SimError::Config)?;
-        let arena = TraceArena::from_program(program, self.config.fuel)?;
-        self.simulate_arena_probed(&arena, probe)
-    }
-
-    /// Like [`ManyCoreSim::run`], but timed by the retained cycle-stepping
+    /// Simulates an arena-backed trace with the retained cycle-stepping
     /// reference loop instead of the event-driven engine. The two produce
     /// bit-identical [`SimResult`]s; the reference exists as the oracle
-    /// for differential tests and benchmarks.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ManyCoreSim::run`].
-    pub fn run_reference(&self, program: &Program) -> Result<SimResult, SimError> {
-        self.config.validate().map_err(SimError::Config)?;
-        let arena = TraceArena::from_program(program, self.config.fuel)?;
-        self.simulate_arena_reference(&arena)
-    }
-
-    /// Simulates an already-sectioned trace with the cycle-stepping
-    /// reference loop. Compatibility shim: converts to the arena
-    /// representation first; hot callers should hold a [`TraceArena`] and
-    /// use [`ManyCoreSim::simulate_arena_reference`].
+    /// for differential tests and benchmarks. The probe observes the run
+    /// as in [`ManyCoreSim::simulate_arena_probed`] (pass [`NoopProbe`]
+    /// for none).
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Config`] for an invalid configuration.
-    pub fn simulate_reference(&self, trace: &SectionedTrace) -> Result<SimResult, SimError> {
-        self.simulate_arena_reference(&trace.to_arena())
-    }
-
-    /// Simulates an already-sectioned trace with the event-driven engine.
-    /// Compatibility shim: converts to the arena representation first;
-    /// hot callers should hold a [`TraceArena`] and use
-    /// [`ManyCoreSim::simulate_arena`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Config`] for an invalid configuration.
-    pub fn simulate(&self, trace: &SectionedTrace) -> Result<SimResult, SimError> {
-        self.simulate_arena(&trace.to_arena())
-    }
-
-    /// Simulates an arena-backed trace with the cycle-stepping reference
-    /// loop (see [`ManyCoreSim::run_reference`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Config`] for an invalid configuration.
-    pub fn simulate_arena_reference(&self, arena: &TraceArena) -> Result<SimResult, SimError> {
-        self.simulate_arena_reference_probed(arena, &mut NoopProbe)
-    }
-
-    /// Like [`ManyCoreSim::simulate_arena_reference`], with a telemetry
-    /// probe observing the run (see
-    /// [`ManyCoreSim::simulate_arena_probed`] for the zero-cost
-    /// contract).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Config`] for an invalid configuration.
-    pub fn simulate_arena_reference_probed<P: SimProbe>(
+    pub fn simulate_reference<P: SimProbe>(
         &self,
         arena: &TraceArena,
         probe: &mut P,
@@ -390,26 +322,43 @@ impl ManyCoreSim {
         arena: &TraceArena,
         probe: &mut P,
     ) -> Result<SimResult, SimError> {
-        self.config.validate().map_err(SimError::Config)?;
-        let mut check = self.precheck(arena)?;
-        let prepared = self.prepare(arena)?;
-        let (clusters, fallback) = self.fork_decision(arena, check.as_deref(), &prepared.core_of);
-        self.attach_verdicts(arena, check.as_deref_mut(), &prepared.core_of);
+        let setup = self.setup(arena)?;
+        let clusters = setup.clusters;
         if clusters > 1 {
             Pool::with(clusters, |pool| {
-                self.run_event(
-                    arena,
-                    prepared,
-                    check,
-                    clusters,
-                    Some(pool),
-                    fallback,
-                    probe,
-                )
+                self.run_event(arena, setup, Some(pool), probe)
             })
         } else {
-            self.run_event(arena, prepared, check, 1, None, fallback, probe)
+            self.run_event(arena, setup, None, probe)
         }
+    }
+
+    /// The engine setup both engines run once before timing starts:
+    /// validate the configuration, run the static analysis when
+    /// [`SimConfig::validate`] is on, place the sections and build the
+    /// NoC, decide the fork, and attach the configuration-aware verdicts
+    /// to the check report.
+    pub(crate) fn setup(&self, arena: &TraceArena) -> Result<Setup, SimError> {
+        self.config.validate().map_err(SimError::Config)?;
+        let mut check = self.precheck(arena)?;
+        let core_of = self.place(arena)?;
+        let network = Network::new(self.config.effective_topology(), self.config.noc);
+        // Which section does each dynamic fork create?
+        let created_by: HashMap<usize, SectionId> = arena
+            .sections()
+            .iter()
+            .filter_map(|s| s.creator.map(|(_, fork_seq)| (fork_seq, s.id)))
+            .collect();
+        let (clusters, fork_fallback) = self.fork_decision(arena, check.as_deref(), &core_of);
+        self.attach_verdicts(arena, check.as_deref_mut(), &core_of);
+        Ok(Setup {
+            core_of,
+            network,
+            created_by,
+            check,
+            clusters,
+            fork_fallback,
+        })
     }
 
     /// The fork decision both engines share: how many clusters to run
@@ -417,7 +366,7 @@ impl ManyCoreSim {
     /// the drain certificate first, then certifies the concrete cluster
     /// partition; the reference engine computes the same verdict without
     /// ever forking, keeping [`SimResult`]s bit-identical.
-    pub(crate) fn fork_decision(
+    fn fork_decision(
         &self,
         arena: &TraceArena,
         precheck: Option<&CheckReport>,
@@ -461,7 +410,7 @@ impl ManyCoreSim {
     /// re-certified by [`ManyCoreSim::fork_decision`]). Deliberately
     /// independent of [`SimConfig::threads`], so runs that differ only
     /// in thread count attach identical reports.
-    pub(crate) fn attach_verdicts(
+    fn attach_verdicts(
         &self,
         arena: &TraceArena,
         check: Option<&mut CheckReport>,
@@ -488,25 +437,24 @@ impl ManyCoreSim {
     /// forking the per-cycle walk and large drain rounds over `pool`.
     /// Single-cluster/no-pool is the sequential path; both run the same
     /// walk and drain code in the same order.
-    #[allow(clippy::too_many_arguments)]
     fn run_event<P: SimProbe>(
         &self,
         arena: &TraceArena,
-        prepared: Prepared,
-        check: Option<Box<CheckReport>>,
-        clusters: usize,
+        setup: Setup,
         pool: Option<&Pool>,
-        fork_fallback: Option<ForkFallback>,
         probe: &mut P,
     ) -> Result<SimResult, SimError> {
         let sections = arena.sections();
         let n = arena.len();
 
-        let Prepared {
+        let Setup {
             core_of,
             mut network,
             created_by,
-        } = prepared;
+            check,
+            clusters,
+            fork_fallback,
+        } = setup;
         let mut resolver = Resolver::new(&self.config, arena, n);
 
         let mut chip = ChipState::new(self.config.cores, sections.len());
@@ -844,10 +792,7 @@ impl ManyCoreSim {
     /// rejected as [`SimError::Invariant`]; a clean report is returned
     /// for attachment to [`SimResult::check`]. A single branch (and no
     /// work at all) when validation is off.
-    pub(crate) fn precheck(
-        &self,
-        arena: &TraceArena,
-    ) -> Result<Option<Box<CheckReport>>, SimError> {
+    fn precheck(&self, arena: &TraceArena) -> Result<Option<Box<CheckReport>>, SimError> {
         if !self.config.validate {
             return Ok(None);
         }
@@ -856,26 +801,6 @@ impl ManyCoreSim {
             return Err(SimError::Invariant(Box::new(report)));
         }
         Ok(Some(Box::new(report)))
-    }
-
-    /// Validates the placement and builds the shared pre-timing state.
-    pub(crate) fn prepare(&self, arena: &TraceArena) -> Result<Prepared, SimError> {
-        let sections = arena.sections();
-        let core_of = self.place(arena)?;
-        let topology = self.config.effective_topology();
-        let network: Network<SectionId> = Network::new(topology, self.config.noc);
-
-        // Which section does each dynamic fork create?
-        let created_by: HashMap<usize, SectionId> = sections
-            .iter()
-            .filter_map(|s| s.creator.map(|(_, fork_seq)| (fork_seq, s.id)))
-            .collect();
-
-        Ok(Prepared {
-            core_of,
-            network,
-            created_by,
-        })
     }
 
     /// Assembles the [`SimResult`] from a finished resolver. The
@@ -1076,12 +1001,53 @@ impl ManyCoreSim {
 mod tests {
     use super::*;
     use crate::format_figure10;
-    use crate::section::tests::sum_fork_program;
+    use parsecs_isa::Program;
     use parsecs_machine::TraceKind;
 
+    /// The paper's running example: Figure 5 preceded by a tiny `main`.
+    fn sum_fork_program(data: &[u64]) -> Program {
+        let quads: Vec<String> = data.iter().map(u64::to_string).collect();
+        let src = format!(
+            "t:   .quad {}
+             main: movq $t, %rdi
+                   movq ${}, %rsi
+                   fork sum
+                   out  %rax
+                   halt
+             sum:  cmpq $2, %rsi
+                   ja .L2
+                   movq (%rdi), %rax
+                   jne .L1
+                   addq 8(%rdi), %rax
+             .L1:  endfork
+             .L2:  movq %rsi, %rbx
+                   shrq %rsi
+                   fork sum
+                   subq $8, %rsp
+                   movq %rax, 0(%rsp)
+                   leaq (%rdi,%rsi,8), %rdi
+                   subq %rsi, %rbx
+                   movq %rbx, %rsi
+                   fork sum
+                   addq 0(%rsp), %rax
+                   addq $8, %rsp
+                   endfork",
+            quads.join(", "),
+            data.len(),
+        );
+        parsecs_asm::assemble(&src).expect("sum program assembles")
+    }
+
+    /// The program's sectioned trace, through the streaming pipeline.
+    fn arena_of(program: &Program) -> TraceArena {
+        TraceArena::from_program(program, 1_000_000).expect("runs")
+    }
+
     fn sim_sum(data: &[u64], config: SimConfig) -> SimResult {
-        let program = sum_fork_program(data);
-        ManyCoreSim::new(config).run(&program).expect("simulates")
+        let arena = arena_of(&sum_fork_program(data));
+        ManyCoreSim::new(config)
+            .simulate_arena(&arena)
+            .expect("simulates")
     }
 
     #[test]
@@ -1111,9 +1077,12 @@ mod tests {
     #[test]
     fn validated_runs_attach_identical_reports_on_both_engines() {
         let program = sum_fork_program(&[4, 2, 6, 4, 5]);
+        let arena = arena_of(&program);
         let sim = ManyCoreSim::new(SimConfig::with_cores(8).validated());
-        let validated = sim.run(&program).expect("simulates");
-        let reference = sim.run_reference(&program).expect("simulates");
+        let validated = sim.simulate_arena(&arena).expect("simulates");
+        let reference = sim
+            .simulate_reference(&arena, &mut NoopProbe)
+            .expect("simulates");
         assert_eq!(validated, reference);
         let report = validated.check.as_ref().expect("validated run");
         assert!(report.is_clean());
@@ -1129,7 +1098,9 @@ mod tests {
         // (Pinned off explicitly: the default tracks PARSECS_VALIDATE.)
         let mut off = SimConfig::with_cores(8);
         off.validate = false;
-        let mut plain = ManyCoreSim::new(off).run(&program).expect("simulates");
+        let mut plain = ManyCoreSim::new(off)
+            .simulate_arena(&arena)
+            .expect("simulates");
         assert!(plain.check.is_none());
         plain.check = validated.check.clone();
         assert_eq!(plain, validated);
@@ -1229,13 +1200,18 @@ mod tests {
     fn stats_only_matches_full_mode_statistics_bit_for_bit() {
         let data: Vec<u64> = (1..=24).collect();
         let program = sum_fork_program(&data);
+        let arena = arena_of(&program);
         for cores in [1, 4, 16] {
             let full_sim = ManyCoreSim::new(SimConfig::with_cores(cores));
             let stats_sim = ManyCoreSim::new(SimConfig::with_cores(cores).stats_only());
-            let full = full_sim.run(&program).expect("full-mode simulates");
-            let stats = stats_sim.run(&program).expect("stats-only simulates");
+            let full = full_sim
+                .simulate_arena(&arena)
+                .expect("full-mode simulates");
+            let stats = stats_sim
+                .simulate_arena(&arena)
+                .expect("stats-only simulates");
             let stats_reference = stats_sim
-                .run_reference(&program)
+                .simulate_reference(&arena, &mut NoopProbe)
                 .expect("stats-only reference simulates");
             assert_eq!(stats, stats_reference, "engines diverge stats-only");
             assert_eq!(
@@ -1265,14 +1241,14 @@ mod tests {
         assert_eq!(
             full,
             full_sim
-                .simulate_arena_reference(&empty)
+                .simulate_reference(&empty, &mut NoopProbe)
                 .expect("simulates")
         );
         let stats = stats_sim.simulate_arena(&empty).expect("simulates");
         assert_eq!(
             stats,
             stats_sim
-                .simulate_arena_reference(&empty)
+                .simulate_reference(&empty, &mut NoopProbe)
                 .expect("simulates")
         );
         assert_eq!(full.stats, stats.stats);
@@ -1375,7 +1351,7 @@ mod tests {
         )
         .unwrap();
         let result = ManyCoreSim::new(SimConfig::with_cores(4))
-            .run(&program)
+            .simulate_arena(&arena_of(&program))
             .unwrap();
         assert_eq!(result.outputs, vec![720]);
         assert_eq!(result.stats.sections, 1);
@@ -1389,8 +1365,9 @@ mod tests {
     #[test]
     fn invalid_configuration_is_reported() {
         let program = sum_fork_program(&[1, 2, 3]);
+        let arena = arena_of(&program);
         let err = ManyCoreSim::new(SimConfig::with_cores(0))
-            .run(&program)
+            .simulate_arena(&arena)
             .unwrap_err();
         assert!(matches!(err, SimError::Config(_)));
     }
@@ -1497,6 +1474,7 @@ t3:     movq $w, %rcx
         endfork",
         )
         .expect("assembles");
+        let arena = arena_of(&program);
         let mut configs = vec![
             SimConfig::with_cores(1),
             SimConfig::with_cores(2),
@@ -1513,8 +1491,10 @@ t3:     movq $w, %rcx
         configs.push(slow);
         for config in configs {
             let sim = ManyCoreSim::new(config);
-            let event = sim.run(&program).expect("simulates");
-            let reference = sim.run_reference(&program).expect("reference simulates");
+            let event = sim.simulate_arena(&arena).expect("simulates");
+            let reference = sim
+                .simulate_reference(&arena, &mut NoopProbe)
+                .expect("reference simulates");
             assert_eq!(event, reference, "{:?}", sim.config());
             // 0+1+5 = 6 and 0+3+1+7 = 11.
             assert_eq!(event.outputs, vec![17], "{:?}", sim.config());
@@ -1535,6 +1515,7 @@ t3:     movq $w, %rcx
     fn event_driven_engine_matches_the_reference_bit_for_bit() {
         let data: Vec<u64> = (1..=40).collect();
         let program = sum_fork_program(&data);
+        let arena = arena_of(&program);
         for cores in [1, 2, 3, 8, 64] {
             for placement_config in [
                 SimConfig::with_cores(cores),
@@ -1542,8 +1523,10 @@ t3:     movq $w, %rcx
                 SimConfig::with_cores(cores).with_placement(crate::LoadAware),
             ] {
                 let sim = ManyCoreSim::new(placement_config);
-                let event = sim.run(&program).expect("event-driven simulates");
-                let reference = sim.run_reference(&program).expect("reference simulates");
+                let event = sim.simulate_arena(&arena).expect("event-driven simulates");
+                let reference = sim
+                    .simulate_reference(&arena, &mut NoopProbe)
+                    .expect("reference simulates");
                 assert_eq!(
                     event,
                     reference,
@@ -1558,6 +1541,7 @@ t3:     movq $w, %rcx
     fn engines_agree_under_hostile_configurations() {
         let data: Vec<u64> = (1..=24).collect();
         let program = sum_fork_program(&data);
+        let arena = arena_of(&program);
         let mut configs = Vec::new();
         let mut bandwidth = SimConfig::with_cores(4);
         bandwidth.noc.link_bandwidth = Some(1);
@@ -1577,8 +1561,10 @@ t3:     movq $w, %rcx
         configs.push(no_stall);
         for config in configs {
             let sim = ManyCoreSim::new(config);
-            let event = sim.run(&program).expect("event-driven simulates");
-            let reference = sim.run_reference(&program).expect("reference simulates");
+            let event = sim.simulate_arena(&arena).expect("event-driven simulates");
+            let reference = sim
+                .simulate_reference(&arena, &mut NoopProbe)
+                .expect("reference simulates");
             assert_eq!(event, reference, "{:?}", sim.config());
         }
     }
@@ -1587,14 +1573,15 @@ t3:     movq $w, %rcx
     fn threaded_runs_match_sequential_bit_for_bit() {
         let data: Vec<u64> = (1..=200).collect();
         let program = sum_fork_program(&data);
+        let arena = arena_of(&program);
         for record in [true, false] {
             let mut base = SimConfig::with_cores(64);
             base.record_timings = record;
             let sequential = ManyCoreSim::new(base.clone().with_threads(1))
-                .run(&program)
+                .simulate_arena(&arena)
                 .expect("sequential simulates");
             let threaded = ManyCoreSim::new(base.with_threads(4))
-                .run(&program)
+                .simulate_arena(&arena)
                 .expect("threaded simulates");
             assert_eq!(sequential, threaded, "record_timings = {record}");
         }
@@ -1679,8 +1666,9 @@ t3:     movq $w, %rcx
     fn certified_threaded_runs_report_no_fallback() {
         let data: Vec<u64> = (1..=40).collect();
         let program = sum_fork_program(&data);
+        let arena = arena_of(&program);
         let result = ManyCoreSim::new(SimConfig::with_cores(64).with_threads(4))
-            .run(&program)
+            .simulate_arena(&arena)
             .expect("simulates");
         assert_eq!(
             result.fork_fallback, None,

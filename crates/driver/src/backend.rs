@@ -1,6 +1,6 @@
 //! The [`ExecutionBackend`] trait and its three engine implementations.
 
-use parsecs_core::{ManyCoreSim, SimConfig, SimProbe};
+use parsecs_core::{ManyCoreSim, NoopProbe, SimConfig, SimError, SimProbe, TraceArena};
 use parsecs_ilp::{analyze, IlpModel};
 use parsecs_isa::Program;
 use parsecs_machine::Machine;
@@ -213,17 +213,12 @@ impl ManyCoreBackend {
         fuel: u64,
         probe: &mut P,
     ) -> Result<RunReport, DriverError> {
-        let mut config = self.config.clone();
-        config.fuel = fuel;
-        let result = ManyCoreSim::new(config).run_probed(program, probe)?;
-        self.report(result)
-    }
-
-    /// Wraps a finished [`parsecs_core::SimResult`] as a [`RunReport`],
-    /// refusing untrustworthy timings: a forced stall release means the
-    /// stall/wake model broke down, surfaced as
-    /// [`DriverError::Deadlock`] instead of a report.
-    fn report(&self, result: parsecs_core::SimResult) -> Result<RunReport, DriverError> {
+        // A bad configuration fails before the pre-execution runs.
+        self.config.validate().map_err(SimError::Config)?;
+        let arena = TraceArena::from_program(program, fuel).map_err(SimError::from)?;
+        let result = ManyCoreSim::new(self.config.clone()).simulate_arena_probed(&arena, probe)?;
+        // A forced stall release means the stall/wake model broke down:
+        // refuse the untrustworthy timings instead of reporting them.
         if result.stats.forced_stall_releases > 0 {
             return Err(DriverError::Deadlock {
                 forced_stall_releases: result.stats.forced_stall_releases,
@@ -311,10 +306,7 @@ impl ExecutionBackend for ManyCoreBackend {
 
     /// The explicit `fuel` overrides the configuration's `fuel` field.
     fn execute_fueled(&self, program: &Program, fuel: u64) -> Result<RunReport, DriverError> {
-        let mut config = self.config.clone();
-        config.fuel = fuel;
-        let result = ManyCoreSim::new(config).run(program)?;
-        self.report(result)
+        self.execute_probed_fueled(program, fuel, &mut NoopProbe)
     }
 }
 

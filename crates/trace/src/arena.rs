@@ -327,8 +327,8 @@ impl TraceArena {
     /// An empty *lean* arena: written locations are not recorded (see
     /// [`TraceArena::records_writes`]). Use for stats-oriented chip-scale
     /// simulation where the written-locations column would be dead
-    /// weight; the record-representation bridge
-    /// (`SectionedTrace::from_arena`) needs a full arena.
+    /// weight; the writer-discipline replay of `parsecs-check` needs a
+    /// full arena.
     pub fn new_lean() -> TraceArena {
         TraceArena {
             lean: true,
@@ -549,7 +549,8 @@ impl TraceArena {
     // ------------------------------------------------------------------
     // Builder surface (the streaming sectioner writes the columns
     // directly; these are for assembling an arena from already-resolved
-    // records, e.g. `SectionedTrace::to_arena`).
+    // records, e.g. the two-pass oracle sectioner of the workspace's
+    // differential tests).
     // ------------------------------------------------------------------
 
     /// Interns a mnemonic, returning its table id. The table stays tiny

@@ -60,6 +60,7 @@ pub use stream::{AddrHasher, StreamingSectioner};
 
 #[cfg(test)]
 mod tests {
+    use parsecs_isa::Reg;
     use parsecs_machine::{Location, Machine, TraceKind};
 
     use super::*;
@@ -98,21 +99,179 @@ mod tests {
         parsecs_asm::assemble(&src).expect("sum program assembles")
     }
 
+    fn sectioned(data: &[u64]) -> TraceArena {
+        TraceArena::from_program(&sum_fork_program(data), 1_000_000).expect("runs")
+    }
+
+    /// The first dependence of `deps` on `location`.
+    fn source_on(deps: &[PackedDep], location: Location) -> SourceKind {
+        deps.iter()
+            .find(|d| d.location() == location)
+            .unwrap_or_else(|| panic!("reads {location:?}"))
+            .kind()
+    }
+
     #[test]
     fn streaming_matches_the_papers_sections() {
-        let arena =
-            TraceArena::from_program(&sum_fork_program(&[4, 2, 6, 4, 5]), 1_000_000).expect("runs");
+        // Figure 4 / Figure 6: five sections of 11, 16, 12, 3 and 3
+        // instructions. Our initial section additionally carries the 3
+        // `main` instructions before the first fork, and the continuation
+        // of `main` (out, halt) forms a final 2-instruction section.
+        let arena = sectioned(&[4, 2, 6, 4, 5]);
         assert_eq!(arena.outputs(), &[21]);
         assert_eq!(arena.sections().len(), 6);
         assert_eq!(arena.section_sizes(), vec![3 + 11, 16, 12, 3, 3, 2]);
-        assert_eq!(arena.len(), 50);
+        assert_eq!(arena.len(), 45 + 5);
         assert_eq!(arena.longest_section(), 16);
+        // The first section starts at `main`, is not created by anyone.
         assert_eq!(arena.sections()[0].creator, None);
+        // Section 2 (paper numbering) is created by the first `fork` of the
+        // initial section.
         let (creator, fork_seq) = arena.sections()[1].creator.unwrap();
         assert_eq!(creator, SectionId(0));
         assert_eq!(arena.kind(fork_seq), TraceKind::Fork);
+        // Sections are contiguous and ordered.
         for w in arena.sections().windows(2) {
             assert_eq!(w[0].end, w[1].start);
+        }
+        // The paper's 1-based `s-i` instruction names.
+        assert_eq!(arena.name(0), "1-1");
+        assert_eq!(
+            arena.name(arena.len() - 1),
+            format!("{}-{}", arena.sections().len(), 2)
+        );
+    }
+
+    #[test]
+    fn creator_always_precedes_created_section() {
+        let arena = sectioned(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
+        for span in arena.sections() {
+            if let Some((creator, fork_seq)) = span.creator {
+                assert!(creator < span.id, "{creator:?} must precede {:?}", span.id);
+                assert!(fork_seq < span.start);
+            }
+        }
+    }
+
+    #[test]
+    fn every_instruction_belongs_to_exactly_one_section() {
+        let arena = sectioned(&[3, 1, 4, 1, 5, 9, 2, 6]);
+        let total: usize = arena.section_sizes().iter().sum();
+        assert_eq!(total, arena.len());
+        for seq in 0..arena.len() {
+            let span = &arena.sections()[arena.section(seq).0];
+            assert!(seq >= span.start && seq < span.end);
+            assert_eq!(arena.index_in_section(seq), seq - span.start);
+        }
+    }
+
+    #[test]
+    fn rax_of_the_resume_comes_from_the_preceding_section() {
+        // Instruction 2-2 of Figure 6 (movq %rax, 0(%rsp)) consumes the rax
+        // produced by the last instruction of the recursive descent hosted
+        // in section 1 — the canonical remote renaming example of §4.2.
+        let arena = sectioned(&[4, 2, 6, 4, 5]);
+        let section2 = arena.sections()[1].start;
+        let store = section2 + 1;
+        assert_eq!(arena.mnemonic(store), "movq");
+        assert!(arena.is_store(store));
+        match source_on(arena.reg_sources(store), Location::Reg(Reg::Rax)) {
+            SourceKind::Remote {
+                producer_section, ..
+            } => {
+                assert_eq!(producer_section, SectionId(0));
+            }
+            other => panic!("expected a remote source, found {other:?}"),
+        }
+        // Its %rsp comes from the `subq $8, %rsp` just before it (2-1),
+        // i.e. a local renaming hit.
+        assert!(matches!(
+            source_on(arena.reg_sources(store), Location::Reg(Reg::Rsp)),
+            SourceKind::Local { .. }
+        ));
+        // The array pointer %rdi used by 2-3 (leaq) was written by `main`
+        // before the creating fork, so it arrives with the section-creation
+        // message: the fork copy.
+        let lea = section2 + 2;
+        assert_eq!(arena.mnemonic(lea), "leaq");
+        assert_eq!(
+            source_on(arena.reg_sources(lea), Location::Reg(Reg::Rdi)),
+            SourceKind::ForkCopy
+        );
+    }
+
+    #[test]
+    fn final_sum_reads_memory_written_by_an_earlier_section() {
+        // Instruction 5-1 of Figure 6 (addq 0(%rsp), %rax) reads the stack
+        // word written by instruction 2-2: memory renaming across sections.
+        let arena = sectioned(&[4, 2, 6, 4, 5]);
+        let add = arena.sections()[4].start;
+        assert_eq!(arena.mnemonic(add), "addq");
+        assert!(arena.is_load(add));
+        match arena.mem_sources(add)[0].kind() {
+            SourceKind::Remote {
+                producer_section,
+                producer,
+            } => {
+                assert_eq!(producer_section, SectionId(1));
+                assert_eq!(arena.mnemonic(producer), "movq");
+            }
+            other => panic!("expected a remote memory source, found {other:?}"),
+        }
+    }
+
+    #[test]
+    fn array_loads_come_from_the_loader() {
+        let arena = sectioned(&[4, 2, 6, 4, 5]);
+        // The first load of t[0] has no in-program producer: it is served
+        // by the loader / data memory hierarchy.
+        let load = (0..arena.len())
+            .find(|&seq| arena.is_load(seq) && !arena.mem_sources(seq).is_empty())
+            .expect("some load exists");
+        assert!(matches!(
+            arena.mem_sources(load)[0].kind(),
+            SourceKind::InitialMemory | SourceKind::Remote { .. }
+        ));
+        let initial_loads = (0..arena.len())
+            .flat_map(|seq| arena.mem_sources(seq))
+            .filter(|d| d.kind() == SourceKind::InitialMemory)
+            .count();
+        assert_eq!(
+            initial_loads, 5,
+            "each of the five array elements is loaded once"
+        );
+    }
+
+    #[test]
+    fn call_based_program_is_a_single_section() {
+        let program = parsecs_asm::assemble(
+            "main: movq $3, %rdi
+                   call f
+                   out %rax
+                   halt
+             f:    movq %rdi, %rax
+                   imulq %rdi, %rax
+                   ret",
+        )
+        .unwrap();
+        let arena = TraceArena::from_program(&program, 1_000).unwrap();
+        assert_eq!(arena.sections().len(), 1);
+        assert_eq!(arena.outputs(), &[9]);
+        assert_eq!(arena.section_sizes(), vec![7]);
+    }
+
+    #[test]
+    fn scaling_matches_the_papers_formula() {
+        // §5: for 5·2^n elements the fork run executes 45·2^n + 14·(2^n−1)
+        // instructions (excluding our 5-instruction main/out/halt wrapper:
+        // 3 before the first fork, 2 in the final section).
+        for n in 0..4u32 {
+            let elements = 5 * (1usize << n);
+            let data: Vec<u64> = (0..elements as u64).collect();
+            let arena = sectioned(&data);
+            let expected = 45 * (1u64 << n) + 14 * ((1u64 << n) - 1);
+            assert_eq!(arena.len() as u64, expected + 5, "for {elements} elements");
+            assert_eq!(arena.outputs(), &[data.iter().sum::<u64>()]);
         }
     }
 

@@ -5,9 +5,9 @@
 //! sections, renames every destination and resolves every source to its
 //! producer **on the fly**, appending straight into a [`TraceArena`]. The
 //! result is identical, record for record, to running the machine to
-//! completion and post-processing the materialised trace with the
-//! sequential analysis (`SectionedTrace::from_trace` in `parsecs-core`) —
-//! a property held by a differential proptest — but the pipeline never
+//! completion and post-processing the materialised trace with a two-pass
+//! sequential analysis — a property held by a differential proptest
+//! against such an oracle in the workspace's tests — but the pipeline never
 //! builds the event vector, never allocates per instruction, and looks
 //! registers up in a flat array instead of hashing `Location` keys.
 

@@ -636,15 +636,14 @@ mod tests {
 
     #[test]
     fn chain_sum_is_one_section_per_element_plus_the_ends() {
-        let program = chain_sum_program(50, 5);
-        let mut machine = Machine::load(&program).expect("loads");
-        let (_, trace) = machine.run_traced(chain_sum_fuel(50)).expect("halts");
-        let sectioned = parsecs_core::SectionedTrace::from_trace(&trace, vec![]);
+        let arena =
+            parsecs_trace::TraceArena::from_program(&chain_sum_program(50, 5), chain_sum_fuel(50))
+                .expect("runs");
         // One section per element (each fork splits the loop at the fork
         // site) plus the final continuation carrying `out`/`halt`.
-        assert_eq!(sectioned.sections().len(), 51);
+        assert_eq!(arena.sections().len(), 51);
         // The chain is serial: every interior section is small.
-        assert!(sectioned.longest_section() <= 16);
+        assert!(arena.longest_section() <= 16);
     }
 
     #[test]
@@ -688,14 +687,15 @@ mod tests {
 
     #[test]
     fn histogram_forks_enough_sections_to_spread() {
-        let program = histogram_program(200, 8, 5);
-        let mut machine = Machine::load(&program).expect("loads");
-        let (_, trace) = machine.run_traced(histogram_fuel(200, 8)).expect("halts");
-        let sectioned = parsecs_core::SectionedTrace::from_trace(&trace, vec![]);
+        let arena = parsecs_trace::TraceArena::from_program(
+            &histogram_program(200, 8, 5),
+            histogram_fuel(200, 8),
+        )
+        .expect("runs");
         assert!(
-            sectioned.sections().len() > 16,
+            arena.sections().len() > 16,
             "only {} sections",
-            sectioned.sections().len()
+            arena.sections().len()
         );
     }
 }

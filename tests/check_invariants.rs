@@ -12,7 +12,7 @@
 //! same mutations across random seeds and all five generators.
 
 use parsecs::check::{check_arena, DrainSafety, InvariantViolation, Progress};
-use parsecs::core::{ManyCoreSim, SimConfig};
+use parsecs::core::{ManyCoreSim, NoopProbe, SimConfig};
 use parsecs::trace::{PackedDep, SectionId, SectionSpan, TraceArena};
 use parsecs::workloads::scale;
 use proptest::prelude::*;
@@ -385,7 +385,7 @@ proptest! {
             let sim = ManyCoreSim::new(config);
             let event = sim.simulate_arena(&arena).expect("event engine simulates");
             let reference = sim
-                .simulate_arena_reference(&arena)
+                .simulate_reference(&arena, &mut NoopProbe)
                 .expect("reference engine simulates");
             prop_assert_eq!(&event, &reference, "engines diverge at {} cores", cores);
             let report = event.check.as_ref().expect("validated run attaches a report");

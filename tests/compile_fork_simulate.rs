@@ -3,7 +3,7 @@
 //! Rust oracles.
 
 use parsecs::cc::Backend;
-use parsecs::core::{verify_single_assignment, SectionedTrace};
+use parsecs::core::{check_arena, TraceArena};
 use parsecs::driver::{ManyCoreBackend, Runner, SequentialBackend};
 use parsecs::workloads::pbbs::Benchmark;
 
@@ -83,7 +83,11 @@ fn renaming_is_single_assignment_for_fork_compiled_programs() {
     let program = Benchmark::ComparisonSort
         .program(20, 1, Backend::Forks)
         .unwrap();
-    let trace = SectionedTrace::from_program(&program, 10_000_000).unwrap();
-    let renamed = verify_single_assignment(&trace);
-    assert!(renamed > 0);
+    let arena = TraceArena::from_program(&program, 10_000_000).unwrap();
+    // The writer-discipline replay re-derives every producer from the
+    // written locations and checks the resolved one against it.
+    let report = check_arena(&arena);
+    assert!(report.is_clean(), "{:?}", report.first_violation());
+    let writes: usize = (0..arena.len()).map(|seq| arena.written(seq).count()).sum();
+    assert!(writes > 0);
 }

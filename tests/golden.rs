@@ -11,7 +11,7 @@
 //! it over [`GOLDEN`] only when the timing change is intended and
 //! reviewed.
 
-use parsecs::core::{ManyCoreSim, SimConfig, SimResult, TraceArena};
+use parsecs::core::{ManyCoreSim, NoopProbe, SimConfig, SimResult, TraceArena};
 use parsecs::isa::Program;
 use parsecs::workloads::scale;
 
@@ -93,7 +93,9 @@ fn recompute() -> Vec<Row> {
             }
             let sim = ManyCoreSim::new(config);
             let event = sim.simulate_arena(&arena).expect("simulates");
-            let reference = sim.simulate_arena_reference(&arena).expect("simulates");
+            let reference = sim
+                .simulate_reference(&arena, &mut NoopProbe)
+                .expect("simulates");
             for (engine, result) in [("event", &event), ("reference", &reference)] {
                 assert_eq!(result.outputs, expected, "{shape} {engine}: wrong outputs");
                 rows.push(row(shape, engine, stats_only, result));

@@ -1,6 +1,6 @@
 //! Property-based differential test of the two simulator engines.
 //!
-//! The event-driven scheduler ([`ManyCoreSim::simulate`]) and the retained
+//! The event-driven scheduler ([`ManyCoreSim::simulate_arena`]) and the retained
 //! cycle-stepping reference ([`ManyCoreSim::simulate_reference`]) must
 //! produce **bit-identical** [`parsecs::core::SimResult`]s — the same
 //! per-instruction stage table, statistics and NoC counters — on every
@@ -14,7 +14,9 @@
 //! axis: the cluster-sharded parallel engine must reproduce the
 //! sequential run bit-for-bit, in recording and stats-only mode alike.
 
-use parsecs::core::{ChainAffine, CountingProbe, LoadAware, ManyCoreSim, Placement, SimConfig};
+use parsecs::core::{
+    ChainAffine, CountingProbe, LoadAware, ManyCoreSim, NoopProbe, Placement, SimConfig, TraceArena,
+};
 use parsecs::noc::{NocConfig, Topology};
 use proptest::prelude::*;
 
@@ -189,10 +191,16 @@ fn random_config(gen: &mut Gen) -> SimConfig {
     config
 }
 
+/// The program's sectioned trace, through the streaming pipeline.
+fn arena_of(program: &parsecs::isa::Program) -> TraceArena {
+    TraceArena::from_program(program, SimConfig::default().fuel).expect("halts")
+}
+
 proptest! {
     #[test]
     fn random_programs_times_random_chips_are_engine_invariant(seed in proptest::strategy::any::<u64>()) {
         let program = random_program(seed);
+        let arena = arena_of(&program);
         let mut gen = Gen::new(seed.rotate_left(17) ^ 0xabcd);
         // Several configurations per generated program, each exercised on
         // the full `record_timings` axis: the recording run on both
@@ -204,9 +212,9 @@ proptest! {
         for _ in 0..3 {
             let config = random_config(&mut gen).validated();
             let sim = ManyCoreSim::new(config);
-            let event = sim.run(&program).expect("event-driven engine simulates");
+            let event = sim.simulate_arena(&arena).expect("event-driven engine simulates");
             let reference = sim
-                .run_reference(&program)
+                .simulate_reference(&arena, &mut NoopProbe)
                 .expect("reference engine simulates");
             prop_assert_eq!(
                 &event,
@@ -223,7 +231,7 @@ proptest! {
             // the event engine skips quiet cycles).
             let mut counting = CountingProbe::default();
             let probed = sim
-                .run_probed(&program, &mut counting)
+                .simulate_arena_probed(&arena, &mut counting)
                 .expect("probed event engine simulates");
             prop_assert_eq!(
                 &probed,
@@ -233,11 +241,9 @@ proptest! {
                 sim.config()
             );
             prop_assert!(counting.events() > 0, "seed {}: the probe observed nothing", seed);
-            let arena = parsecs::core::TraceArena::from_program(&program, sim.config().fuel)
-                .expect("generated programs halt");
             let mut ref_counting = CountingProbe::default();
             let probed_reference = sim
-                .simulate_arena_reference_probed(&arena, &mut ref_counting)
+                .simulate_reference(&arena, &mut ref_counting)
                 .expect("probed reference engine simulates");
             prop_assert_eq!(
                 &probed_reference,
@@ -349,9 +355,9 @@ proptest! {
                 sim.config()
             );
             let stats_sim = ManyCoreSim::new(sim.config().clone().stats_only());
-            let stats = stats_sim.run(&program).expect("stats-only simulates");
+            let stats = stats_sim.simulate_arena(&arena).expect("stats-only simulates");
             let stats_reference = stats_sim
-                .run_reference(&program)
+                .simulate_reference(&arena, &mut NoopProbe)
                 .expect("stats-only reference simulates");
             prop_assert_eq!(
                 &stats,
@@ -379,7 +385,7 @@ proptest! {
             // recording and the stats-only mode.
             let seq = ManyCoreSim::new(sim.config().clone().with_threads(1));
             let par = ManyCoreSim::new(sim.config().clone().with_threads(4));
-            let par_result = par.run(&program).expect("threaded engine simulates");
+            let par_result = par.simulate_arena(&arena).expect("threaded engine simulates");
             // Never silent: a threaded run either carries both static
             // certificates (drain and walk) or a typed fallback reason.
             let par_report = par_result
@@ -412,7 +418,7 @@ proptest! {
             );
             prop_assert_eq!(
                 &par_result,
-                &seq.run(&program).expect("sequential engine simulates"),
+                &seq.simulate_arena(&arena).expect("sequential engine simulates"),
                 "seed {} under {:?}: threaded run diverges",
                 seed,
                 par.config()
@@ -420,7 +426,7 @@ proptest! {
             let stats_par =
                 ManyCoreSim::new(sim.config().clone().stats_only().with_threads(4));
             prop_assert_eq!(
-                &stats_par.run(&program).expect("threaded stats-only simulates"),
+                &stats_par.simulate_arena(&arena).expect("threaded stats-only simulates"),
                 &stats,
                 "seed {} under {:?}: threaded stats-only run diverges",
                 seed,
@@ -432,7 +438,7 @@ proptest! {
             // exact event stream of the probed sequential run.
             let mut par_counting = CountingProbe::default();
             prop_assert_eq!(
-                &par.run_probed(&program, &mut par_counting)
+                &par.simulate_arena_probed(&arena, &mut par_counting)
                     .expect("probed threaded engine simulates"),
                 &par_result,
                 "seed {} under {:?}: the counting probe steered the threaded engine",
@@ -514,13 +520,14 @@ proptest! {
     #[test]
     fn fork_heavy_writer_chains_never_force_releases(seed in proptest::strategy::any::<u64>()) {
         let program = histogram_family_program(seed);
+        let arena = arena_of(&program);
         let mut gen = Gen::new(seed.rotate_left(29) ^ 0x1234);
         for _ in 0..2 {
             let config = random_config(&mut gen).validated();
             let sim = ManyCoreSim::new(config);
-            let event = sim.run(&program).expect("event-driven engine simulates");
+            let event = sim.simulate_arena(&arena).expect("event-driven engine simulates");
             let reference = sim
-                .run_reference(&program)
+                .simulate_reference(&arena, &mut NoopProbe)
                 .expect("reference engine simulates");
             prop_assert_eq!(
                 &event,
@@ -539,7 +546,7 @@ proptest! {
             // The stats axis: the fork-heavy contended chains must yield
             // the same aggregates (and a silent detector) stats-only.
             let stats_sim = ManyCoreSim::new(sim.config().clone().stats_only());
-            let stats = stats_sim.run(&program).expect("stats-only simulates");
+            let stats = stats_sim.simulate_arena(&arena).expect("stats-only simulates");
             prop_assert_eq!(
                 &stats.stats,
                 &event.stats,
@@ -549,7 +556,7 @@ proptest! {
             );
             prop_assert_eq!(
                 &stats,
-                &stats_sim.run_reference(&program).expect("stats-only reference"),
+                &stats_sim.simulate_reference(&arena, &mut NoopProbe).expect("stats-only reference"),
                 "seed {} under {:?}: engines diverge stats-only",
                 seed,
                 stats_sim.config()
@@ -559,7 +566,7 @@ proptest! {
             // threaded run reproduces `event` (already pinned to the
             // cycle-stepping reference above) bit-for-bit.
             let par = ManyCoreSim::new(sim.config().clone().with_threads(4));
-            let par_result = par.run(&program).expect("threaded engine simulates");
+            let par_result = par.simulate_arena(&arena).expect("threaded engine simulates");
             prop_assert!(
                 par_result.fork_fallback.is_some()
                     || par_result
@@ -590,8 +597,9 @@ fn histogram_family_programs_chain_writers_across_sections() {
     let mut remote = 0u64;
     for seed in 0..24u64 {
         let program = histogram_family_program(seed * 6151 + 7);
+        let arena = arena_of(&program);
         let sim = ManyCoreSim::new(SimConfig::with_cores(4));
-        let result = sim.run(&program).expect("simulates");
+        let result = sim.simulate_arena(&arena).expect("simulates");
         forked += result.stats.sections;
         remote += result.stats.remote_register_requests + result.stats.remote_memory_requests;
         assert_eq!(result.stats.forced_stall_releases, 0);
@@ -609,8 +617,9 @@ fn attribution_buckets_tile_total_cycles_exactly() {
     // (all idle), keeping the denominator consistent.
     for seed in [3u64, 11, 42] {
         let program = random_program(seed * 7919 + 13);
+        let arena = arena_of(&program);
         let sim = ManyCoreSim::new(SimConfig::with_cores(8));
-        let result = sim.run(&program).expect("simulates");
+        let result = sim.simulate_arena(&arena).expect("simulates");
         assert_eq!(result.stats.attribution.len(), 8);
         for breakdown in &result.stats.attribution {
             assert_eq!(breakdown.total(), result.stats.total_cycles, "seed {seed}");
@@ -633,7 +642,7 @@ fn attribution_buckets_tile_total_cycles_exactly() {
 /// is the binding lower bound.
 #[test]
 fn ejection_contention_binds_a_many_producers_one_consumer_cell() {
-    use parsecs::core::{bound_schedule, BindingTerm, TraceArena};
+    use parsecs::core::{bound_schedule, BindingTerm};
 
     // `fork` is call-style: control continues into the target while the
     // fall-through code becomes a new section, so a run of forks through
@@ -700,7 +709,7 @@ fn ejection_contention_binds_a_many_producers_one_consumer_cell() {
     // The engine's own (policy-chosen) placement on the same chip still
     // satisfies the sandwich.
     let result = ManyCoreSim::new(config.validated())
-        .run(&program)
+        .simulate_arena(&arena)
         .expect("simulates");
     let schedule = result
         .check
@@ -731,9 +740,10 @@ fn per_core_work_binds_a_one_core_cell() {
     }
     src.push_str("  endfork\n");
     let program = parsecs::asm::assemble(&src).expect("assembles");
+    let arena = arena_of(&program);
 
     let result = ManyCoreSim::new(SimConfig::with_cores(1).validated())
-        .run(&program)
+        .simulate_arena(&arena)
         .expect("simulates");
     let report = result.check.as_ref().expect("validated run");
     let schedule = report.schedule.as_ref().expect("schedule bounds attached");
@@ -761,8 +771,9 @@ fn generated_programs_are_nontrivial() {
     let mut total_insns = 0u64;
     for seed in 0..40u64 {
         let program = random_program(seed * 7919 + 13);
+        let arena = arena_of(&program);
         let sim = ManyCoreSim::new(SimConfig::with_cores(8));
-        let result = sim.run(&program).expect("simulates");
+        let result = sim.simulate_arena(&arena).expect("simulates");
         total_sections += result.stats.sections;
         max_sections = max_sections.max(result.stats.sections);
         total_insns += result.stats.instructions;

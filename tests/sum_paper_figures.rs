@@ -1,7 +1,7 @@
 //! Integration tests pinning the paper's concrete numbers for the running
 //! example (Figures 2–6 and 10, §5).
 
-use parsecs::core::{analytic, SectionId, SectionedTrace};
+use parsecs::core::{analytic, SectionId, TraceArena};
 use parsecs::driver::{ManyCoreBackend, Runner, SequentialBackend};
 use parsecs::machine::Machine;
 use parsecs::workloads::sum;
@@ -35,15 +35,15 @@ fn figure3_the_call_run_of_sum_t5_is_a_59_instruction_trace() {
 
 #[test]
 fn figure4_and_6_the_fork_run_has_five_sections_of_the_published_sizes() {
-    let sectioned = SectionedTrace::from_program(&sum::fork_program(&PAPER_DATA), 10_000).unwrap();
-    assert_eq!(sectioned.outputs(), &[21]);
+    let arena = TraceArena::from_program(&sum::fork_program(&PAPER_DATA), 10_000).unwrap();
+    assert_eq!(arena.outputs(), &[21]);
     // 45 sum instructions plus the wrapper; the paper's five sections are
     // 11, 16, 12, 3 and 3 instructions (our first section carries the
     // 3-instruction main prologue, and the main continuation adds a sixth,
     // 2-instruction section).
-    assert_eq!(sectioned.len(), 45 + 5);
-    assert_eq!(sectioned.section_sizes(), vec![14, 16, 12, 3, 3, 2]);
-    assert_eq!(sectioned.longest_section(), 16);
+    assert_eq!(arena.len(), 45 + 5);
+    assert_eq!(arena.section_sizes(), vec![14, 16, 12, 3, 3, 2]);
+    assert_eq!(arena.longest_section(), 16);
 }
 
 #[test]
@@ -51,24 +51,24 @@ fn figure6_renaming_matches_the_papers_producer_consumer_pairs() {
     use parsecs::core::SourceKind;
     use parsecs::machine::Location;
 
-    let sectioned = SectionedTrace::from_program(&sum::fork_program(&PAPER_DATA), 10_000).unwrap();
+    let arena = TraceArena::from_program(&sum::fork_program(&PAPER_DATA), 10_000).unwrap();
     // 5-1 (addq 0(%rsp), %rax) reads the stack word written by 2-2.
-    let section5 = sectioned.section_records(SectionId(4));
-    let final_add = &section5[0];
-    assert_eq!(final_add.mnemonic, "addq");
-    match final_add.mem_sources[0].kind {
+    let final_add = arena.sections()[4].start;
+    assert_eq!(arena.name(final_add), "5-1");
+    assert_eq!(arena.mnemonic(final_add), "addq");
+    match arena.mem_sources(final_add)[0].kind() {
         SourceKind::Remote {
             producer_section, ..
         } => assert_eq!(producer_section, SectionId(1)),
         other => panic!("expected remote memory renaming, found {other:?}"),
     }
     // ... and its %rax comes from section 4 (the second half of the sum).
-    let rax = final_add
-        .reg_sources
+    let rax = arena
+        .reg_sources(final_add)
         .iter()
-        .find(|d| d.location == Location::Reg(parsecs::isa::Reg::Rax))
+        .find(|d| d.location() == Location::Reg(parsecs::isa::Reg::Rax))
         .unwrap();
-    match rax.kind {
+    match rax.kind() {
         SourceKind::Remote {
             producer_section, ..
         } => assert_eq!(producer_section, SectionId(3)),

@@ -2,22 +2,26 @@
 //!
 //! The streaming sectioner (`parsecs::trace::StreamingSectioner`, fed by
 //! `Machine::run_with_sink`) must produce **record-for-record** the same
-//! sectioned, dependence-annotated trace as the retained two-pass
-//! sequential analysis (`SectionedTrace::from_trace` over a materialised
-//! `Trace`) — same sections, same provenance for every source, same
-//! written locations, same outputs. A proptest drives random fork
-//! programs (random arithmetic, scratch-array memory traffic, forward
-//! conditional jumps, nested forks) through both front-ends and asserts
-//! full equality in both representations.
+//! sectioned, dependence-annotated trace as the two-pass sequential
+//! analysis kept here as its oracle ([`two_pass_arena`] over a
+//! materialised `Trace`) — same sections, same provenance for every
+//! source, same written locations, same outputs. A proptest drives
+//! random fork programs (random arithmetic, scratch-array memory traffic,
+//! forward conditional jumps, nested forks) through both front-ends and
+//! asserts column-for-column equality of the two arenas.
 //!
 //! A second set of tests takes the pipeline to chip scale: at 256 cores
 //! the event-driven and cycle-stepping engines must agree bit-for-bit on
 //! arena-backed runs, and the driver's backends must agree with the
 //! sequential machine on what the program computes.
 
-use parsecs::core::{ManyCoreSim, SectionedTrace, SimConfig, TraceArena};
+use std::collections::HashMap;
+
+use parsecs::core::{
+    ManyCoreSim, NoopProbe, SectionId, SectionSpan, SimConfig, SourceDep, SourceKind, TraceArena,
+};
 use parsecs::driver::{ManyCoreBackend, Runner, SequentialBackend};
-use parsecs::machine::Machine;
+use parsecs::machine::{Location, Machine, Trace, TraceKind};
 use parsecs::workloads::data::{self, Rng};
 use parsecs::workloads::scale;
 use proptest::prelude::*;
@@ -145,6 +149,145 @@ fn random_program(seed: u64) -> parsecs::isa::Program {
     parsecs::asm::assemble(&src).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{src}"))
 }
 
+/// The two-pass sequential sectioner, the streaming sectioner's oracle:
+/// pass 1 splits the materialised trace into sections, pass 2 resolves
+/// every source to its closest preceding producer with a last-writer
+/// map, and the resolved records are pushed into a [`TraceArena`].
+fn two_pass_arena(trace: &Trace, outputs: Vec<u64>) -> TraceArena {
+    let events = trace.events();
+    let mut sections: Vec<SectionSpan> = Vec::new();
+    let mut arena = TraceArena::new();
+
+    // --- pass 1: section boundaries -------------------------------
+    // The reference machine's depth-first order visits sections exactly
+    // in their total order, each as one contiguous range.
+    let mut pending: Vec<(SectionId, usize)> = Vec::new();
+    let mut current_start = 0usize;
+    let mut current_creator: Option<(SectionId, usize)> = None;
+    let mut section_of: Vec<SectionId> = vec![SectionId(0); events.len()];
+
+    for (i, event) in events.iter().enumerate() {
+        let current_id = SectionId(sections.len());
+        section_of[i] = current_id;
+        match event.kind {
+            TraceKind::Fork => {
+                pending.push((current_id, i));
+            }
+            TraceKind::EndFork | TraceKind::Halt => {
+                sections.push(SectionSpan {
+                    id: current_id,
+                    start: current_start,
+                    end: i + 1,
+                    creator: current_creator,
+                    start_ip: events[current_start].ip,
+                });
+                current_start = i + 1;
+                current_creator = match event.kind {
+                    TraceKind::EndFork => pending.pop(),
+                    _ => None,
+                };
+                if current_creator.is_none() && event.kind == TraceKind::Halt {
+                    // A halt ends the whole run; anything still pending
+                    // was functionally executed before the halt.
+                    break;
+                }
+            }
+            _ => {}
+        }
+    }
+    // Close a trailing section if the trace ended without a terminator
+    // (does not happen for halting programs, kept for robustness).
+    if current_start < events.len() && sections.last().map(|s| s.end).unwrap_or(0) < events.len() {
+        sections.push(SectionSpan {
+            id: SectionId(sections.len()),
+            start: current_start,
+            end: events.len(),
+            creator: current_creator,
+            start_ip: events[current_start].ip,
+        });
+    }
+
+    // --- pass 2: dependence resolution -----------------------------
+    let creator_fork_of = |id: SectionId| -> Option<usize> {
+        sections
+            .get(id.0)
+            .and_then(|s| s.creator.map(|(_, seq)| seq))
+    };
+    let mut last_writer: HashMap<Location, usize> = HashMap::new();
+
+    for (i, event) in events.iter().enumerate() {
+        if i >= sections.last().map(|s| s.end).unwrap_or(0) {
+            break;
+        }
+        let section = section_of[i];
+        let mut reg_sources = Vec::new();
+        let mut mem_sources = Vec::new();
+        for loc in &event.reads {
+            let kind = match last_writer.get(loc) {
+                Some(&producer) => {
+                    let producer_section = section_of[producer];
+                    if producer_section == section {
+                        SourceKind::Local { producer }
+                    } else {
+                        // The stack pointer and the paper's non-volatile
+                        // registers are copied into the section-creation
+                        // message, so a forked section reads them from
+                        // its own register file — no renaming request is
+                        // sent, and the value is the fork-time value
+                        // (which is also what the reference machine's
+                        // depth-first semantics restores at `endfork`).
+                        let copied = match loc {
+                            Location::Reg(r) => r.is_fork_copied(),
+                            _ => false,
+                        };
+                        if copied && creator_fork_of(section).is_some() {
+                            SourceKind::ForkCopy
+                        } else {
+                            SourceKind::Remote {
+                                producer,
+                                producer_section,
+                            }
+                        }
+                    }
+                }
+                None => match loc {
+                    Location::Mem(_) => SourceKind::InitialMemory,
+                    _ => SourceKind::InitialRegister,
+                },
+            };
+            let dep = SourceDep {
+                location: *loc,
+                kind,
+            };
+            if loc.is_mem() {
+                mem_sources.push(dep);
+            } else {
+                reg_sources.push(dep);
+            }
+        }
+        arena.push_record(
+            event.ip,
+            event.mnemonic,
+            section,
+            event.kind,
+            event.is_control,
+            &reg_sources,
+            &mem_sources,
+            &event.writes,
+        );
+        for loc in &event.writes {
+            last_writer.insert(*loc, i);
+        }
+    }
+
+    for span in sections {
+        arena.push_section(span);
+    }
+    arena.set_outputs(outputs);
+    arena.shrink_to_fit();
+    arena
+}
+
 proptest! {
     /// The tentpole contract of the pipeline: streaming sectioning is
     /// indistinguishable, record for record, from materialising the
@@ -157,23 +300,21 @@ proptest! {
         // Two-pass: materialise the full event vector, then section it.
         let mut machine = Machine::load(&program).expect("loads");
         let (outcome, trace) = machine.run_traced(fuel).expect("halts");
-        let legacy = SectionedTrace::from_trace(&trace, outcome.outputs);
+        let oracle = two_pass_arena(&trace, outcome.outputs);
 
         // Streaming: the machine pushes into the sectioner, no trace.
         let arena = TraceArena::from_program(&program, fuel).expect("halts");
 
-        // Record-for-record equality in the record representation
-        // (locations, provenance, writes, flags, sections, outputs)...
-        prop_assert_eq!(&SectionedTrace::from_arena(&arena), &legacy, "seed {}", seed);
-        // ...and column-for-column equality in the arena representation.
-        prop_assert_eq!(&legacy.to_arena(), &arena, "seed {}", seed);
+        // Column-for-column equality: locations, provenance, writes,
+        // flags, sections, outputs.
+        prop_assert_eq!(&oracle, &arena, "seed {}", seed);
     }
 }
 
 proptest! {
     /// Arena-backed simulation equals record-backed simulation: the
-    /// compatibility shim (`simulate(&SectionedTrace)`) and the direct
-    /// arena path must produce the same `SimResult`, both engines must
+    /// oracle's arena, assembled record by record, and the streamed arena
+    /// must produce the same `SimResult`, both engines must
     /// stay bit-identical on the arena path, a stats-only run must
     /// reproduce the recorded aggregates exactly, and the lean
     /// (write-free) arena must simulate identically to the full one. The
@@ -184,14 +325,16 @@ proptest! {
     fn arena_and_record_backed_simulation_agree(seed in proptest::strategy::any::<u64>()) {
         let program = random_program(seed.rotate_left(11));
         let arena = TraceArena::from_program(&program, 1_000_000).expect("halts");
-        let legacy = SectionedTrace::from_arena(&arena);
+        let mut machine = Machine::load(&program).expect("loads");
+        let (outcome, trace) = machine.run_traced(1_000_000).expect("halts");
+        let records = two_pass_arena(&trace, outcome.outputs);
         let mut gen = Gen::new(seed);
         let cores = [1usize, 3, 8, 64][gen.below(4) as usize];
         let sim = ManyCoreSim::new(SimConfig::with_cores(cores));
         let via_arena = sim.simulate_arena(&arena).expect("simulates");
-        let via_records = sim.simulate(&legacy).expect("simulates");
+        let via_records = sim.simulate_arena(&records).expect("simulates");
         prop_assert_eq!(&via_arena, &via_records, "seed {} at {} cores", seed, cores);
-        let reference = sim.simulate_arena_reference(&arena).expect("simulates");
+        let reference = sim.simulate_reference(&arena, &mut NoopProbe).expect("simulates");
         prop_assert_eq!(&via_arena, &reference, "seed {} at {} cores", seed, cores);
 
         // The stats axis: streaming aggregates == post-hoc aggregates.
@@ -201,7 +344,7 @@ proptest! {
         prop_assert!(stats.timings.is_empty(), "seed {}", seed);
         prop_assert_eq!(
             &stats,
-            &stats_sim.simulate_arena_reference(&arena).expect("simulates"),
+            &stats_sim.simulate_reference(&arena, &mut NoopProbe).expect("simulates"),
             "seed {} at {} cores: engines diverge stats-only",
             seed,
             cores
@@ -286,7 +429,9 @@ fn engines_agree_bit_for_bit_at_256_cores() {
     );
     let sim = ManyCoreSim::new(SimConfig::with_cores(256));
     let event = sim.simulate_arena(&arena).expect("simulates");
-    let reference = sim.simulate_arena_reference(&arena).expect("simulates");
+    let reference = sim
+        .simulate_reference(&arena, &mut NoopProbe)
+        .expect("simulates");
     assert_eq!(event, reference, "engines diverge at 256 cores");
     assert_eq!(
         event.outputs,
