@@ -40,10 +40,11 @@
 //! printed table; `--schedule` adds the schedule-bound columns (lb per
 //! grid entry, binding terms, worst tightness) — the JSON always
 //! carries both; `--threads` cross-checks the bound on the
-//! cluster-sharded parallel engine instead (`0` = auto, default follows
-//! `PARSECS_THREADS`) — the certificates this binary reports are exactly
-//! what authorises that engine's drain fork.
+//! cluster-sharded parallel engine instead (`0` = auto, default 1) —
+//! the certificates this binary reports are exactly what authorises that
+//! engine's drain fork.
 
+use parsecs_bench::harness::{exit_on_failures, Cli};
 use parsecs_bench::{json, spearman};
 use parsecs_core::{
     bound_schedule, check_arena, prove_progress, DrainSafety, ManyCoreSim, Progress,
@@ -369,38 +370,15 @@ fn to_json(rows: &[Row], summary: String) -> String {
 }
 
 fn main() {
-    let mut quick = false;
-    let mut show_progress = false;
-    let mut show_schedule = false;
-    let mut threads = SimConfig::default().threads;
-    let mut json_path: Option<String> = None;
-    let mut args = std::env::args().skip(1).peekable();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--progress" => show_progress = true,
-            "--schedule" => show_schedule = true,
-            "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threads takes a count (0 = auto)");
-            }
-            "--json" => {
-                json_path = Some(match args.peek() {
-                    Some(path) if !path.starts_with("--") => args.next().expect("peeked"),
-                    _ => "BENCH_check.json".into(),
-                });
-            }
-            other => {
-                eprintln!(
-                    "unknown argument '{other}' \
-                     (supported: --quick --progress --schedule --threads N --json [PATH])"
-                );
-                std::process::exit(2);
-            }
-        }
+    let flags = Cli {
+        flags: &["--quick", "--progress", "--schedule", "--threads", "--json"],
+        json_default: "BENCH_check.json",
+        threads_default: 1,
     }
+    .parse();
+    let quick = flags.quick;
+    let show_progress = flags.switch("--progress");
+    let show_schedule = flags.switch("--schedule");
 
     let targets = build_targets(quick);
     eprintln!(
@@ -408,7 +386,7 @@ fn main() {
         targets.len(),
         if quick { "quick" } else { "full" }
     );
-    let rows: Vec<Row> = targets.iter().map(|t| analyze(t, threads)).collect();
+    let rows: Vec<Row> = targets.iter().map(|t| analyze(t, flags.threads)).collect();
 
     print!(
         "{:<28} {:>9} {:>9} {:>5} {:<32} {:>10} {:>6} {:>11} {:>6}",
@@ -493,69 +471,59 @@ fn main() {
         }
     );
 
-    if let Some(path) = json_path {
-        let summary = summary_json(rho, measured.len(), rho_gated);
-        std::fs::write(&path, to_json(&rows, summary)).expect("write BENCH_check.json");
-        eprintln!("wrote {} rows to {path}", rows.len() + 1);
-    }
+    flags.write_json(rows.len() + 1, || {
+        to_json(&rows, summary_json(rho, measured.len(), rho_gated))
+    });
 
-    let mut failed = false;
+    let mut failures = Vec::new();
     for r in &rows {
         if r.violations > 0 {
-            eprintln!(
-                "FAIL: {} has {} invariant violation(s)",
+            failures.push(format!(
+                "{} has {} invariant violation(s)",
                 r.workload, r.violations
-            );
-            failed = true;
+            ));
         }
         if !r.drain.is_certified() {
-            eprintln!(
-                "FAIL: {} was not certified for the parallel drain: {}",
+            failures.push(format!(
+                "{} was not certified for the parallel drain: {}",
                 r.workload,
                 drain_summary(&r.drain)
-            );
-            failed = true;
+            ));
         }
         if !r.bound_holds {
-            eprintln!(
-                "FAIL: {} retires in {:?} cycles, below the static critical path {}",
+            failures.push(format!(
+                "{} retires in {:?} cycles, below the static critical path {}",
                 r.workload, r.cycles, r.critical_path
-            );
-            failed = true;
+            ));
         }
         for (cores, (progress, &deadlocked)) in
             CORE_GRID.iter().zip(r.progress.iter().zip(&r.deadlocked))
         {
             if deadlocked && progress.is_proven() {
-                eprintln!(
-                    "FAIL: {} at {cores} cores deadlocked on a placement the prover \
+                failures.push(format!(
+                    "{} at {cores} cores deadlocked on a placement the prover \
                      certified ({})",
                     r.workload,
                     progress_summary(progress)
-                );
-                failed = true;
+                ));
             }
         }
         if !r.schedule_holds {
-            eprintln!(
-                "FAIL: {} violates the schedule-bound sandwich \
+            failures.push(format!(
+                "{} violates the schedule-bound sandwich \
                  (critical path <= lb <= cycles) on some grid cell: \
                  lb {:?} vs cycles {:?}",
                 r.workload,
                 r.schedule.iter().map(|s| s.lb).collect::<Vec<_>>(),
                 r.cycles,
-            );
-            failed = true;
+            ));
         }
     }
     if rho_gated && !rho.is_some_and(|r| r >= RHO_GATE) {
-        eprintln!(
-            "FAIL: predictor rank correlation {} falls below the {RHO_GATE} gate",
+        failures.push(format!(
+            "predictor rank correlation {} falls below the {RHO_GATE} gate",
             rho.map_or_else(|| "undefined".into(), |r| format!("{r:.4}")),
-        );
-        failed = true;
+        ));
     }
-    if failed {
-        std::process::exit(1);
-    }
+    exit_on_failures(&failures);
 }

@@ -40,8 +40,8 @@
 //!
 //! A **threaded row** also rides along: the same stats-only 1024-core
 //! `fan_chain` cell run sequentially (`threads = 1`) and with the
-//! cluster-sharded parallel engine (`--threads`, default auto =
-//! available CPUs). The two results must be **bit-identical** — the
+//! cluster-sharded parallel engine (`--threads`, default 2). The two
+//! results must be **bit-identical** — the
 //! parallel walk/drain fork replays the sequential order exactly — and
 //! on a ≥8-way host the threaded cell must be ≥3× faster (full mode
 //! only; the gate stays disarmed on smaller hosts and quick runs, the
@@ -63,18 +63,16 @@
 //! cell with the full static analysis (`parsecs-check`) on, which also
 //! disarms the guard rows' noise gates (every cell then pays the
 //! analysis by design); `--threads` sets the threaded row's worker
-//! count (`0` = auto, default follows `PARSECS_THREADS`); `--trace-out`
-//! re-runs the headline cell with a streaming
-//! [`ChromeTraceWriter`] and writes a
-//! Perfetto-loadable Chrome trace to `PATH`.
+//! count (`0` = auto, default 2); `--trace-out` re-runs the headline
+//! cell with a streaming Chrome-trace writer and writes a
+//! Perfetto-loadable trace to `PATH`. The flags, timer, trace export and
+//! gate collector come from `parsecs_bench::harness`.
 
-use std::io::BufWriter;
-use std::time::Instant;
-
+use parsecs_bench::harness::{best_of, exit_on_failures, write_chrome_trace, Cli};
 use parsecs_bench::{json, AttributionTotals};
 use parsecs_core::{
-    ChainAffine, ChromeTraceWriter, CountingProbe, ForkFallback, ManyCoreSim, NoopProbe,
-    ScheduleBounds, SimConfig, TraceArena,
+    ChainAffine, CountingProbe, ForkFallback, ManyCoreSim, NoopProbe, ScheduleBounds, SimConfig,
+    TraceArena,
 };
 use parsecs_isa::Program;
 use parsecs_noc::NocConfig;
@@ -188,14 +186,13 @@ fn measure_threads(
         sequential, threaded,
         "{name}: threaded run diverges from the sequential engine"
     );
-    let mut seq_ms = f64::INFINITY;
-    let mut thr_ms = f64::INFINITY;
-    for _ in 0..MODE_RUNS {
-        let (_, ms) = timed(|| seq_sim.simulate_arena(arena).expect("simulates"));
-        seq_ms = seq_ms.min(ms);
-        let (_, ms) = timed(|| thr_sim.simulate_arena(arena).expect("simulates"));
-        thr_ms = thr_ms.min(ms);
-    }
+    let [seq_ms, thr_ms] = best_of(
+        MODE_RUNS,
+        [
+            &|| seq_sim.simulate_arena(arena).expect("simulates"),
+            &|| thr_sim.simulate_arena(arena).expect("simulates"),
+        ],
+    );
     ThreadRow {
         workload: name.to_string(),
         cores,
@@ -228,13 +225,9 @@ struct GuardRow {
     schedule: ScheduleBounds,
 }
 
-/// Times the stats-only cell with validation off and on. The off
-/// configuration pins `validate: false` regardless of `PARSECS_VALIDATE`,
-/// so the guard always measures the unvalidated hot path.
+/// Times the stats-only cell with validation off and on.
 fn measure_guard(name: &str, arena: &TraceArena, cores: usize) -> GuardRow {
-    let mut off_config = SimConfig::with_cores(cores).stats_only();
-    off_config.validate = false;
-    let off_sim = ManyCoreSim::new(off_config);
+    let off_sim = ManyCoreSim::new(SimConfig::with_cores(cores).stats_only());
     let on_sim = ManyCoreSim::new(SimConfig::with_cores(cores).stats_only().validated());
     let off = off_sim.simulate_arena(arena).expect("simulates");
     let on = on_sim.simulate_arena(arena).expect("simulates");
@@ -254,14 +247,13 @@ fn measure_guard(name: &str, arena: &TraceArena, cores: usize) -> GuardRow {
         "{name}: measured {cycles} cycles undercuts the certified bound {}",
         schedule.lb
     );
-    let mut off_ms = f64::INFINITY;
-    let mut on_ms = f64::INFINITY;
-    for _ in 0..MODE_RUNS {
-        let (_, ms) = timed(|| off_sim.simulate_arena(arena).expect("simulates"));
-        off_ms = off_ms.min(ms);
-        let (_, ms) = timed(|| on_sim.simulate_arena(arena).expect("simulates"));
-        on_ms = on_ms.min(ms);
-    }
+    let [off_ms, on_ms] = best_of(
+        MODE_RUNS,
+        [
+            &|| off_sim.simulate_arena(arena).expect("simulates"),
+            &|| on_sim.simulate_arena(arena).expect("simulates"),
+        ],
+    );
     GuardRow {
         workload: name.to_string(),
         cores,
@@ -290,14 +282,13 @@ fn measure_modes(name: &str, arena: &TraceArena, cores: usize, validate: bool) -
         "{name} @{cores}c: stats-only aggregates diverge from full mode"
     );
     assert_eq!(full.outputs, stats.outputs);
-    let mut full_ms = f64::INFINITY;
-    let mut stats_ms = f64::INFINITY;
-    for _ in 0..MODE_RUNS {
-        let (_, ms) = timed(|| full_sim.simulate_arena(arena).expect("simulates"));
-        full_ms = full_ms.min(ms);
-        let (_, ms) = timed(|| stats_sim.simulate_arena(arena).expect("simulates"));
-        stats_ms = stats_ms.min(ms);
-    }
+    let [full_ms, stats_ms] = best_of(
+        MODE_RUNS,
+        [
+            &|| full_sim.simulate_arena(arena).expect("simulates"),
+            &|| stats_sim.simulate_arena(arena).expect("simulates"),
+        ],
+    );
     let n = arena.len() as f64;
     ModeRow {
         workload: name.to_string(),
@@ -328,13 +319,11 @@ fn arena_of(program: &Program, fuel: u64) -> std::rc::Rc<TraceArena> {
 /// Times the streaming pipeline on one program (best of 3 after an
 /// untimed warm-up).
 fn measure_pipeline(name: &str, program: &Program, fuel: u64) -> Pipeline {
-    let mut arena = TraceArena::from_program(program, fuel).expect("halts");
-    let mut streaming_ms = f64::INFINITY;
-    for _ in 0..3 {
-        let (streamed, ms) = timed(|| TraceArena::from_program(program, fuel).expect("halts"));
-        streaming_ms = streaming_ms.min(ms);
-        arena = streamed;
-    }
+    let arena = TraceArena::from_program(program, fuel).expect("halts");
+    let [streaming_ms] = best_of(
+        3,
+        [&|| TraceArena::from_program(program, fuel).expect("halts")],
+    );
     Pipeline {
         workload: name.to_string(),
         instructions: arena.len() as u64,
@@ -428,12 +417,6 @@ fn build_grid(quick: bool, validate: bool) -> Vec<Cell> {
     ]
 }
 
-fn timed<T>(run: impl Fn() -> T) -> (T, f64) {
-    let start = Instant::now();
-    let result = std::hint::black_box(run());
-    (result, start.elapsed().as_secs_f64() * 1e3)
-}
-
 fn measure(cell: &Cell) -> Row {
     // One untimed warm-up per engine, then RUNS interleaved rounds; keep
     // each engine's best time.
@@ -442,18 +425,17 @@ fn measure(cell: &Cell) -> Row {
         .sim
         .simulate_reference(&cell.trace, &mut NoopProbe)
         .expect("reference simulates");
-    let mut event_ms = f64::INFINITY;
-    let mut reference_ms = f64::INFINITY;
-    for _ in 0..RUNS {
-        let (_, ms) = timed(|| {
-            cell.sim
-                .simulate_reference(&cell.trace, &mut NoopProbe)
-                .expect("reference simulates")
-        });
-        reference_ms = reference_ms.min(ms);
-        let (_, ms) = timed(|| cell.sim.simulate_arena(&cell.trace).expect("simulates"));
-        event_ms = event_ms.min(ms);
-    }
+    let [reference_ms, event_ms] = best_of(
+        RUNS,
+        [
+            &|| {
+                cell.sim
+                    .simulate_reference(&cell.trace, &mut NoopProbe)
+                    .expect("reference simulates")
+            },
+            &|| cell.sim.simulate_arena(&cell.trace).expect("simulates"),
+        ],
+    );
     assert_eq!(
         event, reference,
         "{} [{}]: event-driven and reference results diverge",
@@ -505,9 +487,7 @@ struct ProbeRow {
 /// with both probes and asserts the counting run is bit-identical to the
 /// unprobed one.
 fn measure_probe(name: &str, arena: &TraceArena, cores: usize) -> ProbeRow {
-    let mut config = SimConfig::with_cores(cores).stats_only();
-    config.validate = false;
-    let sim = ManyCoreSim::new(config);
+    let sim = ManyCoreSim::new(SimConfig::with_cores(cores).stats_only());
     let plain = sim.simulate_arena(arena).expect("simulates");
     let mut counting = CountingProbe::default();
     let counted = sim
@@ -515,20 +495,19 @@ fn measure_probe(name: &str, arena: &TraceArena, cores: usize) -> ProbeRow {
         .expect("simulates");
     assert_eq!(plain, counted, "{name}: an observing probe steered the run");
     assert!(counting.events() > 0, "{name}: the probe observed nothing");
-    let mut noop_ms = f64::INFINITY;
-    let mut counting_ms = f64::INFINITY;
-    for _ in 0..MODE_RUNS {
-        let (_, ms) = timed(|| {
-            sim.simulate_arena_probed(arena, &mut NoopProbe)
-                .expect("simulates")
-        });
-        noop_ms = noop_ms.min(ms);
-        let (_, ms) = timed(|| {
-            sim.simulate_arena_probed(arena, &mut CountingProbe::default())
-                .expect("simulates")
-        });
-        counting_ms = counting_ms.min(ms);
-    }
+    let [noop_ms, counting_ms] = best_of(
+        MODE_RUNS,
+        [
+            &|| {
+                sim.simulate_arena_probed(arena, &mut NoopProbe)
+                    .expect("simulates")
+            },
+            &|| {
+                sim.simulate_arena_probed(arena, &mut CountingProbe::default())
+                    .expect("simulates")
+            },
+        ],
+    );
     ProbeRow {
         workload: name.to_string(),
         cores,
@@ -679,40 +658,19 @@ fn print_table(rows: &[Row]) {
 }
 
 fn main() {
-    let mut quick = false;
-    let mut validate = false;
-    let mut threads = SimConfig::default().threads.max(2);
-    let mut json_path: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut args = std::env::args().skip(1).peekable();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--validate" => validate = true,
-            "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threads takes a count (0 = auto)");
-            }
-            "--json" => {
-                json_path = Some(match args.peek() {
-                    Some(path) if !path.starts_with("--") => args.next().expect("peeked"),
-                    _ => "BENCH_sim.json".into(),
-                });
-            }
-            "--trace-out" => {
-                trace_out = Some(args.next().expect("--trace-out takes a file path"));
-            }
-            other => {
-                eprintln!(
-                    "unknown argument '{other}' (supported: --quick --validate \
-                     --threads N --json [PATH] --trace-out PATH)"
-                );
-                std::process::exit(2);
-            }
-        }
+    let flags = Cli {
+        flags: &[
+            "--quick",
+            "--validate",
+            "--threads",
+            "--json",
+            "--trace-out",
+        ],
+        json_default: "BENCH_sim.json",
+        threads_default: 2,
     }
+    .parse();
+    let (quick, validate) = (flags.quick, flags.validate);
 
     let grid = build_grid(quick, validate);
     eprintln!(
@@ -777,7 +735,7 @@ fn main() {
 
     // The threaded row: the same stats-only chip-scale cell, sequential
     // vs the cluster-sharded parallel engine, bit-identical by contract.
-    let threaded = measure_threads(&modes.workload.clone(), &fan, 1024, threads, validate);
+    let threaded = measure_threads(&modes.workload.clone(), &fan, 1024, flags.threads, validate);
     println!(
         "threads  {:<22} {:>9} insns  1t {:>9.1} ms  {}t {:>9.1} ms  {:>4.2}x  fork {}",
         threaded.workload,
@@ -810,55 +768,38 @@ fn main() {
     // A Perfetto-loadable Chrome trace of the headline cell: section
     // residency spans per core, fork flow arrows, stall markers and
     // sampled chip gauges, one microsecond per simulated cycle.
-    if let Some(path) = &trace_out {
+    if let Some(path) = &flags.trace_out {
         let cell = grid.iter().find(|c| c.headline).expect("headline cell");
-        let file = std::fs::File::create(path).expect("create the --trace-out file");
-        let mut writer = ChromeTraceWriter::new(BufWriter::new(file));
-        let traced = cell
-            .sim
-            .simulate_arena_probed(&cell.trace, &mut writer)
-            .expect("simulates");
+        let label = format!("{} [{}]", cell.workload, cell.config);
+        let traced = write_chrome_trace(path, &label, &cell.sim, &cell.trace);
         assert_eq!(traced.outputs, cell.expected);
-        let events = writer.events();
-        writer.finish().expect("flush the Chrome trace");
-        eprintln!(
-            "wrote {events} trace events for {} [{}] to {path}",
-            cell.workload, cell.config
-        );
     }
 
-    if let Some(path) = json_path {
-        std::fs::write(
-            &path,
-            to_json(&rows, &pipeline, &modes, &guard, &threaded, &probe),
-        )
-        .expect("write BENCH_sim.json");
-        eprintln!("wrote {} rows to {path}", rows.len() + 5);
-    }
+    flags.write_json(rows.len() + 5, || {
+        to_json(&rows, &pipeline, &modes, &guard, &threaded, &probe)
+    });
 
     // Hard gates. Any forced stall release means the stall/wake model
     // broke down and every recorded timing is suspect — fail the run (and
     // CI) outright, in quick mode too. The headline event-vs-reference
     // speedup must also hold its >= 5x acceptance bar.
-    let mut failed = false;
+    let mut failures = Vec::new();
     for row in &rows {
         if row.forced_stall_releases > 0 {
-            eprintln!(
-                "FAIL: {} [{}] reports {} forced stall release(s); \
+            failures.push(format!(
+                "{} [{}] reports {} forced stall release(s); \
                  the timing model is not trustworthy",
                 row.workload, row.config, row.forced_stall_releases
-            );
-            failed = true;
+            ));
         }
     }
     let headline = rows.iter().find(|r| r.headline).expect("headline cell");
     if headline.speedup < 5.0 {
-        eprintln!(
-            "FAIL: headline speedup {:.1}x is below the 5x acceptance bar \
+        failures.push(format!(
+            "headline speedup {:.1}x is below the 5x acceptance bar \
              (machine noise? rerun on an idle machine)",
             headline.speedup
-        );
-        failed = true;
+        ));
     }
     // The threaded cell must be >=3x faster than the sequential one on a
     // host with at least 8 CPUs (full mode only; smaller hosts and quick
@@ -866,23 +807,21 @@ fn main() {
     // above still ran).
     let host_cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
     if !quick && host_cpus >= 8 && threaded.threads >= 8 && threaded.speedup < 3.0 {
-        eprintln!(
-            "FAIL: threaded speedup {:.2}x at {} workers is below the 3x \
+        failures.push(format!(
+            "threaded speedup {:.2}x at {} workers is below the 3x \
              acceptance bar on {} ({} host CPUs)",
             threaded.speedup, threaded.threads, threaded.workload, host_cpus
-        );
-        failed = true;
+        ));
     }
     // Stats-only must beat full mode by >=1.3x on the 10M-instruction
     // 1024-core cell (again full mode only: the quick instance fits in
     // cache, which is precisely the effect being measured).
     if !quick && modes.speedup < 1.3 {
-        eprintln!(
-            "FAIL: stats-only speedup {:.2}x is below the 1.3x acceptance bar \
+        failures.push(format!(
+            "stats-only speedup {:.2}x is below the 1.3x acceptance bar \
              on {} at {} cores",
             modes.speedup, modes.workload, modes.cores
-        );
-        failed = true;
+        ));
     }
     // Validation must be zero-cost when disabled: the guard's off cell is
     // the identical workload/mode as the stats cell above, so the two
@@ -892,15 +831,14 @@ fn main() {
     if !quick && !validate {
         let ratio = guard.validate_off_ms / modes.stats_ms;
         if !(0.85..=1.15).contains(&ratio) {
-            eprintln!(
-                "FAIL: validation-off stats cell at {:.1} ms deviates {:.0}% from \
+            failures.push(format!(
+                "validation-off stats cell at {:.1} ms deviates {:.0}% from \
                  the stats-only baseline {:.1} ms — the disabled validate path \
                  is not free",
                 guard.validate_off_ms,
                 (ratio - 1.0).abs() * 100.0,
                 modes.stats_ms
-            );
-            failed = true;
+            ));
         }
         // The telemetry layer must be zero-cost when compiled out: the
         // NoopProbe cell is the identical workload/mode as the stats
@@ -908,18 +846,15 @@ fn main() {
         // must also sit in the same ±15% noise band.
         let probe_ratio = probe.noop_ms / modes.stats_ms;
         if !(0.85..=1.15).contains(&probe_ratio) {
-            eprintln!(
-                "FAIL: NoopProbe stats cell at {:.1} ms deviates {:.0}% from \
+            failures.push(format!(
+                "NoopProbe stats cell at {:.1} ms deviates {:.0}% from \
                  the stats-only baseline {:.1} ms — the disabled probe layer \
                  is not free",
                 probe.noop_ms,
                 (probe_ratio - 1.0).abs() * 100.0,
                 modes.stats_ms
-            );
-            failed = true;
+            ));
         }
     }
-    if failed {
-        std::process::exit(1);
-    }
+    exit_on_failures(&failures);
 }

@@ -53,18 +53,15 @@
 //! with the full static analysis (`parsecs-check`) on, so a
 //! structurally corrupt arena fails the run before it is ever
 //! simulated; `--threads` runs every cell on the cluster-sharded
-//! parallel engine with that many workers (`0` = auto, default follows
-//! `PARSECS_THREADS`; results are bit-identical to sequential runs by
-//! construction); `--trace-out` re-runs the grid's first workload at
-//! its smallest chip size with a streaming
-//! [`ChromeTraceWriter`] and writes a
-//! Perfetto-loadable Chrome trace to `PATH`.
+//! parallel engine with that many workers (`0` = auto, default 1;
+//! results are bit-identical to sequential runs by construction);
+//! `--trace-out` re-runs the grid's first workload at its smallest chip
+//! size with a streaming Chrome-trace writer and writes a
+//! Perfetto-loadable trace to `PATH`.
 
-use std::io::BufWriter;
-use std::time::Instant;
-
+use parsecs_bench::harness::{exit_on_failures, timed, write_chrome_trace, Cli};
 use parsecs_bench::{json, AttributionTotals};
-use parsecs_core::{ChromeTraceWriter, ManyCoreSim, SimConfig, TraceArena};
+use parsecs_core::{ManyCoreSim, SimConfig, TraceArena};
 use parsecs_driver::DriverError;
 use parsecs_isa::Program;
 use parsecs_workloads::scale;
@@ -188,14 +185,14 @@ fn measure(workload: &Workload, validate: bool, threads: usize) -> Vec<Row> {
     // The pipeline runs once per workload; every chip size simulates the
     // same arena. Stats-only cells use the lean arena (no written-
     // locations columns — the simulators never read them).
-    let start = Instant::now();
-    let arena = if workload.stats_only {
-        TraceArena::from_program_lean(&workload.program, workload.fuel)
-    } else {
-        TraceArena::from_program(&workload.program, workload.fuel)
-    }
-    .expect("workload halts within fuel and fits the arena");
-    let pre_ms = start.elapsed().as_secs_f64() * 1e3;
+    let (arena, pre_ms) = timed(|| {
+        if workload.stats_only {
+            TraceArena::from_program_lean(&workload.program, workload.fuel)
+        } else {
+            TraceArena::from_program(&workload.program, workload.fuel)
+        }
+        .expect("workload halts within fuel and fits the arena")
+    });
     let n = arena.len();
 
     workload
@@ -204,14 +201,10 @@ fn measure(workload: &Workload, validate: bool, threads: usize) -> Vec<Row> {
         .map(|&cores| {
             let mut config = SimConfig::with_cores(cores).with_threads(threads);
             config.record_timings = !workload.stats_only;
-            if validate {
-                config.validate = true;
-            }
+            config.validate = validate;
             let resolved_threads = config.effective_threads().min(cores);
             let sim = ManyCoreSim::new(config);
-            let start = Instant::now();
-            let result = sim.simulate_arena(&arena).expect("simulates");
-            let sim_ms = start.elapsed().as_secs_f64() * 1e3;
+            let (result, sim_ms) = timed(|| sim.simulate_arena(&arena).expect("simulates"));
             assert_eq!(
                 result.outputs, workload.expected,
                 "{} @{cores}c: outputs disagree with the oracle",
@@ -316,137 +309,99 @@ fn print_table(rows: &[Row]) {
 }
 
 fn main() {
-    let mut quick = false;
-    let mut validate = false;
-    let mut threads = SimConfig::default().threads;
-    let mut json_path: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut args = std::env::args().skip(1).peekable();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--validate" => validate = true,
-            "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threads takes a count (0 = auto)");
-            }
-            "--json" => {
-                json_path = Some(match args.peek() {
-                    Some(path) if !path.starts_with("--") => args.next().expect("peeked"),
-                    _ => "BENCH_scale.json".into(),
-                });
-            }
-            "--trace-out" => {
-                trace_out = Some(args.next().expect("--trace-out takes a file path"));
-            }
-            other => {
-                eprintln!(
-                    "unknown argument '{other}' (supported: --quick --validate \
-                     --threads N --json [PATH] --trace-out PATH)"
-                );
-                std::process::exit(2);
-            }
-        }
+    let flags = Cli {
+        flags: &[
+            "--quick",
+            "--validate",
+            "--threads",
+            "--json",
+            "--trace-out",
+        ],
+        json_default: "BENCH_scale.json",
+        threads_default: 1,
     }
+    .parse();
+    let quick = flags.quick;
 
     let grid = build_grid(quick);
     eprintln!(
         "scaling {} workload(s) across 256-1024 cores ({} mode{})...",
         grid.len(),
         if quick { "quick" } else { "full" },
-        if validate { ", validated" } else { "" }
+        if flags.validate { ", validated" } else { "" }
     );
     let rows: Vec<Row> = grid
         .iter()
-        .flat_map(|w| measure(w, validate, threads))
+        .flat_map(|w| measure(w, flags.validate, flags.threads))
         .collect();
     print_table(&rows);
 
-    if let Some(path) = json_path {
-        std::fs::write(&path, to_json(&rows)).expect("write BENCH_scale.json");
-        eprintln!("wrote {} rows to {path}", rows.len());
-    }
+    flags.write_json(rows.len(), || to_json(&rows));
 
     // A Perfetto-loadable Chrome trace of the grid's first workload at
     // its smallest chip size, stats-only over a lean arena (the
     // telemetry never reads the stage table).
-    if let Some(path) = &trace_out {
+    if let Some(path) = &flags.trace_out {
         let workload = &grid[0];
         let cores = *workload.cores.iter().min().expect("cells exist");
         let arena = TraceArena::from_program_lean(&workload.program, workload.fuel)
             .expect("workload halts within fuel and fits the arena");
         let sim = ManyCoreSim::new(SimConfig::with_cores(cores).stats_only());
-        let file = std::fs::File::create(path).expect("create the --trace-out file");
-        let mut writer = ChromeTraceWriter::new(BufWriter::new(file));
-        let traced = sim
-            .simulate_arena_probed(&arena, &mut writer)
-            .expect("simulates");
+        let label = format!("{} @{cores}c", workload.name);
+        let traced = write_chrome_trace(path, &label, &sim, &arena);
         assert_eq!(traced.outputs, workload.expected);
-        let events = writer.events();
-        writer.finish().expect("flush the Chrome trace");
-        eprintln!(
-            "wrote {events} trace events for {} @{cores}c to {path}",
-            workload.name
-        );
     }
 
     // Hard gates.
-    let mut failed = false;
+    let mut failures = Vec::new();
     for row in &rows {
         if row.forced_stall_releases > 0 {
             // The same refusal ManyCoreBackend encodes: a forced release
             // means the stall/wake model broke down and no timing in this
             // table can be trusted.
-            eprintln!(
-                "FAIL: {} @{}c: {}",
+            failures.push(format!(
+                "{} @{}c: {}",
                 row.workload,
                 row.cores,
                 DriverError::Deadlock {
                     forced_stall_releases: row.forced_stall_releases
                 }
-            );
-            failed = true;
+            ));
         }
         if row.arena_bytes_per_insn > ARENA_BYTES_PER_INSN_BAR {
-            eprintln!(
-                "FAIL: {} @{}c: arena footprint {:.1} B/insn exceeds the \
+            failures.push(format!(
+                "{} @{}c: arena footprint {:.1} B/insn exceeds the \
                  {ARENA_BYTES_PER_INSN_BAR} B/insn bar",
                 row.workload, row.cores, row.arena_bytes_per_insn
-            );
-            failed = true;
+            ));
         }
         if row.stats_only && row.total_bytes_per_insn > TOTAL_BYTES_PER_INSN_BAR {
-            eprintln!(
-                "FAIL: {} @{}c [stats]: total footprint {:.1} B/insn (arena + sim \
+            failures.push(format!(
+                "{} @{}c [stats]: total footprint {:.1} B/insn (arena + sim \
                  state) exceeds the {TOTAL_BYTES_PER_INSN_BAR} B/insn bar",
                 row.workload, row.cores, row.total_bytes_per_insn
-            );
-            failed = true;
+            ));
         }
     }
     if !quick {
         let headline = rows.iter().find(|r| r.headline).expect("headline cell");
         if headline.cores < 1024 || headline.instructions < 10_000_000 {
-            eprintln!(
-                "FAIL: headline cell must be >=10M instructions at 1024 cores \
+            failures.push(format!(
+                "headline cell must be >=10M instructions at 1024 cores \
                  (got {} insns at {}c)",
                 headline.instructions, headline.cores
-            );
-            failed = true;
+            ));
         }
         let big = rows
             .iter()
             .find(|r| r.headline_100m)
             .expect("100M headline cell");
         if big.cores < 1024 || big.instructions < 100_000_000 || !big.stats_only {
-            eprintln!(
-                "FAIL: the 100M headline must be a >=100M-instruction stats-only \
+            failures.push(format!(
+                "the 100M headline must be a >=100M-instruction stats-only \
                  cell at 1024 cores (got {} insns at {}c, mode {})",
                 big.instructions, big.cores, big.mode
-            );
-            failed = true;
+            ));
         }
         // Chip-size scaling: doubling the modeled cores from 512 to 1024
         // on the same synth_histogram arena must not slow the simulator
@@ -457,19 +412,16 @@ fn main() {
         };
         if let (Some(at_512), Some(at_1024)) = (hist_at(512), hist_at(1024)) {
             if at_1024.sim_ms > SCALING_BAR * at_512.sim_ms {
-                eprintln!(
-                    "FAIL: {} at 1024 cores took {:.0} ms vs {:.0} ms at 512 — \
+                failures.push(format!(
+                    "{} at 1024 cores took {:.0} ms vs {:.0} ms at 512 — \
                      {:.2}x, above the {SCALING_BAR}x chip-size scaling bar",
                     at_1024.workload,
                     at_1024.sim_ms,
                     at_512.sim_ms,
                     at_1024.sim_ms / at_512.sim_ms
-                );
-                failed = true;
+                ));
             }
         }
     }
-    if failed {
-        std::process::exit(1);
-    }
+    exit_on_failures(&failures);
 }

@@ -21,13 +21,15 @@
 //!
 //! This crate's library exposes the small amount of shared code the
 //! binaries use — dataset sweeps and ILP measurement for a workload,
-//! the [`json`] emission module every `BENCH_*.json` goes through, and
-//! the [`AttributionTotals`] cycle-telemetry summary — built on the
-//! unified [`parsecs_driver`] backends.
+//! the [`json`] emission module every `BENCH_*.json` goes through, the
+//! [`harness`] the perf bins measure with (flags, best-of timer, Chrome
+//! trace, gates), and the [`AttributionTotals`] cycle-telemetry summary —
+//! built on the unified [`parsecs_driver`] backends.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod harness;
 pub mod json;
 
 use parsecs_cc::Backend;

@@ -68,9 +68,8 @@ pub struct SimConfig {
     /// `total_cycles ≥ critical_path` against the finished run). A
     /// violation surfaces as [`crate::SimError::Invariant`]; a clean
     /// analysis is attached to [`crate::SimResult::check`]. Off by
-    /// default — the simulation paths are untouched when disabled — and
-    /// forced on by setting the `PARSECS_VALIDATE` environment variable
-    /// to anything but `0` (how CI runs the whole suite validated).
+    /// default — the simulation paths are untouched when disabled; turn
+    /// it on with [`SimConfig::validated`].
     pub validate: bool,
     /// Worker threads for the event-driven engine: `1` (the default)
     /// runs fully sequential; above one, the cores are sharded into that
@@ -81,12 +80,13 @@ pub struct SimConfig {
     /// [`crate::WalkSafety::Certified`] (otherwise the run is sequential
     /// and carries a typed [`crate::ForkFallback`] on
     /// [`crate::SimResult::fork_fallback`]). `0` means auto: one thread
-    /// per available CPU. The
-    /// default follows the `PARSECS_THREADS` environment variable when it
-    /// parses as an integer. The reference engine ignores this field.
+    /// per available CPU. Set it with [`SimConfig::with_threads`]. The
+    /// reference engine ignores this field.
     pub threads: usize,
 }
 
+// Hand-written: `Arc<dyn PlacementPolicy>` has no `PartialEq`, so the
+// policy compares by name.
 impl PartialEq for SimConfig {
     fn eq(&self, other: &SimConfig) -> bool {
         self.cores == other.cores
@@ -102,22 +102,6 @@ impl PartialEq for SimConfig {
             && self.validate == other.validate
             && self.threads == other.threads
     }
-}
-
-/// The default of [`SimConfig::validate`]: off, unless the
-/// `PARSECS_VALIDATE` environment variable is set to anything but `0`.
-fn validate_default() -> bool {
-    std::env::var_os("PARSECS_VALIDATE").is_some_and(|v| v != "0")
-}
-
-/// The default of [`SimConfig::threads`]: `1`, unless the
-/// `PARSECS_THREADS` environment variable parses as an integer (where
-/// `0` means auto-detect).
-fn threads_default() -> usize {
-    std::env::var("PARSECS_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(1)
 }
 
 impl Default for SimConfig {
@@ -137,8 +121,8 @@ impl Default for SimConfig {
             fuel: 50_000_000,
             fetch_stalls_on_unresolved_control: true,
             record_timings: true,
-            validate: validate_default(),
-            threads: threads_default(),
+            validate: false,
+            threads: 1,
         }
     }
 }
@@ -253,6 +237,13 @@ mod tests {
     fn defaults_are_valid() {
         assert!(SimConfig::default().validate().is_ok());
         assert!(SimConfig::with_cores(5).validate().is_ok());
+    }
+
+    #[test]
+    fn defaults_are_sequential_and_unvalidated() {
+        let c = SimConfig::default();
+        assert_eq!(c.threads, 1);
+        assert!(!c.validate);
     }
 
     #[test]

@@ -111,5 +111,5 @@ pub use parsecs_trace::{
 // separate dependency.
 pub use parsecs_obs::{
     ChromeTraceWriter, CoreBreakdown, CountingProbe, CycleAttribution, NoopProbe, SimProbe,
-    StallCause, TickGauges, TimeSeries,
+    StallCause, TickGauges,
 };

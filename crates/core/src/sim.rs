@@ -1095,10 +1095,7 @@ mod tests {
             bounds.critical_path
         );
         // The unvalidated run is identical except for the attachment.
-        // (Pinned off explicitly: the default tracks PARSECS_VALIDATE.)
-        let mut off = SimConfig::with_cores(8);
-        off.validate = false;
-        let mut plain = ManyCoreSim::new(off)
+        let mut plain = ManyCoreSim::new(SimConfig::with_cores(8))
             .simulate_arena(&arena)
             .expect("simulates");
         assert!(plain.check.is_none());

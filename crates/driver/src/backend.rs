@@ -241,9 +241,7 @@ impl ManyCoreBackend {
 /// setting that differs from [`SimConfig::default`] — the single place
 /// every label suffix is assembled, so no two distinct sweep
 /// configurations can share a label and no call site can disagree on
-/// suffix order. Defaults follow the environment (`PARSECS_VALIDATE`,
-/// `PARSECS_THREADS`), so forcing validation or threading on for a whole
-/// suite leaves every label unchanged.
+/// suffix order.
 pub(crate) fn manycore_label(config: &SimConfig) -> String {
     let defaults = SimConfig::default();
     let mut name = format!("manycore:{}c:{}", config.cores, config.placement.name());
@@ -279,12 +277,8 @@ pub(crate) fn manycore_label(config: &SimConfig) -> String {
     if config.threads != defaults.threads {
         name.push_str(&format!(":t{}", config.threads));
     }
-    if config.validate != defaults.validate {
-        name.push_str(if config.validate {
-            ":validate"
-        } else {
-            ":novalidate"
-        });
+    if config.validate {
+        name.push_str(":validate");
     }
     name
 }
@@ -426,25 +420,19 @@ mod tests {
         let program = sum::fork_program(&[4, 2, 6, 4, 5]);
         let plain = ManyCoreBackend::with_cores(8);
         let validated = ManyCoreBackend::with_cores(8).validated();
-        // The label only changes relative to the session default, so a
-        // PARSECS_VALIDATE=1 environment keeps every name stable.
-        if !SimConfig::default().validate {
-            assert_eq!(validated.name(), "manycore:8c:round-robin:validate");
-        }
+        assert_eq!(validated.name(), "manycore:8c:round-robin:validate");
         let report = validated.execute(&program).unwrap();
         let check = report.check().expect("validated run carries a report");
         assert!(check.is_clean());
         assert_eq!(report.drain_certified(), Some(true));
         assert!(check.bounds.as_ref().unwrap().critical_path <= report.cycles);
-        // Aside from the attachment (and possibly the label), the
-        // validated run is identical.
+        // Aside from the attachment and the label, the validated run is
+        // identical.
         let baseline = plain.execute(&program).unwrap();
         assert_eq!(baseline.cycles, report.cycles);
         assert_eq!(baseline.outputs, report.outputs);
-        if !SimConfig::default().validate {
-            assert_eq!(baseline.check(), None);
-            assert_eq!(baseline.drain_certified(), None);
-        }
+        assert_eq!(baseline.check(), None);
+        assert_eq!(baseline.drain_certified(), None);
     }
 
     #[test]
@@ -467,29 +455,15 @@ mod tests {
     #[test]
     fn manycore_label_assembles_every_suffix_in_one_place() {
         // Threading gets its own suffix, stacked in the helper's fixed
-        // order after `:stats` — only relative to the (env-following)
-        // default, so a PARSECS_THREADS environment keeps names stable.
-        let default_threads = SimConfig::default().threads;
-        let threaded = ManyCoreBackend::with_cores(8).threaded(default_threads + 3);
+        // order after `:stats`; one thread is the default and unlabelled.
+        let threaded = ManyCoreBackend::with_cores(8).threaded(4);
+        assert_eq!(threaded.name(), "manycore:8c:round-robin:t4");
         assert_eq!(
-            threaded.name(),
-            format!("manycore:8c:round-robin:t{}", default_threads + 3)
-        );
-        assert_eq!(
-            ManyCoreBackend::with_cores(8)
-                .threaded(default_threads)
-                .name(),
+            ManyCoreBackend::with_cores(8).threaded(1).name(),
             "manycore:8c:round-robin"
         );
-        let stacked = ManyCoreBackend::new(
-            SimConfig::with_cores(8)
-                .stats_only()
-                .with_threads(default_threads + 1),
-        );
-        assert_eq!(
-            stacked.name(),
-            format!("manycore:8c:round-robin:stats:t{}", default_threads + 1)
-        );
+        let stacked = ManyCoreBackend::new(SimConfig::with_cores(8).stats_only().with_threads(2));
+        assert_eq!(stacked.name(), "manycore:8c:round-robin:stats:t2");
         // The backend's public name and the helper agree by construction.
         assert_eq!(stacked.name(), manycore_label(stacked.config()));
     }

@@ -84,7 +84,7 @@ impl<'p> Runner<'p> {
 
     /// Runs on the many-core simulator with a telemetry probe observing
     /// the run — e.g. a [`parsecs_core::ChromeTraceWriter`] streaming
-    /// section-lifetime spans, or a [`parsecs_core::TimeSeries`] recorder.
+    /// section-lifetime spans, or a [`parsecs_core::CountingProbe`].
     /// Probes are monomorphized into the engine
     /// ([`parsecs_core::SimProbe`] is not object-safe), so this terminal
     /// takes the concrete backend directly instead of going through

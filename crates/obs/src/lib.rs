@@ -11,14 +11,11 @@
 //! bit-identical to an uninstrumented build and within noise of its
 //! performance; `repro_perf` gates this with a dedicated guard row.
 //!
-//! Three consumers ship with the crate:
+//! Two consumers ship with the crate:
 //!
 //! - [`CycleAttribution`] — an exact per-core accumulator splitting every
 //!   core's `total_cycles` into additive busy / stalled-by-cause / parked
 //!   / idle buckets (surfaced on `SimStats` and the bench JSON).
-//! - [`TimeSeries`] — a windowed, bounded-memory recorder for per-cycle
-//!   gauges (core occupancy, run-list length, calendar depth, in-flight
-//!   NoC messages, drain round width).
 //! - [`ChromeTraceWriter`] — streams section-lifetime spans and fork
 //!   flows as Chrome `trace_event` JSON loadable in Perfetto
 //!   (`repro_perf --trace-out trace.json`).
@@ -32,9 +29,7 @@
 pub mod attribution;
 pub mod chrome;
 pub mod probe;
-pub mod timeseries;
 
 pub use attribution::{CoreBreakdown, CycleAttribution};
 pub use chrome::ChromeTraceWriter;
 pub use probe::{CountingProbe, NoopProbe, SimProbe, StallCause, TickGauges};
-pub use timeseries::{SeriesKind, TimeSeries};

@@ -26,8 +26,8 @@
 //! * [`noc`] — network-on-chip substrate.
 //! * [`obs`] — zero-cost telemetry: the [`obs::SimProbe`] hook trait the
 //!   engines are monomorphized over, exact per-core
-//!   [`obs::CycleAttribution`], bounded [`obs::TimeSeries`] gauges, and
-//!   the Perfetto-loadable [`obs::ChromeTraceWriter`].
+//!   [`obs::CycleAttribution`], and the Perfetto-loadable
+//!   [`obs::ChromeTraceWriter`].
 //! * [`core`] — the paper's contribution: the sectioned parallel execution
 //!   model, its many-core six-stage-pipeline simulator, and the pluggable
 //!   [`core::PlacementPolicy`] deciding which core hosts each section.

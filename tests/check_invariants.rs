@@ -365,7 +365,9 @@ proptest! {
     /// park/handoff runtime relaxes capacity and completes these runs —
     /// `PotentialCycle` with a quiet detector is the expected,
     /// consistent outcome; the prover's hold-slot model is strictly
-    /// stricter.)
+    /// stricter.) Each chip runs at `threads ∈ {1, 4}`; the reference
+    /// engine ignores `threads`, so matching it pins the four-thread run
+    /// to the sequential one.
     #[test]
     fn capacity_starved_chains_are_flagged_and_consistent_with_the_detector(
         seed in proptest::strategy::any::<u64>(),
@@ -379,15 +381,21 @@ proptest! {
             sections > 256,
             "a {}-element chain made only {} sections", elements, sections
         );
-        for cores in [64usize, 256] {
-            let mut config = SimConfig::with_cores(cores).stats_only().validated();
+        for (cores, threads) in [(64usize, 1usize), (64, 4), (256, 1), (256, 4)] {
+            let mut config = SimConfig::with_cores(cores)
+                .stats_only()
+                .validated()
+                .with_threads(threads);
             config.max_sections_per_core = 1;
             let sim = ManyCoreSim::new(config);
             let event = sim.simulate_arena(&arena).expect("event engine simulates");
             let reference = sim
                 .simulate_reference(&arena, &mut NoopProbe)
                 .expect("reference engine simulates");
-            prop_assert_eq!(&event, &reference, "engines diverge at {} cores", cores);
+            prop_assert_eq!(
+                &event, &reference,
+                "engines diverge at {} cores, {} threads", cores, threads
+            );
             let report = event.check.as_ref().expect("validated run attaches a report");
             let progress = report
                 .progress

@@ -7,6 +7,12 @@
 //! per-core section peak and a hash of the placement — for a miniature of
 //! each benchmark program shape, under both engines and both stats modes.
 //!
+//! Every event-engine cell is also run at `threads = 4` (the
+//! cluster-sharded engine with its forked walk and drain) and validated
+//! (the full static analysis first). Both must reproduce the sequential
+//! run exactly, apart from the fork verdict and the attached report, so
+//! the table pins those modes too.
+//!
 //! A failing row prints the whole recomputed table in source form. Paste
 //! it over [`GOLDEN`] only when the timing change is intended and
 //! reviewed.
@@ -80,8 +86,21 @@ fn row(shape: &'static str, engine: &'static str, stats_only: bool, result: &Sim
     )
 }
 
+/// Checks that `other` reproduces the sequential event run `sequential`
+/// in every field but the fork verdict and the static-analysis report.
+fn assert_same_run(sequential: &SimResult, other: &SimResult, what: &str) {
+    let mut other = other.clone();
+    other.check = None;
+    other.fork_fallback = None;
+    assert!(
+        other == *sequential,
+        "{what}: differs from the sequential run"
+    );
+}
+
 /// Runs every (shape, engine, stats mode) cell, checking each run's
-/// outputs against the shape's Rust oracle.
+/// outputs against the shape's Rust oracle, and the threaded and
+/// validated event runs against the sequential one.
 fn recompute() -> Vec<Row> {
     let mut rows = Vec::new();
     for (shape, program, fuel, expected, cores) in shapes() {
@@ -100,6 +119,24 @@ fn recompute() -> Vec<Row> {
                 assert_eq!(result.outputs, expected, "{shape} {engine}: wrong outputs");
                 rows.push(row(shape, engine, stats_only, result));
             }
+            let config = sim.config().clone();
+            let threaded = ManyCoreSim::new(config.clone().with_threads(4))
+                .simulate_arena(&arena)
+                .expect("simulates");
+            assert_eq!(
+                threaded.fork_fallback, None,
+                "{shape} (stats_only {stats_only}): the four-thread run did not fork"
+            );
+            assert_same_run(&event, &threaded, &format!("{shape} at four threads"));
+            let validated = ManyCoreSim::new(config.validated())
+                .simulate_arena(&arena)
+                .expect("simulates");
+            let report = validated
+                .check
+                .as_ref()
+                .expect("validated runs attach a report");
+            assert!(report.is_clean(), "{shape}: validated report is not clean");
+            assert_same_run(&event, &validated, &format!("{shape} validated"));
         }
     }
     rows
