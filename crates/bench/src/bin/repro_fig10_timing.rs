@@ -3,16 +3,14 @@
 //! with the six pipeline-stage columns (fd rr ew ar ma ret).
 
 use parsecs_core::format_figure10;
-use parsecs_driver::{ManyCoreBackend, Runner};
+use parsecs_driver::{ExecutionBackend, ManyCoreBackend};
 use parsecs_workloads::sum;
 
 fn main() {
     let data = [4u64, 2, 6, 4, 5];
     let program = sum::fork_program(&data);
-    let report = Runner::new(&program)
-        .fuel(100_000)
-        .on(ManyCoreBackend::with_cores(8))
-        .run()
+    let report = ManyCoreBackend::with_cores(8)
+        .execute_fueled(&program, 100_000)
         .expect("simulates");
     let result = report.sim().expect("many-core backend carries a SimResult");
 

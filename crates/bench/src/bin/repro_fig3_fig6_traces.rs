@@ -4,7 +4,7 @@
 //! sections.
 
 use parsecs_core::TraceArena;
-use parsecs_driver::{Runner, SequentialBackend};
+use parsecs_driver::{ExecutionBackend, SequentialBackend};
 use parsecs_workloads::sum;
 
 fn main() {
@@ -12,10 +12,8 @@ fn main() {
 
     // Figure 3: the call-version trace, recorded by the sequential backend.
     let call = sum::call_program(&data);
-    let report = Runner::new(&call)
-        .fuel(100_000)
-        .on(SequentialBackend)
-        .run()
+    let report = SequentialBackend
+        .execute_fueled(&call, 100_000)
         .expect("halts");
     let trace = report.trace().expect("sequential backend records a trace");
     println!(

@@ -6,7 +6,7 @@
 //! (`repro_sec5_analytic [max_n]`, default 6 → up to 320 elements).
 
 use parsecs_core::analytic;
-use parsecs_driver::{ManyCoreBackend, Runner};
+use parsecs_driver::{ExecutionBackend, ManyCoreBackend};
 use parsecs_workloads::sum;
 
 fn main() {
@@ -34,9 +34,8 @@ fn main() {
         let data = sum::dataset(n, 7);
         let program = sum::fork_program(&data);
         let cores = (model.elements as usize).clamp(8, 256);
-        let report = Runner::new(&program)
-            .on(ManyCoreBackend::with_cores(cores))
-            .run()
+        let report = ManyCoreBackend::with_cores(cores)
+            .execute_fueled(&program, 100_000_000)
             .expect("simulates");
         assert_eq!(report.outputs, sum::expected(&data));
         println!(

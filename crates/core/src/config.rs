@@ -39,7 +39,10 @@ pub struct SimConfig {
     /// request (the backward walk of §4.2). The paper's shortcuts make this
     /// small; 0 models perfectly effective shortcuts and caching.
     pub per_section_hop: u64,
-    /// Maximum number of dynamic instructions to pre-execute functionally.
+    /// A default budget of dynamic instructions to pre-execute
+    /// functionally. No library code reads it: every entry point takes
+    /// its fuel explicitly (`TraceArena::from_program(program, fuel)`,
+    /// the driver's `execute_fueled(program, fuel)`).
     pub fuel: u64,
     /// Whether the fetch stage stalls when a control-flow instruction
     /// cannot be computed in the fetch stage (its sources are not yet

@@ -61,9 +61,10 @@
 //!            addq $8, %rsp
 //!            endfork",
 //! ).expect("assembles");
-//! let config = SimConfig::default();
-//! let arena = TraceArena::from_program(&program, config.fuel).expect("runs");
-//! let result = ManyCoreSim::new(config).simulate_arena(&arena).expect("simulates");
+//! let arena = TraceArena::from_program(&program, 10_000).expect("runs");
+//! let result = ManyCoreSim::new(SimConfig::default())
+//!     .simulate_arena(&arena)
+//!     .expect("simulates");
 //! assert_eq!(result.outputs, vec![21]);
 //! assert!(result.stats.sections >= 5);
 //! assert!(result.stats.fetch_ipc > 1.0, "parallel fetch exceeds one instruction per cycle");

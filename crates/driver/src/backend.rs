@@ -7,17 +7,14 @@ use parsecs_machine::Machine;
 
 use crate::{DriverError, ReportDetail, RunReport};
 
-/// Fuel used when the caller does not specify one: matches the many-core
-/// simulator's default functional pre-execution budget.
-pub const DEFAULT_FUEL: u64 = 50_000_000;
-
 /// A uniform way to execute one [`Program`] on one of the three engines
 /// (sequential reference machine, trace-based ILP analyzer, many-core
 /// sectioned simulator) and get back a comparable [`RunReport`].
 ///
-/// Backends are stateless with respect to programs — `execute` borrows the
-/// backend immutably — and `Send + Sync`, so one backend can serve many
-/// programs from many threads (the property [`crate::Sweep`] relies on).
+/// Backends are stateless with respect to programs — `execute_fueled`
+/// borrows the backend immutably — and `Send + Sync`, so one backend can
+/// serve many programs from many threads (the property [`crate::Sweep`]
+/// relies on).
 pub trait ExecutionBackend: Send + Sync {
     /// A short, stable name identifying the backend and its configuration
     /// (used in reports and sweep labels).
@@ -32,27 +29,6 @@ pub trait ExecutionBackend: Send + Sync {
     /// halt within `fuel` instructions, faults, or the backend is
     /// misconfigured.
     fn execute_fueled(&self, program: &Program, fuel: u64) -> Result<RunReport, DriverError>;
-
-    /// Executes `program` with [`DEFAULT_FUEL`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ExecutionBackend::execute_fueled`].
-    fn execute(&self, program: &Program) -> Result<RunReport, DriverError> {
-        self.execute_fueled(program, DEFAULT_FUEL)
-    }
-}
-
-/// Boxed backends execute by delegation, so `Runner`/`Sweep` can hold
-/// heterogeneous backend lists.
-impl ExecutionBackend for Box<dyn ExecutionBackend> {
-    fn name(&self) -> String {
-        self.as_ref().name()
-    }
-
-    fn execute_fueled(&self, program: &Program, fuel: u64) -> Result<RunReport, DriverError> {
-        self.as_ref().execute_fueled(program, fuel)
-    }
 }
 
 /// The sequential reference machine as a backend: one instruction per
@@ -112,11 +88,6 @@ impl IlpBackend {
     pub fn sequential_oracle() -> IlpBackend {
         IlpBackend::new("sequential-oracle", IlpModel::sequential_oracle())
     }
-
-    /// The dependence model this backend schedules under.
-    pub fn model(&self) -> &IlpModel {
-        &self.model
-    }
 }
 
 impl ExecutionBackend for IlpBackend {
@@ -159,50 +130,14 @@ impl ManyCoreBackend {
         ManyCoreBackend::new(SimConfig::with_cores(cores))
     }
 
-    /// The simulator configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-
-    /// Turns on the pre-simulation static analysis (builder style): the
-    /// run is rejected with a typed report when the trace arena violates
-    /// the sectioned-trace invariants, and a clean
-    /// [`parsecs_core::CheckReport`] rides along on [`RunReport::check`].
-    pub fn validated(mut self) -> ManyCoreBackend {
-        self.config.validate = true;
-        self
-    }
-
-    /// Sets the event engine's worker-thread count (builder style) — see
-    /// [`SimConfig::threads`]: above one, the run forks its fetch walk
-    /// and drain rounds, bit-identically to the sequential path and only
-    /// under a `Certified` static drain verdict.
-    pub fn threaded(mut self, threads: usize) -> ManyCoreBackend {
-        self.config.threads = threads;
-        self
-    }
-
-    /// Like [`ExecutionBackend::execute`], with a telemetry probe
+    /// Like [`ExecutionBackend::execute_fueled`], with a telemetry probe
     /// observing the timing run (see
-    /// [`parsecs_core::ManyCoreSim::simulate_arena_probed`]). Probes are
-    /// monomorphized into the engine — [`parsecs_core::SimProbe`] is not
-    /// object-safe — so this lives on the concrete backend rather than
-    /// the trait; the produced [`RunReport`] is bit-identical to the
-    /// unprobed one.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ExecutionBackend::execute`].
-    pub fn execute_probed<P: SimProbe>(
-        &self,
-        program: &Program,
-        probe: &mut P,
-    ) -> Result<RunReport, DriverError> {
-        self.execute_probed_fueled(program, self.config.fuel, probe)
-    }
-
-    /// [`ManyCoreBackend::execute_probed`] with an explicit fuel
-    /// overriding the configuration's.
+    /// [`parsecs_core::ManyCoreSim::simulate_arena_probed`]), e.g. a
+    /// [`parsecs_core::ChromeTraceWriter`] or a
+    /// [`parsecs_core::CountingProbe`]. Probes are monomorphized into the
+    /// engine — [`parsecs_core::SimProbe`] is not object-safe — so this
+    /// lives on the concrete backend rather than the trait; the produced
+    /// [`RunReport`] is bit-identical to the unprobed one.
     ///
     /// # Errors
     ///
@@ -292,13 +227,6 @@ impl ExecutionBackend for ManyCoreBackend {
         manycore_label(&self.config)
     }
 
-    /// Runs with the *configuration's* own fuel budget (unlike the trait
-    /// default, which would substitute [`DEFAULT_FUEL`]).
-    fn execute(&self, program: &Program) -> Result<RunReport, DriverError> {
-        self.execute_fueled(program, self.config.fuel)
-    }
-
-    /// The explicit `fuel` overrides the configuration's `fuel` field.
     fn execute_fueled(&self, program: &Program, fuel: u64) -> Result<RunReport, DriverError> {
         self.execute_probed_fueled(program, fuel, &mut NoopProbe)
     }
@@ -307,13 +235,16 @@ impl ExecutionBackend for ManyCoreBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parsecs_core::CountingProbe;
     use parsecs_machine::MachineError;
     use parsecs_workloads::sum;
+
+    const FUEL: u64 = 100_000;
 
     #[test]
     fn sequential_backend_reports_one_ipc_and_a_trace() {
         let program = sum::call_program(&[4, 2, 6, 4, 5]);
-        let report = SequentialBackend.execute(&program).unwrap();
+        let report = SequentialBackend.execute_fueled(&program, FUEL).unwrap();
         assert_eq!(report.outputs, vec![21]);
         assert_eq!(report.cycles, report.instructions);
         assert_eq!(report.fetch_ipc, 1.0);
@@ -324,8 +255,12 @@ mod tests {
     #[test]
     fn ilp_backend_schedules_shorter_than_sequential() {
         let program = sum::call_program(&[4, 2, 6, 4, 5]);
-        let parallel = IlpBackend::parallel_ideal().execute(&program).unwrap();
-        let oracle = IlpBackend::sequential_oracle().execute(&program).unwrap();
+        let parallel = IlpBackend::parallel_ideal()
+            .execute_fueled(&program, FUEL)
+            .unwrap();
+        let oracle = IlpBackend::sequential_oracle()
+            .execute_fueled(&program, FUEL)
+            .unwrap();
         assert_eq!(parallel.outputs, vec![21]);
         assert!(parallel.cycles <= oracle.cycles);
         assert!(parallel.fetch_ipc >= oracle.fetch_ipc);
@@ -336,24 +271,24 @@ mod tests {
     #[test]
     fn manycore_backend_beats_one_fetch_ipc_on_forked_sum() {
         let program = sum::fork_program(&[4, 2, 6, 4, 5]);
-        let report = ManyCoreBackend::with_cores(8).execute(&program).unwrap();
+        let report = ManyCoreBackend::with_cores(8)
+            .execute_fueled(&program, FUEL)
+            .unwrap();
         assert_eq!(report.outputs, vec![21]);
         assert!(report.fetch_ipc > 1.0);
         assert!(report.fetch_cycles() <= report.cycles);
-        assert_eq!(report.sim().unwrap().stats.sections, 6);
+        let stats = &report.sim().unwrap().stats;
+        assert_eq!(stats.sections, 6);
         assert_eq!(report.backend, "manycore:8c:round-robin");
         // The functional front-end's memory accounting rides along.
-        let bytes = report
-            .trace_arena_bytes()
-            .expect("manycore builds an arena");
-        assert!(bytes > 0);
-        let per_insn = report.trace_bytes_per_instruction().unwrap();
+        assert!(stats.trace_arena_bytes > 0);
+        let per_insn = stats.trace_bytes_per_instruction();
         assert!(
             per_insn > 0.0 && per_insn < 250.0,
             "{per_insn:.1} B/insn out of range"
         );
-        let sequential = SequentialBackend.execute(&program).unwrap();
-        assert_eq!(sequential.trace_arena_bytes(), None);
+        let sequential = SequentialBackend.execute_fueled(&program, FUEL).unwrap();
+        assert!(sequential.sim().is_none());
     }
 
     #[test]
@@ -371,68 +306,73 @@ mod tests {
     }
 
     #[test]
-    fn manycore_execute_respects_the_configs_own_fuel() {
-        let program = sum::call_program(&[1, 2, 3, 4]);
-        let mut starved = SimConfig::with_cores(4);
-        starved.fuel = 3;
-        // execute() uses the config's budget, not DEFAULT_FUEL...
-        let err = ManyCoreBackend::new(starved.clone())
-            .execute(&program)
-            .unwrap_err();
-        assert!(matches!(err, DriverError::Sim(_)));
-        // ...while an explicit fuel overrides it.
-        let report = ManyCoreBackend::new(starved)
-            .execute_fueled(&program, 100_000)
-            .unwrap();
-        assert_eq!(report.outputs, vec![10]);
-    }
-
-    #[test]
     fn stats_only_reports_exact_stats_without_a_stage_table() {
         let program = sum::fork_program(&[4, 2, 6, 4, 5]);
-        let full = ManyCoreBackend::with_cores(8).execute(&program).unwrap();
+        let full = ManyCoreBackend::with_cores(8)
+            .execute_fueled(&program, FUEL)
+            .unwrap();
         let stats = ManyCoreBackend::new(SimConfig::with_cores(8).stats_only())
-            .execute(&program)
+            .execute_fueled(&program, FUEL)
             .unwrap();
         assert_eq!(stats.backend, "manycore:8c:round-robin:stats");
         // Aggregates are bit-identical across the two modes...
         assert_eq!(stats.outputs, full.outputs);
         assert_eq!(stats.cycles, full.cycles);
         assert_eq!(stats.fetch_ipc, full.fetch_ipc);
-        assert_eq!(stats.sim().unwrap().stats, full.sim().unwrap().stats);
+        let (full, stats) = (full.sim().unwrap(), stats.sim().unwrap());
+        assert_eq!(stats.stats, full.stats);
         // ...but only the recording run carries the stage table.
-        assert_eq!(full.timings().unwrap().len() as u64, full.instructions);
-        assert_eq!(stats.timings(), None);
-        assert!(stats.sim().unwrap().timings.is_empty());
+        assert!(full.timings_recorded);
+        assert_eq!(full.timings.len() as u64, full.stats.instructions);
+        assert!(!stats.timings_recorded);
+        assert!(stats.timings.is_empty());
         // The footprint accounting reflects the dropped columns.
-        let full_state = full.sim_state_bytes().unwrap();
-        let stats_state = stats.sim_state_bytes().unwrap();
+        let (full_state, stats_state) = (full.sim_state_bytes(), stats.sim_state_bytes());
         assert!(
             stats_state < full_state / 3,
             "stats-only state {stats_state} should be far below full {full_state}"
         );
-        assert!(stats.total_bytes_per_instruction().unwrap() > 0.0);
-        assert_eq!(SequentialBackend.execute(&program).unwrap().timings(), None);
+        assert!(stats.total_bytes_per_instruction() > 0.0);
     }
 
     #[test]
-    fn validated_backend_attaches_a_clean_report() {
+    fn validated_config_attaches_a_clean_report() {
         let program = sum::fork_program(&[4, 2, 6, 4, 5]);
         let plain = ManyCoreBackend::with_cores(8);
-        let validated = ManyCoreBackend::with_cores(8).validated();
+        let validated = ManyCoreBackend::new(SimConfig::with_cores(8).validated());
         assert_eq!(validated.name(), "manycore:8c:round-robin:validate");
-        let report = validated.execute(&program).unwrap();
-        let check = report.check().expect("validated run carries a report");
+        let report = validated.execute_fueled(&program, FUEL).unwrap();
+        let check = report.sim().unwrap().check.as_deref();
+        let check = check.expect("validated run carries a report");
         assert!(check.is_clean());
-        assert_eq!(report.drain_certified(), Some(true));
+        assert!(check.drain.is_certified());
         assert!(check.bounds.as_ref().unwrap().critical_path <= report.cycles);
         // Aside from the attachment and the label, the validated run is
         // identical.
-        let baseline = plain.execute(&program).unwrap();
+        let baseline = plain.execute_fueled(&program, FUEL).unwrap();
         assert_eq!(baseline.cycles, report.cycles);
         assert_eq!(baseline.outputs, report.outputs);
-        assert_eq!(baseline.check(), None);
-        assert_eq!(baseline.drain_certified(), None);
+        assert_eq!(baseline.sim().unwrap().check, None);
+    }
+
+    #[test]
+    fn probed_runs_match_the_unprobed_report_bit_for_bit() {
+        let program = sum::fork_program(&[4, 2, 6, 4, 5]);
+        let backend = ManyCoreBackend::with_cores(8);
+        let mut counting = CountingProbe::default();
+        let probed = backend
+            .execute_probed_fueled(&program, FUEL, &mut counting)
+            .unwrap();
+        let plain = backend.execute_fueled(&program, FUEL).unwrap();
+        assert_eq!(probed, plain, "an observing probe must not steer");
+        assert!(counting.events() > 0, "the probe observed nothing");
+        // The always-on attribution table covers every configured core
+        // and tiles the whole cycle budget.
+        let stats = &probed.sim().unwrap().stats;
+        assert_eq!(stats.attribution.len(), 8);
+        assert!(stats.attribution.iter().all(|b| b.total() == probed.cycles));
+        let occupancy = stats.occupancy();
+        assert!(occupancy > 0.0 && occupancy <= 1.0);
     }
 
     #[test]
@@ -456,15 +396,16 @@ mod tests {
     fn manycore_label_assembles_every_suffix_in_one_place() {
         // Threading gets its own suffix, stacked in the helper's fixed
         // order after `:stats`; one thread is the default and unlabelled.
-        let threaded = ManyCoreBackend::with_cores(8).threaded(4);
+        let threaded = ManyCoreBackend::new(SimConfig::with_cores(8).with_threads(4));
         assert_eq!(threaded.name(), "manycore:8c:round-robin:t4");
         assert_eq!(
-            ManyCoreBackend::with_cores(8).threaded(1).name(),
+            ManyCoreBackend::new(SimConfig::with_cores(8).with_threads(1)).name(),
             "manycore:8c:round-robin"
         );
-        let stacked = ManyCoreBackend::new(SimConfig::with_cores(8).stats_only().with_threads(2));
+        let config = SimConfig::with_cores(8).stats_only().with_threads(2);
+        let stacked = ManyCoreBackend::new(config.clone());
         assert_eq!(stacked.name(), "manycore:8c:round-robin:stats:t2");
         // The backend's public name and the helper agree by construction.
-        assert_eq!(stacked.name(), manycore_label(stacked.config()));
+        assert_eq!(stacked.name(), manycore_label(&config));
     }
 }

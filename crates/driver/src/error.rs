@@ -23,8 +23,6 @@ pub enum DriverError {
         /// How many stalled fetch stages the detector had to release.
         forced_stall_releases: u64,
     },
-    /// The runner or sweep itself was misconfigured (e.g. no backend).
-    Config(String),
 }
 
 impl fmt::Display for DriverError {
@@ -39,7 +37,6 @@ impl fmt::Display for DriverError {
                 "simulator deadlock: {forced_stall_releases} forced stall release(s); \
                  the timing model is not trustworthy for this run"
             ),
-            DriverError::Config(msg) => write!(f, "driver configuration: {msg}"),
         }
     }
 }
@@ -49,7 +46,7 @@ impl Error for DriverError {
         match self {
             DriverError::Machine(e) => Some(e),
             DriverError::Sim(e) => Some(e),
-            _ => None,
+            DriverError::Deadlock { .. } => None,
         }
     }
 }
@@ -76,8 +73,9 @@ mod tests {
         assert!(e.to_string().contains('7'));
         let e: DriverError = SimError::Config("no cores".into()).into();
         assert!(e.to_string().contains("no cores"));
-        assert!(DriverError::Config("no backend".into())
-            .to_string()
-            .contains("no backend"));
+        let e = DriverError::Deadlock {
+            forced_stall_releases: 3,
+        };
+        assert!(e.to_string().contains('3'));
     }
 }

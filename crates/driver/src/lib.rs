@@ -5,31 +5,29 @@
 //! limit analyzer (Figure 7), and the many-core sectioned simulator
 //! (Figure 10, §5). This crate gives those engines one uniform surface:
 //!
-//! * [`ExecutionBackend`] — `execute(&Program) -> RunReport`, implemented
-//!   by [`SequentialBackend`], [`IlpBackend`] and [`ManyCoreBackend`];
+//! * [`ExecutionBackend`] — `execute_fueled(&Program, fuel) -> RunReport`,
+//!   implemented by [`SequentialBackend`], [`IlpBackend`] and
+//!   [`ManyCoreBackend`];
 //! * [`RunReport`] — the shared result shape (outputs, dynamic
 //!   instruction count, cycles, fetch/retire IPC) plus a typed
 //!   [`ReportDetail`] carrying each engine's extras;
-//! * [`Runner`] — a builder for running one program on one or more
-//!   backends;
 //! * [`Sweep`] — a design-space sweep fanning programs across backend
-//!   configurations on a thread pool, with JSON emission
-//!   ([`sweep_to_json`]) for benchmark artefacts.
+//!   configurations on a thread pool, streaming points out in grid order.
 //!
 //! ## Example: one program, all three engines
 //!
 //! ```
-//! use parsecs_driver::{IlpBackend, ManyCoreBackend, Runner, SequentialBackend};
+//! use parsecs_driver::{ExecutionBackend, IlpBackend, ManyCoreBackend, SequentialBackend};
 //! use parsecs_workloads::sum;
 //!
 //! let program = sum::fork_program(&[4, 2, 6, 4, 5]);
-//! let reports = Runner::new(&program)
-//!     .fuel(100_000)
-//!     .on(SequentialBackend)
-//!     .on(IlpBackend::parallel_ideal())
-//!     .on(ManyCoreBackend::with_cores(8))
-//!     .run_all()?;
-//! for report in &reports {
+//! let backends: [&dyn ExecutionBackend; 3] = [
+//!     &SequentialBackend,
+//!     &IlpBackend::parallel_ideal(),
+//!     &ManyCoreBackend::with_cores(8),
+//! ];
+//! for backend in backends {
+//!     let report = backend.execute_fueled(&program, 100_000)?;
 //!     println!("{report}");
 //!     assert_eq!(report.outputs, vec![21]);
 //! }
@@ -42,11 +40,9 @@
 mod backend;
 mod error;
 mod report;
-mod runner;
 mod sweep;
 
-pub use backend::{ExecutionBackend, IlpBackend, ManyCoreBackend, SequentialBackend, DEFAULT_FUEL};
+pub use backend::{ExecutionBackend, IlpBackend, ManyCoreBackend, SequentialBackend};
 pub use error::DriverError;
 pub use report::{ReportDetail, RunReport};
-pub use runner::Runner;
-pub use sweep::{sweep_to_json, Sweep, SweepPoint};
+pub use sweep::{Sweep, SweepPoint};

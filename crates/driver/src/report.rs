@@ -2,9 +2,7 @@
 
 use std::fmt;
 
-use parsecs_core::{
-    CheckReport, CoreBreakdown, ForkFallback, InstTiming, Progress, ScheduleBounds, SimResult,
-};
+use parsecs_core::SimResult;
 use parsecs_ilp::IlpResult;
 use parsecs_machine::Trace;
 
@@ -19,9 +17,9 @@ pub enum ReportDetail {
     /// (boxed: a `SimResult` carries the whole stage table and would
     /// otherwise dominate the size of every report). For a **stats-only**
     /// run (`SimConfig::record_timings` off) the stage table inside is
-    /// empty — aggregate statistics are exact, but the per-row accessors
-    /// ([`RunReport::timings`], `SimResult::section_timings`) return
-    /// `None`/empty views.
+    /// empty (`SimResult::timings_recorded` is false) — aggregate
+    /// statistics are exact, but `SimResult::section_timings` returns
+    /// empty views.
     Sim(Box<SimResult>),
 }
 
@@ -79,134 +77,14 @@ impl RunReport {
         }
     }
 
-    /// The simulator result, when the backend is the many-core model.
+    /// The simulator result, when the backend is the many-core model: its
+    /// `stats` (cycle attribution, footprint, forced stall releases), the
+    /// stage table, and a validated run's static-analysis `check` report.
     pub fn sim(&self) -> Option<&SimResult> {
         match &self.detail {
             ReportDetail::Sim(r) => Some(r.as_ref()),
             _ => None,
         }
-    }
-
-    /// The per-instruction stage table, when the backend is the many-core
-    /// model **and** the run recorded one. `None` both for the other
-    /// backends and for stats-only simulations
-    /// (`SimConfig::record_timings` off), whose aggregate statistics are
-    /// exact but whose stage rows were never materialised.
-    pub fn timings(&self) -> Option<&[InstTiming]> {
-        self.sim()
-            .filter(|r| r.timings_recorded)
-            .map(|r| r.timings.as_slice())
-    }
-
-    /// Modeled resident bytes of the simulator's own per-run state
-    /// (`None` for the other backends) — see
-    /// [`SimResult::sim_state_bytes`]. Together with
-    /// [`RunReport::trace_arena_bytes`] this is the run's total resident
-    /// footprint.
-    pub fn sim_state_bytes(&self) -> Option<u64> {
-        self.sim().map(SimResult::sim_state_bytes)
-    }
-
-    /// Total resident footprint — trace arena plus simulator state — per
-    /// simulated instruction (`None` for the other backends). The number
-    /// the chip-scale benchmarks gate: a stats-only run over a lean arena
-    /// holds well under 80 B/instruction, which is what lets
-    /// 100M-instruction cells fit.
-    pub fn total_bytes_per_instruction(&self) -> Option<f64> {
-        self.sim().map(SimResult::total_bytes_per_instruction)
-    }
-
-    /// Bytes held by the streaming trace arena the many-core run was
-    /// simulated from (`None` for the other backends, which do not build
-    /// one). This is the functional front-end's resident footprint — the
-    /// number that caps how many instructions a chip-scale run can
-    /// pre-execute.
-    pub fn trace_arena_bytes(&self) -> Option<u64> {
-        self.sim().map(|r| r.stats.trace_arena_bytes)
-    }
-
-    /// [`RunReport::trace_arena_bytes`] per simulated instruction.
-    pub fn trace_bytes_per_instruction(&self) -> Option<f64> {
-        self.sim().map(|r| r.stats.trace_bytes_per_instruction())
-    }
-
-    /// The pre-simulation static analysis report, when the backend is
-    /// the many-core model **and** the run was validated
-    /// (`SimConfig::validate` on, e.g. via
-    /// [`crate::ManyCoreBackend::validated`]). Always a clean report —
-    /// a run whose arena fails validation produces no report at all
-    /// ([`crate::DriverError::Sim`] wrapping
-    /// `parsecs_core::SimError::Invariant`).
-    pub fn check(&self) -> Option<&CheckReport> {
-        self.sim().and_then(|r| r.check.as_deref())
-    }
-
-    /// Whether the parallel-drain race certificate was issued for this
-    /// run (`None` when the run was not validated — see
-    /// [`RunReport::check`]).
-    pub fn drain_certified(&self) -> Option<bool> {
-        self.check().map(|report| report.drain.is_certified())
-    }
-
-    /// The configuration-aware progress verdict for this run's
-    /// (placement × chip) cell: [`Progress::Proven`] with the longest
-    /// wait chain, or [`Progress::PotentialCycle`] with a concrete
-    /// section cycle. `None` when the run was not validated (the
-    /// engines attach it alongside the rest of the report — see
-    /// [`RunReport::check`]).
-    pub fn progress(&self) -> Option<&Progress> {
-        self.check().and_then(|report| report.progress.as_ref())
-    }
-
-    /// The configuration-aware schedule bounds for this run's
-    /// (placement × chip) cell: the certified NoC-weighted lower bound
-    /// and the list-schedule prediction. `None` unless the run was
-    /// validated on the simulator backend.
-    pub fn schedule_bounds(&self) -> Option<&ScheduleBounds> {
-        self.check().and_then(|report| report.schedule.as_ref())
-    }
-
-    /// Whether the partition-agnostic walk certificate was issued for
-    /// this run (`None` when the run was not validated).
-    pub fn walk_certified(&self) -> Option<bool> {
-        self.check().map(|report| report.walk.is_certified())
-    }
-
-    /// The typed record of a withheld parallel fork: `Some` when the run
-    /// asked for threads but a static certificate (drain or walk) was
-    /// withheld and it ran sequentially; `None` when no fork was
-    /// requested, the fork ran, or the backend is not the many-core
-    /// model. Never silent: a threaded run always reports either both
-    /// certificates or this reason.
-    pub fn fork_fallback(&self) -> Option<ForkFallback> {
-        self.sim().and_then(|r| r.fork_fallback)
-    }
-
-    /// The per-core cycle attribution table, when the backend is the
-    /// many-core model: one additive busy / stalled-by-cause / parked /
-    /// idle breakdown per *configured* core, each summing to the run's
-    /// `total_cycles` (see [`parsecs_core::SimStats::attribution`]).
-    /// `None` for the other backends, which model no chip.
-    pub fn attribution(&self) -> Option<&[CoreBreakdown]> {
-        self.sim().map(|r| r.stats.attribution.as_slice())
-    }
-
-    /// Chip-wide fetch-slot occupancy in `[0, 1]` over all configured
-    /// cores (`None` for the other backends) — see
-    /// [`parsecs_core::SimStats::occupancy`].
-    pub fn occupancy(&self) -> Option<f64> {
-        self.sim().map(|r| r.stats.occupancy())
-    }
-
-    /// How many times the many-core simulator's deadlock *detector*
-    /// forcibly released a stalled fetch stage (`None` for the other
-    /// backends, which have no such machinery). Under the in-order
-    /// fetch-stall handoff model every stall has an explicit release
-    /// event, so this is zero on every well-formed run —
-    /// [`crate::ManyCoreBackend`] refuses to produce a report at all
-    /// (returning [`crate::DriverError::Deadlock`]) when it is not.
-    pub fn forced_stall_releases(&self) -> Option<u64> {
-        self.sim().map(|r| r.stats.forced_stall_releases)
     }
 }
 

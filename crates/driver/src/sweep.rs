@@ -2,7 +2,6 @@
 //! bounded thread pool, streaming results out in grid order.
 
 use std::collections::BTreeMap;
-use std::io::{self, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::thread;
@@ -27,120 +26,39 @@ impl SweepPoint {
     pub fn report(&self) -> Option<&RunReport> {
         self.outcome.as_ref().ok()
     }
-
-    /// This point as one JSON object.
-    pub fn to_json(&self) -> String {
-        let mut fields = vec![
-            format!("\"program\":{}", json_string(&self.program)),
-            format!("\"backend\":{}", json_string(&self.backend)),
-            format!("\"ok\":{}", self.outcome.is_ok()),
-        ];
-        match &self.outcome {
-            Ok(report) => {
-                let outputs: Vec<String> = report.outputs.iter().map(u64::to_string).collect();
-                fields.push(format!("\"outputs\":[{}]", outputs.join(",")));
-                fields.push(format!("\"instructions\":{}", report.instructions));
-                fields.push(format!("\"cycles\":{}", report.cycles));
-                fields.push(format!("\"fetch_cycles\":{}", report.fetch_cycles()));
-                fields.push(format!("\"fetch_ipc\":{}", json_f64(report.fetch_ipc)));
-                fields.push(format!("\"retire_ipc\":{}", json_f64(report.retire_ipc)));
-                if let Some(schedule) = report.schedule_bounds() {
-                    fields.push(format!("\"lb_cycles\":{}", schedule.lb));
-                    fields.push(format!(
-                        "\"predicted_cycles\":{}",
-                        schedule.predicted_cycles
-                    ));
-                    fields.push(format!(
-                        "\"lb_tightness\":{}",
-                        json_f64(schedule.tightness(report.cycles))
-                    ));
-                }
-            }
-            Err(e) => fields.push(format!("\"error\":{}", json_string(&e.to_string()))),
-        }
-        format!("{{{}}}", fields.join(","))
-    }
-}
-
-/// Renders sweep results as one pretty-printed JSON array (one object per
-/// line, ready for `BENCH_sweep.json`-style artefacts).
-pub fn sweep_to_json(points: &[SweepPoint]) -> String {
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| format!("  {}", p.to_json()))
-        .collect();
-    format!("[\n{}\n]\n", rows.join(",\n"))
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
-    }
 }
 
 /// Fans a list of labelled programs across a list of backend
-/// configurations, executing the cells concurrently on scoped OS threads,
-/// and returns one [`SweepPoint`] per `(program, backend)` cell in grid
-/// order (programs outermost).
+/// configurations, executing the cells concurrently on scoped OS threads
+/// with one fuel budget, and returns one [`SweepPoint`] per
+/// `(program, backend)` cell in grid order (programs outermost).
 ///
 /// ```
-/// use parsecs_driver::{Sweep};
+/// use parsecs_driver::Sweep;
 /// use parsecs_workloads::sum;
 ///
-/// let points = Sweep::new()
-///     .fuel(100_000)
+/// let points = Sweep::new(100_000)
 ///     .program("sum-5", sum::fork_program(&[4, 2, 6, 4, 5]))
 ///     .manycore_cores(&[1, 4])
 ///     .run();
 /// assert_eq!(points.len(), 2);
 /// assert!(points.iter().all(|p| p.report().unwrap().outputs == vec![21]));
 /// ```
-#[derive(Default)]
 pub struct Sweep {
-    fuel: Option<u64>,
-    threads: Option<usize>,
+    fuel: u64,
     programs: Vec<(String, Program)>,
     backends: Vec<Box<dyn ExecutionBackend>>,
 }
 
 impl Sweep {
-    /// An empty sweep.
-    pub fn new() -> Sweep {
-        Sweep::default()
-    }
-
-    /// Sets an explicit fuel for every cell. Without it, each backend
-    /// runs with its own default budget ([`crate::DEFAULT_FUEL`], or the
-    /// configuration's `fuel` for a [`ManyCoreBackend`]).
-    pub fn fuel(mut self, fuel: u64) -> Sweep {
-        self.fuel = Some(fuel);
-        self
-    }
-
-    /// Caps the number of worker threads (default: available parallelism).
-    pub fn threads(mut self, threads: usize) -> Sweep {
-        self.threads = Some(threads.max(1));
-        self
+    /// An empty sweep whose cells each run with `fuel` (maximum dynamic
+    /// instruction count for the functional execution).
+    pub fn new(fuel: u64) -> Sweep {
+        Sweep {
+            fuel,
+            programs: Vec::new(),
+            backends: Vec::new(),
+        }
     }
 
     /// Adds one labelled program (call repeatedly for a workload ×
@@ -184,8 +102,7 @@ impl Sweep {
     }
 
     /// Runs every cell on a bounded worker pool (at most
-    /// `available_parallelism` threads unless capped tighter with
-    /// [`Sweep::threads`]) and hands each finished [`SweepPoint`] to
+    /// `available_parallelism` threads) and hands each finished [`SweepPoint`] to
     /// `on_point` **in grid order, as soon as it is ready**. Unlike
     /// [`Sweep::run`], nothing is retained after the callback returns,
     /// and workers do not claim cells more than a small window ahead of
@@ -200,10 +117,9 @@ impl Sweep {
         if cells == 0 {
             return 0;
         }
-        let hardware = thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let workers = self.threads.unwrap_or(hardware).min(cells).max(1);
+        let workers = thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(cells);
         // At most this many finished-but-unemitted points exist at once:
         // a worker does not claim a cell further than the window ahead of
         // the emission front. The worker on the front cell itself is
@@ -233,14 +149,10 @@ impl Sweep {
                     }
                     let (label, program) = &self.programs[cell / self.backends.len()];
                     let backend = &self.backends[cell % self.backends.len()];
-                    let outcome = match self.fuel {
-                        Some(fuel) => backend.execute_fueled(program, fuel),
-                        None => backend.execute(program),
-                    };
                     let point = SweepPoint {
                         program: label.clone(),
                         backend: backend.name(),
-                        outcome,
+                        outcome: backend.execute_fueled(program, self.fuel),
                     };
                     if tx.send((cell, point)).is_err() {
                         break; // receiver gone: the scope is unwinding
@@ -265,60 +177,6 @@ impl Sweep {
         });
         cells
     }
-
-    /// Runs every cell, streaming each point's JSON row to `out` as soon
-    /// as it is ready (one object per line, a well-formed JSON array once
-    /// the sweep finishes). Combined with the bounded pool this keeps the
-    /// memory footprint of arbitrarily large grids flat: no point is
-    /// buffered after its row is written.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first write error.
-    pub fn run_json<W: Write>(&self, out: W) -> io::Result<usize> {
-        self.run_json_with(out, |_| {})
-    }
-
-    /// Like [`Sweep::run_json`], but also hands each point to `on_point`
-    /// (still in grid order, before its row is written) — the hook a
-    /// repro binary uses to print a progress table while the artefact
-    /// streams, without duplicating the array framing.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first write error.
-    pub fn run_json_with<W: Write>(
-        &self,
-        mut out: W,
-        mut on_point: impl FnMut(&SweepPoint),
-    ) -> io::Result<usize> {
-        out.write_all(b"[\n")?;
-        let mut write_error = None;
-        let mut emitted = 0usize;
-        let cells = self.run_with(|point| {
-            on_point(&point);
-            if write_error.is_some() {
-                return;
-            }
-            let row = point.to_json();
-            let result = if emitted == 0 {
-                write!(out, "  {row}")
-            } else {
-                write!(out, ",\n  {row}")
-            }
-            .and_then(|()| out.flush());
-            if let Err(e) = result {
-                write_error = Some(e);
-            }
-            emitted += 1;
-        });
-        if let Some(e) = write_error {
-            return Err(e);
-        }
-        out.write_all(b"\n]\n")?;
-        out.flush()?;
-        Ok(cells)
-    }
 }
 
 #[cfg(test)]
@@ -329,8 +187,7 @@ mod tests {
 
     #[test]
     fn grid_order_is_programs_outermost() {
-        let points = Sweep::new()
-            .fuel(100_000)
+        let points = Sweep::new(100_000)
             .program("a", sum::fork_program(&[1, 2]))
             .program("b", sum::fork_program(&[3, 4]))
             .backend(SequentialBackend)
@@ -356,8 +213,7 @@ mod tests {
     #[test]
     fn all_three_engines_sweep_concurrently_and_agree() {
         let data: Vec<u64> = (1..=16).collect();
-        let points = Sweep::new()
-            .fuel(1_000_000)
+        let points = Sweep::new(1_000_000)
             .program("sum-16", sum::fork_program(&data))
             .backend(SequentialBackend)
             .backend(IlpBackend::parallel_ideal())
@@ -376,8 +232,7 @@ mod tests {
 
     #[test]
     fn failing_cells_report_errors_without_poisoning_the_rest() {
-        let points = Sweep::new()
-            .fuel(4)
+        let points = Sweep::new(4)
             .program(
                 "starved",
                 sum::call_program(&(1..=64).collect::<Vec<u64>>()),
@@ -385,42 +240,19 @@ mod tests {
             .backend(SequentialBackend)
             .run();
         assert_eq!(points.len(), 1);
-        assert!(points[0].outcome.is_err());
-        let json = sweep_to_json(&points);
-        assert!(json.contains("\"ok\":false"));
-        assert!(json.contains("\"error\""));
-    }
-
-    #[test]
-    fn json_escapes_and_shapes() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_f64(2.5), "2.5");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-        let points = Sweep::new()
-            .fuel(10_000)
-            .program("sum", sum::fork_program(&[4, 2, 6, 4, 5]))
-            .manycore_cores(&[4])
-            .run();
-        let json = sweep_to_json(&points);
-        assert!(json.starts_with("[\n"));
-        assert!(json.contains("\"fetch_cycles\""));
-        assert!(json.contains("\"outputs\":[21]"));
+        assert!(matches!(points[0].outcome, Err(DriverError::Machine(_))));
     }
 
     #[test]
     fn empty_sweep_is_empty() {
-        assert!(Sweep::new().is_empty());
-        assert!(Sweep::new().run().is_empty());
-        assert_eq!(Sweep::new().run_with(|_| panic!("no cells")), 0);
-        let mut out = Vec::new();
-        assert_eq!(Sweep::new().run_json(&mut out).unwrap(), 0);
-        assert_eq!(String::from_utf8(out).unwrap(), "[\n\n]\n");
+        assert!(Sweep::new(1).is_empty());
+        assert!(Sweep::new(1).run().is_empty());
+        assert_eq!(Sweep::new(1).run_with(|_| panic!("no cells")), 0);
     }
 
     #[test]
     fn run_with_streams_points_in_grid_order() {
-        let sweep = Sweep::new()
-            .fuel(100_000)
+        let sweep = Sweep::new(100_000)
             .program("a", sum::fork_program(&[1, 2]))
             .program("b", sum::fork_program(&[3, 4]))
             .backend(SequentialBackend)
@@ -443,22 +275,5 @@ mod tests {
                 ("b".into(), "manycore:4c:round-robin".into()),
             ]
         );
-    }
-
-    #[test]
-    fn run_json_streams_the_same_array_sweep_to_json_builds() {
-        let build = || {
-            Sweep::new()
-                .fuel(100_000)
-                .program("sum", sum::fork_program(&[4, 2, 6, 4, 5]))
-                .backend(SequentialBackend)
-                .manycore_cores(&[4])
-        };
-        let mut streamed = Vec::new();
-        build().run_json(&mut streamed).unwrap();
-        let streamed = String::from_utf8(streamed).unwrap();
-        let buffered = sweep_to_json(&build().run());
-        assert_eq!(streamed, buffered);
-        assert!(streamed.contains("\"outputs\":[21]"));
     }
 }

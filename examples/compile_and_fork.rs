@@ -7,7 +7,7 @@
 //! Run with `cargo run --release --example compile_and_fork [elements]`.
 
 use parsecs::cc::{compile, Backend, CompileOptions};
-use parsecs::driver::{ManyCoreBackend, Runner, SequentialBackend};
+use parsecs::driver::{ExecutionBackend, ManyCoreBackend, SequentialBackend};
 
 const SOURCE: &str = "
 fn sum(t, n) {
@@ -35,10 +35,8 @@ fn main() {
 
     // Conventional compilation and sequential execution.
     let call_program = compile(SOURCE, &options(Backend::Calls)).expect("compiles");
-    let sequential = Runner::new(&call_program)
-        .fuel(100_000_000)
-        .on(SequentialBackend)
-        .run()
+    let sequential = SequentialBackend
+        .execute_fueled(&call_program, 100_000_000)
         .expect("halts");
     println!(
         "call backend : {} dynamic instructions, result {:?}",
@@ -48,10 +46,8 @@ fn main() {
 
     // The paper's rewrite: calls become forks, returns become endforks.
     let fork_program = compile(SOURCE, &options(Backend::Forks)).expect("compiles");
-    let report = Runner::new(&fork_program)
-        .fuel(100_000_000)
-        .on(ManyCoreBackend::with_cores(64))
-        .run()
+    let report = ManyCoreBackend::with_cores(64)
+        .execute_fueled(&fork_program, 100_000_000)
         .expect("simulates");
     assert_eq!(report.outputs, vec![expected]);
     let stats = &report.sim().expect("many-core detail").stats;

@@ -6,7 +6,7 @@
 //! Run with `cargo run --release --example ilp_study [size]`.
 
 use parsecs::cc::Backend;
-use parsecs::driver::{IlpBackend, Runner, SequentialBackend};
+use parsecs::driver::{ExecutionBackend, IlpBackend, SequentialBackend};
 use parsecs::ilp::{dependence_distances, IlpModel};
 use parsecs::workloads::pbbs::Benchmark;
 
@@ -21,17 +21,17 @@ fn main() {
     let program = benchmark
         .program(size, 1, Backend::Calls)
         .expect("compiles");
-    let reports = Runner::new(&program)
-        .fuel(1_000_000_000)
-        .on(SequentialBackend)
-        .on(IlpBackend::new("in-order", IlpModel::in_order()))
-        .on(IlpBackend::new(
-            "speculative-2K-64w",
-            IlpModel::speculative_core(),
-        ))
-        .on(IlpBackend::sequential_oracle())
-        .on(IlpBackend::parallel_ideal())
-        .run_all()
+    let backends: [&dyn ExecutionBackend; 5] = [
+        &SequentialBackend,
+        &IlpBackend::new("in-order", IlpModel::in_order()),
+        &IlpBackend::new("speculative-2K-64w", IlpModel::speculative_core()),
+        &IlpBackend::sequential_oracle(),
+        &IlpBackend::parallel_ideal(),
+    ];
+    let reports: Vec<_> = backends
+        .iter()
+        .map(|backend| backend.execute_fueled(&program, 1_000_000_000))
+        .collect::<Result<_, _>>()
         .expect("halts");
     assert_eq!(
         reports[0].outputs,

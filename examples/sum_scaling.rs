@@ -16,7 +16,7 @@ fn main() {
 
     // One labelled program per dataset doubling — a dataset-size grid fanned
     // over one backend configuration.
-    let mut sweep = Sweep::new().manycore_cores(&[128]);
+    let mut sweep = Sweep::new(100_000_000).manycore_cores(&[128]);
     for n in 0..=max_n {
         sweep = sweep.program(format!("n={n}"), sum::fork_program(&sum::dataset(n, 1)));
     }

@@ -35,8 +35,9 @@
 //! * [`workloads`] — the sum running example and the ten PBBS-analog
 //!   benchmarks.
 //! * [`driver`] — **the front door**: one [`driver::ExecutionBackend`]
-//!   abstraction over the three engines, the [`driver::Runner`] builder,
-//!   and parallel design-space [`driver::Sweep`]s.
+//!   abstraction over the three engines (one call,
+//!   `execute_fueled(&program, fuel)`), and parallel design-space
+//!   [`driver::Sweep`]s.
 //!
 //! ## Quickstart
 //!
@@ -44,16 +45,19 @@
 //! uniform [`driver::RunReport`]s:
 //!
 //! ```
-//! use parsecs::driver::{IlpBackend, ManyCoreBackend, Runner, SequentialBackend};
+//! use parsecs::driver::{ExecutionBackend, IlpBackend, ManyCoreBackend, SequentialBackend};
 //! use parsecs::workloads::sum;
 //!
 //! let program = sum::fork_program(&[4, 2, 6, 4, 5]);
-//! let reports = Runner::new(&program)
-//!     .fuel(100_000)
-//!     .on(SequentialBackend)
-//!     .on(IlpBackend::parallel_ideal())
-//!     .on(ManyCoreBackend::with_cores(8))
-//!     .run_all()
+//! let backends: [&dyn ExecutionBackend; 3] = [
+//!     &SequentialBackend,
+//!     &IlpBackend::parallel_ideal(),
+//!     &ManyCoreBackend::with_cores(8),
+//! ];
+//! let reports: Vec<_> = backends
+//!     .iter()
+//!     .map(|backend| backend.execute_fueled(&program, 100_000))
+//!     .collect::<Result<_, _>>()
 //!     .expect("all three engines run");
 //! for report in &reports {
 //!     assert_eq!(report.outputs, vec![21]);
@@ -69,8 +73,7 @@
 //! use parsecs::driver::Sweep;
 //! use parsecs::workloads::sum;
 //!
-//! let points = Sweep::new()
-//!     .fuel(100_000)
+//! let points = Sweep::new(100_000)
 //!     .program("sum-20", sum::fork_program(&(1..=20).collect::<Vec<u64>>()))
 //!     .manycore_cores(&[1, 4, 16])
 //!     .run();

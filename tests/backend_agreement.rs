@@ -5,10 +5,31 @@
 //! and must never slow the simulated run down.
 
 use parsecs::cc::Backend;
-use parsecs::driver::{IlpBackend, ManyCoreBackend, Runner, SequentialBackend, Sweep};
+use parsecs::driver::{
+    DriverError, ExecutionBackend, IlpBackend, ManyCoreBackend, RunReport, SequentialBackend, Sweep,
+};
 use parsecs::isa::Program;
 use parsecs::workloads::pbbs::Benchmark;
 use parsecs::workloads::{scale, sum};
+
+/// Runs `program` on each backend in turn, failing fast.
+fn run_all(
+    program: &Program,
+    fuel: u64,
+    backends: &[&dyn ExecutionBackend],
+) -> Result<Vec<RunReport>, DriverError> {
+    backends
+        .iter()
+        .map(|backend| backend.execute_fueled(program, fuel))
+        .collect()
+}
+
+/// The deadlock detector's count on a many-core report; 0 otherwise.
+fn forced_stall_releases(report: &RunReport) -> u64 {
+    report
+        .sim()
+        .map_or(0, |result| result.stats.forced_stall_releases)
+}
 
 fn fork_workloads(size: usize) -> Vec<(String, Program)> {
     let data: Vec<u64> = (1..=size as u64).collect();
@@ -33,13 +54,16 @@ fn fork_workloads(size: usize) -> Vec<(String, Program)> {
 fn all_three_backends_report_identical_outputs_across_sizes() {
     for size in [12, 24, 48] {
         for (label, program) in fork_workloads(size) {
-            let reports = Runner::new(&program)
-                .fuel(500_000_000)
-                .on(SequentialBackend)
-                .on(IlpBackend::parallel_ideal())
-                .on(ManyCoreBackend::with_cores(16))
-                .run_all()
-                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            let reports = run_all(
+                &program,
+                500_000_000,
+                &[
+                    &SequentialBackend,
+                    &IlpBackend::parallel_ideal(),
+                    &ManyCoreBackend::with_cores(16),
+                ],
+            )
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
             assert_eq!(reports.len(), 3);
             let reference = &reports[0].outputs;
             assert!(!reference.is_empty(), "{label}: no outputs");
@@ -52,7 +76,7 @@ fn all_three_backends_report_identical_outputs_across_sizes() {
                 // The simulated timings must never rest on the deadlock
                 // heuristic: a forced release means optimistic timings.
                 assert_eq!(
-                    report.forced_stall_releases().unwrap_or(0),
+                    forced_stall_releases(report),
                     0,
                     "{label}: {} needed forced stall releases",
                     report.backend
@@ -72,17 +96,15 @@ fn fork_heavy_histogram_runs_cleanly_through_the_driver() {
     let (keys, buckets, seed) = (300, 8, 11);
     let program = scale::histogram_program(keys, buckets, seed);
     for cores in [1, 4, 64] {
-        let report = Runner::new(&program)
-            .fuel(10_000_000)
-            .on(ManyCoreBackend::with_cores(cores))
-            .run()
+        let report = ManyCoreBackend::with_cores(cores)
+            .execute_fueled(&program, 10_000_000)
             .unwrap_or_else(|e| panic!("{cores} cores: {e}"));
         assert_eq!(
             report.outputs,
             scale::histogram_expected(keys, buckets, seed),
             "{cores} cores"
         );
-        assert_eq!(report.forced_stall_releases(), Some(0), "{cores} cores");
+        assert_eq!(forced_stall_releases(&report), 0, "{cores} cores");
     }
 }
 
@@ -90,13 +112,16 @@ fn fork_heavy_histogram_runs_cleanly_through_the_driver() {
 fn sum_outputs_also_match_the_oracle_under_every_backend() {
     let data = sum::dataset(3, 11);
     let program = sum::fork_program(&data);
-    let reports = Runner::new(&program)
-        .fuel(1_000_000)
-        .on(SequentialBackend)
-        .on(IlpBackend::sequential_oracle())
-        .on(ManyCoreBackend::with_cores(8))
-        .run_all()
-        .expect("runs");
+    let reports = run_all(
+        &program,
+        1_000_000,
+        &[
+            &SequentialBackend,
+            &IlpBackend::sequential_oracle(),
+            &ManyCoreBackend::with_cores(8),
+        ],
+    )
+    .expect("runs");
     for report in &reports {
         assert_eq!(report.outputs, sum::expected(&data), "{}", report.backend);
     }
@@ -105,8 +130,7 @@ fn sum_outputs_also_match_the_oracle_under_every_backend() {
 #[test]
 fn seven_point_core_sweep_is_concurrent_and_cycles_never_increase() {
     let data: Vec<u64> = (1..=40).collect();
-    let points = Sweep::new()
-        .fuel(1_000_000)
+    let points = Sweep::new(1_000_000)
         .program("sum-40", sum::fork_program(&data))
         .manycore_cores(&[1, 2, 4, 8, 16, 32, 64])
         .run();
@@ -120,8 +144,8 @@ fn seven_point_core_sweep_is_concurrent_and_cycles_never_increase() {
             .unwrap_or_else(|| panic!("{} failed", point.backend));
         assert_eq!(report.outputs, vec![820], "{}", point.backend);
         assert_eq!(
-            report.forced_stall_releases(),
-            Some(0),
+            forced_stall_releases(report),
+            0,
             "{}: forced stall releases",
             point.backend
         );

@@ -4,7 +4,7 @@
 
 use parsecs::cc::Backend;
 use parsecs::core::{check_arena, TraceArena};
-use parsecs::driver::{ManyCoreBackend, Runner, SequentialBackend};
+use parsecs::driver::{ExecutionBackend, ManyCoreBackend, SequentialBackend};
 use parsecs::workloads::pbbs::Benchmark;
 
 #[test]
@@ -13,9 +13,8 @@ fn fork_compiled_benchmarks_simulate_to_the_oracle_result() {
     // creates sections; run them through the full many-core model.
     for benchmark in [Benchmark::ComparisonSort, Benchmark::Mst] {
         let program = benchmark.program(24, 5, Backend::Forks).unwrap();
-        let report = Runner::new(&program)
-            .on(ManyCoreBackend::with_cores(32))
-            .run()
+        let report = ManyCoreBackend::with_cores(32)
+            .execute_fueled(&program, 50_000_000)
             .unwrap();
         assert_eq!(
             report.outputs,
@@ -39,9 +38,8 @@ fn loop_based_benchmarks_also_run_on_the_many_core_model() {
     // produce the right answer and an at-most-1 fetch IPC.
     let benchmark = Benchmark::Matching;
     let program = benchmark.program(32, 2, Backend::Forks).unwrap();
-    let report = Runner::new(&program)
-        .on(ManyCoreBackend::with_cores(8))
-        .run()
+    let report = ManyCoreBackend::with_cores(8)
+        .execute_fueled(&program, 50_000_000)
         .unwrap();
     assert_eq!(report.outputs, benchmark.expected(32, 2));
     assert_eq!(report.sim().unwrap().stats.sections, 1);
@@ -53,15 +51,11 @@ fn call_and_fork_backends_agree_for_every_benchmark() {
     for benchmark in Benchmark::ALL {
         let call = benchmark.program(20, 9, Backend::Calls).unwrap();
         let fork = benchmark.program(20, 9, Backend::Forks).unwrap();
-        let a = Runner::new(&call)
-            .fuel(500_000_000)
-            .on(SequentialBackend)
-            .run()
+        let a = SequentialBackend
+            .execute_fueled(&call, 500_000_000)
             .unwrap();
-        let b = Runner::new(&fork)
-            .fuel(500_000_000)
-            .on(SequentialBackend)
-            .run()
+        let b = SequentialBackend
+            .execute_fueled(&fork, 500_000_000)
             .unwrap();
         assert_eq!(
             a.outputs,

@@ -13,13 +13,20 @@
 //! run exactly, apart from the fork verdict and the attached report, so
 //! the table pins those modes too.
 //!
+//! [`DRIVER_GOLDEN`] pins the same thing one layer up, through the
+//! driver's `execute_fueled`: the paper's sum example on every backend,
+//! with a hash of its Figure 10 table, and the §5 doubling sweep.
+//!
 //! A failing row prints the whole recomputed table in source form. Paste
-//! it over [`GOLDEN`] only when the timing change is intended and
+//! it over the table only when the timing change is intended and
 //! reviewed.
 
-use parsecs::core::{ManyCoreSim, NoopProbe, SimConfig, SimResult, TraceArena};
+use parsecs::core::{format_figure10, ManyCoreSim, NoopProbe, SimConfig, SimResult, TraceArena};
+use parsecs::driver::{
+    ExecutionBackend, IlpBackend, ManyCoreBackend, RunReport, SequentialBackend,
+};
 use parsecs::isa::Program;
-use parsecs::workloads::scale;
+use parsecs::workloads::{scale, sum};
 
 /// One pinned run: `(shape, engine, stats_only, total_cycles,
 /// fetch_cycles, peak_sections_per_core, core_of_fnv)`. The engine is
@@ -63,13 +70,11 @@ fn shapes() -> [(&'static str, Program, u64, Vec<u64>, usize); 2] {
     ]
 }
 
-fn fnv1a(core_of: &[parsecs::noc::CoreId]) -> u64 {
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for core in core_of {
-        for byte in (core.0 as u64).to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0100_0000_01b3);
-        }
+    for byte in bytes {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0100_0000_01b3);
     }
     hash
 }
@@ -82,7 +87,12 @@ fn row(shape: &'static str, engine: &'static str, stats_only: bool, result: &Sim
         result.stats.total_cycles,
         result.stats.fetch_cycles,
         result.stats.peak_sections_per_core,
-        fnv1a(&result.core_of),
+        fnv1a(
+            result
+                .core_of
+                .iter()
+                .flat_map(|core| (core.0 as u64).to_le_bytes()),
+        ),
     )
 }
 
@@ -161,4 +171,91 @@ fn round_robin_runs_match_the_golden_table() {
         "simulated results moved; recomputed table:\n{}",
         source_form(&rows)
     );
+}
+
+/// One pinned driver run: `(program, backend, instructions, fetch_cycles,
+/// cycles, figure10_fnv)`, read off the [`RunReport`]. `figure10_fnv` is
+/// FNV-1a over the bytes of `format_figure10` for a many-core run and 0
+/// for the other backends.
+type DriverRow = (&'static str, String, u64, u64, u64, u64);
+
+#[rustfmt::skip]
+const DRIVER_GOLDEN: &[(&str, &str, u64, u64, u64, u64)] = &[
+    ("sum [4, 2, 6, 4, 5]", "sequential", 50, 50, 50, 0x0000000000000000),
+    ("sum [4, 2, 6, 4, 5]", "ilp:parallel-ideal", 50, 11, 11, 0x0000000000000000),
+    ("sum [4, 2, 6, 4, 5]", "ilp:sequential-oracle", 50, 11, 11, 0x0000000000000000),
+    ("sum [4, 2, 6, 4, 5]", "manycore:8c:round-robin", 50, 35, 64, 0xd417f2e947c477d3),
+    ("sum n=0", "manycore:8c:round-robin", 50, 35, 64, 0xd417f2e947c477d3),
+    ("sum n=1", "manycore:10c:round-robin", 109, 48, 85, 0xbbd980f072848aa4),
+    ("sum n=2", "manycore:20c:round-robin", 227, 61, 111, 0x3d20ba8d690dc315),
+    ("sum n=3", "manycore:40c:round-robin", 463, 74, 137, 0x259f0b04fe433d7c),
+    ("sum n=4", "manycore:80c:round-robin", 935, 98, 163, 0x219b11baac11bd95),
+    ("sum n=5", "manycore:160c:round-robin", 1879, 112, 189, 0xe30943f412196d8b),
+    ("sum n=6", "manycore:256c:round-robin", 3767, 125, 215, 0xec8b38eb42514581),
+];
+
+fn driver_row(program: &'static str, report: &RunReport) -> DriverRow {
+    let figure10 = report
+        .sim()
+        .map_or(0, |result| fnv1a(format_figure10(result).into_bytes()));
+    (
+        program,
+        report.backend.clone(),
+        report.instructions,
+        report.fetch_cycles(),
+        report.cycles,
+        figure10,
+    )
+}
+
+/// The paper's sum example (Figure 5, `[4, 2, 6, 4, 5]`) on all four
+/// backends, then the §5 sweep: `sum(5·2ⁿ)` for `n = 0..=6` on
+/// `clamp(8, 256)` cores, as `repro_sec5_analytic` runs it.
+fn driver_recompute() -> Vec<DriverRow> {
+    const SUMS: [&str; 7] = [
+        "sum n=0", "sum n=1", "sum n=2", "sum n=3", "sum n=4", "sum n=5", "sum n=6",
+    ];
+    let paper = sum::fork_program(&[4, 2, 6, 4, 5]);
+    let backends: [&dyn ExecutionBackend; 4] = [
+        &SequentialBackend,
+        &IlpBackend::parallel_ideal(),
+        &IlpBackend::sequential_oracle(),
+        &ManyCoreBackend::with_cores(8),
+    ];
+    let mut rows = Vec::new();
+    for backend in backends {
+        let report = backend.execute_fueled(&paper, 10_000).expect("runs");
+        assert_eq!(report.outputs, vec![21], "{}", report.backend);
+        rows.push(driver_row("sum [4, 2, 6, 4, 5]", &report));
+    }
+    for (n, label) in (0u32..).zip(SUMS) {
+        let data = sum::dataset(n, 7);
+        let cores = (5usize << n).clamp(8, 256);
+        let report = ManyCoreBackend::with_cores(cores)
+            .execute_fueled(&sum::fork_program(&data), 1_000_000)
+            .expect("simulates");
+        assert_eq!(report.outputs, sum::expected(&data), "{label}");
+        rows.push(driver_row(label, &report));
+    }
+    rows
+}
+
+#[test]
+fn driver_runs_match_the_golden_table() {
+    let rows = driver_recompute();
+    let same = rows
+        .iter()
+        .map(|(program, backend, insns, fetch, cycles, fnv)| {
+            (*program, backend.as_str(), *insns, *fetch, *cycles, *fnv)
+        })
+        .eq(DRIVER_GOLDEN.iter().copied());
+    let mut source =
+        String::from("const DRIVER_GOLDEN: &[(&str, &str, u64, u64, u64, u64)] = &[\n");
+    for (program, backend, insns, fetch, cycles, fnv) in &rows {
+        source.push_str(&format!(
+            "    ({program:?}, {backend:?}, {insns}, {fetch}, {cycles}, {fnv:#018x}),\n"
+        ));
+    }
+    source.push_str("];\n");
+    assert!(same, "driver results moved; recomputed table:\n{source}");
 }

@@ -2,20 +2,19 @@
 //! of §3 must hold on the PBBS-analog workloads.
 
 use parsecs::cc::Backend;
-use parsecs::driver::{IlpBackend, Runner};
+use parsecs::driver::{ExecutionBackend, IlpBackend};
 use parsecs::workloads::pbbs::{Benchmark, Catalog};
 
 fn ilp_pair(benchmark: Benchmark, size: usize) -> (f64, f64, u64) {
     let program = benchmark.program(size, 1, Backend::Calls).unwrap();
-    let reports = Runner::new(&program)
-        .fuel(1_000_000_000)
-        .on(IlpBackend::parallel_ideal())
-        .on(IlpBackend::sequential_oracle())
-        .run_all()
-        .unwrap();
-    assert_eq!(reports[0].outputs, benchmark.expected(size, 1));
-    let parallel = reports[0].ilp().expect("ilp detail");
-    let sequential = reports[1].ilp().expect("ilp detail");
+    let run = |backend: IlpBackend| backend.execute_fueled(&program, 1_000_000_000).unwrap();
+    let (parallel, sequential) = (
+        run(IlpBackend::parallel_ideal()),
+        run(IlpBackend::sequential_oracle()),
+    );
+    assert_eq!(parallel.outputs, benchmark.expected(size, 1));
+    let parallel = parallel.ilp().expect("ilp detail");
+    let sequential = sequential.ilp().expect("ilp detail");
     (parallel.ilp, sequential.ilp, parallel.instructions)
 }
 

@@ -2,7 +2,7 @@
 //! example (Figures 2–6 and 10, §5).
 
 use parsecs::core::{analytic, SectionId, TraceArena};
-use parsecs::driver::{ManyCoreBackend, Runner, SequentialBackend};
+use parsecs::driver::{ExecutionBackend, ManyCoreBackend, SequentialBackend};
 use parsecs::machine::Machine;
 use parsecs::workloads::sum;
 
@@ -79,19 +79,16 @@ fn figure6_renaming_matches_the_papers_producer_consumer_pairs() {
 #[test]
 fn figure10_the_many_core_run_fetches_fast_and_retires_shortly_after() {
     let program = sum::fork_program(&PAPER_DATA);
-    let report = Runner::new(&program)
-        .fuel(10_000)
-        .on(ManyCoreBackend::with_cores(8))
-        .run()
+    let report = ManyCoreBackend::with_cores(8)
+        .execute_fueled(&program, 10_000)
         .unwrap();
     assert_eq!(report.outputs, vec![21]);
     assert_eq!(report.sim().unwrap().stats.sections, 6);
     // Paper: 45 instructions fetched by cycle 30, retired by cycle 43.
-    // Our charge model is slightly more expensive; check the band and the
-    // ordering rather than the exact constants.
-    assert!(report.fetch_cycles() >= 30 && report.fetch_cycles() <= 45);
-    assert!(report.cycles > report.fetch_cycles());
-    assert!(report.cycles <= 90);
+    // Our charge model is more expensive (and the run carries the
+    // 5-instruction wrapper); these are the values tests/golden.rs pins.
+    assert_eq!(report.fetch_cycles(), 35);
+    assert_eq!(report.cycles, 64);
     assert!(
         report.fetch_ipc > 1.0,
         "parallel fetch beats one-per-cycle sequential fetch"
@@ -105,9 +102,8 @@ fn section5_scaling_doubles_instructions_but_adds_constant_fetch_cycles() {
         let model = analytic::sum_model(n);
         let data = sum::dataset(n, 3);
         let program = sum::fork_program(&data);
-        let report = Runner::new(&program)
-            .on(ManyCoreBackend::with_cores(128))
-            .run()
+        let report = ManyCoreBackend::with_cores(128)
+            .execute_fueled(&program, 1_000_000)
             .unwrap();
         assert_eq!(report.outputs, sum::expected(&data));
         // Instruction counts match the closed form exactly.
@@ -129,15 +125,11 @@ fn the_fork_rewrite_preserves_the_result_on_random_datasets() {
         let data = sum::dataset(3, seed);
         let call_program = sum::call_program(&data);
         let fork_program = sum::fork_program(&data);
-        let call = Runner::new(&call_program)
-            .fuel(1_000_000)
-            .on(SequentialBackend)
-            .run()
+        let call = SequentialBackend
+            .execute_fueled(&call_program, 1_000_000)
             .unwrap();
-        let fork = Runner::new(&fork_program)
-            .fuel(1_000_000)
-            .on(SequentialBackend)
-            .run()
+        let fork = SequentialBackend
+            .execute_fueled(&fork_program, 1_000_000)
             .unwrap();
         assert_eq!(call.outputs, fork.outputs);
     }

@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use parsecs::core::{
     ManyCoreSim, NoopProbe, SectionId, SectionSpan, SimConfig, SourceDep, SourceKind, TraceArena,
 };
-use parsecs::driver::{ManyCoreBackend, Runner, SequentialBackend};
+use parsecs::driver::{ExecutionBackend, ManyCoreBackend, SequentialBackend};
 use parsecs::machine::{Location, Machine, Trace, TraceKind};
 use parsecs::workloads::data::{self, Rng};
 use parsecs::workloads::scale;
@@ -451,25 +451,23 @@ fn engines_agree_bit_for_bit_at_256_cores() {
 fn driver_backends_agree_at_256_cores() {
     let (chains, links, seed) = (256, 12, 5);
     let program = scale::fan_chain_program(chains, links, seed);
-    let reports = Runner::new(&program)
-        .fuel(scale::fan_chain_fuel(chains, links))
-        .on(SequentialBackend)
-        .on(ManyCoreBackend::with_cores(256))
-        .run_all()
-        .expect("both backends run");
+    let fuel = scale::fan_chain_fuel(chains, links);
+    let sequential = SequentialBackend.execute_fueled(&program, fuel).unwrap();
+    let manycore = ManyCoreBackend::with_cores(256)
+        .execute_fueled(&program, fuel)
+        .unwrap();
     assert_eq!(
-        reports[0].outputs,
+        sequential.outputs,
         scale::fan_chain_expected(chains, links, seed)
     );
-    assert_eq!(reports[0].outputs, reports[1].outputs);
-    assert_eq!(reports[1].forced_stall_releases(), Some(0));
-    let per_insn = reports[1]
-        .trace_bytes_per_instruction()
-        .expect("arena accounting");
+    assert_eq!(sequential.outputs, manycore.outputs);
+    let stats = &manycore.sim().unwrap().stats;
+    assert_eq!(stats.forced_stall_releases, 0);
+    let per_insn = stats.trace_bytes_per_instruction();
     assert!(
         per_insn > 0.0 && per_insn <= 120.0,
         "{per_insn:.1} B/insn exceeds the arena budget"
     );
     // 256 chains genuinely occupy a 256-core chip.
-    assert!(reports[1].sim().unwrap().stats.cores_used > 128);
+    assert!(stats.cores_used > 128);
 }
