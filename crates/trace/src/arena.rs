@@ -343,6 +343,39 @@ impl TraceArena {
         !self.lean
     }
 
+    /// Reserves every per-record column once for a run of at most `fuel`
+    /// records, and the shared slices for `max_reads` dependences and
+    /// `max_writes` written locations per record — each clamped to the
+    /// packed-index capacities. A capacity hint only: a refused
+    /// reservation is ignored and that column then grows on demand, so
+    /// the arena's contents never depend on it. Untouched reserved space
+    /// is address space, not resident memory, and
+    /// [`TraceArena::shrink_to_fit`] releases it in place.
+    pub(crate) fn reserve_for_run(&mut self, fuel: u64, max_reads: usize, max_writes: usize) {
+        fn reserve<T>(column: &mut Vec<T>, additional: u64) {
+            // `additional` is clamped to a `u32` capacity, so it fits.
+            let _ = column.try_reserve_exact(additional as usize);
+        }
+        let records = fuel.min(MAX_RECORDS);
+        reserve(&mut self.ip, records);
+        reserve(&mut self.mnemonic_id, records);
+        reserve(&mut self.section, records);
+        reserve(&mut self.kind_flags, records);
+        reserve(&mut self.dep_off, records);
+        reserve(&mut self.reg_deps, records);
+        reserve(
+            &mut self.deps,
+            records.saturating_mul(max_reads as u64).min(MAX_DEPS),
+        );
+        if !self.lean {
+            reserve(&mut self.write_off, records);
+            reserve(
+                &mut self.writes,
+                records.saturating_mul(max_writes as u64).min(MAX_WRITES),
+            );
+        }
+    }
+
     /// Checks that one more record with `new_deps` dependences and
     /// `new_writes` written locations fits the packed columns.
     pub(crate) fn capacity_for(
@@ -480,9 +513,12 @@ impl TraceArena {
         self.section_sizes().into_iter().max().unwrap_or(0)
     }
 
-    /// Bytes of memory held by the arena (allocated capacity of every
-    /// column, shared slice and table — the resident footprint, not the
-    /// minimal payload).
+    /// Bytes of memory held by the arena: the allocated capacity of every
+    /// column, shared slice and table. Only a finished arena's value is
+    /// its footprint — [`crate::StreamingSectioner::finish`] trims every
+    /// column to its payload. While a run is being recorded, capacity
+    /// also counts the reservation made up front for the whole run,
+    /// which is address space that has not been touched yet.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         size_of::<TraceArena>()
@@ -500,10 +536,10 @@ impl TraceArena {
             + self.outputs.capacity() * size_of::<u64>()
     }
 
-    /// Releases the growth slack of every column (amortised-doubling can
-    /// leave up to 2× the payload allocated right after a growth step).
-    /// One-time copy cost; worth it when the arena will be held across a
-    /// long simulation or its footprint reported.
+    /// Releases every column's capacity beyond its payload: the
+    /// untouched tail of a run's up-front reservation, which the
+    /// allocator shrinks in place, or the growth slack of a column that
+    /// grew on demand, which may cost one copy of that column.
     pub fn shrink_to_fit(&mut self) {
         self.ip.shrink_to_fit();
         self.mnemonic_id.shrink_to_fit();

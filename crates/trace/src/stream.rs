@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use parsecs_isa::{Program, Reg};
+use parsecs_isa::{Effects, Inst, Operand, Program, Reg};
 use parsecs_machine::{Location, Machine, Trace, TraceKind, TraceSink, TraceStep};
 
 use crate::{PackedDep, SectionId, SectionSpan, SourceDep, SourceKind, TraceArena, TraceError};
@@ -62,6 +62,44 @@ const NO_WRITER: (u32, u32) = (u32::MAX, u32::MAX);
 const REG_SLOTS: usize = Reg::COUNT + 1;
 const FLAGS_SLOT: usize = Reg::COUNT;
 
+/// Upper bounds on `(reads.len(), writes.len())` of any step of `inst`:
+/// the distinct registers read (written), plus the flags, plus one per
+/// memory word loaded (stored). The memory counts come from the
+/// operands, which say how many words a step touches; [`Effects::mem`]
+/// only says whether it loads or stores at all, and reports the two
+/// words of `pushq 8(%rdi)` as one read-modify-write access.
+fn step_bound(inst: &Inst) -> (usize, usize) {
+    let mem = |op: &Operand| usize::from(op.is_mem());
+    let (loads, stores) = match inst {
+        Inst::Mov { src, dst } => (mem(src), mem(dst)),
+        Inst::Push { src } => (mem(src), 1),
+        Inst::Pop { dst } => (1, mem(dst)),
+        Inst::Alu { src, dst, .. } => (mem(src) + mem(dst), mem(dst)),
+        Inst::Unary { dst, .. } => (mem(dst), mem(dst)),
+        Inst::Cmp { src, dst } | Inst::Test { src, dst } => (mem(src) + mem(dst), 0),
+        Inst::Out { src } => (mem(src), 0),
+        Inst::Call { .. } => (0, 1),
+        Inst::Ret => (1, 0),
+        Inst::Lea { .. }
+        | Inst::Jmp { .. }
+        | Inst::Jcc { .. }
+        | Inst::Fork { .. }
+        | Inst::EndFork
+        | Inst::Nop
+        | Inst::Halt => (0, 0),
+    };
+    let distinct = |regs: &[Reg]| {
+        regs.iter()
+            .fold(0u32, |set, r| set | 1 << r.index())
+            .count_ones() as usize
+    };
+    let e = Effects::of(inst);
+    (
+        distinct(&e.reg_reads) + usize::from(e.reads_flags) + loads,
+        distinct(&e.reg_writes) + usize::from(e.writes_flags) + stores,
+    )
+}
+
 /// The streaming sectioner (see the module docs). Feed it through
 /// [`parsecs_machine::Machine::run_with_sink`] — or any [`TraceStep`]
 /// stream in trace order — then call [`StreamingSectioner::finish`].
@@ -88,6 +126,10 @@ pub struct StreamingSectioner {
     /// Mnemonic table id per static instruction (`u16::MAX` = not yet
     /// interned), so the hot path never hashes strings.
     ip_mnemonic: Vec<u16>,
+    /// [`step_bound`] of each static instruction, when the program is
+    /// known up front (empty otherwise); every recorded step is
+    /// debug-checked against it.
+    step_bounds: Vec<(usize, usize)>,
     /// First capacity overflow hit while recording, if any. Once set the
     /// sink discards further steps and [`StreamingSectioner::finish`]
     /// returns the error instead of a truncated arena.
@@ -113,6 +155,7 @@ impl StreamingSectioner {
             reg_writer: [NO_WRITER; REG_SLOTS],
             mem_writer: AddrMap::default(),
             ip_mnemonic: Vec::new(),
+            step_bounds: Vec::new(),
             error: None,
         }
     }
@@ -129,9 +172,11 @@ impl StreamingSectioner {
 
     /// Closes the trailing section (for traces that end without a
     /// terminator — cannot happen for halting programs, kept for
-    /// robustness), releases the columns' growth slack — so
-    /// [`TraceArena::memory_bytes`] reports the same trimmed footprint on
-    /// every path — and returns the finished arena.
+    /// robustness), trims every column to its payload and returns the
+    /// finished arena. Before the trim a column's capacity may include
+    /// space reserved for the whole run or growth slack; after it,
+    /// [`TraceArena::memory_bytes`] is the arena's footprint, the same on
+    /// every path.
     ///
     /// # Errors
     ///
@@ -156,6 +201,18 @@ impl StreamingSectioner {
         self.arena.set_outputs(outputs);
         self.arena.shrink_to_fit();
         Ok(self.arena)
+    }
+
+    /// Reserves the arena once for a run of `program` within `fuel`
+    /// steps: a run records at most `fuel` instructions, each with at
+    /// most its [`step_bound`] of reads and writes.
+    fn reserve_for(&mut self, program: &Program, fuel: u64) {
+        self.step_bounds = program.insns().iter().map(step_bound).collect();
+        let (reads, writes) = self
+            .step_bounds
+            .iter()
+            .fold((0, 0), |(r, w), &(sr, sw)| (r.max(sr), w.max(sw)));
+        self.arena.reserve_for_run(fuel, reads, writes);
     }
 
     /// The arena built so far (for inspection; normally use `finish`).
@@ -244,29 +301,36 @@ impl TraceSink for StreamingSectioner {
             self.error = Some(e);
             return;
         }
+        debug_assert!(
+            self.step_bounds.get(step.ip).is_none_or(
+                |&(reads, writes)| step.reads.len() <= reads && step.writes.len() <= writes
+            ),
+            "step at ip {} exceeds its static read/write bound",
+            step.ip
+        );
         let i = self.arena.len();
         let current = self.arena.sections().len() as u32;
         if i == self.current_start {
             self.current_start_ip = step.ip;
         }
 
-        // Resolve sources: register-class deps first, then memory deps,
-        // preserving within-class read order (the order the sequential
-        // analysis emits).
+        // Resolve sources in read order. `reads` is sorted and
+        // `Location` orders registers before the flags before memory
+        // words, so this is register-class deps first, then memory deps —
+        // the order the sequential analysis emits.
         let mut reg_dep_count = 0usize;
         let mut mem_dep_count = 0usize;
         for &loc in step.reads {
-            if !loc.is_mem() {
-                let dep = self.resolve(loc, current);
-                self.arena.push_dep(dep);
-                reg_dep_count += 1;
-            }
-        }
-        for &loc in step.reads {
+            let dep = self.resolve(loc, current);
+            self.arena.push_dep(dep);
             if loc.is_mem() {
-                let dep = self.resolve(loc, current);
-                self.arena.push_dep(dep);
                 mem_dep_count += 1;
+            } else {
+                debug_assert_eq!(
+                    mem_dep_count, 0,
+                    "a memory read precedes a register or flags read"
+                );
+                reg_dep_count += 1;
             }
         }
 
@@ -341,7 +405,9 @@ impl TraceArena {
     /// reference machine executes with a [`StreamingSectioner`] sink, so
     /// sectioning, renaming and dependence resolution happen in the same
     /// single pass as the execution — no intermediate trace is ever
-    /// materialised.
+    /// materialised. The arena's columns are reserved once, up front, for
+    /// a run of `fuel` instructions, so they are written in place instead
+    /// of being copied as they grow.
     ///
     /// # Errors
     ///
@@ -371,6 +437,7 @@ impl TraceArena {
         mut sink: StreamingSectioner,
     ) -> Result<TraceArena, TraceError> {
         let mut machine = Machine::load(program)?;
+        sink.reserve_for(program, fuel);
         let outcome = machine.run_with_sink(fuel, &mut sink)?;
         sink.finish(outcome.outputs)
     }
@@ -399,5 +466,122 @@ impl TraceArena {
             });
         }
         sink.finish(outputs)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use parsecs_workloads::{scale, sum};
+
+    use super::*;
+
+    /// A sink that forwards to a sectioner after asserting that every
+    /// step stays within its instruction's [`step_bound`].
+    struct Bounded {
+        inner: StreamingSectioner,
+        bounds: Vec<(usize, usize)>,
+        /// Steps that touched two distinct memory words.
+        two_word_steps: usize,
+    }
+
+    impl TraceSink for Bounded {
+        fn wants_more(&self) -> bool {
+            self.inner.wants_more()
+        }
+
+        fn record(&mut self, step: &TraceStep<'_>) {
+            let (reads, writes) = self.bounds[step.ip];
+            assert!(
+                step.reads.len() <= reads && step.writes.len() <= writes,
+                "{} at ip {} reads {:?} and writes {:?}, bound ({reads}, {writes})",
+                step.mnemonic,
+                step.ip,
+                step.reads,
+                step.writes
+            );
+            let mut words: Vec<&Location> = step
+                .reads
+                .iter()
+                .chain(step.writes)
+                .filter(|l| l.is_mem())
+                .collect();
+            words.sort_unstable();
+            words.dedup();
+            if words.len() == 2 {
+                self.two_word_steps += 1;
+            }
+            self.inner.record(step);
+        }
+    }
+
+    /// Runs `program` through a [`Bounded`] sink; returns how many steps
+    /// touched two distinct memory words.
+    fn run_bounded(program: &Program, fuel: u64) -> usize {
+        let mut sink = Bounded {
+            inner: StreamingSectioner::new(),
+            bounds: program.insns().iter().map(step_bound).collect(),
+            two_word_steps: 0,
+        };
+        let outcome = Machine::load(program)
+            .expect("loads")
+            .run_with_sink(fuel, &mut sink)
+            .expect("halts");
+        let arena = sink.inner.finish(outcome.outputs).expect("fits");
+        assert_eq!(
+            arena,
+            TraceArena::from_program(program, fuel).expect("runs")
+        );
+        sink.two_word_steps
+    }
+
+    #[test]
+    fn every_scale_shape_stays_within_its_static_bound() {
+        let data = sum::dataset(3, 3);
+        let shapes = [
+            (sum::fork_program(&data), 10_000),
+            (sum::call_program(&data), 10_000),
+            (
+                scale::histogram_program(200, 8, 5),
+                scale::histogram_fuel(200, 8),
+            ),
+            (scale::tree_sum_program(100, 1), scale::tree_sum_fuel(100)),
+            (scale::chain_sum_program(50, 5), scale::chain_sum_fuel(50)),
+            (
+                scale::synth_histogram_program(500, 16, 1),
+                scale::synth_histogram_fuel(500, 16),
+            ),
+            (
+                scale::fan_chain_program(8, 6, 5),
+                scale::fan_chain_fuel(8, 6),
+            ),
+        ];
+        for (program, fuel) in &shapes {
+            run_bounded(program, *fuel);
+        }
+    }
+
+    /// `pushq`/`popq` with a memory operand load one word and store
+    /// another in one instruction, which [`Effects::mem`] reports as a
+    /// single read-modify-write access.
+    #[test]
+    fn two_memory_operand_forms_stay_within_their_static_bound() {
+        let program = parsecs_asm::assemble(
+            "t:    .quad 1, 2, 3, 4
+             main: movq $t, %rdi
+                   pushq 8(%rdi)
+                   popq 16(%rdi)
+                   addq %rdi, 24(%rdi)
+                   cmpq 16(%rdi), %rax
+                   call f
+                   out  16(%rdi)
+                   halt
+             f:    pushq (%rdi)
+                   popq 8(%rdi)
+                   ret",
+        )
+        .expect("assembles");
+        assert_eq!(run_bounded(&program, 100), 4);
+        let push = &program.insns()[program.entry() + 1];
+        assert_eq!(step_bound(push), (3, 2), "rdi, rsp, t[1]; rsp, stack slot");
     }
 }

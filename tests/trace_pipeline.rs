@@ -21,9 +21,11 @@ use parsecs::core::{
     ManyCoreSim, NoopProbe, SectionId, SectionSpan, SimConfig, SourceDep, SourceKind, TraceArena,
 };
 use parsecs::driver::{ExecutionBackend, ManyCoreBackend, SequentialBackend};
+use parsecs::isa::Program;
 use parsecs::machine::{Location, Machine, Trace, TraceKind};
+use parsecs::trace::StreamingSectioner;
 use parsecs::workloads::data::{self, Rng};
-use parsecs::workloads::scale;
+use parsecs::workloads::{scale, sum};
 use proptest::prelude::*;
 
 /// Expands one proptest-drawn seed into a whole random program, over the
@@ -409,6 +411,75 @@ fn generated_programs_exercise_forks_and_memory() {
     }
     assert!(sections >= 64, "only {sections} sections over 32 programs");
     assert!(deps > 1_000, "only {deps} dependences over 32 programs");
+}
+
+/// `program`'s arena from `TraceArena::from_program{,_lean}`, which
+/// reserves the columns for the whole run up front.
+fn reserved_arena(program: &Program, fuel: u64, lean: bool) -> TraceArena {
+    let build = if lean {
+        TraceArena::from_program_lean
+    } else {
+        TraceArena::from_program
+    };
+    build(program, fuel).expect("halts")
+}
+
+/// `program`'s arena from a bare sectioner, whose columns start empty
+/// and grow on demand.
+fn grown_arena(program: &Program, fuel: u64, lean: bool) -> TraceArena {
+    let mut sink = if lean {
+        StreamingSectioner::lean()
+    } else {
+        StreamingSectioner::new()
+    };
+    let outcome = Machine::load(program)
+        .expect("loads")
+        .run_with_sink(fuel, &mut sink)
+        .expect("halts");
+    sink.finish(outcome.outputs).expect("fits")
+}
+
+/// The pipeline's up-front reservation is a capacity hint only: the
+/// finished arena equals, column for column and in footprint, the one a
+/// sectioner builds by growing its columns on demand — and a fuel far
+/// past the run, whose reservation the allocator may refuse, is never
+/// an error.
+#[test]
+fn reserving_the_arena_never_changes_it() {
+    let paper = sum::fork_program(&[4, 2, 6, 4, 5]);
+    let shapes = [
+        (paper.clone(), 1_000),
+        (
+            scale::fan_chain_program(16, 9, 2),
+            scale::fan_chain_fuel(16, 9),
+        ),
+        (
+            scale::synth_histogram_program(500, 16, 1),
+            scale::synth_histogram_fuel(500, 16),
+        ),
+    ];
+    for (program, fuel) in &shapes {
+        for lean in [false, true] {
+            let reserved = reserved_arena(program, *fuel, lean);
+            let grown = grown_arena(program, *fuel, lean);
+            assert!(reserved == grown, "lean {lean}: the arenas differ");
+            assert_eq!(reserved.memory_bytes(), grown.memory_bytes());
+        }
+    }
+
+    for lean in [false, true] {
+        let grown = grown_arena(&paper, 1_000, lean);
+        let exact = grown.len() as u64;
+        assert!(TraceArena::from_program(&paper, exact - 1).is_err());
+        for fuel in [exact, 100_000_000, u64::MAX] {
+            let reserved = reserved_arena(&paper, fuel, lean);
+            assert!(
+                reserved == grown,
+                "fuel {fuel}, lean {lean}: the arenas differ"
+            );
+            assert_eq!(reserved.memory_bytes(), grown.memory_bytes());
+        }
+    }
 }
 
 /// The scale satellite: at 256 cores the two engines stay bit-identical
