@@ -7,10 +7,8 @@
 //! pipeline and runs the full static analysis:
 //!
 //! * the **invariant validator** must come back clean (zero violations);
-//! * the **race certifier** must issue [`DrainSafety::Certified`] — the
-//!   precondition the planned parallel drain fork (ROADMAP item 1)
-//!   demands — and the table records the round count and the widest
-//!   round (the fork's available parallelism);
+//! * the **race certifier** must issue [`DrainSafety::Certified`], and
+//!   the table records the round count and the widest round;
 //! * the **bounds analyzer**'s critical path is cross-checked against
 //!   the event-driven engine at 64, 256 and 1024 cores: every
 //!   configuration must retire in `total_cycles ≥ critical_path`;
@@ -33,16 +31,12 @@
 //! rank-correlation gate fails the run (exit 1). CI runs `--quick` and
 //! uploads the table next to the bench grids.
 //!
-//! Usage: `arena_check [--quick] [--progress] [--schedule] [--threads N]
-//! [--json [PATH]]` — `--quick` shrinks the instances for CI smoke runs
+//! Usage: `arena_check [--quick] [--progress] [--schedule] [--json [PATH]]` — `--quick` shrinks the instances for CI smoke runs
 //! (default JSON path `BENCH_check.json`); `--progress` adds the
 //! prover's verdict, longest wait chain and witness length to the
 //! printed table; `--schedule` adds the schedule-bound columns (lb per
 //! grid entry, binding terms, worst tightness) — the JSON always
-//! carries both; `--threads` cross-checks the bound on the
-//! cluster-sharded parallel engine instead (`0` = auto, default 1) —
-//! the certificates this binary reports are exactly what authorises that
-//! engine's drain fork.
+//! carries both.
 
 use parsecs_bench::harness::{exit_on_failures, Cli};
 use parsecs_bench::{json, spearman};
@@ -133,7 +127,7 @@ fn build_targets(quick: bool) -> Vec<Target> {
     ]
 }
 
-fn analyze(target: &Target, threads: usize) -> Row {
+fn analyze(target: &Target) -> Row {
     let arena =
         TraceArena::from_program(&target.program, target.fuel).expect("workload halts within fuel");
     let report = check_arena(&arena);
@@ -147,9 +141,7 @@ fn analyze(target: &Target, threads: usize) -> Row {
     let mut deadlocked = Vec::with_capacity(CORE_GRID.len());
     let mut schedule = Vec::with_capacity(CORE_GRID.len());
     for &cores in &CORE_GRID {
-        let config = SimConfig::with_cores(cores)
-            .stats_only()
-            .with_threads(threads);
+        let config = SimConfig::with_cores(cores).stats_only();
         // The prover judges the exact placement the run used; when the
         // run diverges (a hard deadlock), recompute the same placement
         // from the policy so the cell still gets a verdict.
@@ -371,9 +363,8 @@ fn to_json(rows: &[Row], summary: String) -> String {
 
 fn main() {
     let flags = Cli {
-        flags: &["--quick", "--progress", "--schedule", "--threads", "--json"],
+        flags: &["--quick", "--progress", "--schedule", "--json"],
         json_default: "BENCH_check.json",
-        threads_default: 1,
     }
     .parse();
     let quick = flags.quick;
@@ -386,7 +377,7 @@ fn main() {
         targets.len(),
         if quick { "quick" } else { "full" }
     );
-    let rows: Vec<Row> = targets.iter().map(|t| analyze(t, flags.threads)).collect();
+    let rows: Vec<Row> = targets.iter().map(analyze).collect();
 
     print!(
         "{:<28} {:>9} {:>9} {:>5} {:<32} {:>10} {:>6} {:>11} {:>6}",

@@ -32,7 +32,6 @@ const CORE_AXIS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 const CLI: Cli = Cli {
     flags: &["--json"],
     json_default: "BENCH_sweep.json",
-    threads_default: 1,
 };
 
 fn build_sweep() -> Sweep {

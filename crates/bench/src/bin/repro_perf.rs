@@ -38,15 +38,6 @@
 //! is zero-cost when disabled. Both times land in `BENCH_sim.json` so
 //! the absolute numbers stay comparable across revisions.
 //!
-//! A **threaded row** also rides along: the same stats-only 1024-core
-//! `fan_chain` cell run sequentially (`threads = 1`) and with the
-//! cluster-sharded parallel engine (`--threads`, default 2). The two
-//! results must be **bit-identical** — the
-//! parallel walk/drain fork replays the sequential order exactly — and
-//! on a ≥8-way host the threaded cell must be ≥3× faster (full mode
-//! only; the gate stays disarmed on smaller hosts and quick runs, the
-//! bit-identity assertion never does).
-//!
 //! A **probe guard row** rides along the same cell: the explicit probed
 //! entry point ([`ManyCoreSim::simulate_arena_probed`]) with the
 //! compiled-out [`NoopProbe`] must stay within noise (±15%, full mode)
@@ -57,13 +48,12 @@
 //! attribution telemetry (occupancy plus busy / stalled-by-cause /
 //! parked / idle chip totals) in `BENCH_sim.json`.
 //!
-//! Usage: `repro_perf [--quick] [--validate] [--threads N] [--json [PATH]]
+//! Usage: `repro_perf [--quick] [--validate] [--json [PATH]]
 //! [--trace-out PATH]` — `--quick` shrinks the grid for CI smoke runs
 //! (default JSON path `BENCH_sim.json`); `--validate` runs every grid
 //! cell with the full static analysis (`parsecs-check`) on, which also
 //! disarms the guard rows' noise gates (every cell then pays the
-//! analysis by design); `--threads` sets the threaded row's worker
-//! count (`0` = auto, default 2); `--trace-out` re-runs the headline
+//! analysis by design); `--trace-out` re-runs the headline
 //! cell with a streaming Chrome-trace writer and writes a
 //! Perfetto-loadable trace to `PATH`. The flags, timer, trace export and
 //! gate collector come from `parsecs_bench::harness`.
@@ -71,8 +61,7 @@
 use parsecs_bench::harness::{best_of, exit_on_failures, write_chrome_trace, Cli};
 use parsecs_bench::{json, AttributionTotals};
 use parsecs_core::{
-    ChainAffine, CountingProbe, ForkFallback, ManyCoreSim, NoopProbe, ScheduleBounds, SimConfig,
-    TraceArena,
+    ChainAffine, CountingProbe, ManyCoreSim, NoopProbe, ScheduleBounds, SimConfig, TraceArena,
 };
 use parsecs_isa::Program;
 use parsecs_noc::NocConfig;
@@ -140,70 +129,6 @@ struct ModeRow {
 /// warm-up per mode): the cell simulates 10M+ instructions at 1024
 /// cores, so a short best-of keeps the bench's runtime sane.
 const MODE_RUNS: usize = 2;
-
-/// Sequential vs threaded comparison on the stats-only chip-scale cell:
-/// the cluster-sharded parallel engine against the single-thread path,
-/// with the results asserted bit-identical.
-struct ThreadRow {
-    workload: String,
-    cores: usize,
-    /// Resolved worker count of the threaded cell (`--threads`, `0` =
-    /// auto).
-    threads: usize,
-    instructions: u64,
-    sequential_ms: f64,
-    threaded_ms: f64,
-    speedup: f64,
-    /// The threaded cell's typed fork verdict: `None` when the parallel
-    /// fork ran (both static certificates issued), `Some` with the
-    /// withheld certificate otherwise — never silent.
-    fallback: Option<ForkFallback>,
-}
-
-/// Times the stats-only cell sequentially and with `threads` workers and
-/// asserts the two [`parsecs_core::SimResult`]s are bit-identical (the
-/// certified parallel drain's contract).
-fn measure_threads(
-    name: &str,
-    arena: &TraceArena,
-    cores: usize,
-    threads: usize,
-    validate: bool,
-) -> ThreadRow {
-    let mut base = SimConfig::with_cores(cores).stats_only();
-    base.validate = validate;
-    let seq_sim = ManyCoreSim::new(base.clone().with_threads(1));
-    let thr_config = base.with_threads(threads);
-    let resolved = thr_config.effective_threads().min(cores);
-    let thr_sim = ManyCoreSim::new(thr_config);
-    let sequential = seq_sim.simulate_arena(arena).expect("simulates");
-    let mut threaded = thr_sim.simulate_arena(arena).expect("simulates");
-    // The fork verdict is reported on its own (the sequential run never
-    // asks for a fork, so it is trivially `None` there); everything else
-    // must be bit-identical whether or not the fork was certified.
-    let fallback = threaded.fork_fallback.take();
-    assert_eq!(
-        sequential, threaded,
-        "{name}: threaded run diverges from the sequential engine"
-    );
-    let [seq_ms, thr_ms] = best_of(
-        MODE_RUNS,
-        [
-            &|| seq_sim.simulate_arena(arena).expect("simulates"),
-            &|| thr_sim.simulate_arena(arena).expect("simulates"),
-        ],
-    );
-    ThreadRow {
-        workload: name.to_string(),
-        cores,
-        threads: resolved,
-        instructions: arena.len() as u64,
-        sequential_ms: seq_ms,
-        threaded_ms: thr_ms,
-        speedup: seq_ms / thr_ms,
-        fallback,
-    }
-}
 
 /// The validation guard: the stats-only chip-scale cell with the static
 /// analysis explicitly off (the pre-validation hot path) and explicitly
@@ -524,7 +449,6 @@ fn to_json(
     pipeline: &Pipeline,
     modes: &ModeRow,
     guard: &GuardRow,
-    threaded: &ThreadRow,
     probe: &ProbeRow,
 ) -> String {
     let mut body: Vec<String> = rows
@@ -596,22 +520,6 @@ fn to_json(
     );
     body.push(
         json::Obj::new()
-            .str("workload", &threaded.workload)
-            .str("config", "threaded")
-            .field("cores", threaded.cores)
-            .field("threads", threaded.threads)
-            .field("instructions", threaded.instructions)
-            .fixed("sequential_ms", threaded.sequential_ms, 3)
-            .fixed("threaded_ms", threaded.threaded_ms, 3)
-            .fixed("threaded_speedup", threaded.speedup, 2)
-            .opt_str(
-                "fork_fallback",
-                threaded.fallback.map(|f| f.reason.to_string()).as_deref(),
-            )
-            .build(),
-    );
-    body.push(
-        json::Obj::new()
             .str("workload", &probe.workload)
             .str("config", "probe-guard")
             .field("cores", probe.cores)
@@ -659,15 +567,8 @@ fn print_table(rows: &[Row]) {
 
 fn main() {
     let flags = Cli {
-        flags: &[
-            "--quick",
-            "--validate",
-            "--threads",
-            "--json",
-            "--trace-out",
-        ],
+        flags: &["--quick", "--validate", "--json", "--trace-out"],
         json_default: "BENCH_sim.json",
-        threads_default: 2,
     }
     .parse();
     let (quick, validate) = (flags.quick, flags.validate);
@@ -733,24 +634,6 @@ fn main() {
         guard.overhead,
     );
 
-    // The threaded row: the same stats-only chip-scale cell, sequential
-    // vs the cluster-sharded parallel engine, bit-identical by contract.
-    let threaded = measure_threads(&modes.workload.clone(), &fan, 1024, flags.threads, validate);
-    println!(
-        "threads  {:<22} {:>9} insns  1t {:>9.1} ms  {}t {:>9.1} ms  {:>4.2}x  fork {}",
-        threaded.workload,
-        threaded.instructions,
-        threaded.sequential_ms,
-        threaded.threads,
-        threaded.threaded_ms,
-        threaded.speedup,
-        match (threaded.fallback, threaded.threads) {
-            (Some(f), _) => f.to_string(),
-            (None, 0 | 1) => "off (single worker)".into(),
-            (None, _) => "certified".into(),
-        },
-    );
-
     // The probe guard row: the same stats-only chip-scale cell through
     // the explicit probed entry point, compiled-out and enabled.
     let probe = measure_probe(&modes.workload.clone(), &fan, 1024);
@@ -775,8 +658,8 @@ fn main() {
         assert_eq!(traced.outputs, cell.expected);
     }
 
-    flags.write_json(rows.len() + 5, || {
-        to_json(&rows, &pipeline, &modes, &guard, &threaded, &probe)
+    flags.write_json(rows.len() + 4, || {
+        to_json(&rows, &pipeline, &modes, &guard, &probe)
     });
 
     // Hard gates. Any forced stall release means the stall/wake model
@@ -799,18 +682,6 @@ fn main() {
             "headline speedup {:.1}x is below the 5x acceptance bar \
              (machine noise? rerun on an idle machine)",
             headline.speedup
-        ));
-    }
-    // The threaded cell must be >=3x faster than the sequential one on a
-    // host with at least 8 CPUs (full mode only; smaller hosts and quick
-    // instances cannot sustain the fork, but their bit-identity assertion
-    // above still ran).
-    let host_cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
-    if !quick && host_cpus >= 8 && threaded.threads >= 8 && threaded.speedup < 3.0 {
-        failures.push(format!(
-            "threaded speedup {:.2}x at {} workers is below the 3x \
-             acceptance bar on {} ({} host CPUs)",
-            threaded.speedup, threaded.threads, threaded.workload, host_cpus
         ));
     }
     // Stats-only must beat full mode by >=1.3x on the 10M-instruction

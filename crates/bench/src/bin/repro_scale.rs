@@ -46,16 +46,13 @@
 //! parked / idle cycle totals — in the same JSON schema as
 //! `BENCH_sim.json`.
 //!
-//! Usage: `repro_scale [--quick] [--validate] [--threads N] [--json [PATH]]
+//! Usage: `repro_scale [--quick] [--validate] [--json [PATH]]
 //! [--trace-out PATH]` — `--quick` shrinks the grid to one 256-core,
 //! ~2M-instruction workload run in both modes for CI smoke runs
 //! (default JSON path `BENCH_scale.json`); `--validate` runs every cell
 //! with the full static analysis (`parsecs-check`) on, so a
 //! structurally corrupt arena fails the run before it is ever
-//! simulated; `--threads` runs every cell on the cluster-sharded
-//! parallel engine with that many workers (`0` = auto, default 1;
-//! results are bit-identical to sequential runs by construction);
-//! `--trace-out` re-runs the grid's first workload at its smallest chip
+//! simulated; `--trace-out` re-runs the grid's first workload at its smallest chip
 //! size with a streaming Chrome-trace writer and writes a
 //! Perfetto-loadable trace to `PATH`.
 
@@ -98,7 +95,6 @@ struct Row {
     workload: String,
     mode: &'static str,
     cores: usize,
-    threads: usize,
     instructions: u64,
     sections: usize,
     pre_ms: f64,
@@ -181,7 +177,7 @@ fn build_grid(quick: bool) -> Vec<Workload> {
     ]
 }
 
-fn measure(workload: &Workload, validate: bool, threads: usize) -> Vec<Row> {
+fn measure(workload: &Workload, validate: bool) -> Vec<Row> {
     // The pipeline runs once per workload; every chip size simulates the
     // same arena. Stats-only cells use the lean arena (no written-
     // locations columns — the simulators never read them).
@@ -199,10 +195,9 @@ fn measure(workload: &Workload, validate: bool, threads: usize) -> Vec<Row> {
         .cores
         .iter()
         .map(|&cores| {
-            let mut config = SimConfig::with_cores(cores).with_threads(threads);
+            let mut config = SimConfig::with_cores(cores);
             config.record_timings = !workload.stats_only;
             config.validate = validate;
-            let resolved_threads = config.effective_threads().min(cores);
             let sim = ManyCoreSim::new(config);
             let (result, sim_ms) = timed(|| sim.simulate_arena(&arena).expect("simulates"));
             assert_eq!(
@@ -214,7 +209,6 @@ fn measure(workload: &Workload, validate: bool, threads: usize) -> Vec<Row> {
                 workload: workload.name.clone(),
                 mode: if workload.stats_only { "stats" } else { "full" },
                 cores,
-                threads: resolved_threads,
                 instructions: result.stats.instructions,
                 sections: result.stats.sections,
                 pre_ms,
@@ -244,7 +238,6 @@ fn to_json(rows: &[Row]) -> String {
             .str("workload", &r.workload)
             .str("mode", r.mode)
             .field("cores", r.cores)
-            .field("threads", r.threads)
             .field("instructions", r.instructions)
             .field("sections", r.sections)
             .fixed("pre_ms", r.pre_ms, 3)
@@ -310,15 +303,8 @@ fn print_table(rows: &[Row]) {
 
 fn main() {
     let flags = Cli {
-        flags: &[
-            "--quick",
-            "--validate",
-            "--threads",
-            "--json",
-            "--trace-out",
-        ],
+        flags: &["--quick", "--validate", "--json", "--trace-out"],
         json_default: "BENCH_scale.json",
-        threads_default: 1,
     }
     .parse();
     let quick = flags.quick;
@@ -332,7 +318,7 @@ fn main() {
     );
     let rows: Vec<Row> = grid
         .iter()
-        .flat_map(|w| measure(w, flags.validate, flags.threads))
+        .flat_map(|w| measure(w, flags.validate))
         .collect();
     print_table(&rows);
 

@@ -12,14 +12,12 @@ use parsecs_core::{ChromeTraceWriter, ManyCoreSim, SimResult, TraceArena};
 #[derive(Debug)]
 pub struct Cli {
     /// Every flag the bin accepts, in usage order: any of the shared
-    /// `--quick`, `--validate`, `--threads N`, `--json [PATH]` and
+    /// `--quick`, `--validate`, `--json [PATH]` and
     /// `--trace-out PATH`, plus the bin's own boolean switches (read
     /// back with [`Flags::switch`]).
     pub flags: &'static [&'static str],
     /// Where `--json` without a path writes.
     pub json_default: &'static str,
-    /// The worker-thread count when `--threads` is absent.
-    pub threads_default: usize,
 }
 
 /// A parsed command line.
@@ -29,8 +27,6 @@ pub struct Flags {
     pub quick: bool,
     /// `--validate`: run every cell with the static analysis on.
     pub validate: bool,
-    /// `--threads N` (`0` = one worker per host CPU).
-    pub threads: usize,
     /// `--json [PATH]`: where to write the bin's JSON rows.
     pub json: Option<String>,
     /// `--trace-out PATH`: where to write a Chrome trace.
@@ -55,7 +51,6 @@ impl Cli {
         let mut flags = Flags {
             quick: false,
             validate: false,
-            threads: self.threads_default,
             json: None,
             trace_out: None,
             switches: Vec::new(),
@@ -71,12 +66,6 @@ impl Cli {
             match flag {
                 "--quick" => flags.quick = true,
                 "--validate" => flags.validate = true,
-                "--threads" => {
-                    flags.threads = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--threads takes a count (0 = auto)")?;
-                }
                 "--json" => {
                     let path = args.next_if(|path| !path.starts_with("--"));
                     flags.json = Some(path.unwrap_or_else(|| self.json_default.into()));
@@ -95,7 +84,6 @@ impl Cli {
             .flags
             .iter()
             .map(|&flag| match flag {
-                "--threads" => "--threads N",
                 "--json" => "--json [PATH]",
                 "--trace-out" => "--trace-out PATH",
                 other => other,
@@ -188,9 +176,8 @@ mod tests {
     use super::*;
 
     const CLI: Cli = Cli {
-        flags: &["--quick", "--progress", "--threads", "--json"],
+        flags: &["--quick", "--progress", "--trace-out", "--json"],
         json_default: "BENCH_x.json",
-        threads_default: 2,
     };
 
     fn parse(args: &[&str]) -> Result<Flags, String> {
@@ -201,7 +188,6 @@ mod tests {
     fn defaults_apply_when_flags_are_absent() {
         let flags = parse(&[]).unwrap();
         assert!(!flags.quick && !flags.validate && !flags.switch("--progress"));
-        assert_eq!(flags.threads, 2);
         assert_eq!(flags.json, None);
         assert_eq!(flags.trace_out, None);
     }
@@ -211,9 +197,9 @@ mod tests {
         let flags = parse(&["--json", "--quick"]).unwrap();
         assert_eq!(flags.json.as_deref(), Some("BENCH_x.json"));
         assert!(flags.quick);
-        let flags = parse(&["--json", "out.json", "--threads", "4", "--progress"]).unwrap();
+        let flags = parse(&["--json", "out.json", "--trace-out", "t.json", "--progress"]).unwrap();
         assert_eq!(flags.json.as_deref(), Some("out.json"));
-        assert_eq!(flags.threads, 4);
+        assert_eq!(flags.trace_out.as_deref(), Some("t.json"));
         assert!(flags.switch("--progress"));
     }
 
@@ -222,10 +208,10 @@ mod tests {
         let err = parse(&["--validate"]).unwrap_err();
         assert_eq!(
             err,
-            "unknown argument '--validate' (supported: --quick --progress --threads N --json [PATH])"
+            "unknown argument '--validate' (supported: --quick --progress --trace-out PATH --json [PATH])"
         );
-        assert!(parse(&["--threads", "many"]).is_err());
-        assert!(parse(&["--threads"]).is_err());
+        assert!(parse(&["--threads", "4"]).is_err());
+        assert!(parse(&["--trace-out"]).is_err());
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! The resolver's batched drain (see `parsecs-core`'s `Resolver`)
 //! processes completion in **rounds**: it swaps the wake queue out,
 //! sorts it, resolves each entry, and wakes that entry's waiters into
-//! the *next* round's queue. Forking a round over threads (ROADMAP
-//! item 1) is sound iff the entries of one round write pairwise-disjoint
-//! targets. This pass replays that round structure symbolically — a
+//! the *next* round's queue. Resolving a round's entries concurrently
+//! would be sound iff they write pairwise-disjoint targets. This pass replays that round structure symbolically — a
 //! record's round is its dependence-DAG level, the latest round any of
 //! its producers can complete in, plus one — and certifies the
 //! precondition statically:
@@ -25,9 +24,9 @@
 //!    any order; there is nothing per-arena to check, so the certificate
 //!    covers it by construction.
 //!
-//! The result is either [`DrainSafety::Certified`] — the token the
-//! future rayon fork will demand before splitting a round — or the first
-//! conflicting index pair.
+//! The result is either [`DrainSafety::Certified`] or the first
+//! conflicting index pair. Both engines drain sequentially, so no engine
+//! consumes the verdict.
 
 use parsecs_trace::{PackedDep, TraceArena};
 

@@ -4,7 +4,7 @@
 //! trace — section spans tiling the record range, one writer per
 //! location version, producers strictly preceding consumers — that the
 //! engines historically enforced only with scattered `assert!`s. This
-//! crate makes them a first-class analysis with three layers:
+//! crate makes them a first-class analysis with five layers:
 //!
 //! 1. **Invariant validator** ([`check_arena`], [`InvariantViolation`]):
 //!    pure passes over the raw columns checking section well-formedness,
@@ -14,9 +14,10 @@
 //!    aborting.
 //! 2. **Race certifier** ([`DrainSafety`], [`certify_columns`]): a
 //!    symbolic replay of the resolver's batched completion rounds that
-//!    certifies the parallel-drain precondition (pairwise-disjoint write
-//!    targets within a round). The planned rayon fork of the drain
-//!    (ROADMAP item 1) requires [`DrainSafety::Certified`].
+//!    certifies pairwise-disjoint write targets within a round — the
+//!    precondition a parallel drain would need. The engines drain
+//!    sequentially, so no engine consumes the verdict; it stays on the
+//!    report for the bench bins.
 //! 3. **Static bounds analyzer** ([`StaticBounds`]): per-section and
 //!    whole-program dependence-DAG critical path and ILP width;
 //!    `total_cycles ≥ critical_path` holds for every configuration and
@@ -27,11 +28,7 @@
 //!    cores) admits no cycle, or returns a concrete witness cycle. A
 //!    run the runtime deadlock detector flags must never have been
 //!    [`Progress::Proven`]; both engines assert exactly that.
-//! 5. **Walk certifier** ([`WalkSafety`], [`certify_walk`]): certifies
-//!    that a cluster partition tiles the core range and that no
-//!    section's ready-queue link crosses a window — the parallel-walk
-//!    fork precondition alongside [`DrainSafety::Certified`].
-//! 6. **Schedule analyzer** ([`ScheduleBounds`], [`bound_schedule`]):
+//! 5. **Schedule analyzer** ([`ScheduleBounds`], [`bound_schedule`]):
 //!    given a concrete (placement × chip) configuration, a **certified**
 //!    NoC/placement-weighted lower bound on the cycle count (critical
 //!    path re-weighted with per-hop latencies, maxed against per-core
@@ -79,7 +76,6 @@ mod progress;
 mod schedule;
 mod validate;
 mod violation;
-mod walk;
 
 use std::fmt;
 
@@ -90,7 +86,6 @@ pub use certify::{certify_columns, DrainSafety};
 pub use progress::{prove_progress, Progress, WaitEdge, WaitKind};
 pub use schedule::{bound_schedule, BindingTerm, ChipModel, ScheduleBounds};
 pub use violation::InvariantViolation;
-pub use walk::{certify_walk, WalkSafety};
 
 /// Diagnostics stored per report before further ones are only counted
 /// (a systematically corrupt chip-scale arena must not make the report
@@ -105,8 +100,8 @@ pub struct CheckReport {
     pub violations: Vec<InvariantViolation>,
     /// Whether violations past the cap were dropped from the list.
     pub truncated: bool,
-    /// The parallel-drain certificate ([`DrainSafety::Unchecked`] when
-    /// the validator found structural violations first).
+    /// The drain race certificate ([`DrainSafety::Unchecked`] when the
+    /// validator found structural violations first).
     pub drain: DrainSafety,
     /// Static timing bounds (`None` when the validator found violations;
     /// bounds over a lying arena would ground nothing).
@@ -119,9 +114,6 @@ pub struct CheckReport {
     /// attaches them — like [`CheckReport::progress`], the pass needs
     /// the concrete placement and chip model).
     pub schedule: Option<ScheduleBounds>,
-    /// The parallel-walk certificate ([`WalkSafety::Unchecked`] until an
-    /// engine attaches its cluster partition).
-    pub walk: WalkSafety,
     /// Records in the analyzed arena.
     pub instructions: usize,
     /// Sections in the analyzed arena.
@@ -192,13 +184,6 @@ impl fmt::Display for CheckReport {
                         }
                         None => {}
                     }
-                    if let WalkSafety::Certified {
-                        clusters,
-                        max_window,
-                    } = self.walk
-                    {
-                        write!(f, ", walk certified ({clusters}×≤{max_window})")?;
-                    }
                     if let Some(schedule) = &self.schedule {
                         write!(
                             f,
@@ -247,7 +232,6 @@ pub fn check_arena(arena: &TraceArena) -> CheckReport {
         bounds,
         progress: None,
         schedule: None,
-        walk: WalkSafety::Unchecked,
         instructions: arena.len(),
         sections: arena.sections().len(),
         writer_discipline_checked,

@@ -9,11 +9,6 @@
 //! through a per-*section* `queue_next` column (a section sits in at most
 //! one core's queue at a time, so one link per section suffices — no
 //! allocation, no `VecDeque`).
-//!
-//! The columns are also what makes the cluster-parallel fetch walk
-//! possible: [`ChipState::split`] hands out disjoint `&mut` column slices
-//! per cluster ([`CoreView`]), which the scoped pool can walk
-//! concurrently without any `unsafe`.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -38,8 +33,8 @@ pub(crate) const NO_STALL: u32 = u32::MAX;
 pub(crate) const NO_WAKE: u64 = u64::MAX;
 
 /// Per-core simulator state, one dense column per field (see the module
-/// docs). Shared by both timing engines; the event engine's clusters walk
-/// it through [`CoreView`] slices.
+/// docs). Shared by both timing engines; the event engine walks it
+/// through a [`CoreView`].
 pub(crate) struct ChipState {
     /// Section currently owning each core's fetch stage (`NO_SECTION` =
     /// idle).
@@ -54,8 +49,7 @@ pub(crate) struct ChipState {
     /// event engine only). Calendar entries that no longer match are
     /// stale and skipped.
     pub(crate) wake_at: Vec<u64>,
-    /// Whether each core is in its cluster's run list (event engine
-    /// only).
+    /// Whether each core is in the run list (event engine only).
     pub(crate) running: Vec<bool>,
     /// Total sections ever hosted (delivered) per core.
     pub(crate) sections_hosted: Vec<u32>,
@@ -108,47 +102,9 @@ impl ChipState {
         Some(head)
     }
 
-    /// Splits the mutable columns into per-cluster [`CoreView`]s (one per
-    /// entry of `sizes`, which must tile the core range) and returns the
-    /// shared `queue_next` column alongside — the walk only reads queue
-    /// links (pops mutate `queue_head`/`queue_tail`, both per-cluster;
-    /// pushes happen in the sequential deliver/requeue phases).
-    pub(crate) fn split(&mut self, sizes: &[usize]) -> (Vec<CoreView<'_>>, &[u32]) {
-        // One pass, one allocation: this runs on every event-loop
-        // iteration, so each column is carved with a rolling tail instead
-        // of a per-column chunk vector.
-        let mut current = self.current.as_mut_slice();
-        let mut next_seq = self.next_seq.as_mut_slice();
-        let mut stall_on = self.stall_on.as_mut_slice();
-        let mut wake_at = self.wake_at.as_mut_slice();
-        let mut running = self.running.as_mut_slice();
-        let mut queue_head = self.queue_head.as_mut_slice();
-        let mut queue_tail = self.queue_tail.as_mut_slice();
-        let mut views = Vec::with_capacity(sizes.len());
-        for &len in sizes {
-            macro_rules! carve {
-                ($col:ident) => {{
-                    let (head, tail) = $col.split_at_mut(len);
-                    $col = tail;
-                    head
-                }};
-            }
-            views.push(CoreView {
-                current: carve!(current),
-                next_seq: carve!(next_seq),
-                stall_on: carve!(stall_on),
-                wake_at: carve!(wake_at),
-                running: carve!(running),
-                queue_head: carve!(queue_head),
-                queue_tail: carve!(queue_tail),
-            });
-        }
-        debug_assert!(current.is_empty(), "cluster sizes tile the cores");
-        (views, &self.queue_next)
-    }
-
-    /// The whole chip as a single [`CoreView`] — the single-cluster
-    /// (sequential) engine's walk window, built without any allocation.
+    /// The whole chip as a [`CoreView`] — the event engine's walk window,
+    /// built without any allocation — and the ready-queue links beside
+    /// it (the walk pops queues but only reads the links).
     pub(crate) fn view_all(&mut self) -> (CoreView<'_>, &[u32]) {
         (
             CoreView {
@@ -165,8 +121,8 @@ impl ChipState {
     }
 }
 
-/// One cluster's disjoint window of the [`ChipState`] columns, indexed by
-/// *local* core id (`0..cluster.len`).
+/// The event engine walk's mutable borrow of the [`ChipState`] columns it
+/// steps, indexed by core id.
 pub(crate) struct CoreView<'a> {
     pub(crate) current: &'a mut [u32],
     pub(crate) next_seq: &'a mut [u32],

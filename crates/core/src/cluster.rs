@@ -1,15 +1,13 @@
-//! Per-cluster event scheduling and the fetch-decode walk.
+//! Event scheduling and the fetch-decode walk of the event engine.
 //!
-//! The event engine partitions the chip's cores into contiguous
-//! **clusters** (the clustered hardware task manager shape): each cluster
-//! owns a two-level calendar queue ([`WakeQueue`]) and an intrusive run
-//! list ([`RunList`]) over its *local* core indices, and walks its cores
-//! each simulated cycle through a disjoint [`CoreView`] window of the
-//! chip columns. Cross-cluster effects — instruction fetches into the
-//! resolver, NoC section-creation sends, resume-point clears — are
-//! *buffered* per cluster during the walk and committed sequentially in
-//! ascending cluster order afterwards, which replays exactly the
-//! ascending-core-index order of the sequential walk:
+//! A [`Cluster`] holds the chip's two-level calendar queue
+//! ([`WakeQueue`]) and intrusive run list ([`RunList`]), and
+//! [`walk_cluster`] steps the acting cores each simulated cycle through
+//! a [`CoreView`] of the chip columns. The walk's effects outside those
+//! columns — instruction fetches into the resolver, NoC section-creation
+//! sends, resume-point clears, section begins and ends — are *buffered*
+//! during the walk and committed by the orchestrator right after it, in
+//! the walk's ascending core order:
 //!
 //! * a fetch's only same-cycle side effect on other cores is the tagged
 //!   `complete[seq] = INCOMPLETE | cycle` write, and both `UNKNOWN` and
@@ -17,12 +15,7 @@
 //!   predicate (`completion()`, `fetch_computable`) reads them
 //!   identically — deferring the write is invisible;
 //! * NoC sends are committed in the walk's core order, preserving the
-//!   link-bandwidth accounting order;
-//! * everything else the walk touches is cluster-local.
-//!
-//! One walk implementation serves both paths: a single-cluster run is the
-//! sequential engine, a multi-cluster run forks the same walk over the
-//! scoped pool — bit-identity between them holds by construction.
+//!   link-bandwidth accounting order.
 
 use std::collections::HashMap;
 
@@ -41,7 +34,7 @@ const NEAR_WINDOW: u64 = 8;
 
 /// Two-level per-core wake-up queue: a calendar ring for events within
 /// [`NEAR_WINDOW`] cycles of the clock and a binary heap for the far
-/// future. Entries are `(cycle, local core)`; an entry is *stale* when
+/// future. Entries are `(cycle, core)`; an entry is *stale* when
 /// the core's `wake_at` no longer matches (a sooner wake-up replaced it)
 /// and is dropped when its cycle is visited. The clock never jumps past a
 /// queued entry, so each ring slot only ever holds entries for the single
@@ -104,7 +97,7 @@ impl WakeQueue {
         self.horizon = cycle;
     }
 
-    /// Drains every entry due at `cycle` into `due` (unsorted local core
+    /// Drains every entry due at `cycle` into `due` (unsorted core
     /// indices; stale entries — whose core no longer wakes at `cycle` —
     /// are filtered by the caller's `wake_at` check).
     fn drain_due(&mut self, cycle: u64, due: &mut Vec<usize>) {
@@ -124,9 +117,9 @@ impl WakeQueue {
     }
 }
 
-/// The sorted set of a cluster's cores that act on every cycle (fetching,
+/// The sorted set of the cores that act on every cycle (fetching,
 /// dequeuing, or releasing a next-cycle stall), kept as an intrusive
-/// doubly-linked list over local core indices so that the overwhelmingly
+/// doubly-linked list over core indices so that the overwhelmingly
 /// common case — a core fetching straight-line code — costs *zero*
 /// scheduling work per cycle: the core simply stays in the list. Cores
 /// join when a calendar wake-up makes them act and leave when they go
@@ -252,11 +245,9 @@ impl RunList {
     }
 }
 
-/// One cluster of the chip: a contiguous range of cores with its own
-/// calendar queue, run list, and per-cycle effect buffers (local core
-/// indices throughout; `start` maps them back to chip ids).
+/// The event engine's schedule over the whole chip: its calendar queue,
+/// run list, and per-cycle effect buffers.
 pub(crate) struct Cluster {
-    pub(crate) start: usize,
     pub(crate) len: usize,
     pub(crate) wakes: WakeQueue,
     pub(crate) running: RunList,
@@ -266,33 +257,32 @@ pub(crate) struct Cluster {
     membership: Vec<(usize, bool)>,
     /// Trace indices fetched this cycle, in walk (ascending core) order.
     pub(crate) fetched: Vec<u32>,
-    /// `(global source core, created section)` fork messages, in walk
-    /// order — committed to the NoC in this order so the link-bandwidth
-    /// accounting matches the sequential engine's.
+    /// `(source core, created section)` fork messages, in walk order —
+    /// committed to the NoC in this order so the link-bandwidth
+    /// accounting matches the reference engine's.
     pub(crate) sends: Vec<(u32, u32)>,
-    /// `(local core, section, resumed)` fetch-slot entries of this cycle,
-    /// in walk order — every dequeue, fresh or resumed. A resumed entry's
+    /// `(core, section, resumed)` fetch-slot entries of this cycle, in
+    /// walk order — every dequeue, fresh or resumed. A resumed entry's
     /// saved resume point was consumed by the walk (the deferred
     /// `StallTable::clear_resume`); the commit phase also feeds all
     /// entries to the cycle-attribution accumulator and the probe.
     pub(crate) began: Vec<(u32, u32, bool)>,
-    /// `(local core, section, fetched)` fetch-slot exits of this cycle,
-    /// in walk order (`fetched` = the ending instruction was fetched this
-    /// cycle; false only for the empty-section defensive path). Consumed
-    /// by the sequential commit phase for attribution and the probe.
+    /// `(core, section, fetched)` fetch-slot exits of this cycle, in walk
+    /// order (`fetched` = the ending instruction was fetched this cycle;
+    /// false only for the empty-section defensive path). Consumed by the
+    /// commit phase for attribution and the probe.
     pub(crate) ended: Vec<(u32, u32, bool)>,
-    /// Local core indices that entered a fetch stall this cycle; the
-    /// post-drain dispatch parks or reschedules them.
+    /// Cores that entered a fetch stall this cycle; the post-drain
+    /// dispatch parks or reschedules them.
     pub(crate) newly_stalled: Vec<u32>,
 }
 
 impl Cluster {
-    fn new(start: usize, len: usize) -> Cluster {
+    pub(crate) fn new(cores: usize) -> Cluster {
         Cluster {
-            start,
-            len,
+            len: cores,
             wakes: WakeQueue::new(),
-            running: RunList::new(len),
+            running: RunList::new(cores),
             due: Vec::new(),
             membership: Vec::new(),
             fetched: Vec::new(),
@@ -304,46 +294,17 @@ impl Cluster {
     }
 }
 
-/// The contiguous near-equal `(start, len)` windows the chip is sharded
-/// into for `clusters` clusters (clamped to at least one core per
-/// cluster). This is the partition both the engine and the static walk
-/// certifier reason about: ascending, disjoint, tiling `[0, cores)` by
-/// construction for every cluster count.
-pub fn cluster_windows(cores: usize, clusters: usize) -> Vec<(usize, usize)> {
-    let k = clusters.clamp(1, cores.max(1));
-    let base = cores / k;
-    let rem = cores % k;
-    let mut out = Vec::with_capacity(k);
-    let mut start = 0;
-    for i in 0..k {
-        let len = base + usize::from(i < rem);
-        out.push((start, len));
-        start += len;
-    }
-    debug_assert_eq!(start, cores);
-    out
-}
-
-/// Splits `cores` cores into `clusters` contiguous clusters of
-/// near-equal size over [`cluster_windows`].
-pub(crate) fn partition(cores: usize, clusters: usize) -> Vec<Cluster> {
-    cluster_windows(cores, clusters)
-        .into_iter()
-        .map(|(start, len)| Cluster::new(start, len))
-        .collect()
-}
-
 /// Registers `at` as core `idx`'s next wake-up cycle (keeping the earlier
 /// one when the core already has a sooner event).
 pub(crate) fn schedule(chip: &mut ChipState, cluster: &mut Cluster, idx: usize, at: u64) {
     let existing = chip.wake_at[idx];
     if existing == NO_WAKE || existing > at {
         chip.wake_at[idx] = at;
-        cluster.wakes.push(at, idx - cluster.start);
+        cluster.wakes.push(at, idx);
     }
 }
 
-/// The read-only inputs every cluster's walk shares for one cycle.
+/// The read-only inputs of one cycle's walk.
 pub(crate) struct WalkCtx<'a> {
     pub(crate) arena: &'a TraceArena,
     pub(crate) sections: &'a [SectionSpan],
@@ -359,12 +320,10 @@ pub(crate) struct WalkCtx<'a> {
     pub(crate) cycle: u64,
 }
 
-/// One cluster's fetch-decode phase for one cycle: drains the cluster's
-/// due calendar wake-ups, steps every acting core in ascending local
-/// order (dense scan or sparse run-list merge, same as the sequential
-/// engine), buffers all cross-cluster effects, and applies the deferred
-/// run-list membership changes. Safe to run concurrently across clusters:
-/// everything written is cluster-local.
+/// The fetch-decode phase for one cycle: drains the due calendar
+/// wake-ups, steps every acting core in ascending order (dense scan or
+/// sparse run-list merge), buffers the effects outside the chip columns,
+/// and applies the deferred run-list membership changes.
 pub(crate) fn walk_cluster(cluster: &mut Cluster, view: &mut CoreView<'_>, ctx: &WalkCtx<'_>) {
     let cycle = ctx.cycle;
     cluster.wakes.advance_to(cycle);
@@ -454,9 +413,7 @@ pub(crate) fn walk_cluster(cluster: &mut Cluster, view: &mut CoreView<'_>, ctx: 
             // the created section.
             if kind == TraceKind::Fork {
                 if let Some(&child) = ctx.created_by.get(&seq) {
-                    cluster
-                        .sends
-                        .push(((cluster.start + local) as u32, child.0 as u32));
+                    cluster.sends.push((local as u32, child.0 as u32));
                 }
             }
 
@@ -547,7 +504,7 @@ pub(crate) fn walk_cluster(cluster: &mut Cluster, view: &mut CoreView<'_>, ctx: 
 
     // Apply the walk's membership changes before anything after the walk
     // consults or edits the run list. Both walks emit them in ascending
-    // local order.
+    // core order.
     cluster.running.apply(view.running, &cluster.membership);
     cluster.membership.clear();
 }

@@ -66,7 +66,7 @@ pub struct SimConfig {
     pub record_timings: bool,
     /// Whether the engines run the full static analysis of
     /// `parsecs-check` over the arena before simulating: the invariant
-    /// validator, the parallel-drain race certifier and the critical-path
+    /// validator, the drain race certifier and the critical-path
     /// bounds (debug builds additionally assert
     /// `total_cycles ≥ critical_path` against the finished run). A
     /// violation surfaces as [`crate::SimError::Invariant`]; a clean
@@ -74,22 +74,15 @@ pub struct SimConfig {
     /// default — the simulation paths are untouched when disabled; turn
     /// it on with [`SimConfig::validated`].
     pub validate: bool,
-    /// Worker threads for the event-driven engine: `1` (the default)
-    /// runs fully sequential; above one, the cores are sharded into that
-    /// many clusters and the fetch walk and large drain rounds fork over
-    /// a scoped thread pool — **bit-identical** to the sequential run,
-    /// and only when the arena's static drain analysis is
-    /// [`crate::DrainSafety::Certified`] *and* the cluster partition is
-    /// [`crate::WalkSafety::Certified`] (otherwise the run is sequential
-    /// and carries a typed [`crate::ForkFallback`] on
-    /// [`crate::SimResult::fork_fallback`]). `0` means auto: one thread
-    /// per available CPU. Set it with [`SimConfig::with_threads`]. The
-    /// reference engine ignores this field.
+    /// Ignored: both engines are sequential. Kept only because the
+    /// benchmark (`crates/bench/src/bin/benchmark/`) still sets it; it
+    /// goes together with [`SimConfig::fuel`] once the benchmark stops.
+    /// It takes no part in equality, since it never changes a run.
     pub threads: usize,
 }
 
 // Hand-written: `Arc<dyn PlacementPolicy>` has no `PartialEq`, so the
-// policy compares by name.
+// policy compares by name, and the ignored `threads` is left out.
 impl PartialEq for SimConfig {
     fn eq(&self, other: &SimConfig) -> bool {
         self.cores == other.cores
@@ -103,7 +96,6 @@ impl PartialEq for SimConfig {
             && self.fetch_stalls_on_unresolved_control == other.fetch_stalls_on_unresolved_control
             && self.record_timings == other.record_timings
             && self.validate == other.validate
-            && self.threads == other.threads
     }
 }
 
@@ -159,22 +151,6 @@ impl SimConfig {
     pub fn validated(mut self) -> SimConfig {
         self.validate = true;
         self
-    }
-
-    /// Sets the worker-thread count (builder style) — see
-    /// [`SimConfig::threads`].
-    pub fn with_threads(mut self, threads: usize) -> SimConfig {
-        self.threads = threads;
-        self
-    }
-
-    /// The resolved worker-thread count: [`SimConfig::threads`], with
-    /// `0` (auto) replaced by the number of available CPUs.
-    pub fn effective_threads(&self) -> usize {
-        match self.threads {
-            0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
-            t => t,
-        }
     }
 
     /// The effective topology: the configured one, or a crossbar over
@@ -243,10 +219,17 @@ mod tests {
     }
 
     #[test]
-    fn defaults_are_sequential_and_unvalidated() {
-        let c = SimConfig::default();
-        assert_eq!(c.threads, 1);
-        assert!(!c.validate);
+    fn defaults_are_unvalidated() {
+        assert!(!SimConfig::default().validate);
+    }
+
+    #[test]
+    fn the_ignored_thread_count_takes_no_part_in_equality() {
+        let two = SimConfig {
+            threads: 2,
+            ..SimConfig::default()
+        };
+        assert_eq!(two, SimConfig::default());
     }
 
     #[test]

@@ -9,30 +9,11 @@
 //! The drain is **batched**: each round takes the whole pending set — the
 //! cycle's fetches first, then the consumers woken by the previous
 //! round's completions — sorts it, and sweeps each instruction's packed
-//! dep slice in ascending trace order. On top of the batching, a large
-//! round can *fork*: resolution splits into a pure, read-only
-//! [`Resolver::compute_one`] and a mutating commit, so the compute pass
-//! runs over the scoped pool with each worker filling its own outcome
-//! buffer, and the commits replay sequentially in ascending batch order.
-//! An entry whose compute observed a producer as incomplete that a
-//! *earlier* batch entry's commit then resolved is recomputed in the
-//! ascending retry sweep — producers precede consumers in the sorted
-//! batch, so the sweep restores exactly the sequential round's view and
-//! the fork is bit-identical to the sequential drain (the differential
-//! suites assert this across both engines and both stats modes).
-//!
-//! The fork is only reached when the caller passes a pool, which the
-//! orchestrator only does for arenas whose static analysis returned
-//! [`parsecs_check::DrainSafety::Certified`] — the machine-checked
-//! guarantee that a round's dep slices are well-formed (in particular
-//! acyclic, producers strictly before consumers), which is what the retry
-//! sweep's one-pass argument rests on.
-
-use std::sync::Mutex;
+//! dep slice in ascending trace order. Each attempt is a pure, read-only
+//! [`Resolver::compute_one`] followed by a mutating commit.
 
 use parsecs_noc::{CoreId, Network};
 use parsecs_obs::SimProbe;
-use parsecs_pool::Pool;
 use parsecs_trace::TraceArena;
 
 use crate::{SectionId, SimConfig, SourceKind};
@@ -54,10 +35,6 @@ pub(crate) const INCOMPLETE: u64 = 1 << 63;
 
 /// Empty wake-list link.
 const NO_WAITER: u32 = u32::MAX;
-
-/// Minimum sorted-batch size worth forking over the pool: below this the
-/// broadcast's wake/barrier overhead beats the per-entry dep-sweep work.
-const PAR_ROUND_MIN: usize = 64;
 
 /// The completion cycle recorded in a tagged `complete` column entry, if
 /// already resolved.
@@ -129,12 +106,6 @@ pub(crate) struct Resolver<'a> {
     queue: Vec<u32>,
     /// Scratch for the drain's batched rounds.
     batch: Vec<u32>,
-    /// Per-worker outcome buffers of the forked compute pass (interior
-    /// mutability so workers fill them through a shared `&Resolver`; each
-    /// worker locks only its own slot, so the locks never contend).
-    par_out: Vec<Mutex<Vec<Outcome>>>,
-    /// Scratch for the forked round's ascending retry sweep.
-    retry: Vec<u32>,
     /// Latest fetch cycle seen (streaming `SimStats::fetch_cycles`).
     pub(crate) max_fd: u64,
     /// Latest retirement cycle seen (streaming `SimStats::total_cycles`).
@@ -164,8 +135,6 @@ impl<'a> Resolver<'a> {
             retire_last: vec![0; sections.len()],
             queue: Vec::new(),
             batch: Vec::new(),
-            par_out: Vec::new(),
-            retry: Vec::new(),
             max_fd: 0,
             max_ret: 0,
             resolved: 0,
@@ -230,20 +199,13 @@ impl<'a> Resolver<'a> {
     /// `(seq, completion_cycle)` so the event-driven scheduler can wake
     /// fetch stages stalled on that value.
     ///
-    /// With a pool, rounds at or above [`PAR_ROUND_MIN`] fork their
-    /// read-only compute pass across the workers (see the module docs);
-    /// the caller gates the pool on the arena's `Certified` verdict.
-    ///
     /// `cycle` is the simulated cycle being drained and `probe` observes
-    /// each round's width and fork decision plus section retirements —
-    /// both from this sequential orchestration layer only, never from
-    /// inside a forked compute pass.
+    /// each round's width plus section retirements.
     pub(crate) fn drain<P: SimProbe>(
         &mut self,
         network: &Network<SectionId>,
         core_of: &[CoreId],
         completions: &mut Vec<(usize, u64)>,
-        pool: Option<&Pool>,
         cycle: u64,
         probe: &mut P,
     ) {
@@ -252,24 +214,17 @@ impl<'a> Resolver<'a> {
             let mut batch = std::mem::take(&mut self.batch);
             std::mem::swap(&mut self.queue, &mut batch);
             batch.sort_unstable();
-            let forked =
-                pool.is_some_and(|pool| pool.threads() > 1 && batch.len() >= PAR_ROUND_MIN);
             if P::ENABLED {
-                probe.on_drain_round(cycle, round_index, batch.len(), forked);
+                probe.on_drain_round(cycle, round_index, batch.len());
             }
-            if forked {
-                let pool = pool.expect("a forked round has a pool");
-                self.round_forked(&batch, network, core_of, completions, pool, probe);
-            } else {
-                self.round(&batch, network, core_of, completions, probe);
-            }
+            self.round(&batch, network, core_of, completions, probe);
             round_index += 1;
             batch.clear();
             self.batch = batch;
         }
     }
 
-    /// One sequential drain round over the sorted `batch`.
+    /// One drain round over the sorted `batch`.
     fn round<P: SimProbe>(
         &mut self,
         batch: &[u32],
@@ -285,73 +240,6 @@ impl<'a> Resolver<'a> {
                 Outcome::Waiting(dep) => self.register_waiter(seq, dep as usize),
             }
         }
-    }
-
-    /// One forked drain round: parallel read-only compute, sequential
-    /// ascending commit, then the ascending retry sweep for entries whose
-    /// blocking producer resolved during the commits.
-    fn round_forked<P: SimProbe>(
-        &mut self,
-        batch: &[u32],
-        network: &Network<SectionId>,
-        core_of: &[CoreId],
-        completions: &mut Vec<(usize, u64)>,
-        pool: &Pool,
-        probe: &mut P,
-    ) {
-        let workers = pool.threads();
-        if self.par_out.len() < workers {
-            self.par_out.resize_with(workers, || Mutex::new(Vec::new()));
-        }
-        let chunk = batch.len().div_ceil(workers);
-        {
-            let shared: &Resolver<'_> = self;
-            pool.broadcast(&|worker| {
-                let mut out = shared.par_out[worker].lock().expect("no panicking jobs");
-                out.clear();
-                let lo = (worker * chunk).min(batch.len());
-                let hi = ((worker + 1) * chunk).min(batch.len());
-                for &seq in &batch[lo..hi] {
-                    out.push(shared.compute_one(seq as usize, network, core_of));
-                }
-            });
-        }
-        let mut retry = std::mem::take(&mut self.retry);
-        for worker in 0..workers {
-            let out = std::mem::take(&mut *self.par_out[worker].lock().expect("uncontended"));
-            let lo = (worker * chunk).min(batch.len());
-            let hi = ((worker + 1) * chunk).min(batch.len());
-            for (&seq, outcome) in batch[lo..hi].iter().zip(out.iter()) {
-                let seq = seq as usize;
-                match *outcome {
-                    Outcome::Resolved(r) => self.commit_resolved(seq, r, completions, probe),
-                    Outcome::Waiting(dep) => {
-                        if self.complete[dep as usize] < INCOMPLETE {
-                            // An earlier commit of this round resolved
-                            // the producer this compute saw as
-                            // incomplete: recompute below, in order.
-                            retry.push(seq as u32);
-                        } else {
-                            self.register_waiter(seq, dep as usize);
-                        }
-                    }
-                }
-            }
-            *self.par_out[worker].lock().expect("uncontended") = out;
-        }
-        // Ascending retry sweep. Producers precede consumers in the
-        // sorted batch, so by the time an entry is retried every batch
-        // producer it can observe has reached its final state for this
-        // round — one pass restores the sequential view exactly.
-        for &seq in &retry {
-            let seq = seq as usize;
-            match self.compute_one(seq, network, core_of) {
-                Outcome::Resolved(r) => self.commit_resolved(seq, r, completions, probe),
-                Outcome::Waiting(dep) => self.register_waiter(seq, dep as usize),
-            }
-        }
-        retry.clear();
-        self.retry = retry;
     }
 
     /// Parks `seq` on `dep`'s completion wake list.

@@ -42,47 +42,6 @@ pub enum SimError {
     },
 }
 
-/// Why a threaded run ([`crate::SimConfig::threads`] above one) withheld
-/// the parallel fork and ran sequentially instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum FallbackReason {
-    /// The static race certifier did not return
-    /// [`crate::DrainSafety::Certified`] for the arena (violations, or a
-    /// conflicting completion round).
-    DrainUncertified,
-    /// The walk certifier did not return
-    /// [`crate::WalkSafety::Certified`] for the concrete cluster
-    /// partition.
-    WalkUncertified,
-}
-
-impl fmt::Display for FallbackReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FallbackReason::DrainUncertified => write!(f, "drain uncertified"),
-            FallbackReason::WalkUncertified => write!(f, "walk uncertified"),
-        }
-    }
-}
-
-/// The typed record of a withheld parallel fork: a run that was asked to
-/// fork (`threads > 1`) but could not get both static certificates runs
-/// sequentially and carries this on [`crate::SimResult::fork_fallback`]
-/// instead of falling back silently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ForkFallback {
-    /// The first certificate that was withheld (drain is checked before
-    /// walk).
-    pub reason: FallbackReason,
-}
-
-impl fmt::Display for ForkFallback {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "sequential fallback: {}", self.reason)
-    }
-}
-
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

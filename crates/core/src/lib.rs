@@ -84,9 +84,8 @@ mod reference;
 mod sim;
 mod timing;
 
-pub use cluster::cluster_windows;
 pub use config::SimConfig;
-pub use error::{FallbackReason, ForkFallback, SimError};
+pub use error::SimError;
 pub use placement::{ChainAffine, ChipView, LoadAware, Placement, PlacementPolicy, SectionDeps};
 pub use sim::{ManyCoreSim, SimResult};
 pub use timing::{format_figure10, InstTiming, SimStats};
@@ -95,9 +94,8 @@ pub use timing::{format_figure10, InstTiming, SimStats};
 // [`SimResult::check`], [`SimError::Invariant`]) can consume the reports
 // without a separate dependency.
 pub use parsecs_check::{
-    bound_schedule, certify_walk, check_arena, prove_progress, BindingTerm, CheckReport, ChipModel,
-    DrainSafety, InvariantViolation, Progress, ScheduleBounds, StaticBounds, WaitEdge, WaitKind,
-    WalkSafety,
+    bound_schedule, check_arena, prove_progress, BindingTerm, CheckReport, ChipModel, DrainSafety,
+    InvariantViolation, Progress, ScheduleBounds, StaticBounds, WaitEdge, WaitKind,
 };
 // The streaming trace pipeline and the section/dependence vocabulary
 // this crate's engines consume; re-exported so simulator callers can

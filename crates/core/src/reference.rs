@@ -20,11 +20,7 @@
 //! path, but the loop is kept (over the shared [`crate::chip::ChipState`]
 //! columns, [`crate::drain::Resolver`] and the same [`TraceArena`]) as the
 //! oracle: differential tests and the `repro_perf` benchmark assert that
-//! both engines produce bit-identical [`crate::SimResult`]s. The reference
-//! always drains sequentially ([`SimConfig::threads`] is an event-engine
-//! knob), so it also anchors the threaded runs' bit-identity.
-//!
-//! [`SimConfig::threads`]: crate::SimConfig::threads
+//! both engines produce bit-identical [`crate::SimResult`]s.
 
 use parsecs_machine::TraceKind;
 use parsecs_noc::CoreId;
@@ -46,17 +42,14 @@ pub(crate) fn simulate<P: SimProbe>(
     probe: &mut P,
 ) -> Result<SimResult, SimError> {
     let config = sim.config();
-    // The reference never forks, but it runs the same setup as the event
-    // engine and reports the same fork verdict, so [`SimResult`]s stay
-    // bit-identical — including the typed fallback and the attached
-    // progress/walk verdicts.
+    // The same setup as the event engine, so [`SimResult`]s stay
+    // bit-identical — including the attached progress and schedule
+    // verdicts.
     let Setup {
         core_of,
         mut network,
         created_by,
         check,
-        clusters: _,
-        fork_fallback,
     } = sim.setup(arena)?;
     let sections = arena.sections();
     let n = arena.len();
@@ -131,7 +124,7 @@ pub(crate) fn simulate<P: SimProbe>(
                 noc_in_flight: network.in_flight() as u64,
                 parked: stalls.parked() as u64,
             });
-            probe.on_walk(cycle, 1, running, false);
+            probe.on_walk(cycle, running);
         }
 
         // Fetch-decode: one instruction per core per cycle.
@@ -211,7 +204,7 @@ pub(crate) fn simulate<P: SimProbe>(
         // Dependence resolution (the engine shared with the event-driven
         // simulator; the reference never forks it).
         completions.clear();
-        resolver.drain(&network, &core_of, &mut completions, None, cycle, probe);
+        resolver.drain(&network, &core_of, &mut completions, cycle, probe);
 
         // A completion that a parked section stalls on is its modeled
         // release event: requeue the section on the first cycle after both
@@ -290,7 +283,6 @@ pub(crate) fn simulate<P: SimProbe>(
         network.stats(),
         forced_stall_releases,
         check,
-        fork_fallback,
         attribution,
     )
 }

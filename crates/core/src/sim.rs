@@ -21,39 +21,21 @@
 //!
 //! * [`crate::chip`] — chip-wide per-core state as struct-of-arrays
 //!   columns, the intrusive ready queues and the stall-handoff table;
-//! * [`crate::cluster`] — the per-cluster calendar queue, run list and
-//!   the fetch-decode walk over disjoint column windows;
-//! * [`crate::drain`] — the batched completion drain (with its optional
-//!   forked compute pass);
+//! * [`crate::cluster`] — the calendar queue, the run list and the
+//!   fetch-decode walk over the chip columns;
+//! * [`crate::drain`] — the batched completion drain;
 //! * this module — the orchestrator: the event loop that advances the
-//!   clock, routes NoC deliveries and stall requeues to clusters, forks
-//!   the walk and the drain over the scoped pool when enabled, and
-//!   assembles the [`SimResult`].
+//!   clock, delivers NoC messages and stall requeues, runs the walk and
+//!   the drain, and assembles the [`SimResult`].
 //!
-//! The engine is **event-driven**: instead of stepping the chip one cycle
-//! at a time and rescanning every core, each cluster keeps a two-level
-//! calendar queue of per-core wake-up events (next fetch, section
-//! dequeue, stall release) plus the NoC's next message arrival
+//! The engine is **event-driven** and sequential: instead of stepping the
+//! chip one cycle at a time and rescanning every core, it keeps a
+//! two-level calendar queue of per-core wake-up events (next fetch,
+//! section dequeue, stall release) plus the NoC's next message arrival
 //! ([`parsecs_noc::Network::next_arrival`]) and the pending stall-handoff
-//! requeue events, and the clock jumps straight to the earliest event
-//! across all clusters. Dependence resolution uses producer→consumer
-//! wake-up lists, so a queued instruction is touched only when one of its
-//! inputs completes.
-//!
-//! **Parallel execution.** With [`SimConfig::threads`] above one, the
-//! cores are partitioned into one cluster per thread and the per-cycle
-//! fetch walk and large drain rounds fork over a scoped pool
-//! (`parsecs-pool`), exchanging NoC arrivals at the sequential
-//! cycle-top barrier. The fork is gated on **two** static certificates:
-//! the arena's drain certificate (`parsecs-check` returned a clean
-//! report with [`DrainSafety::Certified`]) and the walk certificate
-//! ([`crate::WalkSafety::Certified`] for the concrete cluster
-//! partition). Either being withheld makes the run take the sequential
-//! single-cluster path and record a typed
-//! [`ForkFallback`] on [`SimResult::fork_fallback`] — never a silent
-//! fallback. Both paths execute the same walk and drain code over the
-//! same state in the same order, so threaded results are bit-identical
-//! to sequential ones (asserted by the differential suites).
+//! requeue events, and the clock jumps straight to the earliest event.
+//! Dependence resolution uses producer→consumer wake-up lists, so a
+//! queued instruction is touched only when one of its inputs completes.
 //!
 //! Fetch stalls follow the **in-order handoff model** (shared with the
 //! reference loop through [`crate::chip::StallTable`]): a control
@@ -77,25 +59,19 @@
 //! paper) plus aggregate fetch/retire IPC (§5).
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::convert::Infallible;
 
-use parsecs_check::{bound_schedule, certify_walk, prove_progress, CheckReport};
+use parsecs_check::{bound_schedule, prove_progress, CheckReport};
 use parsecs_noc::{CoreId, Network, NocStats};
 use parsecs_obs::{CoreBreakdown, CycleAttribution, NoopProbe, SimProbe, StallCause, TickGauges};
-use parsecs_pool::Pool;
 use parsecs_trace::{SourceKind, TraceArena};
 
 use crate::chip::{ChipState, NO_SECTION, NO_STALL};
-use crate::cluster::{cluster_windows, partition, schedule, walk_cluster, Cluster, WalkCtx};
+use crate::cluster::{schedule, walk_cluster, Cluster, WalkCtx};
 use crate::drain::{Resolver, INCOMPLETE, UNKNOWN};
-use crate::error::{FallbackReason, ForkFallback};
 use crate::{InstTiming, SectionId, SectionSpan, SimConfig, SimError, SimStats};
 
 pub(crate) use crate::chip::StallTable;
-
-/// Minimum total run-list population worth forking the fetch walk over
-/// the pool; wake-dominated cycles (few acting cores) walk inline.
-const WALK_FORK_MIN: usize = 64;
 
 /// The result of one many-core simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,17 +95,15 @@ pub struct SimResult {
     pub stats: SimStats,
     /// The pre-simulation static analysis report (invariants, drain
     /// certificate, critical-path bounds, the placement-aware progress
-    /// proof and the partition-agnostic walk certificate) when the run
-    /// was validated ([`SimConfig::validate`]); `None` otherwise. Both
-    /// engines attach the identical report, so differential bit-identity
-    /// covers it.
+    /// proof and schedule bounds) when the run was validated
+    /// ([`SimConfig::validate`]); `None` otherwise. Both engines attach
+    /// the identical report, so differential bit-identity covers it.
     pub check: Option<Box<CheckReport>>,
-    /// `Some` when the run was asked to fork (`threads > 1`) but a
-    /// static certificate was withheld, so it ran sequentially: the
-    /// typed reason. `None` when no fork was requested or the fork ran.
-    /// The reference engine never forks but computes the identical
-    /// verdict, so differential bit-identity covers this field too.
-    pub fork_fallback: Option<ForkFallback>,
+    /// Always `None`, as its type proves: no run falls back from
+    /// anything, because both engines are sequential. Kept only because
+    /// the benchmark (`crates/bench/src/bin/benchmark/`) still reads it;
+    /// it goes together with [`SimConfig::threads`].
+    pub fork_fallback: Option<Infallible>,
 }
 
 impl SimResult {
@@ -197,35 +171,13 @@ pub struct ManyCoreSim {
 
 /// Everything both engines derive from the configuration and the arena
 /// before timing starts ([`ManyCoreSim::setup`]): the section placement,
-/// the freshly created NoC, the fork-site → created-section map, the
-/// validated run's check report, and the fork verdict.
+/// the freshly created NoC, the fork-site → created-section map and the
+/// validated run's check report.
 pub(crate) struct Setup {
     pub(crate) core_of: Vec<CoreId>,
     pub(crate) network: Network<SectionId>,
     pub(crate) created_by: HashMap<usize, SectionId>,
     pub(crate) check: Option<Box<CheckReport>>,
-    /// How many clusters the event engine runs; the reference engine
-    /// never forks and ignores it.
-    pub(crate) clusters: usize,
-    pub(crate) fork_fallback: Option<ForkFallback>,
-}
-
-/// Whether the arena's static analysis authorises the parallel drain: a
-/// clean report whose drain verdict is `Certified`. Reuses the precheck
-/// report when validation already produced one; otherwise runs the full
-/// analysis here. Anything short of certified — violations, an
-/// unchecked/conflicted drain — answers `false` and the caller records a
-/// typed [`ForkFallback`] on the result.
-pub(crate) fn drain_fork_certified(arena: &TraceArena, precheck: Option<&CheckReport>) -> bool {
-    match precheck {
-        // A precheck report exists only for validated runs, which already
-        // rejected unclean arenas.
-        Some(report) => report.drain.is_certified(),
-        None => {
-            let report = parsecs_check::check_arena(arena);
-            report.is_clean() && report.drain.is_certified()
-        }
-    }
 }
 
 /// Classifies what a stalled control instruction is waiting on, for the
@@ -284,14 +236,6 @@ impl ManyCoreSim {
 
     /// Simulates an arena-backed trace with the event-driven engine.
     ///
-    /// With [`SimConfig::threads`] above one *and* both static
-    /// certificates — [`crate::DrainSafety::Certified`] for the arena
-    /// and [`crate::WalkSafety::Certified`] for the concrete cluster
-    /// partition — the run forks its fetch walk and drain rounds over a
-    /// scoped thread pool, bit-identical to the sequential path (see the
-    /// module docs). A withheld certificate makes the run sequential and
-    /// records the typed reason on [`SimResult::fork_fallback`].
-    ///
     /// # Errors
     ///
     /// Returns [`SimError::Config`] for an invalid configuration.
@@ -306,13 +250,10 @@ impl ManyCoreSim {
     /// entirely for [`NoopProbe`] (`P::ENABLED == false`), so the default
     /// path pays nothing. A probed run produces a [`SimResult`]
     /// bit-identical to the unprobed one — probes observe, they never
-    /// steer. Probe hooks fire only at the sequential seams of the event
-    /// loop (never inside the forked walk or drain compute), so a probe
-    /// needs no synchronisation and per-core event streams are identical
-    /// across thread counts and engines; only engine-specific gauges
-    /// ([`SimProbe::on_tick`], [`SimProbe::on_walk`],
-    /// [`SimProbe::on_drain_round`]) may differ between the event-driven
-    /// and reference engines.
+    /// steer. Per-core event streams are identical across engines; only
+    /// engine-specific gauges ([`SimProbe::on_tick`],
+    /// [`SimProbe::on_walk`], [`SimProbe::on_drain_round`]) may differ
+    /// between the event-driven and reference engines.
     ///
     /// # Errors
     ///
@@ -323,21 +264,14 @@ impl ManyCoreSim {
         probe: &mut P,
     ) -> Result<SimResult, SimError> {
         let setup = self.setup(arena)?;
-        let clusters = setup.clusters;
-        if clusters > 1 {
-            Pool::with(clusters, |pool| {
-                self.run_event(arena, setup, Some(pool), probe)
-            })
-        } else {
-            self.run_event(arena, setup, None, probe)
-        }
+        self.run_event(arena, setup, probe)
     }
 
     /// The engine setup both engines run once before timing starts:
     /// validate the configuration, run the static analysis when
     /// [`SimConfig::validate`] is on, place the sections and build the
-    /// NoC, decide the fork, and attach the configuration-aware verdicts
-    /// to the check report.
+    /// NoC, and attach the configuration-aware verdicts to the check
+    /// report.
     pub(crate) fn setup(&self, arena: &TraceArena) -> Result<Setup, SimError> {
         self.config.validate().map_err(SimError::Config)?;
         let mut check = self.precheck(arena)?;
@@ -349,67 +283,19 @@ impl ManyCoreSim {
             .iter()
             .filter_map(|s| s.creator.map(|(_, fork_seq)| (fork_seq, s.id)))
             .collect();
-        let (clusters, fork_fallback) = self.fork_decision(arena, check.as_deref(), &core_of);
         self.attach_verdicts(arena, check.as_deref_mut(), &core_of);
         Ok(Setup {
             core_of,
             network,
             created_by,
             check,
-            clusters,
-            fork_fallback,
         })
-    }
-
-    /// The fork decision both engines share: how many clusters to run
-    /// and, when a requested fork was withheld, the typed reason. Checks
-    /// the drain certificate first, then certifies the concrete cluster
-    /// partition; the reference engine computes the same verdict without
-    /// ever forking, keeping [`SimResult`]s bit-identical.
-    fn fork_decision(
-        &self,
-        arena: &TraceArena,
-        precheck: Option<&CheckReport>,
-        core_of: &[CoreId],
-    ) -> (usize, Option<ForkFallback>) {
-        let threads = self
-            .config
-            .effective_threads()
-            .min(self.config.cores.max(1));
-        if threads <= 1 {
-            return (1, None);
-        }
-        if !drain_fork_certified(arena, precheck) {
-            return (
-                1,
-                Some(ForkFallback {
-                    reason: FallbackReason::DrainUncertified,
-                }),
-            );
-        }
-        let hosts: Vec<usize> = core_of.iter().map(|c| c.0).collect();
-        let windows = cluster_windows(self.config.cores, threads);
-        if !certify_walk(self.config.cores, &windows, &hosts).is_certified() {
-            return (
-                1,
-                Some(ForkFallback {
-                    reason: FallbackReason::WalkUncertified,
-                }),
-            );
-        }
-        (threads, None)
     }
 
     /// Attaches the configuration-aware verdicts to a validated run's
     /// report, once the placement is known: the progress proof for this
-    /// (placement × chip) cell, the NoC/placement-weighted schedule
-    /// bounds, and the partition-agnostic walk certificate (the trivial one-window tiling plus every
-    /// ready-queue link inside the chip — `cluster_windows` tiles for
-    /// *every* cluster count by construction, so certifying the chip
-    /// once suffices; the concrete multi-cluster partition is
-    /// re-certified by [`ManyCoreSim::fork_decision`]). Deliberately
-    /// independent of [`SimConfig::threads`], so runs that differ only
-    /// in thread count attach identical reports.
+    /// (placement × chip) cell and the NoC/placement-weighted schedule
+    /// bounds.
     fn attach_verdicts(
         &self,
         arena: &TraceArena,
@@ -425,23 +311,14 @@ impl ManyCoreSim {
                 self.config.max_sections_per_core,
             ));
             report.schedule = Some(bound_schedule(arena, &hosts, &self.config.chip_model()));
-            report.walk = certify_walk(
-                self.config.cores,
-                &cluster_windows(self.config.cores, 1),
-                &hosts,
-            );
         }
     }
 
-    /// The event-driven engine over `clusters` clusters, optionally
-    /// forking the per-cycle walk and large drain rounds over `pool`.
-    /// Single-cluster/no-pool is the sequential path; both run the same
-    /// walk and drain code in the same order.
+    /// The event-driven engine.
     fn run_event<P: SimProbe>(
         &self,
         arena: &TraceArena,
         setup: Setup,
-        pool: Option<&Pool>,
         probe: &mut P,
     ) -> Result<SimResult, SimError> {
         let sections = arena.sections();
@@ -452,26 +329,18 @@ impl ManyCoreSim {
             mut network,
             created_by,
             check,
-            clusters,
-            fork_fallback,
         } = setup;
         let mut resolver = Resolver::new(&self.config, arena, n);
 
         let mut chip = ChipState::new(self.config.cores, sections.len());
         let mut stalls = StallTable::new(sections.len());
-        let mut clusters: Vec<Cluster> = partition(self.config.cores, clusters);
-        let sizes: Vec<usize> = clusters.iter().map(|c| c.len).collect();
-        // Cluster of each core, for routing deliveries and requeues.
-        let mut cluster_of = vec![0u32; self.config.cores];
-        for (ci, c) in clusters.iter().enumerate() {
-            cluster_of[c.start..c.start + c.len].fill(ci as u32);
-        }
+        let mut cluster = Cluster::new(self.config.cores);
         let mut completions: Vec<(usize, u64)> = Vec::new();
         let mut delivered = Vec::new();
         let mut forced_stall_releases = 0u64;
         // Always-on cycle attribution: fed from the same deterministic
-        // section/stall events as the probe, at the sequential seams only,
-        // so it is bit-identical across engines, thread counts and probes.
+        // section/stall events as the probe, so it is bit-identical across
+        // engines and probes.
         let mut attr = CycleAttribution::new(self.config.cores);
 
         // The initial section is live from cycle 0 on its core; its first
@@ -481,8 +350,7 @@ impl ManyCoreSim {
             chip.current[root_core] = 0;
             chip.next_seq[root_core] = sections[0].start as u32;
             chip.sections_hosted[root_core] = 1;
-            let ci = cluster_of[root_core] as usize;
-            schedule(&mut chip, &mut clusters[ci], root_core, 1);
+            schedule(&mut chip, &mut cluster, root_core, 1);
             attr.begin_root(root_core);
             if P::ENABLED {
                 probe.on_section_begin(root_core, 0, 0, false);
@@ -495,11 +363,11 @@ impl ManyCoreSim {
 
         while fetched < n || resolver.resolved < n {
             // --- pick the next cycle with an event -----------------------
-            let any_running = clusters.iter().any(|c| !c.running.is_empty());
-            let target = if !any_running {
-                let candidate = clusters
-                    .iter()
-                    .filter_map(|c| c.wakes.next_at())
+            let target = if cluster.running.is_empty() {
+                let candidate = cluster
+                    .wakes
+                    .next_at()
+                    .into_iter()
                     .chain(network.next_arrival())
                     .chain(stalls.next_requeue())
                     .min();
@@ -557,8 +425,7 @@ impl ManyCoreSim {
                 }
                 if chip.current[idx] == NO_SECTION && !chip.running[idx] {
                     // An idle core dequeues the resumed section this cycle.
-                    let ci = cluster_of[idx] as usize;
-                    schedule(&mut chip, &mut clusters[ci], idx, cycle);
+                    schedule(&mut chip, &mut cluster, idx, cycle);
                 }
             }
 
@@ -573,32 +440,28 @@ impl ManyCoreSim {
                 }
                 if chip.current[idx] == NO_SECTION && !chip.running[idx] {
                     // An idle core dequeues the message this very cycle.
-                    let ci = cluster_of[idx] as usize;
-                    schedule(&mut chip, &mut clusters[ci], idx, cycle);
+                    schedule(&mut chip, &mut cluster, idx, cycle);
                 }
             }
 
-            // --- fetch-decode phase: the per-cluster walk ----------------
-            // Each cluster steps its acting cores in ascending local
-            // order; cross-cluster effects are buffered and committed in
-            // cluster order below, replaying the sequential engine's
-            // global ascending-core order (see `crate::cluster`).
-            let active: usize = clusters.iter().map(|c| c.running.len).sum();
-            let walk_forked = clusters.len() > 1 && pool.is_some() && active >= WALK_FORK_MIN;
+            // --- fetch-decode phase: the walk ----------------------------
+            // The walk steps the acting cores in ascending order and
+            // buffers its effects on the resolver, the NoC, the stall
+            // table and the attribution table; they are committed below
+            // in the same order (see `crate::cluster`).
             if P::ENABLED {
                 probe.on_tick(TickGauges {
                     cycle,
-                    running: active as u64,
-                    calendar_depth: clusters.iter().map(|c| c.wakes.len()).sum::<usize>() as u64,
+                    running: cluster.running.len as u64,
+                    calendar_depth: cluster.wakes.len() as u64,
                     noc_in_flight: network.in_flight() as u64,
                     parked: stalls.parked() as u64,
                 });
-                probe.on_walk(cycle, clusters.len(), active, walk_forked);
+                probe.on_walk(cycle, cluster.running.len);
             }
-            if clusters.len() == 1 {
-                // Sequential fast path: the whole chip is one window, so
-                // the walk borrows the columns directly — no per-cycle
-                // view allocation on the hot loop.
+            {
+                // The walk borrows the columns directly — no per-cycle
+                // allocation on the hot loop.
                 let (mut view, queue_next) = chip.view_all();
                 let ctx = WalkCtx {
                     arena,
@@ -610,86 +473,52 @@ impl ManyCoreSim {
                     fetch_stalls: self.config.fetch_stalls_on_unresolved_control,
                     cycle,
                 };
-                walk_cluster(&mut clusters[0], &mut view, &ctx);
-            } else {
-                let (views, queue_next) = chip.split(&sizes);
-                let ctx = WalkCtx {
-                    arena,
-                    sections,
-                    created_by: &created_by,
-                    complete: &resolver.complete,
-                    resume_at: stalls.resume_points(),
-                    queue_next,
-                    fetch_stalls: self.config.fetch_stalls_on_unresolved_control,
-                    cycle,
-                };
-                match pool {
-                    Some(pool) if active >= WALK_FORK_MIN => {
-                        let tasks: Vec<Mutex<_>> = clusters
-                            .iter_mut()
-                            .zip(views)
-                            .map(|(c, v)| Mutex::new((c, v)))
-                            .collect();
-                        pool.broadcast(&|worker| {
-                            let mut task = tasks[worker].lock().expect("no panicking jobs");
-                            let (cluster, view) = &mut *task;
-                            walk_cluster(cluster, view, &ctx);
-                        });
-                    }
-                    _ => {
-                        for (cluster, mut view) in clusters.iter_mut().zip(views) {
-                            walk_cluster(cluster, &mut view, &ctx);
-                        }
-                    }
+                walk_cluster(&mut cluster, &mut view, &ctx);
+            }
+            // Commit the buffered effects in ascending core order:
+            // fetches into the resolver, fork messages onto the NoC,
+            // consumed resume points cleared, section lifetime events
+            // into the attribution table and the probe.
+            fetched += cluster.fetched.len();
+            for &seq in &cluster.fetched {
+                resolver.fetch(seq as usize, cycle);
+            }
+            cluster.fetched.clear();
+            for &(src, child) in &cluster.sends {
+                let child = SectionId(child as usize);
+                let dst = core_of[child.0];
+                network.send(CoreId(src as usize), dst, child, cycle);
+                if P::ENABLED {
+                    probe.on_noc_send(src as usize, dst.0, child.0 as u32, cycle);
                 }
             }
-            // Commit the buffered effects in cluster (= ascending core)
-            // order: fetches into the resolver, fork messages onto the
-            // NoC, consumed resume points cleared, section lifetime
-            // events into the attribution table and the probe.
-            for cluster in clusters.iter_mut() {
-                fetched += cluster.fetched.len();
-                for &seq in &cluster.fetched {
-                    resolver.fetch(seq as usize, cycle);
+            cluster.sends.clear();
+            for &(core, sid, resumed) in &cluster.began {
+                if resumed {
+                    stalls.clear_resume(sid as usize);
                 }
-                cluster.fetched.clear();
-                for &(src, child) in &cluster.sends {
-                    let child = SectionId(child as usize);
-                    let dst = core_of[child.0];
-                    network.send(CoreId(src as usize), dst, child, cycle);
-                    if P::ENABLED {
-                        probe.on_noc_send(src as usize, dst.0, child.0 as u32, cycle);
-                    }
+                attr.begin(core as usize, cycle);
+                if P::ENABLED {
+                    probe.on_section_begin(core as usize, sid, cycle, resumed);
                 }
-                cluster.sends.clear();
-                let start = cluster.start;
-                for &(local, sid, resumed) in &cluster.began {
-                    if resumed {
-                        stalls.clear_resume(sid as usize);
-                    }
-                    attr.begin(start + local as usize, cycle);
-                    if P::ENABLED {
-                        probe.on_section_begin(start + local as usize, sid, cycle, resumed);
-                    }
-                }
-                cluster.began.clear();
-                for &(local, sid, with_fetch) in &cluster.ended {
-                    let core = start + local as usize;
-                    if with_fetch {
-                        attr.end_fetch(core, cycle);
-                    } else {
-                        attr.end_nofetch(core, cycle);
-                    }
-                    if P::ENABLED {
-                        probe.on_section_end(core, sid, cycle, with_fetch);
-                    }
-                }
-                cluster.ended.clear();
             }
+            cluster.began.clear();
+            for &(core, sid, with_fetch) in &cluster.ended {
+                let core = core as usize;
+                if with_fetch {
+                    attr.end_fetch(core, cycle);
+                } else {
+                    attr.end_nofetch(core, cycle);
+                }
+                if P::ENABLED {
+                    probe.on_section_end(core, sid, cycle, with_fetch);
+                }
+            }
+            cluster.ended.clear();
 
             // --- dependence resolution -----------------------------------
             completions.clear();
-            resolver.drain(&network, &core_of, &mut completions, pool, cycle, probe);
+            resolver.drain(&network, &core_of, &mut completions, cycle, probe);
 
             // A completion that a parked section stalls on is its modeled
             // release event: requeue the section on the first cycle after
@@ -710,15 +539,10 @@ impl ManyCoreSim {
             // this very cycle's drain) stalls in place until just past
             // it; an unknown one hands the core off to its queued
             // sections and parks.
-            for cluster in clusters.iter_mut() {
-                if cluster.newly_stalled.is_empty() {
-                    continue;
-                }
+            if !cluster.newly_stalled.is_empty() {
                 let mut stalled = std::mem::take(&mut cluster.newly_stalled);
-                let (start, len) = (cluster.start, cluster.len);
-                for &local in &stalled {
-                    let local = local as usize;
-                    let idx = start + local;
+                for &idx in &stalled {
+                    let idx = idx as usize;
                     if chip.stall_on[idx] == NO_STALL {
                         continue;
                     }
@@ -737,11 +561,9 @@ impl ManyCoreSim {
                                 );
                             }
                             if wake > cycle + 1 {
-                                cluster
-                                    .running
-                                    .remove(&mut chip.running[start..start + len], local);
+                                cluster.running.remove(&mut chip.running, idx);
                                 chip.wake_at[idx] = wake;
-                                cluster.wakes.push(wake, local);
+                                cluster.wakes.push(wake, idx);
                             }
                         }
                         None => {
@@ -760,9 +582,7 @@ impl ManyCoreSim {
                             }
                             stalls.park(idx, &mut chip, seq);
                             if chip.queue_head[idx] == NO_SECTION {
-                                cluster
-                                    .running
-                                    .remove(&mut chip.running[start..start + len], local);
+                                cluster.running.remove(&mut chip.running, idx);
                             }
                         }
                     }
@@ -782,7 +602,6 @@ impl ManyCoreSim {
             network.stats(),
             forced_stall_releases,
             check,
-            fork_fallback,
             attribution,
         )
     }
@@ -826,7 +645,6 @@ impl ManyCoreSim {
         noc: NocStats,
         forced_stall_releases: u64,
         check: Option<Box<CheckReport>>,
-        fork_fallback: Option<ForkFallback>,
         attribution: Vec<CoreBreakdown>,
     ) -> Result<SimResult, SimError> {
         let timings: Vec<InstTiming> = if self.config.record_timings {
@@ -961,7 +779,7 @@ impl ManyCoreSim {
             core_of,
             stats,
             check,
-            fork_fallback,
+            fork_fallback: None,
         })
     }
 
@@ -1566,110 +1384,40 @@ t3:     movq $w, %rcx
         }
     }
 
+    /// The bridge the benchmark relies on: `threads` is ignored, so a run
+    /// asking for two threads is the one-thread run, field for field, on
+    /// both engines and in both stats modes, and carries no fallback.
     #[test]
-    fn threaded_runs_match_sequential_bit_for_bit() {
+    fn the_ignored_thread_count_never_changes_a_run() {
         let data: Vec<u64> = (1..=200).collect();
-        let program = sum_fork_program(&data);
-        let arena = arena_of(&program);
-        for record in [true, false] {
-            let mut base = SimConfig::with_cores(64);
-            base.record_timings = record;
-            let sequential = ManyCoreSim::new(base.clone().with_threads(1))
-                .simulate_arena(&arena)
-                .expect("sequential simulates");
-            let threaded = ManyCoreSim::new(base.with_threads(4))
-                .simulate_arena(&arena)
-                .expect("threaded simulates");
-            assert_eq!(sequential, threaded, "record_timings = {record}");
+        let arena = arena_of(&sum_fork_program(&data));
+        for record_timings in [true, false] {
+            let one = SimConfig {
+                record_timings,
+                ..SimConfig::with_cores(64)
+            };
+            let two = ManyCoreSim::new(SimConfig {
+                threads: 2,
+                ..one.clone()
+            });
+            let one = ManyCoreSim::new(one);
+            let event = two.simulate_arena(&arena).expect("simulates");
+            assert_eq!(
+                event,
+                one.simulate_arena(&arena).expect("simulates"),
+                "event engine, record_timings = {record_timings}"
+            );
+            let reference = two
+                .simulate_reference(&arena, &mut NoopProbe)
+                .expect("simulates");
+            assert_eq!(
+                reference,
+                one.simulate_reference(&arena, &mut NoopProbe)
+                    .expect("simulates"),
+                "reference engine, record_timings = {record_timings}"
+            );
+            assert_eq!(event.fork_fallback, None);
+            assert_eq!(reference.fork_fallback, None);
         }
-    }
-
-    #[test]
-    fn uncertified_arenas_fall_back_to_the_sequential_drain() {
-        // Instruction 1 claims a local register producer that instruction
-        // 0 never wrote: a writer-discipline violation the simulator can
-        // still execute (the claimed producer is in bounds and earlier).
-        let mut arena = TraceArena::new();
-        let bogus = arena.intern_mnemonic("bogus");
-        arena.begin_record(
-            0,
-            bogus,
-            SectionId(0),
-            TraceKind::Other,
-            false,
-            false,
-            false,
-        );
-        arena.end_record(0);
-        arena.begin_record(
-            1,
-            bogus,
-            SectionId(0),
-            TraceKind::Other,
-            false,
-            false,
-            false,
-        );
-        arena.push_dep(crate::PackedDep::from_raw_parts(1, 0, 0));
-        arena.end_record(1);
-        arena.push_section(SectionSpan {
-            id: SectionId(0),
-            start: 0,
-            end: 2,
-            creator: None,
-            start_ip: 0,
-        });
-        assert!(
-            !drain_fork_certified(&arena, None),
-            "a writer-discipline violation must withhold the fork certificate"
-        );
-
-        // The threaded configuration falls back to the sequential drain,
-        // produces the sequential result, and — instead of staying
-        // silent — records the typed reason for the withheld fork.
-        let mut config = SimConfig::with_cores(4);
-        config.validate = false;
-        let sim_seq = ManyCoreSim::new(config.clone().with_threads(1));
-        let sim_thr = ManyCoreSim::new(config.with_threads(4));
-        let sequential = sim_seq
-            .simulate_arena(&arena)
-            .expect("sequential simulates");
-        let mut threaded = sim_thr
-            .simulate_arena(&arena)
-            .expect("falls back and simulates");
-        assert_eq!(
-            sequential.fork_fallback, None,
-            "a run that never asked to fork reports no fallback"
-        );
-        assert_eq!(
-            threaded.fork_fallback,
-            Some(ForkFallback {
-                reason: FallbackReason::DrainUncertified,
-            }),
-            "the corrupt arena's withheld fork must carry its typed reason"
-        );
-        assert!(threaded
-            .fork_fallback
-            .expect("typed")
-            .to_string()
-            .contains("drain uncertified"));
-        // Modulo the fallback record, the fallback run is bit-identical
-        // to the genuinely sequential one.
-        threaded.fork_fallback = None;
-        assert_eq!(sequential, threaded);
-    }
-
-    #[test]
-    fn certified_threaded_runs_report_no_fallback() {
-        let data: Vec<u64> = (1..=40).collect();
-        let program = sum_fork_program(&data);
-        let arena = arena_of(&program);
-        let result = ManyCoreSim::new(SimConfig::with_cores(64).with_threads(4))
-            .simulate_arena(&arena)
-            .expect("simulates");
-        assert_eq!(
-            result.fork_fallback, None,
-            "both certificates hold, so the fork runs and nothing is withheld"
-        );
     }
 }

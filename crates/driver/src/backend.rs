@@ -209,9 +209,6 @@ pub(crate) fn manycore_label(config: &SimConfig) -> String {
     if !config.record_timings {
         name.push_str(":stats");
     }
-    if config.threads != defaults.threads {
-        name.push_str(&format!(":t{}", config.threads));
-    }
     if config.validate {
         name.push_str(":validate");
     }
@@ -394,17 +391,11 @@ mod tests {
 
     #[test]
     fn manycore_label_assembles_every_suffix_in_one_place() {
-        // Threading gets its own suffix, stacked in the helper's fixed
-        // order after `:stats`; one thread is the default and unlabelled.
-        let threaded = ManyCoreBackend::new(SimConfig::with_cores(8).with_threads(4));
-        assert_eq!(threaded.name(), "manycore:8c:round-robin:t4");
-        assert_eq!(
-            ManyCoreBackend::new(SimConfig::with_cores(8).with_threads(1)).name(),
-            "manycore:8c:round-robin"
-        );
-        let config = SimConfig::with_cores(8).stats_only().with_threads(2);
+        // Suffixes stack in the helper's fixed order: `:stats` before
+        // `:validate`.
+        let config = SimConfig::with_cores(8).stats_only().validated();
         let stacked = ManyCoreBackend::new(config.clone());
-        assert_eq!(stacked.name(), "manycore:8c:round-robin:stats:t2");
+        assert_eq!(stacked.name(), "manycore:8c:round-robin:stats:validate");
         // The backend's public name and the helper agree by construction.
         assert_eq!(stacked.name(), manycore_label(&config));
     }

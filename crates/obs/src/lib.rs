@@ -3,7 +3,7 @@
 //! The simulator engines in `parsecs-core` are instrumented with a
 //! [`SimProbe`] trait whose hooks sit at the event loop's hot seams:
 //! section begin/park/requeue/retire, fetch stalls with a typed
-//! [`StallCause`], NoC send/deliver, drain rounds and cluster walks. The
+//! [`StallCause`], NoC send/deliver, drain rounds and fetch walks. The
 //! probe is a *generic parameter*, not a trait object: every engine entry
 //! point is monomorphized per probe type, and the default [`NoopProbe`]
 //! (with [`SimProbe::ENABLED`]` = false`) compiles every hook — and the

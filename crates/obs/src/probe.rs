@@ -87,11 +87,10 @@ pub struct TickGauges {
 /// (the [`NoopProbe`]) monomorphizes to the uninstrumented loop — the
 /// hook arguments are never even computed.
 ///
-/// Hooks fire only from *sequential* engine phases (never from inside a
-/// forked walk or drain round), in a deterministic order for a given
-/// engine: per-core event streams (begin/end/park/requeue/stall) are
-/// identical across engines, thread counts and stats modes; tick and
-/// walk/drain gauges are engine-specific views.
+/// Hooks fire in a deterministic order for a given engine: per-core
+/// event streams (begin/end/park/requeue/stall) are identical across
+/// engines and stats modes; tick and walk/drain gauges are
+/// engine-specific views.
 pub trait SimProbe {
     /// Whether hook call sites are compiled in. Leave at the default
     /// `true` for every observing probe; only [`NoopProbe`] sets `false`.
@@ -151,13 +150,11 @@ pub trait SimProbe {
     fn on_noc_deliver(&mut self, _to: usize, _sid: u32, _cycle: u64) {}
 
     /// The resolver ran completion-drain round `round` of width `width`
-    /// while processing `cycle` (`forked` when the round ran on the
-    /// pool).
-    fn on_drain_round(&mut self, _cycle: u64, _round: usize, _width: usize, _forked: bool) {}
+    /// while processing `cycle`.
+    fn on_drain_round(&mut self, _cycle: u64, _round: usize, _width: usize) {}
 
-    /// The fetch walk visited `clusters` clusters with `active` cores on
-    /// run lists at `cycle` (`forked` when the walk ran on the pool).
-    fn on_walk(&mut self, _cycle: u64, _clusters: usize, _active: usize, _forked: bool) {}
+    /// The fetch walk ran with `active` cores on the run list at `cycle`.
+    fn on_walk(&mut self, _cycle: u64, _active: usize) {}
 }
 
 /// The default probe: observes nothing, costs nothing.
@@ -257,10 +254,10 @@ impl SimProbe for CountingProbe {
     fn on_noc_deliver(&mut self, _to: usize, _sid: u32, _cycle: u64) {
         self.noc_delivers += 1;
     }
-    fn on_drain_round(&mut self, _cycle: u64, _round: usize, _width: usize, _forked: bool) {
+    fn on_drain_round(&mut self, _cycle: u64, _round: usize, _width: usize) {
         self.drain_rounds += 1;
     }
-    fn on_walk(&mut self, _cycle: u64, _clusters: usize, _active: usize, _forked: bool) {
+    fn on_walk(&mut self, _cycle: u64, _active: usize) {
         self.walks += 1;
     }
 }

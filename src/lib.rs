@@ -81,6 +81,8 @@
 //! assert!(points.iter().all(|p| p.report().unwrap().outputs == vec![210]));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use parsecs_asm as asm;
 pub use parsecs_cc as cc;
 pub use parsecs_check as check;

@@ -365,9 +365,7 @@ proptest! {
     /// park/handoff runtime relaxes capacity and completes these runs —
     /// `PotentialCycle` with a quiet detector is the expected,
     /// consistent outcome; the prover's hold-slot model is strictly
-    /// stricter.) Each chip runs at `threads ∈ {1, 4}`; the reference
-    /// engine ignores `threads`, so matching it pins the four-thread run
-    /// to the sequential one.
+    /// stricter.)
     #[test]
     fn capacity_starved_chains_are_flagged_and_consistent_with_the_detector(
         seed in proptest::strategy::any::<u64>(),
@@ -381,11 +379,8 @@ proptest! {
             sections > 256,
             "a {}-element chain made only {} sections", elements, sections
         );
-        for (cores, threads) in [(64usize, 1usize), (64, 4), (256, 1), (256, 4)] {
-            let mut config = SimConfig::with_cores(cores)
-                .stats_only()
-                .validated()
-                .with_threads(threads);
+        for cores in [64usize, 256] {
+            let mut config = SimConfig::with_cores(cores).stats_only().validated();
             config.max_sections_per_core = 1;
             let sim = ManyCoreSim::new(config);
             let event = sim.simulate_arena(&arena).expect("event engine simulates");
@@ -394,7 +389,7 @@ proptest! {
                 .expect("reference engine simulates");
             prop_assert_eq!(
                 &event, &reference,
-                "engines diverge at {} cores, {} threads", cores, threads
+                "engines diverge at {} cores", cores
             );
             let report = event.check.as_ref().expect("validated run attaches a report");
             let progress = report

@@ -11,11 +11,9 @@
 //! stress NoC, a mesh topology and an idealised fetch that never stalls
 //! on control.
 //!
-//! Every event-engine cell is also run at `threads = 4` (the
-//! cluster-sharded engine with its forked walk and drain) and validated
-//! (the full static analysis first). Both must reproduce the sequential
-//! run exactly, apart from the fork verdict and the attached report, so
-//! the table pins those modes too.
+//! Every event-engine cell is also run validated (the full static
+//! analysis first). It must reproduce the sequential run exactly, apart
+//! from the attached report, so the table pins that mode too.
 //!
 //! [`DRIVER_GOLDEN`] pins the same thing one layer up, through the
 //! driver's `execute_fueled`: the paper's sum example on every backend,
@@ -296,11 +294,10 @@ fn row(
 }
 
 /// Checks that `other` reproduces the sequential event run `sequential`
-/// in every field but the fork verdict and the static-analysis report.
+/// in every field but the static-analysis report.
 fn assert_same_run(sequential: &SimResult, other: &SimResult, what: &str) {
     let mut other = other.clone();
     other.check = None;
-    other.fork_fallback = None;
     assert!(
         other == *sequential,
         "{what}: differs from the sequential run"
@@ -308,8 +305,8 @@ fn assert_same_run(sequential: &SimResult, other: &SimResult, what: &str) {
 }
 
 /// Runs every (shape, config, stats mode, engine) cell, checking each
-/// run's outputs against the shape's Rust oracle, and the threaded and
-/// validated event runs against the sequential one.
+/// run's outputs against the shape's Rust oracle, and the validated
+/// event run against the sequential one.
 fn recompute() -> Vec<Row> {
     let mut rows = Vec::new();
     for (shape, program, fuel, expected, cores) in shapes() {
@@ -332,14 +329,6 @@ fn recompute() -> Vec<Row> {
                     assert_eq!(result.outputs, expected, "{what} {engine}: wrong outputs");
                     rows.push(row(shape, name, engine, stats_only, result));
                 }
-                let threaded = ManyCoreSim::new(config.clone().with_threads(4))
-                    .simulate_arena(&arena)
-                    .expect("simulates");
-                assert_eq!(
-                    threaded.fork_fallback, None,
-                    "{what}: the four-thread run did not fork"
-                );
-                assert_same_run(&event, &threaded, &format!("{what} at four threads"));
                 let validated = ManyCoreSim::new(config.validated())
                     .simulate_arena(&arena)
                     .expect("simulates");

@@ -9,10 +9,7 @@
 //! forward conditional jumps over random blocks, nested forks) and random
 //! chip configurations (core count, placement policy, topology, NoC
 //! timing, ejection bandwidth, section capacity, renaming-walk and DMH
-//! charges, fetch-stall mode) and asserts full equality. Every
-//! configuration is additionally exercised on the `threads ∈ {1, 4}`
-//! axis: the cluster-sharded parallel engine must reproduce the
-//! sequential run bit-for-bit, in recording and stats-only mode alike.
+//! charges, fetch-stall mode) and asserts full equality.
 
 use parsecs::core::{
     ChainAffine, CountingProbe, LoadAware, ManyCoreSim, NoopProbe, Placement, SimConfig, TraceArena,
@@ -303,12 +300,6 @@ proptest! {
                     sim.config()
                 );
             }
-            prop_assert!(
-                report.walk.is_certified(),
-                "seed {}: trivial partition not walk-certified: {:?}",
-                seed,
-                report.walk
-            );
             let bounds = report.bounds.as_ref().expect("clean arenas are bounded");
             prop_assert!(
                 event.stats.total_cycles >= bounds.critical_path,
@@ -378,79 +369,6 @@ proptest! {
                 stats.timings.is_empty(),
                 "seed {}: stats-only run materialised a stage table",
                 seed
-            );
-            // The threads axis: the cluster-sharded engine (threads = 4,
-            // certified drain fork armed) must stay bit-identical to the
-            // single-cluster sequential walk (threads = 1), in both the
-            // recording and the stats-only mode.
-            let seq = ManyCoreSim::new(sim.config().clone().with_threads(1));
-            let par = ManyCoreSim::new(sim.config().clone().with_threads(4));
-            let par_result = par.simulate_arena(&arena).expect("threaded engine simulates");
-            // Never silent: a threaded run either carries both static
-            // certificates (drain and walk) or a typed fallback reason.
-            let par_report = par_result
-                .check
-                .as_ref()
-                .expect("threaded validated run attaches a report");
-            prop_assert!(
-                par_result.fork_fallback.is_some()
-                    || (par_report.drain.is_certified() && par_report.walk.is_certified()),
-                "seed {} under {:?}: threaded run is silent about its fork decision",
-                seed,
-                par.config()
-            );
-            // The lb sandwich holds on the threaded engine too (the
-            // bounds are placement-, not thread-, dependent, so they
-            // must be bit-identical to the sequential report's).
-            let par_schedule = par_report
-                .schedule
-                .as_ref()
-                .expect("threaded validated runs attach schedule bounds");
-            prop_assert!(
-                bounds.critical_path <= par_schedule.lb
-                    && par_schedule.lb <= par_result.stats.total_cycles,
-                "seed {} under {:?}: threaded lb sandwich broken ({} / {} / {})",
-                seed,
-                par.config(),
-                bounds.critical_path,
-                par_schedule.lb,
-                par_result.stats.total_cycles
-            );
-            prop_assert_eq!(
-                &par_result,
-                &seq.simulate_arena(&arena).expect("sequential engine simulates"),
-                "seed {} under {:?}: threaded run diverges",
-                seed,
-                par.config()
-            );
-            let stats_par =
-                ManyCoreSim::new(sim.config().clone().stats_only().with_threads(4));
-            prop_assert_eq!(
-                &stats_par.simulate_arena(&arena).expect("threaded stats-only simulates"),
-                &stats,
-                "seed {} under {:?}: threaded stats-only run diverges",
-                seed,
-                stats_par.config()
-            );
-            // The probe axis crossed with the threads axis: probes only
-            // fire at the sequential seams of the forked walk/drain, so a
-            // probed threaded run stays bit-identical and observes the
-            // exact event stream of the probed sequential run.
-            let mut par_counting = CountingProbe::default();
-            prop_assert_eq!(
-                &par.simulate_arena_probed(&arena, &mut par_counting)
-                    .expect("probed threaded engine simulates"),
-                &par_result,
-                "seed {} under {:?}: the counting probe steered the threaded engine",
-                seed,
-                par.config()
-            );
-            prop_assert_eq!(
-                par_counting.events(),
-                counting.events(),
-                "seed {} under {:?}: probe event streams diverge across thread counts",
-                seed,
-                par.config()
             );
         }
     }
@@ -560,29 +478,6 @@ proptest! {
                 "seed {} under {:?}: engines diverge stats-only",
                 seed,
                 stats_sim.config()
-            );
-            // The threads axis on the contended writer chains: the
-            // parallel completion drain commits in sequence order, so the
-            // threaded run reproduces `event` (already pinned to the
-            // cycle-stepping reference above) bit-for-bit.
-            let par = ManyCoreSim::new(sim.config().clone().with_threads(4));
-            let par_result = par.simulate_arena(&arena).expect("threaded engine simulates");
-            prop_assert!(
-                par_result.fork_fallback.is_some()
-                    || par_result
-                        .check
-                        .as_ref()
-                        .is_some_and(|r| r.drain.is_certified() && r.walk.is_certified()),
-                "seed {} under {:?}: threaded run is silent about its fork decision",
-                seed,
-                par.config()
-            );
-            prop_assert_eq!(
-                &par_result,
-                &event,
-                "seed {} under {:?}: threaded run diverges",
-                seed,
-                par.config()
             );
         }
     }
