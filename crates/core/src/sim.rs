@@ -459,22 +459,20 @@ impl ManyCoreSim {
                 });
                 probe.on_walk(cycle, cluster.running.len);
             }
-            {
-                // The walk borrows the columns directly — no per-cycle
-                // allocation on the hot loop.
-                let (mut view, queue_next) = chip.view_all();
-                let ctx = WalkCtx {
-                    arena,
-                    sections,
-                    created_by: &created_by,
-                    complete: &resolver.complete,
-                    resume_at: stalls.resume_points(),
-                    queue_next,
-                    fetch_stalls: self.config.fetch_stalls_on_unresolved_control,
-                    cycle,
-                };
-                walk_cluster(&mut cluster, &mut view, &ctx);
-            }
+            // The walk borrows the columns directly — no per-cycle
+            // allocation on the hot loop.
+            let (mut view, queue_next) = chip.view_all();
+            let ctx = WalkCtx {
+                arena,
+                sections,
+                created_by: &created_by,
+                complete: &resolver.complete,
+                resume_at: stalls.resume_points(),
+                queue_next,
+                fetch_stalls: self.config.fetch_stalls_on_unresolved_control,
+                cycle,
+            };
+            walk_cluster(&mut cluster, &mut view, &ctx);
             // Commit the buffered effects in ascending core order:
             // fetches into the resolver, fork messages onto the NoC,
             // consumed resume points cleared, section lifetime events
