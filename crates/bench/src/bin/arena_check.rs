@@ -7,8 +7,6 @@
 //! pipeline and runs the full static analysis:
 //!
 //! * the **invariant validator** must come back clean (zero violations);
-//! * the **race certifier** must issue [`DrainSafety::Certified`], and
-//!   the table records the round count and the widest round;
 //! * the **bounds analyzer**'s critical path is cross-checked against
 //!   the event-driven engine at 64, 256 and 1024 cores: every
 //!   configuration must retire in `total_cycles ≥ critical_path`;
@@ -20,39 +18,30 @@
 //!   abstraction is deliberately conservative about section capacity);
 //! * the **schedule analyzer** (`bound_schedule`) runs on every cell's
 //!   exact placement and chip model: the certified NoC-weighted lower
-//!   bound must satisfy `critical_path ≤ lb ≤ cycles`, and the
-//!   uncertified list-schedule predictor is *scored* — the Spearman
-//!   rank correlation between `predicted_cycles` and measured cycles,
-//!   pooled over every completed grid cell, is recorded in the JSON
-//!   summary row and gated `ρ ≥ 0.8` in full (non-`--quick`) runs.
+//!   bound must satisfy `critical_path ≤ lb ≤ cycles`.
 //!
-//! Any violation, missing certificate, undercut bound,
-//! proven-but-deadlocked disagreement or (full runs) failed
-//! rank-correlation gate fails the run (exit 1). CI runs `--quick` and
-//! uploads the table next to the bench grids.
+//! Any violation, undercut bound or proven-but-deadlocked disagreement
+//! fails the run (exit 1). CI runs `--quick` and uploads the table next
+//! to the bench grids.
 //!
-//! Usage: `arena_check [--quick] [--progress] [--schedule] [--json [PATH]]` — `--quick` shrinks the instances for CI smoke runs
-//! (default JSON path `BENCH_check.json`); `--progress` adds the
-//! prover's verdict, longest wait chain and witness length to the
-//! printed table; `--schedule` adds the schedule-bound columns (lb per
-//! grid entry, binding terms, worst tightness) — the JSON always
-//! carries both.
+//! Usage: `arena_check [--quick] [--progress] [--schedule] [--json [PATH]]`
+//! — `--quick` shrinks the instances for CI smoke runs (default JSON
+//! path `BENCH_check.json`); `--progress` adds the prover's verdict,
+//! longest wait chain and witness length to the printed table;
+//! `--schedule` adds the schedule-bound columns (lb per grid entry,
+//! binding terms, worst tightness) — the JSON always carries both.
 
 use parsecs_bench::harness::{exit_on_failures, Cli};
-use parsecs_bench::{json, spearman};
+use parsecs_bench::json;
 use parsecs_core::{
-    bound_schedule, check_arena, prove_progress, DrainSafety, ManyCoreSim, Progress,
-    ScheduleBounds, SimConfig, SimError, TraceArena,
+    bound_schedule, check_arena, prove_progress, ManyCoreSim, Progress, ScheduleBounds, SimConfig,
+    SimError, TraceArena,
 };
 use parsecs_isa::Program;
 use parsecs_workloads::scale;
 
 /// Chip sizes the critical-path bound is cross-checked at.
 const CORE_GRID: [usize; 3] = [64, 256, 1024];
-
-/// Minimum Spearman rank correlation between the list-schedule
-/// prediction and the measured cycles, gated in full (non-quick) runs.
-const RHO_GATE: f64 = 0.8;
 
 struct Target {
     name: String,
@@ -65,7 +54,6 @@ struct Row {
     instructions: usize,
     sections: usize,
     violations: usize,
-    drain: DrainSafety,
     critical_path: u64,
     ilp_width: f64,
     /// Simulated retirement span per entry of [`CORE_GRID`].
@@ -192,7 +180,6 @@ fn analyze(target: &Target) -> Row {
         instructions: report.instructions,
         sections: report.sections,
         violations: report.violations.len(),
-        drain: report.drain.clone(),
         critical_path,
         ilp_width,
         cycles,
@@ -254,42 +241,7 @@ fn progress_row_summary(row: &Row) -> String {
     }
 }
 
-fn drain_summary(drain: &DrainSafety) -> String {
-    match drain {
-        DrainSafety::Certified {
-            rounds,
-            max_round_width,
-        } => format!("certified ({rounds} rounds, width {max_round_width})"),
-        DrainSafety::Conflict {
-            round,
-            first,
-            second,
-        } => {
-            format!("CONFLICT round {round}: records {first}/{second}")
-        }
-        DrainSafety::Unchecked => "unchecked".into(),
-        _ => "unknown".into(),
-    }
-}
-
-/// The trailing summary row: the pooled predictor score over every
-/// completed grid cell, and whether the `ρ ≥ 0.8` gate applies (full
-/// runs) and passes.
-fn summary_json(rho: Option<f64>, pairs: usize, gated: bool) -> String {
-    json::Obj::new()
-        .field("summary", true)
-        .field("predictor_pairs", pairs)
-        .fixed("spearman_rho", rho.unwrap_or(f64::NAN), 4)
-        .fixed("rho_gate", RHO_GATE, 2)
-        .field("rho_gate_armed", gated)
-        .field(
-            "rho_gate_holds",
-            rho.is_some_and(|rho| rho >= RHO_GATE) || !gated,
-        )
-        .build()
-}
-
-fn to_json(rows: &[Row], summary: String) -> String {
+fn to_json(rows: &[Row]) -> String {
     let row_objs = rows.iter().map(|r| {
         let cycles = CORE_GRID
             .iter()
@@ -328,7 +280,6 @@ fn to_json(rows: &[Row], summary: String) -> String {
                     .field("work_bound", s.work_bound)
                     .field("ejection_bound", s.ejection_bound)
                     .str("binding", &s.binding.to_string())
-                    .field("predicted_cycles", s.predicted_cycles)
                     .fixed(
                         "lb_tightness",
                         if measured > 0 {
@@ -347,7 +298,6 @@ fn to_json(rows: &[Row], summary: String) -> String {
             .field("instructions", r.instructions)
             .field("sections", r.sections)
             .field("violations", r.violations)
-            .str("drain", &drain_summary(&r.drain))
             .field("critical_path", r.critical_path)
             .fixed("ilp_width", r.ilp_width, 2)
             .field("cycles", cycles)
@@ -358,7 +308,7 @@ fn to_json(rows: &[Row], summary: String) -> String {
             .field("proofs_consistent", r.proofs_consistent)
             .build()
     });
-    json::array(row_objs.chain(std::iter::once(summary)))
+    json::array(row_objs)
 }
 
 fn main() {
@@ -380,27 +330,23 @@ fn main() {
     let rows: Vec<Row> = targets.iter().map(analyze).collect();
 
     print!(
-        "{:<28} {:>9} {:>9} {:>5} {:<32} {:>10} {:>6} {:>11} {:>6}",
-        "workload", "insns", "sections", "viol", "drain", "crit path", "ILP", "min cycles", "bound"
+        "{:<28} {:>9} {:>9} {:>5} {:>10} {:>6} {:>11} {:>6}",
+        "workload", "insns", "sections", "viol", "crit path", "ILP", "min cycles", "bound"
     );
     if show_progress {
         print!(" {:<18} {:>10} {:>8}", "progress", "wait chain", "witness");
     }
     if show_schedule {
-        print!(
-            " {:>24} {:>8} {:>9} {:>7}",
-            "lb 64/256/1024", "binding", "predicted", "tight"
-        );
+        print!(" {:>24} {:>8} {:>7}", "lb 64/256/1024", "binding", "tight");
     }
     println!();
     for r in &rows {
         print!(
-            "{:<28} {:>9} {:>9} {:>5} {:<32} {:>10} {:>6.1} {:>11} {:>6}",
+            "{:<28} {:>9} {:>9} {:>5} {:>10} {:>6.1} {:>11} {:>6}",
             r.workload,
             r.instructions,
             r.sections,
             r.violations,
-            drain_summary(&r.drain),
             r.critical_path,
             r.ilp_width,
             r.cycles.iter().min().copied().unwrap_or(0),
@@ -422,49 +368,20 @@ fn main() {
         }
         if show_schedule {
             print!(
-                " {:>24} {:>8} {:>9} {:>7.2}",
+                " {:>24} {:>8} {:>7.2}",
                 grid_summary(r.schedule.iter().map(|s| s.lb.to_string())),
                 grid_summary(
                     r.schedule
                         .iter()
                         .map(|s| s.binding.to_string()[..1].to_string())
                 ),
-                grid_summary(r.schedule.iter().map(|s| s.predicted_cycles.to_string())),
                 worst_tightness(r),
             );
         }
         println!();
     }
 
-    // The predictor score: measured vs predicted cycles pooled over
-    // every completed grid cell, gated in full mode only (the quick
-    // instances are too small for a stable rank ordering).
-    let mut measured = Vec::new();
-    let mut predicted = Vec::new();
-    for r in &rows {
-        for (&c, s) in r.cycles.iter().zip(&r.schedule) {
-            if c > 0 {
-                measured.push(c as f64);
-                predicted.push(s.predicted_cycles as f64);
-            }
-        }
-    }
-    let rho = spearman(&measured, &predicted);
-    let rho_gated = !quick;
-    eprintln!(
-        "predictor rank correlation over {} cells: rho = {} (gate >= {RHO_GATE}: {})",
-        measured.len(),
-        rho.map_or_else(|| "undefined".into(), |r| format!("{r:.4}")),
-        if rho_gated {
-            "armed"
-        } else {
-            "quick mode, off"
-        }
-    );
-
-    flags.write_json(rows.len() + 1, || {
-        to_json(&rows, summary_json(rho, measured.len(), rho_gated))
-    });
+    flags.write_json(rows.len(), || to_json(&rows));
 
     let mut failures = Vec::new();
     for r in &rows {
@@ -472,13 +389,6 @@ fn main() {
             failures.push(format!(
                 "{} has {} invariant violation(s)",
                 r.workload, r.violations
-            ));
-        }
-        if !r.drain.is_certified() {
-            failures.push(format!(
-                "{} was not certified for the parallel drain: {}",
-                r.workload,
-                drain_summary(&r.drain)
             ));
         }
         if !r.bound_holds {
@@ -509,12 +419,6 @@ fn main() {
                 r.cycles,
             ));
         }
-    }
-    if rho_gated && !rho.is_some_and(|r| r >= RHO_GATE) {
-        failures.push(format!(
-            "predictor rank correlation {} falls below the {RHO_GATE} gate",
-            rho.map_or_else(|| "undefined".into(), |r| format!("{r:.4}")),
-        ));
     }
     exit_on_failures(&failures);
 }

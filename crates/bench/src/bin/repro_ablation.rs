@@ -10,10 +10,8 @@
 //! point as it arrives, which is the artefact the perf trajectory
 //! records. A validated many-core point (none in this grid) also
 //! carries the schedule analyzer's columns — `lb_cycles` (certified lower
-//! bound), `predicted_cycles` (list-schedule estimate) and
-//! `lb_tightness` (measured / lb) — so a validated sweep doubles as a
-//! zero-simulation DSE oracle trace: each cell records how far the
-//! static bound was from the measurement it would have predicted.
+//! bound) and `lb_tightness` (measured / lb) — so each cell records how
+//! far the static bound was from the measurement.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -107,8 +105,7 @@ fn shortest(value: f64) -> String {
 }
 
 /// One sweep point as a JSON row. A validated many-core point also
-/// carries the schedule analyzer's `lb_cycles`, `predicted_cycles` and
-/// `lb_tightness`.
+/// carries the schedule analyzer's `lb_cycles` and `lb_tightness`.
 fn point_json(point: &SweepPoint) -> String {
     let row = Obj::new()
         .str("program", &point.program)
@@ -130,7 +127,6 @@ fn point_json(point: &SweepPoint) -> String {
     if let Some(schedule) = check.and_then(|check| check.schedule.as_ref()) {
         row = row
             .field("lb_cycles", schedule.lb)
-            .field("predicted_cycles", schedule.predicted_cycles)
             .field("lb_tightness", shortest(schedule.tightness(report.cycles)));
     }
     row.build()

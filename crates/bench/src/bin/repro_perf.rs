@@ -146,7 +146,7 @@ struct GuardRow {
     /// bounds below.
     cycles: u64,
     /// The schedule analyzer's verdict attached by the validated run:
-    /// certified lower bound plus the list-schedule prediction.
+    /// the certified lower bound.
     schedule: ScheduleBounds,
 }
 
@@ -167,11 +167,6 @@ fn measure_guard(name: &str, arena: &TraceArena, cores: usize) -> GuardRow {
         .and_then(|report| report.schedule.clone())
         .expect("a validated run attaches schedule bounds");
     let cycles = on.stats.total_cycles;
-    assert!(
-        cycles >= schedule.lb,
-        "{name}: measured {cycles} cycles undercuts the certified bound {}",
-        schedule.lb
-    );
     let [off_ms, on_ms] = best_of(
         MODE_RUNS,
         [
@@ -514,7 +509,6 @@ fn to_json(
             .fixed("validate_overhead", guard.overhead, 3)
             .field("total_cycles", guard.cycles)
             .field("lb_cycles", guard.schedule.lb)
-            .field("predicted_cycles", guard.schedule.predicted_cycles)
             .fixed("lb_tightness", guard.schedule.tightness(guard.cycles), 4)
             .build(),
     );

@@ -174,64 +174,6 @@ pub fn dataset_sweep(base: usize, count: usize) -> Vec<usize> {
     (0..count).map(|i| base << i).collect()
 }
 
-/// Spearman rank correlation between two paired samples, with average
-/// ranks for ties — the score `arena_check` gates the list-schedule
-/// predictor on (`predicted_cycles` vs measured cycles).
-///
-/// Returns `None` when the samples are shorter than two pairs, have
-/// mismatched lengths, or either side is constant (rank variance zero —
-/// correlation is undefined there).
-pub fn spearman(a: &[f64], b: &[f64]) -> Option<f64> {
-    if a.len() != b.len() || a.len() < 2 {
-        return None;
-    }
-    let ra = average_ranks(a);
-    let rb = average_ranks(b);
-    pearson(&ra, &rb)
-}
-
-/// Average (fractional) ranks of `values`, 1-based; tied values share
-/// the mean of the rank range they occupy.
-fn average_ranks(values: &[f64]) -> Vec<f64> {
-    let mut order: Vec<usize> = (0..values.len()).collect();
-    order.sort_by(|&i, &j| values[i].partial_cmp(&values[j]).expect("finite samples"));
-    let mut ranks = vec![0.0; values.len()];
-    let mut i = 0;
-    while i < order.len() {
-        let mut j = i;
-        while j + 1 < order.len() && values[order[j + 1]] == values[order[i]] {
-            j += 1;
-        }
-        // Positions i..=j (0-based) share the average of ranks i+1..=j+1.
-        let shared = (i + j) as f64 / 2.0 + 1.0;
-        for &idx in &order[i..=j] {
-            ranks[idx] = shared;
-        }
-        i = j + 1;
-    }
-    ranks
-}
-
-/// Pearson correlation of two equal-length samples; `None` when either
-/// side has zero variance.
-fn pearson(a: &[f64], b: &[f64]) -> Option<f64> {
-    let n = a.len() as f64;
-    let mean_a = a.iter().sum::<f64>() / n;
-    let mean_b = b.iter().sum::<f64>() / n;
-    let mut cov = 0.0;
-    let mut var_a = 0.0;
-    let mut var_b = 0.0;
-    for (&x, &y) in a.iter().zip(b) {
-        cov += (x - mean_a) * (y - mean_b);
-        var_a += (x - mean_a).powi(2);
-        var_b += (y - mean_b).powi(2);
-    }
-    if var_a == 0.0 || var_b == 0.0 {
-        return None;
-    }
-    Some(cov / (var_a * var_b).sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,35 +208,6 @@ mod tests {
     #[test]
     fn sweep_doubles() {
         assert_eq!(dataset_sweep(16, 4), vec![16, 32, 64, 128]);
-    }
-
-    #[test]
-    fn spearman_scores_monotone_and_reversed_relations() {
-        let a = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let up = [10.0, 20.0, 25.0, 70.0, 300.0];
-        let down = [5.0, 4.0, 3.0, 2.0, 1.0];
-        assert_eq!(spearman(&a, &up), Some(1.0));
-        assert_eq!(spearman(&a, &down), Some(-1.0));
-        // Monotone up to one swapped pair: high but below 1.
-        let nearly = [10.0, 20.0, 70.0, 25.0, 300.0];
-        let rho = spearman(&a, &nearly).expect("defined");
-        assert!(rho > 0.8 && rho < 1.0, "rho {rho}");
-    }
-
-    #[test]
-    fn spearman_averages_tied_ranks() {
-        let a = [1.0, 2.0, 2.0, 3.0];
-        let b = [1.0, 2.5, 2.5, 4.0];
-        let rho = spearman(&a, &b).expect("defined");
-        assert!((rho - 1.0).abs() < 1e-12, "tied ranks align exactly: {rho}");
-        assert_eq!(average_ranks(&a), vec![1.0, 2.5, 2.5, 4.0]);
-    }
-
-    #[test]
-    fn spearman_is_undefined_on_degenerate_samples() {
-        assert_eq!(spearman(&[1.0], &[2.0]), None);
-        assert_eq!(spearman(&[1.0, 2.0], &[3.0]), None);
-        assert_eq!(spearman(&[1.0, 1.0, 1.0], &[1.0, 2.0, 3.0]), None);
     }
 
     #[test]

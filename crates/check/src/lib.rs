@@ -4,7 +4,7 @@
 //! trace — section spans tiling the record range, one writer per
 //! location version, producers strictly preceding consumers — that the
 //! engines historically enforced only with scattered `assert!`s. This
-//! crate makes them a first-class analysis with five layers:
+//! crate makes them a first-class analysis with four layers:
 //!
 //! 1. **Invariant validator** ([`check_arena`], [`InvariantViolation`]):
 //!    pure passes over the raw columns checking section well-formedness,
@@ -12,32 +12,22 @@
 //!    renaming discipline, dependence acyclicity and lean-arena column
 //!    consistency — returning typed per-violation diagnostics instead of
 //!    aborting.
-//! 2. **Race certifier** ([`DrainSafety`], [`certify_columns`]): a
-//!    symbolic replay of the resolver's batched completion rounds that
-//!    certifies pairwise-disjoint write targets within a round — the
-//!    precondition a parallel drain would need. The engines drain
-//!    sequentially, so no engine consumes the verdict; it stays on the
-//!    report for the bench bins.
-//! 3. **Static bounds analyzer** ([`StaticBounds`]): per-section and
+//! 2. **Static bounds analyzer** ([`StaticBounds`]): per-section and
 //!    whole-program dependence-DAG critical path and ILP width;
 //!    `total_cycles ≥ critical_path` holds for every configuration and
 //!    is cross-checked against both engines in the differential tests.
-//! 4. **Progress prover** ([`Progress`], [`prove_progress`]): given one
+//! 3. **Progress prover** ([`Progress`], [`prove_progress`]): given one
 //!    concrete (placement × chip) configuration, proves the section
 //!    wait-for graph (producer deps ∪ capacity edges of over-subscribed
 //!    cores) admits no cycle, or returns a concrete witness cycle. A
 //!    run the runtime deadlock detector flags must never have been
-//!    [`Progress::Proven`]; both engines assert exactly that.
-//! 5. **Schedule analyzer** ([`ScheduleBounds`], [`bound_schedule`]):
+//!    [`Progress::Proven`]; both engines check exactly that.
+//! 4. **Schedule analyzer** ([`ScheduleBounds`], [`bound_schedule`]):
 //!    given a concrete (placement × chip) configuration, a **certified**
 //!    NoC/placement-weighted lower bound on the cycle count (critical
 //!    path re-weighted with per-hop latencies, maxed against per-core
-//!    work and ejection-port contention, `critical_path ≤ lb ≤ cycles`
-//!    asserted by both engines) plus an **uncertified** AMTHA-style
-//!    list-schedule predictor ([`ScheduleBounds::predicted_cycles`])
-//!    whose rank correlation against measured cycles the bench harness
-//!    gates — the zero-simulation objective evaluator for design-space
-//!    exploration.
+//!    work and ejection-port contention); both engines check
+//!    `critical_path ≤ lb ≤ cycles` on every validated run.
 //!
 //! The engines run the whole analysis before simulating when
 //! `SimConfig::validate` is set; the `arena_check` binary runs it over
@@ -62,7 +52,6 @@
 //! let arena = TraceArena::from_program(&program, 1_000).expect("runs");
 //! let report = check_arena(&arena);
 //! assert!(report.is_clean());
-//! assert!(report.drain.is_certified());
 //! let bounds = report.bounds.expect("clean arenas are analyzed");
 //! assert!(bounds.critical_path > 0);
 //! ```
@@ -71,7 +60,6 @@
 #![warn(missing_docs)]
 
 mod bounds;
-mod certify;
 mod progress;
 mod schedule;
 mod validate;
@@ -82,7 +70,6 @@ use std::fmt;
 use parsecs_trace::TraceArena;
 
 pub use bounds::{SectionBounds, StaticBounds};
-pub use certify::{certify_columns, DrainSafety};
 pub use progress::{prove_progress, Progress, WaitEdge, WaitKind};
 pub use schedule::{bound_schedule, BindingTerm, ChipModel, ScheduleBounds};
 pub use violation::InvariantViolation;
@@ -100,9 +87,6 @@ pub struct CheckReport {
     pub violations: Vec<InvariantViolation>,
     /// Whether violations past the cap were dropped from the list.
     pub truncated: bool,
-    /// The drain race certificate ([`DrainSafety::Unchecked`] when the
-    /// validator found structural violations first).
-    pub drain: DrainSafety,
     /// Static timing bounds (`None` when the validator found violations;
     /// bounds over a lying arena would ground nothing).
     pub bounds: Option<StaticBounds>,
@@ -147,66 +131,46 @@ impl fmt::Display for CheckReport {
                 self.instructions
             )
         } else {
-            match (&self.drain, &self.bounds) {
-                (
-                    DrainSafety::Conflict {
-                        round,
-                        first,
-                        second,
-                    },
-                    _,
-                ) => write!(
-                    f,
-                    "invariants hold but drain round {round} conflicts on records \
-                     {first} and {second}"
-                ),
-                (drain, Some(bounds)) => {
-                    write!(
-                        f,
-                        "clean: {} instruction(s), {} section(s), drain {}, \
-                         critical path ≥ {}, ILP width {:.2}",
-                        self.instructions,
-                        self.sections,
-                        if drain.is_certified() {
-                            "certified"
-                        } else {
-                            "unchecked"
-                        },
-                        bounds.critical_path,
-                        bounds.ilp_width()
-                    )?;
-                    match &self.progress {
-                        Some(Progress::Proven { longest_wait_chain }) => {
-                            write!(f, ", progress proven (wait chain {longest_wait_chain})")?;
-                        }
-                        Some(Progress::PotentialCycle { witness }) => {
-                            write!(f, ", potential wait cycle ({} edge(s))", witness.len())?;
-                        }
-                        None => {}
-                    }
-                    if let Some(schedule) = &self.schedule {
-                        write!(
-                            f,
-                            ", schedule lb ≥ {} ({} bound), predicted {}",
-                            schedule.lb, schedule.binding, schedule.predicted_cycles
-                        )?;
-                    }
-                    Ok(())
-                }
-                (_, None) => write!(
+            let Some(bounds) = &self.bounds else {
+                return write!(
                     f,
                     "clean: {} instruction(s), {} section(s)",
                     self.instructions, self.sections
-                ),
+                );
+            };
+            write!(
+                f,
+                "clean: {} instruction(s), {} section(s), critical path ≥ {}, \
+                 ILP width {:.2}",
+                self.instructions,
+                self.sections,
+                bounds.critical_path,
+                bounds.ilp_width()
+            )?;
+            match &self.progress {
+                Some(Progress::Proven { longest_wait_chain }) => {
+                    write!(f, ", progress proven (wait chain {longest_wait_chain})")?;
+                }
+                Some(Progress::PotentialCycle { witness }) => {
+                    write!(f, ", potential wait cycle ({} edge(s))", witness.len())?;
+                }
+                None => {}
             }
+            if let Some(schedule) = &self.schedule {
+                write!(
+                    f,
+                    ", schedule lb ≥ {} ({} bound)",
+                    schedule.lb, schedule.binding
+                )?;
+            }
+            Ok(())
         }
     }
 }
 
 /// Runs the full static analysis: the invariant validator always; the
-/// race certifier and the bounds analyzer only once the validator comes
-/// back clean (both index the columns through the offsets the validator
-/// vouches for).
+/// bounds analyzer only once the validator comes back clean (it indexes
+/// the columns through the offsets the validator vouches for).
 pub fn check_arena(arena: &TraceArena) -> CheckReport {
     let mut col = validate::Collector::new(MAX_VIOLATIONS);
     let shape_ok = validate::column_shape(arena, &mut col);
@@ -220,16 +184,10 @@ pub fn check_arena(arena: &TraceArena) -> CheckReport {
         writer_discipline_checked = true;
     }
     let clean = col.out.is_empty() && !col.truncated;
-    let (drain, bounds) = if clean {
-        (certify::certify(arena), Some(bounds::analyze(arena)))
-    } else {
-        (DrainSafety::Unchecked, None)
-    };
     CheckReport {
         violations: col.out,
         truncated: col.truncated,
-        drain,
-        bounds,
+        bounds: clean.then(|| bounds::analyze(arena)),
         progress: None,
         schedule: None,
         instructions: arena.len(),
@@ -263,7 +221,6 @@ mod tests {
         let report = check_arena(&sum_arena());
         assert!(report.is_clean(), "{report}");
         assert!(report.writer_discipline_checked);
-        assert!(report.drain.is_certified());
         let bounds = report.bounds.as_ref().expect("bounds");
         // The three-instruction add chain in `leaf` forces at least four
         // dependence levels (movq feeds addq feeds addq, plus main's
@@ -287,7 +244,6 @@ mod tests {
         let report = check_arena(&arena);
         assert!(report.is_clean(), "{report}");
         assert!(!report.writer_discipline_checked);
-        assert!(report.drain.is_certified());
         assert!(report.bounds.is_some());
     }
 
@@ -306,7 +262,6 @@ mod tests {
             noc: NocModel::new(Topology::crossbar(2), NocConfig::default()),
             dmh_latency: 3,
             per_section_hop: 0,
-            fetch_stalls: true,
         };
         let core_of: Vec<usize> = (0..report.sections).map(|s| s % 2).collect();
         let schedule = bound_schedule(&arena, &core_of, &model);
@@ -314,8 +269,8 @@ mod tests {
         let text = report.to_string();
         assert!(
             text.contains(&format!(
-                "schedule lb ≥ {} ({} bound), predicted {}",
-                schedule.lb, schedule.binding, schedule.predicted_cycles
+                "schedule lb ≥ {} ({} bound)",
+                schedule.lb, schedule.binding
             )),
             "diagnostics must render the schedule verdict: {text}"
         );

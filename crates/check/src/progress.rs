@@ -36,7 +36,7 @@
 //! chain as the certificate's depth.
 //!
 //! The verdict is conservative in exactly one direction, which is the
-//! direction the engines assert: a run the runtime detector flags as
+//! direction the engines check: a run the runtime detector flags as
 //! deadlocked must never have been `Proven`. The converse does not hold —
 //! `PotentialCycle` only says the *hold-slot* abstraction admits a
 //! cycle; the engines' park model routinely completes such runs.

@@ -1,61 +1,43 @@
 //! The config-aware schedule analyzer: NoC/placement-weighted lower
-//! bounds and a list-schedule predictor.
+//! bounds.
 //!
 //! [`StaticBounds`](crate::StaticBounds) is configuration-independent:
 //! its critical path charges every NoC latency at its universal minimum,
 //! so it cannot discriminate between chip configurations. This pass
 //! takes the missing inputs — a concrete placement (`core_of`) and a
 //! [`ChipModel`] (topology, NoC timing, DMH latency, per-section hop
-//! charge) — and computes two numbers per (arena × placement × chip)
-//! cell:
+//! charge) — and computes a **certified lower bound**
+//! ([`ScheduleBounds::lb`]) per (arena × placement × chip) cell: the
+//! maximum of three independently sound terms.
 //!
-//! 1. **A certified lower bound** ([`ScheduleBounds::lb`]): the maximum
-//!    of three independently sound terms.
+//! * *Weighted critical path*: the same forward recurrences as the
+//!   config-independent analyzer, but with every cross-core edge
+//!   re-weighted by the concrete chip's costs. A forked section's
+//!   first fetch is charged the creation message's transit latency
+//!   plus the dequeue cycle; a `Remote` register or memory source is
+//!   charged the renaming round trip (`hop` out, `hop` back, with
+//!   the per-intermediate-section walk charge), exactly as the
+//!   resolver prices it; memory instructions reaching the DMH are
+//!   charged [`ChipModel::dmh_latency`]. Every term underestimates
+//!   the engines' actual charge, so the recurrence is a pointwise
+//!   lower bound on real completion cycles.
+//! * *Per-core work* (Graham bound): a core fetches at most one
+//!   instruction per cycle starting no earlier than cycle 1, and the
+//!   last fetch on a core still needs a retirement cycle, so a core
+//!   hosting `w ≥ 1` instructions forces `w + 1` cycles.
+//! * *Ejection-port contention*: with a finite per-receiving-core
+//!   ejection budget `b`, the `m` section-creation messages
+//!   terminating at one core occupy at least `⌈m/b⌉` distinct
+//!   arrival cycles, the first no earlier than `1 + min transit
+//!   latency from the actual creator cores`; the last-delivered
+//!   section still needs a dequeue cycle, its fetches and a
+//!   retirement — `max(⌈m/b⌉ + min_lat, 2) + min_len + 1` cycles.
 //!
-//!    * *Weighted critical path*: the same forward recurrences as the
-//!      config-independent analyzer, but with every cross-core edge
-//!      re-weighted by the concrete chip's costs. A forked section's
-//!      first fetch is charged the creation message's transit latency
-//!      plus the dequeue cycle; a `Remote` register or memory source is
-//!      charged the renaming round trip (`hop` out, `hop` back, with
-//!      the per-intermediate-section walk charge), exactly as the
-//!      resolver prices it; memory instructions reaching the DMH are
-//!      charged [`ChipModel::dmh_latency`]. Every term underestimates
-//!      the engines' actual charge, so the recurrence is a pointwise
-//!      lower bound on real completion cycles.
-//!    * *Per-core work* (Graham bound): a core fetches at most one
-//!      instruction per cycle starting no earlier than cycle 1, and the
-//!      last fetch on a core still needs a retirement cycle, so a core
-//!      hosting `w ≥ 1` instructions forces `w + 1` cycles.
-//!    * *Ejection-port contention*: with a finite per-receiving-core
-//!      ejection budget `b`, the `m` section-creation messages
-//!      terminating at one core occupy at least `⌈m/b⌉` distinct
-//!      arrival cycles, the first no earlier than `1 + min transit
-//!      latency from the actual creator cores`; the last-delivered
-//!      section still needs a dequeue cycle, its fetches and a
-//!      retirement — `max(⌈m/b⌉ + min_lat, 2) + min_len + 1` cycles.
-//!
-//!    Every weighted term dominates its config-independent counterpart
-//!    (latencies are ≥ 0 and the fork edge weight is ≥ 2), so `lb ≥
-//!    StaticBounds::critical_path` holds structurally, and both engines
-//!    `debug_assert` the full sandwich `critical_path ≤ lb ≤
-//!    total_cycles` on every validated run.
-//!
-//! 2. **A deterministic AMTHA-style list-schedule predictor**
-//!    ([`ScheduleBounds::predicted_cycles`]): an earliest-finish-time
-//!    pass over the sections in creation order that additionally
-//!    serialises each core's fetch stream (`free_at` per core), models
-//!    the fetch stage's stall on control instructions whose sources are
-//!    not locally complete at fetch, and replays the same weighted
-//!    completion recurrences over the predicted fetch cycles. It is
-//!    **not certified** — it ignores section parking and ejection
-//!    contention, and can land on either side of the measured cycle
-//!    count — but it tracks
-//!    the configuration-sensitive structure, and the bench harness
-//!    scores it: `arena_check` gates a Spearman rank correlation ≥ 0.8
-//!    between `predicted_cycles` and measured cycles over the workload
-//!    grid, which is what qualifies it as a design-space-exploration
-//!    pruning oracle (ROADMAP item 5).
+//! Every weighted term dominates its config-independent counterpart
+//! (latencies are ≥ 0 and the fork edge weight is ≥ 2), so `lb ≥
+//! StaticBounds::critical_path` holds structurally, and both engines
+//! check the full sandwich `critical_path ≤ lb ≤ total_cycles` on every
+//! validated run.
 //!
 //! ## Vacuous cells
 //!
@@ -90,12 +72,6 @@ pub struct ChipModel {
     /// Extra cycles charged per intermediate section visited by a
     /// renaming request.
     pub per_section_hop: u64,
-    /// Whether the modeled fetch stage stalls on a control instruction
-    /// whose register sources are not locally complete at fetch time
-    /// (the paper's compute-control-instead-of-predicting-it rule).
-    /// Only the *predictor* consumes this — the certified lower bound
-    /// stays sound either way because stalls can only add cycles.
-    pub fetch_stalls: bool,
 }
 
 impl ChipModel {
@@ -161,9 +137,6 @@ pub struct ScheduleBounds {
     pub ejection_bound: u64,
     /// Which term is the maximum.
     pub binding: BindingTerm,
-    /// The uncertified list-schedule estimate of the cell's cycle
-    /// count.
-    pub predicted_cycles: u64,
 }
 
 impl ScheduleBounds {
@@ -263,21 +236,19 @@ pub fn bound_schedule(arena: &TraceArena, core_of: &[usize], model: &ChipModel) 
         BindingTerm::Ejection
     };
 
-    let predicted_cycles = predict(arena, core_of, model);
     ScheduleBounds {
         lb,
         path_bound,
         work_bound,
         ejection_bound,
         binding,
-        predicted_cycles,
     }
 }
 
-/// The weighted completion recurrence shared by the lower-bound pass
-/// and the predictor: a lower bound on `seq`'s completion cycle given a
-/// lower bound `fetch` on its fetch cycle and pointwise lower bounds
-/// `completion` on every earlier record's completion cycle.
+/// The weighted completion recurrence of the lower-bound pass: a lower
+/// bound on `seq`'s completion cycle given a lower bound `fetch` on its
+/// fetch cycle and pointwise lower bounds `completion` on every earlier
+/// record's completion cycle.
 ///
 /// Each term under-approximates the resolver's actual charge
 /// (`compute_one` in the engine): a remote register source forces the
@@ -387,88 +358,6 @@ fn ejection_bound(
     bound
 }
 
-/// The deterministic earliest-finish list schedule (see the module
-/// docs): sections in creation order, each core's fetch stream
-/// serialised through `free_at`, completions via the same weighted
-/// recurrences over the predicted fetch cycles.
-fn predict(arena: &TraceArena, core_of: &[usize], model: &ChipModel) -> u64 {
-    let spans = arena.sections();
-    let n = arena.len();
-    let mut fetch = vec![0u64; n];
-    let mut completion = vec![0u64; n];
-    let mut free_at = vec![0u64; model.cores];
-    let mut predicted = 0u64;
-    for (sid, span) in spans.iter().enumerate() {
-        let my_core = core_of[sid];
-        // Creation-order processing is well-founded: a creator's span
-        // precedes its children's, so the fork's fetch is already
-        // predicted.
-        let delivery = match span.creator {
-            Some((creator, fork_seq)) => {
-                let lat = model
-                    .noc
-                    .hop_latency(CoreId(core_of[creator.0]), CoreId(my_core));
-                fetch[fork_seq] + lat.max(1)
-            }
-            None => 0,
-        };
-        let dequeue = delivery.max(free_at[my_core]);
-        let mut retire_last = 0u64;
-        // The cycle the fetch stream resumes after a control stall: the
-        // engine releases a stalled fetch stage strictly past the
-        // stalled instruction's completion.
-        let mut resume = 0u64;
-        let mut last_fetch = dequeue;
-        for seq in span.start..span.end {
-            fetch[seq] = if seq == span.start {
-                dequeue + 1
-            } else {
-                (fetch[seq - 1] + 1).max(resume)
-            };
-            completion[seq] = weighted_completion(
-                arena,
-                seq,
-                sid,
-                my_core,
-                core_of,
-                model,
-                fetch[seq],
-                &completion,
-            );
-            if model.fetch_stalls
-                && arena.is_control(seq)
-                && !predicted_computable(arena, seq, &completion, fetch[seq])
-            {
-                resume = completion[seq] + 1;
-            }
-            last_fetch = fetch[seq];
-            retire_last = completion[seq].max(retire_last) + 1;
-        }
-        free_at[my_core] = last_fetch + 1;
-        predicted = predicted.max(retire_last);
-    }
-    predicted
-}
-
-/// The predictor's twin of the engine's fetch-computability test:
-/// whether a control instruction's register sources are all locally
-/// complete by its (predicted) fetch cycle. Mirrors the engine exactly
-/// — fork-copied and initial values are always in the local file, a
-/// `Remote` source never is — but reads predicted completions instead
-/// of resolved ones.
-fn predicted_computable(
-    arena: &TraceArena,
-    seq: usize,
-    completion: &[u64],
-    fetch_cycle: u64,
-) -> bool {
-    arena.reg_sources(seq).iter().all(|dep| match dep.kind() {
-        SourceKind::ForkCopy | SourceKind::InitialRegister | SourceKind::InitialMemory => true,
-        SourceKind::Local { producer } => completion[producer] <= fetch_cycle,
-        SourceKind::Remote { .. } => false,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -496,7 +385,6 @@ mod tests {
             noc: NocModel::new(Topology::crossbar(cores), noc),
             dmh_latency: 3,
             per_section_hop: 0,
-            fetch_stalls: true,
         }
     }
 
@@ -558,9 +446,17 @@ mod tests {
                 bounds.lb >= prev,
                 "raising base latency to {base} lowered the bound"
             );
-            assert!(bounds.predicted_cycles >= bounds.path_bound);
             prev = bounds.lb;
         }
+        let cheap = bound_schedule(&arena, &core_of, &model(2, NocConfig::default()));
+        assert_eq!(
+            cheap,
+            bound_schedule(&arena, &core_of, &model(2, NocConfig::default()))
+        );
+        assert!(
+            prev > cheap.lb,
+            "an 8-cycle base latency must raise the bound"
+        );
     }
 
     #[test]
@@ -632,39 +528,10 @@ mod tests {
     }
 
     #[test]
-    fn predictor_is_deterministic_and_config_sensitive() {
-        let arena = fork_arena();
-        let core_of = round_robin(arena.sections().len(), 2);
-        let cheap = bound_schedule(&arena, &core_of, &model(2, NocConfig::default()));
-        assert_eq!(
-            cheap,
-            bound_schedule(&arena, &core_of, &model(2, NocConfig::default()))
-        );
-        let slow = bound_schedule(
-            &arena,
-            &core_of,
-            &model(
-                2,
-                NocConfig {
-                    base_latency: 10,
-                    per_hop_latency: 1,
-                    link_bandwidth: None,
-                },
-            ),
-        );
-        assert!(
-            slow.predicted_cycles > cheap.predicted_cycles,
-            "a 10× slower NoC must raise the predicted schedule"
-        );
-        assert!(slow.lb > cheap.lb);
-    }
-
-    #[test]
     fn empty_arenas_bound_to_zero() {
         let arena = TraceArena::new();
         let bounds = bound_schedule(&arena, &[], &model(2, NocConfig::default()));
         assert_eq!(bounds.lb, 0);
-        assert_eq!(bounds.predicted_cycles, 0);
         assert_eq!(bounds.binding, BindingTerm::Path);
         assert!(bounds.tightness(10).is_nan());
     }

@@ -66,11 +66,13 @@ pub struct SimConfig {
     pub record_timings: bool,
     /// Whether the engines run the full static analysis of
     /// `parsecs-check` over the arena before simulating: the invariant
-    /// validator, the drain race certifier and the critical-path
-    /// bounds (debug builds additionally assert
-    /// `total_cycles ≥ critical_path` against the finished run). A
-    /// violation surfaces as [`crate::SimError::Invariant`]; a clean
-    /// analysis is attached to [`crate::SimResult::check`]. Off by
+    /// validator, the critical-path bounds, and, once placed, the
+    /// progress proof and the schedule bounds. A violation surfaces as
+    /// [`crate::SimError::Invariant`]; a clean analysis is attached to
+    /// [`crate::SimResult::check`], and a finished run that breaks one
+    /// of its contracts (`critical_path ≤ lb ≤ total_cycles`, no forced
+    /// stall release on a proven run) returns
+    /// [`crate::SimError::Diverged`], release builds included. Off by
     /// default — the simulation paths are untouched when disabled; turn
     /// it on with [`SimConfig::validated`].
     pub validate: bool,
@@ -169,7 +171,6 @@ impl SimConfig {
             noc: parsecs_noc::NocModel::new(self.effective_topology(), self.noc),
             dmh_latency: self.dmh_latency,
             per_section_hop: self.per_section_hop,
-            fetch_stalls: self.fetch_stalls_on_unresolved_control,
         }
     }
 

@@ -24,14 +24,19 @@ pub enum SimError {
     /// found the trace arena structurally invalid; the full report with
     /// the typed violations is attached.
     Invariant(Box<CheckReport>),
-    /// The timing model broke down: the engine stopped making progress
-    /// (or an instruction came out of it unresolved) on a trace the
-    /// structural checks accept. Always a simulator bug, never a property
-    /// of the program.
+    /// The timing model broke down: the engine stopped making progress,
+    /// an instruction came out of it unresolved, or a validated run broke
+    /// a contract of its static report, on a trace the structural checks
+    /// accept. Always a simulator (or analyzer) bug, never a property of
+    /// the program.
     Diverged {
-        /// What stopped: `"deadlocked with no pending event"`,
-        /// `"did not converge"` or
-        /// `"left an instruction unresolved"`.
+        /// What went wrong: `"deadlocked with no pending event"`,
+        /// `"did not converge"`, `"left an instruction unresolved"`, or
+        /// on a validated run the broken report contract:
+        /// `"undercut the static critical path"`,
+        /// `"bounded the schedule below the static critical path"`,
+        /// `"undercut the certified schedule bound"` or
+        /// `"forced a stall release on a run proven to progress"`.
         reason: &'static str,
         /// Simulated cycle at which the engine gave up.
         cycle: u64,

@@ -94,7 +94,7 @@ pub use timing::{format_figure10, InstTiming, SimStats};
 // [`SimResult::check`], [`SimError::Invariant`]) can consume the reports
 // without a separate dependency.
 pub use parsecs_check::{
-    bound_schedule, check_arena, prove_progress, BindingTerm, CheckReport, ChipModel, DrainSafety,
+    bound_schedule, check_arena, prove_progress, BindingTerm, CheckReport, ChipModel,
     InvariantViolation, Progress, ScheduleBounds, StaticBounds, WaitEdge, WaitKind,
 };
 // The streaming trace pipeline and the section/dependence vocabulary

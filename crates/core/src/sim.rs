@@ -93,9 +93,9 @@ pub struct SimResult {
     pub core_of: Vec<CoreId>,
     /// Aggregate statistics.
     pub stats: SimStats,
-    /// The pre-simulation static analysis report (invariants, drain
-    /// certificate, critical-path bounds, the placement-aware progress
-    /// proof and schedule bounds) when the run was validated
+    /// The pre-simulation static analysis report (invariants,
+    /// critical-path bounds, the placement-aware progress proof and
+    /// schedule bounds) when the run was validated
     /// ([`SimConfig::validate`]); `None` otherwise. Both engines attach
     /// the identical report, so differential bit-identity covers it.
     pub check: Option<Box<CheckReport>>,
@@ -632,7 +632,9 @@ impl ManyCoreSim {
     /// the resolver with sentinel cycles — the stall/wake model broke
     /// down, and sentinels must never leak into reported timings (a hard
     /// check, release builds included; the one-branch-per-instruction
-    /// cost is negligible next to building the row).
+    /// cost is negligible next to building the row) — or when a
+    /// validated run breaks a contract of its attached report (see
+    /// [`broken_contract`]).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn finish(
         &self,
@@ -726,47 +728,16 @@ impl ManyCoreSim {
                 .all(|b| b.total() == stats.total_cycles),
             "a core's attribution buckets do not sum to total_cycles"
         );
-        if let Some(bounds) = check.as_ref().and_then(|report| report.bounds.as_ref()) {
-            // The static analyzer's critical path is a configuration-
-            // independent lower bound on the retirement span; an engine
-            // undercutting it has an optimistic-timing bug.
-            debug_assert!(
-                stats.total_cycles >= bounds.critical_path,
-                "total_cycles {} undercuts the static critical path {}",
-                stats.total_cycles,
-                bounds.critical_path
-            );
-        }
-        if let Some(schedule) = check.as_ref().and_then(|report| report.schedule.as_ref()) {
-            // The lb sandwich: the config-aware bound must dominate the
-            // config-independent one (it re-weights the same recurrences
-            // with latencies ≥ the universal minimum) and the simulated
-            // run must never undercut a certified bound.
-            if let Some(bounds) = check.as_ref().and_then(|report| report.bounds.as_ref()) {
-                debug_assert!(
-                    schedule.lb >= bounds.critical_path,
-                    "schedule lb {} undercuts the config-independent critical path {}",
-                    schedule.lb,
-                    bounds.critical_path
-                );
-            }
-            debug_assert!(
-                stats.total_cycles >= schedule.lb,
-                "total_cycles {} undercuts the certified schedule bound {} ({} bound)",
-                stats.total_cycles,
-                schedule.lb,
-                schedule.binding
-            );
-        }
-        if let Some(progress) = check.as_ref().and_then(|report| report.progress.as_ref()) {
-            // The no-false-proofs contract: the runtime deadlock detector
-            // firing on a run the prover declared `Proven` means the
-            // prover (or the placement it was fed) is lying.
-            debug_assert!(
-                !(stats.forced_stall_releases > 0 && progress.is_proven()),
-                "the deadlock detector fired {} time(s) on a run proven to progress",
-                stats.forced_stall_releases
-            );
+        if let Some(reason) = check
+            .as_deref()
+            .and_then(|report| broken_contract(report, &stats))
+        {
+            return Err(SimError::Diverged {
+                reason,
+                cycle: stats.total_cycles,
+                resolved: resolver.resolved as u64,
+                instructions,
+            });
         }
 
         Ok(SimResult {
@@ -813,6 +784,34 @@ impl ManyCoreSim {
         Ok(core_of)
     }
 }
+/// The contracts a validated run's [`CheckReport`] must meet, checked
+/// in release builds too (a few comparisons per run): `critical_path ≤
+/// lb ≤ total_cycles`, and no forced stall release on a run the prover
+/// declared [`parsecs_check::Progress::Proven`]. An engine undercutting
+/// a certified bound has an optimistic-timing bug; a forced release on
+/// a proven run means the prover, or the placement it was fed, is
+/// wrong. Returns the first broken contract, worded as
+/// [`SimError::Diverged`]'s `reason`.
+fn broken_contract(report: &CheckReport, stats: &SimStats) -> Option<&'static str> {
+    let critical_path = report.bounds.as_ref().map_or(0, |b| b.critical_path);
+    if stats.total_cycles < critical_path {
+        return Some("undercut the static critical path");
+    }
+    if let Some(schedule) = &report.schedule {
+        if schedule.lb < critical_path {
+            return Some("bounded the schedule below the static critical path");
+        }
+        if stats.total_cycles < schedule.lb {
+            return Some("undercut the certified schedule bound");
+        }
+    }
+    let proven = report.progress.as_ref().is_some_and(|p| p.is_proven());
+    if proven && stats.forced_stall_releases > 0 {
+        return Some("forced a stall release on a run proven to progress");
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -902,7 +901,6 @@ mod tests {
         assert_eq!(validated, reference);
         let report = validated.check.as_ref().expect("validated run");
         assert!(report.is_clean());
-        assert!(report.drain.is_certified());
         let bounds = report.bounds.as_ref().expect("clean arenas are bounded");
         assert!(
             validated.stats.total_cycles >= bounds.critical_path,
@@ -917,6 +915,45 @@ mod tests {
         assert!(plain.check.is_none());
         plain.check = validated.check.clone();
         assert_eq!(plain, validated);
+    }
+
+    #[test]
+    fn broken_report_contracts_are_named() {
+        let arena = arena_of(&sum_fork_program(&[4, 2, 6, 4, 5]));
+        let result = ManyCoreSim::new(SimConfig::with_cores(8).validated())
+            .simulate_arena(&arena)
+            .expect("simulates");
+        let report = result.check.as_deref().expect("validated run");
+        let stats = &result.stats;
+        assert_eq!(broken_contract(report, stats), None);
+        assert!(report.progress.as_ref().is_some_and(|p| p.is_proven()));
+
+        let mut broken = report.clone();
+        broken.bounds.as_mut().expect("bounded").critical_path = stats.total_cycles + 1;
+        assert_eq!(
+            broken_contract(&broken, stats),
+            Some("undercut the static critical path")
+        );
+        let mut broken = report.clone();
+        broken.schedule.as_mut().expect("attached").lb = 0;
+        assert_eq!(
+            broken_contract(&broken, stats),
+            Some("bounded the schedule below the static critical path")
+        );
+        let mut broken = report.clone();
+        broken.schedule.as_mut().expect("attached").lb = stats.total_cycles + 1;
+        assert_eq!(
+            broken_contract(&broken, stats),
+            Some("undercut the certified schedule bound")
+        );
+        let forced = SimStats {
+            forced_stall_releases: 1,
+            ..stats.clone()
+        };
+        assert_eq!(
+            broken_contract(report, &forced),
+            Some("forced a stall release on a run proven to progress")
+        );
     }
 
     #[test]

@@ -342,7 +342,6 @@ mod tests {
         let check = report.sim().unwrap().check.as_deref();
         let check = check.expect("validated run carries a report");
         assert!(check.is_clean());
-        assert!(check.drain.is_certified());
         assert!(check.bounds.as_ref().unwrap().critical_path <= report.cycles);
         // Aside from the attachment and the label, the validated run is
         // identical.

@@ -15,12 +15,11 @@
 //!   resolves dependences on the fly, into flat [`trace::TraceArena`]
 //!   columns.
 //! * [`check`] — static analysis over trace arenas: the invariant
-//!   validator, the parallel-drain race certifier
-//!   ([`check::DrainSafety`]), the dependence-DAG critical-path /
-//!   ILP-width bounds the engines are grounded against, and the
-//!   config-aware schedule analyzer ([`check::ScheduleBounds`]) whose
-//!   certified NoC/placement-weighted lower bound and scored
-//!   list-schedule predictor price a chip cell without simulating it.
+//!   validator, the dependence-DAG critical-path / ILP-width bounds the
+//!   engines are grounded against, the config-aware progress prover
+//!   ([`check::Progress`]) and the schedule analyzer
+//!   ([`check::ScheduleBounds`]) whose certified NoC/placement-weighted
+//!   lower bound every validated run must meet.
 //! * [`ilp`] — trace-based ILP limit analysis (the paper's Figure 7
 //!   methodology).
 //! * [`noc`] — network-on-chip substrate.

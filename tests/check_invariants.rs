@@ -1,8 +1,7 @@
 //! Mutation corpus for the `parsecs::check` static analysis.
 //!
-//! Every workload generator's arena must come back clean, certified for
-//! the parallel drain, and bounded (`total_cycles ≥ critical_path` on
-//! every chip size). And the validator must actually *detect* broken
+//! Every workload generator's arena must come back clean and bounded
+//! (`total_cycles ≥ lb ≥ critical_path` on every chip size). And the validator must actually *detect* broken
 //! invariants: these tests rebuild real arenas record-by-record through
 //! the public column builder, inject one targeted corruption — a swapped
 //! dependence edge, an overlapping section span, a stale writer claim, a
@@ -11,7 +10,7 @@
 //! matching [`InvariantViolation`] variant. A proptest then sweeps the
 //! same mutations across random seeds and all five generators.
 
-use parsecs::check::{check_arena, DrainSafety, InvariantViolation, Progress};
+use parsecs::check::{check_arena, InvariantViolation, Progress};
 use parsecs::core::{ManyCoreSim, NoopProbe, SimConfig};
 use parsecs::trace::{PackedDep, SectionId, SectionSpan, TraceArena};
 use parsecs::workloads::scale;
@@ -249,7 +248,7 @@ fn is_variant(violation: &InvariantViolation, name: &str) -> bool {
 }
 
 /// Runs one mutation against one base arena and asserts the validator
-/// reports the matching variant (and withholds the drain certificate).
+/// reports the matching variant (and withholds the bounds).
 fn assert_detected(which: usize, seed: u64, mutation: usize) {
     let (name, src) = base_arena(which, seed);
     let Some((mutated, expected)) = mutate(&src, mutation) else {
@@ -263,10 +262,6 @@ fn assert_detected(which: usize, seed: u64, mutation: usize) {
     assert!(
         report.violations.iter().any(|v| is_variant(v, expected)),
         "{name}: mutation {mutation} should report {expected}, got: {report}"
-    );
-    assert!(
-        matches!(report.drain, DrainSafety::Unchecked),
-        "{name}: a corrupt arena must not be certified"
     );
     assert!(
         report.bounds.is_none(),
@@ -300,19 +295,15 @@ fn every_violation_variant_is_detected() {
     }
 }
 
-/// Every `workloads::scale` generator is clean, certified for the
-/// parallel drain, and the engine retires at or above the static
-/// critical path at 64, 256 and 1024 cores.
+/// Every `workloads::scale` generator is clean, and the engine retires
+/// at or above the static critical path and the certified schedule
+/// bound at 64, 256 and 1024 cores.
 #[test]
 fn scale_generators_are_certified_and_bounded_across_chip_sizes() {
     for which in 0..5 {
         let (name, arena) = base_arena(which, 23);
         let report = check_arena(&arena);
         assert!(report.is_clean(), "{name}: {report}");
-        assert!(
-            matches!(report.drain, DrainSafety::Certified { .. }),
-            "{name}: drain not certified: {report}"
-        );
         let bounds = report.bounds.as_ref().expect("clean arenas are bounded");
         for cores in [64, 256, 1024] {
             let result = ManyCoreSim::new(SimConfig::with_cores(cores).stats_only().validated())
@@ -322,7 +313,6 @@ fn scale_generators_are_certified_and_bounded_across_chip_sizes() {
                 .check
                 .as_ref()
                 .expect("validated run attaches a report");
-            assert!(attached.drain.is_certified(), "{name} at {cores} cores");
             assert!(
                 result.stats.total_cycles >= bounds.critical_path,
                 "{name} at {cores} cores: {} cycles undercut the critical path {}",
@@ -344,10 +334,6 @@ fn scale_generators_are_certified_and_bounded_across_chip_sizes() {
                 schedule.lb,
                 result.stats.total_cycles,
                 schedule.binding
-            );
-            assert!(
-                schedule.predicted_cycles >= schedule.path_bound,
-                "{name} at {cores} cores: the predictor fell below its own path term"
             );
         }
     }

@@ -275,12 +275,6 @@ proptest! {
             }
             let report = event.check.as_ref().expect("validated run attaches a report");
             prop_assert!(report.is_clean(), "seed {}: {}", seed, report);
-            prop_assert!(
-                report.drain.is_certified(),
-                "seed {}: drain not certified: {}",
-                seed,
-                report
-            );
             let progress = report
                 .progress
                 .as_ref()
