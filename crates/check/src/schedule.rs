@@ -251,8 +251,8 @@ pub fn bound_schedule(arena: &TraceArena, core_of: &[usize], model: &ChipModel) 
 /// record's completion cycle.
 ///
 /// Each term under-approximates the resolver's actual charge
-/// (`compute_one` in the engine): a remote register source forces the
-/// execute stage to wait out the round trip (`fetch + 2 + 2·hop`, and
+/// (`Resolver::resolve` in the engine): a remote register source forces
+/// the execute stage to wait out the round trip (`fetch + 2 + 2·hop`, and
 /// the producer's value cannot return before `c_p + hop`, plus the
 /// execute cycle); a memory instruction adds the execute → address →
 /// memory pipeline (`+4` minimum, `+3 + dmh` via the DMH, `+3 + 2·hop`

@@ -33,8 +33,7 @@ pub(crate) const NO_STALL: u32 = u32::MAX;
 pub(crate) const NO_WAKE: u64 = u64::MAX;
 
 /// Per-core simulator state, one dense column per field (see the module
-/// docs). Shared by both timing engines; the event engine walks it
-/// through a [`CoreView`].
+/// docs). Shared by both timing engines.
 pub(crate) struct ChipState {
     /// Section currently owning each core's fetch stage (`NO_SECTION` =
     /// idle).
@@ -101,36 +100,6 @@ impl ChipState {
         }
         Some(head)
     }
-
-    /// The whole chip as a [`CoreView`] — the event engine's walk window,
-    /// built without any allocation — and the ready-queue links beside
-    /// it (the walk pops queues but only reads the links).
-    pub(crate) fn view_all(&mut self) -> (CoreView<'_>, &[u32]) {
-        (
-            CoreView {
-                current: &mut self.current,
-                next_seq: &mut self.next_seq,
-                stall_on: &mut self.stall_on,
-                wake_at: &mut self.wake_at,
-                running: &mut self.running,
-                queue_head: &mut self.queue_head,
-                queue_tail: &mut self.queue_tail,
-            },
-            &self.queue_next,
-        )
-    }
-}
-
-/// The event engine walk's mutable borrow of the [`ChipState`] columns it
-/// steps, indexed by core id.
-pub(crate) struct CoreView<'a> {
-    pub(crate) current: &'a mut [u32],
-    pub(crate) next_seq: &'a mut [u32],
-    pub(crate) stall_on: &'a mut [u32],
-    pub(crate) wake_at: &'a mut [u64],
-    pub(crate) running: &'a mut [bool],
-    pub(crate) queue_head: &'a mut [u32],
-    pub(crate) queue_tail: &'a mut [u32],
 }
 
 /// The in-order fetch-stall handoff state shared by both timing engines.
@@ -172,22 +141,15 @@ impl StallTable {
         self.parked_core.len()
     }
 
-    /// The per-section resume points, for the fetch walk's read-only view
-    /// (`usize::MAX` = section start; the walk defers the clear through
-    /// [`StallTable::clear_resume`]).
+    /// The per-section resume points (`usize::MAX` = section start), so
+    /// a dequeue can report whether [`StallTable::begin_section`] resumes.
     pub(crate) fn resume_points(&self) -> &[usize] {
         &self.resume_at
     }
 
-    /// Resets section `sid`'s resume point after the walk consumed it.
-    pub(crate) fn clear_resume(&mut self, sid: usize) {
-        self.resume_at[sid] = usize::MAX;
-    }
-
     /// Makes `sid` the core's current section, resuming a parked section
-    /// at its saved fetch point and a fresh one at its start (the
-    /// reference loop's direct path; the event engine's walk does the
-    /// same through its buffered [`CoreView`]).
+    /// at its saved fetch point and a fresh one at its start (every
+    /// dequeue of both engines' walks).
     pub(crate) fn begin_section(
         &mut self,
         chip: &mut ChipState,

@@ -8,9 +8,9 @@
 //!
 //! The drain is **batched**: each round takes the whole pending set — the
 //! cycle's fetches first, then the consumers woken by the previous
-//! round's completions — sorts it, and sweeps each instruction's packed
-//! dep slice in ascending trace order. Each attempt is a pure, read-only
-//! [`Resolver::compute_one`] followed by a mutating commit.
+//! round's completions — sorts it, and resolves each instruction in
+//! ascending trace order with one in-place sweep of its packed dep slice
+//! ([`Resolver::resolve`]).
 
 use parsecs_noc::{CoreId, Network};
 use parsecs_obs::SimProbe;
@@ -35,35 +35,6 @@ pub(crate) const INCOMPLETE: u64 = 1 << 63;
 
 /// Empty wake-list link.
 const NO_WAITER: u32 = u32::MAX;
-
-/// The completion cycle recorded in a tagged `complete` column entry, if
-/// already resolved.
-#[inline]
-pub(crate) fn completion_of(complete: &[u64], seq: usize) -> Option<u64> {
-    match complete[seq] {
-        cycle if cycle < INCOMPLETE => Some(cycle),
-        _ => None,
-    }
-}
-
-/// The pure result of one resolution attempt (no resolver state touched).
-enum Outcome {
-    Resolved(Resolved),
-    /// Blocked on this producer's completion.
-    Waiting(u32),
-}
-
-/// Everything a successful resolution commits: the computed stage cycles
-/// plus this instruction's renaming-counter increments.
-#[derive(Clone, Copy)]
-struct Resolved {
-    ew: u64,
-    completion: u64,
-    remote_reg: u32,
-    remote_mem: u32,
-    fork_copied: u32,
-    dmh: u32,
-}
 
 /// The dependence-resolution engine shared by the event-driven and the
 /// reference simulators.
@@ -106,6 +77,8 @@ pub(crate) struct Resolver<'a> {
     queue: Vec<u32>,
     /// Scratch for the drain's batched rounds.
     batch: Vec<u32>,
+    /// Instructions fetched so far.
+    pub(crate) fetched: usize,
     /// Latest fetch cycle seen (streaming `SimStats::fetch_cycles`).
     pub(crate) max_fd: u64,
     /// Latest retirement cycle seen (streaming `SimStats::total_cycles`).
@@ -135,6 +108,7 @@ impl<'a> Resolver<'a> {
             retire_last: vec![0; sections.len()],
             queue: Vec::new(),
             batch: Vec::new(),
+            fetched: 0,
             max_fd: 0,
             max_ret: 0,
             resolved: 0,
@@ -155,13 +129,17 @@ impl<'a> Resolver<'a> {
         if cycle > self.max_fd {
             self.max_fd = cycle;
         }
+        self.fetched += 1;
         self.queue.push(seq as u32);
     }
 
     /// The completion cycle of `seq`, if already resolved.
     #[inline]
     pub(crate) fn completion(&self, seq: usize) -> Option<u64> {
-        completion_of(&self.complete, seq)
+        match self.complete[seq] {
+            cycle if cycle < INCOMPLETE => Some(cycle),
+            _ => None,
+        }
     }
 
     /// Latency of one leg (request or response) of a renaming exchange
@@ -217,28 +195,12 @@ impl<'a> Resolver<'a> {
             if P::ENABLED {
                 probe.on_drain_round(cycle, round_index, batch.len());
             }
-            self.round(&batch, network, core_of, completions, probe);
+            for &seq in &batch {
+                self.resolve(seq as usize, network, core_of, completions, probe);
+            }
             round_index += 1;
             batch.clear();
             self.batch = batch;
-        }
-    }
-
-    /// One drain round over the sorted `batch`.
-    fn round<P: SimProbe>(
-        &mut self,
-        batch: &[u32],
-        network: &Network<SectionId>,
-        core_of: &[CoreId],
-        completions: &mut Vec<(usize, u64)>,
-        probe: &mut P,
-    ) {
-        for &seq in batch {
-            let seq = seq as usize;
-            match self.compute_one(seq, network, core_of) {
-                Outcome::Resolved(r) => self.commit_resolved(seq, r, completions, probe),
-                Outcome::Waiting(dep) => self.register_waiter(seq, dep as usize),
-            }
         }
     }
 
@@ -249,12 +211,22 @@ impl<'a> Resolver<'a> {
         self.waiter_head[dep] = seq as u32;
     }
 
-    /// One **pure** resolution attempt: a single forward sweep over
-    /// `seq`'s packed dep slice, touching no resolver state. Returns
-    /// `Waiting` at the first incomplete producer; on success returns the
-    /// computed cycles and counter increments for
-    /// [`Resolver::commit_resolved`].
-    fn compute_one(&self, seq: usize, network: &Network<SectionId>, core_of: &[CoreId]) -> Outcome {
+    /// One resolution attempt: a single forward sweep over `seq`'s packed
+    /// dep slice. At the first incomplete producer it parks `seq` on that
+    /// producer's wake list and changes nothing else — the renaming
+    /// counters are tallied in locals, so a retry never double-counts.
+    /// Otherwise it writes the stage cycles, the counters and the
+    /// completion in place, queues the woken consumers for the next
+    /// round (breadth-first, not depth-first) and runs the retirement
+    /// cascade.
+    fn resolve<P: SimProbe>(
+        &mut self,
+        seq: usize,
+        network: &Network<SectionId>,
+        core_of: &[CoreId],
+        completions: &mut Vec<(usize, u64)>,
+        probe: &mut P,
+    ) {
         let arena = self.arena;
         let tagged = self.complete[seq];
         debug_assert!(
@@ -278,7 +250,7 @@ impl<'a> Resolver<'a> {
                 }
                 SourceKind::InitialRegister | SourceKind::InitialMemory => 0,
                 SourceKind::Local { producer } => match self.complete[producer] {
-                    c if c >= INCOMPLETE => return Outcome::Waiting(producer as u32),
+                    c if c >= INCOMPLETE => return self.register_waiter(seq, producer),
                     c => {
                         if c > my_fd {
                             available_at_fetch = false;
@@ -292,7 +264,7 @@ impl<'a> Resolver<'a> {
                 } => {
                     available_at_fetch = false;
                     let c = match self.complete[producer] {
-                        c if c >= INCOMPLETE => return Outcome::Waiting(producer as u32),
+                        c if c >= INCOMPLETE => return self.register_waiter(seq, producer),
                         c => c,
                     };
                     remote_reg += 1;
@@ -329,7 +301,7 @@ impl<'a> Resolver<'a> {
                         a + self.config.dmh_latency
                     }
                     SourceKind::Local { producer } => match self.complete[producer] {
-                        c if c >= INCOMPLETE => return Outcome::Waiting(producer as u32),
+                        c if c >= INCOMPLETE => return self.register_waiter(seq, producer),
                         c => c.max(a + 1),
                     },
                     SourceKind::Remote {
@@ -337,7 +309,7 @@ impl<'a> Resolver<'a> {
                         producer_section,
                     } => {
                         let c = match self.complete[producer] {
-                            c if c >= INCOMPLETE => return Outcome::Waiting(producer as u32),
+                            c if c >= INCOMPLETE => return self.register_waiter(seq, producer),
                             c => c,
                         };
                         remote_mem += 1;
@@ -361,36 +333,15 @@ impl<'a> Resolver<'a> {
             my_ew
         };
 
-        Outcome::Resolved(Resolved {
-            ew: my_ew,
-            completion,
-            remote_reg,
-            remote_mem,
-            fork_copied,
-            dmh,
-        })
-    }
-
-    /// Commits a successful resolution: stage cycles, counters, the
-    /// completion event, the woken consumers (they join the next round's
-    /// batch instead of being resolved depth-first) and the retirement
-    /// cascade.
-    fn commit_resolved<P: SimProbe>(
-        &mut self,
-        seq: usize,
-        r: Resolved,
-        completions: &mut Vec<(usize, u64)>,
-        probe: &mut P,
-    ) {
         if self.record {
-            self.ew[seq] = r.ew;
+            self.ew[seq] = my_ew;
         }
-        self.complete[seq] = r.completion;
-        self.remote_register_requests += u64::from(r.remote_reg);
-        self.remote_memory_requests += u64::from(r.remote_mem);
-        self.fork_copied_sources += u64::from(r.fork_copied);
-        self.dmh_accesses += u64::from(r.dmh);
-        completions.push((seq, r.completion));
+        self.complete[seq] = completion;
+        self.remote_register_requests += u64::from(remote_reg);
+        self.remote_memory_requests += u64::from(remote_mem);
+        self.fork_copied_sources += u64::from(fork_copied);
+        self.dmh_accesses += u64::from(dmh);
+        completions.push((seq, completion));
         let mut waiter = std::mem::replace(&mut self.waiter_head[seq], NO_WAITER);
         while waiter != NO_WAITER {
             self.queue.push(waiter);

@@ -25,14 +25,17 @@ pub enum SimError {
     /// the typed violations is attached.
     Invariant(Box<CheckReport>),
     /// The timing model broke down: the engine stopped making progress,
-    /// an instruction came out of it unresolved, or a validated run broke
-    /// a contract of its static report, on a trace the structural checks
+    /// an instruction came out of it unresolved, a core's cycle
+    /// attribution did not tile the run, or a validated run broke a
+    /// contract of its static report, on a trace the structural checks
     /// accept. Always a simulator (or analyzer) bug, never a property of
     /// the program.
     Diverged {
         /// What went wrong: `"deadlocked with no pending event"`,
-        /// `"did not converge"`, `"left an instruction unresolved"`, or
-        /// on a validated run the broken report contract:
+        /// `"did not converge"`, `"left an instruction unresolved"`,
+        /// `"split a core's cycles into buckets that do not sum to
+        /// total_cycles"`, or on a validated run the broken report
+        /// contract:
         /// `"undercut the static critical path"`,
         /// `"bounded the schedule below the static critical path"`,
         /// `"undercut the certified schedule bound"` or

@@ -75,12 +75,12 @@
 
 pub mod analytic;
 mod chip;
-mod cluster;
 mod config;
 mod drain;
 mod error;
 mod placement;
 mod reference;
+mod schedule;
 mod sim;
 mod timing;
 

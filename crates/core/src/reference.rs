@@ -33,9 +33,9 @@ use crate::sim::{stall_cause, Setup};
 use crate::{ManyCoreSim, SimError, SimResult};
 
 /// Simulates an arena-backed trace by stepping the chip one cycle at a
-/// time (see the module docs). The probe observes the same section/stall
-/// seams as the event engine's, so per-core event streams match across
-/// engines; only the per-cycle gauges are engine-specific views.
+/// time (see the module docs). The probe sees the same event sequence as
+/// the event engine's; only the per-cycle tick and walk gauges are
+/// engine-specific views.
 pub(crate) fn simulate<P: SimProbe>(
     sim: &ManyCoreSim,
     arena: &TraceArena,
@@ -75,11 +75,10 @@ pub(crate) fn simulate<P: SimProbe>(
         }
     }
 
-    let mut fetched = 0usize;
     let mut cycle: u64 = 0;
     let safety = 200 * n as u64 + 10_000;
 
-    while fetched < n || resolver.resolved < n {
+    while resolver.fetched < n || resolver.resolved < n {
         cycle += 1;
         if cycle >= safety {
             return Err(SimError::Diverged {
@@ -89,7 +88,7 @@ pub(crate) fn simulate<P: SimProbe>(
                 instructions: n as u64,
             });
         }
-        let progress_before = fetched + resolver.resolved;
+        let progress_before = resolver.fetched + resolver.resolved;
 
         // Parked sections whose stall released rejoin their ready queue.
         while let Some((idx, sid)) = stalls.pop_due(cycle) {
@@ -165,7 +164,6 @@ pub(crate) fn simulate<P: SimProbe>(
             let seq = chip.next_seq[core_index] as usize;
             let kind = arena.kind(seq);
             resolver.fetch(seq, cycle);
-            fetched += 1;
             chip.next_seq[core_index] += 1;
 
             // A fork sends a section-creation message to the host core
@@ -261,9 +259,9 @@ pub(crate) fn simulate<P: SimProbe>(
         // parked stalls (the branches resolve out of order in the execute
         // stage) and counts the firing; the driver layer surfaces any
         // non-zero count as an error.
-        if fetched + resolver.resolved == progress_before
+        if resolver.fetched + resolver.resolved == progress_before
             && stalls.parked() > 0
-            && fetched < n
+            && resolver.fetched < n
             && network.in_flight() == 0
             && !stalls.pending_requeues()
             && (0..config.cores)

@@ -21,8 +21,9 @@
 //!
 //! * [`crate::chip`] — chip-wide per-core state as struct-of-arrays
 //!   columns, the intrusive ready queues and the stall-handoff table;
-//! * [`crate::cluster`] — the calendar queue, the run list and the
-//!   fetch-decode walk over the chip columns;
+//! * [`crate::schedule`] — the calendar queue, the run list and the
+//!   fetch-decode walk over the chip columns, which applies its effects
+//!   in place;
 //! * [`crate::drain`] — the batched completion drain;
 //! * this module — the orchestrator: the event loop that advances the
 //!   clock, delivers NoC messages and stall requeues, runs the walk and
@@ -67,8 +68,8 @@ use parsecs_obs::{CoreBreakdown, CycleAttribution, NoopProbe, SimProbe, StallCau
 use parsecs_trace::{SourceKind, TraceArena};
 
 use crate::chip::{ChipState, NO_SECTION, NO_STALL};
-use crate::cluster::{schedule, walk_cluster, Cluster, WalkCtx};
 use crate::drain::{Resolver, INCOMPLETE, UNKNOWN};
+use crate::schedule::{walk, Schedule, Walk};
 use crate::{InstTiming, SectionId, SectionSpan, SimConfig, SimError, SimStats};
 
 pub(crate) use crate::chip::StallTable;
@@ -250,10 +251,10 @@ impl ManyCoreSim {
     /// entirely for [`NoopProbe`] (`P::ENABLED == false`), so the default
     /// path pays nothing. A probed run produces a [`SimResult`]
     /// bit-identical to the unprobed one — probes observe, they never
-    /// steer. Per-core event streams are identical across engines; only
-    /// engine-specific gauges ([`SimProbe::on_tick`],
-    /// [`SimProbe::on_walk`], [`SimProbe::on_drain_round`]) may differ
-    /// between the event-driven and reference engines.
+    /// steer. Every hook except the per-cycle gauges
+    /// ([`SimProbe::on_tick`], [`SimProbe::on_walk`]) fires in the same
+    /// order with the same arguments as under
+    /// [`ManyCoreSim::simulate_reference`].
     ///
     /// # Errors
     ///
@@ -334,7 +335,7 @@ impl ManyCoreSim {
 
         let mut chip = ChipState::new(self.config.cores, sections.len());
         let mut stalls = StallTable::new(sections.len());
-        let mut cluster = Cluster::new(self.config.cores);
+        let mut schedule = Schedule::new(self.config.cores);
         let mut completions: Vec<(usize, u64)> = Vec::new();
         let mut delivered = Vec::new();
         let mut forced_stall_releases = 0u64;
@@ -350,21 +351,20 @@ impl ManyCoreSim {
             chip.current[root_core] = 0;
             chip.next_seq[root_core] = sections[0].start as u32;
             chip.sections_hosted[root_core] = 1;
-            schedule(&mut chip, &mut cluster, root_core, 1);
+            schedule.wake(&mut chip, root_core, 1);
             attr.begin_root(root_core);
             if P::ENABLED {
                 probe.on_section_begin(root_core, 0, 0, false);
             }
         }
 
-        let mut fetched = 0usize;
         let mut cycle: u64 = 0;
         let safety = 200 * n as u64 + 10_000;
 
-        while fetched < n || resolver.resolved < n {
+        while resolver.fetched < n || resolver.resolved < n {
             // --- pick the next cycle with an event -----------------------
-            let target = if cluster.running.is_empty() {
-                let candidate = cluster
+            let target = if schedule.running.is_empty() {
+                let candidate = schedule
                     .wakes
                     .next_at()
                     .into_iter()
@@ -380,7 +380,7 @@ impl ManyCoreSim {
                         // genuine deadlock (a malformed trace): the detector
                         // escapes by abandoning the parked stalls — counted,
                         // and surfaced as an error by the driver layer.
-                        if !(fetched < n && stalls.parked() > 0) {
+                        if !(resolver.fetched < n && stalls.parked() > 0) {
                             return Err(SimError::Diverged {
                                 reason: "deadlocked with no pending event",
                                 cycle,
@@ -425,7 +425,7 @@ impl ManyCoreSim {
                 }
                 if chip.current[idx] == NO_SECTION && !chip.running[idx] {
                     // An idle core dequeues the resumed section this cycle.
-                    schedule(&mut chip, &mut cluster, idx, cycle);
+                    schedule.wake(&mut chip, idx, cycle);
                 }
             }
 
@@ -440,79 +440,41 @@ impl ManyCoreSim {
                 }
                 if chip.current[idx] == NO_SECTION && !chip.running[idx] {
                     // An idle core dequeues the message this very cycle.
-                    schedule(&mut chip, &mut cluster, idx, cycle);
+                    schedule.wake(&mut chip, idx, cycle);
                 }
             }
 
             // --- fetch-decode phase: the walk ----------------------------
             // The walk steps the acting cores in ascending order and
-            // buffers its effects on the resolver, the NoC, the stall
-            // table and the attribution table; they are committed below
-            // in the same order (see `crate::cluster`).
+            // applies each step's effects on the resolver, the NoC, the
+            // stall table and the attribution table as it goes (see
+            // `crate::schedule`).
             if P::ENABLED {
                 probe.on_tick(TickGauges {
                     cycle,
-                    running: cluster.running.len as u64,
-                    calendar_depth: cluster.wakes.len() as u64,
+                    running: schedule.running.len as u64,
+                    calendar_depth: schedule.wakes.len() as u64,
                     noc_in_flight: network.in_flight() as u64,
                     parked: stalls.parked() as u64,
                 });
-                probe.on_walk(cycle, cluster.running.len);
+                probe.on_walk(cycle, schedule.running.len);
             }
-            // The walk borrows the columns directly — no per-cycle
-            // allocation on the hot loop.
-            let (mut view, queue_next) = chip.view_all();
-            let ctx = WalkCtx {
-                arena,
-                sections,
-                created_by: &created_by,
-                complete: &resolver.complete,
-                resume_at: stalls.resume_points(),
-                queue_next,
-                fetch_stalls: self.config.fetch_stalls_on_unresolved_control,
-                cycle,
-            };
-            walk_cluster(&mut cluster, &mut view, &ctx);
-            // Commit the buffered effects in ascending core order:
-            // fetches into the resolver, fork messages onto the NoC,
-            // consumed resume points cleared, section lifetime events
-            // into the attribution table and the probe.
-            fetched += cluster.fetched.len();
-            for &seq in &cluster.fetched {
-                resolver.fetch(seq as usize, cycle);
-            }
-            cluster.fetched.clear();
-            for &(src, child) in &cluster.sends {
-                let child = SectionId(child as usize);
-                let dst = core_of[child.0];
-                network.send(CoreId(src as usize), dst, child, cycle);
-                if P::ENABLED {
-                    probe.on_noc_send(src as usize, dst.0, child.0 as u32, cycle);
-                }
-            }
-            cluster.sends.clear();
-            for &(core, sid, resumed) in &cluster.began {
-                if resumed {
-                    stalls.clear_resume(sid as usize);
-                }
-                attr.begin(core as usize, cycle);
-                if P::ENABLED {
-                    probe.on_section_begin(core as usize, sid, cycle, resumed);
-                }
-            }
-            cluster.began.clear();
-            for &(core, sid, with_fetch) in &cluster.ended {
-                let core = core as usize;
-                if with_fetch {
-                    attr.end_fetch(core, cycle);
-                } else {
-                    attr.end_nofetch(core, cycle);
-                }
-                if P::ENABLED {
-                    probe.on_section_end(core, sid, cycle, with_fetch);
-                }
-            }
-            cluster.ended.clear();
+            walk(
+                &mut schedule,
+                Walk {
+                    cycle,
+                    arena,
+                    chip: &mut chip,
+                    stalls: &mut stalls,
+                    resolver: &mut resolver,
+                    network: &mut network,
+                    attr: &mut attr,
+                    probe,
+                    created_by: &created_by,
+                    core_of: &core_of,
+                    fetch_stalls: self.config.fetch_stalls_on_unresolved_control,
+                },
+            );
 
             // --- dependence resolution -----------------------------------
             completions.clear();
@@ -537,8 +499,8 @@ impl ManyCoreSim {
             // this very cycle's drain) stalls in place until just past
             // it; an unknown one hands the core off to its queued
             // sections and parks.
-            if !cluster.newly_stalled.is_empty() {
-                let mut stalled = std::mem::take(&mut cluster.newly_stalled);
+            if !schedule.newly_stalled.is_empty() {
+                let mut stalled = std::mem::take(&mut schedule.newly_stalled);
                 for &idx in &stalled {
                     let idx = idx as usize;
                     if chip.stall_on[idx] == NO_STALL {
@@ -559,9 +521,9 @@ impl ManyCoreSim {
                                 );
                             }
                             if wake > cycle + 1 {
-                                cluster.running.remove(&mut chip.running, idx);
+                                schedule.running.remove(&mut chip.running, idx);
                                 chip.wake_at[idx] = wake;
-                                cluster.wakes.push(wake, idx);
+                                schedule.wakes.push(wake, idx);
                             }
                         }
                         None => {
@@ -580,13 +542,13 @@ impl ManyCoreSim {
                             }
                             stalls.park(idx, &mut chip, seq);
                             if chip.queue_head[idx] == NO_SECTION {
-                                cluster.running.remove(&mut chip.running, idx);
+                                schedule.running.remove(&mut chip.running, idx);
                             }
                         }
                     }
                 }
                 stalled.clear();
-                cluster.newly_stalled = stalled;
+                schedule.newly_stalled = stalled;
             }
         }
 
@@ -632,9 +594,10 @@ impl ManyCoreSim {
     /// the resolver with sentinel cycles — the stall/wake model broke
     /// down, and sentinels must never leak into reported timings (a hard
     /// check, release builds included; the one-branch-per-instruction
-    /// cost is negligible next to building the row) — or when a
-    /// validated run breaks a contract of its attached report (see
-    /// [`broken_contract`]).
+    /// cost is negligible next to building the row) — when a core's
+    /// cycle attribution does not tile the run (see
+    /// [`untiled_attribution`]), or when a validated run breaks a
+    /// contract of its attached report (see [`broken_contract`]).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn finish(
         &self,
@@ -721,17 +684,12 @@ impl ManyCoreSim {
             attribution,
         };
 
-        debug_assert!(
-            stats
-                .attribution
-                .iter()
-                .all(|b| b.total() == stats.total_cycles),
-            "a core's attribution buckets do not sum to total_cycles"
-        );
-        if let Some(reason) = check
-            .as_deref()
-            .and_then(|report| broken_contract(report, &stats))
-        {
+        let broken = untiled_attribution(&stats).or_else(|| {
+            check
+                .as_deref()
+                .and_then(|report| broken_contract(report, &stats))
+        });
+        if let Some(reason) = broken {
             return Err(SimError::Diverged {
                 reason,
                 cycle: stats.total_cycles,
@@ -784,6 +742,18 @@ impl ManyCoreSim {
         Ok(core_of)
     }
 }
+/// The attribution contract every run must meet, checked in release
+/// builds too (one sum per core): each core's buckets tile the run,
+/// summing to `total_cycles`. Returns the broken contract, worded as
+/// [`SimError::Diverged`]'s `reason`.
+fn untiled_attribution(stats: &SimStats) -> Option<&'static str> {
+    stats
+        .attribution
+        .iter()
+        .any(|b| b.total() != stats.total_cycles)
+        .then_some("split a core's cycles into buckets that do not sum to total_cycles")
+}
+
 /// The contracts a validated run's [`CheckReport`] must meet, checked
 /// in release builds too (a few comparisons per run): `critical_path ≤
 /// lb ≤ total_cycles`, and no forced stall release on a run the prover
@@ -954,6 +924,24 @@ mod tests {
             broken_contract(report, &forced),
             Some("forced a stall release on a run proven to progress")
         );
+    }
+
+    #[test]
+    fn untiled_attribution_is_named() {
+        let arena = arena_of(&sum_fork_program(&[4, 2, 6, 4, 5]));
+        let result = ManyCoreSim::new(SimConfig::with_cores(8))
+            .simulate_arena(&arena)
+            .expect("simulates");
+        assert_eq!(untiled_attribution(&result.stats), None);
+        let reason = Some("split a core's cycles into buckets that do not sum to total_cycles");
+        for tamper in [
+            |b: &mut CoreBreakdown| b.idle += 1,
+            |b: &mut CoreBreakdown| b.busy -= 1,
+        ] {
+            let mut stats = result.stats.clone();
+            tamper(&mut stats.attribution[0]);
+            assert_eq!(untiled_attribution(&stats), reason);
+        }
     }
 
     #[test]

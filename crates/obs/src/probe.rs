@@ -87,10 +87,11 @@ pub struct TickGauges {
 /// (the [`NoopProbe`]) monomorphizes to the uninstrumented loop — the
 /// hook arguments are never even computed.
 ///
-/// Hooks fire in a deterministic order for a given engine: per-core
-/// event streams (begin/end/park/requeue/stall) are identical across
-/// engines and stats modes; tick and walk/drain gauges are
-/// engine-specific views.
+/// Hooks fire in a deterministic order. Every hook except
+/// [`SimProbe::on_tick`] and [`SimProbe::on_walk`] fires in the same
+/// order with the same arguments on both engines and in both stats
+/// modes; those two are per-cycle gauges, and the event-driven engine
+/// skips the quiet cycles the reference steps through.
 pub trait SimProbe {
     /// Whether hook call sites are compiled in. Leave at the default
     /// `true` for every observing probe; only [`NoopProbe`] sets `false`.

@@ -9,13 +9,123 @@
 //! forward conditional jumps over random blocks, nested forks) and random
 //! chip configurations (core count, placement policy, topology, NoC
 //! timing, ejection bandwidth, section capacity, renaming-walk and DMH
-//! charges, fetch-stall mode) and asserts full equality.
+//! charges, fetch-stall mode) and asserts full equality. A recording
+//! probe holds the engines to the same sequence of probe events too.
 
 use parsecs::core::{
-    ChainAffine, CountingProbe, LoadAware, ManyCoreSim, NoopProbe, Placement, SimConfig, TraceArena,
+    ChainAffine, LoadAware, ManyCoreSim, NoopProbe, Placement, SimConfig, SimProbe, StallCause,
+    TraceArena,
 };
 use parsecs::noc::{NocConfig, Topology};
+use parsecs::workloads::{scale, sum};
 use proptest::prelude::*;
+
+/// One probe hook firing with its arguments.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Event {
+    Begin(usize, u32, u64, bool),
+    End(usize, u32, u64, bool),
+    Park(usize, u32, usize, u64, StallCause),
+    Requeue(usize, u32, u64),
+    Retire(u32, u64),
+    Stall(usize, usize, StallCause, u64, u64),
+    Send(usize, usize, u32, u64),
+    Deliver(usize, u32, u64),
+    DrainRound(u64, usize, usize),
+}
+
+/// Records every hook except the per-cycle gauges `on_tick` and
+/// `on_walk`: the event engine skips quiet cycles, so only those two may
+/// differ between the engines.
+#[derive(Debug, Default)]
+struct Recorder(Vec<Event>);
+
+impl SimProbe for Recorder {
+    fn on_section_begin(&mut self, core: usize, sid: u32, cycle: u64, resumed: bool) {
+        self.0.push(Event::Begin(core, sid, cycle, resumed));
+    }
+    fn on_section_end(&mut self, core: usize, sid: u32, cycle: u64, fetched: bool) {
+        self.0.push(Event::End(core, sid, cycle, fetched));
+    }
+    fn on_section_park(
+        &mut self,
+        core: usize,
+        sid: u32,
+        seq: usize,
+        cycle: u64,
+        cause: StallCause,
+    ) {
+        self.0.push(Event::Park(core, sid, seq, cycle, cause));
+    }
+    fn on_section_requeue(&mut self, core: usize, sid: u32, cycle: u64) {
+        self.0.push(Event::Requeue(core, sid, cycle));
+    }
+    fn on_section_retire(&mut self, sid: u32, cycle: u64) {
+        self.0.push(Event::Retire(sid, cycle));
+    }
+    fn on_fetch_stall(
+        &mut self,
+        core: usize,
+        seq: usize,
+        cause: StallCause,
+        cycle: u64,
+        resumes: u64,
+    ) {
+        self.0.push(Event::Stall(core, seq, cause, cycle, resumes));
+    }
+    fn on_noc_send(&mut self, from: usize, to: usize, sid: u32, cycle: u64) {
+        self.0.push(Event::Send(from, to, sid, cycle));
+    }
+    fn on_noc_deliver(&mut self, to: usize, sid: u32, cycle: u64) {
+        self.0.push(Event::Deliver(to, sid, cycle));
+    }
+    fn on_drain_round(&mut self, cycle: u64, round: usize, width: usize) {
+        self.0.push(Event::DrainRound(cycle, round, width));
+    }
+}
+
+/// Where two event sequences first differ, with both events there
+/// (`None` past a sequence's end); `None` when they are equal.
+fn first_difference(a: &[Event], b: &[Event]) -> Option<(usize, Option<Event>, Option<Event>)> {
+    (0..a.len().max(b.len()))
+        .find(|&i| a.get(i) != b.get(i))
+        .map(|i| (i, a.get(i).copied(), b.get(i).copied()))
+}
+
+/// Runs `arena` on both engines under a [`Recorder`], checks that the
+/// probe steered neither and that a stats-only event-engine run fires
+/// the same events, and returns the two engines' event sequences.
+fn record_both(sim: &ManyCoreSim, arena: &TraceArena, what: &str) -> (Vec<Event>, Vec<Event>) {
+    let mut event = Recorder::default();
+    let probed = sim
+        .simulate_arena_probed(arena, &mut event)
+        .expect("event engine simulates");
+    assert_eq!(
+        probed,
+        sim.simulate_arena(arena).expect("simulates"),
+        "{what}: the probe steered the event engine"
+    );
+    let mut reference = Recorder::default();
+    let probed = sim
+        .simulate_reference(arena, &mut reference)
+        .expect("reference simulates");
+    assert_eq!(
+        probed,
+        sim.simulate_reference(arena, &mut NoopProbe)
+            .expect("simulates"),
+        "{what}: the probe steered the reference engine"
+    );
+    let mut stats_only = Recorder::default();
+    ManyCoreSim::new(sim.config().clone().stats_only())
+        .simulate_arena_probed(arena, &mut stats_only)
+        .expect("stats-only simulates");
+    assert_eq!(
+        first_difference(&event.0, &stats_only.0),
+        None,
+        "{what}: stats-only events diverge from full mode (index, full, stats-only)"
+    );
+    (event.0, reference.0)
+}
 
 /// A tiny deterministic generator used to expand one proptest-drawn seed
 /// into a whole random program (splitmix64).
@@ -220,44 +330,17 @@ proptest! {
                 seed,
                 sim.config()
             );
-            // The probe axis: an observing CountingProbe must not steer —
-            // the probed run reproduces the unprobed one bit-for-bit on
-            // both engines — and the per-core event streams are engine-
-            // invariant, so the two probes count the same section, stall
-            // and NoC events (ticks/walks/drain rounds differ by design:
-            // the event engine skips quiet cycles).
-            let mut counting = CountingProbe::default();
-            let probed = sim
-                .simulate_arena_probed(&arena, &mut counting)
-                .expect("probed event engine simulates");
+            // The probe axis: an observing probe must not steer either
+            // engine, and both engines fire every hook but the per-cycle
+            // gauges in the same order with the same arguments.
+            let what = format!("seed {seed} under {:?}", sim.config());
+            let (event_events, reference_events) = record_both(&sim, &arena, &what);
+            prop_assert!(!event_events.is_empty(), "{}: the probe observed nothing", what);
             prop_assert_eq!(
-                &probed,
-                &event,
-                "seed {} under {:?}: the counting probe steered the event engine",
-                seed,
-                sim.config()
-            );
-            prop_assert!(counting.events() > 0, "seed {}: the probe observed nothing", seed);
-            let mut ref_counting = CountingProbe::default();
-            let probed_reference = sim
-                .simulate_reference(&arena, &mut ref_counting)
-                .expect("probed reference engine simulates");
-            prop_assert_eq!(
-                &probed_reference,
-                &reference,
-                "seed {} under {:?}: the counting probe steered the reference engine",
-                seed,
-                sim.config()
-            );
-            prop_assert_eq!(
-                (counting.begins, counting.ends, counting.parks, counting.requeues,
-                 counting.retires, counting.stalls, counting.noc_sends, counting.noc_delivers),
-                (ref_counting.begins, ref_counting.ends, ref_counting.parks,
-                 ref_counting.requeues, ref_counting.retires, ref_counting.stalls,
-                 ref_counting.noc_sends, ref_counting.noc_delivers),
-                "seed {} under {:?}: probe event streams diverge between engines",
-                seed,
-                sim.config()
+                first_difference(&event_events, &reference_events),
+                None,
+                "{}: probe event sequences diverge between engines",
+                what
             );
             // The always-on attribution table covers every configured core
             // and tiles the whole cycle budget additively.
@@ -675,4 +758,63 @@ fn generated_programs_are_nontrivial() {
         total_insns >= 1_000,
         "total instructions only {total_insns}"
     );
+}
+
+/// The golden miniatures (`tests/golden.rs`, on the chips it runs them on)
+/// and the paper's sum example on eight cores, round robin: both engines
+/// fire the same probe events in the same order.
+#[test]
+fn golden_miniatures_fire_the_same_event_sequence_on_both_engines() {
+    const SEED: u64 = 7;
+    let cells = [
+        (
+            "fan_chain 128x26",
+            scale::fan_chain_program(128, 26, SEED),
+            scale::fan_chain_fuel(128, 26),
+            128,
+        ),
+        (
+            "synth_histogram 3300x512",
+            scale::synth_histogram_program(3_300, 512, SEED),
+            scale::synth_histogram_fuel(3_300, 512),
+            32,
+        ),
+        (
+            "chain_sum 1000",
+            scale::chain_sum_program(1_000, SEED),
+            scale::chain_sum_fuel(1_000),
+            64,
+        ),
+        (
+            "tree_sum 4000",
+            scale::tree_sum_program(4_000, SEED),
+            scale::tree_sum_fuel(4_000),
+            64,
+        ),
+        (
+            "histogram 1000x64",
+            scale::histogram_program(1_000, 64, SEED),
+            scale::histogram_fuel(1_000, 64),
+            64,
+        ),
+        (
+            "sum [4, 2, 6, 4, 5]",
+            sum::fork_program(&[4, 2, 6, 4, 5]),
+            10_000,
+            8,
+        ),
+    ];
+    for (name, program, fuel, cores) in cells {
+        let arena = TraceArena::from_program(&program, fuel).expect("halts");
+        let sim = ManyCoreSim::new(SimConfig::with_cores(cores));
+        let (event, reference) = record_both(&sim, &arena, name);
+        assert!(!event.is_empty(), "{name}: the probe observed nothing");
+        assert_eq!(
+            first_difference(&event, &reference),
+            None,
+            "{name}: event sequences of {} and {} events diverge (index, event, reference)",
+            event.len(),
+            reference.len()
+        );
+    }
 }
