@@ -19,7 +19,7 @@ use std::io::{self, BufWriter, Write};
 use parsecs_bench::harness::Cli;
 use parsecs_bench::json::Obj;
 use parsecs_cc::Backend;
-use parsecs_core::{LoadAware, Placement, SimConfig};
+use parsecs_core::{Placement, SimConfig};
 use parsecs_driver::{ManyCoreBackend, Sweep, SweepPoint};
 use parsecs_noc::NocConfig;
 use parsecs_workloads::{pbbs::Benchmark, sum};
@@ -58,7 +58,7 @@ fn build_sweep() -> Sweep {
         SimConfig::with_cores(16).with_placement(Placement::LeastLoaded),
     ));
     sweep = sweep.backend(ManyCoreBackend::new(
-        SimConfig::with_cores(16).with_placement(LoadAware),
+        SimConfig::with_cores(16).with_placement(Placement::LoadAware),
     ));
     let mut no_stall = SimConfig::with_cores(16);
     no_stall.fetch_stalls_on_unresolved_control = false;

@@ -61,7 +61,7 @@
 use parsecs_bench::harness::{best_of, exit_on_failures, write_chrome_trace, Cli};
 use parsecs_bench::{json, AttributionTotals};
 use parsecs_core::{
-    ChainAffine, CountingProbe, ManyCoreSim, NoopProbe, ScheduleBounds, SimConfig, TraceArena,
+    CountingProbe, ManyCoreSim, NoopProbe, Placement, ScheduleBounds, SimConfig, TraceArena,
 };
 use parsecs_isa::Program;
 use parsecs_noc::NocConfig;
@@ -311,7 +311,7 @@ fn build_grid(quick: bool, validate: bool) -> Vec<Cell> {
             workload: format!("chain_sum-{chain_n}"),
             config: "64c:noc96+96:chain-affine".into(),
             sim: ManyCoreSim::new(with_validation(
-                stress_noc().with_placement(ChainAffine),
+                stress_noc().with_placement(Placement::ChainAffine),
                 validate,
             )),
             trace: chain,

@@ -1,10 +1,8 @@
 //! Configuration of the many-core simulator.
 
-use std::sync::Arc;
+use parsecs_noc::{NocConfig, NocModel, Topology};
 
-use parsecs_noc::{NocConfig, Topology};
-
-use crate::placement::{ChipView, Placement, PlacementPolicy};
+use crate::placement::{ChipView, Placement};
 
 /// Parameters of the many-core timing model.
 ///
@@ -22,10 +20,9 @@ pub struct SimConfig {
     pub topology: Option<Topology>,
     /// NoC timing.
     pub noc: NocConfig,
-    /// Section placement policy. Built-in policies live in [`Placement`]
-    /// and [`crate::LoadAware`]; any [`PlacementPolicy`] implementation
-    /// can be plugged in via [`SimConfig::with_placement`].
-    pub placement: Arc<dyn PlacementPolicy>,
+    /// Section placement policy, one of the closed set [`Placement`]
+    /// (round robin by default; see [`SimConfig::with_placement`]).
+    pub placement: Placement,
     /// Maximum number of sections placed on a single core
     /// (`max_section` in the paper). The round-robin placement spills to
     /// the next core with free capacity; when every core is at capacity the
@@ -83,14 +80,13 @@ pub struct SimConfig {
     pub threads: usize,
 }
 
-// Hand-written: `Arc<dyn PlacementPolicy>` has no `PartialEq`, so the
-// policy compares by name, and the ignored `threads` is left out.
+// Hand-written only so that the ignored `threads` is left out.
 impl PartialEq for SimConfig {
     fn eq(&self, other: &SimConfig) -> bool {
         self.cores == other.cores
             && self.topology == other.topology
             && self.noc == other.noc
-            && self.placement.name() == other.placement.name()
+            && self.placement == other.placement
             && self.max_sections_per_core == other.max_sections_per_core
             && self.dmh_latency == other.dmh_latency
             && self.per_section_hop == other.per_section_hop
@@ -111,7 +107,7 @@ impl Default for SimConfig {
                 per_hop_latency: 1,
                 link_bandwidth: None,
             },
-            placement: Arc::new(Placement::RoundRobin),
+            placement: Placement::RoundRobin,
             max_sections_per_core: 8,
             dmh_latency: 3,
             per_section_hop: 0,
@@ -135,8 +131,8 @@ impl SimConfig {
     }
 
     /// Replaces the placement policy (builder style).
-    pub fn with_placement(mut self, policy: impl PlacementPolicy + 'static) -> SimConfig {
-        self.placement = Arc::new(policy);
+    pub fn with_placement(mut self, placement: Placement) -> SimConfig {
+        self.placement = placement;
         self
     }
 
@@ -168,7 +164,7 @@ impl SimConfig {
     pub fn chip_model(&self) -> parsecs_check::ChipModel {
         parsecs_check::ChipModel {
             cores: self.cores,
-            noc: parsecs_noc::NocModel::new(self.effective_topology(), self.noc),
+            noc: self.chip_view().noc,
             dmh_latency: self.dmh_latency,
             per_section_hop: self.per_section_hop,
         }
@@ -179,8 +175,7 @@ impl SimConfig {
         ChipView {
             cores: self.cores,
             max_sections_per_core: self.max_sections_per_core,
-            topology: self.effective_topology(),
-            noc: self.noc,
+            noc: NocModel::new(self.effective_topology(), self.noc),
         }
     }
 
@@ -211,7 +206,6 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placement::LoadAware;
 
     #[test]
     fn defaults_are_valid() {
@@ -257,12 +251,24 @@ mod tests {
 
     #[test]
     fn equality_distinguishes_placement_policies_by_name() {
-        let a = SimConfig::with_cores(8);
-        let b = SimConfig::with_cores(8);
-        assert_eq!(a, b);
-        let c = SimConfig::with_cores(8).with_placement(LoadAware);
-        assert_ne!(a, c);
-        let d = SimConfig::with_cores(8).with_placement(Placement::RoundRobin);
-        assert_eq!(a, d);
+        assert_eq!(
+            SimConfig::with_cores(8),
+            SimConfig::with_cores(8).with_placement(Placement::RoundRobin)
+        );
+        let all = [
+            Placement::RoundRobin,
+            Placement::LeastLoaded,
+            Placement::LoadAware,
+            Placement::ChainAffine,
+        ];
+        for a in all {
+            for b in all {
+                let (x, y) = (
+                    SimConfig::with_cores(8).with_placement(a),
+                    SimConfig::with_cores(8).with_placement(b),
+                );
+                assert_eq!(x == y, a.name() == b.name(), "{} vs {}", a.name(), b.name());
+            }
+        }
     }
 }

@@ -86,7 +86,7 @@ mod timing;
 
 pub use config::SimConfig;
 pub use error::SimError;
-pub use placement::{ChainAffine, ChipView, LoadAware, Placement, PlacementPolicy, SectionDeps};
+pub use placement::{ChipView, Placement, SectionDeps};
 pub use sim::{ManyCoreSim, SimResult};
 pub use timing::{format_figure10, InstTiming, SimStats};
 // The static-analysis vocabulary of `parsecs-check`; re-exported so

@@ -70,7 +70,9 @@ use parsecs_trace::{SourceKind, TraceArena};
 use crate::chip::{ChipState, NO_SECTION, NO_STALL};
 use crate::drain::{Resolver, INCOMPLETE, UNKNOWN};
 use crate::schedule::{walk, Schedule, Walk};
-use crate::{InstTiming, SectionId, SectionSpan, SimConfig, SimError, SimStats};
+use crate::{
+    InstTiming, Placement, SectionDeps, SectionId, SectionSpan, SimConfig, SimError, SimStats,
+};
 
 pub(crate) use crate::chip::StallTable;
 
@@ -276,7 +278,7 @@ impl ManyCoreSim {
     pub(crate) fn setup(&self, arena: &TraceArena) -> Result<Setup, SimError> {
         self.config.validate().map_err(SimError::Config)?;
         let mut check = self.precheck(arena)?;
-        let core_of = self.place(arena)?;
+        let core_of = self.place(arena);
         let network = Network::new(self.config.effective_topology(), self.config.noc);
         // Which section does each dynamic fork create?
         let created_by: HashMap<usize, SectionId> = arena
@@ -710,36 +712,19 @@ impl ManyCoreSim {
         })
     }
 
-    /// Delegates the section-to-core assignment to the configured
-    /// [`crate::PlacementPolicy`] and validates its output. Policies that
-    /// ask for them get the trace's cross-section dependences.
-    fn place(&self, arena: &TraceArena) -> Result<Vec<CoreId>, SimError> {
+    /// Assigns every section a hosting core under the configured
+    /// [`Placement`]; only [`Placement::ChainAffine`] gets the trace's
+    /// cross-section dependences.
+    fn place(&self, arena: &TraceArena) -> Vec<CoreId> {
         let sections = arena.sections();
         let chip = self.config.chip_view();
-        let core_of = if self.config.placement.wants_dependences() {
-            let deps = crate::SectionDeps::from_arena(sections.len(), arena);
-            self.config
-                .placement
-                .assign_with_deps(sections, &chip, &deps)
-        } else {
-            self.config.placement.assign(sections, &chip)
-        };
-        if core_of.len() != sections.len() {
-            return Err(SimError::Config(format!(
-                "placement policy '{}' assigned {} cores for {} sections",
-                self.config.placement.name(),
-                core_of.len(),
-                sections.len()
-            )));
+        match self.config.placement {
+            Placement::ChainAffine => {
+                let deps = SectionDeps::from_arena(sections.len(), arena);
+                Placement::ChainAffine.assign_with_deps(sections, &chip, &deps)
+            }
+            placement => placement.assign(sections, &chip),
         }
-        if let Some(bad) = core_of.iter().find(|c| c.0 >= self.config.cores) {
-            return Err(SimError::Config(format!(
-                "placement policy '{}' chose {bad} on a {}-core chip",
-                self.config.placement.name(),
-                self.config.cores
-            )));
-        }
-        Ok(core_of)
     }
 }
 /// The attribution contract every run must meet, checked in release
@@ -1358,7 +1343,7 @@ t3:     movq $w, %rcx
             for placement_config in [
                 SimConfig::with_cores(cores),
                 SimConfig::with_cores(cores).with_placement(crate::Placement::LeastLoaded),
-                SimConfig::with_cores(cores).with_placement(crate::LoadAware),
+                SimConfig::with_cores(cores).with_placement(crate::Placement::LoadAware),
             ] {
                 let sim = ManyCoreSim::new(placement_config);
                 let event = sim.simulate_arena(&arena).expect("event-driven simulates");

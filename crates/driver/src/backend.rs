@@ -383,8 +383,10 @@ mod tests {
         assert_eq!(name, "manycore:16c:round-robin:bw2:cap2:dmh7:walk4:nostall");
         assert_ne!(
             ManyCoreBackend::with_cores(16).name(),
-            ManyCoreBackend::new(SimConfig::with_cores(16).with_placement(parsecs_core::LoadAware))
-                .name()
+            ManyCoreBackend::new(
+                SimConfig::with_cores(16).with_placement(parsecs_core::Placement::LoadAware)
+            )
+            .name()
         );
     }
 

@@ -28,8 +28,9 @@
 //!   [`obs::CycleAttribution`], and the Perfetto-loadable
 //!   [`obs::ChromeTraceWriter`].
 //! * [`core`] — the paper's contribution: the sectioned parallel execution
-//!   model, its many-core six-stage-pipeline simulator, and the pluggable
-//!   [`core::PlacementPolicy`] deciding which core hosts each section.
+//!   model, its many-core six-stage-pipeline simulator, and the closed
+//!   [`core::Placement`] set of policies deciding which core hosts each
+//!   section.
 //! * [`cc`] — a mini-C compiler with the call→fork transformation.
 //! * [`workloads`] — the sum running example and the ten PBBS-analog
 //!   benchmarks.

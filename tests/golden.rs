@@ -24,8 +24,7 @@
 //! reviewed.
 
 use parsecs::core::{
-    format_figure10, ChainAffine, LoadAware, ManyCoreSim, NoopProbe, Placement, SimConfig,
-    SimResult, SimStats, TraceArena,
+    format_figure10, ManyCoreSim, NoopProbe, Placement, SimConfig, SimResult, SimStats, TraceArena,
 };
 use parsecs::driver::{
     ExecutionBackend, IlpBackend, ManyCoreBackend, RunReport, SequentialBackend,
@@ -193,8 +192,11 @@ fn configs(cores: usize) -> [(&'static str, SimConfig); 7] {
             "least-loaded",
             base().with_placement(Placement::LeastLoaded),
         ),
-        ("load-aware", base().with_placement(LoadAware)),
-        ("chain-affine", base().with_placement(ChainAffine)),
+        ("load-aware", base().with_placement(Placement::LoadAware)),
+        (
+            "chain-affine",
+            base().with_placement(Placement::ChainAffine),
+        ),
         (
             "noc96+96",
             SimConfig {

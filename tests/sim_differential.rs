@@ -13,8 +13,7 @@
 //! probe holds the engines to the same sequence of probe events too.
 
 use parsecs::core::{
-    ChainAffine, LoadAware, ManyCoreSim, NoopProbe, Placement, SimConfig, SimProbe, StallCause,
-    TraceArena,
+    ManyCoreSim, NoopProbe, Placement, SimConfig, SimProbe, StallCause, TraceArena,
 };
 use parsecs::noc::{NocConfig, Topology};
 use parsecs::workloads::{scale, sum};
@@ -273,8 +272,8 @@ fn random_config(gen: &mut Gen) -> SimConfig {
     config = match gen.below(4) {
         0 => config.with_placement(Placement::RoundRobin),
         1 => config.with_placement(Placement::LeastLoaded),
-        2 => config.with_placement(LoadAware),
-        _ => config.with_placement(ChainAffine),
+        2 => config.with_placement(Placement::LoadAware),
+        _ => config.with_placement(Placement::ChainAffine),
     };
     config.noc = NocConfig {
         base_latency: gen.below(4),
