@@ -169,7 +169,7 @@ pub(crate) fn simulate<P: SimProbe>(
             // A fork sends a section-creation message to the host core
             // of the created section.
             if kind == TraceKind::Fork {
-                if let Some(&child) = created_by.get(&seq) {
+                if let Some(&child) = created_by.get(&(seq as u64)) {
                     let dst = core_of[child.0];
                     network.send(CoreId(core_index), dst, child, cycle);
                     if P::ENABLED {
@@ -207,8 +207,13 @@ pub(crate) fn simulate<P: SimProbe>(
         // A completion that a parked section stalls on is its modeled
         // release event: requeue the section on the first cycle after both
         // the completion is known and its cycle is past.
+        // Sections park only on control instructions (the walk stalls on
+        // nothing else), so no other completion probes the park table.
         if stalls.parked() > 0 {
             for &(seq, completion) in &completions {
+                if !arena.is_control(seq) {
+                    continue;
+                }
                 if let Some(idx) = stalls.unpark(seq) {
                     stalls.push_requeue((cycle + 1).max(completion + 1), idx, arena.section(seq));
                 }
@@ -247,6 +252,7 @@ pub(crate) fn simulate<P: SimProbe>(
                     if P::ENABLED {
                         probe.on_section_park(idx, sid, seq, cycle, stall_cause(arena, seq, false));
                     }
+                    debug_assert!(arena.is_control(seq), "only a control instruction parks");
                     stalls.park(idx, &mut chip, seq);
                 }
             }

@@ -16,8 +16,6 @@
 //! ([`Resolver::completion`], `fetch_computable`) can tell it from the
 //! `UNKNOWN` it replaces: both sit at or above `INCOMPLETE`.
 
-use std::collections::HashMap;
-
 use parsecs_machine::TraceKind;
 use parsecs_noc::{CoreId, Network};
 use parsecs_obs::{CycleAttribution, SimProbe};
@@ -25,6 +23,7 @@ use parsecs_trace::TraceArena;
 
 use crate::chip::{ChipState, StallTable, NO_SECTION, NO_STALL, NO_WAKE};
 use crate::drain::{fetch_computable, Resolver};
+use crate::sim::ForkMap;
 use crate::SectionId;
 
 /// Near-term window of the event scheduler's calendar queue, in cycles.
@@ -295,7 +294,7 @@ pub(crate) struct Walk<'w, 'a, P> {
     pub(crate) network: &'w mut Network<SectionId>,
     pub(crate) attr: &'w mut CycleAttribution,
     pub(crate) probe: &'w mut P,
-    pub(crate) created_by: &'w HashMap<usize, SectionId>,
+    pub(crate) created_by: &'w ForkMap,
     pub(crate) core_of: &'w [CoreId],
     pub(crate) fetch_stalls: bool,
 }
@@ -358,7 +357,7 @@ impl<P: SimProbe> Walk<'_, '_, P> {
         // A fork sends a section-creation message to the host core of the
         // created section.
         if kind == TraceKind::Fork {
-            if let Some(&child) = self.created_by.get(&seq) {
+            if let Some(&child) = self.created_by.get(&(seq as u64)) {
                 let dst = self.core_of[child.0];
                 self.network.send(CoreId(idx), dst, child, cycle);
                 if P::ENABLED {

@@ -61,11 +61,12 @@
 
 use std::collections::HashMap;
 use std::convert::Infallible;
+use std::hash::BuildHasherDefault;
 
 use parsecs_check::{bound_schedule, prove_progress, CheckReport};
 use parsecs_noc::{CoreId, Network, NocStats};
 use parsecs_obs::{CoreBreakdown, CycleAttribution, NoopProbe, SimProbe, StallCause, TickGauges};
-use parsecs_trace::{SourceKind, TraceArena};
+use parsecs_trace::{AddrHasher, SourceKind, TraceArena};
 
 use crate::chip::{ChipState, NO_SECTION, NO_STALL};
 use crate::drain::{Resolver, INCOMPLETE, UNKNOWN};
@@ -179,9 +180,14 @@ pub struct ManyCoreSim {
 pub(crate) struct Setup {
     pub(crate) core_of: Vec<CoreId>,
     pub(crate) network: Network<SectionId>,
-    pub(crate) created_by: HashMap<usize, SectionId>,
+    pub(crate) created_by: ForkMap,
     pub(crate) check: Option<Box<CheckReport>>,
 }
+
+/// The section each dynamic fork creates, keyed by the fork's trace
+/// index. Looked up on every fetched fork, so it hashes with the cheap
+/// [`AddrHasher`] instead of SipHash.
+pub(crate) type ForkMap = HashMap<u64, SectionId, BuildHasherDefault<AddrHasher>>;
 
 /// Classifies what a stalled control instruction is waiting on, for the
 /// [`StallCause`] telemetry axis. `known` says whether the release cycle
@@ -281,10 +287,10 @@ impl ManyCoreSim {
         let core_of = self.place(arena);
         let network = Network::new(self.config.effective_topology(), self.config.noc);
         // Which section does each dynamic fork create?
-        let created_by: HashMap<usize, SectionId> = arena
+        let created_by: ForkMap = arena
             .sections()
             .iter()
-            .filter_map(|s| s.creator.map(|(_, fork_seq)| (fork_seq, s.id)))
+            .filter_map(|s| s.creator.map(|(_, fork_seq)| (fork_seq as u64, s.id)))
             .collect();
         self.attach_verdicts(arena, check.as_deref_mut(), &core_of);
         Ok(Setup {
@@ -485,8 +491,13 @@ impl ManyCoreSim {
             // A completion that a parked section stalls on is its modeled
             // release event: requeue the section on the first cycle after
             // both the completion is known and its cycle is past.
+            // Sections park only on control instructions (the walk stalls on
+            // nothing else), so no other completion probes the park table.
             if stalls.parked() > 0 {
                 for &(seq, completion) in &completions {
+                    if !arena.is_control(seq) {
+                        continue;
+                    }
                     if let Some(idx) = stalls.unpark(seq) {
                         stalls.push_requeue(
                             (cycle + 1).max(completion + 1),
@@ -542,6 +553,10 @@ impl ManyCoreSim {
                                     stall_cause(arena, seq, false),
                                 );
                             }
+                            debug_assert!(
+                                arena.is_control(seq),
+                                "only a control instruction parks"
+                            );
                             stalls.park(idx, &mut chip, seq);
                             if chip.queue_head[idx] == NO_SECTION {
                                 schedule.running.remove(&mut chip.running, idx);

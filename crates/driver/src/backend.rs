@@ -150,7 +150,14 @@ impl ManyCoreBackend {
     ) -> Result<RunReport, DriverError> {
         // A bad configuration fails before the pre-execution runs.
         self.config.validate().map_err(SimError::Config)?;
-        let arena = TraceArena::from_program(program, fuel).map_err(SimError::from)?;
+        // Only a validated run's writer-discipline check reads the written
+        // locations; every other run builds the arena without them.
+        let arena = if self.config.validate {
+            TraceArena::from_program(program, fuel)
+        } else {
+            TraceArena::from_program_lean(program, fuel)
+        }
+        .map_err(SimError::from)?;
         let result = ManyCoreSim::new(self.config.clone()).simulate_arena_probed(&arena, probe)?;
         // A forced stall release means the stall/wake model broke down:
         // refuse the untrustworthy timings instead of reporting them.
@@ -286,6 +293,29 @@ mod tests {
         );
         let sequential = SequentialBackend.execute_fueled(&program, FUEL).unwrap();
         assert!(sequential.sim().is_none());
+    }
+
+    #[test]
+    fn unvalidated_runs_build_the_lean_arena_with_identical_results() {
+        let program = sum::fork_program(&[4, 2, 6, 4, 5]);
+        let validated = ManyCoreBackend::new(SimConfig::with_cores(8).validated())
+            .execute_fueled(&program, FUEL)
+            .unwrap();
+        let lean = ManyCoreBackend::with_cores(8)
+            .execute_fueled(&program, FUEL)
+            .unwrap();
+        assert_eq!(lean.outputs, validated.outputs);
+        assert_eq!(lean.cycles, validated.cycles);
+        let (validated, lean) = (&validated.sim().unwrap().stats, &lean.sim().unwrap().stats);
+        assert!(
+            lean.trace_arena_bytes < validated.trace_arena_bytes,
+            "lean arena {} B should be below the full {} B",
+            lean.trace_arena_bytes,
+            validated.trace_arena_bytes
+        );
+        let mut lean = lean.clone();
+        lean.trace_arena_bytes = validated.trace_arena_bytes;
+        assert_eq!(&lean, validated);
     }
 
     #[test]

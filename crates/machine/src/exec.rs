@@ -35,16 +35,49 @@ struct Continuation {
     saved_callee: Vec<(Reg, u64)>,
 }
 
+/// The register and flag locations of one static instruction, built once
+/// at load from its [`Effects`]: each list sorted and deduplicated, so a
+/// traced step only appends its memory words (which sort after every
+/// register and the flags in the [`Location`] order).
+#[derive(Debug, Clone)]
+struct StaticLocations {
+    reads: Vec<Location>,
+    writes: Vec<Location>,
+    is_control: bool,
+    updates_stack_pointer: bool,
+}
+
+impl StaticLocations {
+    fn of(inst: &Inst) -> StaticLocations {
+        let effects = Effects::of(inst);
+        let list = |regs: &[Reg], flags: bool| {
+            let mut list: Vec<Location> = regs.iter().map(|&r| Location::Reg(r)).collect();
+            list.sort_unstable();
+            list.dedup();
+            if flags {
+                list.push(Location::Flags);
+            }
+            list
+        };
+        StaticLocations {
+            reads: list(&effects.reg_reads, effects.reads_flags),
+            writes: list(&effects.reg_writes, effects.writes_flags),
+            is_control: effects.is_control,
+            updates_stack_pointer: effects.updates_stack_pointer,
+        }
+    }
+}
+
 /// The sequential reference machine.
 ///
 /// See the [crate documentation](crate) for an end-to-end example.
 #[derive(Debug, Clone)]
 pub struct Machine {
     program: Program,
-    /// Architectural effects of each static instruction, computed once at
-    /// load: the traced run reuses them instead of re-deriving (and
-    /// re-allocating) the register lists on every dynamic instruction.
-    effects: Vec<Effects>,
+    /// The register and flag locations of each static instruction,
+    /// computed once at load; a traced step copies them and appends its
+    /// memory words.
+    locations: Vec<StaticLocations>,
     cpu: CpuState,
     memory: Memory,
     outputs: Vec<u64>,
@@ -59,6 +92,79 @@ pub struct Machine {
     scratch_writes: Vec<Location>,
     scratch_mem_reads: Vec<u64>,
     scratch_mem_writes: Vec<u64>,
+}
+
+/// The state one step mutates while it holds its instruction by reference
+/// from the machine's program: the CPU, the memory and the memory words
+/// the step reads and writes.
+struct StepContext<'m> {
+    ip: usize,
+    cpu: &'m mut CpuState,
+    memory: &'m mut Memory,
+    mem_reads: &'m mut Vec<u64>,
+    mem_writes: &'m mut Vec<u64>,
+}
+
+impl StepContext<'_> {
+    fn read_operand(&mut self, op: &Operand) -> Result<u64, MachineError> {
+        match op {
+            Operand::Imm(v) => Ok(*v as u64),
+            Operand::Reg(r) => Ok(self.cpu.get(*r)),
+            Operand::Mem(m) => {
+                let addr = self.cpu.effective_address(m);
+                self.load_word(addr)
+            }
+            Operand::Sym(name) => Err(parsecs_isa::IsaError::UndefinedSymbol(name.clone()).into()),
+        }
+    }
+
+    fn write_operand(&mut self, op: &Operand, value: u64) -> Result<(), MachineError> {
+        match op {
+            Operand::Reg(r) => {
+                self.cpu.set(*r, value);
+                Ok(())
+            }
+            Operand::Mem(m) => {
+                let addr = self.cpu.effective_address(m);
+                self.store_word(addr, value)
+            }
+            Operand::Imm(_) | Operand::Sym(_) => Err(parsecs_isa::IsaError::InvalidOperands {
+                mnemonic: "store",
+                reason: "destination must be a register or memory".into(),
+            }
+            .into()),
+        }
+    }
+
+    fn load_word(&mut self, addr: u64) -> Result<u64, MachineError> {
+        if !Memory::is_aligned(addr) {
+            return Err(MachineError::UnalignedAccess { addr, ip: self.ip });
+        }
+        self.mem_reads.push(addr);
+        Ok(self.memory.read(addr))
+    }
+
+    fn store_word(&mut self, addr: u64, value: u64) -> Result<(), MachineError> {
+        if !Memory::is_aligned(addr) {
+            return Err(MachineError::UnalignedAccess { addr, ip: self.ip });
+        }
+        self.mem_writes.push(addr);
+        self.memory.write(addr, value);
+        Ok(())
+    }
+}
+
+/// Appends the memory words `words` to `list` as [`Location::Mem`]s,
+/// sorted and deduplicated among themselves (`words` is sorted in place).
+fn push_words(list: &mut Vec<Location>, words: &mut [u64]) {
+    words.sort_unstable();
+    let mut last = None;
+    for &word in words.iter() {
+        if last != Some(word) {
+            list.push(Location::Mem(word));
+            last = Some(word);
+        }
+    }
 }
 
 impl Machine {
@@ -77,7 +183,7 @@ impl Machine {
             memory.write(addr, value);
         }
         Ok(Machine {
-            effects: program.insns().iter().map(Effects::of).collect(),
+            locations: program.insns().iter().map(StaticLocations::of).collect(),
             program: program.clone(),
             cpu: CpuState::at_entry(program.entry()),
             memory,
@@ -222,98 +328,98 @@ impl Machine {
             return Ok(StepEvent::Halted);
         }
         let ip = self.cpu.ip;
-        let inst = self
-            .program
-            .get(ip)
-            .cloned()
-            .ok_or(MachineError::InvalidIp {
-                ip,
-                len: self.program.len(),
-            })?;
-
-        // Reuse the machine's scratch buffers (restored below); an early
-        // error return leaves them empty, which is also fine.
-        let mut mem_reads: Vec<u64> = std::mem::take(&mut self.scratch_mem_reads);
-        let mut mem_writes: Vec<u64> = std::mem::take(&mut self.scratch_mem_writes);
-        mem_reads.clear();
-        mem_writes.clear();
+        let inst = self.program.get(ip).ok_or(MachineError::InvalidIp {
+            ip,
+            len: self.program.len(),
+        })?;
+        // The instruction stays borrowed from `program` while the step
+        // mutates the disjoint CPU, memory and scratch fields.
+        self.scratch_mem_reads.clear();
+        self.scratch_mem_writes.clear();
+        let mut ctx = StepContext {
+            ip,
+            cpu: &mut self.cpu,
+            memory: &mut self.memory,
+            mem_reads: &mut self.scratch_mem_reads,
+            mem_writes: &mut self.scratch_mem_writes,
+        };
         let mut out_value = None;
         let mut next_ip = ip + 1;
         let mut kind = TraceKind::Other;
 
-        match &inst {
+        match inst {
             Inst::Mov { src, dst } => {
-                let v = self.read_operand(src, ip, &mut mem_reads)?;
-                self.write_operand(dst, v, ip, &mut mem_writes)?;
+                let v = ctx.read_operand(src)?;
+                ctx.write_operand(dst, v)?;
             }
             Inst::Lea { addr, dst } => {
-                let ea = self.cpu.effective_address(addr);
-                self.cpu.set(*dst, ea);
+                let ea = ctx.cpu.effective_address(addr);
+                ctx.cpu.set(*dst, ea);
             }
             Inst::Push { src } => {
-                let v = self.read_operand(src, ip, &mut mem_reads)?;
-                let rsp = self.cpu.get(Reg::Rsp).wrapping_sub(8);
-                self.cpu.set(Reg::Rsp, rsp);
-                self.store_word(rsp, v, ip, &mut mem_writes)?;
+                let v = ctx.read_operand(src)?;
+                let rsp = ctx.cpu.get(Reg::Rsp).wrapping_sub(8);
+                ctx.cpu.set(Reg::Rsp, rsp);
+                ctx.store_word(rsp, v)?;
             }
             Inst::Pop { dst } => {
-                let rsp = self.cpu.get(Reg::Rsp);
-                let v = self.load_word(rsp, ip, &mut mem_reads)?;
-                self.cpu.set(Reg::Rsp, rsp.wrapping_add(8));
-                self.write_operand(dst, v, ip, &mut mem_writes)?;
+                let rsp = ctx.cpu.get(Reg::Rsp);
+                let v = ctx.load_word(rsp)?;
+                ctx.cpu.set(Reg::Rsp, rsp.wrapping_add(8));
+                ctx.write_operand(dst, v)?;
             }
             Inst::Alu { op, src, dst } => {
-                let s = self.read_operand(src, ip, &mut mem_reads)?;
-                let d = self.read_operand(dst, ip, &mut mem_reads)?;
+                let s = ctx.read_operand(src)?;
+                let d = ctx.read_operand(dst)?;
                 let result = op.apply(d, s);
-                self.cpu.flags = match op {
+                ctx.cpu.flags = match op {
                     AluOp::Add => Flags::from_add(d, s),
                     AluOp::Sub => Flags::from_sub(d, s),
                     _ => Flags::from_logic(result),
                 };
-                self.write_operand(dst, result, ip, &mut mem_writes)?;
+                ctx.write_operand(dst, result)?;
             }
             Inst::Unary { op, dst } => {
-                let d = self.read_operand(dst, ip, &mut mem_reads)?;
+                let d = ctx.read_operand(dst)?;
                 let result = op.apply(d);
-                self.cpu.flags = match op {
+                ctx.cpu.flags = match op {
                     parsecs_isa::UnaryOp::Neg => Flags::from_sub(0, d),
-                    parsecs_isa::UnaryOp::Not => self.cpu.flags,
+                    parsecs_isa::UnaryOp::Not => ctx.cpu.flags,
                     parsecs_isa::UnaryOp::Inc => Flags::from_add(d, 1),
                     parsecs_isa::UnaryOp::Dec => Flags::from_sub(d, 1),
                 };
-                self.write_operand(dst, result, ip, &mut mem_writes)?;
+                ctx.write_operand(dst, result)?;
             }
             Inst::Cmp { src, dst } => {
-                let s = self.read_operand(src, ip, &mut mem_reads)?;
-                let d = self.read_operand(dst, ip, &mut mem_reads)?;
-                self.cpu.flags = Flags::from_sub(d, s);
+                let s = ctx.read_operand(src)?;
+                let d = ctx.read_operand(dst)?;
+                ctx.cpu.flags = Flags::from_sub(d, s);
             }
             Inst::Test { src, dst } => {
-                let s = self.read_operand(src, ip, &mut mem_reads)?;
-                let d = self.read_operand(dst, ip, &mut mem_reads)?;
-                self.cpu.flags = Flags::from_logic(d & s);
+                let s = ctx.read_operand(src)?;
+                let d = ctx.read_operand(dst)?;
+                ctx.cpu.flags = Flags::from_logic(d & s);
             }
             Inst::Jmp { target } => {
                 next_ip = target.resolved()?;
             }
             Inst::Jcc { cond, target } => {
-                if cond.eval(self.cpu.flags) {
+                if cond.eval(ctx.cpu.flags) {
                     next_ip = target.resolved()?;
                 }
             }
             Inst::Call { target } => {
                 kind = TraceKind::Call;
-                let rsp = self.cpu.get(Reg::Rsp).wrapping_sub(8);
-                self.cpu.set(Reg::Rsp, rsp);
-                self.store_word(rsp, (ip + 1) as u64, ip, &mut mem_writes)?;
+                let rsp = ctx.cpu.get(Reg::Rsp).wrapping_sub(8);
+                ctx.cpu.set(Reg::Rsp, rsp);
+                ctx.store_word(rsp, (ip + 1) as u64)?;
                 next_ip = target.resolved()?;
             }
             Inst::Ret => {
                 kind = TraceKind::Ret;
-                let rsp = self.cpu.get(Reg::Rsp);
-                let ret = self.load_word(rsp, ip, &mut mem_reads)?;
-                self.cpu.set(Reg::Rsp, rsp.wrapping_add(8));
+                let rsp = ctx.cpu.get(Reg::Rsp);
+                let ret = ctx.load_word(rsp)?;
+                ctx.cpu.set(Reg::Rsp, rsp.wrapping_add(8));
                 next_ip = ret as usize;
             }
             Inst::Fork { target } => {
@@ -325,7 +431,7 @@ impl Machine {
                 // the section-creation message.
                 self.continuations.push(Continuation {
                     resume_ip: ip + 1,
-                    saved_callee: self.cpu.fork_copied(),
+                    saved_callee: ctx.cpu.fork_copied(),
                 });
                 next_ip = target.resolved()?;
             }
@@ -334,7 +440,7 @@ impl Machine {
                 match self.continuations.pop() {
                     Some(cont) => {
                         for (r, v) in cont.saved_callee {
-                            self.cpu.set(r, v);
+                            ctx.cpu.set(r, v);
                         }
                         next_ip = cont.resume_ip;
                     }
@@ -345,7 +451,7 @@ impl Machine {
                 }
             }
             Inst::Out { src } => {
-                let v = self.read_operand(src, ip, &mut mem_reads)?;
+                let v = ctx.read_operand(src)?;
                 self.outputs.push(v);
                 out_value = Some(v);
             }
@@ -357,16 +463,13 @@ impl Machine {
         }
 
         self.steps += 1;
-        self.loads += mem_reads.len() as u64;
-        self.stores += mem_writes.len() as u64;
+        self.loads += self.scratch_mem_reads.len() as u64;
+        self.stores += self.scratch_mem_writes.len() as u64;
 
         if let Some(sink) = sink {
-            self.record_step(sink, &inst, ip, kind, &mem_reads, &mem_writes, out_value);
+            let mnemonic = inst.mnemonic();
+            self.record_step(sink, ip, mnemonic, kind, out_value);
         }
-        mem_reads.clear();
-        mem_writes.clear();
-        self.scratch_mem_reads = mem_reads;
-        self.scratch_mem_writes = mem_writes;
 
         if self.halted {
             return Ok(StepEvent::Halted);
@@ -383,117 +486,36 @@ impl Machine {
 
     /// Assembles the sorted, deduplicated location lists of the step just
     /// executed (into the machine's scratch buffers) and streams it to
-    /// `sink`.
-    #[allow(clippy::too_many_arguments)]
+    /// `sink`: the instruction's prebuilt register and flag lists, then
+    /// the step's memory words.
     fn record_step<S: TraceSink>(
         &mut self,
         sink: &mut S,
-        inst: &Inst,
         ip: usize,
+        mnemonic: &'static str,
         kind: TraceKind,
-        mem_reads: &[u64],
-        mem_writes: &[u64],
         out_value: Option<u64>,
     ) {
-        let effects = &self.effects[ip];
+        let locations = &self.locations[ip];
         let reads = &mut self.scratch_reads;
         reads.clear();
-        reads.extend(effects.reg_reads.iter().map(|r| Location::Reg(*r)));
-        if effects.reads_flags {
-            reads.push(Location::Flags);
-        }
-        reads.extend(mem_reads.iter().copied().map(Location::Mem));
-        reads.sort_unstable();
-        reads.dedup();
+        reads.extend_from_slice(&locations.reads);
+        push_words(reads, &mut self.scratch_mem_reads);
         let writes = &mut self.scratch_writes;
         writes.clear();
-        writes.extend(effects.reg_writes.iter().map(|r| Location::Reg(*r)));
-        if effects.writes_flags {
-            writes.push(Location::Flags);
-        }
-        writes.extend(mem_writes.iter().copied().map(Location::Mem));
-        writes.sort_unstable();
-        writes.dedup();
+        writes.extend_from_slice(&locations.writes);
+        push_words(writes, &mut self.scratch_mem_writes);
         sink.record(&TraceStep {
             seq: self.steps - 1,
             ip,
-            mnemonic: inst.mnemonic(),
+            mnemonic,
             reads,
             writes,
-            is_control: effects.is_control,
-            updates_stack_pointer: effects.updates_stack_pointer,
+            is_control: locations.is_control,
+            updates_stack_pointer: locations.updates_stack_pointer,
             kind,
             out_value,
         });
-    }
-
-    fn read_operand(
-        &mut self,
-        op: &Operand,
-        ip: usize,
-        mem_reads: &mut Vec<u64>,
-    ) -> Result<u64, MachineError> {
-        match op {
-            Operand::Imm(v) => Ok(*v as u64),
-            Operand::Reg(r) => Ok(self.cpu.get(*r)),
-            Operand::Mem(m) => {
-                let addr = self.cpu.effective_address(m);
-                self.load_word(addr, ip, mem_reads)
-            }
-            Operand::Sym(name) => Err(parsecs_isa::IsaError::UndefinedSymbol(name.clone()).into()),
-        }
-    }
-
-    fn write_operand(
-        &mut self,
-        op: &Operand,
-        value: u64,
-        ip: usize,
-        mem_writes: &mut Vec<u64>,
-    ) -> Result<(), MachineError> {
-        match op {
-            Operand::Reg(r) => {
-                self.cpu.set(*r, value);
-                Ok(())
-            }
-            Operand::Mem(m) => {
-                let addr = self.cpu.effective_address(m);
-                self.store_word(addr, value, ip, mem_writes)
-            }
-            Operand::Imm(_) | Operand::Sym(_) => Err(parsecs_isa::IsaError::InvalidOperands {
-                mnemonic: "store",
-                reason: "destination must be a register or memory".into(),
-            }
-            .into()),
-        }
-    }
-
-    fn load_word(
-        &mut self,
-        addr: u64,
-        ip: usize,
-        mem_reads: &mut Vec<u64>,
-    ) -> Result<u64, MachineError> {
-        if !Memory::is_aligned(addr) {
-            return Err(MachineError::UnalignedAccess { addr, ip });
-        }
-        mem_reads.push(addr);
-        Ok(self.memory.read(addr))
-    }
-
-    fn store_word(
-        &mut self,
-        addr: u64,
-        value: u64,
-        ip: usize,
-        mem_writes: &mut Vec<u64>,
-    ) -> Result<(), MachineError> {
-        if !Memory::is_aligned(addr) {
-            return Err(MachineError::UnalignedAccess { addr, ip });
-        }
-        mem_writes.push(addr);
-        self.memory.write(addr, value);
-        Ok(())
     }
 }
 
@@ -733,6 +755,108 @@ mod tests {
         assert_eq!(trace.loads(), 1);
         assert_eq!(trace.stores(), 1);
         assert_eq!(trace.count_kind(TraceKind::Halt), 1);
+    }
+
+    /// A sink that checks every step's location lists against the
+    /// per-step construction they replace: the instruction's
+    /// [`Effects`] registers and flags plus the step's memory words,
+    /// sorted and deduplicated together.
+    struct ListOracle<'p> {
+        program: &'p Program,
+        steps: usize,
+    }
+
+    impl ListOracle<'_> {
+        fn rebuilt(regs: &[Reg], flags: bool, step_list: &[Location]) -> Vec<Location> {
+            let mut list: Vec<Location> = regs.iter().map(|&r| Location::Reg(r)).collect();
+            if flags {
+                list.push(Location::Flags);
+            }
+            list.extend(step_list.iter().copied().filter(Location::is_mem));
+            list.sort_unstable();
+            list.dedup();
+            list
+        }
+    }
+
+    impl TraceSink for ListOracle<'_> {
+        fn record(&mut self, step: &TraceStep<'_>) {
+            for list in [step.reads, step.writes] {
+                assert!(
+                    list.windows(2).all(|w| w[0] < w[1]),
+                    "{} at ip {}: {list:?} is not strictly ascending",
+                    step.mnemonic,
+                    step.ip
+                );
+            }
+            let effects = Effects::of(&self.program.insns()[step.ip]);
+            assert_eq!(
+                step.reads,
+                Self::rebuilt(&effects.reg_reads, effects.reads_flags, step.reads),
+                "{} at ip {} reads",
+                step.mnemonic,
+                step.ip
+            );
+            assert_eq!(
+                step.writes,
+                Self::rebuilt(&effects.reg_writes, effects.writes_flags, step.writes),
+                "{} at ip {} writes",
+                step.mnemonic,
+                step.ip
+            );
+            assert_eq!(step.is_control, effects.is_control);
+            assert_eq!(step.updates_stack_pointer, effects.updates_stack_pointer);
+            self.steps += 1;
+        }
+    }
+
+    #[test]
+    fn prebuilt_location_lists_match_the_per_step_construction() {
+        use parsecs_workloads::{scale, sum};
+
+        let data = sum::dataset(3, 3);
+        let two_memory_operands = assemble(
+            "t:    .quad 1, 2, 3, 4
+             main: movq $t, %rdi
+                   pushq 8(%rdi)
+                   popq 16(%rdi)
+                   addq %rdi, 24(%rdi)
+                   cmpq 16(%rdi), %rax
+                   call f
+                   out  16(%rdi)
+                   halt
+             f:    pushq (%rdi)
+                   popq 8(%rdi)
+                   ret",
+        )
+        .expect("assembles");
+        let shapes = [
+            (sum::fork_program(&data), 10_000),
+            (sum::call_program(&data), 10_000),
+            (
+                scale::histogram_program(200, 8, 5),
+                scale::histogram_fuel(200, 8),
+            ),
+            (scale::tree_sum_program(100, 1), scale::tree_sum_fuel(100)),
+            (scale::chain_sum_program(50, 5), scale::chain_sum_fuel(50)),
+            (
+                scale::synth_histogram_program(500, 16, 1),
+                scale::synth_histogram_fuel(500, 16),
+            ),
+            (
+                scale::fan_chain_program(8, 6, 5),
+                scale::fan_chain_fuel(8, 6),
+            ),
+            (two_memory_operands, 100),
+        ];
+        for (program, fuel) in &shapes {
+            let mut oracle = ListOracle { program, steps: 0 };
+            let outcome = Machine::load(program)
+                .expect("loads")
+                .run_with_sink(*fuel, &mut oracle)
+                .expect("halts");
+            assert_eq!(oracle.steps as u64, outcome.instructions);
+        }
     }
 
     #[test]
