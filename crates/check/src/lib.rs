@@ -8,7 +8,7 @@
 //!
 //! 1. **Invariant validator** ([`check_arena`], [`InvariantViolation`]):
 //!    pure passes over the raw columns checking section well-formedness,
-//!    dep-slice bounds and 16-byte packing integrity, the single-writer
+//!    dep-slice bounds and packing integrity, the single-writer
 //!    renaming discipline, dependence acyclicity and lean-arena column
 //!    consistency — returning typed per-violation diagnostics instead of
 //!    aborting.
@@ -179,7 +179,7 @@ pub fn check_arena(arena: &TraceArena) -> CheckReport {
         validate::deps(arena, &mut col);
     }
     let mut writer_discipline_checked = false;
-    if shape_ok && col.out.is_empty() && arena.records_writes() {
+    if shape_ok && col.out.is_empty() && arena.records_locations() {
         validate::writer_discipline(arena, &mut col);
         writer_discipline_checked = true;
     }

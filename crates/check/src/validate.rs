@@ -2,9 +2,10 @@
 //!
 //! The passes run in dependency order — column shape first (so later
 //! passes may index the fixed-width columns), then section tiling, then
-//! the dependence slices and their 16-byte packings, and finally (full
-//! arenas only, and only once everything structural is clean) a replay
-//! of the sectioner's single-writer renaming discipline.
+//! the dependence slices and their packings (8-byte provenance words,
+//! plus the packed locations on a full arena), and finally (full arenas
+//! only, and only once everything structural is clean) a replay of the
+//! sectioner's single-writer renaming discipline.
 
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
@@ -17,10 +18,10 @@ use crate::violation::InvariantViolation;
 
 /// Mirrors of the arena's packed-location tags (low three bits of a
 /// packed location) and provenance tags (low three bits of
-/// `section_kind`). Pinned against [`parsecs_trace::PackedDep::new`] by
-/// the `packing_constants_match_the_arena` test, so an encoding change
-/// in the arena fails loudly here instead of silently passing corrupt
-/// packings.
+/// `section_kind`). Pinned against [`parsecs_trace::PackedDep::new`] and
+/// [`TraceArena::push_dep`] by the `packing_constants_match_the_arena`
+/// test, so an encoding change in the arena fails loudly here instead of
+/// silently passing corrupt packings.
 pub(crate) const LOC_MEM: u64 = 0;
 pub(crate) const LOC_REG: u64 = 1;
 pub(crate) const LOC_FLAGS: u64 = 2;
@@ -58,9 +59,10 @@ impl Collector {
 }
 
 /// Checks that every fixed-width column has one entry per record, that
-/// the offset columns carry their sentinels, and that the write columns
-/// match the arena's lean-ness. Returns `false` when later passes must
-/// not index the columns.
+/// the offset columns carry their sentinels, and that the location
+/// columns (`dep_locs` and the write columns) match the arena's
+/// lean-ness. Returns `false` when later passes must not index the
+/// columns.
 pub(crate) fn column_shape(arena: &TraceArena, col: &mut Collector) -> bool {
     let raw = arena.raw();
     let n = raw.ip.len();
@@ -102,7 +104,19 @@ pub(crate) fn column_shape(arena: &TraceArena, col: &mut Collector) -> bool {
             });
         }
     }
-    if arena.records_writes() {
+    let dep_locs_expected = if arena.records_locations() {
+        raw.deps.len()
+    } else {
+        0
+    };
+    if raw.dep_locs.len() != dep_locs_expected {
+        col.push(InvariantViolation::ColumnBroken {
+            column: "dep_locs",
+            index: raw.dep_locs.len(),
+            detail: "expected one location per dependence on a full arena, none on a lean one",
+        });
+    }
+    if arena.records_locations() {
         if raw.write_off.len() != n + 1 {
             col.push(InvariantViolation::ColumnBroken {
                 column: "write_off",
@@ -232,12 +246,15 @@ pub(crate) fn sections(arena: &TraceArena, col: &mut Collector) {
     }
 }
 
-/// Checks every record's dependence slice bounds, every 16-byte packing,
-/// and the acyclicity topological invariant (producer strictly precedes
-/// consumer in trace order).
+/// Checks every record's dependence slice bounds, every packing, and the
+/// acyclicity topological invariant (producer strictly precedes consumer
+/// in trace order). A lean arena stores no locations, so there only the
+/// location-tag checks are skipped; everything about the provenance word
+/// is still checked.
 pub(crate) fn deps(arena: &TraceArena, col: &mut Collector) {
     let raw = arena.raw();
     let n = arena.len();
+    let full = arena.records_locations();
     for seq in 0..n {
         let start = raw.dep_off[seq] as usize;
         let end = raw.dep_off[seq + 1] as usize;
@@ -253,23 +270,30 @@ pub(crate) fn deps(arena: &TraceArena, col: &mut Collector) {
             continue;
         }
         for (dep, packed) in raw.deps[start..end].iter().enumerate() {
-            let (loc, producer, section_kind) = packed.raw_parts();
-            let tag = loc & 7;
+            let (producer, section_kind) = packed.raw_parts();
+            // `column_shape` vouches for one location per dep on a full
+            // arena.
+            let loc = full.then(|| raw.dep_locs[start + dep]);
+            let tag = loc.map(|loc| loc & 7);
             let kind = section_kind & 7;
             let producer_section = (section_kind >> 3) as usize;
-            let reg_class = dep < reg;
-            let loc_detail = match tag {
-                LOC_MEM if reg_class => Some("memory location in the register-class slice"),
-                LOC_REG | LOC_FLAGS if !reg_class => {
-                    Some("register-class location in the memory slice")
+            if let Some(loc) = loc {
+                let reg_class = dep < reg;
+                let loc_detail = match loc & 7 {
+                    LOC_MEM if reg_class => Some("memory location in the register-class slice"),
+                    LOC_REG | LOC_FLAGS if !reg_class => {
+                        Some("register-class location in the memory slice")
+                    }
+                    LOC_REG if (loc >> 3) >= Reg::COUNT as u64 => {
+                        Some("register index out of range")
+                    }
+                    LOC_FLAGS if loc != LOC_FLAGS => Some("flags location carries stray bits"),
+                    LOC_MEM | LOC_REG | LOC_FLAGS => None,
+                    _ => Some("invalid location tag"),
+                };
+                if let Some(detail) = loc_detail {
+                    col.push(InvariantViolation::DepPackingBroken { seq, dep, detail });
                 }
-                LOC_REG if (loc >> 3) >= Reg::COUNT as u64 => Some("register index out of range"),
-                LOC_FLAGS if loc != LOC_FLAGS => Some("flags location carries stray bits"),
-                LOC_MEM | LOC_REG | LOC_FLAGS => None,
-                _ => Some("invalid location tag"),
-            };
-            if let Some(detail) = loc_detail {
-                col.push(InvariantViolation::DepPackingBroken { seq, dep, detail });
             }
             match kind {
                 KIND_LOCAL | KIND_REMOTE => {
@@ -316,21 +340,21 @@ pub(crate) fn deps(arena: &TraceArena, col: &mut Collector) {
                         }
                     }
                 }
-                KIND_FORK_COPY if tag != LOC_REG => {
+                KIND_FORK_COPY if tag.is_some_and(|tag| tag != LOC_REG) => {
                     col.push(InvariantViolation::DepPackingBroken {
                         seq,
                         dep,
                         detail: "fork-copy provenance on a non-register location",
                     });
                 }
-                KIND_INITIAL_REG if tag == LOC_MEM => {
+                KIND_INITIAL_REG if tag == Some(LOC_MEM) => {
                     col.push(InvariantViolation::DepPackingBroken {
                         seq,
                         dep,
                         detail: "initial-register provenance on a memory location",
                     });
                 }
-                KIND_INITIAL_MEM if tag != LOC_MEM => {
+                KIND_INITIAL_MEM if tag.is_some_and(|tag| tag != LOC_MEM) => {
                     col.push(InvariantViolation::DepPackingBroken {
                         seq,
                         dep,
@@ -370,8 +394,13 @@ pub(crate) fn writer_discipline(arena: &TraceArena, col: &mut Collector) {
     for seq in 0..n {
         let current = raw.section[seq];
         let has_creator = spans[current as usize].creator.is_some();
-        for (dep, packed) in arena.sources(seq).iter().enumerate() {
-            let (loc, producer, section_kind) = packed.raw_parts();
+        let deps = raw.dep_off[seq] as usize..raw.dep_off[seq + 1] as usize;
+        for (dep, (packed, &loc)) in raw.deps[deps.clone()]
+            .iter()
+            .zip(&raw.dep_locs[deps])
+            .enumerate()
+        {
+            let (producer, section_kind) = packed.raw_parts();
             let tag = loc & 7;
             let kind = section_kind & 7;
             let writer = match tag {
@@ -485,9 +514,12 @@ mod tests {
             ),
         ];
         for (dep, loc, producer, section_kind) in cases {
+            let mut arena = TraceArena::new();
+            arena.push_dep(PackedDep::new(dep.kind), dep.location);
+            let raw = arena.raw();
             assert_eq!(
-                PackedDep::new(&dep).raw_parts(),
-                (loc, producer, section_kind),
+                (raw.dep_locs, raw.deps[0].raw_parts()),
+                (&[loc][..], (producer, section_kind)),
                 "{dep:?}"
             );
         }

@@ -786,8 +786,8 @@ fn broken_contract(report: &CheckReport, stats: &SimStats) -> Option<&'static st
 mod tests {
     use super::*;
     use crate::format_figure10;
-    use parsecs_isa::Program;
-    use parsecs_machine::TraceKind;
+    use parsecs_isa::{Program, Reg};
+    use parsecs_machine::{Location, TraceKind};
 
     /// The paper's running example: Figure 5 preceded by a tiny `main`.
     fn sum_fork_program(data: &[u64]) -> Program {
@@ -952,7 +952,7 @@ mod tests {
         let mut arena = TraceArena::new();
         let id = arena.intern_mnemonic("bogus");
         arena.begin_record(0, id, SectionId(0), TraceKind::Other, false, false, false);
-        arena.push_dep(PackedDep::from_raw_parts(1, 0, 0));
+        arena.push_dep(PackedDep::from_raw_parts(0, 0), Location::Reg(Reg::Rax));
         arena.end_record(1);
         arena.push_section(SectionSpan {
             id: SectionId(0),

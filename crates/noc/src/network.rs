@@ -9,6 +9,7 @@
 //! core ejection bandwidth *per arrival cycle*, never one budget for a
 //! whole multi-cycle backlog.
 
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashMap};
 
 use crate::{CoreId, Topology};
@@ -112,6 +113,12 @@ pub struct Network<T> {
     pending: BinaryHeap<Pending<T>>,
     stats: NocStats,
     sequence: u64,
+    /// Messages ejected per receiving core in the arrival cycle being
+    /// delivered (bandwidth-limited networks only; reused across cycles).
+    ejected: HashMap<CoreId, usize>,
+    /// Messages refused by a saturated ejection port in that cycle
+    /// (bandwidth-limited networks only; reused across cycles).
+    postponed: Vec<Pending<T>>,
 }
 
 impl<T: Eq> Network<T> {
@@ -123,6 +130,8 @@ impl<T: Eq> Network<T> {
             pending: BinaryHeap::new(),
             stats: NocStats::default(),
             sequence: 0,
+            ejected: HashMap::new(),
+            postponed: Vec::new(),
         }
     }
 
@@ -222,6 +231,19 @@ impl<T: Eq> Network<T> {
     /// buffer instead of allocating one — the form an event-driven caller
     /// uses on its hot loop (one `deliver` per event cycle).
     pub fn deliver_into(&mut self, now: u64, delivered: &mut Vec<Envelope<T>>) {
+        let Some(limit) = self.config.link_bandwidth else {
+            // No ejection limit: everything due leaves in heap order,
+            // (arrival, injection), each at its own arrival cycle.
+            while let Some(head) = self.pending.peek_mut() {
+                if head.arrives_at > now {
+                    break;
+                }
+                let item = PeekMut::pop(head);
+                self.stats.record_delivery(item.arrives_at, &item.envelope);
+                delivered.push(item.envelope);
+            }
+            return;
+        };
         // One pass per distinct arrival cycle ≤ `now`, each with a fresh
         // per-destination budget. Postponed messages re-enter the heap one
         // cycle later, so the outer loop revisits them while they are due.
@@ -230,34 +252,35 @@ impl<T: Eq> Network<T> {
                 break;
             }
             let cycle = head.arrives_at;
-            let mut per_dst: HashMap<CoreId, usize> = HashMap::new();
-            let mut postponed: Vec<Pending<T>> = Vec::new();
-            while let Some(head) = self.pending.peek() {
+            self.ejected.clear();
+            while let Some(head) = self.pending.peek_mut() {
                 if head.arrives_at > cycle {
                     break;
                 }
-                let mut item = self.pending.pop().expect("peeked");
-                if let Some(limit) = self.config.link_bandwidth {
-                    let used = per_dst.entry(item.envelope.dst).or_insert(0);
-                    if *used >= limit {
-                        // The ejection port is saturated this cycle; retry
-                        // next cycle.
-                        item.arrives_at = cycle + 1;
-                        item.envelope.arrives_at = cycle + 1;
-                        postponed.push(item);
-                        continue;
-                    }
-                    *used += 1;
+                let mut item = PeekMut::pop(head);
+                let used = self.ejected.entry(item.envelope.dst).or_insert(0);
+                if *used >= limit {
+                    // The ejection port is saturated this cycle; retry
+                    // next cycle.
+                    item.arrives_at = cycle + 1;
+                    item.envelope.arrives_at = cycle + 1;
+                    self.postponed.push(item);
+                    continue;
                 }
-                let envelope = item.envelope;
-                self.stats.delivered += 1;
-                self.stats.total_latency += cycle.saturating_sub(envelope.sent_at);
-                delivered.push(envelope);
+                *used += 1;
+                self.stats.record_delivery(cycle, &item.envelope);
+                delivered.push(item.envelope);
             }
-            for item in postponed {
-                self.pending.push(item);
-            }
+            self.pending.extend(self.postponed.drain(..));
         }
+    }
+}
+
+impl NocStats {
+    /// Charges one message delivered at `cycle`.
+    fn record_delivery<T>(&mut self, cycle: u64, envelope: &Envelope<T>) {
+        self.delivered += 1;
+        self.total_latency += cycle.saturating_sub(envelope.sent_at);
     }
 }
 
@@ -423,5 +446,46 @@ mod tests {
         assert_eq!(jumped.stats(), stepped.stats());
         // 2 at cycle 2, 2 at cycle 3, 1 at cycle 4: total latency 2+2+3+3+4.
         assert_eq!(jumped.stats().total_latency, 14);
+    }
+
+    #[test]
+    fn unlimited_backlogs_leave_in_arrival_then_send_order() {
+        // Unlimited bandwidth: a backlog spanning several arrival cycles
+        // drained in one call comes out in (arrival, send) order, with
+        // the same latency charges as a cycle-by-cycle drain.
+        let mut stepped = net(NocConfig::default());
+        let mut jumped = net(NocConfig::default());
+        let sends = [(15, 1), (1, 2), (5, 3), (1, 4), (15, 5), (0, 6)];
+        for n in [&mut stepped, &mut jumped] {
+            for (i, &(dst, payload)) in sends.iter().enumerate() {
+                n.send(CoreId(0), CoreId(dst), payload, i as u64 / 2);
+            }
+        }
+        let mut cycle_by_cycle = Vec::new();
+        for now in 0..=10 {
+            cycle_by_cycle.extend(stepped.deliver(now));
+        }
+        let in_one_call = jumped.deliver(10);
+        assert_eq!(in_one_call, cycle_by_cycle);
+        assert_eq!(jumped.stats(), stepped.stats());
+        let order: Vec<(u64, u64, u32)> = in_one_call
+            .iter()
+            .map(|e| (e.arrives_at, e.sent_at, e.payload))
+            .collect();
+        // Core 0 → 0 costs 1, → 1 costs 2, → 5 costs 3, → 15 costs 7.
+        assert_eq!(
+            order,
+            vec![
+                (2, 0, 2),
+                (3, 1, 4),
+                (3, 2, 6),
+                (4, 1, 3),
+                (7, 0, 1),
+                (9, 2, 5)
+            ]
+        );
+        // Latency is charged at each message's own arrival cycle.
+        assert_eq!(jumped.stats().total_latency, 2 + 2 + 1 + 3 + 7 + 7);
+        assert_eq!(jumped.in_flight(), 0);
     }
 }

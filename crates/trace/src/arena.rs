@@ -3,18 +3,19 @@
 //! [`TraceArena`] holds a sectioned, dependence-annotated dynamic trace in
 //! flat columns instead of one heap object per instruction: every
 //! per-record field is one `Vec` indexed by trace position, and the
-//! variable-length parts — source dependences and written locations — are
-//! flattened into **one shared slice each**, indexed by `(offset, len)`
-//! ranges. Nothing in the arena is pointer-chased and nothing allocates
-//! per instruction, which is what lets 10M+-instruction runs fit:
-//! the arena costs well under 120 bytes per instruction where the
-//! record-per-instruction representation costs ~250–350.
+//! variable-length parts — source dependences, their locations and the
+//! written locations — are flattened into **shared slices**, indexed by
+//! `(offset, len)` ranges. Nothing in the arena is pointer-chased and
+//! nothing allocates per instruction, which is what lets 10M+-instruction
+//! runs fit: the arena costs well under 120 bytes per instruction where
+//! the record-per-instruction representation costs ~250–350.
 //!
-//! A [`PackedDep`] squeezes a full source dependence (architectural
-//! location, producer, producer section, provenance) into 16 bytes:
-//! data addresses are 8-aligned so a [`Location`] packs into a single
-//! `u64` with a tag in the low three bits, and the provenance tag shares
-//! a word with the producer's section id.
+//! A [`PackedDep`] squeezes a source dependence's producer, producer
+//! section and provenance into 8 bytes: the provenance tag shares a word
+//! with the producer's section id. The architectural location each
+//! dependence reads lives in a parallel column of packed words (data
+//! addresses are 8-aligned, so a [`Location`] packs into a single `u64`
+//! with a tag in the low three bits), which only a full arena keeps.
 
 use parsecs_isa::Reg;
 use parsecs_machine::{Location, TraceKind};
@@ -111,25 +112,26 @@ pub(crate) fn check_capacity(
     Ok(())
 }
 
-/// One source dependence in 16 bytes: the packed location, the producer's
-/// trace index and `(producer_section << 3) | provenance`.
+/// One source dependence in 8 bytes: the producer's trace index and
+/// `(producer_section << 3) | provenance`. The location it reads is
+/// stored beside it, in a full arena's location column
+/// ([`TraceArena::source_locations`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PackedDep {
-    loc: u64,
     producer: u32,
     section_kind: u32,
 }
 
 impl PackedDep {
-    /// Packs a [`SourceDep`].
+    /// Packs a dependence's provenance.
     ///
     /// Producers past `u32::MAX` and sections past 2^29 cannot be packed;
     /// the streaming sectioner rejects such traces with a typed
     /// [`TraceError::CapacityExceeded`] before this point, so overflow
     /// here is a caller bug (debug-asserted, and detectable after the
     /// fact by `parsecs-check`'s packing-integrity pass).
-    pub fn new(dep: &SourceDep) -> PackedDep {
-        let (producer, section, kind) = match dep.kind {
+    pub fn new(kind: SourceKind) -> PackedDep {
+        let (producer, section, kind) = match kind {
             SourceKind::Local { producer } => (producer, 0, KIND_LOCAL),
             SourceKind::Remote {
                 producer,
@@ -151,7 +153,6 @@ impl PackedDep {
             u32::MAX
         );
         PackedDep {
-            loc: pack_location(dep.location),
             producer: producer as u32,
             section_kind: ((section as u32) << 3) | kind,
         }
@@ -162,28 +163,20 @@ impl PackedDep {
     /// validators and their tests can construct deliberately corrupt
     /// dependences; normal producers should go through
     /// [`PackedDep::new`].
-    pub fn from_raw_parts(loc: u64, producer: u32, section_kind: u32) -> PackedDep {
+    pub fn from_raw_parts(producer: u32, section_kind: u32) -> PackedDep {
         PackedDep {
-            loc,
             producer,
             section_kind,
         }
     }
 
-    /// The raw packed words `(loc, producer, section_kind)` — the packed
-    /// location, the producer's trace index, and
-    /// `(producer_section << 3) | provenance`. For validators
-    /// (`parsecs-check`) that must inspect the encoding itself;
-    /// [`PackedDep::location`]/[`PackedDep::kind`] assume a well-formed
-    /// packing and silently misdecode a corrupt one.
-    pub fn raw_parts(&self) -> (u64, u32, u32) {
-        (self.loc, self.producer, self.section_kind)
-    }
-
-    /// The architectural location being read.
-    #[inline]
-    pub fn location(&self) -> Location {
-        unpack_location(self.loc)
+    /// The raw packed words `(producer, section_kind)` — the producer's
+    /// trace index and `(producer_section << 3) | provenance`. For
+    /// validators (`parsecs-check`) that must inspect the encoding
+    /// itself; [`PackedDep::kind`] assumes a well-formed packing and
+    /// silently misdecodes a corrupt one.
+    pub fn raw_parts(&self) -> (u32, u32) {
+        (self.producer, self.section_kind)
     }
 
     /// Where the value comes from.
@@ -202,14 +195,6 @@ impl PackedDep {
             _ => SourceKind::InitialMemory,
         }
     }
-
-    /// The unpacked dependence.
-    pub fn dep(&self) -> SourceDep {
-        SourceDep {
-            location: self.location(),
-            kind: self.kind(),
-        }
-    }
 }
 
 /// Read-only views of every packed column of a [`TraceArena`], in one
@@ -223,7 +208,9 @@ impl PackedDep {
 /// `dep_off` (and, on a full arena, `write_off`) have one per record
 /// plus a trailing sentinel equal to the shared slice's length; record
 /// `i`'s dependences are `deps[dep_off[i]..dep_off[i + 1]]`, the first
-/// `reg_deps[i]` of them register-class.
+/// `reg_deps[i]` of them register-class. On a full arena `dep_locs` has
+/// one entry per dependence (the same ranges index it); on a lean arena
+/// it is empty.
 #[derive(Debug, Clone, Copy)]
 pub struct RawColumns<'a> {
     /// Static instruction index per record.
@@ -243,6 +230,9 @@ pub struct RawColumns<'a> {
     pub write_off: &'a [u32],
     /// The shared dependence slice.
     pub deps: &'a [PackedDep],
+    /// The packed location each dependence reads, parallel to `deps`
+    /// (empty on a lean arena).
+    pub dep_locs: &'a [u64],
     /// The shared written-locations slice (packed; empty on a lean
     /// arena).
     pub writes: &'a [u64],
@@ -302,15 +292,18 @@ pub struct TraceArena {
     /// `writes` range of record `i` is `write_off[i]..write_off[i + 1]`.
     write_off: Vec<u32>,
     deps: Vec<PackedDep>,
+    /// Packed location read by each entry of `deps` (parallel to it).
+    dep_locs: Vec<u64>,
     writes: Vec<u64>,
     mnemonics: Vec<&'static str>,
     sections: Vec<SectionSpan>,
     outputs: Vec<u64>,
-    /// A *lean* arena skips the written-locations columns (`writes`,
-    /// `write_off`): the timing simulators never read them (store-ness is
-    /// a `kind_flags` bit and every consumer reaches its producer through
-    /// `deps`), only the record-representation bridge does. Saves ~15
-    /// bytes per instruction on store-heavy chip-scale runs.
+    /// A *lean* arena stores no architectural locations: neither the
+    /// location each dependence reads (`dep_locs`) nor the written ones
+    /// (`writes`, `write_off`). The timing simulators never read them
+    /// (store-ness is a `kind_flags` bit and every consumer reaches its
+    /// producer through `deps`); only `parsecs-check`'s location checks
+    /// and writer replay do.
     lean: bool,
 }
 
@@ -324,11 +317,13 @@ impl TraceArena {
         }
     }
 
-    /// An empty *lean* arena: written locations are not recorded (see
-    /// [`TraceArena::records_writes`]). Use for stats-oriented chip-scale
-    /// simulation where the written-locations column would be dead
-    /// weight; the writer-discipline replay of `parsecs-check` needs a
-    /// full arena.
+    /// An empty *lean* arena: no architectural location is recorded,
+    /// neither the ones each dependence reads nor the written ones (see
+    /// [`TraceArena::records_locations`]), which saves 8 bytes per
+    /// dependence plus the write columns. Use for stats-oriented
+    /// chip-scale simulation, where those columns would be dead weight;
+    /// `parsecs-check`'s location checks and writer-discipline replay
+    /// need a full arena.
     pub fn new_lean() -> TraceArena {
         TraceArena {
             lean: true,
@@ -336,10 +331,12 @@ impl TraceArena {
         }
     }
 
-    /// Whether the arena records written locations ([`TraceArena::written`]
-    /// yields them). `false` for lean arenas, whose `written` is always
-    /// empty even for stores ([`TraceArena::is_store`] stays accurate).
-    pub fn records_writes(&self) -> bool {
+    /// Whether the arena records architectural locations
+    /// ([`TraceArena::source_locations`] and [`TraceArena::written`]
+    /// yield them). `false` for lean arenas, whose `source_locations` and
+    /// `written` are always empty (the dependences themselves and
+    /// [`TraceArena::is_store`] stay accurate).
+    pub fn records_locations(&self) -> bool {
         !self.lean
     }
 
@@ -363,11 +360,10 @@ impl TraceArena {
         reserve(&mut self.kind_flags, records);
         reserve(&mut self.dep_off, records);
         reserve(&mut self.reg_deps, records);
-        reserve(
-            &mut self.deps,
-            records.saturating_mul(max_reads as u64).min(MAX_DEPS),
-        );
+        let deps = records.saturating_mul(max_reads as u64).min(MAX_DEPS);
+        reserve(&mut self.deps, deps);
         if !self.lean {
+            reserve(&mut self.dep_locs, deps);
             reserve(&mut self.write_off, records);
             reserve(
                 &mut self.writes,
@@ -483,8 +479,20 @@ impl TraceArena {
         &self.deps[self.dep_off[seq] as usize..self.dep_off[seq + 1] as usize]
     }
 
+    /// The locations read by record `seq`, parallel to
+    /// [`TraceArena::sources`] (always empty on a lean arena — see
+    /// [`TraceArena::records_locations`]).
+    pub fn source_locations(&self, seq: usize) -> impl Iterator<Item = Location> + '_ {
+        let range = if self.lean {
+            0..0
+        } else {
+            self.dep_off[seq] as usize..self.dep_off[seq + 1] as usize
+        };
+        self.dep_locs[range].iter().map(|&l| unpack_location(l))
+    }
+
     /// The locations written by record `seq` (always empty on a lean
-    /// arena — see [`TraceArena::records_writes`]).
+    /// arena — see [`TraceArena::records_locations`]).
     pub fn written(&self, seq: usize) -> impl Iterator<Item = Location> + '_ {
         let range = if self.lean {
             0..0
@@ -530,6 +538,7 @@ impl TraceArena {
             + self.reg_deps.capacity() * size_of::<u16>()
             + self.write_off.capacity() * size_of::<u32>()
             + self.deps.capacity() * size_of::<PackedDep>()
+            + self.dep_locs.capacity() * size_of::<u64>()
             + self.writes.capacity() * size_of::<u64>()
             + self.mnemonics.capacity() * size_of::<&'static str>()
             + self.sections.capacity() * size_of::<SectionSpan>()
@@ -549,6 +558,7 @@ impl TraceArena {
         self.reg_deps.shrink_to_fit();
         self.write_off.shrink_to_fit();
         self.deps.shrink_to_fit();
+        self.dep_locs.shrink_to_fit();
         self.writes.shrink_to_fit();
         self.mnemonics.shrink_to_fit();
         self.sections.shrink_to_fit();
@@ -568,6 +578,7 @@ impl TraceArena {
             reg_deps: &self.reg_deps,
             write_off: &self.write_off,
             deps: &self.deps,
+            dep_locs: &self.dep_locs,
             writes: &self.writes,
             mnemonics: &self.mnemonics,
         }
@@ -632,11 +643,8 @@ impl TraceArena {
             !mem_sources.is_empty(),
             is_store,
         );
-        for dep in reg_sources {
-            self.push_dep(PackedDep::new(dep));
-        }
-        for dep in mem_sources {
-            self.push_dep(PackedDep::new(dep));
+        for dep in reg_sources.iter().chain(mem_sources) {
+            self.push_dep(PackedDep::new(dep.kind), dep.location);
         }
         for &loc in writes {
             self.push_write(loc);
@@ -707,11 +715,25 @@ impl TraceArena {
         self.kind_flags.push(flags);
     }
 
-    /// Appends one dependence of the record being built (register-class
-    /// deps first, then memory deps; `end_record` fixes the split).
+    /// Appends one dependence of the record being built, reading
+    /// `location` (register-class deps first, then memory deps;
+    /// `end_record` fixes the split). A lean arena drops the location.
     #[inline]
-    pub fn push_dep(&mut self, dep: PackedDep) {
+    pub fn push_dep(&mut self, dep: PackedDep, location: Location) {
+        self.push_dep_raw(dep, pack_location(location));
+    }
+
+    /// [`TraceArena::push_dep`] with the location already packed, stored
+    /// verbatim with **no** validity checks — like
+    /// [`PackedDep::from_raw_parts`], for corpora that build deliberately
+    /// corrupt arenas. `location` uses the encoding of
+    /// [`RawColumns::dep_locs`].
+    #[inline]
+    pub fn push_dep_raw(&mut self, dep: PackedDep, location: u64) {
         self.deps.push(dep);
+        if !self.lean {
+            self.dep_locs.push(location);
+        }
     }
 
     /// Appends one written location of the record being built. Must not
@@ -785,7 +807,7 @@ mod tests {
     }
 
     #[test]
-    fn lean_arenas_skip_the_write_columns_but_keep_store_flags() {
+    fn lean_arenas_skip_the_location_columns_but_keep_store_flags() {
         let mut full = TraceArena::new();
         let mut lean = TraceArena::new_lean();
         let dep = SourceDep {
@@ -807,13 +829,16 @@ mod tests {
         // at the column level (no write pushes).
         let id = lean.intern_mnemonic("movq");
         lean.begin_record(0, id, SectionId(0), TraceKind::Other, false, false, true);
-        lean.push_dep(PackedDep::new(&dep));
+        lean.push_dep(PackedDep::new(dep.kind), dep.location);
         lean.end_record(1);
-        assert!(full.records_writes());
-        assert!(!lean.records_writes());
+        assert!(full.records_locations());
+        assert!(!lean.records_locations());
         assert!(full.is_store(0) && lean.is_store(0));
         assert_eq!(full.written(0).count(), 1);
         assert_eq!(lean.written(0).count(), 0);
+        assert!(full.source_locations(0).eq([dep.location]));
+        assert_eq!(lean.source_locations(0).count(), 0);
+        assert_eq!(full.sources(0), lean.sources(0));
         assert!(lean.memory_bytes() < full.memory_bytes());
     }
 }

@@ -15,9 +15,10 @@
 //!
 //! * never builds the intermediate trace (three `Vec`s per instruction);
 //! * keeps the per-instruction metadata in flat columns and the
-//!   dependences in **one shared 16-byte-packed slice** indexed by
-//!   `(offset, len)` ranges — well under 120 bytes per instruction where
-//!   the record representation costs ~250–350;
+//!   dependences in **one shared 8-byte-packed slice** indexed by
+//!   `(offset, len)` ranges, with the locations they read in a parallel
+//!   column only a full arena keeps — well under 120 bytes per
+//!   instruction where the record representation costs ~250–350;
 //! * looks registers up in a flat array and memory words in a
 //!   multiply-shift-hashed table, instead of SipHashing `Location` keys.
 //!
@@ -103,11 +104,15 @@ mod tests {
         TraceArena::from_program(&sum_fork_program(data), 1_000_000).expect("runs")
     }
 
-    /// The first dependence of `deps` on `location`.
-    fn source_on(deps: &[PackedDep], location: Location) -> SourceKind {
-        deps.iter()
-            .find(|d| d.location() == location)
+    /// The provenance of record `seq`'s first source on `location`.
+    fn source_on(arena: &TraceArena, seq: usize, location: Location) -> SourceKind {
+        arena
+            .sources(seq)
+            .iter()
+            .zip(arena.source_locations(seq))
+            .find(|&(_, l)| l == location)
             .unwrap_or_else(|| panic!("reads {location:?}"))
+            .0
             .kind()
     }
 
@@ -175,7 +180,7 @@ mod tests {
         let store = section2 + 1;
         assert_eq!(arena.mnemonic(store), "movq");
         assert!(arena.is_store(store));
-        match source_on(arena.reg_sources(store), Location::Reg(Reg::Rax)) {
+        match source_on(&arena, store, Location::Reg(Reg::Rax)) {
             SourceKind::Remote {
                 producer_section, ..
             } => {
@@ -186,7 +191,7 @@ mod tests {
         // Its %rsp comes from the `subq $8, %rsp` just before it (2-1),
         // i.e. a local renaming hit.
         assert!(matches!(
-            source_on(arena.reg_sources(store), Location::Reg(Reg::Rsp)),
+            source_on(&arena, store, Location::Reg(Reg::Rsp)),
             SourceKind::Local { .. }
         ));
         // The array pointer %rdi used by 2-3 (leaq) was written by `main`
@@ -195,7 +200,7 @@ mod tests {
         let lea = section2 + 2;
         assert_eq!(arena.mnemonic(lea), "leaq");
         assert_eq!(
-            source_on(arena.reg_sources(lea), Location::Reg(Reg::Rdi)),
+            source_on(&arena, lea, Location::Reg(Reg::Rdi)),
             SourceKind::ForkCopy
         );
     }
@@ -306,6 +311,34 @@ mod tests {
     }
 
     #[test]
+    fn lean_arenas_store_no_locations() {
+        let program = sum_fork_program(&[3, 1, 4, 1, 5, 9, 2, 6]);
+        let full = TraceArena::from_program(&program, 1_000_000).expect("runs");
+        let lean = TraceArena::from_program_lean(&program, 1_000_000).expect("runs");
+        for seq in 0..full.len() {
+            assert_eq!(
+                full.source_locations(seq).count(),
+                full.sources(seq).len(),
+                "record {seq}"
+            );
+            assert_eq!(lean.source_locations(seq).count(), 0, "record {seq}");
+        }
+        // The lean arena drops exactly the 8-byte location of every
+        // dependence and the written-locations columns; every other
+        // column is the same size.
+        let write_bytes = |raw: RawColumns<'_>| raw.write_off.len() * 4 + raw.writes.len() * 8;
+        let (full_raw, lean_raw) = (full.raw(), lean.raw());
+        assert_eq!(full_raw.dep_locs.len(), full_raw.deps.len());
+        assert!(lean_raw.dep_locs.is_empty());
+        assert_eq!(
+            lean.memory_bytes(),
+            full.memory_bytes()
+                - 8 * full_raw.deps.len()
+                - (write_bytes(full_raw) - write_bytes(lean_raw))
+        );
+    }
+
+    #[test]
     fn packed_deps_roundtrip() {
         let deps = [
             SourceDep {
@@ -333,10 +366,26 @@ mod tests {
             },
         ];
         for dep in &deps {
-            let packed = PackedDep::new(dep);
-            assert_eq!(packed.dep(), *dep, "{dep:?}");
+            assert_eq!(PackedDep::new(dep.kind).kind(), dep.kind, "{dep:?}");
         }
-        assert_eq!(std::mem::size_of::<PackedDep>(), 16);
+        assert_eq!(std::mem::size_of::<PackedDep>(), 8);
+        // The locations round-trip through a full arena's location column.
+        let mut arena = TraceArena::new();
+        arena.begin_record(0, 0, SectionId(0), TraceKind::Other, false, true, false);
+        for dep in &deps {
+            arena.push_dep(PackedDep::new(dep.kind), dep.location);
+        }
+        arena.end_record(deps.len());
+        let unpacked: Vec<SourceDep> = arena
+            .sources(0)
+            .iter()
+            .zip(arena.source_locations(0))
+            .map(|(d, location)| SourceDep {
+                location,
+                kind: d.kind(),
+            })
+            .collect();
+        assert_eq!(unpacked, deps);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use parsecs_isa::{Effects, Inst, Operand, Program, Reg};
 use parsecs_machine::{Location, Machine, Trace, TraceKind, TraceSink, TraceStep};
 
-use crate::{PackedDep, SectionId, SectionSpan, SourceDep, SourceKind, TraceArena, TraceError};
+use crate::{PackedDep, SectionId, SectionSpan, SourceKind, TraceArena, TraceError};
 
 /// A multiply-xorshift hasher for the memory last-writer table: the keys
 /// are 8-aligned data addresses, so the default SipHash's collision
@@ -160,9 +160,9 @@ impl StreamingSectioner {
         }
     }
 
-    /// A sectioner over a *lean* arena: written locations are resolved
-    /// against (the last-writer state needs them) but not stored in the
-    /// arena — see [`TraceArena::new_lean`].
+    /// A sectioner over a *lean* arena: read and written locations drive
+    /// the renaming (the last-writer state needs them) but are not stored
+    /// in the arena — see [`TraceArena::new_lean`].
     pub fn lean() -> StreamingSectioner {
         StreamingSectioner {
             arena: TraceArena::new_lean(),
@@ -269,10 +269,7 @@ impl StreamingSectioner {
                 }
             }
         };
-        PackedDep::new(&SourceDep {
-            location: loc,
-            kind,
-        })
+        PackedDep::new(kind)
     }
 }
 
@@ -292,7 +289,7 @@ impl TraceSink for StreamingSectioner {
         // Capacity guard: a trace that outgrows the packed `u32` columns
         // (possible from a few hundred million instructions on) becomes a
         // typed error at `finish` instead of an abort mid-run.
-        let stored_writes = if self.arena.records_writes() {
+        let stored_writes = if self.arena.records_locations() {
             step.writes.len()
         } else {
             0
@@ -322,7 +319,7 @@ impl TraceSink for StreamingSectioner {
         let mut mem_dep_count = 0usize;
         for &loc in step.reads {
             let dep = self.resolve(loc, current);
-            self.arena.push_dep(dep);
+            self.arena.push_dep(dep, loc);
             if loc.is_mem() {
                 mem_dep_count += 1;
             } else {
@@ -335,7 +332,7 @@ impl TraceSink for StreamingSectioner {
         }
 
         let mut is_store = false;
-        if self.arena.records_writes() {
+        if self.arena.records_locations() {
             for &loc in step.writes {
                 self.arena.push_write(loc);
                 is_store |= loc.is_mem();
@@ -419,10 +416,10 @@ impl TraceArena {
         TraceArena::run_pipeline(program, fuel, StreamingSectioner::new())
     }
 
-    /// Like [`TraceArena::from_program`] but produces a *lean* arena
-    /// (written locations are not stored — see [`TraceArena::new_lean`]):
-    /// the variant chip-scale stats-only runs use to minimise resident
-    /// bytes per instruction.
+    /// Like [`TraceArena::from_program`] but produces a *lean* arena (no
+    /// architectural location is stored, read or written — see
+    /// [`TraceArena::new_lean`]): the variant unvalidated runs use to
+    /// minimise resident bytes per instruction.
     ///
     /// # Errors
     ///

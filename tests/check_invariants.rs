@@ -5,14 +5,17 @@
 //! invariants: these tests rebuild real arenas record-by-record through
 //! the public column builder, inject one targeted corruption — a swapped
 //! dependence edge, an overlapping section span, a stale writer claim, a
-//! truncated dependence slice, an invalid 16-byte packing, a bogus
+//! truncated dependence slice, an invalid location packing, a bogus
 //! creator link, an unclosed record — and assert the report names the
 //! matching [`InvariantViolation`] variant. A proptest then sweeps the
-//! same mutations across random seeds and all five generators.
+//! same mutations across random seeds and all five generators, and lean
+//! arenas (which store no locations) must still report every mutation
+//! that needs none.
 
 use parsecs::check::{check_arena, InvariantViolation, Progress};
 use parsecs::core::{ManyCoreSim, NoopProbe, SimConfig};
-use parsecs::trace::{PackedDep, SectionId, SectionSpan, TraceArena};
+use parsecs::isa::Program;
+use parsecs::trace::{PackedDep, RawColumns, SectionId, SectionSpan, TraceArena};
 use parsecs::workloads::scale;
 use proptest::prelude::*;
 
@@ -21,9 +24,22 @@ use proptest::prelude::*;
 const KIND_LOCAL: u32 = 0;
 const KIND_REMOTE: u32 = 1;
 
-/// One small instance of each `workloads::scale` generator.
-fn base_arena(which: usize, seed: u64) -> (&'static str, TraceArena) {
-    let (name, program, fuel) = match which % 5 {
+/// One dependence as the corpus edits it: the packed provenance word and
+/// the packed location it reads (`RawColumns::dep_locs` encoding).
+type Dep = (PackedDep, u64);
+
+/// Entry `k` of the shared dependence slice (location 0 on a lean arena).
+fn dep_at(raw: &RawColumns<'_>, k: usize) -> Dep {
+    (
+        raw.deps[k],
+        raw.dep_locs.get(k).copied().unwrap_or_default(),
+    )
+}
+
+/// One small instance of each `workloads::scale` generator: its name,
+/// program and fuel.
+fn base_program(which: usize, seed: u64) -> (&'static str, Program, u64) {
+    match which % 5 {
         0 => (
             "histogram",
             scale::histogram_program(48, 8, seed),
@@ -49,21 +65,39 @@ fn base_arena(which: usize, seed: u64) -> (&'static str, TraceArena) {
             scale::fan_chain_program(4, 4, seed),
             scale::fan_chain_fuel(4, 4),
         ),
-    };
+    }
+}
+
+/// The full arena of [`base_program`].
+fn base_arena(which: usize, seed: u64) -> (&'static str, TraceArena) {
+    let (name, program, fuel) = base_program(which, seed);
     let arena = TraceArena::from_program(&program, fuel).expect("workload halts within fuel");
     (name, arena)
 }
 
+/// The lean arena of [`base_program`]: no locations stored.
+fn base_lean_arena(which: usize, seed: u64) -> (&'static str, TraceArena) {
+    let (name, program, fuel) = base_program(which, seed);
+    let arena = TraceArena::from_program_lean(&program, fuel).expect("workload halts within fuel");
+    (name, arena)
+}
+
 /// Rebuilds `src` through the public column builder, mapping each column
-/// through the given hooks (identity hooks reproduce `src` exactly).
+/// through the given hooks (identity hooks reproduce `src` exactly, lean
+/// or full). A lean `src` has no locations, so its hooks see location 0
+/// and the lean rebuild drops whatever they return.
 fn rebuild(
     src: &TraceArena,
     mut map_section_col: impl FnMut(usize, SectionId) -> SectionId,
-    mut map_dep: impl FnMut(usize, usize, PackedDep) -> PackedDep,
+    mut map_dep: impl FnMut(usize, usize, Dep) -> Dep,
     mut map_reg_count: impl FnMut(usize, usize) -> usize,
     mut map_span: impl FnMut(usize, SectionSpan) -> SectionSpan,
 ) -> TraceArena {
-    let mut out = TraceArena::new();
+    let mut out = if src.records_locations() {
+        TraceArena::new()
+    } else {
+        TraceArena::new_lean()
+    };
     let raw = src.raw();
     for seq in 0..src.len() {
         let id = out.intern_mnemonic(src.mnemonic(seq));
@@ -77,8 +111,9 @@ fn rebuild(
             src.is_store(seq),
         );
         let deps = raw.dep_off[seq] as usize..raw.dep_off[seq + 1] as usize;
-        for (j, &dep) in raw.deps[deps].iter().enumerate() {
-            out.push_dep(map_dep(seq, j, dep));
+        for (j, k) in deps.enumerate() {
+            let (dep, loc) = map_dep(seq, j, dep_at(&raw, k));
+            out.push_dep_raw(dep, loc);
         }
         for loc in src.written(seq) {
             out.push_write(loc);
@@ -95,15 +130,13 @@ fn rebuild(
 /// First dependence `(seq, dep, packed)` satisfying the predicate.
 fn find_dep(
     src: &TraceArena,
-    pred: impl Fn(usize, usize, PackedDep) -> bool,
-) -> Option<(usize, usize, PackedDep)> {
+    pred: impl Fn(usize, usize, Dep) -> bool,
+) -> Option<(usize, usize, Dep)> {
     let raw = src.raw();
     for seq in 0..src.len() {
-        let start = raw.dep_off[seq] as usize;
-        for (j, &dep) in raw.deps[start..raw.dep_off[seq + 1] as usize]
-            .iter()
-            .enumerate()
-        {
+        let deps = raw.dep_off[seq] as usize..raw.dep_off[seq + 1] as usize;
+        for (j, k) in deps.enumerate() {
+            let dep = dep_at(&raw, k);
             if pred(seq, j, dep) {
                 return Some((seq, j, dep));
             }
@@ -118,7 +151,7 @@ fn find_dep(
 fn mutate(src: &TraceArena, mutation: usize) -> Option<(TraceArena, &'static str)> {
     let identity = |src: &TraceArena,
                     sec: Option<(usize, SectionId)>,
-                    dep: Option<(usize, usize, PackedDep)>,
+                    dep: Option<(usize, usize, Dep)>,
                     reg: Option<(usize, usize)>,
                     span: Option<(usize, SectionSpan)>| {
         rebuild(
@@ -132,23 +165,22 @@ fn mutate(src: &TraceArena, mutation: usize) -> Option<(TraceArena, &'static str
     match mutation % 8 {
         // Swapped dependence edge: a producer at/after its consumer.
         0 => {
-            let (seq, j, dep) = find_dep(src, |_, _, d| {
-                matches!(d.raw_parts().2 & 7, KIND_LOCAL | KIND_REMOTE)
+            let (seq, j, (dep, loc)) = find_dep(src, |_, _, (d, _)| {
+                matches!(d.raw_parts().1 & 7, KIND_LOCAL | KIND_REMOTE)
             })?;
-            let (loc, _, section_kind) = dep.raw_parts();
-            let cyclic = PackedDep::from_raw_parts(loc, seq as u32, section_kind);
+            let (_, section_kind) = dep.raw_parts();
+            let cyclic = (PackedDep::from_raw_parts(seq as u32, section_kind), loc);
             Some((
                 identity(src, None, Some((seq, j, cyclic)), None, None),
                 "DependenceCycle",
             ))
         }
-        // Invalid 16-byte packing: a bogus location tag in the register
+        // Invalid location packing: a bogus location tag in the register
         // prefix.
         1 => {
             let raw = src.raw();
-            let (seq, j, dep) = find_dep(src, |seq, j, _| j < raw.reg_deps[seq] as usize)?;
-            let (loc, producer, section_kind) = dep.raw_parts();
-            let broken = PackedDep::from_raw_parts((loc & !7) | 5, producer, section_kind);
+            let (seq, j, (dep, loc)) = find_dep(src, |seq, j, _| j < raw.reg_deps[seq] as usize)?;
+            let broken = (dep, (loc & !7) | 5);
             Some((
                 identity(src, None, Some((seq, j, broken)), None, None),
                 "DepPackingBroken",
@@ -169,14 +201,14 @@ fn mutate(src: &TraceArena, mutation: usize) -> Option<(TraceArena, &'static str
         // record that is not the closest preceding writer.
         3 => {
             let spans = src.sections();
-            let (seq, j, dep) = find_dep(src, |seq, _, d| {
-                let (_, producer, section_kind) = d.raw_parts();
+            let (seq, j, (dep, loc)) = find_dep(src, |seq, _, (d, _)| {
+                let (producer, section_kind) = d.raw_parts();
                 section_kind & 7 == KIND_LOCAL
                     && seq - spans[src.section(seq).0].start >= 2
                     && producer as usize + 1 < seq
             })?;
-            let (loc, producer, section_kind) = dep.raw_parts();
-            let stale = PackedDep::from_raw_parts(loc, producer + 1, section_kind);
+            let (producer, section_kind) = dep.raw_parts();
+            let stale = (PackedDep::from_raw_parts(producer + 1, section_kind), loc);
             Some((
                 identity(src, None, Some((seq, j, stale)), None, None),
                 "WriterDiscipline",
@@ -251,7 +283,11 @@ fn is_variant(violation: &InvariantViolation, name: &str) -> bool {
 /// reports the matching variant (and withholds the bounds).
 fn assert_detected(which: usize, seed: u64, mutation: usize) {
     let (name, src) = base_arena(which, seed);
-    let Some((mutated, expected)) = mutate(&src, mutation) else {
+    assert_mutation_detected(name, &src, mutation);
+}
+
+fn assert_mutation_detected(name: &str, src: &TraceArena, mutation: usize) {
+    let Some((mutated, expected)) = mutate(src, mutation) else {
         panic!("{name}: no mutation site for corpus entry {mutation}");
     };
     let report = check_arena(&mutated);
@@ -293,6 +329,55 @@ fn every_violation_variant_is_detected() {
     for mutation in 0..8 {
         assert_detected(0, 11, mutation);
     }
+}
+
+/// A lean arena stores no locations, so the location-tag mutation (1)
+/// and the writer replay (3) have nothing to check; every other corpus
+/// entry is still reported, and the lean identity rebuild is faithful
+/// and clean.
+#[test]
+fn lean_arenas_report_every_location_free_mutation() {
+    for which in 0..5 {
+        let (name, src) = base_lean_arena(which, 11);
+        let rebuilt = rebuild(&src, |_, s| s, |_, _, d| d, |_, r| r, |_, s| s);
+        assert_eq!(rebuilt, src, "{name}: lean identity rebuild diverged");
+        assert!(check_arena(&rebuilt).is_clean(), "{name}");
+    }
+    let (name, src) = base_lean_arena(0, 11);
+    for mutation in [0, 2, 4, 5, 6, 7] {
+        assert_mutation_detected(name, &src, mutation);
+    }
+}
+
+/// A corrupt provenance tag needs no location to be caught: a lean
+/// arena with one is still reported.
+#[test]
+fn lean_arenas_report_a_corrupt_provenance_tag() {
+    let (name, src) = base_lean_arena(0, 11);
+    let (seq, j, (dep, loc)) = find_dep(&src, |_, _, _| true).expect("has dependences");
+    let (producer, section_kind) = dep.raw_parts();
+    let broken = (
+        PackedDep::from_raw_parts(producer, (section_kind & !7) | 7),
+        loc,
+    );
+    let mutated = rebuild(
+        &src,
+        |_, s| s,
+        |s, i, d| if (s, i) == (seq, j) { broken } else { d },
+        |_, r| r,
+        |_, s| s,
+    );
+    let report = check_arena(&mutated);
+    assert!(
+        report.violations.iter().any(|v| matches!(
+            v,
+            InvariantViolation::DepPackingBroken {
+                detail: "invalid provenance tag",
+                ..
+            }
+        )),
+        "{name}: a corrupt provenance tag went unreported: {report}"
+    );
 }
 
 /// Every `workloads::scale` generator is clean, and the engine retires

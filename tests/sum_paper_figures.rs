@@ -63,10 +63,11 @@ fn figure6_renaming_matches_the_papers_producer_consumer_pairs() {
         other => panic!("expected remote memory renaming, found {other:?}"),
     }
     // ... and its %rax comes from section 4 (the second half of the sum).
-    let rax = arena
-        .reg_sources(final_add)
+    let (rax, _) = arena
+        .sources(final_add)
         .iter()
-        .find(|d| d.location() == Location::Reg(parsecs::isa::Reg::Rax))
+        .zip(arena.source_locations(final_add))
+        .find(|&(_, l)| l == Location::Reg(parsecs::isa::Reg::Rax))
         .unwrap();
     match rax.kind() {
         SourceKind::Remote {
