@@ -46,20 +46,21 @@ pub struct SimConfig {
     /// full). The paper computes control in order; `true` models the stall,
     /// `false` models an idealised fetch that never waits on control.
     pub fetch_stalls_on_unresolved_control: bool,
-    /// Whether the simulation materialises the per-instruction stage
-    /// table ([`crate::SimResult::timings`], the paper's Figure 10 rows).
+    /// Whether the simulation records the per-instruction stage table
+    /// ([`crate::SimResult::timings`], the paper's Figure 10 rows).
     ///
     /// With this off the run is **stats-only**: every aggregate in
     /// [`crate::SimStats`] — fetch/total cycles, IPCs, renaming counters,
     /// NoC statistics — is accumulated streaming during the simulation
-    /// and comes out bit-identical to a recording run, but
-    /// `SimResult::timings` is empty and the per-row accessors
-    /// ([`crate::SimResult::section_timings`],
-    /// `RunReport::timings()` in the driver, `format_figure10`) return
-    /// empty views. Stats-only runs also drop the resolver's three stage
-    /// columns, cutting the simulator's per-instruction resident state
-    /// from ~150 to ~17 bytes — the switch that lets 100M-instruction
-    /// chip-scale cells fit. On by default.
+    /// and comes out bit-identical to a recording run, but the stage
+    /// table and the per-row accessors
+    /// ([`crate::SimResult::section_timings`], `format_figure10`) are
+    /// empty. Stats-only runs keep none of the table's columns: the
+    /// resolver's `fd`/`ew`/`ret` columns and the 7 B/instruction a
+    /// recording run copies from the arena, 31 B/instruction in all,
+    /// cutting the simulator's per-instruction resident state from ~48
+    /// to ~17 bytes — the switch that lets 100M-instruction chip-scale
+    /// cells fit. On by default.
     pub record_timings: bool,
     /// Whether the engines run the full static analysis of
     /// `parsecs-check` over the arena before simulating: the invariant

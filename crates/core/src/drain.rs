@@ -46,20 +46,21 @@ const NO_WAITER: u32 = u32::MAX;
 /// `ar` always `ew + 1`, and `ma` always the completion cycle of a memory
 /// instruction. The `fd`/`ew`/`ret` stage columns (another
 /// 24 B/instruction) are only kept when the run records the per-row stage
-/// table; stats-only runs skip them and accumulate `max_fd`/`max_ret`
-/// streaming. Retirement is in order within a section, so it needs no
-/// per-instruction bookkeeping either: a per-*section* cursor
-/// (`retire_next`, `retire_last`) cascades over the completed prefix of
-/// the section.
+/// table, which takes them over with `complete` when the run finishes
+/// ([`Resolver::into_stage_columns`]); stats-only runs skip them and
+/// accumulate `max_fd`/`max_ret` streaming. Retirement is in order
+/// within a section, so it needs no per-instruction bookkeeping either:
+/// a per-*section* cursor (`retire_next`, `retire_last`) cascades over
+/// the completed prefix of the section.
 pub(crate) struct Resolver<'a> {
     config: &'a SimConfig,
     arena: &'a TraceArena,
     /// Whether the per-instruction stage columns (`fd`/`ew`/`ret`) are
     /// kept for the reported timing table.
     record: bool,
-    pub(crate) fd: Vec<u64>,
-    pub(crate) ew: Vec<u64>,
-    pub(crate) ret: Vec<u64>,
+    fd: Vec<u64>,
+    ew: Vec<u64>,
+    ret: Vec<u64>,
     pub(crate) complete: Vec<u64>,
     /// Head of the per-producer list of consumers waiting for its
     /// completion (`u32::MAX` = empty). An instruction waits on at most
@@ -117,6 +118,13 @@ impl<'a> Resolver<'a> {
             fork_copied_sources: 0,
             dmh_accesses: 0,
         }
+    }
+
+    /// Hands the `[fd, ew, ret, complete]` columns over to the stage
+    /// table, dropping the rest of the resolver state (the `fd`/`ew`/`ret`
+    /// columns are empty unless the run records timings).
+    pub(crate) fn into_stage_columns(self) -> [Vec<u64>; 4] {
+        [self.fd, self.ew, self.ret, self.complete]
     }
 
     /// Records the fetch of `seq` at `cycle` and queues it for resolution.

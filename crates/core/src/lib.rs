@@ -88,7 +88,7 @@ pub use config::SimConfig;
 pub use error::SimError;
 pub use placement::{ChipView, Placement, SectionDeps};
 pub use sim::{ManyCoreSim, SimResult};
-pub use timing::{format_figure10, InstTiming, SimStats};
+pub use timing::{format_figure10, InstTiming, SimStats, StageTable};
 // The static-analysis vocabulary of `parsecs-check`; re-exported so
 // callers of the validated simulation paths ([`SimConfig::validate`],
 // [`SimResult::check`], [`SimError::Invariant`]) can consume the reports

@@ -69,10 +69,12 @@ use parsecs_obs::{CoreBreakdown, CycleAttribution, NoopProbe, SimProbe, StallCau
 use parsecs_trace::{AddrHasher, SourceKind, TraceArena};
 
 use crate::chip::{ChipState, NO_SECTION, NO_STALL};
-use crate::drain::{Resolver, INCOMPLETE, UNKNOWN};
+use crate::drain::Resolver;
 use crate::schedule::{walk, Schedule, Walk};
+use crate::timing::StageColumns;
 use crate::{
     InstTiming, Placement, SectionDeps, SectionId, SectionSpan, SimConfig, SimError, SimStats,
+    StageTable,
 };
 
 pub(crate) use crate::chip::StallTable;
@@ -82,14 +84,12 @@ pub(crate) use crate::chip::StallTable;
 pub struct SimResult {
     /// Values emitted by `out` instructions during the run.
     pub outputs: Vec<u64>,
-    /// Per-instruction stage timings, in sequential order. **Empty when
-    /// the run was stats-only** ([`SimConfig::record_timings`] off):
-    /// aggregate statistics are then accumulated streaming during the
-    /// simulation and the stage table is never materialised.
-    pub timings: Vec<InstTiming>,
-    /// Whether [`SimResult::timings`] was recorded. `false` for
-    /// stats-only runs — which an empty `timings` alone cannot signal,
-    /// because an empty *program* also has no rows.
+    /// The stage table's columns, served as rows by
+    /// [`SimResult::timings`]. Empty when the run was stats-only.
+    stages: StageColumns,
+    /// Whether the stage table ([`SimResult::timings`]) was recorded.
+    /// `false` for stats-only runs — which an empty table alone cannot
+    /// signal, because an empty *program* also has no rows.
     pub timings_recorded: bool,
     /// The sections of the run, in total order.
     pub sections: Vec<SectionSpan>,
@@ -111,20 +111,29 @@ pub struct SimResult {
 }
 
 impl SimResult {
-    /// The timings of one section, in fetch order: the contiguous
-    /// `timings` rows of the section's span (timings are stored in
-    /// sequential order and sections tile that order, so this is an O(1)
-    /// subslice, not a scan). Empty when the run was stats-only or the
-    /// id names no section of this run (matching the old filter scan,
-    /// which also produced nothing for an unknown id).
-    pub fn section_timings(&self, id: SectionId) -> &[InstTiming] {
-        if !self.timings_recorded {
-            return &[];
+    /// Per-instruction stage timings, in sequential order: the paper's
+    /// Figure 10 rows, built on demand from the stored columns. **Empty
+    /// when the run was stats-only** ([`SimConfig::record_timings`] off):
+    /// aggregate statistics are then accumulated streaming during the
+    /// simulation and no stage column is kept.
+    pub fn timings(&self) -> StageTable<'_> {
+        StageTable {
+            columns: &self.stages,
+            sections: &self.sections,
+            core_of: &self.core_of,
         }
-        match self.sections.get(id.0) {
-            Some(span) => &self.timings[span.start..span.end],
-            None => &[],
-        }
+    }
+
+    /// The timings of one section, in fetch order: the rows of the
+    /// section's span of the table (sections tile trace order, so this
+    /// is a range, not a scan). Empty when the run was stats-only or the
+    /// id names no section of this run.
+    pub fn section_timings(&self, id: SectionId) -> impl Iterator<Item = InstTiming> + '_ {
+        let table = self.timings();
+        self.sections
+            .get(id.0)
+            .into_iter()
+            .flat_map(move |span| table.section_rows(span))
     }
 
     /// Modeled resident bytes of the simulator's own per-run state — the
@@ -132,22 +141,23 @@ impl SimResult {
     /// resume, fork map, placement) and the result views (stage table,
     /// section spans, outputs). The number that, added to
     /// [`SimStats::trace_arena_bytes`], caps how many instructions a
-    /// chip-scale run can hold resident; a stats-only run drops the stage
-    /// table and three resolver columns, cutting this from ~150 to ~17
-    /// bytes per instruction. Derived from logical sizes (transient
-    /// scratch like the wake queue and per-core state is excluded), so it
-    /// is deterministic across engines.
+    /// chip-scale run can hold resident; a stats-only run keeps no stage
+    /// columns, cutting this from ~48 to ~17 bytes per instruction.
+    /// Derived from logical sizes (transient scratch like the wake queue
+    /// and per-core state is excluded), so it is deterministic across
+    /// engines.
     pub fn sim_state_bytes(&self) -> u64 {
         use std::mem::size_of;
         let n = self.stats.instructions;
         let sections = self.sections.len() as u64;
-        // Tagged completion column + two wake-list links always; the
-        // fd/ew/ret stage columns only when timings are recorded.
-        let resolver = n * 16 + if self.timings_recorded { n * 24 } else { 0 };
+        // Two wake-list links always, and the tagged completion column,
+        // which a recording run moves into the stage table (counted
+        // there with the fd/ew/ret columns).
+        let resolver = n * 8 + if self.timings_recorded { 0 } else { n * 8 };
         // Retirement cursors (u32 + u64), stall resume point, one
         // fork→created-section map entry, placement.
         let per_section = sections * (12 + 8 + 24 + 8);
-        let views = self.timings.len() as u64 * size_of::<InstTiming>() as u64
+        let views = self.stages.memory_bytes()
             + sections * size_of::<SectionSpan>() as u64
             + self.core_of.len() as u64 * size_of::<CoreId>() as u64
             + self.outputs.len() as u64 * 8;
@@ -610,8 +620,8 @@ impl ManyCoreSim {
     /// Returns [`SimError::Diverged`] when an instruction comes out of
     /// the resolver with sentinel cycles — the stall/wake model broke
     /// down, and sentinels must never leak into reported timings (a hard
-    /// check, release builds included; the one-branch-per-instruction
-    /// cost is negligible next to building the row) — when a core's
+    /// check, release builds included: one scan over the stage columns
+    /// the recording run moves out of the resolver) — when a core's
     /// cycle attribution does not tile the run (see
     /// [`untiled_attribution`]), or when a validated run breaks a
     /// contract of its attached report (see [`broken_contract`]).
@@ -627,47 +637,6 @@ impl ManyCoreSim {
         check: Option<Box<CheckReport>>,
         attribution: Vec<CoreBreakdown>,
     ) -> Result<SimResult, SimError> {
-        let timings: Vec<InstTiming> = if self.config.record_timings {
-            (0..arena.len())
-                .map(|seq| {
-                    let section = arena.section(seq);
-                    let fd = resolver.fd[seq];
-                    let ew = resolver.ew[seq];
-                    let complete = resolver.complete[seq];
-                    let ret = resolver.ret[seq];
-                    if fd == UNKNOWN || ew == UNKNOWN || ret == UNKNOWN || complete >= INCOMPLETE {
-                        return Err(SimError::Diverged {
-                            reason: "left an instruction unresolved",
-                            cycle: resolver.max_ret,
-                            resolved: resolver.resolved as u64,
-                            instructions: arena.len() as u64,
-                        });
-                    }
-                    // `rr`/`ar`/`ma` are derived, not stored: renaming is
-                    // the cycle after fetch, address-rename the cycle
-                    // after execute, and the memory access completes the
-                    // value.
-                    let is_mem = arena.is_load(seq) || arena.is_store(seq);
-                    Ok(InstTiming {
-                        seq,
-                        index_in_section: arena.index_in_section(seq),
-                        ip: arena.ip(seq),
-                        mnemonic: arena.mnemonic(seq),
-                        section,
-                        core: core_of[section.0],
-                        fd,
-                        rr: fd + 1,
-                        ew,
-                        ar: is_mem.then(|| ew + 1),
-                        ma: is_mem.then_some(complete),
-                        ret,
-                    })
-                })
-                .collect::<Result<_, _>>()?
-        } else {
-            Vec::new()
-        };
-
         let instructions = arena.len() as u64;
         let fetch_cycles = resolver.max_fd;
         let total_cycles = resolver.max_ret;
@@ -700,6 +669,20 @@ impl ManyCoreSim {
             noc,
             attribution,
         };
+        let resolved = resolver.resolved as u64;
+
+        let stages = if self.config.record_timings {
+            StageColumns::record(arena, resolver.into_stage_columns()).ok_or(
+                SimError::Diverged {
+                    reason: "left an instruction unresolved",
+                    cycle: total_cycles,
+                    resolved,
+                    instructions,
+                },
+            )?
+        } else {
+            StageColumns::default()
+        };
 
         let broken = untiled_attribution(&stats).or_else(|| {
             check
@@ -710,14 +693,14 @@ impl ManyCoreSim {
             return Err(SimError::Diverged {
                 reason,
                 cycle: stats.total_cycles,
-                resolved: resolver.resolved as u64,
+                resolved,
                 instructions,
             });
         }
 
         Ok(SimResult {
             outputs: arena.outputs().to_vec(),
-            timings,
+            stages,
             timings_recorded: self.config.record_timings,
             sections: arena.sections().to_vec(),
             core_of,
@@ -856,7 +839,7 @@ mod tests {
         );
         assert!(result.stats.fetch_ipc > 1.0);
         // The first instruction is fetched at cycle 1 on the root core.
-        assert_eq!(result.timings[0].fd, 1);
+        assert_eq!(result.timings().get(0).map(|t| t.fd), Some(1));
     }
 
     #[test]
@@ -975,10 +958,107 @@ mod tests {
         }
     }
 
+    /// The release-build sentinel check: a recording run that leaves an
+    /// instruction unresolved must be refused, never reported with
+    /// sentinel cycles in its stage table.
+    #[test]
+    fn finish_refuses_a_recording_run_with_an_unresolved_row() {
+        let mut arena = TraceArena::new();
+        let id = arena.intern_mnemonic("nop");
+        arena.begin_record(0, id, SectionId(0), TraceKind::Other, false, false, false);
+        arena.end_record(1);
+        arena.push_section(SectionSpan {
+            id: SectionId(0),
+            start: 0,
+            end: 1,
+            creator: None,
+            start_ip: 0,
+        });
+        let sim = ManyCoreSim::new(SimConfig::with_cores(2));
+        assert!(sim.config().record_timings);
+        // Fresh: nothing fetched, every cycle still a sentinel.
+        let resolver = Resolver::new(sim.config(), &arena, arena.len());
+        let err = sim
+            .finish(
+                &arena,
+                resolver,
+                vec![CoreId(0)],
+                &[1],
+                NocStats::default(),
+                0,
+                None,
+                vec![CoreBreakdown::default(); 2],
+            )
+            .expect_err("an unresolved row must be refused");
+        match err {
+            SimError::Diverged {
+                reason,
+                resolved,
+                instructions,
+                ..
+            } => {
+                assert_eq!(reason, "left an instruction unresolved");
+                assert_eq!((resolved, instructions), (0, 1));
+            }
+            other => panic!("expected a divergence, got {other}"),
+        }
+    }
+
+    /// The footprint accounting of the stage table: a recording run holds
+    /// exactly the table's documented 31 B/instruction beyond a
+    /// stats-only one (24 B of moved stage columns, 7 B copied from the
+    /// arena), plus the mnemonic table.
+    #[test]
+    fn the_stage_table_costs_31_bytes_per_instruction() {
+        let data: Vec<u64> = (1..=64).collect();
+        let arena = arena_of(&sum_fork_program(&data));
+        let full = ManyCoreSim::new(SimConfig::with_cores(16))
+            .simulate_arena(&arena)
+            .expect("simulates");
+        let stats = ManyCoreSim::new(SimConfig::with_cores(16).stats_only())
+            .simulate_arena(&arena)
+            .expect("simulates");
+        let n = full.stats.instructions;
+        assert!(n > 500, "want a golden-sized program, got {n} instructions");
+        let extra = full.sim_state_bytes() - stats.sim_state_bytes();
+        let mnemonics = std::mem::size_of_val(arena.raw().mnemonics);
+        assert_eq!(extra, 31 * n + mnemonics as u64);
+        assert_eq!(extra / n, 31);
+    }
+
+    /// Rows are derived, not stored: the section, position and core come
+    /// from the result's sections and placement, the rest from copied
+    /// arena columns. They must match the arena's own records, and
+    /// `get` must agree with `iter`.
+    #[test]
+    fn stage_rows_match_the_arena_records() {
+        let data: Vec<u64> = (1..=24).collect();
+        let arena = arena_of(&sum_fork_program(&data));
+        let result = ManyCoreSim::new(SimConfig::with_cores(4))
+            .simulate_arena(&arena)
+            .expect("simulates");
+        let table = result.timings();
+        assert_eq!(table.len(), arena.len());
+        let mut rows = 0;
+        for (seq, t) in table.iter().enumerate() {
+            assert_eq!(t.seq, seq);
+            assert_eq!(t.section, arena.section(seq));
+            assert_eq!(t.index_in_section, arena.index_in_section(seq));
+            assert_eq!(t.ip, arena.ip(seq));
+            assert_eq!(t.mnemonic, arena.mnemonic(seq));
+            assert_eq!(t.core, result.core_of[t.section.0]);
+            assert_eq!(t.ma.is_some(), arena.is_load(seq) || arena.is_store(seq));
+            assert_eq!(table.get(seq).as_ref(), Some(&t));
+            rows += 1;
+        }
+        assert_eq!(rows, arena.len());
+        assert_eq!(table.get(arena.len()), None);
+    }
+
     #[test]
     fn stage_cycles_are_monotone_within_an_instruction() {
         let result = sim_sum(&[3, 1, 4, 1, 5, 9, 2, 6, 5, 3], SimConfig::with_cores(16));
-        for t in &result.timings {
+        for t in result.timings().iter() {
             assert!(t.rr > t.fd, "{}: rr after fd", t.name());
             assert!(t.ew >= t.fd, "{}: ew at or after fd", t.name());
             if let (Some(a), Some(m)) = (t.ar, t.ma) {
@@ -993,7 +1073,7 @@ mod tests {
     fn fetch_is_one_instruction_per_core_per_cycle() {
         let result = sim_sum(&[4, 2, 6, 4, 5], SimConfig::with_cores(8));
         let mut per_core_cycle: HashMap<(CoreId, u64), u64> = HashMap::new();
-        for t in &result.timings {
+        for t in result.timings().iter() {
             *per_core_cycle.entry((t.core, t.fd)).or_insert(0) += 1;
         }
         assert!(per_core_cycle.values().all(|c| *c == 1));
@@ -1014,21 +1094,24 @@ mod tests {
         );
         let mut covered = 0usize;
         for span in &result.sections {
-            let timings = result.section_timings(span.id);
+            let timings: Vec<InstTiming> = result.section_timings(span.id).collect();
             assert_eq!(timings.len(), span.len(), "{}", span.id);
             assert!(timings.iter().all(|t| t.section == span.id));
             assert_eq!(timings.first().map(|t| t.seq), Some(span.start));
             covered += timings.len();
         }
-        assert_eq!(covered, result.timings.len());
+        assert_eq!(covered, result.timings().len());
         // A stats-only run has no rows to slice — empty view, no panic.
         let stats = sim_sum(&data, SimConfig::with_cores(16).stats_only());
-        assert!(stats.section_timings(SectionId(0)).is_empty());
+        assert_eq!(stats.section_timings(SectionId(0)).count(), 0);
         // An id past the run's sections yields an empty view (the old
         // filter scan's behaviour), not a panic.
-        assert!(result
-            .section_timings(SectionId(result.sections.len()))
-            .is_empty());
+        assert_eq!(
+            result
+                .section_timings(SectionId(result.sections.len()))
+                .count(),
+            0
+        );
     }
 
     /// The tentpole contract of stats-only mode: every aggregate in
@@ -1059,7 +1142,7 @@ mod tests {
             assert_eq!(stats.outputs, full.outputs);
             assert_eq!(stats.sections, full.sections);
             assert_eq!(stats.core_of, full.core_of);
-            assert!(stats.timings.is_empty() && !stats.timings_recorded);
+            assert!(stats.timings().is_empty() && !stats.timings_recorded);
             assert!(full.timings_recorded);
             assert!(stats.sim_state_bytes() < full.sim_state_bytes());
         }
@@ -1096,7 +1179,7 @@ mod tests {
         assert_eq!(full.stats.fetch_ipc, 0.0);
         assert_eq!(full.stats.retire_ipc, 0.0);
         assert_eq!(full.stats.forced_stall_releases, 0);
-        assert!(full.timings.is_empty() && full.timings_recorded);
+        assert!(full.timings().is_empty() && full.timings_recorded);
         assert!(full.outputs.is_empty());
         assert_eq!(full.total_bytes_per_instruction(), 0.0);
     }
@@ -1105,7 +1188,7 @@ mod tests {
     fn retirement_is_in_order_within_a_section() {
         let result = sim_sum(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10], SimConfig::with_cores(16));
         for span in &result.sections {
-            let timings = result.section_timings(span.id);
+            let timings: Vec<InstTiming> = result.section_timings(span.id).collect();
             for pair in timings.windows(2) {
                 assert!(
                     pair[1].ret > pair[0].ret,
@@ -1226,7 +1309,7 @@ mod tests {
                     .is_some_and(|c| c.is_ascii_digit())
             })
             .count();
-        assert_eq!(instruction_rows, result.timings.len());
+        assert_eq!(instruction_rows, result.timings().len());
     }
 
     #[test]

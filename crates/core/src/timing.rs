@@ -1,10 +1,13 @@
 //! Per-instruction stage timings and aggregate statistics.
 
 use std::fmt::Write as _;
+use std::mem::size_of_val;
 
 use parsecs_noc::{CoreId, NocStats};
 use parsecs_obs::CoreBreakdown;
+use parsecs_trace::{SectionSpan, TraceArena};
 
+use crate::drain::{INCOMPLETE, UNKNOWN};
 use crate::{SectionId, SimResult};
 
 /// The cycle at which one dynamic instruction is handled by each pipeline
@@ -57,6 +60,159 @@ impl InstTiming {
     /// consumers.
     pub fn completion(&self) -> u64 {
         self.ma.unwrap_or(self.ew)
+    }
+}
+
+/// The storage behind a recording run's Figure 10 table, one entry per
+/// instruction in every column, indexed by trace position.
+///
+/// The four cycle columns are the resolver's own, moved in when the run
+/// finishes: `fd`, `ew`, `ret` (24 B/instruction, kept only by a
+/// recording run) and the tagged `complete` column every run keeps. The
+/// rest is copied from the arena because the result does not hold it:
+/// the static instruction index (4 B), the interned mnemonic id (2 B)
+/// and whether the instruction accesses data memory (1 B). A recording
+/// run therefore holds 31 B/instruction more than a stats-only one, plus
+/// the tiny mnemonic table. `rr`, `ar` and `ma` are derived, and
+/// `section`, `index_in_section` and `core` come from the result's
+/// sections and placement (see [`StageTable`]). Empty for a stats-only
+/// run.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct StageColumns {
+    fd: Vec<u64>,
+    ew: Vec<u64>,
+    ret: Vec<u64>,
+    complete: Vec<u64>,
+    ip: Vec<u32>,
+    mnemonic_id: Vec<u16>,
+    mnemonics: Vec<&'static str>,
+    mem: Vec<bool>,
+}
+
+impl StageColumns {
+    /// Takes over the resolver's `[fd, ew, ret, complete]` columns and
+    /// copies the per-record facts a row needs from `arena`. `None` when
+    /// any cycle is still a sentinel: the run left an instruction
+    /// unresolved, and sentinels must never reach a reported row.
+    pub(crate) fn record(
+        arena: &TraceArena,
+        [fd, ew, ret, complete]: [Vec<u64>; 4],
+    ) -> Option<StageColumns> {
+        let unresolved =
+            fd.iter()
+                .zip(&ew)
+                .zip(&ret)
+                .zip(&complete)
+                .any(|(((&fd, &ew), &ret), &complete)| {
+                    fd == UNKNOWN || ew == UNKNOWN || ret == UNKNOWN || complete >= INCOMPLETE
+                });
+        if unresolved {
+            return None;
+        }
+        let raw = arena.raw();
+        Some(StageColumns {
+            fd,
+            ew,
+            ret,
+            complete,
+            ip: raw.ip.to_vec(),
+            mnemonic_id: raw.mnemonic_id.to_vec(),
+            mnemonics: raw.mnemonics.to_vec(),
+            mem: (0..arena.len())
+                .map(|seq| arena.is_load(seq) || arena.is_store(seq))
+                .collect(),
+        })
+    }
+
+    /// Bytes held by the columns (logical lengths, not capacities, so
+    /// the figure is the same on both engines).
+    pub(crate) fn memory_bytes(&self) -> u64 {
+        (size_of_val(self.fd.as_slice())
+            + size_of_val(self.ew.as_slice())
+            + size_of_val(self.ret.as_slice())
+            + size_of_val(self.complete.as_slice())
+            + size_of_val(self.ip.as_slice())
+            + size_of_val(self.mnemonic_id.as_slice())
+            + size_of_val(self.mnemonics.as_slice())
+            + size_of_val(self.mem.as_slice())) as u64
+    }
+}
+
+/// A run's per-instruction stage table, the paper's Figure 10 rows
+/// ([`SimResult::timings`]). Rows are [`InstTiming`]s built on demand
+/// from the stored columns: `rr = fd + 1`, and for a memory instruction
+/// `ar = ew + 1` and `ma` is its completion cycle. Empty when the run
+/// was stats-only.
+#[derive(Debug, Clone, Copy)]
+pub struct StageTable<'a> {
+    pub(crate) columns: &'a StageColumns,
+    pub(crate) sections: &'a [SectionSpan],
+    pub(crate) core_of: &'a [CoreId],
+}
+
+impl<'a> StageTable<'a> {
+    /// Number of rows: the run's instruction count, or 0 for a
+    /// stats-only run.
+    pub fn len(&self) -> usize {
+        self.columns.fd.len()
+    }
+
+    /// Whether the table has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The row of trace position `seq`, or `None` past the end.
+    pub fn get(&self, seq: usize) -> Option<InstTiming> {
+        if seq >= self.len() {
+            return None;
+        }
+        // Sections tile trace order, so the first one ending past `seq`
+        // holds it.
+        let span = &self.sections[self.sections.partition_point(|s| s.end <= seq)];
+        Some(self.row(span, seq))
+    }
+
+    /// Every row, in trace order.
+    pub fn iter(&self) -> impl Iterator<Item = InstTiming> + 'a {
+        let table = *self;
+        self.sections
+            .iter()
+            .flat_map(move |span| table.section_rows(span))
+    }
+
+    /// The rows of one section, in fetch order (the section's span of
+    /// the table; empty for a stats-only run).
+    pub(crate) fn section_rows(
+        self,
+        span: &'a SectionSpan,
+    ) -> impl Iterator<Item = InstTiming> + 'a {
+        let rows = if self.is_empty() {
+            0..0
+        } else {
+            span.start..span.end
+        };
+        rows.map(move |seq| self.row(span, seq))
+    }
+
+    fn row(&self, span: &SectionSpan, seq: usize) -> InstTiming {
+        let columns = self.columns;
+        let (fd, ew) = (columns.fd[seq], columns.ew[seq]);
+        let mem = columns.mem[seq];
+        InstTiming {
+            seq,
+            index_in_section: seq - span.start,
+            ip: columns.ip[seq] as usize,
+            mnemonic: columns.mnemonics[columns.mnemonic_id[seq] as usize],
+            section: span.id,
+            core: self.core_of[span.id.0],
+            fd,
+            rr: fd + 1,
+            ew,
+            ar: mem.then(|| ew + 1),
+            ma: mem.then_some(columns.complete[seq]),
+            ret: columns.ret[seq],
+        }
     }
 }
 
@@ -158,17 +314,31 @@ impl SimStats {
 /// its table is empty.
 pub fn format_figure10(result: &SimResult) -> String {
     let mut out = String::new();
-    let mut cores: Vec<CoreId> = result.timings.iter().map(|t| t.core).collect();
-    cores.sort();
-    cores.dedup();
-    for core in cores {
-        let _ = writeln!(out, "{core} pipeline");
-        let _ = writeln!(
-            out,
-            "{:>6} {:>22} {:>5} {:>5} {:>5} {:>5} {:>5} {:>5}",
-            "insn", "mnemonic", "fd", "rr", "ew", "ar", "ma", "ret"
-        );
-        for t in result.timings.iter().filter(|t| t.core == core) {
+    let table = result.timings();
+    if table.is_empty() {
+        return out;
+    }
+    // Sections tile trace order, so listing the non-empty sections by
+    // (core, id) visits each core's rows in trace order: one pass builds
+    // every row once.
+    let mut spans: Vec<&SectionSpan> = result.sections.iter().filter(|s| !s.is_empty()).collect();
+    spans.sort_unstable_by_key(|s| (result.core_of[s.id.0], s.id));
+    let mut current = None;
+    for span in spans {
+        let core = result.core_of[span.id.0];
+        if current != Some(core) {
+            if current.is_some() {
+                let _ = writeln!(out);
+            }
+            current = Some(core);
+            let _ = writeln!(out, "{core} pipeline");
+            let _ = writeln!(
+                out,
+                "{:>6} {:>22} {:>5} {:>5} {:>5} {:>5} {:>5} {:>5}",
+                "insn", "mnemonic", "fd", "rr", "ew", "ar", "ma", "ret"
+            );
+        }
+        for t in table.section_rows(span) {
             let ar = t.ar.map(|c| c.to_string()).unwrap_or_default();
             let ma = t.ma.map(|c| c.to_string()).unwrap_or_default();
             let _ = writeln!(
@@ -184,8 +354,8 @@ pub fn format_figure10(result: &SimResult) -> String {
                 t.ret
             );
         }
-        let _ = writeln!(out);
     }
+    let _ = writeln!(out);
     out
 }
 

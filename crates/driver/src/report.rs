@@ -14,12 +14,13 @@ pub enum ReportDetail {
     /// The schedule produced by the ILP limit analyzer.
     Ilp(IlpResult),
     /// The full per-instruction timing of the many-core simulator
-    /// (boxed: a `SimResult` carries the whole stage table and would
-    /// otherwise dominate the size of every report). For a **stats-only**
-    /// run (`SimConfig::record_timings` off) the stage table inside is
-    /// empty (`SimResult::timings_recorded` is false) — aggregate
-    /// statistics are exact, but `SimResult::section_timings` returns
-    /// empty views.
+    /// (boxed to keep every report small; a recording run's stage table
+    /// is columnar, 31 B/instruction more than a stats-only run, and
+    /// `SimResult::timings` builds its rows on demand). For a
+    /// **stats-only** run (`SimConfig::record_timings` off) the stage
+    /// table is empty (`SimResult::timings_recorded` is false) —
+    /// aggregate statistics are exact, but `SimResult::timings` and
+    /// `SimResult::section_timings` yield no rows.
     Sim(Box<SimResult>),
 }
 

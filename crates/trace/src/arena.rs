@@ -278,7 +278,7 @@ fn unpack_kind(packed: u8) -> TraceKind {
 /// [`crate::StreamingSectioner`] (or [`TraceArena::from_program`]) to
 /// build one while the program executes, or the `push_*` builder methods
 /// to assemble one from already-resolved records.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceArena {
     ip: Vec<u32>,
     mnemonic_id: Vec<u16>,
@@ -307,13 +307,32 @@ pub struct TraceArena {
     lean: bool,
 }
 
+impl Default for TraceArena {
+    /// An empty arena, the same as [`TraceArena::new`].
+    fn default() -> TraceArena {
+        TraceArena::new()
+    }
+}
+
 impl TraceArena {
-    /// An empty arena.
+    /// An empty arena: no records, and the offset columns hold only
+    /// their trailing sentinels.
     pub fn new() -> TraceArena {
         TraceArena {
+            ip: Vec::new(),
+            mnemonic_id: Vec::new(),
+            section: Vec::new(),
+            kind_flags: Vec::new(),
             dep_off: vec![0],
+            reg_deps: Vec::new(),
             write_off: vec![0],
-            ..TraceArena::default()
+            deps: Vec::new(),
+            dep_locs: Vec::new(),
+            writes: Vec::new(),
+            mnemonics: Vec::new(),
+            sections: Vec::new(),
+            outputs: Vec::new(),
+            lean: false,
         }
     }
 

@@ -442,7 +442,7 @@ proptest! {
             );
             prop_assert_eq!(&stats.outputs, &event.outputs, "seed {}", seed);
             prop_assert!(
-                stats.timings.is_empty(),
+                stats.timings().is_empty(),
                 "seed {}: stats-only run materialised a stage table",
                 seed
             );

@@ -340,7 +340,7 @@ proptest! {
         let stats_sim = ManyCoreSim::new(SimConfig::with_cores(cores).stats_only());
         let stats = stats_sim.simulate_arena(&arena).expect("simulates");
         prop_assert_eq!(&stats.stats, &via_arena.stats, "seed {} at {} cores", seed, cores);
-        prop_assert!(stats.timings.is_empty(), "seed {}", seed);
+        prop_assert!(stats.timings().is_empty(), "seed {}", seed);
         prop_assert_eq!(
             &stats,
             &stats_sim.simulate_reference(&arena, &mut NoopProbe).expect("simulates"),
