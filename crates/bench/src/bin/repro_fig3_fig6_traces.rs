@@ -4,24 +4,28 @@
 //! sections.
 
 use parsecs_core::TraceArena;
-use parsecs_driver::{ExecutionBackend, SequentialBackend};
 use parsecs_workloads::sum;
 
 fn main() {
     let data = [4u64, 2, 6, 4, 5];
 
-    // Figure 3: the call-version trace, recorded by the sequential backend.
-    let call = sum::call_program(&data);
-    let report = SequentialBackend
-        .execute_fueled(&call, 100_000)
-        .expect("halts");
-    let trace = report.trace().expect("sequential backend records a trace");
+    // Figure 3: the call-version trace, one numbered line per dynamic
+    // instruction, read off the arena.
+    let call = TraceArena::from_program(&sum::call_program(&data), 100_000).expect("runs");
     println!(
         "Figure 3: sequential trace of sum(t,5) — {} instructions",
-        report.instructions - 5
+        call.len() - 5
     );
     println!("(59 in the paper; the count excludes the 5-instruction main/out/halt wrapper)");
-    println!("{trace}");
+    for seq in 0..call.len() {
+        println!(
+            "{:>5}  [{:>4}] {}",
+            seq + 1,
+            call.ip(seq),
+            call.mnemonic(seq)
+        );
+    }
+    println!();
 
     // Figures 4 and 6: the fork-version sections.
     let fork = sum::fork_program(&data);

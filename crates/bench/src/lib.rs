@@ -14,17 +14,11 @@
 //! | `repro_perf` | event-driven vs cycle-stepping engine wall clock on ≥1M-instruction workloads, plus the streaming front-end pipeline time and arena footprint; `--json [PATH]` emits `BENCH_sim.json` |
 //! | `repro_scale` | the 256–1024-core, ≥10M-instruction scale table over the streaming arena pipeline; `--json [PATH]` emits `BENCH_scale.json` |
 //!
-//! The benches (`cargo bench -p parsecs-bench`) measure the throughput of
-//! the three engines themselves (reference machine, ILP analyzer,
-//! many-core simulator) so regressions in the reproduction infrastructure
-//! are visible.
-//!
 //! This crate's library exposes the small amount of shared code the
 //! binaries use — dataset sweeps and ILP measurement for a workload,
 //! the [`json`] emission module every `BENCH_*.json` goes through, the
 //! [`harness`] the perf bins measure with (flags, best-of timer, Chrome
-//! trace, gates), and the [`AttributionTotals`] cycle-telemetry summary —
-//! built on the unified [`parsecs_driver`] backends.
+//! trace, gates), and the [`AttributionTotals`] cycle-telemetry summary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,12 +28,11 @@ pub mod json;
 
 use parsecs_cc::Backend;
 use parsecs_core::{CoreBreakdown, StallCause};
-use parsecs_driver::{ExecutionBackend, SequentialBackend};
-use parsecs_ilp::{analyze, IlpModel};
-use parsecs_machine::Trace;
+use parsecs_ilp::{IlpModel, IlpResult, IlpScheduler};
+use parsecs_machine::Machine;
 use parsecs_workloads::pbbs::Benchmark;
 
-/// Fuel used for tracing the embedded benchmarks.
+/// Fuel used for running the embedded benchmarks.
 pub const TRACE_FUEL: u64 = 2_000_000_000;
 
 /// Chip-wide sums of the per-core cycle attribution table
@@ -118,45 +111,33 @@ pub struct IlpRow {
     pub sequential_ilp: f64,
 }
 
-/// Traces one benchmark instance through the [`SequentialBackend`].
-///
-/// # Panics
-///
-/// Panics if the embedded benchmark fails to compile or run, or disagrees
-/// with its Rust oracle — all would be bugs in the workload definitions.
-pub fn trace_benchmark(benchmark: Benchmark, size: usize, seed: u64) -> Trace {
-    let program = benchmark
-        .program(size, seed, Backend::Calls)
-        .expect("embedded benchmarks compile");
-    let report = SequentialBackend
-        .execute_fueled(&program, TRACE_FUEL)
-        .expect("programs halt");
-    assert_eq!(
-        report.outputs,
-        benchmark.expected(size, seed),
-        "{} disagrees with its oracle",
-        benchmark.name()
-    );
-    match report.detail {
-        parsecs_driver::ReportDetail::Trace(trace) => trace,
-        other => unreachable!("sequential backend always yields a trace, got {other:?}"),
-    }
-}
-
 /// Measures one benchmark instance under the paper's two ILP models.
 ///
-/// The expensive part — the oracle-checked functional trace — runs once
-/// (through [`trace_benchmark`]); both models then schedule the same
-/// trace.
+/// The expensive part — the oracle-checked functional run — happens once:
+/// the reference machine streams it into one [`IlpScheduler`] that
+/// schedules both models side by side.
 ///
 /// # Panics
 ///
 /// Panics if the embedded benchmark fails to compile or run, or disagrees
 /// with its Rust oracle — all would be bugs in the workload definitions.
 pub fn ilp_row(benchmark: Benchmark, size: usize, seed: u64) -> IlpRow {
-    let trace = trace_benchmark(benchmark, size, seed);
-    let parallel = analyze(&trace, &IlpModel::parallel_ideal());
-    let sequential = analyze(&trace, &IlpModel::sequential_oracle());
+    let program = benchmark
+        .program(size, seed, Backend::Calls)
+        .expect("embedded benchmarks compile");
+    let mut scheduler =
+        IlpScheduler::new([IlpModel::parallel_ideal(), IlpModel::sequential_oracle()]);
+    let outcome = Machine::load(&program)
+        .and_then(|mut machine| machine.run_with_sink(TRACE_FUEL, &mut scheduler))
+        .expect("programs halt");
+    assert_eq!(
+        outcome.outputs,
+        benchmark.expected(size, seed),
+        "{} disagrees with its oracle",
+        benchmark.name()
+    );
+    let [parallel, sequential] =
+        <[IlpResult; 2]>::try_from(scheduler.finish()).expect("one result per model");
     IlpRow {
         benchmark,
         size,
@@ -215,11 +196,5 @@ mod tests {
         let row = ilp_row(Benchmark::IntegerSort, 48, 1);
         assert!(row.parallel_ilp > row.sequential_ilp);
         assert!(row.instructions > 100);
-    }
-
-    #[test]
-    fn trace_benchmark_yields_the_full_trace() {
-        let trace = trace_benchmark(Benchmark::IntegerSort, 48, 1);
-        assert!(trace.len() > 100);
     }
 }

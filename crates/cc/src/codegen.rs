@@ -331,7 +331,7 @@ fn collect_locals(stmts: &[Stmt], slots: &mut HashMap<String, i64>) {
 mod tests {
     use super::*;
     use crate::compile;
-    use parsecs_machine::Machine;
+    use parsecs_machine::{Machine, TraceKind, TraceSink, TraceStep};
     use proptest::prelude::*;
 
     fn run(source: &str, options: &CompileOptions) -> Vec<u64> {
@@ -460,9 +460,16 @@ mod tests {
     /// sections the many-core model will create (parsecs-core depends on
     /// this crate, so the full section splitter cannot be used here).
     fn parsecs_core_like_section_count(program: &parsecs_isa::Program) -> usize {
+        struct Forks(usize);
+        impl TraceSink for Forks {
+            fn record(&mut self, step: &TraceStep<'_>) {
+                self.0 += usize::from(step.kind == TraceKind::Fork);
+            }
+        }
+        let mut forks = Forks(0);
         let mut machine = Machine::load(program).unwrap();
-        let (_, trace) = machine.run_traced(10_000_000).unwrap();
-        trace.count_kind(parsecs_machine::TraceKind::Fork)
+        machine.run_with_sink(10_000_000, &mut forks).unwrap();
+        forks.0
     }
 
     #[test]

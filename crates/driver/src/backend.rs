@@ -1,7 +1,7 @@
 //! The [`ExecutionBackend`] trait and its three engine implementations.
 
 use parsecs_core::{ManyCoreSim, NoopProbe, SimConfig, SimError, SimProbe, TraceArena};
-use parsecs_ilp::{analyze, IlpModel};
+use parsecs_ilp::{IlpModel, IlpScheduler};
 use parsecs_isa::Program;
 use parsecs_machine::Machine;
 
@@ -32,7 +32,9 @@ pub trait ExecutionBackend: Send + Sync {
 }
 
 /// The sequential reference machine as a backend: one instruction per
-/// cycle, and the dynamic [`parsecs_machine::Trace`] as detail.
+/// cycle. The run is not traced, so it costs no more than the bare
+/// machine, and the report carries no detail
+/// ([`ReportDetail::Sequential`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SequentialBackend;
 
@@ -42,8 +44,7 @@ impl ExecutionBackend for SequentialBackend {
     }
 
     fn execute_fueled(&self, program: &Program, fuel: u64) -> Result<RunReport, DriverError> {
-        let mut machine = Machine::load(program)?;
-        let (outcome, trace) = machine.run_traced(fuel)?;
+        let outcome = Machine::load(program)?.run(fuel)?;
         Ok(RunReport {
             backend: self.name(),
             outputs: outcome.outputs,
@@ -53,15 +54,15 @@ impl ExecutionBackend for SequentialBackend {
             cycles: outcome.instructions,
             fetch_ipc: 1.0,
             retire_ipc: 1.0,
-            detail: ReportDetail::Trace(trace),
+            detail: ReportDetail::Sequential,
         })
     }
 }
 
-/// The trace-based ILP limit analyzer as a backend: the program is traced
-/// on the reference machine and scheduled under an [`IlpModel`]; `cycles`
-/// is the dataflow schedule length and both IPC fields report the
-/// achieved ILP.
+/// The ILP limit analyzer as a backend: the reference machine streams the
+/// program's run into an [`IlpScheduler`] under one [`IlpModel`], so no
+/// trace is materialised; `cycles` is the dataflow schedule length and
+/// both IPC fields report the achieved ILP.
 #[derive(Debug, Clone)]
 pub struct IlpBackend {
     label: String,
@@ -96,9 +97,9 @@ impl ExecutionBackend for IlpBackend {
     }
 
     fn execute_fueled(&self, program: &Program, fuel: u64) -> Result<RunReport, DriverError> {
-        let mut machine = Machine::load(program)?;
-        let (outcome, trace) = machine.run_traced(fuel)?;
-        let result = analyze(&trace, &self.model);
+        let mut scheduler = IlpScheduler::new([self.model.clone()]);
+        let outcome = Machine::load(program)?.run_with_sink(fuel, &mut scheduler)?;
+        let result = scheduler.finish().remove(0);
         Ok(RunReport {
             backend: self.name(),
             outputs: outcome.outputs,
@@ -246,13 +247,14 @@ mod tests {
     const FUEL: u64 = 100_000;
 
     #[test]
-    fn sequential_backend_reports_one_ipc_and_a_trace() {
+    fn sequential_backend_reports_one_ipc_and_no_detail() {
         let program = sum::call_program(&[4, 2, 6, 4, 5]);
         let report = SequentialBackend.execute_fueled(&program, FUEL).unwrap();
         assert_eq!(report.outputs, vec![21]);
         assert_eq!(report.cycles, report.instructions);
         assert_eq!(report.fetch_ipc, 1.0);
-        assert_eq!(report.trace().unwrap().len() as u64, report.instructions);
+        assert_eq!(report.detail, ReportDetail::Sequential);
+        assert_eq!(report.fetch_cycles(), report.instructions);
         assert!(report.to_string().contains("sequential"));
     }
 

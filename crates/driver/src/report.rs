@@ -4,13 +4,13 @@ use std::fmt;
 
 use parsecs_core::SimResult;
 use parsecs_ilp::IlpResult;
-use parsecs_machine::Trace;
 
 /// Engine-specific extras attached to a [`RunReport`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReportDetail {
-    /// The dynamic trace recorded by the sequential reference machine.
-    Trace(Trace),
+    /// The sequential reference machine, which has nothing to add to the
+    /// shared fields.
+    Sequential,
     /// The schedule produced by the ILP limit analyzer.
     Ilp(IlpResult),
     /// The full per-instruction timing of the many-core simulator
@@ -57,16 +57,8 @@ impl RunReport {
     pub fn fetch_cycles(&self) -> u64 {
         match &self.detail {
             ReportDetail::Sim(sim) => sim.stats.fetch_cycles,
-            ReportDetail::Trace(_) => self.instructions,
+            ReportDetail::Sequential => self.instructions,
             ReportDetail::Ilp(_) => self.cycles,
-        }
-    }
-
-    /// The dynamic trace, when the backend recorded one.
-    pub fn trace(&self) -> Option<&Trace> {
-        match &self.detail {
-            ReportDetail::Trace(t) => Some(t),
-            _ => None,
         }
     }
 

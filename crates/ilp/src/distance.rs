@@ -5,11 +5,11 @@
 //! consumer pairs are separated by a large number of dynamic instructions,
 //! which is exactly why the paper argues for multiple instruction pointers
 //! (sections) instead of one deep speculative window. This module measures
-//! that distribution on a trace.
+//! that distribution on the instruction stream.
 
-use std::collections::HashMap;
+use parsecs_machine::{TraceSink, TraceStep};
 
-use parsecs_machine::{Location, Trace};
+use crate::location_map::LocationMap;
 
 /// A histogram of producer→consumer distances (in dynamic instructions),
 /// bucketed by powers of two.
@@ -67,8 +67,8 @@ impl DistanceHistogram {
     }
 }
 
-/// Measures the distance (in dynamic instructions) between every value
-/// producer and its consumers.
+/// Measures, as a [`TraceSink`], the distance (in dynamic instructions)
+/// between every value producer and its consumers.
 ///
 /// Only true (read-after-write) dependences are counted; stack-pointer
 /// dependences can be excluded to match the paper's parallel model.
@@ -76,60 +76,82 @@ impl DistanceHistogram {
 /// # Example
 ///
 /// ```
-/// use parsecs_ilp::dependence_distances;
-/// use parsecs_machine::Trace;
+/// use parsecs_ilp::DependenceDistances;
 ///
-/// let h = dependence_distances(&Trace::new(), true);
+/// let h = DependenceDistances::new(true).finish();
 /// assert_eq!(h.total(), 0);
 /// ```
-pub fn dependence_distances(trace: &Trace, ignore_stack_pointer: bool) -> DistanceHistogram {
-    let mut histogram = DistanceHistogram::default();
-    let mut last_writer: HashMap<Location, u64> = HashMap::new();
-    for event in trace.iter() {
-        for loc in &event.reads {
-            if ignore_stack_pointer && loc.is_stack_pointer() {
-                continue;
-            }
-            if let Some(producer) = last_writer.get(loc) {
-                histogram.record(event.seq - producer);
-            }
-        }
-        for loc in &event.writes {
-            last_writer.insert(*loc, event.seq);
+#[derive(Debug, Clone, Default)]
+pub struct DependenceDistances {
+    ignore_stack_pointer: bool,
+    last_writer: LocationMap<u64>,
+    histogram: DistanceHistogram,
+}
+
+impl DependenceDistances {
+    /// A sink counting every true dependence, or every one not carried by
+    /// the stack pointer when `ignore_stack_pointer` is set.
+    pub fn new(ignore_stack_pointer: bool) -> DependenceDistances {
+        DependenceDistances {
+            ignore_stack_pointer,
+            ..DependenceDistances::default()
         }
     }
-    histogram
+
+    /// The histogram of every distance seen.
+    pub fn finish(self) -> DistanceHistogram {
+        self.histogram
+    }
+}
+
+impl TraceSink for DependenceDistances {
+    fn record(&mut self, event: &TraceStep<'_>) {
+        for loc in event.reads {
+            if self.ignore_stack_pointer && loc.is_stack_pointer() {
+                continue;
+            }
+            if let Some(producer) = self.last_writer.get(loc) {
+                self.histogram.record(event.seq - producer);
+            }
+        }
+        for loc in event.writes {
+            self.last_writer.insert(*loc, event.seq);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use parsecs_isa::Reg;
-    use parsecs_machine::{TraceEvent, TraceKind};
+    use parsecs_machine::{Location, TraceKind};
 
-    fn event(seq: u64, reads: Vec<Location>, writes: Vec<Location>) -> TraceEvent {
-        TraceEvent {
-            seq,
-            ip: seq as usize,
-            mnemonic: "t",
-            reads,
-            writes,
-            is_control: false,
-            updates_stack_pointer: false,
-            kind: TraceKind::Other,
-            out_value: None,
+    /// Streams one step per `(reads, writes)` pair, numbered from 0.
+    fn distances(events: &[(Vec<Location>, Vec<Location>)], ignore_sp: bool) -> DistanceHistogram {
+        let mut sink = DependenceDistances::new(ignore_sp);
+        for (seq, (reads, writes)) in events.iter().enumerate() {
+            sink.record(&TraceStep {
+                seq: seq as u64,
+                ip: seq,
+                mnemonic: "t",
+                reads,
+                writes,
+                is_control: false,
+                updates_stack_pointer: false,
+                kind: TraceKind::Other,
+                out_value: None,
+            });
         }
+        sink.finish()
     }
 
     #[test]
     fn adjacent_dependence_has_distance_one() {
-        let t: Trace = vec![
-            event(0, vec![], vec![Location::Reg(Reg::Rax)]),
-            event(1, vec![Location::Reg(Reg::Rax)], vec![]),
-        ]
-        .into_iter()
-        .collect();
-        let h = dependence_distances(&t, false);
+        let t = [
+            (vec![], vec![Location::Reg(Reg::Rax)]),
+            (vec![Location::Reg(Reg::Rax)], vec![]),
+        ];
+        let h = distances(&t, false);
         assert_eq!(h.total(), 1);
         assert_eq!(h.max_distance(), 1);
         assert_eq!(h.buckets()[0], 1);
@@ -137,13 +159,12 @@ mod tests {
 
     #[test]
     fn distant_dependences_fall_in_higher_buckets() {
-        let mut events = vec![event(0, vec![], vec![Location::Mem(0x10)])];
-        for i in 1..100u64 {
-            events.push(event(i, vec![], vec![Location::Reg(Reg::Rbx)]));
+        let mut t = vec![(vec![], vec![Location::Mem(0x10)])];
+        for _ in 1..100u64 {
+            t.push((vec![], vec![Location::Reg(Reg::Rbx)]));
         }
-        events.push(event(100, vec![Location::Mem(0x10)], vec![]));
-        let t: Trace = events.into_iter().collect();
-        let h = dependence_distances(&t, false);
+        t.push((vec![Location::Mem(0x10)], vec![]));
+        let h = distances(&t, false);
         assert_eq!(h.max_distance(), 100);
         // 100 lies in [64, 128) = bucket 6.
         assert_eq!(h.buckets()[6], 1);
@@ -153,21 +174,17 @@ mod tests {
 
     #[test]
     fn stack_pointer_reads_can_be_excluded() {
-        let t: Trace = vec![
-            event(0, vec![], vec![Location::Reg(Reg::Rsp)]),
-            event(1, vec![Location::Reg(Reg::Rsp)], vec![]),
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(dependence_distances(&t, false).total(), 1);
-        assert_eq!(dependence_distances(&t, true).total(), 0);
+        let t = [
+            (vec![], vec![Location::Reg(Reg::Rsp)]),
+            (vec![Location::Reg(Reg::Rsp)], vec![]),
+        ];
+        assert_eq!(distances(&t, false).total(), 1);
+        assert_eq!(distances(&t, true).total(), 0);
     }
 
     #[test]
     fn unwritten_sources_are_not_dependences() {
-        let t: Trace = vec![event(0, vec![Location::Reg(Reg::Rax)], vec![])]
-            .into_iter()
-            .collect();
-        assert_eq!(dependence_distances(&t, false).total(), 0);
+        let t = [(vec![Location::Reg(Reg::Rax)], vec![])];
+        assert_eq!(distances(&t, false).total(), 0);
     }
 }

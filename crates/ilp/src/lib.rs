@@ -2,10 +2,13 @@
 //!
 //! This crate reimplements the methodology behind Figure 7 of
 //! *"Toward a Core Design to Distribute an Execution on a Many-Core
-//! Processor"* (PaCT 2015): given a dynamic trace, schedule every
-//! instruction at the earliest cycle allowed by a configurable set of
-//! dependences and report the resulting instruction-level parallelism
-//! (instructions / cycles).
+//! Processor"* (PaCT 2015): stream a program's run through an
+//! [`IlpScheduler`], which schedules every instruction at the earliest
+//! cycle allowed by a configurable set of dependences, and report the
+//! resulting instruction-level parallelism (instructions / cycles). The
+//! run is never materialised: the scheduler is a
+//! [`parsecs_machine::TraceSink`] that keeps only its location tables,
+//! so one pass schedules any number of models.
 //!
 //! The paper contrasts two models:
 //!
@@ -23,7 +26,7 @@
 //! ## Example
 //!
 //! ```
-//! use parsecs_ilp::{analyze, IlpModel};
+//! use parsecs_ilp::{IlpModel, IlpScheduler};
 //! use parsecs_machine::Machine;
 //!
 //! let program = parsecs_asm::assemble(
@@ -34,10 +37,11 @@
 //!            addq %rax, %rcx
 //!            halt",
 //! ).expect("assembles");
-//! let mut machine = Machine::load(&program)?;
-//! let (_, trace) = machine.run_traced(1_000)?;
-//! let parallel = analyze(&trace, &IlpModel::parallel_ideal());
-//! let sequential = analyze(&trace, &IlpModel::sequential_oracle());
+//! let mut scheduler =
+//!     IlpScheduler::new([IlpModel::parallel_ideal(), IlpModel::sequential_oracle()]);
+//! Machine::load(&program)?.run_with_sink(1_000, &mut scheduler)?;
+//! let results = scheduler.finish();
+//! let (parallel, sequential) = (&results[0], &results[1]);
 //! assert!(parallel.ilp >= sequential.ilp);
 //! # Ok::<(), parsecs_machine::MachineError>(())
 //! ```
@@ -47,8 +51,9 @@
 
 mod analyzer;
 mod distance;
+mod location_map;
 mod model;
 
-pub use analyzer::{analyze, IlpResult};
-pub use distance::{dependence_distances, DistanceHistogram};
+pub use analyzer::{IlpResult, IlpScheduler};
+pub use distance::{DependenceDistances, DistanceHistogram};
 pub use model::IlpModel;

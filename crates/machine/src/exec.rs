@@ -2,17 +2,7 @@
 
 use parsecs_isa::{AluOp, Effects, Flags, Inst, Operand, Program, Reg};
 
-use crate::{CpuState, Location, MachineError, Memory, Trace, TraceKind, TraceSink, TraceStep};
-
-/// The result of one execution step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepEvent {
-    /// The machine executed one instruction and can continue.
-    Continue,
-    /// The machine halted (a `halt`, or the outermost flow reached
-    /// `endfork`).
-    Halted,
-}
+use crate::{CpuState, Location, MachineError, Memory, TraceKind, TraceSink, TraceStep};
 
 /// The result of a completed run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,6 +56,14 @@ impl StaticLocations {
             updates_stack_pointer: effects.updates_stack_pointer,
         }
     }
+}
+
+/// The sink [`Machine::run`] names for its type parameter; it is never
+/// given a step.
+struct NoSink;
+
+impl TraceSink for NoSink {
+    fn record(&mut self, _step: &TraceStep<'_>) {}
 }
 
 /// The sequential reference machine.
@@ -215,16 +213,6 @@ impl Machine {
         &self.outputs
     }
 
-    /// Whether the machine has halted.
-    pub fn is_halted(&self) -> bool {
-        self.halted
-    }
-
-    /// Number of instructions executed so far.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
     /// Runs until `halt` (or outermost `endfork`).
     ///
     /// # Errors
@@ -232,35 +220,18 @@ impl Machine {
     /// Returns [`MachineError::OutOfFuel`] if the program does not halt
     /// within `fuel` instructions, or any execution error.
     pub fn run(&mut self, fuel: u64) -> Result<Outcome, MachineError> {
-        let mut none: Option<&mut Trace> = None;
-        self.run_inner(fuel, &mut none)
-    }
-
-    /// Runs until halt, recording the dynamic trace.
-    ///
-    /// Compatibility shim over [`Machine::run_with_sink`]: the [`Trace`]
-    /// is itself a [`TraceSink`] that materialises every event. Streaming
-    /// consumers should prefer `run_with_sink` directly — it never builds
-    /// the event vector.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Machine::run`].
-    pub fn run_traced(&mut self, fuel: u64) -> Result<(Outcome, Trace), MachineError> {
-        let mut trace = Trace::new();
-        let outcome = self.run_with_sink(fuel, &mut trace)?;
-        Ok((outcome, trace))
+        self.run_inner(fuel, None::<&mut NoSink>)
     }
 
     /// Runs until halt, streaming every retired instruction into `sink`.
     ///
-    /// This is the front of the single-pass trace pipeline: the sink sees
-    /// each instruction exactly once, borrowing the machine's scratch
-    /// buffers ([`TraceStep`]), so tracing adds no per-instruction
-    /// allocation. A sink whose [`TraceSink::wants_more`] turns `false`
-    /// (it hit a capacity limit and would only discard further steps)
-    /// stops the run at that point; the outcome so far is returned and
-    /// the sink's own finishing step reports the condition.
+    /// This is the front of every trace consumer: the sink sees each
+    /// instruction exactly once, borrowing the machine's scratch buffers
+    /// ([`TraceStep`]), so tracing adds no per-instruction allocation. A
+    /// sink whose [`TraceSink::wants_more`] turns `false` (it hit a
+    /// capacity limit and would only discard further steps) stops the run
+    /// at that point; the outcome so far is returned and the sink's own
+    /// finishing step reports the condition.
     ///
     /// # Errors
     ///
@@ -270,14 +241,13 @@ impl Machine {
         fuel: u64,
         sink: &mut S,
     ) -> Result<Outcome, MachineError> {
-        let mut sink = Some(sink);
-        self.run_inner(fuel, &mut sink)
+        self.run_inner(fuel, Some(sink))
     }
 
     fn run_inner<S: TraceSink>(
         &mut self,
         fuel: u64,
-        sink: &mut Option<&mut S>,
+        mut sink: Option<&mut S>,
     ) -> Result<Outcome, MachineError> {
         let mut remaining = fuel;
         while !self.halted {
@@ -294,7 +264,7 @@ impl Machine {
                 return Err(MachineError::OutOfFuel { steps: self.steps });
             }
             remaining -= 1;
-            self.step_sink(sink)?;
+            self.step(sink.as_deref_mut())?;
         }
         Ok(Outcome {
             outputs: self.outputs.clone(),
@@ -304,29 +274,9 @@ impl Machine {
         })
     }
 
-    /// Executes a single instruction, optionally recording it.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an invalid instruction pointer, an unaligned
-    /// memory access, or an unresolved target.
-    pub fn step(&mut self, trace: &mut Option<Trace>) -> Result<StepEvent, MachineError> {
-        let mut sink = trace.as_mut();
-        self.step_sink(&mut sink)
-    }
-
-    /// Executes a single instruction, streaming it to `sink` when present.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Machine::step`].
-    pub fn step_sink<S: TraceSink>(
-        &mut self,
-        sink: &mut Option<&mut S>,
-    ) -> Result<StepEvent, MachineError> {
-        if self.halted {
-            return Ok(StepEvent::Halted);
-        }
+    /// Executes the instruction at the instruction pointer, streaming it
+    /// to `sink` when present.
+    fn step<S: TraceSink>(&mut self, sink: Option<&mut S>) -> Result<(), MachineError> {
         let ip = self.cpu.ip;
         let inst = self.program.get(ip).ok_or(MachineError::InvalidIp {
             ip,
@@ -472,7 +422,7 @@ impl Machine {
         }
 
         if self.halted {
-            return Ok(StepEvent::Halted);
+            return Ok(());
         }
         if next_ip >= self.program.len() {
             return Err(MachineError::InvalidIp {
@@ -481,7 +431,7 @@ impl Machine {
             });
         }
         self.cpu.ip = next_ip;
-        Ok(StepEvent::Continue)
+        Ok(())
     }
 
     /// Assembles the sorted, deduplicated location lists of the step just
@@ -730,8 +680,19 @@ mod tests {
         assert_eq!(out.outputs, vec![42]);
     }
 
+    /// A sink that owns a copy of every step's location lists and kind.
+    #[derive(Default)]
+    struct Recorded(Vec<(Vec<Location>, Vec<Location>, TraceKind)>);
+
+    impl TraceSink for Recorded {
+        fn record(&mut self, step: &TraceStep<'_>) {
+            self.0
+                .push((step.reads.to_vec(), step.writes.to_vec(), step.kind));
+        }
+    }
+
     #[test]
-    fn trace_records_locations() {
+    fn steps_carry_their_locations() {
         let program = assemble(
             "t:   .quad 3
              main: movq $t, %rdi
@@ -741,20 +702,23 @@ mod tests {
                    halt",
         )
         .unwrap();
+        let mut steps = Recorded::default();
         let mut m = Machine::load(&program).unwrap();
-        let (outcome, trace) = m.run_traced(100).unwrap();
+        let outcome = m.run_with_sink(100, &mut steps).unwrap();
         assert_eq!(outcome.instructions, 5);
-        assert_eq!(trace.len(), 5);
-        let load = &trace.events()[1];
-        assert!(load.reads.contains(&Location::Mem(parsecs_isa::DATA_BASE)));
-        assert!(load.writes.contains(&Location::Reg(Reg::Rax)));
-        let store = &trace.events()[3];
-        assert!(store
-            .writes
-            .contains(&Location::Mem(parsecs_isa::DATA_BASE)));
-        assert_eq!(trace.loads(), 1);
-        assert_eq!(trace.stores(), 1);
-        assert_eq!(trace.count_kind(TraceKind::Halt), 1);
+        assert_eq!(steps.0.len(), 5);
+        let (load_reads, load_writes, _) = &steps.0[1];
+        assert!(load_reads.contains(&Location::Mem(parsecs_isa::DATA_BASE)));
+        assert!(load_writes.contains(&Location::Reg(Reg::Rax)));
+        let (_, store_writes, _) = &steps.0[3];
+        assert!(store_writes.contains(&Location::Mem(parsecs_isa::DATA_BASE)));
+        assert_eq!(outcome.loads, 1);
+        assert_eq!(outcome.stores, 1);
+        let halts = steps
+            .0
+            .iter()
+            .filter(|(_, _, kind)| *kind == TraceKind::Halt);
+        assert_eq!(halts.count(), 1);
     }
 
     /// A sink that checks every step's location lists against the

@@ -1,13 +1,14 @@
 //! # parsecs-machine — the sequential reference machine
 //!
 //! This crate executes [`parsecs_isa::Program`]s the way a conventional
-//! single-core processor would, and records dynamic traces. It is the
-//! *substrate* of the reproduction:
+//! single-core processor would, and streams each executed instruction
+//! into a [`TraceSink`]. It is the *substrate* of the reproduction:
 //!
 //! * it provides the reference semantics against which the many-core
 //!   section simulator (`parsecs-core`) is validated;
-//! * it produces the dynamic traces consumed by the ILP limit analyzer
-//!   (`parsecs-ilp`), i.e. the methodology behind Figure 7 of the paper;
+//! * its instruction stream feeds the ILP limit analyzer (`parsecs-ilp`),
+//!   i.e. the methodology behind Figure 7 of the paper, and the streaming
+//!   sectioner (`parsecs-trace`);
 //! * it gives `fork`/`endfork` programs a *sequentialised* depth-first
 //!   semantics (the paper's section total order), so that fork-transformed
 //!   programs can be checked for functional equivalence with their
@@ -43,6 +44,6 @@ mod trace;
 
 pub use cpu::CpuState;
 pub use error::MachineError;
-pub use exec::{Machine, Outcome, StepEvent};
+pub use exec::{Machine, Outcome};
 pub use memory::Memory;
-pub use trace::{Location, Trace, TraceEvent, TraceKind, TraceSink, TraceStep};
+pub use trace::{Location, TraceKind, TraceSink, TraceStep};

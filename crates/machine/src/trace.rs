@@ -1,10 +1,10 @@
-//! Dynamic execution traces.
+//! The dynamic instruction stream.
 //!
-//! A trace is the sequence of executed instructions together with the
-//! architectural locations each one read and wrote. It is the input of the
-//! ILP limit analysis (`parsecs-ilp`), which reimplements the methodology
-//! behind Figure 7 of the paper, and of the section splitter used by the
-//! many-core model.
+//! Each executed instruction, with the architectural locations it read
+//! and wrote, is streamed to a [`TraceSink`]. The stream feeds the ILP
+//! limit analysis (`parsecs-ilp`), which reimplements the methodology
+//! behind Figure 7 of the paper, and the section splitter used by the
+//! many-core model (`parsecs-trace`).
 
 use std::fmt;
 
@@ -61,37 +61,12 @@ pub enum TraceKind {
     Halt,
 }
 
-/// One executed instruction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Position in the dynamic trace (0-based).
-    pub seq: u64,
-    /// Static instruction index.
-    pub ip: usize,
-    /// Mnemonic, for display and debugging.
-    pub mnemonic: &'static str,
-    /// Locations read by the instruction (registers, flags, memory words).
-    pub reads: Vec<Location>,
-    /// Locations written by the instruction.
-    pub writes: Vec<Location>,
-    /// Whether the instruction changes control flow.
-    pub is_control: bool,
-    /// Whether the instruction is stack-pointer bookkeeping
-    /// (cf. [`parsecs_isa::Effects::updates_stack_pointer`]).
-    pub updates_stack_pointer: bool,
-    /// Classification.
-    pub kind: TraceKind,
-    /// The value emitted by an `out` instruction, if any.
-    pub out_value: Option<u64>,
-}
-
-/// One executed instruction as streamed to a [`TraceSink`]: the same
-/// information as a [`TraceEvent`], but borrowing the machine's scratch
-/// buffers instead of owning per-instruction allocations.
+/// One executed instruction as streamed to a [`TraceSink`], borrowing the
+/// machine's scratch buffers instead of owning per-instruction
+/// allocations.
 ///
 /// A step is only valid for the duration of the [`TraceSink::record`]
-/// call; sinks that need to keep the data copy what they need (that is
-/// exactly what [`Trace`]'s own sink implementation does).
+/// call; a sink that needs to keep the data copies what it needs.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceStep<'a> {
     /// Position in the dynamic trace (0-based).
@@ -119,10 +94,11 @@ pub struct TraceStep<'a> {
 /// A consumer of the dynamic instruction stream.
 ///
 /// [`crate::Machine::run_with_sink`] pushes every retired instruction
-/// into a sink as it executes, so consumers that do not need the whole
-/// trace at once (the streaming sectioner of `parsecs-trace`) never pay
-/// for materialising a [`Trace`] — no per-instruction `Vec`s, no
-/// event vector growing to millions of entries.
+/// into a sink as it executes. The dynamic trace is never materialised:
+/// each consumer (the streaming sectioner of `parsecs-trace`, the ILP
+/// scheduler of `parsecs-ilp`) keeps only what it needs, so no
+/// per-instruction `Vec`s and no event vector growing to millions of
+/// entries are ever built.
 pub trait TraceSink {
     /// Consumes one retired instruction.
     fn record(&mut self, step: &TraceStep<'_>);
@@ -149,128 +125,9 @@ impl<S: TraceSink + ?Sized> TraceSink for &mut S {
     }
 }
 
-/// A dynamic trace: the executed instructions in program order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Trace {
-    events: Vec<TraceEvent>,
-}
-
-/// The materialising sink: collecting into a [`Trace`] is the
-/// compatibility path behind [`crate::Machine::run_traced`].
-impl TraceSink for Trace {
-    fn record(&mut self, step: &TraceStep<'_>) {
-        self.push(TraceEvent {
-            seq: step.seq,
-            ip: step.ip,
-            mnemonic: step.mnemonic,
-            reads: step.reads.to_vec(),
-            writes: step.writes.to_vec(),
-            is_control: step.is_control,
-            updates_stack_pointer: step.updates_stack_pointer,
-            kind: step.kind,
-            out_value: step.out_value,
-        });
-    }
-}
-
-impl Trace {
-    /// Creates an empty trace.
-    pub fn new() -> Trace {
-        Trace::default()
-    }
-
-    /// Appends an event.
-    pub fn push(&mut self, event: TraceEvent) {
-        self.events.push(event);
-    }
-
-    /// The recorded events in execution order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Number of dynamic instructions.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Number of dynamic instructions of a given kind.
-    pub fn count_kind(&self, kind: TraceKind) -> usize {
-        self.events.iter().filter(|e| e.kind == kind).count()
-    }
-
-    /// Number of memory reads (dynamic loads).
-    pub fn loads(&self) -> usize {
-        self.events
-            .iter()
-            .map(|e| e.reads.iter().filter(|l| l.is_mem()).count())
-            .sum()
-    }
-
-    /// Number of memory writes (dynamic stores).
-    pub fn stores(&self) -> usize {
-        self.events
-            .iter()
-            .map(|e| e.writes.iter().filter(|l| l.is_mem()).count())
-            .sum()
-    }
-
-    /// Iterates over the events.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-}
-
-impl FromIterator<TraceEvent> for Trace {
-    fn from_iter<T: IntoIterator<Item = TraceEvent>>(iter: T) -> Trace {
-        Trace {
-            events: iter.into_iter().collect(),
-        }
-    }
-}
-
-impl<'a> IntoIterator for &'a Trace {
-    type Item = &'a TraceEvent;
-    type IntoIter = std::slice::Iter<'a, TraceEvent>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.events.iter()
-    }
-}
-
-impl fmt::Display for Trace {
-    /// Renders the trace in the style of the paper's Figure 3: one numbered
-    /// line per dynamic instruction.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for e in &self.events {
-            writeln!(f, "{:>5}  [{:>4}] {}", e.seq + 1, e.ip, e.mnemonic)?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn event(seq: u64, kind: TraceKind) -> TraceEvent {
-        TraceEvent {
-            seq,
-            ip: seq as usize,
-            mnemonic: "nop",
-            reads: vec![],
-            writes: vec![],
-            is_control: false,
-            updates_stack_pointer: false,
-            kind,
-            out_value: None,
-        }
-    }
 
     #[test]
     fn location_classification() {
@@ -280,40 +137,5 @@ mod tests {
         assert!(!Location::Flags.is_mem());
         assert_eq!(Location::Mem(16).to_string(), "[0x10]");
         assert_eq!(Location::Reg(Reg::Rax).to_string(), "%rax");
-    }
-
-    #[test]
-    fn trace_counters() {
-        let mut t = Trace::new();
-        t.push(event(0, TraceKind::Other));
-        t.push(event(1, TraceKind::Fork));
-        t.push(event(2, TraceKind::Fork));
-        t.push(event(3, TraceKind::EndFork));
-        assert_eq!(t.len(), 4);
-        assert_eq!(t.count_kind(TraceKind::Fork), 2);
-        assert_eq!(t.count_kind(TraceKind::EndFork), 1);
-        assert_eq!(t.count_kind(TraceKind::Halt), 0);
-        assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn load_store_counters() {
-        let mut t = Trace::new();
-        let mut e = event(0, TraceKind::Other);
-        e.reads = vec![Location::Mem(0x10), Location::Reg(Reg::Rax)];
-        e.writes = vec![Location::Mem(0x18)];
-        t.push(e);
-        assert_eq!(t.loads(), 1);
-        assert_eq!(t.stores(), 1);
-    }
-
-    #[test]
-    fn display_numbers_lines_from_one() {
-        let mut t = Trace::new();
-        t.push(event(0, TraceKind::Other));
-        t.push(event(1, TraceKind::Other));
-        let text = t.to_string();
-        assert!(text.starts_with("    1"));
-        assert_eq!(text.lines().count(), 2);
     }
 }

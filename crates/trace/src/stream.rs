@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use parsecs_isa::{Effects, Inst, Operand, Program, Reg};
-use parsecs_machine::{Location, Machine, Trace, TraceKind, TraceSink, TraceStep};
+use parsecs_machine::{Location, Machine, TraceKind, TraceSink, TraceStep};
 
 use crate::{PackedDep, SectionId, SectionSpan, SourceKind, TraceArena, TraceError};
 
@@ -437,32 +437,6 @@ impl TraceArena {
         sink.reserve_for(program, fuel);
         let outcome = machine.run_with_sink(fuel, &mut sink)?;
         sink.finish(outcome.outputs)
-    }
-
-    /// Sections an already-materialised trace by replaying it through the
-    /// streaming sectioner (the compatibility path for callers that hold
-    /// a [`Trace`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::CapacityExceeded`] if the trace outgrows the
-    /// arena's packed columns.
-    pub fn from_trace(trace: &Trace, outputs: Vec<u64>) -> Result<TraceArena, TraceError> {
-        let mut sink = StreamingSectioner::new();
-        for event in trace.iter() {
-            sink.record(&TraceStep {
-                seq: event.seq,
-                ip: event.ip,
-                mnemonic: event.mnemonic,
-                reads: &event.reads,
-                writes: &event.writes,
-                is_control: event.is_control,
-                updates_stack_pointer: event.updates_stack_pointer,
-                kind: event.kind,
-                out_value: event.out_value,
-            });
-        }
-        sink.finish(outputs)
     }
 }
 

@@ -147,7 +147,7 @@ mod tests {
         // trace; our wrapper adds movq/movq/call before and out/halt after.
         let data = [4u64, 2, 6, 4, 5];
         let mut machine = Machine::load(&call_program(&data)).unwrap();
-        let (outcome, _) = machine.run_traced(100_000).unwrap();
+        let outcome = machine.run(100_000).unwrap();
         assert_eq!(outcome.instructions, 59 + 5);
     }
 
@@ -155,7 +155,7 @@ mod tests {
     fn figure6_trace_has_45_sum_instructions() {
         let data = [4u64, 2, 6, 4, 5];
         let mut machine = Machine::load(&fork_program(&data)).unwrap();
-        let (outcome, _) = machine.run_traced(100_000).unwrap();
+        let outcome = machine.run(100_000).unwrap();
         assert_eq!(outcome.instructions, 45 + 5);
     }
 

@@ -7,7 +7,8 @@
 
 use parsecs::cc::Backend;
 use parsecs::driver::{ExecutionBackend, IlpBackend, SequentialBackend};
-use parsecs::ilp::{dependence_distances, IlpModel};
+use parsecs::ilp::{DependenceDistances, IlpModel};
+use parsecs::machine::Machine;
 use parsecs::workloads::pbbs::Benchmark;
 
 fn main() {
@@ -28,9 +29,10 @@ fn main() {
         &IlpBackend::sequential_oracle(),
         &IlpBackend::parallel_ideal(),
     ];
+    let fuel = 1_000_000_000;
     let reports: Vec<_> = backends
         .iter()
-        .map(|backend| backend.execute_fueled(&program, 1_000_000_000))
+        .map(|backend| backend.execute_fueled(&program, fuel))
         .collect::<Result<_, _>>()
         .expect("halts");
     assert_eq!(
@@ -50,10 +52,11 @@ fn main() {
         );
     }
 
-    let trace = reports[0]
-        .trace()
-        .expect("sequential backend records a trace");
-    let distances = dependence_distances(trace, true);
+    let mut distances = DependenceDistances::new(true);
+    Machine::load(&program)
+        .and_then(|mut machine| machine.run_with_sink(fuel, &mut distances))
+        .expect("halts");
+    let distances = distances.finish();
     println!(
         "\ntrue dependences: {} (max distance {} instructions, {:.1}% at distance >= 64)",
         distances.total(),

@@ -9,7 +9,8 @@
 //! * [`isa`] — the x86-64-style instruction set with the paper's
 //!   `fork`/`endfork` extension.
 //! * [`asm`] — gas-syntax assembler and pretty printer.
-//! * [`machine`] — sequential reference machine and dynamic tracer.
+//! * [`machine`] — sequential reference machine, streaming each executed
+//!   instruction into a [`machine::TraceSink`].
 //! * [`trace`] — the streaming arena-backed trace pipeline: the machine
 //!   streams retired instructions into a sectioner that renames and
 //!   resolves dependences on the fly, into flat [`trace::TraceArena`]
@@ -20,8 +21,9 @@
 //!   ([`check::Progress`]) and the schedule analyzer
 //!   ([`check::ScheduleBounds`]) whose certified NoC/placement-weighted
 //!   lower bound every validated run must meet.
-//! * [`ilp`] — trace-based ILP limit analysis (the paper's Figure 7
-//!   methodology).
+//! * [`ilp`] — streaming ILP limit analysis (the paper's Figure 7
+//!   methodology): a sink that schedules the machine's run under several
+//!   dependence models in one pass.
 //! * [`noc`] — network-on-chip substrate.
 //! * [`obs`] — zero-cost telemetry: the [`obs::SimProbe`] hook trait the
 //!   engines are monomorphized over, exact per-core

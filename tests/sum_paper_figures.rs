@@ -27,10 +27,10 @@ fn figure2_listing_has_25_instructions_and_figure5_has_18() {
 #[test]
 fn figure3_the_call_run_of_sum_t5_is_a_59_instruction_trace() {
     let mut machine = Machine::load(&sum::call_program(&PAPER_DATA)).unwrap();
-    let (outcome, trace) = machine.run_traced(10_000).unwrap();
+    let outcome = machine.run(10_000).unwrap();
     assert_eq!(outcome.outputs, vec![21]);
     // 59 sum instructions plus the 5-instruction main/out/halt wrapper.
-    assert_eq!(trace.len(), 59 + 5);
+    assert_eq!(outcome.instructions, 59 + 5);
 }
 
 #[test]

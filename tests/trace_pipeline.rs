@@ -3,8 +3,8 @@
 //! The streaming sectioner (`parsecs::trace::StreamingSectioner`, fed by
 //! `Machine::run_with_sink`) must produce **record-for-record** the same
 //! sectioned, dependence-annotated trace as the two-pass sequential
-//! analysis kept here as its oracle ([`two_pass_arena`] over a
-//! materialised `Trace`) — same sections, same provenance for every
+//! analysis kept here as its oracle ([`two_pass_arena`] over the run a
+//! [`Recorded`] sink materialises) — same sections, same provenance for every
 //! source, same written locations, same outputs. A proptest drives
 //! random fork programs (random arithmetic, scratch-array memory traffic,
 //! forward conditional jumps, nested forks) through both front-ends and
@@ -22,7 +22,7 @@ use parsecs::core::{
 };
 use parsecs::driver::{ExecutionBackend, ManyCoreBackend, SequentialBackend};
 use parsecs::isa::Program;
-use parsecs::machine::{Location, Machine, Trace, TraceKind};
+use parsecs::machine::{Location, Machine, TraceKind, TraceSink, TraceStep};
 use parsecs::trace::StreamingSectioner;
 use parsecs::workloads::data::{self, Rng};
 use parsecs::workloads::{scale, sum};
@@ -151,12 +151,51 @@ fn random_program(seed: u64) -> parsecs::isa::Program {
     parsecs::asm::assemble(&src).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{src}"))
 }
 
+/// One executed instruction, owned: what the two-pass oracle reads of
+/// each step.
+struct RecordedStep {
+    ip: usize,
+    mnemonic: &'static str,
+    reads: Vec<Location>,
+    writes: Vec<Location>,
+    is_control: bool,
+    kind: TraceKind,
+}
+
+/// A sink that keeps a copy of every step: the materialised run the
+/// two-pass oracle sections.
+#[derive(Default)]
+struct Recorded(Vec<RecordedStep>);
+
+impl TraceSink for Recorded {
+    fn record(&mut self, step: &TraceStep<'_>) {
+        self.0.push(RecordedStep {
+            ip: step.ip,
+            mnemonic: step.mnemonic,
+            reads: step.reads.to_vec(),
+            writes: step.writes.to_vec(),
+            is_control: step.is_control,
+            kind: step.kind,
+        });
+    }
+}
+
+/// Runs `program` into a [`Recorded`] sink and sections the recording
+/// with [`two_pass_arena`].
+fn recorded_arena(program: &Program, fuel: u64) -> TraceArena {
+    let mut recorded = Recorded::default();
+    let outcome = Machine::load(program)
+        .expect("loads")
+        .run_with_sink(fuel, &mut recorded)
+        .expect("halts");
+    two_pass_arena(&recorded.0, outcome.outputs)
+}
+
 /// The two-pass sequential sectioner, the streaming sectioner's oracle:
-/// pass 1 splits the materialised trace into sections, pass 2 resolves
+/// pass 1 splits the materialised run into sections, pass 2 resolves
 /// every source to its closest preceding producer with a last-writer
 /// map, and the resolved records are pushed into a [`TraceArena`].
-fn two_pass_arena(trace: &Trace, outputs: Vec<u64>) -> TraceArena {
-    let events = trace.events();
+fn two_pass_arena(events: &[RecordedStep], outputs: Vec<u64>) -> TraceArena {
     let mut sections: Vec<SectionSpan> = Vec::new();
     let mut arena = TraceArena::new();
 
@@ -299,10 +338,8 @@ proptest! {
         let program = random_program(seed);
         let fuel = 1_000_000;
 
-        // Two-pass: materialise the full event vector, then section it.
-        let mut machine = Machine::load(&program).expect("loads");
-        let (outcome, trace) = machine.run_traced(fuel).expect("halts");
-        let oracle = two_pass_arena(&trace, outcome.outputs);
+        // Two-pass: materialise every step, then section the recording.
+        let oracle = recorded_arena(&program, fuel);
 
         // Streaming: the machine pushes into the sectioner, no trace.
         let arena = TraceArena::from_program(&program, fuel).expect("halts");
@@ -324,9 +361,7 @@ proptest! {
     fn arena_and_record_backed_simulation_agree(seed in proptest::strategy::any::<u64>()) {
         let program = random_program(seed.rotate_left(11));
         let arena = TraceArena::from_program(&program, 1_000_000).expect("halts");
-        let mut machine = Machine::load(&program).expect("loads");
-        let (outcome, trace) = machine.run_traced(1_000_000).expect("halts");
-        let records = two_pass_arena(&trace, outcome.outputs);
+        let records = recorded_arena(&program, 1_000_000);
         let mut gen = Gen::new(seed);
         let cores = [1usize, 3, 8, 64][gen.below(4) as usize];
         let sim = ManyCoreSim::new(SimConfig::with_cores(cores));
