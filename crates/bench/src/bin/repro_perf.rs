@@ -1,33 +1,28 @@
-//! Wall-clock comparison of the event-driven many-core simulator against
-//! the retained cycle-stepping reference on the large-scale workloads of
-//! `parsecs_workloads::scale` — the artefact behind the repository's
-//! simulator performance trajectory.
+//! Wall-clock measurement of the event-driven many-core simulator on the
+//! large-scale workloads of `parsecs_workloads::scale` — the artefact
+//! behind the repository's simulator performance trajectory.
 //!
-//! Every cell simulates one pre-sectioned trace with both engines,
-//! asserts the two [`SimResult`](parsecs_core::SimResult)s are
-//! **bit-identical** (this is the
-//! large-scale differential test), checks the functional outputs against
-//! the workload's Rust oracle, and records the wall-clock times (best of
-//! [`RUNS`] after one warm-up) in `BENCH_sim.json`.
+//! Every cell simulates one pre-sectioned trace, checks the functional
+//! outputs against the workload's Rust oracle, and records the
+//! wall-clock time (best of [`RUNS`] after one warm-up) in
+//! `BENCH_sim.json`. The engine's timing itself is checked elsewhere:
+//! the workspace's tests hold it to a naive cycle-stepped oracle.
 //!
 //! The headline cell is the serial `chain_sum` under a latency-stress NoC
 //! (a deeply pipelined interconnect charging 96+96 cycles per leg): the
 //! run is dominated by cycles in which every core is idle or stalled on a
-//! known future event, which the event-driven scheduler skips in O(1) and
-//! the cycle stepper scans core by core. The acceptance bar is a ≥5×
-//! speedup there at 64 cores on ≥1M dynamic instructions.
+//! known future event, which the event-driven scheduler skips in O(1).
+//! `--trace-out` exports that cell.
 //!
 //! The functional front-end is the **streaming trace pipeline**: each
 //! workload is pre-executed once through [`TraceArena::from_program`]
-//! (machine → streaming sectioner → arena, one pass) and both engines
-//! simulate the same arena. The pipeline itself is also measured: the
-//! `chain_sum` cell times the streaming pipeline and records the arena's
-//! bytes-per-instruction footprint.
+//! (machine → streaming sectioner → arena, one pass). The pipeline itself
+//! is also measured: the `chain_sum` cell times the streaming pipeline
+//! and records the arena's bytes-per-instruction footprint.
 //!
 //! The run fails (exit code 1) when any cell reports a forced stall
 //! release — the deadlock detector fired, so the timings cannot be
-//! trusted — or when the headline speedup drops below the 5x bar; CI
-//! runs the quick grid under the same engine gates.
+//! trusted — or, in the full grid, when one of the bars below fails.
 //!
 //! A **validation guard row** always rides along: the stats-only
 //! 1024-core `fan_chain` cell is timed with `SimConfig::validate`
@@ -67,10 +62,8 @@ use parsecs_isa::Program;
 use parsecs_noc::NocConfig;
 use parsecs_workloads::scale;
 
-/// Timed rounds per cell (after one untimed warm-up); each round times
-/// the event-driven engine and the reference back to back, and the best
-/// time per engine is recorded, so noisy-machine phases hit both engines
-/// rather than biasing one.
+/// Timed rounds per cell (after one untimed warm-up); the best time is
+/// recorded.
 const RUNS: usize = 5;
 
 struct Cell {
@@ -93,8 +86,6 @@ struct Row {
     forced_stall_releases: u64,
     arena_bytes_per_insn: f64,
     event_ms: f64,
-    reference_ms: f64,
-    speedup: f64,
     /// Chip-wide fetch-slot occupancy over all configured cores.
     occupancy: f64,
     /// Chip-wide sums of the per-core cycle attribution table.
@@ -338,28 +329,11 @@ fn build_grid(quick: bool, validate: bool) -> Vec<Cell> {
 }
 
 fn measure(cell: &Cell) -> Row {
-    // One untimed warm-up per engine, then RUNS interleaved rounds; keep
-    // each engine's best time.
+    // One untimed warm-up, then RUNS timed rounds; keep the best.
     let event = cell.sim.simulate_arena(&cell.trace).expect("simulates");
-    let reference = cell
-        .sim
-        .simulate_reference(&cell.trace, &mut NoopProbe)
-        .expect("reference simulates");
-    let [reference_ms, event_ms] = best_of(
+    let [event_ms] = best_of(
         RUNS,
-        [
-            &|| {
-                cell.sim
-                    .simulate_reference(&cell.trace, &mut NoopProbe)
-                    .expect("reference simulates")
-            },
-            &|| cell.sim.simulate_arena(&cell.trace).expect("simulates"),
-        ],
-    );
-    assert_eq!(
-        event, reference,
-        "{} [{}]: event-driven and reference results diverge",
-        cell.workload, cell.config
+        [&|| cell.sim.simulate_arena(&cell.trace).expect("simulates")],
     );
     assert_eq!(
         event.outputs, cell.expected,
@@ -377,8 +351,6 @@ fn measure(cell: &Cell) -> Row {
         forced_stall_releases: event.stats.forced_stall_releases,
         arena_bytes_per_insn: event.stats.trace_bytes_per_instruction(),
         event_ms,
-        reference_ms,
-        speedup: reference_ms / event_ms,
         occupancy: event.stats.occupancy(),
         attr: AttributionTotals::from_cores(&event.stats.attribution),
         headline: cell.headline,
@@ -459,9 +431,7 @@ fn to_json(
                 .fixed("fetch_ipc", r.fetch_ipc, 4)
                 .field("forced_stall_releases", r.forced_stall_releases)
                 .fixed("arena_bytes_per_insn", r.arena_bytes_per_insn, 1)
-                .fixed("event_ms", r.event_ms, 3)
-                .fixed("reference_ms", r.reference_ms, 3)
-                .fixed("speedup", r.speedup, 2);
+                .fixed("event_ms", r.event_ms, 3);
             r.attr
                 .append_fields(row, r.occupancy)
                 .field("headline", r.headline)
@@ -529,21 +499,12 @@ fn to_json(
 
 fn print_table(rows: &[Row]) {
     println!(
-        "{:<20} {:<16} {:>9} {:>9} {:>11} {:>7} {:>7} {:>10} {:>10} {:>8}",
-        "workload",
-        "config",
-        "insns",
-        "sections",
-        "cycles",
-        "forced",
-        "B/insn",
-        "event ms",
-        "ref ms",
-        "speedup"
+        "{:<20} {:<16} {:>9} {:>9} {:>11} {:>7} {:>7} {:>10}",
+        "workload", "config", "insns", "sections", "cycles", "forced", "B/insn", "event ms",
     );
     for r in rows {
         println!(
-            "{:<20} {:<16} {:>9} {:>9} {:>11} {:>7} {:>7.1} {:>10.1} {:>10.1} {:>7.1}x{}",
+            "{:<20} {:<16} {:>9} {:>9} {:>11} {:>7} {:>7.1} {:>10.1}{}",
             r.workload,
             r.config,
             r.instructions,
@@ -552,8 +513,6 @@ fn print_table(rows: &[Row]) {
             r.forced_stall_releases,
             r.arena_bytes_per_insn,
             r.event_ms,
-            r.reference_ms,
-            r.speedup,
             if r.headline { "  <- headline" } else { "" }
         );
     }
@@ -569,7 +528,7 @@ fn main() {
 
     let grid = build_grid(quick, validate);
     eprintln!(
-        "measuring {} cells ({} mode{}, best of {RUNS} runs per engine)...",
+        "measuring {} cells ({} mode{}, best of {RUNS} runs)...",
         grid.len(),
         if quick { "quick" } else { "full" },
         if validate { ", validated" } else { "" }
@@ -658,8 +617,7 @@ fn main() {
 
     // Hard gates. Any forced stall release means the stall/wake model
     // broke down and every recorded timing is suspect — fail the run (and
-    // CI) outright, in quick mode too. The headline event-vs-reference
-    // speedup must also hold its >= 5x acceptance bar.
+    // CI) outright, in quick mode too.
     let mut failures = Vec::new();
     for row in &rows {
         if row.forced_stall_releases > 0 {
@@ -669,14 +627,6 @@ fn main() {
                 row.workload, row.config, row.forced_stall_releases
             ));
         }
-    }
-    let headline = rows.iter().find(|r| r.headline).expect("headline cell");
-    if headline.speedup < 5.0 {
-        failures.push(format!(
-            "headline speedup {:.1}x is below the 5x acceptance bar \
-             (machine noise? rerun on an idle machine)",
-            headline.speedup
-        ));
     }
     // Stats-only must beat full mode by >=1.3x on the 10M-instruction
     // 1024-core cell (again full mode only: the quick instance fits in

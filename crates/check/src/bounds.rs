@@ -2,7 +2,7 @@
 //! width.
 //!
 //! The analyzer computes a **configuration-independent lower bound** on
-//! the engines' retirement span from the trace structure alone, using
+//! the engine's retirement span from the trace structure alone, using
 //! only recurrences every configuration satisfies (all NoC and DMH
 //! latencies are ≥ 0, cores fetch at most one instruction per cycle, and
 //! stalls only ever delay):
@@ -22,9 +22,8 @@
 //!   retirement) + 1`.
 //!
 //! `total_cycles ≥ critical_path` therefore holds for **every** chip
-//! configuration; the differential tests assert it against both engines,
-//! catching optimistic-timing bugs that bit-identity between the engines
-//! structurally cannot.
+//! configuration; the differential tests assert it against the engine,
+//! catching optimistic-timing bugs without modelling any one chip.
 
 use parsecs_trace::{SourceKind, TraceArena};
 

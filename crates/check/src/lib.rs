@@ -15,21 +15,21 @@
 //! 2. **Static bounds analyzer** ([`StaticBounds`]): per-section and
 //!    whole-program dependence-DAG critical path and ILP width;
 //!    `total_cycles ≥ critical_path` holds for every configuration and
-//!    is cross-checked against both engines in the differential tests.
+//!    is cross-checked against the engine in the differential tests.
 //! 3. **Progress prover** ([`Progress`], [`prove_progress`]): given one
 //!    concrete (placement × chip) configuration, proves the section
 //!    wait-for graph (producer deps ∪ capacity edges of over-subscribed
 //!    cores) admits no cycle, or returns a concrete witness cycle. A
 //!    run the runtime deadlock detector flags must never have been
-//!    [`Progress::Proven`]; both engines check exactly that.
+//!    [`Progress::Proven`]; the engine checks exactly that.
 //! 4. **Schedule analyzer** ([`ScheduleBounds`], [`bound_schedule`]):
 //!    given a concrete (placement × chip) configuration, a **certified**
 //!    NoC/placement-weighted lower bound on the cycle count (critical
 //!    path re-weighted with per-hop latencies, maxed against per-core
-//!    work and ejection-port contention); both engines check
+//!    work and ejection-port contention); the engine checks
 //!    `critical_path ≤ lb ≤ cycles` on every validated run.
 //!
-//! The engines run the whole analysis before simulating when
+//! The engine runs the whole analysis before simulating when
 //! `SimConfig::validate` is set; the `arena_check` binary runs it over
 //! every workload generator.
 //!

@@ -9,7 +9,7 @@
 //! every admission order makes progress or returns a concrete wait
 //! cycle.
 //!
-//! The model is deliberately stricter than the engines' park/handoff
+//! The model is deliberately stricter than the engine's park/handoff
 //! runtime (which frees a stalled section's fetch slot and relaxes
 //! capacity when every core is full): the prover assumes the paper's
 //! *hold-slot* semantics — a section occupies one of its core's
@@ -36,10 +36,10 @@
 //! chain as the certificate's depth.
 //!
 //! The verdict is conservative in exactly one direction, which is the
-//! direction the engines check: a run the runtime detector flags as
+//! direction the engine checks: a run the runtime detector flags as
 //! deadlocked must never have been `Proven`. The converse does not hold —
 //! `PotentialCycle` only says the *hold-slot* abstraction admits a
-//! cycle; the engines' park model routinely completes such runs.
+//! cycle; the engine's park model routinely completes such runs.
 
 use parsecs_trace::{SourceKind, TraceArena};
 

@@ -19,7 +19,7 @@
 //!   the per-intermediate-section walk charge), exactly as the
 //!   resolver prices it; memory instructions reaching the DMH are
 //!   charged [`ChipModel::dmh_latency`]. Every term underestimates
-//!   the engines' actual charge, so the recurrence is a pointwise
+//!   the engine's actual charge, so the recurrence is a pointwise
 //!   lower bound on real completion cycles.
 //! * *Per-core work* (Graham bound): a core fetches at most one
 //!   instruction per cycle starting no earlier than cycle 1, and the
@@ -35,8 +35,8 @@
 //!
 //! Every weighted term dominates its config-independent counterpart
 //! (latencies are ≥ 0 and the fork edge weight is ≥ 2), so `lb ≥
-//! StaticBounds::critical_path` holds structurally, and both engines
-//! check the full sandwich `critical_path ≤ lb ≤ total_cycles` on every
+//! StaticBounds::critical_path` holds structurally, and the engine
+//! checks the full sandwich `critical_path ≤ lb ≤ total_cycles` on every
 //! validated run.
 //!
 //! ## Vacuous cells

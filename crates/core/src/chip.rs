@@ -33,7 +33,7 @@ pub(crate) const NO_STALL: u32 = u32::MAX;
 pub(crate) const NO_WAKE: u64 = u64::MAX;
 
 /// Per-core simulator state, one dense column per field (see the module
-/// docs). Shared by both timing engines.
+/// docs).
 pub(crate) struct ChipState {
     /// Section currently owning each core's fetch stage (`NO_SECTION` =
     /// idle).
@@ -44,11 +44,11 @@ pub(crate) struct ChipState {
     /// Trace index of the control instruction each core is stalled on in
     /// place (`NO_STALL` = not stalled).
     pub(crate) stall_on: Vec<u32>,
-    /// Cycle of each core's outstanding wake-up event (`NO_WAKE` = none;
-    /// event engine only). Calendar entries that no longer match are
-    /// stale and skipped.
+    /// Cycle of each core's outstanding wake-up event (`NO_WAKE` =
+    /// none). Calendar entries that no longer match are stale and
+    /// skipped.
     pub(crate) wake_at: Vec<u64>,
-    /// Whether each core is in the run list (event engine only).
+    /// Whether each core is in the run list.
     pub(crate) running: Vec<bool>,
     /// Total sections ever hosted (delivered) per core.
     pub(crate) sections_hosted: Vec<u32>,
@@ -102,15 +102,15 @@ impl ChipState {
     }
 }
 
-/// The in-order fetch-stall handoff state shared by both timing engines.
+/// The in-order fetch-stall handoff state.
 ///
 /// A fetch stall whose control instruction has a *known* completion cycle
 /// waits in place (the release event is already modeled). A stall whose
 /// completion is still unknown **parks**: the section leaves the fetch
 /// slot, registers here keyed on the stalled instruction, and the core
 /// goes on to its queued sections. When the completion is discovered, a
-/// requeue event — ordered by `(cycle, core, section)` so both engines
-/// replay it identically — returns the section to its core's ready queue
+/// requeue event — ordered by `(cycle, core, section)`, so the replay is
+/// deterministic — returns the section to its core's ready queue
 /// at the modeled release cycle (strictly after the completion, so the
 /// resumed fetch never re-stalls on the same instruction).
 pub(crate) struct StallTable {
@@ -149,7 +149,7 @@ impl StallTable {
 
     /// Makes `sid` the core's current section, resuming a parked section
     /// at its saved fetch point and a fresh one at its start (every
-    /// dequeue of both engines' walks).
+    /// dequeue of the walk).
     pub(crate) fn begin_section(
         &mut self,
         chip: &mut ChipState,
@@ -197,11 +197,6 @@ impl StallTable {
     /// The earliest pending requeue cycle.
     pub(crate) fn next_requeue(&self) -> Option<u64> {
         self.requeue.peek().map(|&Reverse((at, _, _))| at)
-    }
-
-    /// Whether any requeue event is pending.
-    pub(crate) fn pending_requeues(&self) -> bool {
-        !self.requeue.is_empty()
     }
 
     /// Pops the next requeue event due at or before `cycle`.

@@ -62,7 +62,7 @@ pub struct SimConfig {
     /// to ~17 bytes — the switch that lets 100M-instruction chip-scale
     /// cells fit. On by default.
     pub record_timings: bool,
-    /// Whether the engines run the full static analysis of
+    /// Whether the engine runs the full static analysis of
     /// `parsecs-check` over the arena before simulating: the invariant
     /// validator, the critical-path bounds, and, once placed, the
     /// progress proof and the schedule bounds. A violation surfaces as
@@ -74,7 +74,7 @@ pub struct SimConfig {
     /// default — the simulation paths are untouched when disabled; turn
     /// it on with [`SimConfig::validated`].
     pub validate: bool,
-    /// Ignored: both engines are sequential. Kept only because the
+    /// Ignored: the engine is sequential. Kept only because the
     /// benchmark (`crates/bench/src/bin/benchmark/`) still sets it; it
     /// goes together with [`SimConfig::fuel`] once the benchmark stops.
     /// It takes no part in equality, since it never changes a run.

@@ -1,4 +1,4 @@
-//! The completion drain: dependence resolution shared by both engines.
+//! The completion drain: the engine's dependence resolution.
 //!
 //! Stage timestamps are pure functions of the fetch cycles and the
 //! producers' completion cycles, so resolution runs ahead of the clock:
@@ -36,8 +36,7 @@ pub(crate) const INCOMPLETE: u64 = 1 << 63;
 /// Empty wake-list link.
 const NO_WAITER: u32 = u32::MAX;
 
-/// The dependence-resolution engine shared by the event-driven and the
-/// reference simulators.
+/// The engine's dependence resolution.
 ///
 /// The always-resident per-instruction state is **one** tagged `u64`
 /// column plus two `u32` wake-list links (16 B/instruction): the

@@ -16,9 +16,8 @@
 //!   its dynamic trace into the paper's totally-ordered sections and
 //!   resolves every producer→consumer pair (register *and* memory
 //!   renaming);
-//! * [`ManyCoreSim`] — the timing model over that arena
-//!   ([`ManyCoreSim::simulate_arena`], [`ManyCoreSim::simulate_arena_probed`],
-//!   and the cycle-stepping oracle [`ManyCoreSim::simulate_reference`]):
+//! * [`ManyCoreSim`] — the event-driven timing model over that arena
+//!   ([`ManyCoreSim::simulate_arena`], [`ManyCoreSim::simulate_arena_probed`]):
 //!   sections are placed on cores, each
 //!   core fetches one instruction per cycle along its current section and
 //!   computes control instead of predicting it, remote operands are
@@ -79,7 +78,6 @@ mod config;
 mod drain;
 mod error;
 mod placement;
-mod reference;
 mod schedule;
 mod sim;
 mod timing;
@@ -98,7 +96,7 @@ pub use parsecs_check::{
     InvariantViolation, Progress, ScheduleBounds, StaticBounds, WaitEdge, WaitKind,
 };
 // The streaming trace pipeline and the section/dependence vocabulary
-// this crate's engines consume; re-exported so simulator callers can
+// this crate's engine consumes; re-exported so simulator callers can
 // build arenas without a separate dependency.
 pub use parsecs_trace::{
     PackedDep, SectionId, SectionSpan, SourceDep, SourceKind, StreamingSectioner, TraceArena,

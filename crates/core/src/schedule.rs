@@ -2,10 +2,10 @@
 //!
 //! A [`Schedule`] holds the chip's two-level calendar queue
 //! ([`WakeQueue`]) and intrusive run list ([`RunList`]), and [`walk`]
-//! steps the acting cores each simulated cycle in ascending core order,
-//! as the reference loop does. Each step applies its effects where they
-//! happen: the fetch goes into the resolver, a fork's section-creation
-//! message onto the NoC, a dequeue through [`ChipState::queue_pop`] and
+//! steps the acting cores each simulated cycle in ascending core order.
+//! Each step applies its effects where they happen: the fetch goes into
+//! the resolver, a fork's section-creation message onto the NoC, a
+//! dequeue through [`ChipState::queue_pop`] and
 //! [`StallTable::begin_section`], and section begins and ends into the
 //! attribution table and the probe. Only the run-list membership changes
 //! wait until the walk is over, because the sparse walk iterates the
@@ -403,8 +403,7 @@ pub(crate) fn walk<P: SimProbe>(schedule: &mut Schedule, mut w: Walk<'_, '_, P>)
 
     if 2 * schedule.running.len >= schedule.len {
         // Dense path: most cores act every cycle, so a linear scan of the
-        // columns (the reference loop's shape, minus the idle-core queue
-        // probes) beats walking the list. Calendar wake-ups due now are
+        // columns beats walking the list. Calendar wake-ups due now are
         // exactly the non-members whose `wake_at` matches, so the scan
         // covers them in index order and the drained entries are dropped.
         // Membership updates go through the flags alone; the links are

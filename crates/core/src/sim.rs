@@ -14,8 +14,7 @@
 //!    and memory-access stages, and each section retires in order.
 //!
 //! The engine's entry points take the arena: [`ManyCoreSim::simulate_arena`]
-//! and [`ManyCoreSim::simulate_arena_probed`] run the event-driven engine,
-//! [`ManyCoreSim::simulate_reference`] the cycle-stepping reference.
+//! and [`ManyCoreSim::simulate_arena_probed`].
 //!
 //! The timing layer is split into focused modules:
 //!
@@ -38,8 +37,8 @@
 //! Dependence resolution uses producer→consumer wake-up lists, so a
 //! queued instruction is touched only when one of its inputs completes.
 //!
-//! Fetch stalls follow the **in-order handoff model** (shared with the
-//! reference loop through [`crate::chip::StallTable`]): a control
+//! Fetch stalls follow the **in-order handoff model**
+//! ([`crate::chip::StallTable`]): a control
 //! instruction whose sources are not full stalls the fetch stage. If the
 //! stall's release cycle is already known, the section keeps the fetch
 //! slot and resumes right after that cycle. If the release is *unknown*,
@@ -50,11 +49,9 @@
 //! well-formed traces never deadlock; [`SimStats::forced_stall_releases`]
 //! remains only as a deadlock *detector*.
 //!
-//! The original cycle-stepping loop is retained in
-//! [`ManyCoreSim::simulate_reference`] and the two implementations are
-//! held bit-identical by differential tests (every [`SimResult`] field,
-//! including the per-instruction stage table and all statistics, must
-//! match exactly).
+//! The workspace's tests hold the engine to a naive cycle-stepped oracle
+//! (`tests/oracle`) that shares none of this crate's code: every stage
+//! row and every statistic must match exactly.
 //!
 //! The output is a per-instruction, per-stage cycle table (Figure 10 of the
 //! paper) plus aggregate fetch/retire IPC (§5).
@@ -68,7 +65,7 @@ use parsecs_noc::{CoreId, Network, NocStats};
 use parsecs_obs::{CoreBreakdown, CycleAttribution, NoopProbe, SimProbe, StallCause, TickGauges};
 use parsecs_trace::{AddrHasher, SourceKind, TraceArena};
 
-use crate::chip::{ChipState, NO_SECTION, NO_STALL};
+use crate::chip::{ChipState, StallTable, NO_SECTION, NO_STALL};
 use crate::drain::Resolver;
 use crate::schedule::{walk, Schedule, Walk};
 use crate::timing::StageColumns;
@@ -76,8 +73,6 @@ use crate::{
     InstTiming, Placement, SectionDeps, SectionId, SectionSpan, SimConfig, SimError, SimStats,
     StageTable,
 };
-
-pub(crate) use crate::chip::StallTable;
 
 /// The result of one many-core simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,11 +95,10 @@ pub struct SimResult {
     /// The pre-simulation static analysis report (invariants,
     /// critical-path bounds, the placement-aware progress proof and
     /// schedule bounds) when the run was validated
-    /// ([`SimConfig::validate`]); `None` otherwise. Both engines attach
-    /// the identical report, so differential bit-identity covers it.
+    /// ([`SimConfig::validate`]); `None` otherwise.
     pub check: Option<Box<CheckReport>>,
     /// Always `None`, as its type proves: no run falls back from
-    /// anything, because both engines are sequential. Kept only because
+    /// anything, because the engine is sequential. Kept only because
     /// the benchmark (`crates/bench/src/bin/benchmark/`) still reads it;
     /// it goes together with [`SimConfig::threads`].
     pub fork_fallback: Option<Infallible>,
@@ -144,8 +138,7 @@ impl SimResult {
     /// chip-scale run can hold resident; a stats-only run keeps no stage
     /// columns, cutting this from ~48 to ~17 bytes per instruction.
     /// Derived from logical sizes (transient scratch like the wake queue
-    /// and per-core state is excluded), so it is deterministic across
-    /// engines.
+    /// and per-core state is excluded), so it is deterministic.
     pub fn sim_state_bytes(&self) -> u64 {
         use std::mem::size_of;
         let n = self.stats.instructions;
@@ -183,17 +176,6 @@ pub struct ManyCoreSim {
     config: SimConfig,
 }
 
-/// Everything both engines derive from the configuration and the arena
-/// before timing starts ([`ManyCoreSim::setup`]): the section placement,
-/// the freshly created NoC, the fork-site → created-section map and the
-/// validated run's check report.
-pub(crate) struct Setup {
-    pub(crate) core_of: Vec<CoreId>,
-    pub(crate) network: Network<SectionId>,
-    pub(crate) created_by: ForkMap,
-    pub(crate) check: Option<Box<CheckReport>>,
-}
-
 /// The section each dynamic fork creates, keyed by the fork's trace
 /// index. Looked up on every fetched fork, so it hashes with the cheap
 /// [`AddrHasher`] instead of SipHash.
@@ -208,7 +190,7 @@ pub(crate) type ForkMap = HashMap<u64, SectionId, BuildHasherDefault<AddrHasher>
 /// (the fetch stage checks them first); [`StallCause::ForkCopy`] is
 /// reserved — fork-copied sources are full at fetch by construction, so
 /// today's traces never stall on one.
-pub(crate) fn stall_cause(arena: &TraceArena, seq: usize, known: bool) -> StallCause {
+fn stall_cause(arena: &TraceArena, seq: usize, known: bool) -> StallCause {
     let remote_reg = arena
         .reg_sources(seq)
         .iter()
@@ -235,24 +217,6 @@ impl ManyCoreSim {
         &self.config
     }
 
-    /// Simulates an arena-backed trace with the retained cycle-stepping
-    /// reference loop instead of the event-driven engine. The two produce
-    /// bit-identical [`SimResult`]s; the reference exists as the oracle
-    /// for differential tests and benchmarks. The probe observes the run
-    /// as in [`ManyCoreSim::simulate_arena_probed`] (pass [`NoopProbe`]
-    /// for none).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Config`] for an invalid configuration.
-    pub fn simulate_reference<P: SimProbe>(
-        &self,
-        arena: &TraceArena,
-        probe: &mut P,
-    ) -> Result<SimResult, SimError> {
-        crate::reference::simulate(self, arena, probe)
-    }
-
     /// Simulates an arena-backed trace with the event-driven engine.
     ///
     /// # Errors
@@ -269,10 +233,7 @@ impl ManyCoreSim {
     /// entirely for [`NoopProbe`] (`P::ENABLED == false`), so the default
     /// path pays nothing. A probed run produces a [`SimResult`]
     /// bit-identical to the unprobed one — probes observe, they never
-    /// steer. Every hook except the per-cycle gauges
-    /// ([`SimProbe::on_tick`], [`SimProbe::on_walk`]) fires in the same
-    /// order with the same arguments as under
-    /// [`ManyCoreSim::simulate_reference`].
+    /// steer.
     ///
     /// # Errors
     ///
@@ -282,73 +243,20 @@ impl ManyCoreSim {
         arena: &TraceArena,
         probe: &mut P,
     ) -> Result<SimResult, SimError> {
-        let setup = self.setup(arena)?;
-        self.run_event(arena, setup, probe)
-    }
-
-    /// The engine setup both engines run once before timing starts:
-    /// validate the configuration, run the static analysis when
-    /// [`SimConfig::validate`] is on, place the sections and build the
-    /// NoC, and attach the configuration-aware verdicts to the check
-    /// report.
-    pub(crate) fn setup(&self, arena: &TraceArena) -> Result<Setup, SimError> {
         self.config.validate().map_err(SimError::Config)?;
         let mut check = self.precheck(arena)?;
         let core_of = self.place(arena);
-        let network = Network::new(self.config.effective_topology(), self.config.noc);
+        self.attach_verdicts(arena, check.as_deref_mut(), &core_of);
+        let mut network: Network<SectionId> =
+            Network::new(self.config.effective_topology(), self.config.noc);
         // Which section does each dynamic fork create?
         let created_by: ForkMap = arena
             .sections()
             .iter()
             .filter_map(|s| s.creator.map(|(_, fork_seq)| (fork_seq as u64, s.id)))
             .collect();
-        self.attach_verdicts(arena, check.as_deref_mut(), &core_of);
-        Ok(Setup {
-            core_of,
-            network,
-            created_by,
-            check,
-        })
-    }
-
-    /// Attaches the configuration-aware verdicts to a validated run's
-    /// report, once the placement is known: the progress proof for this
-    /// (placement × chip) cell and the NoC/placement-weighted schedule
-    /// bounds.
-    fn attach_verdicts(
-        &self,
-        arena: &TraceArena,
-        check: Option<&mut CheckReport>,
-        core_of: &[CoreId],
-    ) {
-        if let Some(report) = check {
-            let hosts: Vec<usize> = core_of.iter().map(|c| c.0).collect();
-            report.progress = Some(prove_progress(
-                arena,
-                &hosts,
-                self.config.cores,
-                self.config.max_sections_per_core,
-            ));
-            report.schedule = Some(bound_schedule(arena, &hosts, &self.config.chip_model()));
-        }
-    }
-
-    /// The event-driven engine.
-    fn run_event<P: SimProbe>(
-        &self,
-        arena: &TraceArena,
-        setup: Setup,
-        probe: &mut P,
-    ) -> Result<SimResult, SimError> {
         let sections = arena.sections();
         let n = arena.len();
-
-        let Setup {
-            core_of,
-            mut network,
-            created_by,
-            check,
-        } = setup;
         let mut resolver = Resolver::new(&self.config, arena, n);
 
         let mut chip = ChipState::new(self.config.cores, sections.len());
@@ -358,8 +266,7 @@ impl ManyCoreSim {
         let mut delivered = Vec::new();
         let mut forced_stall_releases = 0u64;
         // Always-on cycle attribution: fed from the same deterministic
-        // section/stall events as the probe, so it is bit-identical across
-        // engines and probes.
+        // section/stall events as the probe, so a probe never changes it.
         let mut attr = CycleAttribution::new(self.config.cores);
 
         // The initial section is live from cycle 0 on its core; its first
@@ -593,6 +500,28 @@ impl ManyCoreSim {
         )
     }
 
+    /// Attaches the configuration-aware verdicts to a validated run's
+    /// report, once the placement is known: the progress proof for this
+    /// (placement × chip) cell and the NoC/placement-weighted schedule
+    /// bounds.
+    fn attach_verdicts(
+        &self,
+        arena: &TraceArena,
+        check: Option<&mut CheckReport>,
+        core_of: &[CoreId],
+    ) {
+        if let Some(report) = check {
+            let hosts: Vec<usize> = core_of.iter().map(|c| c.0).collect();
+            report.progress = Some(prove_progress(
+                arena,
+                &hosts,
+                self.config.cores,
+                self.config.max_sections_per_core,
+            ));
+            report.schedule = Some(bound_schedule(arena, &hosts, &self.config.chip_model()));
+        }
+    }
+
     /// Runs the static analysis of `parsecs-check` over the arena when
     /// [`SimConfig::validate`] is on: a structurally invalid arena is
     /// rejected as [`SimError::Invariant`]; a clean report is returned
@@ -626,7 +555,7 @@ impl ManyCoreSim {
     /// [`untiled_attribution`]), or when a validated run breaks a
     /// contract of its attached report (see [`broken_contract`]).
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn finish(
+    fn finish(
         &self,
         arena: &TraceArena,
         resolver: Resolver<'_>,
@@ -843,15 +772,11 @@ mod tests {
     }
 
     #[test]
-    fn validated_runs_attach_identical_reports_on_both_engines() {
+    fn validated_runs_attach_a_clean_report_and_change_nothing_else() {
         let program = sum_fork_program(&[4, 2, 6, 4, 5]);
         let arena = arena_of(&program);
         let sim = ManyCoreSim::new(SimConfig::with_cores(8).validated());
         let validated = sim.simulate_arena(&arena).expect("simulates");
-        let reference = sim
-            .simulate_reference(&arena, &mut NoopProbe)
-            .expect("simulates");
-        assert_eq!(validated, reference);
         let report = validated.check.as_ref().expect("validated run");
         assert!(report.is_clean());
         let bounds = report.bounds.as_ref().expect("clean arenas are bounded");
@@ -931,7 +856,7 @@ mod tests {
     fn validation_rejects_corrupt_arenas_with_a_typed_report() {
         use parsecs_trace::PackedDep;
         // A record claiming a producer at or past itself: a dependence
-        // cycle the validator must catch before the engines run.
+        // cycle the validator must catch before the engine runs.
         let mut arena = TraceArena::new();
         let id = arena.intern_mnemonic("bogus");
         arena.begin_record(0, id, SectionId(0), TraceKind::Other, false, false, false);
@@ -1116,7 +1041,7 @@ mod tests {
 
     /// The tentpole contract of stats-only mode: every aggregate in
     /// `SimStats` is accumulated streaming and comes out bit-identical to
-    /// the recording run, on both engines, with no stage table built.
+    /// the recording run, with no stage table built.
     #[test]
     fn stats_only_matches_full_mode_statistics_bit_for_bit() {
         let data: Vec<u64> = (1..=24).collect();
@@ -1131,10 +1056,6 @@ mod tests {
             let stats = stats_sim
                 .simulate_arena(&arena)
                 .expect("stats-only simulates");
-            let stats_reference = stats_sim
-                .simulate_reference(&arena, &mut NoopProbe)
-                .expect("stats-only reference simulates");
-            assert_eq!(stats, stats_reference, "engines diverge stats-only");
             assert_eq!(
                 stats.stats, full.stats,
                 "aggregates diverge at {cores} cores"
@@ -1148,9 +1069,9 @@ mod tests {
         }
     }
 
-    /// Both engines, both stats modes, zero instructions: the streaming
-    /// accumulators and the post-hoc table derivation must agree that
-    /// everything is zero (the old `unwrap_or(0)` fallback path).
+    /// Both stats modes, zero instructions: the streaming accumulators
+    /// and the post-hoc table derivation must agree that everything is
+    /// zero (the old `unwrap_or(0)` fallback path).
     #[test]
     fn empty_traces_simulate_to_zeroed_stats_everywhere() {
         let empty = crate::StreamingSectioner::new()
@@ -1159,19 +1080,7 @@ mod tests {
         let full_sim = ManyCoreSim::new(SimConfig::with_cores(4));
         let stats_sim = ManyCoreSim::new(SimConfig::with_cores(4).stats_only());
         let full = full_sim.simulate_arena(&empty).expect("simulates");
-        assert_eq!(
-            full,
-            full_sim
-                .simulate_reference(&empty, &mut NoopProbe)
-                .expect("simulates")
-        );
         let stats = stats_sim.simulate_arena(&empty).expect("simulates");
-        assert_eq!(
-            stats,
-            stats_sim
-                .simulate_reference(&empty, &mut NoopProbe)
-                .expect("simulates")
-        );
         assert_eq!(full.stats, stats.stats);
         assert_eq!(full.stats.instructions, 0);
         assert_eq!(full.stats.fetch_cycles, 0);
@@ -1339,160 +1248,9 @@ mod tests {
         assert_eq!(result.stats.forced_stall_releases, 0);
     }
 
-    /// The scenario that used to drive the retired force-release
-    /// heuristic: forked leaves bump shared counters through a
-    /// load–conditional–store whose conditional depends on the *loaded*
-    /// value, so a leaf's fetch stage waits on the previous writer of the
-    /// same word — wherever on the chip (or how deep in a core's queue)
-    /// that writer is. Under the handoff model the stalled section parks,
-    /// the core keeps fetching the producers, and an explicit requeue
-    /// event resumes it: the detector stays silent on every chip shape.
-    #[test]
-    fn contended_writer_chains_park_and_resume_without_forced_releases() {
-        let program = parsecs_asm::assemble(
-            "w:     .quad 0, 0
-main:   fork t0
-        fork t1
-        fork t2
-        fork t3
-        movq $w, %rcx
-        movq 0(%rcx), %rax
-        addq 8(%rcx), %rax
-        out  %rax
-        halt
-t0:     movq $w, %rcx
-        movq 0(%rcx), %rax
-        cmpq $0, %rax
-        je .a0
-.a0:    addq $1, %rax
-        movq %rax, 0(%rcx)
-        movq 8(%rcx), %rbx
-        cmpq $0, %rbx
-        je .b0
-.b0:    addq $3, %rbx
-        movq %rbx, 8(%rcx)
-        endfork
-t1:     movq $w, %rcx
-        movq 8(%rcx), %rax
-        cmpq $0, %rax
-        je .a1
-.a1:    addq $1, %rax
-        movq %rax, 8(%rcx)
-        endfork
-t2:     movq $w, %rcx
-        movq 0(%rcx), %rax
-        cmpq $0, %rax
-        je .a2
-.a2:    addq $5, %rax
-        movq %rax, 0(%rcx)
-        endfork
-t3:     movq $w, %rcx
-        movq 8(%rcx), %rax
-        cmpq $0, %rax
-        je .a3
-.a3:    addq $7, %rax
-        movq %rax, 8(%rcx)
-        endfork",
-        )
-        .expect("assembles");
-        let arena = arena_of(&program);
-        let mut configs = vec![
-            SimConfig::with_cores(1),
-            SimConfig::with_cores(2),
-            SimConfig::with_cores(5),
-        ];
-        let mut tight = SimConfig::with_cores(2);
-        tight.max_sections_per_core = 1;
-        tight.noc.link_bandwidth = Some(1);
-        configs.push(tight);
-        let mut slow = SimConfig::with_cores(4);
-        slow.topology = Some(parsecs_noc::Topology::mesh(2, 2));
-        slow.noc.base_latency = 9;
-        slow.noc.per_hop_latency = 5;
-        configs.push(slow);
-        for config in configs {
-            let sim = ManyCoreSim::new(config);
-            let event = sim.simulate_arena(&arena).expect("simulates");
-            let reference = sim
-                .simulate_reference(&arena, &mut NoopProbe)
-                .expect("reference simulates");
-            assert_eq!(event, reference, "{:?}", sim.config());
-            // 0+1+5 = 6 and 0+3+1+7 = 11.
-            assert_eq!(event.outputs, vec![17], "{:?}", sim.config());
-            assert_eq!(
-                event.stats.forced_stall_releases,
-                0,
-                "the detector fired under {:?}",
-                sim.config()
-            );
-        }
-    }
-
-    /// The tentpole contract: the event-driven engine and the retained
-    /// cycle-stepping reference produce bit-identical results — the same
-    /// per-instruction stage table, the same statistics, the same NoC
-    /// counters — across workloads, chip sizes and configurations.
-    #[test]
-    fn event_driven_engine_matches_the_reference_bit_for_bit() {
-        let data: Vec<u64> = (1..=40).collect();
-        let program = sum_fork_program(&data);
-        let arena = arena_of(&program);
-        for cores in [1, 2, 3, 8, 64] {
-            for placement_config in [
-                SimConfig::with_cores(cores),
-                SimConfig::with_cores(cores).with_placement(crate::Placement::LeastLoaded),
-                SimConfig::with_cores(cores).with_placement(crate::Placement::LoadAware),
-            ] {
-                let sim = ManyCoreSim::new(placement_config);
-                let event = sim.simulate_arena(&arena).expect("event-driven simulates");
-                let reference = sim
-                    .simulate_reference(&arena, &mut NoopProbe)
-                    .expect("reference simulates");
-                assert_eq!(
-                    event,
-                    reference,
-                    "engines diverge at {cores} cores with {}",
-                    sim.config().placement.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn engines_agree_under_hostile_configurations() {
-        let data: Vec<u64> = (1..=24).collect();
-        let program = sum_fork_program(&data);
-        let arena = arena_of(&program);
-        let mut configs = Vec::new();
-        let mut bandwidth = SimConfig::with_cores(4);
-        bandwidth.noc.link_bandwidth = Some(1);
-        configs.push(bandwidth);
-        let mut slow_noc = SimConfig::with_cores(6);
-        slow_noc.noc.base_latency = 3;
-        slow_noc.noc.per_hop_latency = 7;
-        slow_noc.topology = Some(parsecs_noc::Topology::mesh(2, 3));
-        configs.push(slow_noc);
-        let mut tight = SimConfig::with_cores(3);
-        tight.max_sections_per_core = 1;
-        tight.per_section_hop = 4;
-        configs.push(tight);
-        let mut no_stall = SimConfig::with_cores(8);
-        no_stall.fetch_stalls_on_unresolved_control = false;
-        no_stall.dmh_latency = 9;
-        configs.push(no_stall);
-        for config in configs {
-            let sim = ManyCoreSim::new(config);
-            let event = sim.simulate_arena(&arena).expect("event-driven simulates");
-            let reference = sim
-                .simulate_reference(&arena, &mut NoopProbe)
-                .expect("reference simulates");
-            assert_eq!(event, reference, "{:?}", sim.config());
-        }
-    }
-
     /// The bridge the benchmark relies on: `threads` is ignored, so a run
-    /// asking for two threads is the one-thread run, field for field, on
-    /// both engines and in both stats modes, and carries no fallback.
+    /// asking for two threads is the one-thread run, field for field, in
+    /// both stats modes, and carries no fallback.
     #[test]
     fn the_ignored_thread_count_never_changes_a_run() {
         let data: Vec<u64> = (1..=200).collect();
@@ -1507,23 +1265,13 @@ t3:     movq $w, %rcx
                 ..one.clone()
             });
             let one = ManyCoreSim::new(one);
-            let event = two.simulate_arena(&arena).expect("simulates");
+            let run = two.simulate_arena(&arena).expect("simulates");
             assert_eq!(
-                event,
+                run,
                 one.simulate_arena(&arena).expect("simulates"),
-                "event engine, record_timings = {record_timings}"
+                "record_timings = {record_timings}"
             );
-            let reference = two
-                .simulate_reference(&arena, &mut NoopProbe)
-                .expect("simulates");
-            assert_eq!(
-                reference,
-                one.simulate_reference(&arena, &mut NoopProbe)
-                    .expect("simulates"),
-                "reference engine, record_timings = {record_timings}"
-            );
-            assert_eq!(event.fork_fallback, None);
-            assert_eq!(reference.fork_fallback, None);
+            assert_eq!(run.fork_fallback, None);
         }
     }
 }

@@ -125,7 +125,7 @@ impl StageColumns {
     }
 
     /// Bytes held by the columns (logical lengths, not capacities, so
-    /// the figure is the same on both engines).
+    /// the figure is deterministic).
     pub(crate) fn memory_bytes(&self) -> u64 {
         (size_of_val(self.fd.as_slice())
             + size_of_val(self.ew.as_slice())
@@ -279,8 +279,9 @@ pub struct SimStats {
     /// stalled-by-cause / parked / idle breakdown per *configured* core
     /// (not just hosting cores), each summing to
     /// [`SimStats::total_cycles`]. Accumulated always-on from the
-    /// deterministic section/stall event stream, so it is part of the
-    /// engines' bit-identity contract (see [`parsecs_obs::attribution`]).
+    /// deterministic section/stall event stream (see
+    /// [`parsecs_obs::attribution`]); the tests hold it to the timing
+    /// oracle's own per-cycle tally.
     pub attribution: Vec<CoreBreakdown>,
 }
 

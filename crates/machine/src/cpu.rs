@@ -4,18 +4,18 @@ use parsecs_isa::{Flags, MemRef, Reg, STACK_TOP};
 
 /// The architectural register state of one flow of control.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CpuState {
+pub(crate) struct CpuState {
     regs: [u64; Reg::COUNT],
     /// Arithmetic flags.
-    pub flags: Flags,
+    pub(crate) flags: Flags,
     /// Instruction pointer (instruction index).
-    pub ip: usize,
+    pub(crate) ip: usize,
 }
 
 impl CpuState {
     /// A fresh state: all registers zero except `%rsp`, which points to
     /// [`STACK_TOP`], flags cleared, `ip` at `entry`.
-    pub fn at_entry(entry: usize) -> CpuState {
+    pub(crate) fn at_entry(entry: usize) -> CpuState {
         let mut s = CpuState {
             regs: [0; Reg::COUNT],
             flags: Flags::default(),
@@ -26,38 +26,28 @@ impl CpuState {
     }
 
     /// Reads a register.
-    pub fn get(&self, r: Reg) -> u64 {
+    pub(crate) fn get(&self, r: Reg) -> u64 {
         self.regs[r.index()]
     }
 
     /// Writes a register.
-    pub fn set(&mut self, r: Reg, value: u64) {
+    pub(crate) fn set(&mut self, r: Reg, value: u64) {
         self.regs[r.index()] = value;
     }
 
     /// Computes the effective address of a memory reference with the
     /// current register values.
-    pub fn effective_address(&self, m: &MemRef) -> u64 {
+    pub(crate) fn effective_address(&self, m: &MemRef) -> u64 {
         let base = m.base.map(|r| self.get(r)).unwrap_or(0);
         let index = m.index.map(|r| self.get(r)).unwrap_or(0);
         base.wrapping_add(index.wrapping_mul(m.scale as u64))
             .wrapping_add(m.disp as u64)
     }
 
-    /// Snapshot of the callee-saved registers (including `%rsp`), in the
-    /// order of [`Reg::ALL`].
-    pub fn callee_saved(&self) -> Vec<(Reg, u64)> {
-        Reg::ALL
-            .into_iter()
-            .filter(|r| r.is_callee_saved())
-            .map(|r| (r, self.get(r)))
-            .collect()
-    }
-
     /// Snapshot of the registers copied to a forked section (the stack
     /// pointer plus the paper's non-volatile set, see
     /// [`Reg::is_fork_copied`]).
-    pub fn fork_copied(&self) -> Vec<(Reg, u64)> {
+    pub(crate) fn fork_copied(&self) -> Vec<(Reg, u64)> {
         Reg::ALL
             .into_iter()
             .filter(|r| r.is_fork_copied())
@@ -95,17 +85,5 @@ mod tests {
         assert_eq!(s.effective_address(&m), 0x1000 - 8);
         let m = MemRef::absolute(0x2000);
         assert_eq!(s.effective_address(&m), 0x2000);
-    }
-
-    #[test]
-    fn callee_saved_snapshot() {
-        let mut s = CpuState::default();
-        s.set(Reg::Rbx, 5);
-        s.set(Reg::Rax, 9);
-        let snap = s.callee_saved();
-        assert_eq!(snap.len(), 7);
-        assert!(snap.contains(&(Reg::Rbx, 5)));
-        assert!(snap.contains(&(Reg::Rsp, STACK_TOP)));
-        assert!(!snap.iter().any(|(r, _)| *r == Reg::Rax));
     }
 }

@@ -2,7 +2,9 @@
 
 use parsecs_isa::{AluOp, Effects, Flags, Inst, Operand, Program, Reg};
 
-use crate::{CpuState, Location, MachineError, Memory, TraceKind, TraceSink, TraceStep};
+use crate::cpu::CpuState;
+use crate::memory::Memory;
+use crate::{Location, MachineError, TraceKind, TraceSink, TraceStep};
 
 /// The result of a completed run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -196,21 +198,6 @@ impl Machine {
             scratch_mem_reads: Vec::new(),
             scratch_mem_writes: Vec::new(),
         })
-    }
-
-    /// The current architectural register state.
-    pub fn cpu(&self) -> &CpuState {
-        &self.cpu
-    }
-
-    /// The current data memory.
-    pub fn memory(&self) -> &Memory {
-        &self.memory
-    }
-
-    /// Values emitted so far by `out` instructions.
-    pub fn outputs(&self) -> &[u64] {
-        &self.outputs
     }
 
     /// Runs until `halt` (or outermost `endfork`).

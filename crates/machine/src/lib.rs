@@ -42,8 +42,6 @@ mod exec;
 mod memory;
 mod trace;
 
-pub use cpu::CpuState;
 pub use error::MachineError;
 pub use exec::{Machine, Outcome};
-pub use memory::Memory;
 pub use trace::{Location, TraceKind, TraceSink, TraceStep};

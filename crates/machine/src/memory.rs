@@ -9,18 +9,18 @@ use std::collections::HashMap;
 /// addresses to 64-bit words. Unwritten locations read as zero, mirroring a
 /// zero-initialised address space.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Memory {
+pub(crate) struct Memory {
     words: HashMap<u64, u64>,
 }
 
 impl Memory {
     /// Creates an empty (all-zero) memory.
-    pub fn new() -> Memory {
+    pub(crate) fn new() -> Memory {
         Memory::default()
     }
 
     /// Whether `addr` is 8-byte aligned.
-    pub fn is_aligned(addr: u64) -> bool {
+    pub(crate) fn is_aligned(addr: u64) -> bool {
         addr.is_multiple_of(8)
     }
 
@@ -30,13 +30,13 @@ impl Memory {
     ///
     /// Panics in debug builds if `addr` is unaligned; callers validate
     /// alignment and report [`crate::MachineError::UnalignedAccess`].
-    pub fn read(&self, addr: u64) -> u64 {
+    pub(crate) fn read(&self, addr: u64) -> u64 {
         debug_assert!(Self::is_aligned(addr), "unaligned read at {addr:#x}");
         self.words.get(&addr).copied().unwrap_or(0)
     }
 
     /// Writes the 64-bit word at `addr`.
-    pub fn write(&mut self, addr: u64, value: u64) {
+    pub(crate) fn write(&mut self, addr: u64, value: u64) {
         debug_assert!(Self::is_aligned(addr), "unaligned write at {addr:#x}");
         if value == 0 {
             // Keep the map sparse: a zero store is indistinguishable from an
@@ -45,17 +45,6 @@ impl Memory {
         } else {
             self.words.insert(addr, value);
         }
-    }
-
-    /// Number of non-zero words currently stored.
-    pub fn footprint(&self) -> usize {
-        self.words.len()
-    }
-
-    /// Iterates over the non-zero `(address, value)` pairs in no particular
-    /// order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.words.iter().map(|(a, v)| (*a, *v))
     }
 }
 
@@ -68,7 +57,7 @@ mod tests {
     fn unwritten_memory_reads_zero() {
         let m = Memory::new();
         assert_eq!(m.read(0x1000), 0);
-        assert_eq!(m.footprint(), 0);
+        assert_eq!(m.words.len(), 0);
     }
 
     #[test]
@@ -79,7 +68,7 @@ mod tests {
         assert_eq!(m.read(0x2000), 42);
         assert_eq!(m.read(0x2008), u64::MAX);
         assert_eq!(m.read(0x2010), 0);
-        assert_eq!(m.footprint(), 2);
+        assert_eq!(m.words.len(), 2);
     }
 
     #[test]
@@ -88,7 +77,7 @@ mod tests {
         m.write(0x2000, 7);
         m.write(0x2000, 0);
         assert_eq!(m.read(0x2000), 0);
-        assert_eq!(m.footprint(), 0);
+        assert_eq!(m.words.len(), 0);
     }
 
     #[test]

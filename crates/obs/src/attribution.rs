@@ -13,10 +13,10 @@
 //! fetching one section while another of its sections is parked counts as
 //! busy.
 //!
-//! The event stream is deterministic and engine-invariant (both engines
-//! produce the same per-core events at the same cycles), so attribution
-//! is computed *always on* — it is part of `SimStats` and participates in
-//! the engines' bit-identity contract rather than being probe-gated.
+//! The event stream is deterministic, so attribution is computed *always
+//! on* — it is part of `SimStats`, rather than being probe-gated, and the
+//! workspace's timing oracle tallies the same buckets one cycle at a
+//! time.
 
 use crate::probe::StallCause;
 
@@ -65,9 +65,9 @@ struct CoreCursor {
 
 /// Streams per-core section/stall events into [`CoreBreakdown`]s.
 ///
-/// Event cycles must be non-decreasing per core (they are, in both
-/// engines: the requeue/deliver/walk/dispatch phases of a cycle touch a
-/// core in program order). Cross-core interleaving is irrelevant — the
+/// Event cycles must be non-decreasing per core (they are: the
+/// requeue/deliver/walk/dispatch phases of a cycle touch a core in
+/// program order). Cross-core interleaving is irrelevant — the
 /// accumulator is per-core.
 #[derive(Debug, Clone)]
 pub struct CycleAttribution {

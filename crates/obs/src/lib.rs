@@ -1,6 +1,6 @@
 //! Zero-cost simulator telemetry.
 //!
-//! The simulator engines in `parsecs-core` are instrumented with a
+//! The simulator engine in `parsecs-core` is instrumented with a
 //! [`SimProbe`] trait whose hooks sit at the event loop's hot seams:
 //! section begin/park/requeue/retire, fetch stalls with a typed
 //! [`StallCause`], NoC send/deliver, drain rounds and fetch walks. The

@@ -3,8 +3,7 @@
 /// Why a fetch stage could not advance past an instruction.
 ///
 /// The cause is classified statically from the stalled instruction's
-/// dependence sources (the classification is engine-invariant, so both
-/// engines report identical causes for identical stalls).
+/// dependence sources.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum StallCause {
@@ -62,17 +61,15 @@ impl StallCause {
 ///
 /// Gauges describe the *engine's* view of the chip at the start of a
 /// simulated cycle. The event-driven engine skips cycles in which nothing
-/// happens, so tick streams are an engine-specific sampling of the same
-/// execution — unlike the section/stall event streams, they are not
-/// expected to match across engines.
+/// happens, so tick streams sample its own schedule, not every cycle of
+/// the execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TickGauges {
     /// The simulated cycle being processed.
     pub cycle: u64,
     /// Cores with a section occupying their fetch slot.
     pub running: u64,
-    /// Pending wake events in the calendar queues (event engine only;
-    /// the reference reports 0).
+    /// Pending wake events in the calendar queues, stale ones included.
     pub calendar_depth: u64,
     /// Section-creation messages in flight on the NoC.
     pub noc_in_flight: u64,
@@ -89,9 +86,9 @@ pub struct TickGauges {
 ///
 /// Hooks fire in a deterministic order. Every hook except
 /// [`SimProbe::on_tick`] and [`SimProbe::on_walk`] fires in the same
-/// order with the same arguments on both engines and in both stats
-/// modes; those two are per-cycle gauges, and the event-driven engine
-/// skips the quiet cycles the reference steps through.
+/// order with the same arguments in both stats modes; those two are
+/// per-cycle gauges of the engine's own schedule, which skips quiet
+/// cycles.
 pub trait SimProbe {
     /// Whether hook call sites are compiled in. Leave at the default
     /// `true` for every observing probe; only [`NoopProbe`] sets `false`.
@@ -200,7 +197,7 @@ pub struct CountingProbe {
 
 impl CountingProbe {
     /// Sum of all event counters (ignores the per-cycle tick/walk
-    /// gauges, which are engine-specific).
+    /// gauges, which sample the engine's own schedule).
     pub fn events(&self) -> u64 {
         self.begins
             + self.ends

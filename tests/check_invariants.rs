@@ -12,8 +12,10 @@
 //! arenas (which store no locations) must still report every mutation
 //! that needs none.
 
+mod oracle;
+
 use parsecs::check::{check_arena, InvariantViolation, Progress};
-use parsecs::core::{ManyCoreSim, NoopProbe, SimConfig};
+use parsecs::core::{ManyCoreSim, SimConfig};
 use parsecs::isa::Program;
 use parsecs::trace::{PackedDep, RawColumns, SectionId, SectionSpan, TraceArena};
 use parsecs::workloads::scale;
@@ -429,10 +431,11 @@ proptest! {
     /// than core slots (`sections > cores × max_sections_per_core`) with
     /// producer edges linking every section to its predecessor. The
     /// progress prover must flag `Progress::PotentialCycle` with a
-    /// closed concrete witness, both engines must attach the identical
-    /// verdict bit-for-bit, and the verdict must stay consistent with
-    /// the runtime deadlock detector in the one direction the model
-    /// promises: a run the detector flags is never `Proven`. (The
+    /// closed concrete witness, the run's timing must agree with the
+    /// naive oracle in `tests/oracle` under the starved capacity, and
+    /// the verdict must stay consistent with the runtime deadlock
+    /// detector in the one direction the model promises: a run the
+    /// detector flags is never `Proven`. (The
     /// park/handoff runtime relaxes capacity and completes these runs —
     /// `PotentialCycle` with a quiet detector is the expected,
     /// consistent outcome; the prover's hold-slot model is strictly
@@ -455,13 +458,7 @@ proptest! {
             config.max_sections_per_core = 1;
             let sim = ManyCoreSim::new(config);
             let event = sim.simulate_arena(&arena).expect("event engine simulates");
-            let reference = sim
-                .simulate_reference(&arena, &mut NoopProbe)
-                .expect("reference engine simulates");
-            prop_assert_eq!(
-                &event, &reference,
-                "engines diverge at {} cores", cores
-            );
+            oracle::agree(&arena, sim.config(), &event, &format!("{elements} elements on {cores} cores"));
             let report = event.check.as_ref().expect("validated run attaches a report");
             let progress = report
                 .progress
