@@ -17,7 +17,7 @@
 //!   columns.
 //! * [`check`] — static analysis over trace arenas: the invariant
 //!   validator, the dependence-DAG critical-path / ILP-width bounds the
-//!   engines are grounded against, the config-aware progress prover
+//!   simulator is grounded against, the config-aware progress prover
 //!   ([`check::Progress`]) and the schedule analyzer
 //!   ([`check::ScheduleBounds`]) whose certified NoC/placement-weighted
 //!   lower bound every validated run must meet.
@@ -26,7 +26,7 @@
 //!   dependence models in one pass.
 //! * [`noc`] — network-on-chip substrate.
 //! * [`obs`] — zero-cost telemetry: the [`obs::SimProbe`] hook trait the
-//!   engines are monomorphized over, exact per-core
+//!   simulator is monomorphized over, exact per-core
 //!   [`obs::CycleAttribution`], and the Perfetto-loadable
 //!   [`obs::ChromeTraceWriter`].
 //! * [`core`] — the paper's contribution: the sectioned parallel execution
