@@ -123,6 +123,18 @@ fn push_task(out: &mut String, gen: &mut Gen, task: usize, depth: usize) {
             let r = gen.pick(&["%rax", "%rbx", "%rsi"]);
             let k = gen.below(64);
             out.push_str(&format!("        cmpq ${k}, {r}\n"));
+            // Flag-free moves may separate the compare from its jump, and
+            // a fork may too: the jump then opens the fork's continuation
+            // section and reads its flags from another section.
+            for _ in 0..gen.below(3) {
+                let k = gen.below(100);
+                let dst = gen.pick(&["%rax", "%rbx", "%rcx", "%rsi"]);
+                out.push_str(&format!("        movq ${k}, {dst}\n"));
+            }
+            if forks_left > 0 && gen.below(3) == 0 {
+                out.push_str(&format!("        fork task{}\n", task + 1));
+                forks_left -= 1;
+            }
             out.push_str(&format!("        {cond} .t{task}_{label}\n"));
             for _ in 0..1 + gen.below(2) {
                 push_op(out, gen);
