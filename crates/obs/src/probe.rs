@@ -67,9 +67,12 @@ impl StallCause {
 pub struct TickGauges {
     /// The simulated cycle being processed.
     pub cycle: u64,
-    /// Cores with a section occupying their fetch slot.
+    /// Cores in the engine's acting set before this cycle's due
+    /// wake-ups join it: cores fetching, about to dequeue or releasing
+    /// a next-cycle stall. A core that holds a section but sleeps until a
+    /// later stall release is not counted.
     pub running: u64,
-    /// Pending wake events in the calendar queues, stale ones included.
+    /// Pending entries in the engine's wake-up heap, stale ones included.
     pub calendar_depth: u64,
     /// Section-creation messages in flight on the NoC.
     pub noc_in_flight: u64,
@@ -151,7 +154,9 @@ pub trait SimProbe {
     /// while processing `cycle`.
     fn on_drain_round(&mut self, _cycle: u64, _round: usize, _width: usize) {}
 
-    /// The fetch walk ran with `active` cores on the run list at `cycle`.
+    /// The fetch walk ran at `cycle` with `active` cores acting before
+    /// the cycle's due wake-ups joined (the same count as
+    /// [`TickGauges::running`]).
     fn on_walk(&mut self, _cycle: u64, _active: usize) {}
 }
 
