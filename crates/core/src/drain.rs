@@ -3,7 +3,7 @@
 //! Stage timestamps are pure functions of the fetch cycles and the
 //! producers' completion cycles, so resolution runs ahead of the clock:
 //! [`Resolver::drain`] computes every timestamp that has become
-//! computable and parks the rest on producer→consumer wake-up lists — no
+//! computable and parks the rest in producer→consumer wait cells — no
 //! instruction is ever rescanned while its inputs are still unknown.
 //!
 //! The drain is **batched**: each round takes the whole pending set — the
@@ -27,30 +27,146 @@ pub(crate) const UNKNOWN: u64 = u64::MAX;
 /// value is *not yet complete*. A fetched-but-unresolved instruction
 /// stores `INCOMPLETE | fetch_cycle`, so the column doubles as the fetch
 /// record and the resolver needs no separate per-instruction `fd` column
-/// in stats-only runs (simulated cycle counts stay far below 2^63 — the
+/// in stats-only runs (simulated cycle counts stay far below 2^62 — the
 /// convergence guard caps them at ~200× the instruction count). `UNKNOWN`
 /// (all ones) also has the bit set: a never-fetched instruction is
 /// "not complete" under the same test.
 pub(crate) const INCOMPLETE: u64 = 1 << 63;
 
-/// Empty wake-list link.
-const NO_WAITER: u32 = u32::MAX;
+/// Second tag bit of an incomplete `complete` entry: some consumer waits
+/// on this producer, and the entry is `INCOMPLETE | WAITED | cell`, where
+/// `cell` (the low 32 bits) indexes the producer's [`WaitCell`], which
+/// holds its fetch cycle. `UNKNOWN` has the bit set too, so only an entry
+/// other than `UNKNOWN` names a cell.
+const WAITED: u64 = 1 << 62;
+
+/// Empty waiter list, and the end of a free list.
+const NIL: u32 = u32::MAX;
+
+/// The wait state of one incomplete producer that a consumer waits on.
+struct WaitCell {
+    /// The producer's fetch cycle, `UNKNOWN` until it is fetched.
+    fetch: u64,
+    /// The first link of its waiters (`NIL` = none); the next free cell
+    /// while the cell is free.
+    head: u32,
+}
+
+/// One parked consumer in its producer's waiter list.
+struct WaitLink {
+    waiter: u32,
+    /// The next link of the same list; the next free link while free.
+    next: u32,
+}
+
+/// The consumers parked on incomplete producers, held only while they
+/// wait. A consumer waits on at most one producer at a time, so the pool
+/// holds one link per waiting consumer and one cell per producer waited
+/// on; both are recycled through free lists, so the pool's size follows
+/// the instructions in flight, not the length of the run.
+struct WaitPool {
+    cells: Vec<WaitCell>,
+    links: Vec<WaitLink>,
+    free_cell: u32,
+    free_link: u32,
+    /// Cells in use.
+    live: usize,
+}
+
+impl WaitPool {
+    fn new() -> WaitPool {
+        WaitPool {
+            cells: Vec::new(),
+            links: Vec::new(),
+            free_cell: NIL,
+            free_link: NIL,
+            live: 0,
+        }
+    }
+
+    /// The cell an incomplete `complete` entry names, if any.
+    #[inline]
+    fn cell_of(entry: u64) -> Option<usize> {
+        (entry & WAITED != 0 && entry != UNKNOWN).then_some(entry as u32 as usize)
+    }
+
+    /// Parks `waiter` on the producer whose incomplete `complete` entry is
+    /// `entry`, opening the producer's cell on its first waiter. Returns
+    /// the producer's new entry.
+    fn park(&mut self, entry: u64, waiter: u32) -> u64 {
+        let cell = match WaitPool::cell_of(entry) {
+            Some(cell) => cell,
+            None => self.open(if entry == UNKNOWN {
+                UNKNOWN
+            } else {
+                entry & !INCOMPLETE
+            }),
+        };
+        let link = WaitLink {
+            waiter,
+            next: self.cells[cell].head,
+        };
+        let index = if self.free_link == NIL {
+            self.links.push(link);
+            self.links.len() - 1
+        } else {
+            let index = self.free_link as usize;
+            self.free_link = self.links[index].next;
+            self.links[index] = link;
+            index
+        };
+        self.cells[cell].head = index as u32;
+        INCOMPLETE | WAITED | cell as u64
+    }
+
+    /// A fresh cell with no waiters.
+    fn open(&mut self, fetch: u64) -> usize {
+        self.live += 1;
+        let cell = WaitCell { fetch, head: NIL };
+        if self.free_cell == NIL {
+            self.cells.push(cell);
+            self.cells.len() - 1
+        } else {
+            let index = self.free_cell as usize;
+            self.free_cell = self.cells[index].head;
+            self.cells[index] = cell;
+            index
+        }
+    }
+
+    /// Queues every waiter of `cell` and frees the cell and its links.
+    fn release(&mut self, cell: usize, queue: &mut Vec<u32>) {
+        let mut link = self.cells[cell].head;
+        while link != NIL {
+            let index = link as usize;
+            queue.push(self.links[index].waiter);
+            link = std::mem::replace(&mut self.links[index].next, self.free_link);
+            self.free_link = index as u32;
+        }
+        self.cells[cell].head = self.free_cell;
+        self.free_cell = cell as u32;
+        self.live -= 1;
+    }
+}
 
 /// The engine's dependence resolution.
 ///
 /// The always-resident per-instruction state is **one** tagged `u64`
-/// column plus two `u32` wake-list links (16 B/instruction): the
-/// `complete` column holds `INCOMPLETE | fetch_cycle` between fetch and
-/// resolution and the completion cycle after, `rr` is always `fd + 1`,
-/// `ar` always `ew + 1`, and `ma` always the completion cycle of a memory
-/// instruction. The `fd`/`ew`/`ret` stage columns (another
-/// 24 B/instruction) are only kept when the run records the per-row stage
-/// table, which takes them over with `complete` when the run finishes
-/// ([`Resolver::into_stage_columns`]); stats-only runs skip them and
-/// accumulate `max_fd`/`max_ret` streaming. Retirement is in order
-/// within a section, so it needs no per-instruction bookkeeping either:
-/// a per-*section* cursor (`retire_next`, `retire_last`) cascades over
-/// the completed prefix of the section.
+/// column (8 B/instruction): the `complete` column holds
+/// `INCOMPLETE | fetch_cycle` between fetch and resolution and the
+/// completion cycle after, `rr` is always `fd + 1`, `ar` always `ew + 1`,
+/// and `ma` always the completion cycle of a memory instruction. A
+/// producer that consumers wait on holds `INCOMPLETE | WAITED | cell`
+/// instead, and its wait cell keeps the fetch cycle beside the waiters
+/// ([`WaitPool`], sized by the waits in flight). The `fd`/`ew`/`ret`
+/// stage columns (another 24 B/instruction) are only kept when the run
+/// records the per-row stage table, which takes them over with
+/// `complete` when the run finishes ([`Resolver::into_stage_columns`]);
+/// stats-only runs skip them and accumulate `max_fd`/`max_ret`
+/// streaming. Retirement is in order within a section, so it needs no
+/// per-instruction bookkeeping either: a per-*section* cursor
+/// (`retire_next`, `retire_last`) cascades over the completed prefix of
+/// the section.
 pub(crate) struct Resolver<'a> {
     config: &'a SimConfig,
     arena: &'a TraceArena,
@@ -61,13 +177,8 @@ pub(crate) struct Resolver<'a> {
     ew: Vec<u64>,
     ret: Vec<u64>,
     pub(crate) complete: Vec<u64>,
-    /// Head of the per-producer list of consumers waiting for its
-    /// completion (`u32::MAX` = empty). An instruction waits on at most
-    /// one producer at a time, so one `waiter_next` link per instruction
-    /// threads every list — no per-wait allocation.
-    waiter_head: Vec<u32>,
-    /// Next consumer in the same producer's waiting list.
-    waiter_next: Vec<u32>,
+    /// The consumers waiting on incomplete producers.
+    waits: WaitPool,
     /// Per-section retirement cursor: the next trace index to retire.
     retire_next: Vec<u32>,
     /// Per-section retirement cursor: the previous retirement cycle.
@@ -102,8 +213,7 @@ impl<'a> Resolver<'a> {
             ew: if record { vec![UNKNOWN; n] } else { Vec::new() },
             ret: if record { vec![UNKNOWN; n] } else { Vec::new() },
             complete: vec![UNKNOWN; n],
-            waiter_head: vec![NO_WAITER; n],
-            waiter_next: vec![NO_WAITER; n],
+            waits: WaitPool::new(),
             retire_next: sections.iter().map(|s| s.start as u32).collect(),
             retire_last: vec![0; sections.len()],
             queue: Vec::new(),
@@ -126,10 +236,26 @@ impl<'a> Resolver<'a> {
         [self.fd, self.ew, self.ret, self.complete]
     }
 
+    /// Whether a consumer is still parked on an incomplete producer.
+    pub(crate) fn has_waiters(&self) -> bool {
+        self.waits.live > 0
+    }
+
     /// Records the fetch of `seq` at `cycle` and queues it for resolution.
+    /// A producer that consumers already wait on keeps its entry, and
+    /// its cell takes the cycle.
     pub(crate) fn fetch(&mut self, seq: usize, cycle: u64) {
-        debug_assert_eq!(self.complete[seq], UNKNOWN, "fetched once");
-        self.complete[seq] = INCOMPLETE | cycle;
+        let entry = self.complete[seq];
+        match WaitPool::cell_of(entry) {
+            Some(cell) => {
+                debug_assert_eq!(self.waits.cells[cell].fetch, UNKNOWN, "fetched once");
+                self.waits.cells[cell].fetch = cycle;
+            }
+            None => {
+                debug_assert_eq!(entry, UNKNOWN, "fetched once");
+                self.complete[seq] = INCOMPLETE | cycle;
+            }
+        }
         if self.record {
             self.fd[seq] = cycle;
         }
@@ -211,16 +337,16 @@ impl<'a> Resolver<'a> {
         }
     }
 
-    /// Parks `seq` on `dep`'s completion wake list.
+    /// Parks `seq` on the incomplete producer `dep`, whose `complete`
+    /// entry is `entry`.
     #[inline]
-    fn register_waiter(&mut self, seq: usize, dep: usize) {
-        self.waiter_next[seq] = self.waiter_head[dep];
-        self.waiter_head[dep] = seq as u32;
+    fn register_waiter(&mut self, seq: usize, dep: usize, entry: u64) {
+        self.complete[dep] = self.waits.park(entry, seq as u32);
     }
 
     /// One resolution attempt: a single forward sweep over `seq`'s packed
-    /// dep slice. At the first incomplete producer it parks `seq` on that
-    /// producer's wake list and changes nothing else — the renaming
+    /// dep slice. At the first incomplete producer it parks `seq` in that
+    /// producer's wait cell and changes nothing else — the renaming
     /// counters are tallied in locals, so a retry never double-counts.
     /// Otherwise it writes the stage cycles, the counters and the
     /// completion in place, queues the woken consumers for the next
@@ -236,11 +362,15 @@ impl<'a> Resolver<'a> {
     ) {
         let arena = self.arena;
         let tagged = self.complete[seq];
+        let my_fd = if tagged & WAITED != 0 {
+            self.waits.cells[tagged as u32 as usize].fetch
+        } else {
+            tagged & !INCOMPLETE
+        };
         debug_assert!(
-            tagged >= INCOMPLETE && tagged != UNKNOWN,
+            tagged >= INCOMPLETE && tagged != UNKNOWN && my_fd != UNKNOWN,
             "queued instructions are fetched and unresolved"
         );
-        let my_fd = tagged & !INCOMPLETE;
         let my_section = arena.section(seq);
         let my_rr = my_fd + 1;
         let my_core = core_of[my_section.0];
@@ -257,7 +387,7 @@ impl<'a> Resolver<'a> {
                 }
                 SourceKind::InitialRegister | SourceKind::InitialMemory => 0,
                 SourceKind::Local { producer } => match self.complete[producer] {
-                    c if c >= INCOMPLETE => return self.register_waiter(seq, producer),
+                    c if c >= INCOMPLETE => return self.register_waiter(seq, producer, c),
                     c => {
                         if c > my_fd {
                             available_at_fetch = false;
@@ -271,7 +401,7 @@ impl<'a> Resolver<'a> {
                 } => {
                     available_at_fetch = false;
                     let c = match self.complete[producer] {
-                        c if c >= INCOMPLETE => return self.register_waiter(seq, producer),
+                        c if c >= INCOMPLETE => return self.register_waiter(seq, producer, c),
                         c => c,
                     };
                     remote_reg += 1;
@@ -308,7 +438,7 @@ impl<'a> Resolver<'a> {
                         a + self.config.dmh_latency
                     }
                     SourceKind::Local { producer } => match self.complete[producer] {
-                        c if c >= INCOMPLETE => return self.register_waiter(seq, producer),
+                        c if c >= INCOMPLETE => return self.register_waiter(seq, producer, c),
                         c => c.max(a + 1),
                     },
                     SourceKind::Remote {
@@ -316,7 +446,7 @@ impl<'a> Resolver<'a> {
                         producer_section,
                     } => {
                         let c = match self.complete[producer] {
-                            c if c >= INCOMPLETE => return self.register_waiter(seq, producer),
+                            c if c >= INCOMPLETE => return self.register_waiter(seq, producer, c),
                             c => c,
                         };
                         remote_mem += 1;
@@ -349,10 +479,8 @@ impl<'a> Resolver<'a> {
         self.fork_copied_sources += u64::from(fork_copied);
         self.dmh_accesses += u64::from(dmh);
         completions.push((seq, completion));
-        let mut waiter = std::mem::replace(&mut self.waiter_head[seq], NO_WAITER);
-        while waiter != NO_WAITER {
-            self.queue.push(waiter);
-            waiter = std::mem::replace(&mut self.waiter_next[waiter as usize], NO_WAITER);
+        if tagged & WAITED != 0 {
+            self.waits.release(tagged as u32 as usize, &mut self.queue);
         }
         self.advance_retirement(seq, probe);
     }
@@ -401,8 +529,8 @@ impl<'a> Resolver<'a> {
 /// at fetch time: all of its register/flags sources are already full in the
 /// local register file (fork-copied, initial, or produced locally and
 /// complete no later than the fetch cycle). The `complete` column's
-/// incomplete encodings (`UNKNOWN`, `INCOMPLETE | fd`) both sit at or
-/// above 2^63 — far past any reachable fetch cycle — so the one
+/// incomplete encodings (`UNKNOWN`, `INCOMPLETE | fd`,
+/// `INCOMPLETE | WAITED | cell`) all sit at or above 2^63 — far past any reachable fetch cycle — so the one
 /// comparison below covers them without unpacking.
 pub(crate) fn fetch_computable(
     arena: &TraceArena,
@@ -418,4 +546,176 @@ pub(crate) fn fetch_computable(
         SourceKind::Local { producer } => complete[producer] <= fetch_cycle,
         SourceKind::Remote { .. } => false,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use parsecs_machine::{Location, TraceKind};
+    use parsecs_obs::NoopProbe;
+    use parsecs_trace::{SectionSpan, SourceDep};
+
+    /// One single-instruction section per entry, each reading the
+    /// outputs of the listed earlier instructions as remote registers.
+    fn arena_of(producers: &[&[usize]]) -> TraceArena {
+        let mut arena = TraceArena::new();
+        for (seq, deps) in producers.iter().enumerate() {
+            let sources: Vec<SourceDep> = deps
+                .iter()
+                .map(|&producer| SourceDep {
+                    location: Location::Flags,
+                    kind: SourceKind::Remote {
+                        producer,
+                        producer_section: SectionId(producer),
+                    },
+                })
+                .collect();
+            let id = SectionId(seq);
+            arena.push_record(seq, "nop", id, TraceKind::Other, false, &sources, &[], &[]);
+            arena.push_section(SectionSpan {
+                id,
+                start: seq,
+                end: seq + 1,
+                creator: None,
+                start_ip: seq,
+            });
+        }
+        arena
+    }
+
+    /// Drives a resolver over `arena` on a chip with one core per
+    /// section.
+    struct Harness<'a> {
+        resolver: Resolver<'a>,
+        network: Network<SectionId>,
+        core_of: Vec<CoreId>,
+    }
+
+    impl<'a> Harness<'a> {
+        fn new(config: &'a SimConfig, arena: &'a TraceArena) -> Harness<'a> {
+            Harness {
+                resolver: Resolver::new(config, arena, arena.len()),
+                network: Network::new(config.effective_topology(), config.noc),
+                core_of: (0..arena.sections().len()).map(CoreId).collect(),
+            }
+        }
+
+        /// Fetches `seqs` at `cycle`, drains, and returns the trace
+        /// indices completed by the drain, in completion order.
+        fn cycle(&mut self, cycle: u64, seqs: &[usize]) -> Vec<usize> {
+            for &seq in seqs {
+                self.resolver.fetch(seq, cycle);
+            }
+            let mut completions = Vec::new();
+            self.resolver.drain(
+                &self.network,
+                &self.core_of,
+                &mut completions,
+                cycle,
+                &mut NoopProbe,
+            );
+            completions.into_iter().map(|(seq, _)| seq).collect()
+        }
+
+        /// The consumers parked on `producer`, newest first.
+        fn waiters(&self, producer: usize) -> Vec<u32> {
+            let pool = &self.resolver.waits;
+            let Some(cell) = WaitPool::cell_of(self.resolver.complete[producer]) else {
+                return Vec::new();
+            };
+            let mut waiters = Vec::new();
+            let mut link = pool.cells[cell].head;
+            while link != NIL {
+                waiters.push(pool.links[link as usize].waiter);
+                link = pool.links[link as usize].next;
+            }
+            waiters
+        }
+
+        fn cell_fetch(&self, producer: usize) -> u64 {
+            let cell = WaitPool::cell_of(self.resolver.complete[producer]).expect("waited on");
+            self.resolver.waits.cells[cell].fetch
+        }
+    }
+
+    fn config() -> SimConfig {
+        SimConfig::with_cores(8)
+    }
+
+    #[test]
+    fn a_cell_carries_a_later_fetch_cycle_into_its_producer() {
+        let arena = arena_of(&[&[], &[0]]);
+        let config = config();
+        let mut h = Harness::new(&config, &arena);
+        assert!(h.cycle(1, &[1]).is_empty());
+        assert!(h.resolver.has_waiters());
+        assert_eq!(h.waiters(0), [1]);
+        assert_eq!(h.cell_fetch(0), UNKNOWN, "the producer is not fetched yet");
+        assert_eq!(h.cycle(4, &[0]), [0, 1]);
+        // A producer with no sources executes in its fetch stage, so its
+        // `ew` is the fetch cycle its cell held.
+        assert_eq!(h.resolver.ew[0], 4);
+        assert_eq!(h.resolver.completion(0), Some(4));
+        assert!(h.resolver.completion(1).is_some());
+        assert!(!h.resolver.has_waiters());
+        assert_eq!(h.resolver.resolved, 2);
+    }
+
+    #[test]
+    fn a_consumer_parks_on_a_fetched_but_incomplete_producer() {
+        let arena = arena_of(&[&[], &[0], &[1]]);
+        let config = config();
+        let mut h = Harness::new(&config, &arena);
+        assert!(h.cycle(1, &[1]).is_empty());
+        assert!(h.cycle(2, &[2]).is_empty());
+        // 1 is fetched but waits on 0, so 2 opens a cell on 1 that holds
+        // 1's fetch cycle.
+        assert_eq!(h.cell_fetch(1), 1);
+        assert_eq!((h.waiters(0), h.waiters(1)), (vec![1], vec![2]));
+        assert_eq!(h.cycle(3, &[0]), [0, 1, 2]);
+        assert!(!h.resolver.has_waiters());
+
+        // Parking changes no timing: the same fetch cycles resolved in
+        // one drain, producers first, give the same stage columns.
+        let mut direct = Harness::new(&config, &arena);
+        direct.resolver.fetch(1, 1);
+        direct.resolver.fetch(2, 2);
+        assert_eq!(direct.cycle(3, &[0]), [0, 1, 2]);
+        assert_eq!(
+            h.resolver.into_stage_columns(),
+            direct.resolver.into_stage_columns()
+        );
+    }
+
+    #[test]
+    fn three_consumers_on_one_producer_each_wake_exactly_once() {
+        let arena = arena_of(&[&[], &[0], &[0], &[0]]);
+        let config = config();
+        let mut h = Harness::new(&config, &arena);
+        assert!(h.cycle(1, &[1, 2, 3]).is_empty());
+        assert_eq!(h.waiters(0), [3, 2, 1]);
+        assert_eq!(h.resolver.waits.cells.len(), 1);
+        assert_eq!(h.cycle(2, &[0]), [0, 1, 2, 3]);
+        assert!(!h.resolver.has_waiters());
+        assert_eq!(h.resolver.resolved, 4);
+    }
+
+    #[test]
+    fn a_freed_cell_and_its_links_are_reused_with_no_leftover_waiter() {
+        let arena = arena_of(&[&[], &[], &[0], &[1], &[], &[4]]);
+        let config = config();
+        let mut h = Harness::new(&config, &arena);
+        assert!(h.cycle(1, &[2, 3]).is_empty());
+        assert_eq!((h.waiters(0), h.waiters(1)), (vec![2], vec![3]));
+        // Both cells and both links go back to their free lists.
+        assert_eq!(h.cycle(2, &[0, 1]), [0, 1, 2, 3]);
+        assert!(!h.resolver.has_waiters());
+        assert!(h.cycle(3, &[5]).is_empty());
+        let pool = &h.resolver.waits;
+        assert_eq!((pool.cells.len(), pool.links.len()), (2, 2), "reused");
+        assert_eq!(h.waiters(4), [5], "no waiter of the cell's last use");
+        assert_eq!(h.cycle(4, &[4]), [4, 5]);
+        assert!(!h.resolver.has_waiters());
+        assert_eq!(h.resolver.resolved, 6);
+    }
 }

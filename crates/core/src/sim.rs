@@ -36,8 +36,9 @@
 //! and the pending stall-handoff requeue events. While any core acts the
 //! clock steps one cycle; otherwise it jumps straight to the earliest
 //! event.
-//! Dependence resolution uses producer→consumer wake-up lists, so a
-//! queued instruction is touched only when one of its inputs completes.
+//! Dependence resolution parks a consumer in its producer's wait cell,
+//! so a queued instruction is touched only when one of its inputs
+//! completes.
 //!
 //! Fetch stalls follow the **in-order handoff model**
 //! ([`crate::chip::StallTable`]): a control
@@ -138,17 +139,18 @@ impl SimResult {
     /// section spans, outputs). The number that, added to
     /// [`SimStats::trace_arena_bytes`], caps how many instructions a
     /// chip-scale run can hold resident; a stats-only run keeps no stage
-    /// columns, cutting this from ~48 to ~17 bytes per instruction.
-    /// Derived from logical sizes (transient scratch like the wake queue
-    /// and per-core state is excluded), so it is deterministic.
+    /// columns, cutting this from ~40 to ~9 bytes per instruction on
+    /// `synth_histogram` (~47 to ~16 on `fan_chain`, whose many sections
+    /// add per-section cursors). Derived from logical sizes (transient
+    /// scratch like the wake queue, the wait pool and per-core state is
+    /// excluded), so it is deterministic.
     pub fn sim_state_bytes(&self) -> u64 {
         use std::mem::size_of;
         let n = self.stats.instructions;
         let sections = self.sections.len() as u64;
-        // Two wake-list links always, and the tagged completion column,
-        // which a recording run moves into the stage table (counted
-        // there with the fd/ew/ret columns).
-        let resolver = n * 8 + if self.timings_recorded { 0 } else { n * 8 };
+        // The tagged completion column, which a recording run moves into
+        // the stage table (counted there with the fd/ew/ret columns).
+        let resolver = if self.timings_recorded { 0 } else { n * 8 };
         // Retirement cursors (u32 + u64), stall resume point, one
         // fork→created-section map entry, placement.
         let per_section = sections * (12 + 8 + 24 + 8);
@@ -549,7 +551,8 @@ impl ManyCoreSim {
     /// the resolver with sentinel cycles — the stall/wake model broke
     /// down, and sentinels must never leak into reported timings (a hard
     /// check, release builds included: one scan over the stage columns
-    /// the recording run moves out of the resolver) — when a core's
+    /// the recording run moves out of the resolver) — when a consumer is
+    /// still parked in a wait cell (one comparison), when a core's
     /// cycle attribution does not tile the run (see
     /// [`untiled_attribution`]), or when a validated run breaks a
     /// contract of its attached report (see [`broken_contract`]).
@@ -598,6 +601,14 @@ impl ManyCoreSim {
             attribution,
         };
         let resolved = resolver.resolved as u64;
+        if resolver.has_waiters() {
+            return Err(SimError::Diverged {
+                reason: "left a consumer waiting",
+                cycle: total_cycles,
+                resolved,
+                instructions,
+            });
+        }
 
         let stages = if self.config.record_timings {
             StageColumns::record(arena, resolver.into_stage_columns()).ok_or(
@@ -923,6 +934,63 @@ mod tests {
             } => {
                 assert_eq!(reason, "left an instruction unresolved");
                 assert_eq!((resolved, instructions), (0, 1));
+            }
+            other => panic!("expected a divergence, got {other}"),
+        }
+    }
+
+    /// The release-build wait-pool check: a stats-only run that ends
+    /// with a consumer still parked in a wait cell must be refused.
+    #[test]
+    fn finish_refuses_a_run_that_left_a_consumer_waiting() {
+        let mut arena = TraceArena::new();
+        let producer = parsecs_trace::SourceDep {
+            location: Location::Flags,
+            kind: SourceKind::Remote {
+                producer: 0,
+                producer_section: SectionId(0),
+            },
+        };
+        for (seq, sources) in [[].as_slice(), &[producer]].into_iter().enumerate() {
+            let id = SectionId(seq);
+            arena.push_record(seq, "nop", id, TraceKind::Other, false, sources, &[], &[]);
+            arena.push_section(SectionSpan {
+                id,
+                start: seq,
+                end: seq + 1,
+                creator: None,
+                start_ip: seq,
+            });
+        }
+        let sim = ManyCoreSim::new(SimConfig::with_cores(2).stats_only());
+        let config = sim.config();
+        let core_of = vec![CoreId(0), CoreId(1)];
+        let network = Network::new(config.effective_topology(), config.noc);
+        let mut resolver = Resolver::new(config, &arena, arena.len());
+        // The consumer is fetched and parks on the never-fetched producer.
+        resolver.fetch(1, 1);
+        resolver.drain(&network, &core_of, &mut Vec::new(), 1, &mut NoopProbe);
+        let err = sim
+            .finish(
+                &arena,
+                resolver,
+                core_of,
+                &[1, 1],
+                NocStats::default(),
+                0,
+                None,
+                vec![CoreBreakdown::default(); 2],
+            )
+            .expect_err("a parked consumer must be refused");
+        match err {
+            SimError::Diverged {
+                reason,
+                resolved,
+                instructions,
+                ..
+            } => {
+                assert_eq!(reason, "left a consumer waiting");
+                assert_eq!((resolved, instructions), (0, 2));
             }
             other => panic!("expected a divergence, got {other}"),
         }
