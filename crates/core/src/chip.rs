@@ -42,8 +42,7 @@ pub(crate) struct ChipState {
     /// place (`NO_STALL` = not stalled).
     pub(crate) stall_on: Vec<u32>,
     /// Cycle of each core's outstanding wake-up event (`NO_WAKE` =
-    /// none). Wake-up heap entries that no longer match are stale and
-    /// dropped.
+    /// none); the wake-up heap holds exactly one entry for it.
     pub(crate) wake_at: Vec<u64>,
     /// Total sections ever hosted (delivered) per core.
     pub(crate) sections_hosted: Vec<u32>,

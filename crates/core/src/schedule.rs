@@ -14,9 +14,10 @@
 //! finishes this cycle's walk and is gone from the next one.
 //!
 //! A fetch writes the tagged `complete[seq] = INCOMPLETE | cycle` at
-//! once. No other core's same-cycle predicate
-//! ([`Resolver::completion`], `fetch_computable`) can tell it from the
-//! `UNKNOWN` it replaces: both sit at or above `INCOMPLETE`.
+//! once, or the cycle into the wait cell of a producer that consumers
+//! already wait on. No other core's same-cycle predicate
+//! ([`Resolver::completion`], `fetch_computable`) can tell either from
+//! the entry it replaces: all sit at or above `INCOMPLETE`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -77,9 +78,8 @@ pub(crate) struct Schedule {
     /// later event, so a core fetching straight-line code costs no
     /// scheduling work.
     pub(crate) acting: CoreSet,
-    /// Pending `(cycle, core)` wake-ups, earliest first. An entry is
-    /// *stale* when the core's `wake_at` no longer matches it (a sooner
-    /// wake-up replaced it); it is dropped when it falls due.
+    /// Pending `(cycle, core)` wake-ups, earliest first: at most one per
+    /// core, matching the core's `wake_at`.
     wakes: BinaryHeap<Reverse<(u64, usize)>>,
     /// Cores that entered a fetch stall this cycle; the post-drain
     /// dispatch parks or reschedules them.
@@ -95,13 +95,16 @@ impl Schedule {
         }
     }
 
-    /// Registers `at` as core `idx`'s next wake-up cycle (keeping the
-    /// earlier one when the core already has a sooner event).
+    /// Registers `at` as core `idx`'s next wake-up cycle. An idle core
+    /// is woken for the cycle that hands it a section, so a second
+    /// hand-over in that cycle finds the same wake-up already pending.
     pub(crate) fn wake(&mut self, chip: &mut ChipState, idx: usize, at: u64) {
         let existing = chip.wake_at[idx];
-        if existing == NO_WAKE || existing > at {
+        if existing == NO_WAKE {
             chip.wake_at[idx] = at;
             self.wakes.push(Reverse((at, idx)));
+        } else {
+            debug_assert_eq!(existing, at, "one pending wake-up per core");
         }
     }
 
@@ -112,13 +115,12 @@ impl Schedule {
         self.wakes.push(Reverse((at, idx)));
     }
 
-    /// Number of pending wake-ups, stale ones included.
+    /// Number of pending wake-ups.
     pub(crate) fn pending(&self) -> usize {
         self.wakes.len()
     }
 
-    /// The earliest pending wake-up cycle (possibly a stale one: visiting
-    /// it only drops the entry).
+    /// The earliest pending wake-up cycle.
     pub(crate) fn next_wake(&self) -> Option<u64> {
         self.wakes.peek().map(|&Reverse((at, _))| at)
     }
@@ -238,10 +240,9 @@ pub(crate) fn walk<P: SimProbe>(schedule: &mut Schedule, mut w: Walk<'_, '_, P>)
             break;
         }
         schedule.wakes.pop();
-        if w.chip.wake_at[idx] == cycle {
-            w.chip.wake_at[idx] = NO_WAKE;
-            schedule.acting.insert(idx);
-        }
+        debug_assert_eq!(w.chip.wake_at[idx], cycle, "a due wake-up is the core's");
+        w.chip.wake_at[idx] = NO_WAKE;
+        schedule.acting.insert(idx);
     }
     for slot in 0..schedule.acting.words.len() {
         // A copy: a step that clears its core's bit in the set leaves

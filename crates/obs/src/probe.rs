@@ -72,7 +72,8 @@ pub struct TickGauges {
     /// a next-cycle stall. A core that holds a section but sleeps until a
     /// later stall release is not counted.
     pub running: u64,
-    /// Pending entries in the engine's wake-up heap, stale ones included.
+    /// Pending entries in the engine's wake-up heap, at most one per
+    /// core.
     pub calendar_depth: u64,
     /// Section-creation messages in flight on the NoC.
     pub noc_in_flight: u64,
