@@ -71,9 +71,9 @@ CATALOGUE = [
     {
         "name": "due-wake-not-cleared",
         "file": "crates/core/src/schedule.rs",
-        "old": "            w.chip.wake_at[idx] = NO_WAKE;\n"
-        "            schedule.acting.insert(idx);\n",
-        "new": "            schedule.acting.insert(idx);\n",
+        "old": "        w.chip.wake_at[idx] = NO_WAKE;\n"
+        "        schedule.acting.insert(idx);\n",
+        "new": "        schedule.acting.insert(idx);\n",
         "reason": "a due wake-up joins the acting set but leaves wake_at set, "
         "so a later wake-up of that core is dropped",
     },
@@ -117,6 +117,43 @@ CATALOGUE = [
         "new": "network.latency(consumer, producer) + 0 * gap",
         "reason": "a renaming request passes the sections between consumer and "
         "producer for free",
+    },
+    {
+        "name": "fetch-overwrites-waited",
+        "file": "crates/core/src/drain.rs",
+        "old": """        let entry = self.complete[seq];
+        match WaitPool::cell_of(entry) {
+            Some(cell) => {
+                debug_assert_eq!(self.waits.cells[cell].fetch, UNKNOWN, "fetched once");
+                self.waits.cells[cell].fetch = cycle;
+            }
+            None => {
+                debug_assert_eq!(entry, UNKNOWN, "fetched once");
+                self.complete[seq] = INCOMPLETE | cycle;
+            }
+        }
+""",
+        "new": "        self.complete[seq] = INCOMPLETE | cycle;\n",
+        "reason": "the fetch of a producer that consumers already wait on "
+        "overwrites its wait-cell entry, losing the waiters",
+    },
+    {
+        "name": "completion-skips-wake-walk",
+        "file": "crates/core/src/drain.rs",
+        "old": "        if tagged & WAITED != 0 {\n"
+        "            self.waits.release(tagged as u32 as usize, &mut self.queue);\n"
+        "        }\n",
+        "new": "",
+        "reason": "a completing producer neither wakes its waiters nor frees "
+        "its wait cell",
+    },
+    {
+        "name": "reused-cell-keeps-old-head",
+        "file": "crates/core/src/drain.rs",
+        "old": "            self.cells[index] = cell;\n",
+        "new": "            self.cells[index].fetch = cell.fetch;\n",
+        "reason": "a wait cell taken from the free list keeps its free-list "
+        "link as its first waiter",
     },
 ]
 
