@@ -162,8 +162,8 @@ fn build_grid(quick: bool) -> Vec<Workload> {
             headline_100m: false,
         },
         // The 100M-instruction regime: only reachable stats-only — a
-        // recording run would hold ~150 B/insn of simulator state (15 GB)
-        // against the stats-only ~17.
+        // recording run would hold ~47 B/insn of simulator state beside
+        // a full arena (~11 GB in all) against the stats-only ~16.
         Workload {
             name: format!("fan_chain-{chains}x{big_links}"),
             program: scale::fan_chain_program(chains, big_links, seed),

@@ -58,9 +58,10 @@ pub struct SimConfig {
     /// empty. Stats-only runs keep none of the table's columns: the
     /// resolver's `fd`/`ew`/`ret` columns and the 7 B/instruction a
     /// recording run copies from the arena, 31 B/instruction in all,
-    /// cutting the simulator's per-instruction resident state from ~48
-    /// to ~17 bytes — the switch that lets 100M-instruction chip-scale
-    /// cells fit. On by default.
+    /// cutting the simulator's per-instruction resident state from ~40
+    /// to ~9 bytes on `synth_histogram` (~47 to ~16 on `fan_chain`) —
+    /// the switch that lets 100M-instruction chip-scale cells fit. On by
+    /// default.
     pub record_timings: bool,
     /// Whether the engine runs the full static analysis of
     /// `parsecs-check` over the arena before simulating: the invariant
