@@ -362,15 +362,15 @@ impl<'a> Resolver<'a> {
     ) {
         let arena = self.arena;
         let tagged = self.complete[seq];
+        debug_assert!(
+            tagged >= INCOMPLETE && tagged != UNKNOWN,
+            "queued instructions are fetched and unresolved"
+        );
         let my_fd = if tagged & WAITED != 0 {
             self.waits.cells[tagged as u32 as usize].fetch
         } else {
             tagged & !INCOMPLETE
         };
-        debug_assert!(
-            tagged >= INCOMPLETE && tagged != UNKNOWN && my_fd != UNKNOWN,
-            "queued instructions are fetched and unresolved"
-        );
         let my_section = arena.section(seq);
         let my_rr = my_fd + 1;
         let my_core = core_of[my_section.0];
@@ -530,7 +530,8 @@ impl<'a> Resolver<'a> {
 /// local register file (fork-copied, initial, or produced locally and
 /// complete no later than the fetch cycle). The `complete` column's
 /// incomplete encodings (`UNKNOWN`, `INCOMPLETE | fd`,
-/// `INCOMPLETE | WAITED | cell`) all sit at or above 2^63 — far past any reachable fetch cycle — so the one
+/// `INCOMPLETE | WAITED | cell`) all sit at or above 2^63 — far past any
+/// reachable fetch cycle — so the one
 /// comparison below covers them without unpacking.
 pub(crate) fn fetch_computable(
     arena: &TraceArena,
@@ -549,7 +550,7 @@ pub(crate) fn fetch_computable(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use parsecs_machine::{Location, TraceKind};
     use parsecs_obs::NoopProbe;
@@ -557,7 +558,7 @@ mod tests {
 
     /// One single-instruction section per entry, each reading the
     /// outputs of the listed earlier instructions as remote registers.
-    fn arena_of(producers: &[&[usize]]) -> TraceArena {
+    pub(crate) fn arena_of(producers: &[&[usize]]) -> TraceArena {
         let mut arena = TraceArena::new();
         for (seq, deps) in producers.iter().enumerate() {
             let sources: Vec<SourceDep> = deps
@@ -585,14 +586,14 @@ mod tests {
 
     /// Drives a resolver over `arena` on a chip with one core per
     /// section.
-    struct Harness<'a> {
-        resolver: Resolver<'a>,
+    pub(crate) struct Harness<'a> {
+        pub(crate) resolver: Resolver<'a>,
         network: Network<SectionId>,
-        core_of: Vec<CoreId>,
+        pub(crate) core_of: Vec<CoreId>,
     }
 
     impl<'a> Harness<'a> {
-        fn new(config: &'a SimConfig, arena: &'a TraceArena) -> Harness<'a> {
+        pub(crate) fn new(config: &'a SimConfig, arena: &'a TraceArena) -> Harness<'a> {
             Harness {
                 resolver: Resolver::new(config, arena, arena.len()),
                 network: Network::new(config.effective_topology(), config.noc),
@@ -602,7 +603,7 @@ mod tests {
 
         /// Fetches `seqs` at `cycle`, drains, and returns the trace
         /// indices completed by the drain, in completion order.
-        fn cycle(&mut self, cycle: u64, seqs: &[usize]) -> Vec<usize> {
+        pub(crate) fn cycle(&mut self, cycle: u64, seqs: &[usize]) -> Vec<usize> {
             for &seq in seqs {
                 self.resolver.fetch(seq, cycle);
             }

@@ -943,38 +943,17 @@ mod tests {
     /// with a consumer still parked in a wait cell must be refused.
     #[test]
     fn finish_refuses_a_run_that_left_a_consumer_waiting() {
-        let mut arena = TraceArena::new();
-        let producer = parsecs_trace::SourceDep {
-            location: Location::Flags,
-            kind: SourceKind::Remote {
-                producer: 0,
-                producer_section: SectionId(0),
-            },
-        };
-        for (seq, sources) in [[].as_slice(), &[producer]].into_iter().enumerate() {
-            let id = SectionId(seq);
-            arena.push_record(seq, "nop", id, TraceKind::Other, false, sources, &[], &[]);
-            arena.push_section(SectionSpan {
-                id,
-                start: seq,
-                end: seq + 1,
-                creator: None,
-                start_ip: seq,
-            });
-        }
+        use crate::drain::tests::{arena_of, Harness};
+        let arena = arena_of(&[&[], &[0]]);
         let sim = ManyCoreSim::new(SimConfig::with_cores(2).stats_only());
-        let config = sim.config();
-        let core_of = vec![CoreId(0), CoreId(1)];
-        let network = Network::new(config.effective_topology(), config.noc);
-        let mut resolver = Resolver::new(config, &arena, arena.len());
+        let mut h = Harness::new(sim.config(), &arena);
         // The consumer is fetched and parks on the never-fetched producer.
-        resolver.fetch(1, 1);
-        resolver.drain(&network, &core_of, &mut Vec::new(), 1, &mut NoopProbe);
+        assert!(h.cycle(1, &[1]).is_empty());
         let err = sim
             .finish(
                 &arena,
-                resolver,
-                core_of,
+                h.resolver,
+                h.core_of,
                 &[1, 1],
                 NocStats::default(),
                 0,
