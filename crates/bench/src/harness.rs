@@ -1,7 +1,7 @@
-//! The measurement harness of the perf bins (`repro_perf`, `repro_scale`,
-//! `arena_check`): their shared command-line flags, the interleaved
-//! best-of timer, the Chrome-trace export and the `FAIL:` exit. Each bin
-//! keeps its own grid, rows, JSON schema and gates.
+//! The measurement harness of `repro_perf` and `repro_ablation`: their
+//! shared command-line flags, the interleaved best-of timer, the
+//! Chrome-trace export and the `FAIL:` exit. Each bin keeps its own
+//! grid, rows, JSON schema and gates.
 
 use std::io::BufWriter;
 use std::time::Instant;
@@ -11,10 +11,8 @@ use parsecs_core::{ChromeTraceWriter, ManyCoreSim, SimResult, TraceArena};
 /// What one bin accepts on its command line.
 #[derive(Debug)]
 pub struct Cli {
-    /// Every flag the bin accepts, in usage order: any of the shared
-    /// `--quick`, `--validate`, `--json [PATH]` and
-    /// `--trace-out PATH`, plus the bin's own boolean switches (read
-    /// back with [`Flags::switch`]).
+    /// Every flag the bin accepts, in usage order: any of `--quick`,
+    /// `--validate`, `--json [PATH]` and `--trace-out PATH`.
     pub flags: &'static [&'static str],
     /// Where `--json` without a path writes.
     pub json_default: &'static str,
@@ -31,7 +29,6 @@ pub struct Flags {
     pub json: Option<String>,
     /// `--trace-out PATH`: where to write a Chrome trace.
     pub trace_out: Option<String>,
-    switches: Vec<&'static str>,
 }
 
 impl Cli {
@@ -53,7 +50,6 @@ impl Cli {
             validate: false,
             json: None,
             trace_out: None,
-            switches: Vec::new(),
         };
         let mut args = args.into_iter().peekable();
         while let Some(arg) = args.next() {
@@ -73,7 +69,7 @@ impl Cli {
                 "--trace-out" => {
                     flags.trace_out = Some(args.next().ok_or("--trace-out takes a file path")?);
                 }
-                switch => flags.switches.push(switch),
+                other => unreachable!("{other} is not a harness flag"),
             }
         }
         Ok(flags)
@@ -94,11 +90,6 @@ impl Cli {
 }
 
 impl Flags {
-    /// Whether the bin's own switch `name` (e.g. `--progress`) was given.
-    pub fn switch(&self, name: &str) -> bool {
-        self.switches.contains(&name)
-    }
-
     /// Writes `body()` to the `--json` path, if one was given, and
     /// reports the row count.
     ///
@@ -115,7 +106,7 @@ impl Flags {
 
 /// Runs `run` once and returns its result with the wall time in
 /// milliseconds.
-pub fn timed<T>(run: impl FnOnce() -> T) -> (T, f64) {
+fn timed<T>(run: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
     let result = std::hint::black_box(run());
     (result, start.elapsed().as_secs_f64() * 1e3)
@@ -176,7 +167,7 @@ mod tests {
     use super::*;
 
     const CLI: Cli = Cli {
-        flags: &["--quick", "--progress", "--trace-out", "--json"],
+        flags: &["--quick", "--trace-out", "--json"],
         json_default: "BENCH_x.json",
     };
 
@@ -187,7 +178,7 @@ mod tests {
     #[test]
     fn defaults_apply_when_flags_are_absent() {
         let flags = parse(&[]).unwrap();
-        assert!(!flags.quick && !flags.validate && !flags.switch("--progress"));
+        assert!(!flags.quick && !flags.validate);
         assert_eq!(flags.json, None);
         assert_eq!(flags.trace_out, None);
     }
@@ -197,10 +188,9 @@ mod tests {
         let flags = parse(&["--json", "--quick"]).unwrap();
         assert_eq!(flags.json.as_deref(), Some("BENCH_x.json"));
         assert!(flags.quick);
-        let flags = parse(&["--json", "out.json", "--trace-out", "t.json", "--progress"]).unwrap();
+        let flags = parse(&["--json", "out.json", "--trace-out", "t.json"]).unwrap();
         assert_eq!(flags.json.as_deref(), Some("out.json"));
         assert_eq!(flags.trace_out.as_deref(), Some("t.json"));
-        assert!(flags.switch("--progress"));
     }
 
     #[test]
@@ -208,7 +198,7 @@ mod tests {
         let err = parse(&["--validate"]).unwrap_err();
         assert_eq!(
             err,
-            "unknown argument '--validate' (supported: --quick --progress --trace-out PATH --json [PATH])"
+            "unknown argument '--validate' (supported: --quick --trace-out PATH --json [PATH])"
         );
         assert!(parse(&["--threads", "4"]).is_err());
         assert!(parse(&["--trace-out"]).is_err());

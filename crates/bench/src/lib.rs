@@ -12,7 +12,6 @@
 //! | `repro_sec5_analytic` | §5 — closed-form model vs simulated fetch/retire IPC |
 //! | `repro_ablation` | design-choice ablations (cores, NoC latency, placement, fetch stalls), run as a parallel `Sweep`; `--json [PATH]` emits `BENCH_sweep.json` |
 //! | `repro_perf` | event-driven engine wall clock on ≥1M-instruction workloads, plus the streaming front-end pipeline time and arena footprint; `--json [PATH]` emits `BENCH_sim.json` |
-//! | `repro_scale` | the 256–1024-core, ≥10M-instruction scale table over the streaming arena pipeline; `--json [PATH]` emits `BENCH_scale.json` |
 //!
 //! This crate's library exposes the small amount of shared code the
 //! binaries use — dataset sweeps and ILP measurement for a workload,
@@ -40,10 +39,10 @@ pub const TRACE_FUEL: u64 = 2_000_000_000;
 /// `cores × total_cycles` budget went, additive across the four buckets
 /// (`busy + stalled + parked + idle == cores × total_cycles`).
 ///
-/// The scale binaries surface these sums — plus the fetch-slot
-/// occupancy — on every JSON row through
-/// [`AttributionTotals::append_fields`], so the telemetry schema stays
-/// identical across `BENCH_sim.json` and `BENCH_scale.json`.
+/// `repro_perf` surfaces these sums — plus the fetch-slot occupancy — on
+/// every `BENCH_sim.json` row through
+/// [`AttributionTotals::append_fields`]; the benchmark reads the same
+/// sums.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AttributionTotals {
     /// Cycles with an instruction fetch (or section dequeue) in a slot.

@@ -30,8 +30,9 @@
 //!    `critical_path ≤ lb ≤ cycles` on every validated run.
 //!
 //! The engine runs the whole analysis before simulating when
-//! `SimConfig::validate` is set; the `arena_check` binary runs it over
-//! every workload generator.
+//! `SimConfig::validate` is set; the workspace's
+//! `tests/check_invariants.rs` runs it over every workload generator at
+//! 64, 256 and 1024 cores.
 //!
 //! ## Example
 //!

@@ -24,9 +24,9 @@ pub struct SimConfig {
     /// (round robin by default; see [`SimConfig::with_placement`]).
     pub placement: Placement,
     /// Maximum number of sections placed on a single core
-    /// (`max_section` in the paper). The round-robin placement spills to
-    /// the next core with free capacity; when every core is at capacity the
-    /// limit is relaxed so the run can still complete.
+    /// (`max_section` in the paper). Placements keep to it while any core
+    /// has room; when every core is at capacity the limit is relaxed so
+    /// the run can still complete.
     pub max_sections_per_core: usize,
     /// Cycles to reach the data memory hierarchy (the loader / DMH) when a
     /// memory renaming request reaches the oldest section without finding a

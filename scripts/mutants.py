@@ -80,8 +80,8 @@ CATALOGUE = [
     {
         "name": "round-robin-one-late",
         "file": "crates/core/src/placement.rs",
-        "old": "let preferred = s.id.0 % cores;\n            // Spill",
-        "new": "let preferred = (s.id.0 + 1) % cores;\n            // Spill",
+        "old": ".map(|k| CoreId(k % chip.cores))",
+        "new": ".map(|k| CoreId((k + 1) % chip.cores))",
         "reason": "round robin starts one core late",
     },
     {
@@ -154,6 +154,23 @@ CATALOGUE = [
         "new": "            self.cells[index].fetch = cell.fetch;\n",
         "reason": "a wait cell taken from the free list keeps its free-list "
         "link as its first waiter",
+    },
+    {
+        "name": "finish-keeps-reservation",
+        "file": "crates/trace/src/stream.rs",
+        "old": "        self.arena.set_outputs(outputs);\n"
+        "        self.arena.shrink_to_fit();\n",
+        "new": "        self.arena.set_outputs(outputs);\n",
+        "reason": "a finished arena keeps the whole run's up-front "
+        "reservation, so its footprint counts untouched capacity",
+    },
+    {
+        "name": "memory-bytes-drops-dep-locs",
+        "file": "crates/trace/src/arena.rs",
+        "old": "            + self.dep_locs.capacity() * size_of::<u64>()\n",
+        "new": "",
+        "reason": "the arena's footprint leaves out the column of locations "
+        "its dependences read",
     },
 ]
 

@@ -1,7 +1,8 @@
 //! Mutation corpus for the `parsecs::check` static analysis.
 //!
-//! Every workload generator's arena must come back clean and bounded
-//! (`total_cycles ≥ lb ≥ critical_path` on every chip size). And the validator must actually *detect* broken
+//! Every workload generator's arena must come back clean, bounded
+//! (`total_cycles ≥ lb ≥ critical_path` on every chip size) and within
+//! its footprint bars. And the validator must actually *detect* broken
 //! invariants: these tests rebuild real arenas record-by-record through
 //! the public column builder, inject one targeted corruption — a swapped
 //! dependence edge, an overlapping section span, a stale writer claim, a
@@ -38,48 +39,91 @@ fn dep_at(raw: &RawColumns<'_>, k: usize) -> Dep {
     )
 }
 
-/// One small instance of each `workloads::scale` generator: its name,
-/// program and fuel.
-fn base_program(which: usize, seed: u64) -> (&'static str, Program, u64) {
+/// Instance sizes for the five `workloads::scale` generators.
+struct Sizes {
+    /// `histogram` keys and buckets.
+    histogram: (usize, usize),
+    /// `tree_sum` elements.
+    tree_sum: usize,
+    /// `chain_sum` elements.
+    chain_sum: usize,
+    /// `synth_histogram` keys and buckets.
+    synth_histogram: (usize, usize),
+    /// `fan_chain` chains and links.
+    fan_chain: (usize, usize),
+}
+
+/// The miniature instances the mutation corpus edits.
+const MINIATURE: Sizes = Sizes {
+    histogram: (48, 8),
+    tree_sum: 32,
+    chain_sum: 24,
+    synth_histogram: (64, 16),
+    fan_chain: (4, 4),
+};
+
+/// Instances of 20k–300k instructions in 256–2,048 sections, large
+/// enough that per-instruction footprints are the columns' and not the
+/// fixed overheads'.
+const SCALE: Sizes = Sizes {
+    histogram: (2_000, 64),
+    tree_sum: 4_000,
+    chain_sum: 2_000,
+    synth_histogram: (20_000, 256),
+    fan_chain: (64, 20),
+};
+
+/// One instance of each `workloads::scale` generator: its name, program
+/// and fuel.
+fn scale_program(which: usize, sizes: &Sizes, seed: u64) -> (&'static str, Program, u64) {
     match which % 5 {
-        0 => (
-            "histogram",
-            scale::histogram_program(48, 8, seed),
-            scale::histogram_fuel(48, 8),
-        ),
+        0 => {
+            let (keys, buckets) = sizes.histogram;
+            (
+                "histogram",
+                scale::histogram_program(keys, buckets, seed),
+                scale::histogram_fuel(keys, buckets),
+            )
+        }
         1 => (
             "tree_sum",
-            scale::tree_sum_program(32, seed),
-            scale::tree_sum_fuel(32),
+            scale::tree_sum_program(sizes.tree_sum, seed),
+            scale::tree_sum_fuel(sizes.tree_sum),
         ),
         2 => (
             "chain_sum",
-            scale::chain_sum_program(24, seed),
-            scale::chain_sum_fuel(24),
+            scale::chain_sum_program(sizes.chain_sum, seed),
+            scale::chain_sum_fuel(sizes.chain_sum),
         ),
-        3 => (
-            "synth_histogram",
-            scale::synth_histogram_program(64, 16, seed),
-            scale::synth_histogram_fuel(64, 16),
-        ),
-        _ => (
-            "fan_chain",
-            scale::fan_chain_program(4, 4, seed),
-            scale::fan_chain_fuel(4, 4),
-        ),
+        3 => {
+            let (keys, buckets) = sizes.synth_histogram;
+            (
+                "synth_histogram",
+                scale::synth_histogram_program(keys, buckets, seed),
+                scale::synth_histogram_fuel(keys, buckets),
+            )
+        }
+        _ => {
+            let (chains, links) = sizes.fan_chain;
+            (
+                "fan_chain",
+                scale::fan_chain_program(chains, links, seed),
+                scale::fan_chain_fuel(chains, links),
+            )
+        }
     }
 }
 
-/// The full arena of [`base_program`].
+/// The full arena of a [`MINIATURE`] instance.
 fn base_arena(which: usize, seed: u64) -> (&'static str, TraceArena) {
-    let (name, program, fuel) = base_program(which, seed);
+    let (name, program, fuel) = scale_program(which, &MINIATURE, seed);
     let arena = TraceArena::from_program(&program, fuel).expect("workload halts within fuel");
     (name, arena)
 }
 
-/// The lean arena of [`base_program`]: no locations stored.
+/// The lean arena of a [`MINIATURE`] instance: no locations stored.
 fn base_lean_arena(which: usize, seed: u64) -> (&'static str, TraceArena) {
-    let (name, program, fuel) = base_program(which, seed);
+    let (name, program, fuel) = scale_program(which, &MINIATURE, seed);
     let arena = TraceArena::from_program_lean(&program, fuel).expect("workload halts within fuel");
     (name, arena)
 }
@@ -382,46 +426,124 @@ fn lean_arenas_report_a_corrupt_provenance_tag() {
     );
 }
 
-/// Every `workloads::scale` generator is clean, and the engine retires
-/// at or above the static critical path and the certified schedule
-/// bound at 64, 256 and 1024 cores.
+/// Bytes a finished arena holds: the struct plus each column's length
+/// times its element size, read off the arena's public columns. The
+/// streaming sectioner trims every column to its payload, so this must
+/// equal [`TraceArena::memory_bytes`] exactly.
+fn column_bytes(arena: &TraceArena) -> usize {
+    use std::mem::{size_of, size_of_val};
+    let raw = arena.raw();
+    size_of::<TraceArena>()
+        + size_of_val(raw.ip)
+        + size_of_val(raw.mnemonic_id)
+        + size_of_val(raw.section)
+        + size_of_val(raw.kind_flags)
+        + size_of_val(raw.dep_off)
+        + size_of_val(raw.reg_deps)
+        + size_of_val(raw.write_off)
+        + size_of_val(raw.deps)
+        + size_of_val(raw.dep_locs)
+        + size_of_val(raw.writes)
+        + size_of_val(raw.mnemonics)
+        + size_of_val(arena.sections())
+        + size_of_val(arena.outputs())
+}
+
+/// Arena footprint bar, in bytes per instruction (full and lean arenas
+/// alike).
+const ARENA_BYTES_PER_INSN: f64 = 120.0;
+
+/// Total footprint bar of a stats-only run over a lean arena (arena plus
+/// simulator state), in bytes per instruction.
+const STATS_ONLY_BYTES_PER_INSN: f64 = 80.0;
+
+/// Every `workloads::scale` generator, at [`MINIATURE`] and [`SCALE`]
+/// sizes, is clean; its arenas' footprint is exactly the columns'
+/// payload; and at 64, 256 and 1024 cores the engine retires at or
+/// above the static critical path and the certified schedule bound,
+/// with a progress verdict attached. A validated run that forced a
+/// stall release on a `Proven` placement returns `Diverged`, so no
+/// proven cell deadlocks. The arenas stay within
+/// [`ARENA_BYTES_PER_INSN`], and a stats-only run over the lean arena,
+/// which must retire in the same cycles, within
+/// [`STATS_ONLY_BYTES_PER_INSN`].
 #[test]
 fn scale_generators_are_certified_and_bounded_across_chip_sizes() {
-    for which in 0..5 {
-        let (name, arena) = base_arena(which, 23);
-        let report = check_arena(&arena);
-        assert!(report.is_clean(), "{name}: {report}");
-        let bounds = report.bounds.as_ref().expect("clean arenas are bounded");
-        for cores in [64, 256, 1024] {
-            let result = ManyCoreSim::new(SimConfig::with_cores(cores).stats_only().validated())
-                .simulate_arena(&arena)
-                .expect("validated simulation succeeds");
-            let attached = result
-                .check
-                .as_ref()
-                .expect("validated run attaches a report");
-            assert!(
-                result.stats.total_cycles >= bounds.critical_path,
-                "{name} at {cores} cores: {} cycles undercut the critical path {}",
-                result.stats.total_cycles,
-                bounds.critical_path
-            );
-            // The config-aware pass sandwiches between the
-            // config-independent critical path and the measurement on
-            // every chip size.
-            let schedule = attached
-                .schedule
-                .as_ref()
-                .expect("validated runs attach schedule bounds");
-            assert!(
-                bounds.critical_path <= schedule.lb && schedule.lb <= result.stats.total_cycles,
-                "{name} at {cores} cores: lb sandwich broken \
-                 ({} / {} / {}, {} binding)",
-                bounds.critical_path,
-                schedule.lb,
-                result.stats.total_cycles,
-                schedule.binding
-            );
+    for (sizes, seed) in [(&MINIATURE, 23), (&SCALE, 7)] {
+        for which in 0..5 {
+            let (name, program, fuel) = scale_program(which, sizes, seed);
+            let arena = TraceArena::from_program(&program, fuel).expect("workload halts");
+            let lean = TraceArena::from_program_lean(&program, fuel).expect("workload halts");
+            for built in [&arena, &lean] {
+                assert_eq!(
+                    built.memory_bytes(),
+                    column_bytes(built),
+                    "{name} (lean {}): memory_bytes is not the columns' payload",
+                    !built.records_locations()
+                );
+                assert!(
+                    built.bytes_per_instruction() <= ARENA_BYTES_PER_INSN,
+                    "{name} (lean {}): arena {:.1} B/insn exceeds {ARENA_BYTES_PER_INSN}",
+                    !built.records_locations(),
+                    built.bytes_per_instruction()
+                );
+            }
+            let report = check_arena(&arena);
+            assert!(report.is_clean(), "{name}: {report}");
+            let bounds = report.bounds.as_ref().expect("clean arenas are bounded");
+            for cores in [64, 256, 1024] {
+                let result =
+                    ManyCoreSim::new(SimConfig::with_cores(cores).stats_only().validated())
+                        .simulate_arena(&arena)
+                        .expect("validated simulation succeeds");
+                let attached = result
+                    .check
+                    .as_ref()
+                    .expect("validated run attaches a report");
+                let progress = attached
+                    .progress
+                    .as_ref()
+                    .expect("validated runs attach the progress verdict");
+                assert!(
+                    result.stats.forced_stall_releases == 0 || !progress.is_proven(),
+                    "{name} at {cores} cores: deadlocked on a placement proven to progress"
+                );
+                assert!(
+                    result.stats.total_cycles >= bounds.critical_path,
+                    "{name} at {cores} cores: {} cycles undercut the critical path {}",
+                    result.stats.total_cycles,
+                    bounds.critical_path
+                );
+                // The config-aware pass sandwiches between the
+                // config-independent critical path and the measurement on
+                // every chip size.
+                let schedule = attached
+                    .schedule
+                    .as_ref()
+                    .expect("validated runs attach schedule bounds");
+                assert!(
+                    bounds.critical_path <= schedule.lb && schedule.lb <= result.stats.total_cycles,
+                    "{name} at {cores} cores: lb sandwich broken \
+                     ({} / {} / {}, {} binding)",
+                    bounds.critical_path,
+                    schedule.lb,
+                    result.stats.total_cycles,
+                    schedule.binding
+                );
+                let stats_only = ManyCoreSim::new(SimConfig::with_cores(cores).stats_only())
+                    .simulate_arena(&lean)
+                    .expect("stats-only simulation succeeds");
+                assert_eq!(
+                    stats_only.stats.total_cycles, result.stats.total_cycles,
+                    "{name} at {cores} cores: the lean arena retires differently"
+                );
+                assert!(
+                    stats_only.total_bytes_per_instruction() <= STATS_ONLY_BYTES_PER_INSN,
+                    "{name} at {cores} cores: stats-only total {:.1} B/insn exceeds \
+                     {STATS_ONLY_BYTES_PER_INSN}",
+                    stats_only.total_bytes_per_instruction()
+                );
+            }
         }
     }
 }

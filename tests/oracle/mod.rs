@@ -92,27 +92,21 @@ pub fn agree(arena: &TraceArena, config: &SimConfig, result: &SimResult, what: &
 }
 
 /// The core of every section under round robin or least loaded; `None`
-/// under the earliest-finish policies. A core below
-/// `max_sections_per_core` is preferred while the chip has one.
+/// under the earliest-finish policies. Round robin puts the `k`-th
+/// section on core `k % cores`; least loaded prefers a core below
+/// `max_sections_per_core` while the chip has one.
 fn place(arena: &TraceArena, config: &SimConfig) -> Option<Vec<CoreId>> {
     let cores = config.cores;
     let capacity = config.max_sections_per_core;
     let mut hosted = vec![0usize; cores];
     let mut load = vec![0usize; cores];
     let mut core_of = Vec::new();
-    for span in arena.sections() {
+    for (k, span) in arena.sections().iter().enumerate() {
         let has_room = |core: usize| hosted[core] < capacity;
         let chip_full = !(0..cores).any(has_room);
         let core = match config.placement {
-            // The section's turn in creation order, or the next core
-            // round from it that has room.
-            Placement::RoundRobin => {
-                let turn = span.id.0 % cores;
-                (0..cores)
-                    .map(|offset| (turn + offset) % cores)
-                    .find(|&core| chip_full || has_room(core))
-                    .expect("a core")
-            }
+            // The section's turn in creation order.
+            Placement::RoundRobin => k % cores,
             // The fewest instructions so far, lowest id first.
             Placement::LeastLoaded => (0..cores)
                 .filter(|&core| chip_full || has_room(core))
