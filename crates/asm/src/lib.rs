@@ -2,11 +2,9 @@
 //!
 //! The paper's listings are written in AT&T/gas syntax (`addq 8(%rdi),
 //! %rax`, rightmost operand is the destination). This crate turns that text
-//! into a [`parsecs_isa::Program`] and back:
-//!
-//! * [`assemble`] — text → program (labels, `.quad` data, the full
-//!   instruction set including `fork`/`endfork`).
-//! * [`listing`] — program → text in the layout of the paper's figures.
+//! into a [`parsecs_isa::Program`] with [`assemble`] (labels, `.quad`
+//! data, the full instruction set including `fork`/`endfork`). A
+//! program's `Display` output assembles back to the same program.
 //!
 //! ## Example
 //!
@@ -31,8 +29,6 @@
 
 mod error;
 mod parse;
-mod printer;
 
 pub use error::AsmError;
 pub use parse::assemble;
-pub use printer::{listing, listing_numbered};

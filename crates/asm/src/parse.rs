@@ -624,4 +624,44 @@ sum:    cmpq    $2, %rsi        # n>2
         assert_eq!(split_operands("$2, %rsi"), vec!["$2", "%rsi"]);
         assert_eq!(split_operands(""), Vec::<&str>::new());
     }
+
+    const SUM_FORK: &str = r#"
+sum:    cmpq    $2, %rsi
+        ja      .L2
+        movq    (%rdi), %rax
+        jne     .L1
+        addq    8(%rdi), %rax
+.L1:    endfork
+.L2:    movq    %rsi, %rbx
+        shrq    %rsi
+        fork    sum
+        subq    $8, %rsp
+        movq    %rax, 0(%rsp)
+        leaq    (%rdi,%rsi,8), %rdi
+        subq    %rsi, %rbx
+        movq    %rbx, %rsi
+        fork    sum
+        addq    0(%rsp), %rax
+        addq    $8, %rsp
+        endfork
+"#;
+
+    #[test]
+    fn displayed_programs_roundtrip_through_the_assembler() {
+        let p = assemble(SUM_FORK).unwrap();
+        let q = assemble(&p.to_string()).unwrap();
+        assert_eq!(p.insns(), q.insns());
+        assert_eq!(p.labels(), q.labels());
+    }
+
+    #[test]
+    fn displayed_programs_roundtrip_with_data() {
+        let src =
+            "t: .quad 4, 2, 6, 4, 5\nmain: movq $t, %rdi\n movq (%rdi), %rax\n out %rax\n halt";
+        let p = assemble(src).unwrap();
+        let q = assemble(&p.to_string()).unwrap();
+        assert_eq!(p.insns(), q.insns());
+        assert_eq!(p.data(), q.data());
+        assert_eq!(p.entry(), q.entry());
+    }
 }

@@ -3,7 +3,7 @@
 //! as section sizes, and the 45-instruction parallel trace split into five
 //! sections.
 
-use parsecs_core::TraceArena;
+use parsecs_trace::TraceArena;
 use parsecs_workloads::sum;
 
 fn main() {

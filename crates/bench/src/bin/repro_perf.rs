@@ -55,11 +55,12 @@
 
 use parsecs_bench::harness::{best_of, exit_on_failures, write_chrome_trace, Cli};
 use parsecs_bench::{json, AttributionTotals};
-use parsecs_core::{
-    CountingProbe, ManyCoreSim, NoopProbe, Placement, ScheduleBounds, SimConfig, TraceArena,
-};
+use parsecs_check::ScheduleBounds;
+use parsecs_core::{CountingProbe, ManyCoreSim, Placement, SimConfig};
 use parsecs_isa::Program;
 use parsecs_noc::NocConfig;
+use parsecs_obs::NoopProbe;
+use parsecs_trace::TraceArena;
 use parsecs_workloads::scale;
 
 /// Timed rounds per cell (after one untimed warm-up); the best time is

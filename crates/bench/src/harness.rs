@@ -6,7 +6,11 @@
 use std::io::BufWriter;
 use std::time::Instant;
 
-use parsecs_core::{ChromeTraceWriter, ManyCoreSim, SimResult, TraceArena};
+use parsecs_core::{ManyCoreSim, SimResult};
+
+use parsecs_obs::ChromeTraceWriter;
+
+use parsecs_trace::TraceArena;
 
 /// What one bin accepts on its command line.
 #[derive(Debug)]

@@ -14,7 +14,7 @@ use std::fmt::{self, Write as _};
 /// Escapes `s` for a JSON string literal (without the surrounding
 /// quotes): `"` and `\` are backslash-escaped, control characters become
 /// `\n`/`\r`/`\t` or `\u00XX`.
-pub fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -35,7 +35,7 @@ pub fn escape(s: &str) -> String {
 /// An insertion-ordered JSON object builder.
 ///
 /// Fields render in the order they are added. String values go through
-/// [`escape`]; numeric, boolean and pre-encoded values are appended via
+/// `escape`; numeric, boolean and pre-encoded values are appended via
 /// their `Display` form (see [`Obj::field`]).
 #[derive(Debug, Default, Clone)]
 pub struct Obj {

@@ -26,13 +26,13 @@ pub mod harness;
 pub mod json;
 
 use parsecs_cc::Backend;
-use parsecs_core::{CoreBreakdown, StallCause};
 use parsecs_ilp::{IlpModel, IlpResult, IlpScheduler};
 use parsecs_machine::Machine;
+use parsecs_obs::{CoreBreakdown, StallCause};
 use parsecs_workloads::pbbs::Benchmark;
 
 /// Fuel used for running the embedded benchmarks.
-pub const TRACE_FUEL: u64 = 2_000_000_000;
+pub(crate) const TRACE_FUEL: u64 = 2_000_000_000;
 
 /// Chip-wide sums of the per-core cycle attribution table
 /// ([`parsecs_core::SimStats::attribution`]): where the whole chip's

@@ -3,7 +3,7 @@
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]
-pub enum BinOp {
+pub(crate) enum BinOp {
     Add,
     Sub,
     Mul,
@@ -23,7 +23,7 @@ pub enum BinOp {
 /// Unary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]
-pub enum UnOp {
+pub(crate) enum UnOp {
     Neg,
     Not,
 }
@@ -31,7 +31,7 @@ pub enum UnOp {
 /// Expressions. All values are 64-bit words; comparisons are signed and
 /// yield 0 or 1.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Expr {
+pub(crate) enum Expr {
     /// Integer literal.
     Number(i64),
     /// Variable, parameter or data-array reference (the latter evaluates to
@@ -49,7 +49,7 @@ pub enum Expr {
 
 /// Statements.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Stmt {
+pub(crate) enum Stmt {
     /// `var x = expr;` — declares a local.
     Var(String, Expr),
     /// `x = expr;` — assigns a local or parameter.
@@ -70,7 +70,7 @@ pub enum Stmt {
 
 /// A function definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Function {
+pub(crate) struct Function {
     /// Function name.
     pub name: String,
     /// Parameter names (at most six).
@@ -81,14 +81,14 @@ pub struct Function {
 
 /// A top-level item.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Item {
+pub(crate) enum Item {
     /// A function definition.
     Function(Function),
 }
 
 impl Item {
     /// The function, if this item is one.
-    pub fn as_function(&self) -> &Function {
+    pub(crate) fn as_function(&self) -> &Function {
         match self {
             Item::Function(f) => f,
         }

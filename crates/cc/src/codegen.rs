@@ -60,7 +60,7 @@ impl CompileOptions {
 ///
 /// Returns [`CcError::Codegen`] if the emitted program fails ISA
 /// validation (a generator bug surfaced as an error).
-pub fn generate(items: &[Item], options: &CompileOptions) -> Result<Program, CcError> {
+pub(crate) fn generate(items: &[Item], options: &CompileOptions) -> Result<Program, CcError> {
     let mut builder = ProgramBuilder::new();
     for (name, words) in &options.data {
         builder.global_data(name, words);

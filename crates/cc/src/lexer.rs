@@ -4,7 +4,7 @@ use crate::CcError;
 
 /// A token with its source line (1-based), used for error reporting.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+pub(crate) struct Token {
     /// The token proper.
     pub kind: TokenKind,
     /// 1-based source line.
@@ -13,7 +13,7 @@ pub struct Token {
 
 /// Token kinds.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// Integer literal.
     Number(i64),
     /// Identifier or keyword carrier.
@@ -39,7 +39,7 @@ const SINGLE: [char; 16] = [
 /// # Errors
 ///
 /// Returns [`CcError::Lex`] for characters the language does not use.
-pub fn lex(source: &str) -> Result<Vec<Token>, CcError> {
+pub(crate) fn lex(source: &str) -> Result<Vec<Token>, CcError> {
     let mut tokens = Vec::new();
     let bytes: Vec<char> = source.chars().collect();
     let mut i = 0usize;

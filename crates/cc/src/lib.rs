@@ -43,7 +43,6 @@ mod lexer;
 mod parser;
 mod sema;
 
-pub use ast::{BinOp, Expr, Function, Item, Stmt, UnOp};
 pub use codegen::{Backend, CompileOptions};
 pub use error::CcError;
 

@@ -9,7 +9,7 @@ use crate::CcError;
 /// # Errors
 ///
 /// Returns [`CcError::Parse`] with the offending line on malformed input.
-pub fn parse(tokens: &[Token]) -> Result<Vec<Item>, CcError> {
+pub(crate) fn parse(tokens: &[Token]) -> Result<Vec<Item>, CcError> {
     let mut parser = Parser { tokens, pos: 0 };
     let mut items = Vec::new();
     while !parser.at_eof() {

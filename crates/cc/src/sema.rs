@@ -14,7 +14,7 @@ use crate::CcError;
 /// # Errors
 ///
 /// Returns [`CcError::Sema`] describing the first problem found.
-pub fn check(items: &[Item], options: &CompileOptions) -> Result<(), CcError> {
+pub(crate) fn check(items: &[Item], options: &CompileOptions) -> Result<(), CcError> {
     let mut arities: HashMap<&str, usize> = HashMap::new();
     for item in items {
         let f = item.as_function();

@@ -46,7 +46,7 @@ pub struct StaticBounds {
 impl StaticBounds {
     /// Average instruction-level parallelism the dependence DAG admits:
     /// instructions per DAG level (the paper's ILP-limit vocabulary).
-    pub fn ilp_width(&self) -> f64 {
+    pub(crate) fn ilp_width(&self) -> f64 {
         if self.dag_depth == 0 {
             0.0
         } else {
@@ -66,17 +66,6 @@ pub struct SectionBounds {
     /// Depth of the section's *local* dependence chains (levels over
     /// `SourceKind::Local` edges only; 0 for an empty section).
     pub local_depth: usize,
-}
-
-impl SectionBounds {
-    /// Instructions per local dependence level within the section.
-    pub fn ilp_width(&self) -> f64 {
-        if self.local_depth == 0 {
-            0.0
-        } else {
-            self.len as f64 / self.local_depth as f64
-        }
-    }
 }
 
 /// Computes the bounds of a structurally valid arena (the caller — see

@@ -78,13 +78,13 @@ pub use violation::InvariantViolation;
 /// Diagnostics stored per report before further ones are only counted
 /// (a systematically corrupt chip-scale arena must not make the report
 /// itself unbounded).
-pub const MAX_VIOLATIONS: usize = 256;
+pub(crate) const MAX_VIOLATIONS: usize = 256;
 
 /// The result of the full static analysis of one arena.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckReport {
     /// Invariant violations found, in pass order (capped at
-    /// [`MAX_VIOLATIONS`]; see [`CheckReport::truncated`]).
+    /// 256; see [`CheckReport::truncated`]).
     pub violations: Vec<InvariantViolation>,
     /// Whether violations past the cap were dropped from the list.
     pub truncated: bool,

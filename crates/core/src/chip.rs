@@ -11,9 +11,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::BuildHasherDefault;
 
-use parsecs_trace::{AddrHasher, TraceArena};
-
-use crate::{SectionId, SectionSpan};
+use parsecs_trace::{AddrHasher, SectionId, SectionSpan, TraceArena};
 
 /// Sentinel section id for "none" in the `u32` columns (`current`,
 /// `stall_on`, the queue links). Valid ids stay below it: the arena's

@@ -155,7 +155,7 @@ impl SimConfig {
 
     /// The effective topology: the configured one, or a crossbar over
     /// `cores`.
-    pub fn effective_topology(&self) -> Topology {
+    pub(crate) fn effective_topology(&self) -> Topology {
         self.topology
             .unwrap_or(Topology::Crossbar { size: self.cores })
     }

@@ -14,9 +14,9 @@
 
 use parsecs_noc::{CoreId, Network};
 use parsecs_obs::SimProbe;
-use parsecs_trace::TraceArena;
+use parsecs_trace::{SectionId, SourceKind, TraceArena};
 
-use crate::{SectionId, SimConfig, SourceKind};
+use crate::SimConfig;
 
 /// Sentinel for a cycle that has not been computed yet (the resolver's
 /// columns are flat `u64`s instead of `Option<u64>`s — half the memory,

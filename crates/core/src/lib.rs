@@ -11,7 +11,7 @@
 //!
 //! The main entry points are:
 //!
-//! * [`TraceArena::from_program`] (re-exported from `parsecs-trace`) —
+//! * [`TraceArena::from_program`](parsecs_trace::TraceArena::from_program) —
 //!   runs a fork program through the streaming sectioner, which splits
 //!   its dynamic trace into the paper's totally-ordered sections and
 //!   resolves every producer→consumer pair (register *and* memory
@@ -31,7 +31,8 @@
 //! ## Example
 //!
 //! ```
-//! use parsecs_core::{ManyCoreSim, SimConfig, TraceArena};
+//! use parsecs_core::{ManyCoreSim, SimConfig};
+//! use parsecs_trace::TraceArena;
 //!
 //! // The paper's Figure 5: sum with fork/endfork, summing 5 elements.
 //! let program = parsecs_asm::assemble(
@@ -84,29 +85,14 @@ mod timing;
 
 pub use config::SimConfig;
 pub use error::SimError;
-pub use placement::{ChipView, Placement, SectionDeps};
+pub(crate) use placement::SectionDeps;
+pub use placement::{ChipView, Placement};
 pub use sim::{ManyCoreSim, SimResult};
 pub use timing::{format_figure10, InstTiming, SimStats, StageTable};
-// The static-analysis vocabulary of `parsecs-check`; re-exported so
-// callers of the validated simulation paths ([`SimConfig::validate`],
-// [`SimResult::check`], [`SimError::Invariant`]) can consume the reports
-// without a separate dependency.
-pub use parsecs_check::{
-    bound_schedule, check_arena, prove_progress, BindingTerm, CheckReport, ChipModel,
-    InvariantViolation, Progress, ScheduleBounds, StaticBounds, WaitEdge, WaitKind,
-};
-// The streaming trace pipeline and the section/dependence vocabulary
-// this crate's engine consumes; re-exported so simulator callers can
-// build arenas without a separate dependency.
-pub use parsecs_trace::{
-    PackedDep, SectionId, SectionSpan, SourceDep, SourceKind, StreamingSectioner, TraceArena,
-    TraceError,
-};
-// The telemetry vocabulary of `parsecs-obs`; re-exported so callers of
-// the probed simulation paths ([`ManyCoreSim::simulate_arena_probed`],
-// [`SimStats::attribution`]) can consume probes and breakdowns without a
-// separate dependency.
-pub use parsecs_obs::{
-    ChromeTraceWriter, CoreBreakdown, CountingProbe, CycleAttribution, NoopProbe, SimProbe,
-    StallCause, TickGauges,
-};
+// The static checks, the streaming sectioner and the counting probe the
+// benchmark reaches through this crate; every other name of
+// `parsecs-check`, `parsecs-trace` and `parsecs-obs` is imported from
+// its home crate.
+pub use parsecs_check::{bound_schedule, check_arena, prove_progress};
+pub use parsecs_obs::CountingProbe;
+pub use parsecs_trace::StreamingSectioner;

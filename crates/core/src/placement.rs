@@ -14,8 +14,7 @@
 use std::collections::HashMap;
 
 use parsecs_noc::{CoreId, NocModel};
-
-use crate::{SectionId, SectionSpan, SourceKind};
+use parsecs_trace::{SectionId, SectionSpan, SourceKind};
 
 /// A static description of the chip a placement decides over.
 #[derive(Debug, Clone)]
@@ -40,7 +39,7 @@ pub struct ChipView {
 /// when a policy walks sections in order, each edge's producer is already
 /// placed.
 #[derive(Debug, Clone, Default)]
-pub struct SectionDeps {
+pub(crate) struct SectionDeps {
     /// Per consumer section: `(producer section, request count)`, sorted
     /// by producer id.
     producers: Vec<Vec<(SectionId, u32)>>,
@@ -49,7 +48,7 @@ pub struct SectionDeps {
 impl SectionDeps {
     /// Builds the summary from an arena-backed trace, counting one edge
     /// weight per remote register or memory source.
-    pub fn from_arena(sections: usize, arena: &parsecs_trace::TraceArena) -> SectionDeps {
+    pub(crate) fn from_arena(sections: usize, arena: &parsecs_trace::TraceArena) -> SectionDeps {
         let mut weights: Vec<HashMap<usize, u32>> = vec![HashMap::new(); sections];
         for seq in 0..arena.len() {
             for dep in arena.sources(seq) {
@@ -83,7 +82,7 @@ impl SectionDeps {
 
     /// The remote-operand producers of `section`, with request counts
     /// (none for a section the summary does not cover).
-    pub fn producers(&self, section: SectionId) -> &[(SectionId, u32)] {
+    pub(crate) fn producers(&self, section: SectionId) -> &[(SectionId, u32)] {
         self.producers.get(section.0).map_or(&[], Vec::as_slice)
     }
 }
@@ -156,7 +155,7 @@ impl Placement {
     /// Assigns a hosting core to every section, with the run's
     /// cross-section dependences available; only
     /// [`Placement::ChainAffine`] reads them.
-    pub fn assign_with_deps(
+    pub(crate) fn assign_with_deps(
         &self,
         sections: &[SectionSpan],
         chip: &ChipView,
@@ -393,7 +392,7 @@ mod tests {
         assert_eq!(Placement::ChainAffine.name(), "chain-affine");
     }
 
-    use crate::SourceDep;
+    use parsecs_trace::SourceDep;
 
     /// An arena of one record per `(section, remote reg sources)` entry —
     /// all `from_arena` reads.

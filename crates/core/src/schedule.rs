@@ -25,12 +25,11 @@ use std::collections::BinaryHeap;
 use parsecs_machine::TraceKind;
 use parsecs_noc::{CoreId, Network};
 use parsecs_obs::{CycleAttribution, SimProbe};
-use parsecs_trace::TraceArena;
+use parsecs_trace::{SectionId, TraceArena};
 
 use crate::chip::{ChipState, StallTable, NO_SECTION, NO_STALL, NO_WAKE};
 use crate::drain::{fetch_computable, Resolver};
 use crate::sim::ForkMap;
-use crate::SectionId;
 
 /// A set of cores, one bit per core in `u64` words (16 words on 1024
 /// cores).

@@ -66,16 +66,13 @@ use std::hash::BuildHasherDefault;
 use parsecs_check::{bound_schedule, prove_progress, CheckReport};
 use parsecs_noc::{CoreId, Network, NocStats};
 use parsecs_obs::{CoreBreakdown, CycleAttribution, NoopProbe, SimProbe, StallCause, TickGauges};
-use parsecs_trace::{AddrHasher, SourceKind, TraceArena};
+use parsecs_trace::{AddrHasher, SectionId, SectionSpan, SourceKind, TraceArena};
 
 use crate::chip::{ChipState, StallTable, NO_SECTION, NO_STALL};
 use crate::drain::Resolver;
 use crate::schedule::{walk, Schedule, Walk};
 use crate::timing::StageColumns;
-use crate::{
-    InstTiming, Placement, SectionDeps, SectionId, SectionSpan, SimConfig, SimError, SimStats,
-    StageTable,
-};
+use crate::{InstTiming, Placement, SectionDeps, SimConfig, SimError, SimStats, StageTable};
 
 /// The result of one many-core simulation.
 #[derive(Debug, Clone, PartialEq)]

@@ -5,10 +5,10 @@ use std::mem::size_of_val;
 
 use parsecs_noc::{CoreId, NocStats};
 use parsecs_obs::CoreBreakdown;
-use parsecs_trace::{SectionSpan, TraceArena};
+use parsecs_trace::{SectionId, SectionSpan, TraceArena};
 
 use crate::drain::{INCOMPLETE, UNKNOWN};
-use crate::{SectionId, SimResult};
+use crate::SimResult;
 
 /// The cycle at which one dynamic instruction is handled by each pipeline
 /// stage — one row of the paper's Figure 10 tables.
@@ -280,7 +280,7 @@ pub struct SimStats {
     /// (not just hosting cores), each summing to
     /// [`SimStats::total_cycles`]. Accumulated always-on from the
     /// deterministic section/stall event stream (see
-    /// [`parsecs_obs::attribution`]); the tests hold it to the timing
+    /// [`parsecs_obs::CycleAttribution`]); the tests hold it to the timing
     /// oracle's own per-cycle tally.
     pub attribution: Vec<CoreBreakdown>,
 }

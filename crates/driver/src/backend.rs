@@ -1,9 +1,13 @@
 //! The [`ExecutionBackend`] trait and its three engine implementations.
 
-use parsecs_core::{ManyCoreSim, NoopProbe, SimConfig, SimError, SimProbe, TraceArena};
+use parsecs_core::{ManyCoreSim, SimConfig, SimError};
+
+use parsecs_obs::{NoopProbe, SimProbe};
+
 use parsecs_ilp::{IlpModel, IlpScheduler};
 use parsecs_isa::Program;
 use parsecs_machine::Machine;
+use parsecs_trace::TraceArena;
 
 use crate::{DriverError, ReportDetail, RunReport};
 
@@ -134,16 +138,16 @@ impl ManyCoreBackend {
     /// Like [`ExecutionBackend::execute_fueled`], with a telemetry probe
     /// observing the timing run (see
     /// [`parsecs_core::ManyCoreSim::simulate_arena_probed`]), e.g. a
-    /// [`parsecs_core::ChromeTraceWriter`] or a
+    /// [`parsecs_obs::ChromeTraceWriter`] or a
     /// [`parsecs_core::CountingProbe`]. Probes are monomorphized into the
-    /// engine — [`parsecs_core::SimProbe`] is not object-safe — so this
+    /// engine — [`parsecs_obs::SimProbe`] is not object-safe — so this
     /// lives on the concrete backend rather than the trait; the produced
     /// [`RunReport`] is bit-identical to the unprobed one.
     ///
     /// # Errors
     ///
     /// Same as [`ExecutionBackend::execute_fueled`].
-    pub fn execute_probed_fueled<P: SimProbe>(
+    pub(crate) fn execute_probed_fueled<P: SimProbe>(
         &self,
         program: &Program,
         fuel: u64,

@@ -44,7 +44,8 @@ impl IlpResult {
 /// stream.
 ///
 /// Cycle numbering starts at 1; an instruction with no constraining
-/// dependence issues at cycle 1 and completes at cycle `latency`.
+/// dependence issues at cycle 1 and, like every instruction (the paper's
+/// unit latency), completes in its issue cycle.
 ///
 /// # Example
 ///
@@ -189,7 +190,7 @@ impl ModelSchedule {
         *slot += 1;
         self.per_cycle_peak = self.per_cycle_peak.max(*slot);
 
-        let complete = issue + model.latency - 1;
+        let complete = issue;
         if let Some(window) = model.window {
             self.completions.push_back(complete);
             if self.completions.len() > window {
@@ -361,7 +362,13 @@ mod tests {
             .collect();
         let unlimited = analyze(&t, &IlpModel::parallel_ideal());
         assert_eq!(unlimited.cycles, 1);
-        let windowed = analyze(&t, &IlpModel::parallel_ideal().with_window(4));
+        let windowed = analyze(
+            &t,
+            &IlpModel {
+                window: Some(4),
+                ..IlpModel::parallel_ideal()
+            },
+        );
         assert_eq!(windowed.cycles, 4);
         assert!(windowed.ilp <= 4.0 + f64::EPSILON);
     }
@@ -370,7 +377,10 @@ mod tests {
     fn only_a_windowed_model_keeps_completions_and_only_the_window() {
         let mut scheduler = IlpScheduler::new([
             IlpModel::parallel_ideal(),
-            IlpModel::parallel_ideal().with_window(4),
+            IlpModel {
+                window: Some(4),
+                ..IlpModel::parallel_ideal()
+            },
         ]);
         for seq in 0..100u64 {
             let writes = [Location::Mem(8 * seq)];
@@ -395,16 +405,15 @@ mod tests {
         let t: Vec<Event> = (0..12u64)
             .map(|i| event(vec![], vec![Location::Mem(8 * i)]))
             .collect();
-        let r = analyze(&t, &IlpModel::parallel_ideal().with_issue_width(3));
+        let r = analyze(
+            &t,
+            &IlpModel {
+                issue_width: Some(3),
+                ..IlpModel::parallel_ideal()
+            },
+        );
         assert_eq!(r.cycles, 4);
         assert_eq!(r.peak_parallelism, 3);
-    }
-
-    #[test]
-    fn latency_scales_the_critical_path() {
-        let t = vec![event(vec![reg(Reg::Rax)], vec![reg(Reg::Rax)]); 4];
-        let r = analyze(&t, &IlpModel::parallel_ideal().with_latency(3));
-        assert_eq!(r.cycles, 12);
     }
 
     #[test]
@@ -486,7 +495,11 @@ mod tests {
                 IlpModel::parallel_ideal(),
                 IlpModel::sequential_oracle(),
                 IlpModel::in_order(),
-                IlpModel::speculative_core().with_window(3).with_issue_width(2),
+                IlpModel {
+                    window: Some(3),
+                    issue_width: Some(2),
+                    ..IlpModel::speculative_core()
+                },
             ];
             let together = schedule(&events, &models);
             for (model, result) in models.iter().zip(&together) {

@@ -25,8 +25,6 @@ pub struct IlpModel {
     pub window: Option<usize>,
     /// Optional maximum number of instructions issued per cycle.
     pub issue_width: Option<usize>,
-    /// Uniform execution latency in cycles (the paper uses 1).
-    pub latency: u64,
 }
 
 impl IlpModel {
@@ -41,7 +39,6 @@ impl IlpModel {
             ignore_stack_pointer: false,
             window: None,
             issue_width: None,
-            latency: 1,
         }
     }
 
@@ -56,7 +53,6 @@ impl IlpModel {
             ignore_stack_pointer: true,
             window: None,
             issue_width: None,
-            latency: 1,
         }
     }
 
@@ -81,26 +77,7 @@ impl IlpModel {
             ignore_stack_pointer: false,
             window: None,
             issue_width: None,
-            latency: 1,
         }
-    }
-
-    /// Sets the finite window size (builder style).
-    pub fn with_window(mut self, window: usize) -> IlpModel {
-        self.window = Some(window);
-        self
-    }
-
-    /// Sets the issue width (builder style).
-    pub fn with_issue_width(mut self, width: usize) -> IlpModel {
-        self.issue_width = Some(width);
-        self
-    }
-
-    /// Sets the uniform latency (builder style).
-    pub fn with_latency(mut self, latency: u64) -> IlpModel {
-        self.latency = latency.max(1);
-        self
     }
 }
 
@@ -122,17 +99,6 @@ mod tests {
         assert!(!seq.rename_memory && par.rename_memory);
         assert!(!seq.ignore_stack_pointer && par.ignore_stack_pointer);
         assert!(seq.perfect_branch_prediction && par.perfect_branch_prediction);
-    }
-
-    #[test]
-    fn builders() {
-        let m = IlpModel::parallel_ideal()
-            .with_window(64)
-            .with_issue_width(4)
-            .with_latency(0);
-        assert_eq!(m.window, Some(64));
-        assert_eq!(m.issue_width, Some(4));
-        assert_eq!(m.latency, 1, "latency is clamped to at least one cycle");
     }
 
     #[test]

@@ -6,9 +6,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::{
-    AluOp, Cond, DataItem, Inst, IsaError, MemRef, Operand, Program, Reg, Target, UnaryOp,
-};
+use crate::{AluOp, Cond, DataItem, Inst, IsaError, Operand, Program, Target, UnaryOp};
 
 /// Incrementally builds a [`Program`].
 ///
@@ -33,7 +31,6 @@ pub struct ProgramBuilder {
     pending_errors: Vec<IsaError>,
     data: Vec<DataItem>,
     data_offset: u64,
-    entry: Option<usize>,
     fresh_label: usize,
 }
 
@@ -41,16 +38,6 @@ impl ProgramBuilder {
     /// Creates an empty builder.
     pub fn new() -> ProgramBuilder {
         ProgramBuilder::default()
-    }
-
-    /// Number of instructions emitted so far.
-    pub fn len(&self) -> usize {
-        self.insns.len()
-    }
-
-    /// Whether no instruction has been emitted yet.
-    pub fn is_empty(&self) -> bool {
-        self.insns.is_empty()
     }
 
     /// Defines a code label at the current position.
@@ -67,12 +54,6 @@ impl ProgramBuilder {
         let name = format!(".{prefix}_{}", self.fresh_label);
         self.fresh_label += 1;
         name
-    }
-
-    /// Marks the current position as the program entry point.
-    pub fn entry_here(&mut self) -> &mut Self {
-        self.entry = Some(self.insns.len());
-        self
     }
 
     /// Appends a 64-bit-word array to the data segment under `name`.
@@ -114,11 +95,6 @@ impl ProgramBuilder {
         })
     }
 
-    /// `leaq addr, dst`
-    pub fn leaq(&mut self, addr: MemRef, dst: Reg) -> &mut Self {
-        self.push(Inst::Lea { addr, dst })
-    }
-
     /// `pushq src`
     pub fn pushq(&mut self, src: impl Into<Operand>) -> &mut Self {
         self.push(Inst::Push { src: src.into() })
@@ -143,24 +119,9 @@ impl ProgramBuilder {
         })
     }
 
-    /// `addq src, dst`
-    pub fn addq(&mut self, src: impl Into<Operand>, dst: impl Into<Operand>) -> &mut Self {
-        self.alu(AluOp::Add, src, dst)
-    }
-
     /// `subq src, dst`
     pub fn subq(&mut self, src: impl Into<Operand>, dst: impl Into<Operand>) -> &mut Self {
         self.alu(AluOp::Sub, src, dst)
-    }
-
-    /// `imulq src, dst`
-    pub fn imulq(&mut self, src: impl Into<Operand>, dst: impl Into<Operand>) -> &mut Self {
-        self.alu(AluOp::Imul, src, dst)
-    }
-
-    /// `shrq $1, dst` — the paper's `shrq %rsi` halving idiom.
-    pub fn shrq1(&mut self, dst: impl Into<Operand>) -> &mut Self {
-        self.alu(AluOp::Shr, Operand::imm(1), dst)
     }
 
     /// Unary operation on `dst`.
@@ -174,14 +135,6 @@ impl ProgramBuilder {
     /// `cmpq src, dst`
     pub fn cmpq(&mut self, src: impl Into<Operand>, dst: impl Into<Operand>) -> &mut Self {
         self.push(Inst::Cmp {
-            src: src.into(),
-            dst: dst.into(),
-        })
-    }
-
-    /// `testq src, dst`
-    pub fn testq(&mut self, src: impl Into<Operand>, dst: impl Into<Operand>) -> &mut Self {
-        self.push(Inst::Test {
             src: src.into(),
             dst: dst.into(),
         })
@@ -231,11 +184,6 @@ impl ProgramBuilder {
         self.push(Inst::Out { src: src.into() })
     }
 
-    /// `nop`
-    pub fn nop(&mut self) -> &mut Self {
-        self.push(Inst::Nop)
-    }
-
     /// `halt`
     pub fn halt(&mut self) -> &mut Self {
         self.push(Inst::Halt)
@@ -253,24 +201,20 @@ impl ProgramBuilder {
         if let Some(err) = self.pending_errors.first() {
             return Err(err.clone());
         }
-        Program::new(
-            self.insns.clone(),
-            self.labels.clone(),
-            self.data.clone(),
-            self.entry,
-        )
+        Program::new(self.insns.clone(), self.labels.clone(), self.data.clone())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Reg;
 
     #[test]
     fn duplicate_label_is_reported() {
         let mut b = ProgramBuilder::new();
         b.label("x");
-        b.nop();
+        b.push(Inst::Nop);
         b.label("x");
         b.halt();
         assert_eq!(b.build().unwrap_err(), IsaError::DuplicateLabel("x".into()));
@@ -313,17 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn entry_here_overrides_main() {
-        let mut b = ProgramBuilder::new();
-        b.label("main");
-        b.nop();
-        b.entry_here();
-        b.halt();
-        let p = b.build().unwrap();
-        assert_eq!(p.entry(), 1);
-    }
-
-    #[test]
     fn builder_emits_the_paper_idioms() {
         let mut b = ProgramBuilder::new();
         b.label("sum");
@@ -331,12 +264,12 @@ mod tests {
         b.jcc(Cond::A, ".L2");
         b.movq(Operand::mem(Reg::Rdi, 0), Reg::Rax);
         b.jcc(Cond::Ne, ".L1");
-        b.addq(Operand::mem(Reg::Rdi, 8), Reg::Rax);
+        b.alu(AluOp::Add, Operand::mem(Reg::Rdi, 8), Reg::Rax);
         b.label(".L1");
         b.endfork();
         b.label(".L2");
         b.movq(Reg::Rsi, Reg::Rbx);
-        b.shrq1(Reg::Rsi);
+        b.alu(AluOp::Shr, Operand::imm(1), Reg::Rsi);
         b.fork("sum");
         b.halt();
         let p = b.build().unwrap();

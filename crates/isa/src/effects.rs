@@ -24,13 +24,8 @@ pub enum MemEffect {
 
 impl MemEffect {
     /// Whether the instruction loads from memory.
-    pub fn loads(self) -> bool {
+    pub(crate) fn loads(self) -> bool {
         matches!(self, MemEffect::Load | MemEffect::LoadStore)
-    }
-
-    /// Whether the instruction stores to memory.
-    pub fn stores(self) -> bool {
-        matches!(self, MemEffect::Store | MemEffect::LoadStore)
     }
 }
 
@@ -389,9 +384,9 @@ mod tests {
 
     #[test]
     fn mem_effect_predicates() {
-        assert!(MemEffect::Load.loads() && !MemEffect::Load.stores());
-        assert!(MemEffect::Store.stores() && !MemEffect::Store.loads());
-        assert!(MemEffect::LoadStore.loads() && MemEffect::LoadStore.stores());
-        assert!(!MemEffect::None.loads() && !MemEffect::None.stores());
+        assert!(MemEffect::Load.loads());
+        assert!(!MemEffect::Store.loads());
+        assert!(MemEffect::LoadStore.loads());
+        assert!(!MemEffect::None.loads());
     }
 }

@@ -3,8 +3,8 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors produced while constructing, resolving, encoding or decoding
-/// programs and instructions.
+/// Errors produced while constructing or resolving programs and
+/// instructions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IsaError {
     /// A register name could not be parsed.
@@ -36,8 +36,6 @@ pub enum IsaError {
         /// Human readable explanation.
         reason: String,
     },
-    /// The byte stream passed to the decoder is malformed.
-    Decode(String),
 }
 
 impl fmt::Display for IsaError {
@@ -58,7 +56,6 @@ impl fmt::Display for IsaError {
             IsaError::InvalidOperands { mnemonic, reason } => {
                 write!(f, "invalid operands for `{mnemonic}`: {reason}")
             }
-            IsaError::Decode(reason) => write!(f, "malformed instruction encoding: {reason}"),
         }
     }
 }
@@ -79,7 +76,7 @@ mod tests {
                 target: 99,
                 len: 10,
             },
-            IsaError::Decode("truncated".into()),
+            IsaError::DuplicateSymbol("t".into()),
         ];
         for e in errors {
             let msg = e.to_string();

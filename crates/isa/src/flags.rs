@@ -139,24 +139,6 @@ impl Cond {
         }
     }
 
-    /// The condition that is true exactly when `self` is false.
-    pub fn negate(self) -> Cond {
-        match self {
-            Cond::E => Cond::Ne,
-            Cond::Ne => Cond::E,
-            Cond::A => Cond::Be,
-            Cond::Ae => Cond::B,
-            Cond::B => Cond::Ae,
-            Cond::Be => Cond::A,
-            Cond::G => Cond::Le,
-            Cond::Ge => Cond::L,
-            Cond::L => Cond::Ge,
-            Cond::Le => Cond::G,
-            Cond::S => Cond::Ns,
-            Cond::Ns => Cond::S,
-        }
-    }
-
     /// Suffix used in the mnemonic (e.g. `"ne"` for `jne`).
     pub fn suffix(self) -> &'static str {
         match self {
@@ -173,19 +155,6 @@ impl Cond {
             Cond::S => "s",
             Cond::Ns => "ns",
         }
-    }
-
-    /// Dense index used by the binary encoding.
-    pub fn index(self) -> u8 {
-        Cond::ALL
-            .iter()
-            .position(|c| *c == self)
-            .expect("cond listed in ALL") as u8
-    }
-
-    /// Inverse of [`Cond::index`].
-    pub fn from_index(index: u8) -> Option<Cond> {
-        Cond::ALL.get(index as usize).copied()
     }
 }
 
@@ -247,52 +216,10 @@ mod tests {
     }
 
     #[test]
-    fn negation_is_involutive_and_exclusive() {
-        let flag_values = [
-            Flags::default(),
-            Flags {
-                zf: true,
-                ..Flags::default()
-            },
-            Flags {
-                sf: true,
-                ..Flags::default()
-            },
-            Flags {
-                cf: true,
-                ..Flags::default()
-            },
-            Flags {
-                of: true,
-                ..Flags::default()
-            },
-            Flags {
-                sf: true,
-                of: true,
-                ..Flags::default()
-            },
-            Flags {
-                zf: true,
-                cf: true,
-                sf: true,
-                of: true,
-            },
-        ];
+    fn cond_suffix_roundtrip() {
         for c in Cond::ALL {
-            assert_eq!(c.negate().negate(), c);
-            for f in flag_values {
-                assert_ne!(c.eval(f), c.negate().eval(f), "{c:?} with {f}");
-            }
-        }
-    }
-
-    #[test]
-    fn cond_index_roundtrip() {
-        for c in Cond::ALL {
-            assert_eq!(Cond::from_index(c.index()), Some(c));
             assert_eq!(c.suffix().parse::<Cond>().unwrap(), c);
         }
-        assert_eq!(Cond::from_index(200), None);
     }
 
     #[test]

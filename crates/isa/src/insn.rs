@@ -27,19 +27,6 @@ impl Target {
         }
     }
 
-    /// An absolute, already-resolved target.
-    pub fn abs(index: usize) -> Target {
-        Target {
-            label: None,
-            index: Some(index),
-        }
-    }
-
-    /// Whether the target has been resolved to an instruction index.
-    pub fn is_resolved(&self) -> bool {
-        self.index.is_some()
-    }
-
     /// The resolved instruction index.
     ///
     /// # Errors
@@ -79,21 +66,8 @@ pub enum AluOp {
 }
 
 impl AluOp {
-    /// All ALU operations, in encoding order.
-    pub const ALL: [AluOp; 9] = [
-        AluOp::Add,
-        AluOp::Sub,
-        AluOp::And,
-        AluOp::Or,
-        AluOp::Xor,
-        AluOp::Shl,
-        AluOp::Shr,
-        AluOp::Sar,
-        AluOp::Imul,
-    ];
-
     /// gas mnemonic with the `q` (64-bit) suffix.
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             AluOp::Add => "addq",
             AluOp::Sub => "subq",
@@ -134,11 +108,8 @@ pub enum UnaryOp {
 }
 
 impl UnaryOp {
-    /// All unary operations, in encoding order.
-    pub const ALL: [UnaryOp; 4] = [UnaryOp::Neg, UnaryOp::Not, UnaryOp::Inc, UnaryOp::Dec];
-
     /// gas mnemonic with the `q` suffix.
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             UnaryOp::Neg => "negq",
             UnaryOp::Not => "notq",
@@ -292,7 +263,7 @@ impl Inst {
 
     /// Whether the instruction changes the control flow (jump, branch,
     /// call, ret, fork, endfork, halt).
-    pub fn is_control(&self) -> bool {
+    pub(crate) fn is_control(&self) -> bool {
         matches!(
             self,
             Inst::Jmp { .. }
@@ -303,11 +274,6 @@ impl Inst {
                 | Inst::EndFork
                 | Inst::Halt
         )
-    }
-
-    /// Whether the instruction is one of the paper's section instructions.
-    pub fn is_section_boundary(&self) -> bool {
-        matches!(self, Inst::Fork { .. } | Inst::EndFork)
     }
 
     /// The control-flow target, if the instruction has one.
@@ -323,37 +289,13 @@ impl Inst {
 
     /// Mutable access to the control-flow target, if any. Used by label
     /// resolution.
-    pub fn target_mut(&mut self) -> Option<&mut Target> {
+    pub(crate) fn target_mut(&mut self) -> Option<&mut Target> {
         match self {
             Inst::Jmp { target }
             | Inst::Jcc { target, .. }
             | Inst::Call { target }
             | Inst::Fork { target } => Some(target),
             _ => None,
-        }
-    }
-
-    /// All data symbols referenced by the instruction's operands.
-    pub fn symbols(&self) -> Vec<&str> {
-        self.operands()
-            .into_iter()
-            .filter_map(|op| match op {
-                Operand::Sym(s) => Some(s.as_str()),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// The instruction's operands in gas order (sources first).
-    pub fn operands(&self) -> Vec<&Operand> {
-        match self {
-            Inst::Mov { src, dst }
-            | Inst::Alu { src, dst, .. }
-            | Inst::Cmp { src, dst }
-            | Inst::Test { src, dst } => vec![src, dst],
-            Inst::Push { src } | Inst::Out { src } => vec![src],
-            Inst::Pop { dst } | Inst::Unary { dst, .. } => vec![dst],
-            _ => Vec::new(),
         }
     }
 
@@ -364,7 +306,7 @@ impl Inst {
     /// Returns [`IsaError::InvalidOperands`] for combinations the machine
     /// refuses to execute, such as memory-to-memory moves, immediate
     /// destinations, or a data-symbol destination.
-    pub fn validate(&self) -> Result<(), IsaError> {
+    pub(crate) fn validate(&self) -> Result<(), IsaError> {
         let invalid = |reason: String| IsaError::InvalidOperands {
             mnemonic: self.mnemonic(),
             reason,
@@ -483,17 +425,12 @@ mod tests {
         }
         .is_control());
         assert!(Inst::EndFork.is_control());
-        assert!(Inst::EndFork.is_section_boundary());
         assert!(!Inst::Nop.is_control());
         assert!(!Inst::Mov {
             src: rax(),
             dst: Operand::Reg(Reg::Rbx)
         }
         .is_control());
-        assert!(!Inst::Call {
-            target: Target::label("f")
-        }
-        .is_section_boundary());
     }
 
     #[test]
@@ -544,9 +481,11 @@ mod tests {
     #[test]
     fn target_resolution() {
         let t = Target::label("sum");
-        assert!(!t.is_resolved());
         assert!(t.resolved().is_err());
-        let t = Target::abs(12);
+        let t = Target {
+            label: None,
+            index: Some(12),
+        };
         assert_eq!(t.resolved().unwrap(), 12);
         assert_eq!(t.to_string(), "@12");
         let named = Target {
@@ -554,17 +493,5 @@ mod tests {
             index: Some(3),
         };
         assert_eq!(named.to_string(), "sum");
-    }
-
-    #[test]
-    fn symbols_and_operands() {
-        let i = Inst::Mov {
-            src: Operand::sym("t"),
-            dst: rax(),
-        };
-        assert_eq!(i.symbols(), vec!["t"]);
-        assert_eq!(i.operands().len(), 2);
-        assert!(Inst::Ret.operands().is_empty());
-        assert!(Inst::Ret.symbols().is_empty());
     }
 }

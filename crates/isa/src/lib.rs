@@ -18,7 +18,6 @@
 //!   [`Inst::EndFork`].
 //! * [`Effects`] — per-instruction architectural read/write sets, shared by
 //!   the tracer, the ILP limit analyzer and the renaming hardware model.
-//! * [`encode`]/[`decode`] — a fixed-width binary encoding.
 //! * [`Program`] and [`ProgramBuilder`] — label-resolved program containers.
 //!
 //! ## Example
@@ -42,7 +41,6 @@
 
 mod builder;
 mod effects;
-mod encode;
 mod error;
 mod flags;
 mod insn;
@@ -52,7 +50,6 @@ mod reg;
 
 pub use builder::ProgramBuilder;
 pub use effects::{Effects, MemEffect};
-pub use encode::{decode, decode_program, encode, encode_program};
 pub use error::IsaError;
 pub use flags::{Cond, Flags};
 pub use insn::{AluOp, Inst, Target, UnaryOp};

@@ -52,17 +52,8 @@ impl MemRef {
     }
 
     /// Registers read to form the effective address.
-    pub fn regs(&self) -> impl Iterator<Item = Reg> + '_ {
+    pub(crate) fn regs(&self) -> impl Iterator<Item = Reg> + '_ {
         self.base.into_iter().chain(self.index)
-    }
-
-    /// Whether the effective address is relative to the stack pointer.
-    ///
-    /// The paper's renaming shortcut (statement ii of §4.2) and the ILP
-    /// model's "ignore stack pointer dependencies" switch both key off this
-    /// classification.
-    pub fn is_stack_relative(&self) -> bool {
-        self.base == Some(Reg::Rsp) || self.index == Some(Reg::Rsp)
     }
 }
 
@@ -121,17 +112,9 @@ impl Operand {
     }
 
     /// Returns the register if the operand is a plain register.
-    pub fn as_reg(&self) -> Option<Reg> {
+    pub(crate) fn as_reg(&self) -> Option<Reg> {
         match self {
             Operand::Reg(r) => Some(*r),
-            _ => None,
-        }
-    }
-
-    /// Returns the memory reference if the operand is a memory operand.
-    pub fn as_mem(&self) -> Option<&MemRef> {
-        match self {
-            Operand::Mem(m) => Some(m),
             _ => None,
         }
     }
@@ -142,20 +125,11 @@ impl Operand {
     }
 
     /// Registers read when this operand is used as a *source*.
-    pub fn source_regs(&self) -> Vec<Reg> {
+    pub(crate) fn source_regs(&self) -> Vec<Reg> {
         match self {
             Operand::Imm(_) | Operand::Sym(_) => Vec::new(),
             Operand::Reg(r) => vec![*r],
             Operand::Mem(m) => m.regs().collect(),
-        }
-    }
-
-    /// Registers read when this operand is used as a *destination*
-    /// (address registers of a memory destination).
-    pub fn dest_addr_regs(&self) -> Vec<Reg> {
-        match self {
-            Operand::Mem(m) => m.regs().collect(),
-            _ => Vec::new(),
         }
     }
 }
@@ -215,18 +189,8 @@ mod tests {
     fn source_and_address_registers() {
         let op = Operand::mem_scaled(Reg::Rdi, Reg::Rsi, 8, 0);
         assert_eq!(op.source_regs(), vec![Reg::Rdi, Reg::Rsi]);
-        assert_eq!(op.dest_addr_regs(), vec![Reg::Rdi, Reg::Rsi]);
         assert_eq!(Operand::Reg(Reg::Rax).source_regs(), vec![Reg::Rax]);
-        assert!(Operand::Reg(Reg::Rax).dest_addr_regs().is_empty());
         assert!(Operand::imm(7).source_regs().is_empty());
-    }
-
-    #[test]
-    fn stack_relative_classification() {
-        assert!(MemRef::base_disp(Reg::Rsp, 0).is_stack_relative());
-        assert!(MemRef::base_disp(Reg::Rsp, 8).is_stack_relative());
-        assert!(!MemRef::base_disp(Reg::Rdi, 0).is_stack_relative());
-        assert!(MemRef::base_index_scale(Reg::Rax, Reg::Rsp, 1, 0).is_stack_relative());
     }
 
     #[test]
@@ -237,6 +201,5 @@ mod tests {
         assert_eq!(Operand::from(m), Operand::Mem(m));
         assert_eq!(Operand::Reg(Reg::Rax).as_reg(), Some(Reg::Rax));
         assert_eq!(Operand::imm(1).as_reg(), None);
-        assert!(Operand::mem(Reg::Rax, 0).as_mem().is_some());
     }
 }

@@ -18,7 +18,7 @@ pub struct DataItem {
 
 impl DataItem {
     /// Absolute virtual address of the object.
-    pub fn address(&self) -> u64 {
+    pub(crate) fn address(&self) -> u64 {
         DATA_BASE + self.offset
     }
 }
@@ -44,13 +44,12 @@ impl Program {
     ///
     /// Returns an error if a label or data symbol is undefined, a target is
     /// out of range, or an instruction has invalid operands.
-    pub fn new(
+    pub(crate) fn new(
         insns: Vec<Inst>,
         labels: BTreeMap<String, usize>,
         data: Vec<DataItem>,
-        entry: Option<usize>,
     ) -> Result<Program, IsaError> {
-        let entry = entry.or_else(|| labels.get("main").copied()).unwrap_or(0);
+        let entry = labels.get("main").copied().unwrap_or(0);
         let mut program = Program {
             insns,
             labels,
@@ -137,7 +136,7 @@ impl Program {
 
     /// The label attached to an instruction index, if any (first label in
     /// alphabetical order when several share the index).
-    pub fn label_at(&self, index: usize) -> Option<&str> {
+    pub(crate) fn label_at(&self, index: usize) -> Option<&str> {
         self.labels
             .iter()
             .find(|(_, i)| **i == index)
@@ -276,7 +275,7 @@ mod tests {
         let insns = vec![Inst::Jmp {
             target: Target::label("nowhere"),
         }];
-        let err = Program::new(insns, BTreeMap::new(), Vec::new(), None).unwrap_err();
+        let err = Program::new(insns, BTreeMap::new(), Vec::new()).unwrap_err();
         assert_eq!(err, IsaError::UndefinedLabel("nowhere".into()));
     }
 
@@ -286,16 +285,19 @@ mod tests {
             src: Operand::sym("ghost"),
             dst: Operand::Reg(Reg::Rax),
         }];
-        let err = Program::new(insns, BTreeMap::new(), Vec::new(), None).unwrap_err();
+        let err = Program::new(insns, BTreeMap::new(), Vec::new()).unwrap_err();
         assert_eq!(err, IsaError::UndefinedSymbol("ghost".into()));
     }
 
     #[test]
     fn out_of_range_target_is_rejected() {
         let insns = vec![Inst::Jmp {
-            target: Target::abs(10),
+            target: Target {
+                label: None,
+                index: Some(10),
+            },
         }];
-        let err = Program::new(insns, BTreeMap::new(), Vec::new(), None).unwrap_err();
+        let err = Program::new(insns, BTreeMap::new(), Vec::new()).unwrap_err();
         assert!(matches!(err, IsaError::TargetOutOfRange { target: 10, .. }));
     }
 
@@ -307,7 +309,7 @@ mod tests {
             dst: mem,
         }];
         assert!(matches!(
-            Program::new(insns, BTreeMap::new(), Vec::new(), None),
+            Program::new(insns, BTreeMap::new(), Vec::new()),
             Err(IsaError::InvalidOperands { .. })
         ));
     }
@@ -326,7 +328,7 @@ mod tests {
     #[test]
     fn entry_defaults_to_main() {
         let mut b = ProgramBuilder::new();
-        b.nop();
+        b.push(Inst::Nop);
         b.label("main");
         b.halt();
         let p = b.build().unwrap();

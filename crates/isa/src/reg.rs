@@ -88,12 +88,6 @@ impl Reg {
         )
     }
 
-    /// Caller-saved ("volatile") registers — the complement of
-    /// [`Reg::is_callee_saved`].
-    pub fn is_volatile(self) -> bool {
-        !self.is_callee_saved()
-    }
-
     /// Registers copied to a forked section by the paper's `fork`
     /// instruction.
     ///
@@ -112,11 +106,8 @@ impl Reg {
     /// The registers used to pass the first six integer arguments.
     pub const ARG_REGS: [Reg; 6] = [Reg::Rdi, Reg::Rsi, Reg::Rdx, Reg::Rcx, Reg::R8, Reg::R9];
 
-    /// The register holding a function result.
-    pub const RESULT: Reg = Reg::Rax;
-
     /// gas-style name without the `%` sigil (e.g. `"rax"`).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Reg::Rax => "rax",
             Reg::Rbx => "rbx",
@@ -199,17 +190,13 @@ mod tests {
                 Reg::R15
             ]
         );
-        for r in Reg::ALL {
-            assert_ne!(r.is_callee_saved(), r.is_volatile());
-        }
     }
 
     #[test]
     fn arg_registers_are_volatile() {
-        for r in Reg::ARG_REGS {
-            assert!(r.is_volatile(), "{r} must be volatile");
+        for r in Reg::ARG_REGS.into_iter().chain([Reg::Rax]) {
+            assert!(!r.is_callee_saved(), "{r} must be volatile");
         }
-        assert!(Reg::RESULT.is_volatile());
     }
 
     #[test]

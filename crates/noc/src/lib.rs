@@ -9,7 +9,7 @@
 //! many-core simulator (`parsecs-core`) can charge communication latency
 //! per message and per hop:
 //!
-//! * [`Topology`] — 2-D mesh, ring or ideal crossbar with hop distances;
+//! * [`Topology`] — 2-D mesh or ideal crossbar with hop distances;
 //! * [`Network`] — cycle-driven message delivery with per-hop latency and
 //!   optional per-destination bandwidth;
 //! * [`NocModel`] — a stateless cost view (per-message latency, ejection

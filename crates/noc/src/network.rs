@@ -135,22 +135,6 @@ impl<T: Eq> Network<T> {
         }
     }
 
-    /// The chip topology.
-    pub fn topology(&self) -> Topology {
-        self.topology
-    }
-
-    /// The timing configuration.
-    pub fn config(&self) -> NocConfig {
-        self.config
-    }
-
-    /// The stateless cost view of this network: same topology, same
-    /// timing, no delivery state.
-    pub fn model(&self) -> crate::NocModel {
-        crate::NocModel::new(self.topology, self.config)
-    }
-
     /// Delivery statistics so far.
     pub fn stats(&self) -> NocStats {
         self.stats

@@ -22,11 +22,6 @@ pub enum Topology {
         /// Number of rows.
         height: usize,
     },
-    /// A unidirectionally-numbered bidirectional ring.
-    Ring {
-        /// Number of cores on the ring.
-        size: usize,
-    },
     /// An ideal crossbar: every pair of distinct cores is one hop apart.
     Crossbar {
         /// Number of cores.
@@ -40,11 +35,6 @@ impl Topology {
         Topology::Mesh { width, height }
     }
 
-    /// A ring of `size` cores.
-    pub fn ring(size: usize) -> Topology {
-        Topology::Ring { size }
-    }
-
     /// An ideal crossbar of `size` cores.
     pub fn crossbar(size: usize) -> Topology {
         Topology::Crossbar { size }
@@ -54,13 +44,13 @@ impl Topology {
     pub fn num_cores(&self) -> usize {
         match *self {
             Topology::Mesh { width, height } => width * height,
-            Topology::Ring { size } | Topology::Crossbar { size } => size,
+            Topology::Crossbar { size } => size,
         }
     }
 
     /// The (x, y) coordinates of a core in a mesh; cores are numbered row
-    /// by row. For non-mesh topologies, y is always 0.
-    pub fn coordinates(&self, core: CoreId) -> (usize, usize) {
+    /// by row. On the crossbar, y is always 0.
+    pub(crate) fn coordinates(&self, core: CoreId) -> (usize, usize) {
         match *self {
             Topology::Mesh { width, .. } => (core.0 % width, core.0 / width),
             _ => (core.0, 0),
@@ -68,7 +58,7 @@ impl Topology {
     }
 
     /// Number of router hops between two cores (0 when they are equal).
-    pub fn hops(&self, from: CoreId, to: CoreId) -> usize {
+    pub(crate) fn hops(&self, from: CoreId, to: CoreId) -> usize {
         if from == to {
             return 0;
         }
@@ -78,22 +68,13 @@ impl Topology {
                 let (bx, by) = self.coordinates(to);
                 ax.abs_diff(bx) + ay.abs_diff(by)
             }
-            Topology::Ring { size } => {
-                let d = from.0.abs_diff(to.0);
-                d.min(size - d)
-            }
             Topology::Crossbar { .. } => 1,
         }
     }
 
     /// Whether `core` is a valid identifier for this topology.
-    pub fn contains(&self, core: CoreId) -> bool {
+    pub(crate) fn contains(&self, core: CoreId) -> bool {
         core.0 < self.num_cores()
-    }
-
-    /// All core identifiers of the chip.
-    pub fn cores(&self) -> impl Iterator<Item = CoreId> {
-        (0..self.num_cores()).map(CoreId)
     }
 }
 
@@ -101,7 +82,6 @@ impl fmt::Display for Topology {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
             Topology::Mesh { width, height } => write!(f, "{width}x{height} mesh"),
-            Topology::Ring { size } => write!(f, "{size}-core ring"),
             Topology::Crossbar { size } => write!(f, "{size}-core crossbar"),
         }
     }
@@ -126,15 +106,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_hops_wrap_around() {
-        let t = Topology::ring(8);
-        assert_eq!(t.hops(CoreId(0), CoreId(1)), 1);
-        assert_eq!(t.hops(CoreId(0), CoreId(7)), 1);
-        assert_eq!(t.hops(CoreId(0), CoreId(4)), 4);
-        assert_eq!(t.hops(CoreId(2), CoreId(6)), 4);
-    }
-
-    #[test]
     fn crossbar_is_single_hop() {
         let t = Topology::crossbar(64);
         assert_eq!(t.hops(CoreId(3), CoreId(60)), 1);
@@ -146,7 +117,6 @@ mod tests {
         let t = Topology::mesh(3, 2);
         assert!(t.contains(CoreId(5)));
         assert!(!t.contains(CoreId(6)));
-        assert_eq!(t.cores().count(), 6);
         assert_eq!(t.to_string(), "3x2 mesh");
     }
 

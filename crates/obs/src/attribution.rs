@@ -41,7 +41,7 @@ pub struct CoreBreakdown {
 
 impl CoreBreakdown {
     /// Total cycles waiting in place across all causes.
-    pub fn stalled_total(&self) -> u64 {
+    pub(crate) fn stalled_total(&self) -> u64 {
         self.stalled.iter().sum()
     }
 
@@ -89,11 +89,6 @@ impl CycleAttribution {
             ],
             acc: vec![CoreBreakdown::default(); cores],
         }
-    }
-
-    /// Number of cores tracked (the attribution denominator).
-    pub fn cores(&self) -> usize {
-        self.cores.len()
     }
 
     /// Attributes `[next, to)` to the core's current gap bucket.

@@ -10,8 +10,8 @@ use crate::probe::{SimProbe, StallCause, TickGauges};
 /// with one complete span per section residency (begin → end/park), an
 /// async flow arrow per fork handoff (NoC send → deliver), instant
 /// markers for in-place fetch stalls (named by [`StallCause`]), and
-/// sampled counter tracks for the per-cycle gauges. One simulated cycle
-/// maps to one microsecond of trace time.
+/// counter tracks sampling the per-cycle gauges every 64 cycles. One
+/// simulated cycle maps to one microsecond of trace time.
 ///
 /// The writer streams: events go to the sink as they fire (wrap the sink
 /// in a [`std::io::BufWriter`] for file output) and [`finish`] closes the
@@ -28,28 +28,20 @@ pub struct ChromeTraceWriter<W: Write> {
     error: Option<io::Error>,
     events: u64,
     named_cores: Vec<bool>,
-    counter_stride: u64,
     next_counter: u64,
 }
 
+/// Cycle stride between counter samples.
+const COUNTER_STRIDE: u64 = 64;
+
 impl<W: Write> ChromeTraceWriter<W> {
-    /// Default cycle stride between counter samples.
-    pub const DEFAULT_COUNTER_STRIDE: u64 = 64;
-
-    /// A writer streaming to `out` with the default counter stride.
+    /// A writer streaming to `out`.
     pub fn new(out: W) -> Self {
-        Self::with_counter_stride(out, Self::DEFAULT_COUNTER_STRIDE)
-    }
-
-    /// A writer sampling gauge counters every `stride` cycles (0 is
-    /// clamped to 1).
-    pub fn with_counter_stride(out: W, stride: u64) -> Self {
         ChromeTraceWriter {
             out,
             error: None,
             events: 0,
             named_cores: Vec::new(),
-            counter_stride: stride.max(1),
             next_counter: 0,
         }
     }
@@ -110,7 +102,7 @@ impl<W: Write> SimProbe for ChromeTraceWriter<W> {
         if gauges.cycle < self.next_counter {
             return;
         }
-        self.next_counter = gauges.cycle + self.counter_stride;
+        self.next_counter = gauges.cycle + COUNTER_STRIDE;
         self.emit(format_args!(
             "{{\"name\":\"chip\",\"ph\":\"C\",\"ts\":{},\"pid\":0,\"args\":{{\
              \"running\":{},\"calendar_depth\":{},\"noc_in_flight\":{},\"parked\":{}}}}}",
@@ -234,14 +226,14 @@ mod tests {
 
     #[test]
     fn counter_samples_respect_the_stride() {
-        let mut writer = ChromeTraceWriter::with_counter_stride(Vec::new(), 10);
-        for cycle in 0..25 {
+        let mut writer = ChromeTraceWriter::new(Vec::new());
+        for cycle in 0..150 {
             writer.on_tick(TickGauges {
                 cycle,
                 running: 1,
                 ..TickGauges::default()
             });
         }
-        assert_eq!(writer.events(), 3, "samples at 0, 10, 20");
+        assert_eq!(writer.events(), 3, "samples at 0, 64, 128");
     }
 }

@@ -26,9 +26,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod attribution;
-pub mod chrome;
-pub mod probe;
+pub(crate) mod attribution;
+pub(crate) mod chrome;
+pub(crate) mod probe;
 
 pub use attribution::{CoreBreakdown, CycleAttribution};
 pub use chrome::ChromeTraceWriter;

@@ -7,7 +7,6 @@
 #![forbid(unsafe_code)]
 
 pub mod collection;
-pub mod option;
 pub mod prelude;
 pub mod strategy;
 pub mod test_runner;

@@ -14,7 +14,7 @@ pub struct Rng {
 
 impl Rng {
     /// The next 64 uniformly random bits (splitmix64).
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -37,7 +37,7 @@ pub fn rng(seed: u64) -> Rng {
 }
 
 /// `n` uniformly random 64-bit values below `bound`.
-pub fn values(n: usize, bound: u64, seed: u64) -> Vec<u64> {
+pub(crate) fn values(n: usize, bound: u64, seed: u64) -> Vec<u64> {
     let mut r = rng(seed);
     (0..n).map(|_| r.below(bound)).collect()
 }
@@ -45,14 +45,14 @@ pub fn values(n: usize, bound: u64, seed: u64) -> Vec<u64> {
 /// A random directed graph with `n` nodes of constant out-degree `degree`,
 /// stored as a flat adjacency array of length `n · degree`
 /// (`edges[u·degree + j]` is the j-th neighbour of `u`).
-pub fn graph(n: usize, degree: usize, seed: u64) -> Vec<u64> {
+pub(crate) fn graph(n: usize, degree: usize, seed: u64) -> Vec<u64> {
     let mut r = rng(seed);
     (0..n * degree).map(|_| r.below(n as u64)).collect()
 }
 
 /// `n` random 2-D points with coordinates in `[0, 2^16)`, returned as
 /// separate x and y arrays (the representation the mini-C kernels use).
-pub fn points(n: usize, seed: u64) -> (Vec<u64>, Vec<u64>) {
+pub(crate) fn points(n: usize, seed: u64) -> (Vec<u64>, Vec<u64>) {
     let mut r = rng(seed);
     let xs = (0..n).map(|_| r.below(1 << 16)).collect();
     let ys = (0..n).map(|_| r.below(1 << 16)).collect();
@@ -61,7 +61,7 @@ pub fn points(n: usize, seed: u64) -> (Vec<u64>, Vec<u64>) {
 
 /// `m` random weighted edges over `n` nodes, returned as `(src, dst,
 /// weight)` arrays with weights below `2^20`.
-pub fn weighted_edges(n: usize, m: usize, seed: u64) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
+pub(crate) fn weighted_edges(n: usize, m: usize, seed: u64) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
     let mut r = rng(seed);
     let src = (0..m).map(|_| r.below(n as u64)).collect();
     let dst = (0..m).map(|_| r.below(n as u64)).collect();
@@ -70,7 +70,7 @@ pub fn weighted_edges(n: usize, m: usize, seed: u64) -> (Vec<u64>, Vec<u64>, Vec
 }
 
 /// The smallest power of two that is at least `n` and at least 2.
-pub fn next_power_of_two(n: usize) -> usize {
+pub(crate) fn next_power_of_two(n: usize) -> usize {
     n.max(2).next_power_of_two()
 }
 

@@ -112,22 +112,8 @@ impl Benchmark {
         }
     }
 
-    /// Whether the paper observes the parallel-model ILP of this benchmark
-    /// growing proportionally to the dataset (benchmarks 1, 2, 5, 6, 9, 10).
-    pub fn is_data_parallel(&self) -> bool {
-        matches!(
-            self,
-            Benchmark::Bfs
-                | Benchmark::ComparisonSort
-                | Benchmark::IntegerSort
-                | Benchmark::Mis
-                | Benchmark::NearestNeighbors
-                | Benchmark::RemoveDuplicates
-        )
-    }
-
     /// The mini-C source of the kernel.
-    pub fn source(&self) -> &'static str {
+    pub(crate) fn source(&self) -> &'static str {
         match self {
             Benchmark::Bfs => BFS_SRC,
             Benchmark::ComparisonSort => QUICKSORT_SRC,
@@ -144,7 +130,7 @@ impl Benchmark {
 
     /// Compilation options for a problem of `size` elements/nodes/points
     /// with the given `seed`: the dataset arrays plus a `params` array.
-    pub fn options(&self, size: usize, seed: u64, backend: Backend) -> CompileOptions {
+    pub(crate) fn options(&self, size: usize, seed: u64, backend: Backend) -> CompileOptions {
         let n = size.max(4);
         let mut options = CompileOptions::new(backend);
         match self {
@@ -852,12 +838,6 @@ mod tests {
         assert_eq!(table[0].id(), 1);
         assert_eq!(table[0].name(), "breadthFirstSearch/ndBFS");
         assert_eq!(table[9].name(), "removeDuplicates/deterministicHash");
-        let data_parallel: Vec<usize> = table
-            .iter()
-            .filter(|b| b.is_data_parallel())
-            .map(|b| b.id())
-            .collect();
-        assert_eq!(data_parallel, vec![1, 2, 5, 6, 9, 10]);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! keys/values *in program* with an LCG instead:
 //!
 //! * [`synth_histogram_program`] — the bucket histogram with
-//!   LCG-generated keys and a coarser leaf ([`SYNTH_LEAF`]), so a ~10M
+//!   LCG-generated keys and a coarser leaf (`SYNTH_LEAF`), so a ~10M
 //!   instruction instance forks tens of thousands of sections over a
 //!   kilobyte-scale data segment;
 //! * [`fan_chain_program`] — `chains` independent serial accumulator
@@ -49,20 +49,20 @@ use crate::data;
 
 /// Number of elements a histogram leaf processes sequentially before the
 /// recursion stops forking.
-pub const HISTOGRAM_LEAF: usize = 16;
+pub(crate) const HISTOGRAM_LEAF: usize = 16;
 
 /// Number of keys a synthetic-histogram leaf generates and applies
 /// sequentially (coarser than [`HISTOGRAM_LEAF`]: the 256–1024-core runs
 /// want tens of thousands of sections, not millions).
-pub const SYNTH_LEAF: usize = 32;
+pub(crate) const SYNTH_LEAF: usize = 32;
 
 /// Knuth's MMIX LCG multiplier — the in-program key generator of
 /// [`synth_histogram_program`] and [`fan_chain_program`] (both fit in an
 /// `i64` immediate, which is why splitmix's constants are not used here).
-pub const LCG_MUL: u64 = 6364136223846793005;
+pub(crate) const LCG_MUL: u64 = 6364136223846793005;
 
 /// Knuth's MMIX LCG increment.
-pub const LCG_ADD: u64 = 1442695040888963407;
+pub(crate) const LCG_ADD: u64 = 1442695040888963407;
 
 /// Folds an arbitrary seed into a value that fits comfortably in an
 /// assembler immediate.
@@ -71,11 +71,7 @@ fn seed_imm(seed: u64) -> u64 {
 }
 
 /// Number of elements a tree-sum leaf accumulates sequentially.
-pub const TREE_SUM_LEAF: usize = 16;
-
-/// Dynamic instructions per histogram key (the leaf-loop body), used to
-/// size benchmark runs.
-pub const HISTOGRAM_INSNS_PER_KEY: usize = 11;
+pub(crate) const TREE_SUM_LEAF: usize = 16;
 
 // ---------------------------------------------------------------------
 // Fuel derivation.
@@ -116,14 +112,14 @@ pub fn fan_chain_fuel(chains: usize, links: usize) -> u64 {
 
 /// The key stream of a histogram instance: `keys` uniform values below
 /// `buckets`.
-pub fn histogram_keys(keys: usize, buckets: usize, seed: u64) -> Vec<u64> {
+pub(crate) fn histogram_keys(keys: usize, buckets: usize, seed: u64) -> Vec<u64> {
     data::values(keys, buckets.max(1) as u64, seed)
 }
 
 /// The fork-parallel bucket histogram over `keys` keys and `buckets`
 /// buckets.
 ///
-/// The recursion halves the key range until at most [`HISTOGRAM_LEAF`]
+/// The recursion halves the key range until at most `HISTOGRAM_LEAF`
 /// keys remain; a leaf walks its keys and increments `table[key]` through
 /// a load/modify/store sequence whose (functionally redundant) conditional
 /// depends on the loaded counter — forcing the fetch stage to wait for the
@@ -204,12 +200,12 @@ pub fn histogram_expected(keys: usize, buckets: usize, seed: u64) -> Vec<u64> {
 }
 
 /// The dataset of a tree-sum instance: `elements` values below `2^20`.
-pub fn tree_sum_data(elements: usize, seed: u64) -> Vec<u64> {
+pub(crate) fn tree_sum_data(elements: usize, seed: u64) -> Vec<u64> {
     data::values(elements, 1 << 20, seed)
 }
 
 /// The paper's recursive fork `sum` generalised with a sequential leaf:
-/// the recursion halves the range until at most [`TREE_SUM_LEAF`] elements
+/// the recursion halves the range until at most `TREE_SUM_LEAF` elements
 /// remain, and a leaf accumulates them with a tight load-add loop. Parent
 /// sections combine the two half-sums through a stack temporary, exactly
 /// like Figure 5.
@@ -338,7 +334,7 @@ pub fn chain_sum_expected(elements: usize, seed: u64) -> Vec<u64> {
 /// `buckets` (a power of two) buckets — [`histogram_program`] rebuilt for
 /// the 256–1024-core, ≥10M-instruction regime.
 ///
-/// The recursion halves the key-index range until at most [`SYNTH_LEAF`]
+/// The recursion halves the key-index range until at most `SYNTH_LEAF`
 /// keys remain; a leaf seeds a per-leaf LCG from its start index and, per
 /// key, draws the next state, maps its high bits onto a bucket and bumps
 /// `table[key]` through the same load–conditional–store sequence as

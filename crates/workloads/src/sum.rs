@@ -115,18 +115,6 @@ pub fn expected(data: &[u64]) -> Vec<u64> {
     vec![data.iter().copied().fold(0u64, u64::wrapping_add)]
 }
 
-/// The mini-C version of the sum function (Figure 1's C code, adapted to
-/// mini-C), compiled by `parsecs-cc` in the `compile_and_fork` example.
-pub const SUM_MINI_C: &str = "
-fn sum(t, n) {
-    if (n == 1) { return t[0]; } else { }
-    if (n == 2) { return t[0] + t[1]; } else { }
-    var half = n >> 1;
-    return sum(t, half) + sum(t + 8 * half, n - half);
-}
-fn main() { out(sum(t, n_elements[0])); }
-";
-
 #[cfg(test)]
 mod tests {
     use super::*;

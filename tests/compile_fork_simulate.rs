@@ -3,8 +3,9 @@
 //! Rust oracles.
 
 use parsecs::cc::Backend;
-use parsecs::core::{check_arena, TraceArena};
+use parsecs::core::check_arena;
 use parsecs::driver::{ExecutionBackend, ManyCoreBackend, SequentialBackend};
+use parsecs::trace::TraceArena;
 use parsecs::workloads::pbbs::Benchmark;
 
 #[test]

@@ -1,7 +1,7 @@
 //! FNV-1a digests shared by the golden tables and the differential
 //! tests.
 
-use parsecs::core::{SimProbe, StallCause, TickGauges};
+use parsecs::obs::{SimProbe, StallCause, TickGauges};
 
 /// The FNV-1a offset basis: the digest of no bytes.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

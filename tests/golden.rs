@@ -46,10 +46,7 @@ use std::fmt::Debug;
 
 use digest::{fnv1a_extend, EventDigest, TickDigest, FNV_OFFSET};
 use parsecs::cc::Backend;
-use parsecs::core::{
-    format_figure10, ManyCoreSim, Placement, SimConfig, SimProbe, SimResult, SimStats, SourceKind,
-    StallCause, TraceArena,
-};
+use parsecs::core::{format_figure10, ManyCoreSim, Placement, SimConfig, SimResult, SimStats};
 use parsecs::driver::{
     ExecutionBackend, IlpBackend, ManyCoreBackend, RunReport, SequentialBackend,
 };
@@ -57,6 +54,8 @@ use parsecs::ilp::{DependenceDistances, DistanceHistogram, IlpModel, IlpSchedule
 use parsecs::isa::Program;
 use parsecs::machine::Machine;
 use parsecs::noc::{NocConfig, Topology};
+use parsecs::obs::{SimProbe, StallCause};
+use parsecs::trace::{SourceKind, TraceArena};
 use parsecs::workloads::pbbs::Benchmark;
 use parsecs::workloads::{scale, sum};
 
@@ -536,7 +535,10 @@ fn ilp_recompute() -> Vec<IlpRow> {
         ("in-order", IlpModel::in_order()),
         (
             "parallel-window-2048",
-            IlpModel::parallel_ideal().with_window(2048),
+            IlpModel {
+                window: Some(2048),
+                ..IlpModel::parallel_ideal()
+            },
         ),
     ];
     let mut rows = Vec::new();

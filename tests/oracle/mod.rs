@@ -29,11 +29,13 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use parsecs::core::{
-    CoreBreakdown, Placement, SimConfig, SimResult, SimStats, SourceKind, StallCause, TraceArena,
-};
+use parsecs::core::{Placement, SimConfig, SimResult, SimStats};
+
+use parsecs::obs::{CoreBreakdown, StallCause};
+
 use parsecs::machine::TraceKind;
 use parsecs::noc::{CoreId, Network, Topology};
+use parsecs::trace::{SourceKind, TraceArena};
 
 /// Checks `result`, the engine's run of `arena` under `config`, against
 /// the oracle: the placement, every stage row when the run recorded its

@@ -21,7 +21,9 @@
 
 use std::time::Instant;
 
-use parsecs::core::{ManyCoreSim, SimConfig, SimResult, TraceArena};
+use parsecs::core::{ManyCoreSim, SimConfig, SimResult};
+
+use parsecs::trace::TraceArena;
 use parsecs::workloads::scale;
 
 /// The 1024-core run may take at most this multiple of the 512-core

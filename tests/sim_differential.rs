@@ -17,8 +17,9 @@ mod digest;
 mod oracle;
 
 use digest::{EventDigest, TickDigest};
-use parsecs::core::{ManyCoreSim, Placement, SimConfig, TraceArena};
+use parsecs::core::{ManyCoreSim, Placement, SimConfig};
 use parsecs::noc::{NocConfig, Topology};
+use parsecs::trace::TraceArena;
 use parsecs::workloads::sum;
 use proptest::prelude::*;
 
@@ -521,7 +522,8 @@ fn attribution_buckets_tile_total_cycles_exactly() {
 /// is the binding lower bound.
 #[test]
 fn ejection_contention_binds_a_many_producers_one_consumer_cell() {
-    use parsecs::core::{bound_schedule, BindingTerm};
+    use parsecs::check::BindingTerm;
+    use parsecs::core::bound_schedule;
 
     // `fork` is call-style: control continues into the target while the
     // fall-through code becomes a new section, so a run of forks through
@@ -603,7 +605,7 @@ fn ejection_contention_binds_a_many_producers_one_consumer_cell() {
 /// trivial one, so the attached report must name the work term.
 #[test]
 fn per_core_work_binds_a_one_core_cell() {
-    use parsecs::core::BindingTerm;
+    use parsecs::check::BindingTerm;
 
     // Control runs into each forked body (`a`, then `b` from `a`'s
     // continuation); the final continuation carries the halt. Three

@@ -3,9 +3,11 @@
 
 mod oracle;
 
-use parsecs::core::{analytic, SectionId, SimConfig, TraceArena};
+use parsecs::core::{analytic, SimConfig};
+
 use parsecs::driver::{ExecutionBackend, ManyCoreBackend, SequentialBackend};
 use parsecs::machine::Machine;
+use parsecs::trace::{SectionId, TraceArena};
 use parsecs::workloads::sum;
 
 const PAPER_DATA: [u64; 5] = [4, 2, 6, 4, 5];
@@ -50,8 +52,8 @@ fn figure4_and_6_the_fork_run_has_five_sections_of_the_published_sizes() {
 
 #[test]
 fn figure6_renaming_matches_the_papers_producer_consumer_pairs() {
-    use parsecs::core::SourceKind;
     use parsecs::machine::Location;
+    use parsecs::trace::SourceKind;
 
     let arena = TraceArena::from_program(&sum::fork_program(&PAPER_DATA), 10_000).unwrap();
     // 5-1 (addq 0(%rsp), %rax) reads the stack word written by 2-2.
