@@ -161,7 +161,7 @@ fn parse_int(s: &str) -> Option<i64> {
             .ok()
             .or_else(|| body.parse::<u64>().ok().map(|v| v as i64))?
     };
-    Some(if neg { -value } else { value })
+    Some(if neg { value.wrapping_neg() } else { value })
 }
 
 fn parse_instruction(text: &str, line_no: usize) -> Result<Inst, AsmError> {

@@ -7,9 +7,7 @@ use std::io::BufWriter;
 use std::time::Instant;
 
 use parsecs_core::{ManyCoreSim, SimResult};
-
 use parsecs_obs::ChromeTraceWriter;
-
 use parsecs_trace::TraceArena;
 
 /// What one bin accepts on its command line.

@@ -1,12 +1,10 @@
 //! The [`ExecutionBackend`] trait and its three engine implementations.
 
 use parsecs_core::{ManyCoreSim, SimConfig, SimError};
-
-use parsecs_obs::{NoopProbe, SimProbe};
-
 use parsecs_ilp::{IlpModel, IlpScheduler};
 use parsecs_isa::Program;
 use parsecs_machine::Machine;
+use parsecs_obs::{NoopProbe, SimProbe};
 use parsecs_trace::TraceArena;
 
 use crate::{DriverError, ReportDetail, RunReport};

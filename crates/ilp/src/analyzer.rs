@@ -190,6 +190,7 @@ impl ModelSchedule {
         *slot += 1;
         self.per_cycle_peak = self.per_cycle_peak.max(*slot);
 
+        // Unit latency: an instruction completes in its issue cycle.
         let complete = issue;
         if let Some(window) = model.window {
             self.completions.push_back(complete);

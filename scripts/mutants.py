@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the hand-written mutant catalogue against the tier-1 tests.
+"""Run the hand-written mutant catalogue against the workspace's tests.
 
 Usage: python3 scripts/mutants.py [NAME ...]   (no NAME runs every entry)
 
@@ -8,8 +8,10 @@ the text that replaces it and the plausible bug that replacement models.
 The script copies the working tree (tracked and untracked, not ignored
 files) into a fresh directory under the system temp directory (set
 TMPDIR to move it), checks that the unmutated copy builds and passes,
-then for each entry applies the replacement, runs `cargo test -q` with a
-timeout and restores the file. It prints one line per entry:
+then for each entry applies the replacement, runs `cargo test -q
+--workspace` (every crate's unit and integration tests, the root
+package's and the doctests) with a timeout and restores the file. It
+prints one line per entry:
 
 * killed     - a test failed;
 * survived   - every test passed: the catalogue names a bug no test sees;
@@ -33,6 +35,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIMEOUT_S = 600
+TEST = ["cargo", "test", "-q", "--workspace"]
 
 CATALOGUE = [
     {
@@ -156,6 +159,40 @@ CATALOGUE = [
         "link as its first waiter",
     },
     {
+        "name": "estimator-fills-past-capacity",
+        "file": "crates/core/src/placement.rs",
+        "old": ".filter(|c| hosted[*c] < capacity)",
+        "new": ".filter(|c| hosted[*c] <= capacity)",
+        "reason": "the finish-time estimator counts a full core as having "
+        "room, so it places past capacity while another core is free",
+    },
+    {
+        "name": "lean-dep-checks-skipped",
+        "file": "crates/check/src/validate.rs",
+        "old": "    let full = arena.records_locations();\n    for seq in 0..n {\n",
+        "new": "    let full = arena.records_locations();\n"
+        "    if !full {\n        return;\n    }\n"
+        "    for seq in 0..n {\n",
+        "reason": "the validator checks no dependence of a lean arena: "
+        "slice bounds, provenance tags and producer order go unchecked",
+    },
+    {
+        "name": "noc-latency-charged-at-now",
+        "file": "crates/noc/src/network.rs",
+        "old": "                self.stats.record_delivery(item.arrives_at, &item.envelope);\n",
+        "new": "                self.stats.record_delivery(now, &item.envelope);\n",
+        "reason": "with unlimited ejection, a backlog delivered late is "
+        "charged the latency up to the delivering call, not its arrival",
+    },
+    {
+        "name": "unresolved-row-scan-skipped",
+        "file": "crates/core/src/timing.rs",
+        "old": "        if unresolved {\n            return None;\n        }\n",
+        "new": "",
+        "reason": "a recording run that leaves an instruction unresolved "
+        "reports sentinel cycles in its stage table instead of failing",
+    },
+    {
         "name": "finish-keeps-reservation",
         "file": "crates/trace/src/stream.rs",
         "old": "        self.arena.set_outputs(outputs);\n"
@@ -218,12 +255,12 @@ def try_entry(entry, tree, env):
     with open(path, "w") as f:
         f.write(original.replace(entry["old"], entry["new"]))
     try:
-        built = run(["cargo", "test", "-q", "--no-run"], tree, env, TIMEOUT_S)
+        built = run(TEST + ["--no-run"], tree, env, TIMEOUT_S)
         if built is None:
             return "timed out"
         if built != 0:
             return "unbuildable"
-        tested = run(["cargo", "test", "-q"], tree, env, TIMEOUT_S)
+        tested = run(TEST, tree, env, TIMEOUT_S)
         if tested is None:
             return "timed out"
         return "survived" if tested == 0 else "killed"
@@ -250,7 +287,7 @@ def run_catalogue(entries, scratch):
     print(f"copying the working tree to {tree}", flush=True)
     copy_tree(tree)
     start = time.monotonic()
-    if run(["cargo", "test", "-q"], tree, env, None) != 0:
+    if run(TEST, tree, env, None) != 0:
         print("the unmutated tree fails its tests; nothing to measure")
         return 1
     print(f"unmutated tree passes ({time.monotonic() - start:.0f} s)", flush=True)

@@ -30,11 +30,9 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use parsecs::core::{Placement, SimConfig, SimResult, SimStats};
-
-use parsecs::obs::{CoreBreakdown, StallCause};
-
 use parsecs::machine::TraceKind;
 use parsecs::noc::{CoreId, Network, Topology};
+use parsecs::obs::{CoreBreakdown, StallCause};
 use parsecs::trace::{SourceKind, TraceArena};
 
 /// Checks `result`, the engine's run of `arena` under `config`, against

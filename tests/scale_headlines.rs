@@ -22,7 +22,6 @@
 use std::time::Instant;
 
 use parsecs::core::{ManyCoreSim, SimConfig, SimResult};
-
 use parsecs::trace::TraceArena;
 use parsecs::workloads::scale;
 

@@ -4,7 +4,6 @@
 mod oracle;
 
 use parsecs::core::{analytic, SimConfig};
-
 use parsecs::driver::{ExecutionBackend, ManyCoreBackend, SequentialBackend};
 use parsecs::machine::Machine;
 use parsecs::trace::{SectionId, TraceArena};

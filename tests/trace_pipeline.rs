@@ -20,12 +20,12 @@ mod oracle;
 use std::collections::HashMap;
 
 use parsecs::core::{ManyCoreSim, SimConfig};
-
 use parsecs::driver::{ExecutionBackend, ManyCoreBackend, SequentialBackend};
 use parsecs::isa::Program;
 use parsecs::machine::{Location, Machine, TraceKind, TraceSink, TraceStep};
-use parsecs::trace::StreamingSectioner;
-use parsecs::trace::{SectionId, SectionSpan, SourceDep, SourceKind, TraceArena};
+use parsecs::trace::{
+    SectionId, SectionSpan, SourceDep, SourceKind, StreamingSectioner, TraceArena,
+};
 use parsecs::workloads::data::{self, Rng};
 use parsecs::workloads::{scale, sum};
 use proptest::prelude::*;
