@@ -7,9 +7,8 @@ use crate::{Cond, IsaError, MemRef, Operand, Reg};
 /// A control-flow target: a symbolic label, an absolute instruction index,
 /// or both once the label has been resolved.
 ///
-/// Code addresses in the parsecs machine are *instruction indices*; the
-/// encoding is fixed-width so nothing is lost with respect to byte
-/// addressing.
+/// Code addresses in the parsecs machine are *instruction indices*, not
+/// byte addresses.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Target {
     /// Symbolic name, kept for pretty-printing even after resolution.
