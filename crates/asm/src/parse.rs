@@ -557,7 +557,7 @@ sum:    cmpq    $2, %rsi        # n>2
                 &Inst::Jcc {
                     cond,
                     target: Target {
-                        label: Some("main".into()),
+                        label: "main".into(),
                         index: Some(0)
                     }
                 }
@@ -613,6 +613,14 @@ sum:    cmpq    $2, %rsi        # n>2
                 dst: Operand::Reg(Reg::Rbx)
             }
         );
+    }
+
+    #[test]
+    fn extreme_immediates_do_not_overflow() {
+        assert_eq!(parse_int("-9223372036854775808"), Some(i64::MIN));
+        assert_eq!(parse_int("9223372036854775807"), Some(i64::MAX));
+        assert_eq!(parse_int("0xffffffffffffffff"), Some(-1));
+        assert_eq!(parse_int("-0x8000000000000000"), Some(i64::MIN));
     }
 
     #[test]

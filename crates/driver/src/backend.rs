@@ -4,7 +4,6 @@ use parsecs_core::{ManyCoreSim, SimConfig, SimError};
 use parsecs_ilp::{IlpModel, IlpScheduler};
 use parsecs_isa::Program;
 use parsecs_machine::Machine;
-use parsecs_obs::{NoopProbe, SimProbe};
 use parsecs_trace::TraceArena;
 
 use crate::{DriverError, ReportDetail, RunReport};
@@ -132,53 +131,6 @@ impl ManyCoreBackend {
     pub fn with_cores(cores: usize) -> ManyCoreBackend {
         ManyCoreBackend::new(SimConfig::with_cores(cores))
     }
-
-    /// Like [`ExecutionBackend::execute_fueled`], with a telemetry probe
-    /// observing the timing run (see
-    /// [`parsecs_core::ManyCoreSim::simulate_arena_probed`]), e.g. a
-    /// [`parsecs_obs::ChromeTraceWriter`] or a
-    /// [`parsecs_core::CountingProbe`]. Probes are monomorphized into the
-    /// engine — [`parsecs_obs::SimProbe`] is not object-safe — so this
-    /// lives on the concrete backend rather than the trait; the produced
-    /// [`RunReport`] is bit-identical to the unprobed one.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ExecutionBackend::execute_fueled`].
-    pub(crate) fn execute_probed_fueled<P: SimProbe>(
-        &self,
-        program: &Program,
-        fuel: u64,
-        probe: &mut P,
-    ) -> Result<RunReport, DriverError> {
-        // A bad configuration fails before the pre-execution runs.
-        self.config.validate().map_err(SimError::Config)?;
-        // Only a validated run's writer-discipline check reads the written
-        // locations; every other run builds the arena without them.
-        let arena = if self.config.validate {
-            TraceArena::from_program(program, fuel)
-        } else {
-            TraceArena::from_program_lean(program, fuel)
-        }
-        .map_err(SimError::from)?;
-        let result = ManyCoreSim::new(self.config.clone()).simulate_arena_probed(&arena, probe)?;
-        // A forced stall release means the stall/wake model broke down:
-        // refuse the untrustworthy timings instead of reporting them.
-        if result.stats.forced_stall_releases > 0 {
-            return Err(DriverError::Deadlock {
-                forced_stall_releases: result.stats.forced_stall_releases,
-            });
-        }
-        Ok(RunReport {
-            backend: self.name(),
-            outputs: result.outputs.clone(),
-            instructions: result.stats.instructions,
-            cycles: result.stats.total_cycles,
-            fetch_ipc: result.stats.fetch_ipc,
-            retire_ipc: result.stats.retire_ipc,
-            detail: ReportDetail::Sim(Box::new(result)),
-        })
-    }
 }
 
 /// The backend label of a many-core configuration: a `manycore:…` prefix
@@ -235,14 +187,39 @@ impl ExecutionBackend for ManyCoreBackend {
     }
 
     fn execute_fueled(&self, program: &Program, fuel: u64) -> Result<RunReport, DriverError> {
-        self.execute_probed_fueled(program, fuel, &mut NoopProbe)
+        // A bad configuration fails before the pre-execution runs.
+        self.config.validate().map_err(SimError::Config)?;
+        // Only a validated run's writer-discipline check reads the written
+        // locations; every other run builds the arena without them.
+        let arena = if self.config.validate {
+            TraceArena::from_program(program, fuel)
+        } else {
+            TraceArena::from_program_lean(program, fuel)
+        }
+        .map_err(SimError::from)?;
+        let result = ManyCoreSim::new(self.config.clone()).simulate_arena(&arena)?;
+        // A forced stall release means the stall/wake model broke down:
+        // refuse the untrustworthy timings instead of reporting them.
+        if result.stats.forced_stall_releases > 0 {
+            return Err(DriverError::Deadlock {
+                forced_stall_releases: result.stats.forced_stall_releases,
+            });
+        }
+        Ok(RunReport {
+            backend: self.name(),
+            outputs: result.outputs.clone(),
+            instructions: result.stats.instructions,
+            cycles: result.stats.total_cycles,
+            fetch_ipc: result.stats.fetch_ipc,
+            retire_ipc: result.stats.retire_ipc,
+            detail: ReportDetail::Sim(Box::new(result)),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parsecs_core::CountingProbe;
     use parsecs_machine::MachineError;
     use parsecs_workloads::sum;
 
@@ -387,21 +364,16 @@ mod tests {
     }
 
     #[test]
-    fn probed_runs_match_the_unprobed_report_bit_for_bit() {
+    fn attribution_tiles_the_cycle_budget_of_every_core() {
         let program = sum::fork_program(&[4, 2, 6, 4, 5]);
-        let backend = ManyCoreBackend::with_cores(8);
-        let mut counting = CountingProbe::default();
-        let probed = backend
-            .execute_probed_fueled(&program, FUEL, &mut counting)
+        let report = ManyCoreBackend::with_cores(8)
+            .execute_fueled(&program, FUEL)
             .unwrap();
-        let plain = backend.execute_fueled(&program, FUEL).unwrap();
-        assert_eq!(probed, plain, "an observing probe must not steer");
-        assert!(counting.events() > 0, "the probe observed nothing");
         // The always-on attribution table covers every configured core
         // and tiles the whole cycle budget.
-        let stats = &probed.sim().unwrap().stats;
+        let stats = &report.sim().unwrap().stats;
         assert_eq!(stats.attribution.len(), 8);
-        assert!(stats.attribution.iter().all(|b| b.total() == probed.cycles));
+        assert!(stats.attribution.iter().all(|b| b.total() == report.cycles));
         let occupancy = stats.occupancy();
         assert!(occupancy > 0.0 && occupancy <= 1.0);
     }

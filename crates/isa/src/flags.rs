@@ -212,6 +212,62 @@ mod tests {
                 (a as i64) <= (b as i64),
                 "less-eq {a} {b}"
             );
+            let negative = (a.wrapping_sub(b) as i64) < 0;
+            assert_eq!(Cond::S.eval(f), negative, "sign {a} {b}");
+            assert_eq!(Cond::Ns.eval(f), !negative, "no-sign {a} {b}");
+        }
+    }
+
+    #[test]
+    fn complementary_conditions_are_exclusive() {
+        let flag_values = [
+            Flags::default(),
+            Flags {
+                zf: true,
+                ..Flags::default()
+            },
+            Flags {
+                sf: true,
+                ..Flags::default()
+            },
+            Flags {
+                cf: true,
+                ..Flags::default()
+            },
+            Flags {
+                of: true,
+                ..Flags::default()
+            },
+            Flags {
+                sf: true,
+                of: true,
+                ..Flags::default()
+            },
+            Flags {
+                zf: true,
+                cf: true,
+                sf: true,
+                of: true,
+            },
+        ];
+        let pairs = [
+            (Cond::E, Cond::Ne),
+            (Cond::A, Cond::Be),
+            (Cond::Ae, Cond::B),
+            (Cond::G, Cond::Le),
+            (Cond::Ge, Cond::L),
+            (Cond::S, Cond::Ns),
+        ];
+        for f in flag_values {
+            assert_eq!(Cond::S.eval(f), f.sf, "s with {f}");
+            assert_eq!(Cond::Ns.eval(f), !f.sf, "ns with {f}");
+            for (c, complement) in pairs {
+                assert_ne!(
+                    c.eval(f),
+                    complement.eval(f),
+                    "{c:?}/{complement:?} with {f}"
+                );
+            }
         }
     }
 

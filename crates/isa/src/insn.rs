@@ -4,15 +4,15 @@ use std::fmt;
 
 use crate::{Cond, IsaError, MemRef, Operand, Reg};
 
-/// A control-flow target: a symbolic label, an absolute instruction index,
-/// or both once the label has been resolved.
+/// A control-flow target: a symbolic label, and its instruction index once
+/// the label has been resolved.
 ///
 /// Code addresses in the parsecs machine are *instruction indices*, not
 /// byte addresses.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Target {
     /// Symbolic name, kept for pretty-printing even after resolution.
-    pub label: Option<String>,
+    pub label: String,
     /// Absolute instruction index, present after resolution.
     pub index: Option<usize>,
 }
@@ -21,7 +21,7 @@ impl Target {
     /// A symbolic, unresolved target.
     pub fn label(name: impl Into<String>) -> Target {
         Target {
-            label: Some(name.into()),
+            label: name.into(),
             index: None,
         }
     }
@@ -33,19 +33,14 @@ impl Target {
     /// Returns [`IsaError::UndefinedLabel`] when the target is still
     /// symbolic.
     pub fn resolved(&self) -> Result<usize, IsaError> {
-        self.index.ok_or_else(|| {
-            IsaError::UndefinedLabel(self.label.clone().unwrap_or_else(|| "<anonymous>".into()))
-        })
+        self.index
+            .ok_or_else(|| IsaError::UndefinedLabel(self.label.clone()))
     }
 }
 
 impl fmt::Display for Target {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match (&self.label, self.index) {
-            (Some(l), _) => f.write_str(l),
-            (None, Some(i)) => write!(f, "@{i}"),
-            (None, None) => f.write_str("<unresolved>"),
-        }
+        f.write_str(&self.label)
     }
 }
 
@@ -480,17 +475,13 @@ mod tests {
     #[test]
     fn target_resolution() {
         let t = Target::label("sum");
-        assert!(t.resolved().is_err());
-        let t = Target {
-            label: None,
-            index: Some(12),
-        };
-        assert_eq!(t.resolved().unwrap(), 12);
-        assert_eq!(t.to_string(), "@12");
-        let named = Target {
-            label: Some("sum".into()),
+        assert_eq!(t.resolved(), Err(IsaError::UndefinedLabel("sum".into())));
+        assert_eq!(t.to_string(), "sum");
+        let resolved = Target {
+            label: "sum".into(),
             index: Some(3),
         };
-        assert_eq!(named.to_string(), "sum");
+        assert_eq!(resolved.resolved().unwrap(), 3);
+        assert_eq!(resolved.to_string(), "sum");
     }
 }

@@ -75,11 +75,9 @@ impl Program {
             inst.validate()?;
             if let Some(target) = inst.target_mut() {
                 if target.index.is_none() {
-                    let name = target
-                        .label
-                        .clone()
-                        .ok_or_else(|| IsaError::UndefinedLabel("<anonymous>".into()))?;
-                    let index = *labels.get(&name).ok_or(IsaError::UndefinedLabel(name))?;
+                    let index = *labels
+                        .get(&target.label)
+                        .ok_or_else(|| IsaError::UndefinedLabel(target.label.clone()))?;
                     target.index = Some(index);
                 }
                 let index = target.index.expect("just resolved");
@@ -293,7 +291,7 @@ mod tests {
     fn out_of_range_target_is_rejected() {
         let insns = vec![Inst::Jmp {
             target: Target {
-                label: None,
+                label: "far".into(),
                 index: Some(10),
             },
         }];
