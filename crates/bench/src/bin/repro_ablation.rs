@@ -1,11 +1,11 @@
-//! Ablations over the design choices called out in DESIGN.md — number of
+//! Ablations over the model's design choices — number of
 //! cores, NoC hop latency, section placement policy, fetch-stall behaviour
 //! and the per-section renaming walk penalty — measured on the fork-based
 //! sum and on the fork-compiled quicksort.
 //!
 //! All configurations are expressed as
 //! [`ExecutionBackend`](parsecs_driver::ExecutionBackend)s and executed
-//! concurrently by one [`Sweep`]. Pass `--json [PATH]` to also stream the
+//! by one [`Sweep`], cell after cell. Pass `--json [PATH]` to also stream the
 //! sweep results as JSON (default path `BENCH_sweep.json`), one row per
 //! point as it arrives, which is the artefact the perf trajectory
 //! records. A validated many-core point (none in this grid) also
@@ -164,7 +164,7 @@ fn main() {
     let json_path = CLI.parse().json;
 
     let sweep = build_sweep();
-    eprintln!("running {} sweep cells on a bounded pool...", sweep.len());
+    eprintln!("running {} sweep cells...", sweep.len());
 
     // Stream every point as it completes (grid order): the table row goes
     // to stdout and the JSON row to the artefact immediately, so no

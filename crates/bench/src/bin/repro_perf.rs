@@ -20,9 +20,9 @@
 //! is also measured: the `chain_sum` cell times the streaming pipeline
 //! and records the arena's bytes-per-instruction footprint.
 //!
-//! The run fails (exit code 1) when any cell reports a forced stall
-//! release — the deadlock detector fired, so the timings cannot be
-//! trusted — or, in the full grid, when one of the bars below fails.
+//! The run fails when the engine refuses a cell (a deadlock is refused
+//! as `SimError::Diverged`, so the cell's `.expect` panics) or, in the
+//! full grid (exit code 1), when one of the bars below fails.
 //!
 //! A **validation guard row** always rides along: the stats-only
 //! 1024-core `fan_chain` cell is timed with `SimConfig::validate`
@@ -84,7 +84,6 @@ struct Row {
     sections: usize,
     total_cycles: u64,
     fetch_ipc: f64,
-    forced_stall_releases: u64,
     arena_bytes_per_insn: f64,
     event_ms: f64,
     /// Chip-wide fetch-slot occupancy over all configured cores.
@@ -349,7 +348,6 @@ fn measure(cell: &Cell) -> Row {
         sections: event.stats.sections,
         total_cycles: event.stats.total_cycles,
         fetch_ipc: event.stats.fetch_ipc,
-        forced_stall_releases: event.stats.forced_stall_releases,
         arena_bytes_per_insn: event.stats.trace_bytes_per_instruction(),
         event_ms,
         occupancy: event.stats.occupancy(),
@@ -430,7 +428,6 @@ fn to_json(
                 .field("sections", r.sections)
                 .field("total_cycles", r.total_cycles)
                 .fixed("fetch_ipc", r.fetch_ipc, 4)
-                .field("forced_stall_releases", r.forced_stall_releases)
                 .fixed("arena_bytes_per_insn", r.arena_bytes_per_insn, 1)
                 .fixed("event_ms", r.event_ms, 3);
             r.attr
@@ -500,18 +497,17 @@ fn to_json(
 
 fn print_table(rows: &[Row]) {
     println!(
-        "{:<20} {:<16} {:>9} {:>9} {:>11} {:>7} {:>7} {:>10}",
-        "workload", "config", "insns", "sections", "cycles", "forced", "B/insn", "event ms",
+        "{:<20} {:<16} {:>9} {:>9} {:>11} {:>7} {:>10}",
+        "workload", "config", "insns", "sections", "cycles", "B/insn", "event ms",
     );
     for r in rows {
         println!(
-            "{:<20} {:<16} {:>9} {:>9} {:>11} {:>7} {:>7.1} {:>10.1}{}",
+            "{:<20} {:<16} {:>9} {:>9} {:>11} {:>7.1} {:>10.1}{}",
             r.workload,
             r.config,
             r.instructions,
             r.sections,
             r.total_cycles,
-            r.forced_stall_releases,
             r.arena_bytes_per_insn,
             r.event_ms,
             if r.headline { "  <- headline" } else { "" }
@@ -616,19 +612,7 @@ fn main() {
         to_json(&rows, &pipeline, &modes, &guard, &probe)
     });
 
-    // Hard gates. Any forced stall release means the stall/wake model
-    // broke down and every recorded timing is suspect — fail the run (and
-    // CI) outright, in quick mode too.
     let mut failures = Vec::new();
-    for row in &rows {
-        if row.forced_stall_releases > 0 {
-            failures.push(format!(
-                "{} [{}] reports {} forced stall release(s); \
-                 the timing model is not trustworthy",
-                row.workload, row.config, row.forced_stall_releases
-            ));
-        }
-    }
     // Stats-only must beat full mode by >=1.3x on the 10M-instruction
     // 1024-core cell (again full mode only: the quick instance fits in
     // cache, which is precisely the effect being measured).

@@ -10,7 +10,7 @@
 //! | `repro_fig7_ilp` | Figure 7 — sequential vs parallel ILP across datasets |
 //! | `repro_fig10_timing` | Figure 10 — per-stage timing of `sum(t,5)` on one core per section |
 //! | `repro_sec5_analytic` | §5 — closed-form model vs simulated fetch/retire IPC |
-//! | `repro_ablation` | design-choice ablations (cores, NoC latency, placement, fetch stalls), run as a parallel `Sweep`; `--json [PATH]` emits `BENCH_sweep.json` |
+//! | `repro_ablation` | design-choice ablations (cores, NoC latency, placement, fetch stalls), run as one `Sweep`; `--json [PATH]` emits `BENCH_sweep.json` |
 //! | `repro_perf` | event-driven engine wall clock on ≥1M-instruction workloads, plus the streaming front-end pipeline time and arena footprint; `--json [PATH]` emits `BENCH_sim.json` |
 //!
 //! This crate's library exposes the small amount of shared code the

@@ -1,8 +1,8 @@
 //! The config-aware progress prover.
 //!
-//! The runtime deadlock detector (`forced_stall_releases` /
-//! `DriverError::Deadlock`) only fires *mid-simulation*; this pass turns
-//! the hazard into a pre-simulation verdict. Given the arena's
+//! The engine refuses a deadlock only *mid-simulation* (as
+//! `SimError::Diverged`, "deadlocked with no pending event"); this pass
+//! turns the hazard into a pre-simulation verdict. Given the arena's
 //! dependence columns plus one concrete chip configuration — a placement
 //! assignment, the chip's core count and `max_sections_per_core` — it
 //! builds the **section-level wait-for graph** and either proves that

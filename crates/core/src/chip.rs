@@ -11,7 +11,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::BuildHasherDefault;
 
-use parsecs_trace::{AddrHasher, SectionId, SectionSpan, TraceArena};
+use parsecs_trace::{AddrHasher, SectionId, SectionSpan};
 
 /// Sentinel section id for "none" in the `u32` columns (`current`,
 /// `stall_on`, the queue links). Valid ids stay below it: the arena's
@@ -200,23 +200,5 @@ impl StallTable {
             }
             _ => None,
         }
-    }
-
-    /// The deadlock *detector*'s escape: requeues every parked section at
-    /// cycle `at` with its stall abandoned (the branch resolves out of
-    /// order in the execute stage) and returns how many were released.
-    /// Well-formed traces never reach this — any firing is surfaced as an
-    /// error by the driver layer.
-    pub(crate) fn force_release(&mut self, at: u64, arena: &TraceArena) -> u64 {
-        // Map iteration order is arbitrary, but the requeue heap totally
-        // orders its `(cycle, core, section)` events, so the releases
-        // replay deterministically regardless.
-        let mut released = 0u64;
-        for (seq, idx) in self.parked_core.drain() {
-            self.requeue
-                .push(Reverse((at, idx as usize, arena.section(seq as usize).0)));
-            released += 1;
-        }
-        released
     }
 }

@@ -69,8 +69,7 @@ pub struct SimConfig {
     /// progress proof and the schedule bounds. A violation surfaces as
     /// [`crate::SimError::Invariant`]; a clean analysis is attached to
     /// [`crate::SimResult::check`], and a finished run that breaks one
-    /// of its contracts (`critical_path ≤ lb ≤ total_cycles`, no forced
-    /// stall release on a proven run) returns
+    /// of its contracts (`critical_path ≤ lb ≤ total_cycles`) returns
     /// [`crate::SimError::Diverged`], release builds included. Off by
     /// default — the simulation paths are untouched when disabled; turn
     /// it on with [`SimConfig::validated`].

@@ -37,9 +37,8 @@ pub enum SimError {
         /// total_cycles"`, or on a validated run the broken report
         /// contract:
         /// `"undercut the static critical path"`,
-        /// `"bounded the schedule below the static critical path"`,
-        /// `"undercut the certified schedule bound"` or
-        /// `"forced a stall release on a run proven to progress"`.
+        /// `"bounded the schedule below the static critical path"` or
+        /// `"undercut the certified schedule bound"`.
         reason: &'static str,
         /// Simulated cycle at which the engine gave up.
         cycle: u64,

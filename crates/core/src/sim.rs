@@ -49,8 +49,8 @@
 //! when the completion is discovered, an explicit requeue event puts the
 //! parked section back on its core's ready queue at the modeled release
 //! cycle. Every stall therefore has a modeled release event and
-//! well-formed traces never deadlock; [`SimStats::forced_stall_releases`]
-//! remains only as a deadlock *detector*.
+//! well-formed traces never deadlock; a run that does (nothing acts and
+//! no event is pending) is refused as [`SimError::Diverged`].
 //!
 //! The workspace's tests hold the engine to a naive cycle-stepped oracle
 //! (`tests/oracle`) that shares none of this crate's code: every stage
@@ -265,7 +265,6 @@ impl ManyCoreSim {
         let mut schedule = Schedule::new(self.config.cores);
         let mut completions: Vec<(usize, u64)> = Vec::new();
         let mut delivered = Vec::new();
-        let mut forced_stall_releases = 0u64;
         // Always-on cycle attribution: fed from the same deterministic
         // section/stall events as the probe, so a probe never changes it.
         let mut attr = CycleAttribution::new(self.config.cores);
@@ -290,42 +289,25 @@ impl ManyCoreSim {
         while resolver.fetched < n || resolver.resolved < n {
             // --- pick the next cycle with an event -----------------------
             let target = if schedule.acting.is_empty() {
-                let candidate = schedule
+                // Nothing acts, so jump to the earliest wake-up, NoC
+                // arrival or requeue. With none pending, the run cannot
+                // progress: every stall of the handoff model has a modeled
+                // release event, so only a malformed trace gets here.
+                let Some(at) = schedule
                     .next_wake()
                     .into_iter()
                     .chain(network.next_arrival())
                     .chain(stalls.next_requeue())
-                    .min();
-                match candidate {
-                    Some(at) => at.max(cycle + 1),
-                    None => {
-                        // Nothing is scheduled, nothing is in flight and no
-                        // requeue is pending. Under the handoff model every
-                        // stall has a modeled release event, so this is a
-                        // genuine deadlock (a malformed trace): the detector
-                        // escapes by abandoning the parked stalls — counted,
-                        // and surfaced as an error by the driver layer.
-                        if !(resolver.fetched < n && stalls.parked() > 0) {
-                            return Err(SimError::Diverged {
-                                reason: "deadlocked with no pending event",
-                                cycle,
-                                resolved: resolver.resolved as u64,
-                                instructions: n as u64,
-                            });
-                        }
-                        cycle += 1;
-                        if cycle >= safety {
-                            return Err(SimError::Diverged {
-                                reason: "did not converge",
-                                cycle,
-                                resolved: resolver.resolved as u64,
-                                instructions: n as u64,
-                            });
-                        }
-                        forced_stall_releases += stalls.force_release(cycle + 1, arena);
-                        continue;
-                    }
-                }
+                    .min()
+                else {
+                    return Err(SimError::Diverged {
+                        reason: "deadlocked with no pending event",
+                        cycle,
+                        resolved: resolver.resolved as u64,
+                        instructions: n as u64,
+                    });
+                };
+                at.max(cycle + 1)
             } else {
                 // At least one core acts on the very next cycle (pending
                 // events are never earlier).
@@ -492,7 +474,6 @@ impl ManyCoreSim {
             core_of,
             &hosted,
             network.stats(),
-            forced_stall_releases,
             check,
             attribution,
         )
@@ -561,7 +542,6 @@ impl ManyCoreSim {
         core_of: Vec<CoreId>,
         sections_hosted: &[usize],
         noc: NocStats,
-        forced_stall_releases: u64,
         check: Option<Box<CheckReport>>,
         attribution: Vec<CoreBreakdown>,
     ) -> Result<SimResult, SimError> {
@@ -591,7 +571,7 @@ impl ManyCoreSim {
             remote_memory_requests: resolver.remote_memory_requests,
             fork_copied_sources: resolver.fork_copied_sources,
             dmh_accesses: resolver.dmh_accesses,
-            forced_stall_releases,
+            forced_stall_releases: 0,
             peak_sections_per_core: sections_hosted.iter().copied().max().unwrap_or(0),
             trace_arena_bytes: arena.memory_bytes() as u64,
             noc,
@@ -675,11 +655,8 @@ fn untiled_attribution(stats: &SimStats) -> Option<&'static str> {
 
 /// The contracts a validated run's [`CheckReport`] must meet, checked
 /// in release builds too (a few comparisons per run): `critical_path ≤
-/// lb ≤ total_cycles`, and no forced stall release on a run the prover
-/// declared [`parsecs_check::Progress::Proven`]. An engine undercutting
-/// a certified bound has an optimistic-timing bug; a forced release on
-/// a proven run means the prover, or the placement it was fed, is
-/// wrong. Returns the first broken contract, worded as
+/// lb ≤ total_cycles`. An engine undercutting a certified bound has an
+/// optimistic-timing bug. Returns the first broken contract, worded as
 /// [`SimError::Diverged`]'s `reason`.
 fn broken_contract(report: &CheckReport, stats: &SimStats) -> Option<&'static str> {
     let critical_path = report.bounds.as_ref().map_or(0, |b| b.critical_path);
@@ -693,10 +670,6 @@ fn broken_contract(report: &CheckReport, stats: &SimStats) -> Option<&'static st
         if stats.total_cycles < schedule.lb {
             return Some("undercut the certified schedule bound");
         }
-    }
-    let proven = report.progress.as_ref().is_some_and(|p| p.is_proven());
-    if proven && stats.forced_stall_releases > 0 {
-        return Some("forced a stall release on a run proven to progress");
     }
     None
 }
@@ -831,14 +804,6 @@ mod tests {
             broken_contract(&broken, stats),
             Some("undercut the certified schedule bound")
         );
-        let forced = SimStats {
-            forced_stall_releases: 1,
-            ..stats.clone()
-        };
-        assert_eq!(
-            broken_contract(report, &forced),
-            Some("forced a stall release on a run proven to progress")
-        );
     }
 
     #[test]
@@ -917,7 +882,6 @@ mod tests {
                 vec![CoreId(0)],
                 &[1],
                 NocStats::default(),
-                0,
                 None,
                 vec![CoreBreakdown::default(); 2],
             )
@@ -953,7 +917,6 @@ mod tests {
                 h.core_of,
                 &[1, 1],
                 NocStats::default(),
-                0,
                 None,
                 vec![CoreBreakdown::default(); 2],
             )
@@ -970,6 +933,75 @@ mod tests {
             }
             other => panic!("expected a divergence, got {other}"),
         }
+    }
+
+    /// A deadlock is refused, never escaped. A control `jne` reads the
+    /// flags written by the instruction after it in its own section:
+    /// fetch stalls on the `jne`, whose producer can only be fetched
+    /// behind it, so nothing acts and no event is pending. Only an
+    /// unvalidated run reaches the engine; a validated one is refused
+    /// earlier by the structural checks.
+    #[test]
+    fn a_deadlocked_run_is_refused() {
+        use parsecs_trace::SourceDep;
+        let mut arena = TraceArena::new();
+        let flags = SourceDep {
+            location: Location::Flags,
+            kind: SourceKind::Local { producer: 1 },
+        };
+        let section = SectionId(0);
+        arena.push_record(
+            0,
+            "jne",
+            section,
+            TraceKind::Other,
+            true,
+            &[flags],
+            &[],
+            &[],
+        );
+        arena.push_record(
+            1,
+            "cmpq",
+            section,
+            TraceKind::Other,
+            false,
+            &[],
+            &[],
+            &[Location::Flags],
+        );
+        arena.push_section(SectionSpan {
+            id: section,
+            start: 0,
+            end: 2,
+            creator: None,
+            start_ip: 0,
+        });
+        for config in [
+            SimConfig::with_cores(2),
+            SimConfig::with_cores(2).stats_only(),
+        ] {
+            let err = ManyCoreSim::new(config)
+                .simulate_arena(&arena)
+                .expect_err("a deadlock must be refused");
+            match err {
+                SimError::Diverged {
+                    reason,
+                    resolved,
+                    instructions,
+                    ..
+                } => {
+                    assert_eq!(reason, "deadlocked with no pending event");
+                    assert_eq!((resolved, instructions), (0, 2));
+                }
+                other => panic!("expected a divergence, got {other}"),
+            }
+        }
+        let validated = ManyCoreSim::new(SimConfig::with_cores(2).validated());
+        assert!(matches!(
+            validated.simulate_arena(&arena),
+            Err(SimError::Invariant(_))
+        ));
     }
 
     /// The footprint accounting of the stage table: a recording run holds

@@ -256,16 +256,12 @@ pub struct SimStats {
     pub fork_copied_sources: u64,
     /// Memory sources served by the loader / data memory hierarchy.
     pub dmh_accesses: u64,
-    /// Times the deadlock *detector* forcibly released a stalled fetch
-    /// stage (one count per section released). Under the in-order
-    /// fetch-stall handoff model a stall with an unknown release parks
-    /// its section and is requeued by an explicit wake event, so every
-    /// well-formed trace completes with this at zero — provably: every
-    /// stalled control instruction waits only on earlier-trace producers,
-    /// which the freed fetch slot keeps fetching. Any firing therefore
-    /// flags a malformed trace (or a simulator bug) and makes the
-    /// reported timings untrustworthy; the driver layer surfaces it as
-    /// `DriverError::Deadlock` instead of producing a report.
+    /// Always 0: the engine never releases a stall out of order. A run
+    /// in which no core acts and no event is pending is refused as
+    /// [`crate::SimError::Diverged`] (`"deadlocked with no pending
+    /// event"`) instead. The field stays only because the benchmark
+    /// (`crates/bench/src/bin/benchmark/`) asserts it and the workspace's
+    /// golden digests fold it.
     pub forced_stall_releases: u64,
     /// Largest number of sections hosted by a single core.
     pub peak_sections_per_core: usize,

@@ -14,15 +14,6 @@ pub enum DriverError {
     Machine(MachineError),
     /// The many-core simulator failed.
     Sim(SimError),
-    /// The many-core simulator's deadlock detector fired: the run only
-    /// completed by forcibly releasing stalled fetch stages, so its
-    /// timings are not trustworthy. Under the in-order fetch-stall
-    /// handoff model this never happens on well-formed programs; any
-    /// firing indicates a malformed trace or a simulator bug.
-    Deadlock {
-        /// How many stalled fetch stages the detector had to release.
-        forced_stall_releases: u64,
-    },
 }
 
 impl fmt::Display for DriverError {
@@ -30,13 +21,6 @@ impl fmt::Display for DriverError {
         match self {
             DriverError::Machine(e) => write!(f, "machine: {e}"),
             DriverError::Sim(e) => write!(f, "simulator: {e}"),
-            DriverError::Deadlock {
-                forced_stall_releases,
-            } => write!(
-                f,
-                "simulator deadlock: {forced_stall_releases} forced stall release(s); \
-                 the timing model is not trustworthy for this run"
-            ),
         }
     }
 }
@@ -46,7 +30,6 @@ impl Error for DriverError {
         match self {
             DriverError::Machine(e) => Some(e),
             DriverError::Sim(e) => Some(e),
-            DriverError::Deadlock { .. } => None,
         }
     }
 }
@@ -73,9 +56,5 @@ mod tests {
         assert!(e.to_string().contains('7'));
         let e: DriverError = SimError::Config("no cores".into()).into();
         assert!(e.to_string().contains("no cores"));
-        let e = DriverError::Deadlock {
-            forced_stall_releases: 3,
-        };
-        assert!(e.to_string().contains('3'));
     }
 }

@@ -11,8 +11,8 @@
 //! * [`RunReport`] — the shared result shape (outputs, dynamic
 //!   instruction count, cycles, fetch/retire IPC) plus a typed
 //!   [`ReportDetail`] carrying each engine's extras;
-//! * [`Sweep`] — a design-space sweep fanning programs across backend
-//!   configurations on a thread pool, streaming points out in grid order.
+//! * [`Sweep`] — a design-space sweep running programs across backend
+//!   configurations one cell after another, in grid order.
 //!
 //! ## Example: one program, all three engines
 //!

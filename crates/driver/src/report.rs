@@ -71,7 +71,7 @@ impl RunReport {
     }
 
     /// The simulator result, when the backend is the many-core model: its
-    /// `stats` (cycle attribution, footprint, forced stall releases), the
+    /// `stats` (cycle attribution, footprint, NoC traffic), the
     /// stage table, and a validated run's static-analysis `check` report.
     pub fn sim(&self) -> Option<&SimResult> {
         match &self.detail {

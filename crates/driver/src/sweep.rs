@@ -1,10 +1,5 @@
-//! Design-space sweeps: fan programs across backend configurations on a
-//! bounded thread pool, streaming results out in grid order.
-
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::thread;
+//! Design-space sweeps: run programs across backend configurations,
+//! one cell after another, in grid order.
 
 use parsecs_isa::Program;
 
@@ -28,10 +23,9 @@ impl SweepPoint {
     }
 }
 
-/// Fans a list of labelled programs across a list of backend
-/// configurations, executing the cells concurrently on scoped OS threads
-/// with one fuel budget, and returns one [`SweepPoint`] per
-/// `(program, backend)` cell in grid order (programs outermost).
+/// Runs a list of labelled programs across a list of backend
+/// configurations with one fuel budget, and returns one [`SweepPoint`]
+/// per `(program, backend)` cell in grid order (programs outermost).
 ///
 /// ```
 /// use parsecs_driver::Sweep;
@@ -101,81 +95,24 @@ impl Sweep {
         points
     }
 
-    /// Runs every cell on a bounded worker pool (at most
-    /// `available_parallelism` threads) and hands each finished [`SweepPoint`] to
-    /// `on_point` **in grid order, as soon as it is ready**. Unlike
-    /// [`Sweep::run`], nothing is retained after the callback returns,
-    /// and workers do not claim cells more than a small window ahead of
-    /// the emission front, so a large grid's memory footprint is bounded
-    /// by that window instead of the whole result set — a `RunReport` of
-    /// the many-core backend carries the full per-instruction stage
-    /// table, so this matters.
+    /// Runs every cell on the calling thread, in grid order, handing
+    /// each finished [`SweepPoint`] to `on_point`. Unlike [`Sweep::run`],
+    /// nothing is retained after the callback returns, so a large grid
+    /// holds one report at a time: a `RunReport` of the many-core
+    /// backend carries the full per-instruction stage table.
     ///
     /// Returns the number of cells run.
     pub fn run_with(&self, mut on_point: impl FnMut(SweepPoint)) -> usize {
-        let cells = self.len();
-        if cells == 0 {
-            return 0;
-        }
-        let workers = thread::available_parallelism()
-            .map_or(1, |n| n.get())
-            .min(cells);
-        // At most this many finished-but-unemitted points exist at once:
-        // a worker does not claim a cell further than the window ahead of
-        // the emission front. The worker on the front cell itself is
-        // never gated (its cell index equals the front), so the pipeline
-        // cannot stall.
-        let window = 2 * workers;
-
-        let next = AtomicUsize::new(0);
-        let next = &next;
-        let emitted = AtomicUsize::new(0);
-        let emitted = &emitted;
-        let (tx, rx) = mpsc::sync_channel::<(usize, SweepPoint)>(workers);
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                scope.spawn(move || loop {
-                    let cell = next.fetch_add(1, Ordering::Relaxed);
-                    if cell >= cells {
-                        break;
-                    }
-                    // Backpressure: wait for the emission front before
-                    // running far-ahead cells, so a slow front cell (or a
-                    // slow consumer) cannot make the reorder buffer grow
-                    // toward the whole grid.
-                    while cell > emitted.load(Ordering::Acquire) + window {
-                        thread::park_timeout(std::time::Duration::from_millis(1));
-                    }
-                    let (label, program) = &self.programs[cell / self.backends.len()];
-                    let backend = &self.backends[cell % self.backends.len()];
-                    let point = SweepPoint {
-                        program: label.clone(),
-                        backend: backend.name(),
-                        outcome: backend.execute_fueled(program, self.fuel),
-                    };
-                    if tx.send((cell, point)).is_err() {
-                        break; // receiver gone: the scope is unwinding
-                    }
+        for (label, program) in &self.programs {
+            for backend in &self.backends {
+                on_point(SweepPoint {
+                    program: label.clone(),
+                    backend: backend.name(),
+                    outcome: backend.execute_fueled(program, self.fuel),
                 });
             }
-            drop(tx);
-
-            // Reorder buffer: emit points in grid order as soon as the
-            // next expected cell has arrived.
-            let mut pending: BTreeMap<usize, SweepPoint> = BTreeMap::new();
-            let mut next_emit = 0usize;
-            for (cell, point) in rx {
-                pending.insert(cell, point);
-                while let Some(point) = pending.remove(&next_emit) {
-                    on_point(point);
-                    next_emit += 1;
-                    emitted.store(next_emit, Ordering::Release);
-                }
-            }
-            debug_assert!(pending.is_empty());
-        });
-        cells
+        }
+        self.len()
     }
 }
 
@@ -211,7 +148,7 @@ mod tests {
     }
 
     #[test]
-    fn all_three_engines_sweep_concurrently_and_agree() {
+    fn all_three_engines_sweep_and_agree() {
         let data: Vec<u64> = (1..=16).collect();
         let points = Sweep::new(1_000_000)
             .program("sum-16", sum::fork_program(&data))

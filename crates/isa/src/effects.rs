@@ -1,10 +1,11 @@
 //! Architectural read/write effects of instructions.
 //!
-//! The tracer ([`parsecs-machine`](https://example.org)), the ILP limit
-//! analyzer and the renaming hardware model all need to know, for every
-//! instruction, which registers it reads and writes, whether it reads or
-//! writes the flags, and how it touches memory. Centralising this analysis
-//! here keeps the three consumers consistent.
+//! The reference machine (`parsecs-machine`), which hands each step's
+//! read and write sets to its trace sinks (the ILP limit analyzer among
+//! them), and the streaming sectioner (`parsecs-trace`) both need to
+//! know, for every instruction, which registers it reads and writes,
+//! whether it reads or writes the flags, and how it touches memory.
+//! Centralising this analysis here keeps the two consistent.
 
 use crate::{Inst, Operand, Reg};
 

@@ -17,7 +17,7 @@
 //! * [`Inst`] — the instruction set, including [`Inst::Fork`] and
 //!   [`Inst::EndFork`].
 //! * [`Effects`] — per-instruction architectural read/write sets, shared by
-//!   the tracer, the ILP limit analyzer and the renaming hardware model.
+//!   the reference machine and the streaming sectioner.
 //! * [`Program`] and [`ProgramBuilder`] — label-resolved program containers.
 //!
 //! ## Example

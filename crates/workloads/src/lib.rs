@@ -17,7 +17,7 @@
 //!
 //! The PBBS C++ sources and the paper's gigascale datasets are not
 //! available; the analogues implement the same algorithmic kernels at
-//! laptop scale (see DESIGN.md §2 for the substitution rationale).
+//! laptop scale.
 //!
 //! ## Example
 //!

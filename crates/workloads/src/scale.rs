@@ -276,8 +276,7 @@ pub fn tree_sum_expected(elements: usize, seed: u64) -> Vec<u64> {
 /// Unlike the histogram's random bucket contention, the producer of each
 /// load is always already fetched (it sits in the chain's immediate
 /// predecessor), so the head-of-chain stall always has a known release
-/// cycle and the deadlock heuristic never fires: `forced_stall_releases`
-/// stays zero.
+/// cycle and the stall waits in place instead of parking its section.
 ///
 /// # Panics
 ///

@@ -1,6 +1,6 @@
 //! Section 5 of the paper: how the fork-based sum scales when the data
 //! size doubles — the closed-form analytic model against the many-core
-//! simulator, swept concurrently over the dataset axis.
+//! simulator, swept over the dataset axis.
 //!
 //! Run with `cargo run --release --example sum_scaling [max_n]`.
 

@@ -209,6 +209,14 @@ CATALOGUE = [
         "reason": "the arena's footprint leaves out the column of locations "
         "its dependences read",
     },
+    {
+        "name": "lone-park-never-requeued",
+        "file": "crates/core/src/sim.rs",
+        "old": "            if stalls.parked() > 0 {\n",
+        "new": "            if stalls.parked() > 1 {\n",
+        "reason": "a section parked alone on the chip is never requeued when "
+        "its stall's producer completes, so the run deadlocks",
+    },
 ]
 
 

@@ -38,7 +38,7 @@
 //!   benchmarks.
 //! * [`driver`] — **the front door**: one [`driver::ExecutionBackend`]
 //!   abstraction over the three engines (one call,
-//!   `execute_fueled(&program, fuel)`), and parallel design-space
+//!   `execute_fueled(&program, fuel)`), and design-space
 //!   [`driver::Sweep`]s.
 //!
 //! ## Quickstart
@@ -69,7 +69,7 @@
 //! assert!(reports[2].fetch_ipc > reports[0].fetch_ipc);
 //! ```
 //!
-//! And sweep a design space concurrently (here: the chip-size axis):
+//! And sweep a design space (here: the chip-size axis):
 //!
 //! ```
 //! use parsecs::driver::Sweep;

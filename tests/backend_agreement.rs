@@ -1,8 +1,8 @@
 //! The point of the unified driver: the three engines are
 //! interchangeable on *what* a program computes, and differ only in the
 //! timing model. Functional agreement is asserted across workloads,
-//! dataset sizes and backends; the chip-size axis is swept concurrently
-//! and must never slow the simulated run down.
+//! dataset sizes and backends; the chip-size axis is swept and must
+//! never slow the simulated run down.
 
 use parsecs::cc::Backend;
 use parsecs::driver::{
@@ -24,7 +24,8 @@ fn run_all(
         .collect()
 }
 
-/// The deadlock detector's count on a many-core report; 0 otherwise.
+/// `SimStats::forced_stall_releases` of a many-core report (the engine
+/// always reports 0); 0 for the other backends.
 fn forced_stall_releases(report: &RunReport) -> u64 {
     report
         .sim()
@@ -73,8 +74,8 @@ fn all_three_backends_report_identical_outputs_across_sizes() {
                     "{label}: {} disagrees with sequential",
                     report.backend
                 );
-                // The simulated timings must never rest on the deadlock
-                // heuristic: a forced release means optimistic timings.
+                // No stall is ever released out of order: a deadlock is
+                // refused as an error, never reported with timings.
                 assert_eq!(
                     forced_stall_releases(report),
                     0,
@@ -91,8 +92,8 @@ fn fork_heavy_histogram_runs_cleanly_through_the_driver() {
     // The unsorted histogram's cross-section writer chains used to lean
     // on the forced-stall-release heuristic (~1 release per key at
     // benchmark scale). Under the in-order handoff model the run must
-    // complete with the detector silent — a firing now surfaces as
-    // `DriverError::Deadlock` instead of an optimistic report.
+    // complete: the engine refuses a deadlock as `SimError::Diverged`
+    // ("deadlocked with no pending event"), which fails the run here.
     let (keys, buckets, seed) = (300, 8, 11);
     let program = scale::histogram_program(keys, buckets, seed);
     for cores in [1, 4, 64] {
@@ -128,7 +129,7 @@ fn sum_outputs_also_match_the_oracle_under_every_backend() {
 }
 
 #[test]
-fn seven_point_core_sweep_is_concurrent_and_cycles_never_increase() {
+fn seven_point_core_sweep_cycles_never_increase() {
     let data: Vec<u64> = (1..=40).collect();
     let points = Sweep::new(1_000_000)
         .program("sum-40", sum::fork_program(&data))

@@ -461,9 +461,9 @@ const STATS_ONLY_BYTES_PER_INSN: f64 = 80.0;
 /// sizes, is clean; its arenas' footprint is exactly the columns'
 /// payload; and at 64, 256 and 1024 cores the engine retires at or
 /// above the static critical path and the certified schedule bound,
-/// with a progress verdict attached. A validated run that forced a
-/// stall release on a `Proven` placement returns `Diverged`, so no
-/// proven cell deadlocks. The arenas stay within
+/// with a progress verdict attached. The engine refuses a deadlocked
+/// run as `Diverged`, so every cell that simulates made progress. The
+/// arenas stay within
 /// [`ARENA_BYTES_PER_INSN`], and a stats-only run over the lean arena,
 /// which must retire in the same cycles, within
 /// [`STATS_ONLY_BYTES_PER_INSN`].
