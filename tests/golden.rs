@@ -18,6 +18,12 @@
 //! driver's `execute_fueled`: the paper's sum example on every backend,
 //! with a hash of its Figure 10 table, and the §5 doubling sweep.
 //!
+//! [`ABLATION_GOLDEN`] pins the ablation over the paper's design choices,
+//! also through the driver: the fork-compiled sum and quicksort on 1 to
+//! 64 cores, and at 16 cores under a slower NoC, a renaming walk per
+//! section, two other placements and a fetch that never stalls on
+//! control. Every cell must also agree with the naive oracle.
+//!
 //! [`ILP_GOLDEN`] pins the ILP limit analysis: five dependence models
 //! over three programs, with a digest of each program's
 //! dependence-distance histogram.
@@ -735,4 +741,137 @@ fn the_stall_path_shape_takes_both_in_place_paths() {
         !on_time.is_empty(),
         "no local producer completes on its consumer's fetch"
     );
+}
+
+/// One pinned ablation cell: `(program, backend, cycles, fetch_cycles,
+/// outputs_fnv)`, read off the driver's [`RunReport`]. `outputs_fnv` is
+/// FNV-1a over the outputs, one little-endian `u64` each.
+type AblationRow = (&'static str, String, u64, u64, u64);
+
+#[rustfmt::skip]
+const ABLATION_GOLDEN: &[(&str, &str, u64, u64, u64)] = &[
+    ("fork-sum-80", "manycore:1c:round-robin", 1086, 1030, 0x2367e7c261a4eecf),
+    ("fork-sum-80", "manycore:2c:round-robin", 593, 520, 0x2367e7c261a4eecf),
+    ("fork-sum-80", "manycore:4c:round-robin", 357, 285, 0x2367e7c261a4eecf),
+    ("fork-sum-80", "manycore:8c:round-robin", 245, 170, 0x2367e7c261a4eecf),
+    ("fork-sum-80", "manycore:16c:round-robin", 187, 116, 0x2367e7c261a4eecf),
+    ("fork-sum-80", "manycore:32c:round-robin", 170, 88, 0x2367e7c261a4eecf),
+    ("fork-sum-80", "manycore:64c:round-robin", 167, 87, 0x2367e7c261a4eecf),
+    ("fork-sum-80", "manycore:16c:round-robin:noc2+4", 267, 133, 0x2367e7c261a4eecf),
+    ("fork-sum-80", "manycore:16c:round-robin:walk4", 849, 116, 0x2367e7c261a4eecf),
+    ("fork-sum-80", "manycore:16c:least-loaded", 194, 113, 0x2367e7c261a4eecf),
+    ("fork-sum-80", "manycore:16c:load-aware", 187, 112, 0x2367e7c261a4eecf),
+    ("fork-sum-80", "manycore:16c:round-robin:nostall", 187, 116, 0x2367e7c261a4eecf),
+    ("fork-quicksort-64", "manycore:1c:round-robin", 43977, 43971, 0x78dbab81660b8906),
+    ("fork-quicksort-64", "manycore:2c:round-robin", 29314, 29301, 0x78dbab81660b8906),
+    ("fork-quicksort-64", "manycore:4c:round-robin", 26008, 25993, 0x78dbab81660b8906),
+    ("fork-quicksort-64", "manycore:8c:round-robin", 25943, 25928, 0x78dbab81660b8906),
+    ("fork-quicksort-64", "manycore:16c:round-robin", 25943, 25928, 0x78dbab81660b8906),
+    ("fork-quicksort-64", "manycore:32c:round-robin", 25943, 25928, 0x78dbab81660b8906),
+    ("fork-quicksort-64", "manycore:64c:round-robin", 25943, 25928, 0x78dbab81660b8906),
+    ("fork-quicksort-64", "manycore:16c:round-robin:noc2+4", 26951, 26920, 0x78dbab81660b8906),
+    ("fork-quicksort-64", "manycore:16c:round-robin:walk4", 55624, 54849, 0x78dbab81660b8906),
+    ("fork-quicksort-64", "manycore:16c:least-loaded", 25937, 25924, 0x78dbab81660b8906),
+    ("fork-quicksort-64", "manycore:16c:load-aware", 25937, 25924, 0x78dbab81660b8906),
+    ("fork-quicksort-64", "manycore:16c:round-robin:nostall", 18892, 17772, 0x78dbab81660b8906),
+];
+
+/// The ablation grid over the paper's design choices: the chip-size axis
+/// from 1 to 64 cores, then, at 16 cores, a slower NoC (2 cycles plus 4
+/// per hop), a 4-cycle renaming walk per section, the two load-driven
+/// placements and a fetch that never stalls on unresolved control.
+fn ablation_configs() -> Vec<SimConfig> {
+    let mut configs: Vec<SimConfig> = [1, 2, 4, 8, 16, 32, 64]
+        .into_iter()
+        .map(SimConfig::with_cores)
+        .collect();
+    let mut slow_noc = SimConfig::with_cores(16);
+    slow_noc.noc = NocConfig {
+        base_latency: 2,
+        per_hop_latency: 4,
+        link_bandwidth: None,
+    };
+    let mut walk = SimConfig::with_cores(16);
+    walk.per_section_hop = 4;
+    let mut no_stall = SimConfig::with_cores(16);
+    no_stall.fetch_stalls_on_unresolved_control = false;
+    configs.extend([
+        slow_noc,
+        walk,
+        SimConfig::with_cores(16).with_placement(Placement::LeastLoaded),
+        SimConfig::with_cores(16).with_placement(Placement::LoadAware),
+        no_stall,
+    ]);
+    configs
+}
+
+/// Runs the fork-compiled sum of 80 elements and quicksort of 64 keys
+/// through [`ManyCoreBackend`] on every [`ablation_configs`] chip. Each
+/// cell must return `Ok` with the program's expected outputs, and the
+/// same configuration simulated on the full arena must agree with the
+/// naive timing oracle and report the driver's cycles.
+fn ablation_recompute() -> Vec<AblationRow> {
+    const FUEL: u64 = 10_000_000;
+    let data = sum::dataset(4, 7);
+    let sort = Benchmark::ComparisonSort;
+    let programs = [
+        (
+            "fork-sum-80",
+            sum::fork_program(&data),
+            sum::expected(&data),
+        ),
+        (
+            "fork-quicksort-64",
+            sort.program(64, 3, Backend::Forks).expect("compiles"),
+            sort.expected(64, 3),
+        ),
+    ];
+    let mut rows = Vec::new();
+    for (label, program, expected) in programs {
+        let arena = TraceArena::from_program(&program, FUEL).expect("halts");
+        for config in ablation_configs() {
+            let backend = ManyCoreBackend::new(config.clone());
+            let what = format!("{label} {}", backend.name());
+            let report = backend
+                .execute_fueled(&program, FUEL)
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(report.outputs, expected, "{what}: wrong outputs");
+            let run = ManyCoreSim::new(config.clone())
+                .simulate_arena(&arena)
+                .expect("simulates");
+            oracle::agree(&arena, &config, &run, &what);
+            assert_eq!(
+                (run.stats.total_cycles, run.stats.fetch_cycles),
+                (report.cycles, report.fetch_cycles()),
+                "{what}: the driver's run differs from the full arena's"
+            );
+            rows.push((
+                label,
+                report.backend.clone(),
+                report.cycles,
+                report.fetch_cycles(),
+                fnv1a(report.outputs.iter().flat_map(|word| word.to_le_bytes())),
+            ));
+        }
+    }
+    rows
+}
+
+#[test]
+fn ablation_cells_match_the_golden_table() {
+    let rows = ablation_recompute();
+    let same = rows
+        .iter()
+        .map(|(program, backend, cycles, fetch, fnv)| {
+            (*program, backend.as_str(), *cycles, *fetch, *fnv)
+        })
+        .eq(ABLATION_GOLDEN.iter().copied());
+    let mut source = String::from("const ABLATION_GOLDEN: &[(&str, &str, u64, u64, u64)] = &[\n");
+    for (program, backend, cycles, fetch, fnv) in &rows {
+        source.push_str(&format!(
+            "    ({program:?}, {backend:?}, {cycles}, {fetch}, {fnv:#018x}),\n"
+        ));
+    }
+    source.push_str("];\n");
+    assert!(same, "ablation results moved; recomputed table:\n{source}");
 }
