@@ -1,7 +1,6 @@
-//! The measurement harness of `repro_perf` and `repro_ablation`: their
-//! shared command-line flags, the interleaved best-of timer, the
-//! Chrome-trace export and the `FAIL:` exit. Each bin keeps its own
-//! grid, rows, JSON schema and gates.
+//! The measurement harness of `repro_perf`: its command-line flags, the
+//! interleaved best-of timer, the Chrome-trace export and the `FAIL:`
+//! exit. The bin keeps its own grid, rows, JSON schema and gates.
 
 use std::io::BufWriter;
 use std::time::Instant;

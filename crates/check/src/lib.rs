@@ -20,8 +20,10 @@
 //!    concrete (placement × chip) configuration, proves the section
 //!    wait-for graph (producer deps ∪ capacity edges of over-subscribed
 //!    cores) admits no cycle, or returns a concrete witness cycle. A
-//!    run the runtime deadlock detector flags must never have been
-//!    [`Progress::Proven`]; the engine checks exactly that.
+//!    run the engine refuses as deadlocked (`SimError::Diverged`,
+//!    "deadlocked with no pending event") must never have been
+//!    [`Progress::Proven`]. The engine refuses every deadlock whatever
+//!    the verdict, and nothing reads the verdict at run time.
 //! 4. **Schedule analyzer** ([`ScheduleBounds`], [`bound_schedule`]):
 //!    given a concrete (placement × chip) configuration, a **certified**
 //!    NoC/placement-weighted lower bound on the cycle count (critical

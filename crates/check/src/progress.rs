@@ -35,9 +35,10 @@
 //! wait forever: [`Progress::Proven`], with the longest producer-edge
 //! chain as the certificate's depth.
 //!
-//! The verdict is conservative in exactly one direction, which is the
-//! direction the engine checks: a run the runtime detector flags as
-//! deadlocked must never have been `Proven`. The converse does not hold —
+//! The verdict is conservative in exactly one direction: a run the engine
+//! refuses as deadlocked (`SimError::Diverged`, "deadlocked with no
+//! pending event") must never have been `Proven`. The engine refuses
+//! every deadlock itself, whatever the verdict. The converse does not hold —
 //! `PotentialCycle` only says the *hold-slot* abstraction admits a
 //! cycle; the engine's park model routinely completes such runs.
 

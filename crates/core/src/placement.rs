@@ -136,7 +136,7 @@ pub enum Placement {
 
 impl Placement {
     /// A short, stable, human-readable policy name (used in reports and
-    /// sweep labels).
+    /// backend labels).
     pub fn name(&self) -> &'static str {
         match self {
             Placement::RoundRobin => "round-robin",

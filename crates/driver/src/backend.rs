@@ -17,7 +17,7 @@ use crate::{DriverError, ReportDetail, RunReport};
 /// programs.
 pub trait ExecutionBackend {
     /// A short, stable name identifying the backend and its configuration
-    /// (used in reports and sweep labels).
+    /// (used in reports and golden-table rows).
     fn name(&self) -> String;
 
     /// Executes `program` with an explicit fuel (maximum dynamic
@@ -135,9 +135,8 @@ impl ManyCoreBackend {
 /// The backend label of a many-core configuration: a `manycore:…` prefix
 /// with the core count and placement policy, then one `:suffix` per
 /// setting that differs from [`SimConfig::default`] — the single place
-/// every label suffix is assembled, so no two distinct sweep
-/// configurations can share a label and no call site can disagree on
-/// suffix order.
+/// every label suffix is assembled, so no two distinct configurations
+/// can share a label and no call site can disagree on suffix order.
 pub(crate) fn manycore_label(config: &SimConfig) -> String {
     let defaults = SimConfig::default();
     let mut name = format!("manycore:{}c:{}", config.cores, config.placement.name());
@@ -180,7 +179,7 @@ impl ExecutionBackend for ManyCoreBackend {
     /// Encodes the configuration through the crate's single
     /// `manycore_label` assembler — core count, placement policy, and
     /// every other setting that differs from [`SimConfig::default`] — so
-    /// that no two distinct sweep configurations share a label.
+    /// that no two distinct configurations share a label.
     fn name(&self) -> String {
         manycore_label(&self.config)
     }

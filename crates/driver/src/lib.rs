@@ -10,9 +10,7 @@
 //!   [`ManyCoreBackend`];
 //! * [`RunReport`] — the shared result shape (outputs, dynamic
 //!   instruction count, cycles, fetch/retire IPC) plus a typed
-//!   [`ReportDetail`] carrying each engine's extras;
-//! * [`Sweep`] — a design-space sweep running programs across backend
-//!   configurations one cell after another, in grid order.
+//!   [`ReportDetail`] carrying each engine's extras.
 //!
 //! ## Example: one program, all three engines
 //!
@@ -40,9 +38,7 @@
 mod backend;
 mod error;
 mod report;
-mod sweep;
 
 pub use backend::{ExecutionBackend, IlpBackend, ManyCoreBackend, SequentialBackend};
 pub use error::DriverError;
 pub use report::{ReportDetail, RunReport};
-pub use sweep::{Sweep, SweepPoint};

@@ -1,11 +1,11 @@
 //! Section 5 of the paper: how the fork-based sum scales when the data
 //! size doubles — the closed-form analytic model against the many-core
-//! simulator, swept over the dataset axis.
+//! simulator, one run per dataset size.
 //!
 //! Run with `cargo run --release --example sum_scaling [max_n]`.
 
 use parsecs::core::analytic;
-use parsecs::driver::Sweep;
+use parsecs::driver::{ExecutionBackend, ManyCoreBackend};
 use parsecs::workloads::sum;
 
 fn main() {
@@ -14,22 +14,19 @@ fn main() {
         .and_then(|a| a.parse().ok())
         .unwrap_or(5);
 
-    // One labelled program per dataset doubling — a dataset-size grid fanned
-    // over one backend configuration.
-    let mut sweep = Sweep::new(100_000_000).manycore_cores(&[128]);
-    for n in 0..=max_n {
-        sweep = sweep.program(format!("n={n}"), sum::fork_program(&sum::dataset(n, 1)));
-    }
-    let points = sweep.run();
-
+    // One run per dataset doubling, all on the same 128-core chip.
+    let backend = ManyCoreBackend::with_cores(128);
     println!(
         "{:>3} {:>9} {:>12} {:>12} {:>12} {:>12}",
         "n", "elements", "instructions", "fetch (sim)", "retire (sim)", "fetch IPC"
     );
-    for (n, point) in points.iter().enumerate() {
-        let model = analytic::sum_model(n as u32);
-        let report = point.report().expect("simulates");
-        assert_eq!(report.outputs, sum::expected(&sum::dataset(n as u32, 1)));
+    for n in 0..=max_n {
+        let model = analytic::sum_model(n);
+        let data = sum::dataset(n, 1);
+        let report = backend
+            .execute_fueled(&sum::fork_program(&data), 100_000_000)
+            .expect("simulates");
+        assert_eq!(report.outputs, sum::expected(&data));
         println!(
             "{:>3} {:>9} {:>12} {:>12} {:>12} {:>12.1}",
             n,

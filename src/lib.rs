@@ -38,8 +38,7 @@
 //!   benchmarks.
 //! * [`driver`] — **the front door**: one [`driver::ExecutionBackend`]
 //!   abstraction over the three engines (one call,
-//!   `execute_fueled(&program, fuel)`), and design-space
-//!   [`driver::Sweep`]s.
+//!   `execute_fueled(&program, fuel)`).
 //!
 //! ## Quickstart
 //!
@@ -69,18 +68,19 @@
 //! assert!(reports[2].fetch_ipc > reports[0].fetch_ipc);
 //! ```
 //!
-//! And sweep a design space (here: the chip-size axis):
+//! And sweep a design space (here: the chip-size axis), one run per
+//! chip:
 //!
 //! ```
-//! use parsecs::driver::Sweep;
+//! use parsecs::driver::{ExecutionBackend, ManyCoreBackend};
 //! use parsecs::workloads::sum;
 //!
-//! let points = Sweep::new(100_000)
-//!     .program("sum-20", sum::fork_program(&(1..=20).collect::<Vec<u64>>()))
-//!     .manycore_cores(&[1, 4, 16])
-//!     .run();
-//! assert_eq!(points.len(), 3);
-//! assert!(points.iter().all(|p| p.report().unwrap().outputs == vec![210]));
+//! let program = sum::fork_program(&(1..=20).collect::<Vec<u64>>());
+//! for cores in [1, 4, 16] {
+//!     let report = ManyCoreBackend::with_cores(cores).execute_fueled(&program, 100_000)?;
+//!     assert_eq!(report.outputs, vec![210]);
+//! }
+//! # Ok::<(), parsecs::driver::DriverError>(())
 //! ```
 
 #![forbid(unsafe_code)]

@@ -6,7 +6,7 @@
 
 use parsecs::cc::Backend;
 use parsecs::driver::{
-    DriverError, ExecutionBackend, IlpBackend, ManyCoreBackend, RunReport, SequentialBackend, Sweep,
+    DriverError, ExecutionBackend, IlpBackend, ManyCoreBackend, RunReport, SequentialBackend,
 };
 use parsecs::isa::Program;
 use parsecs::workloads::pbbs::Benchmark;
@@ -131,35 +131,31 @@ fn sum_outputs_also_match_the_oracle_under_every_backend() {
 #[test]
 fn seven_point_core_sweep_cycles_never_increase() {
     let data: Vec<u64> = (1..=40).collect();
-    let points = Sweep::new(1_000_000)
-        .program("sum-40", sum::fork_program(&data))
-        .manycore_cores(&[1, 2, 4, 8, 16, 32, 64])
-        .run();
-    assert_eq!(points.len(), 7);
+    let program = sum::fork_program(&data);
 
     let mut previous_fetch = u64::MAX;
     let mut previous_total = u64::MAX;
-    for point in &points {
-        let report = point
-            .report()
-            .unwrap_or_else(|| panic!("{} failed", point.backend));
-        assert_eq!(report.outputs, vec![820], "{}", point.backend);
+    for cores in [1, 2, 4, 8, 16, 32, 64] {
+        let report = ManyCoreBackend::with_cores(cores)
+            .execute_fueled(&program, 1_000_000)
+            .unwrap_or_else(|e| panic!("{cores} cores: {e}"));
+        assert_eq!(report.outputs, vec![820], "{}", report.backend);
         assert_eq!(
-            forced_stall_releases(report),
+            forced_stall_releases(&report),
             0,
             "{}: forced stall releases",
-            point.backend
+            report.backend
         );
         let fetch = report.fetch_cycles();
         assert!(
             fetch <= previous_fetch,
             "{}: fetch cycles went up ({previous_fetch} -> {fetch})",
-            point.backend
+            report.backend
         );
         assert!(
             report.cycles <= previous_total,
             "{}: total cycles went up ({previous_total} -> {})",
-            point.backend,
+            report.backend,
             report.cycles
         );
         previous_fetch = fetch;
