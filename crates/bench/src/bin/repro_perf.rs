@@ -50,22 +50,147 @@
 //! disarms the guard rows' noise gates (every cell then pays the
 //! analysis by design); `--trace-out` re-runs the headline
 //! cell with a streaming Chrome-trace writer and writes a
-//! Perfetto-loadable trace to `PATH`. The flags, timer, trace export and
-//! gate collector come from `parsecs_bench::harness`.
+//! Perfetto-loadable trace to `PATH`. An unknown flag prints the usage
+//! line and exits with code 2.
 
-use parsecs_bench::harness::{best_of, exit_on_failures, write_chrome_trace, Cli};
+use std::io::BufWriter;
+use std::time::Instant;
+
 use parsecs_bench::{json, AttributionTotals};
 use parsecs_check::ScheduleBounds;
-use parsecs_core::{CountingProbe, ManyCoreSim, Placement, SimConfig};
+use parsecs_core::{CountingProbe, ManyCoreSim, Placement, SimConfig, SimResult};
 use parsecs_isa::Program;
 use parsecs_noc::NocConfig;
-use parsecs_obs::NoopProbe;
+use parsecs_obs::{ChromeTraceWriter, NoopProbe};
 use parsecs_trace::TraceArena;
 use parsecs_workloads::scale;
 
 /// Timed rounds per cell (after one untimed warm-up); the best time is
 /// recorded.
 const RUNS: usize = 5;
+
+/// Every flag the bin accepts, as the usage line shows them.
+const USAGE: &str = "--quick --validate --json [PATH] --trace-out PATH";
+
+/// Where `--json` without a path writes.
+const JSON_DEFAULT: &str = "BENCH_sim.json";
+
+/// A parsed command line.
+#[derive(Debug)]
+struct Flags {
+    /// `--quick`: the small CI grid.
+    quick: bool,
+    /// `--validate`: run every cell with the static analysis on.
+    validate: bool,
+    /// `--json [PATH]`: where to write the JSON rows.
+    json: Option<String>,
+    /// `--trace-out PATH`: where to write a Chrome trace.
+    trace_out: Option<String>,
+}
+
+impl Flags {
+    /// Parses the process arguments. A bad argument prints the usage
+    /// line and exits with code 2.
+    fn parse() -> Flags {
+        Flags::parse_from(std::env::args().skip(1)).unwrap_or_else(|message| {
+            eprintln!("{message}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses `args` (without the program name); the error is the
+    /// message to print.
+    fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Flags, String> {
+        let mut flags = Flags {
+            quick: false,
+            validate: false,
+            json: None,
+            trace_out: None,
+        };
+        let mut args = args.into_iter().peekable();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--quick" => flags.quick = true,
+                "--validate" => flags.validate = true,
+                "--json" => {
+                    let path = args.next_if(|path| !path.starts_with("--"));
+                    flags.json = Some(path.unwrap_or_else(|| JSON_DEFAULT.into()));
+                }
+                "--trace-out" => {
+                    flags.trace_out = Some(args.next().ok_or("--trace-out takes a file path")?);
+                }
+                _ => return Err(format!("unknown argument '{arg}' (supported: {USAGE})")),
+            }
+        }
+        Ok(flags)
+    }
+
+    /// Writes `body()` to the `--json` path, if one was given, and
+    /// reports the row count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the file cannot be written.
+    fn write_json(&self, rows: usize, body: impl FnOnce() -> String) {
+        if let Some(path) = &self.json {
+            std::fs::write(path, body()).unwrap_or_else(|e| panic!("write {path}: {e}"));
+            eprintln!("wrote {rows} rows to {path}");
+        }
+    }
+}
+
+/// Runs `run` once and returns its result with the wall time in
+/// milliseconds.
+fn timed<T>(run: impl FnOnce() -> T) -> (T, f64) {
+    let start = Instant::now();
+    let result = std::hint::black_box(run());
+    (result, start.elapsed().as_secs_f64() * 1e3)
+}
+
+/// The best wall time, in milliseconds, of each of `runs` over `rounds`
+/// rounds. Each round calls every closure once, in order, so a noisy
+/// phase of the host hits all of them rather than biasing one. Warm-up
+/// runs are the caller's.
+fn best_of<T, const N: usize>(rounds: usize, runs: [&dyn Fn() -> T; N]) -> [f64; N] {
+    let mut best = [f64::INFINITY; N];
+    for _ in 0..rounds {
+        for (best, run) in best.iter_mut().zip(runs) {
+            *best = best.min(timed(run).1);
+        }
+    }
+    best
+}
+
+/// Simulates `arena` on `sim` with a streaming [`ChromeTraceWriter`]
+/// attached, writes the Perfetto-loadable trace (one microsecond per
+/// simulated cycle) to `path`, reports it under `label` and returns the
+/// run's result.
+///
+/// # Panics
+///
+/// Panics if the file cannot be written or the simulation fails.
+fn write_chrome_trace(path: &str, label: &str, sim: &ManyCoreSim, arena: &TraceArena) -> SimResult {
+    let file = std::fs::File::create(path).unwrap_or_else(|e| panic!("create {path}: {e}"));
+    let mut writer = ChromeTraceWriter::new(BufWriter::new(file));
+    let result = sim
+        .simulate_arena_probed(arena, &mut writer)
+        .expect("simulates");
+    let events = writer.events();
+    writer.finish().expect("flush the Chrome trace");
+    eprintln!("wrote {events} trace events for {label} to {path}");
+    result
+}
+
+/// Ends the run on its hard gates: prints each failure as `FAIL: …` to
+/// stderr and exits with code 1 if there was any.
+fn exit_on_failures(failures: &[String]) {
+    for failure in failures {
+        eprintln!("FAIL: {failure}");
+    }
+    if !failures.is_empty() {
+        std::process::exit(1);
+    }
+}
 
 struct Cell {
     workload: String,
@@ -516,11 +641,7 @@ fn print_table(rows: &[Row]) {
 }
 
 fn main() {
-    let flags = Cli {
-        flags: &["--quick", "--validate", "--json", "--trace-out"],
-        json_default: "BENCH_sim.json",
-    }
-    .parse();
+    let flags = Flags::parse();
     let (quick, validate) = (flags.quick, flags.validate);
 
     let grid = build_grid(quick, validate);
@@ -657,4 +778,51 @@ fn main() {
         }
     }
     exit_on_failures(&failures);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Flags, String> {
+        Flags::parse_from(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn defaults_apply_when_flags_are_absent() {
+        let flags = parse(&[]).unwrap();
+        assert!(!flags.quick && !flags.validate);
+        assert_eq!(flags.json, None);
+        assert_eq!(flags.trace_out, None);
+    }
+
+    #[test]
+    fn json_takes_an_optional_path() {
+        let flags = parse(&["--json", "--quick"]).unwrap();
+        assert_eq!(flags.json.as_deref(), Some("BENCH_sim.json"));
+        assert!(flags.quick);
+        let flags = parse(&["--json", "out.json", "--trace-out", "t.json", "--validate"]).unwrap();
+        assert_eq!(flags.json.as_deref(), Some("out.json"));
+        assert_eq!(flags.trace_out.as_deref(), Some("t.json"));
+        assert!(flags.validate && !flags.quick);
+    }
+
+    #[test]
+    fn flags_the_bin_does_not_accept_are_refused_with_the_usage_line() {
+        let err = parse(&["--threads", "4"]).unwrap_err();
+        assert_eq!(
+            err,
+            "unknown argument '--threads' \
+             (supported: --quick --validate --json [PATH] --trace-out PATH)"
+        );
+        assert!(parse(&["--trace-out"]).is_err());
+    }
+
+    #[test]
+    fn best_of_keeps_each_runs_minimum() {
+        let [a, b] = best_of(3, [&|| 1u8, &|| 2u8]);
+        assert!(a.is_finite() && b.is_finite() && a >= 0.0 && b >= 0.0);
+        let [none] = best_of(0, [&|| ()]);
+        assert_eq!(none, f64::INFINITY);
+    }
 }

@@ -14,14 +14,12 @@
 //!
 //! This crate's library exposes the small amount of shared code the
 //! binaries use — dataset sweeps and ILP measurement for a workload,
-//! the [`json`] emission module every `BENCH_*.json` goes through, the
-//! [`harness`] the perf bins measure with (flags, best-of timer, Chrome
-//! trace, gates), and the [`AttributionTotals`] cycle-telemetry summary.
+//! the [`json`] emission module every `BENCH_*.json` goes through, and
+//! the [`AttributionTotals`] cycle-telemetry summary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod harness;
 pub mod json;
 
 use parsecs_cc::Backend;

@@ -103,7 +103,7 @@ pub(crate) fn analyze(arena: &TraceArena) -> StaticBounds {
                         level[seq] = level[seq].max(level[producer] + 1);
                         local_level[seq] = local_level[seq].max(local_level[producer] + 1);
                     }
-                    SourceKind::Remote { producer, .. } => {
+                    SourceKind::Remote { producer } => {
                         completion = completion.max(completion_lb[producer]);
                         level[seq] = level[seq].max(level[producer] + 1);
                         remote_reg |= j < reg;

@@ -142,12 +142,10 @@ pub fn prove_progress(
     for seq in 0..arena.len() {
         let s = arena.section(seq).0;
         for dep in arena.sources(seq) {
-            if let SourceKind::Remote {
-                producer_section, ..
-            } = dep.kind()
-            {
-                if producer_section.0 != s {
-                    edges.push((s, producer_section.0));
+            if let SourceKind::Remote { producer } = dep.kind() {
+                let producer_section = arena.section(producer).0;
+                if producer_section != s {
+                    edges.push((s, producer_section));
                 }
             }
         }

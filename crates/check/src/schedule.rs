@@ -273,15 +273,13 @@ fn weighted_completion(
     for dep in arena.reg_sources(seq) {
         match dep.kind() {
             SourceKind::Local { producer } => c = c.max(completion[producer]),
-            SourceKind::Remote {
-                producer,
-                producer_section,
-            } => {
+            SourceKind::Remote { producer } => {
+                let producer_section = arena.section(producer).0;
                 let hop = model.request_latency(
                     my_core,
-                    core_of[producer_section.0],
+                    core_of[producer_section],
                     my_section,
-                    producer_section.0,
+                    producer_section,
                 );
                 let term = if is_mem {
                     (completion[producer] + hop + 3).max(fetch + 4 + 2 * hop)
@@ -298,15 +296,13 @@ fn weighted_completion(
             match dep.kind() {
                 SourceKind::InitialMemory => c = c.max(fetch + 3 + model.dmh_latency),
                 SourceKind::Local { producer } => c = c.max(completion[producer]),
-                SourceKind::Remote {
-                    producer,
-                    producer_section,
-                } => {
+                SourceKind::Remote { producer } => {
+                    let producer_section = arena.section(producer).0;
                     let hop = model.request_latency(
                         my_core,
-                        core_of[producer_section.0],
+                        core_of[producer_section],
                         my_section,
-                        producer_section.0,
+                        producer_section,
                     );
                     c = c.max((completion[producer] + hop).max(fetch + 3 + 2 * hop));
                 }

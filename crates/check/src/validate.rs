@@ -2,7 +2,7 @@
 //!
 //! The passes run in dependency order — column shape first (so later
 //! passes may index the fixed-width columns), then section tiling, then
-//! the dependence slices and their packings (8-byte provenance words,
+//! the dependence slices and their packings (4-byte provenance words,
 //! plus the packed locations on a full arena), and finally (full arenas
 //! only, and only once everything structural is clean) a replay of the
 //! sectioner's single-writer renaming discipline.
@@ -12,24 +12,20 @@ use std::hash::BuildHasherDefault;
 
 use parsecs_isa::Reg;
 use parsecs_machine::TraceKind;
-use parsecs_trace::{AddrHasher, TraceArena};
+use parsecs_trace::{AddrHasher, SourceKind, TraceArena};
 
 use crate::violation::InvariantViolation;
 
 /// Mirrors of the arena's packed-location tags (low three bits of a
-/// packed location) and provenance tags (low three bits of
-/// `section_kind`). Pinned against [`parsecs_trace::PackedDep::new`] and
-/// [`TraceArena::push_dep`] by the `packing_constants_match_the_arena`
-/// test, so an encoding change in the arena fails loudly here instead of
-/// silently passing corrupt packings.
+/// packed location). Pinned against [`TraceArena::push_dep`] by the
+/// `packing_constants_match_the_arena` test, so an encoding change in the
+/// arena fails loudly here instead of silently passing corrupt packings.
+/// Provenance words need no mirror: every word decodes
+/// ([`parsecs_trace::PackedDep::kind`]), so what is checked is the
+/// producer it names.
 pub(crate) const LOC_MEM: u64 = 0;
 pub(crate) const LOC_REG: u64 = 1;
 pub(crate) const LOC_FLAGS: u64 = 2;
-pub(crate) const KIND_LOCAL: u32 = 0;
-pub(crate) const KIND_REMOTE: u32 = 1;
-pub(crate) const KIND_FORK_COPY: u32 = 2;
-pub(crate) const KIND_INITIAL_REG: u32 = 3;
-pub(crate) const KIND_INITIAL_MEM: u32 = 4;
 
 /// Bounded violation sink: diagnostics past the cap are counted, not
 /// stored, so a systematically corrupt chip-scale arena cannot make the
@@ -250,7 +246,7 @@ pub(crate) fn sections(arena: &TraceArena, col: &mut Collector) {
 /// acyclicity topological invariant (producer strictly precedes consumer
 /// in trace order). A lean arena stores no locations, so there only the
 /// location-tag checks are skipped; everything about the provenance word
-/// is still checked.
+/// (its producer's range and section) is still checked.
 pub(crate) fn deps(arena: &TraceArena, col: &mut Collector) {
     let raw = arena.raw();
     let n = arena.len();
@@ -270,13 +266,10 @@ pub(crate) fn deps(arena: &TraceArena, col: &mut Collector) {
             continue;
         }
         for (dep, packed) in raw.deps[start..end].iter().enumerate() {
-            let (producer, section_kind) = packed.raw_parts();
             // `column_shape` vouches for one location per dep on a full
             // arena.
             let loc = full.then(|| raw.dep_locs[start + dep]);
             let tag = loc.map(|loc| loc & 7);
-            let kind = section_kind & 7;
-            let producer_section = (section_kind >> 3) as usize;
             if let Some(loc) = loc {
                 let reg_class = dep < reg;
                 let loc_detail = match loc & 7 {
@@ -295,10 +288,10 @@ pub(crate) fn deps(arena: &TraceArena, col: &mut Collector) {
                     col.push(InvariantViolation::DepPackingBroken { seq, dep, detail });
                 }
             }
+            let kind = packed.kind();
             match kind {
-                KIND_LOCAL | KIND_REMOTE => {
-                    let p = producer as usize;
-                    if p >= n {
+                SourceKind::Local { producer } | SourceKind::Remote { producer } => {
+                    if producer >= n {
                         col.push(InvariantViolation::DepPackingBroken {
                             seq,
                             dep,
@@ -306,69 +299,49 @@ pub(crate) fn deps(arena: &TraceArena, col: &mut Collector) {
                         });
                         continue;
                     }
-                    if p >= seq {
-                        col.push(InvariantViolation::DependenceCycle {
-                            seq,
-                            dep,
-                            producer: p,
-                        });
+                    if producer >= seq {
+                        col.push(InvariantViolation::DependenceCycle { seq, dep, producer });
                         continue;
                     }
-                    let producer_column = raw.section[p] as usize;
-                    let my_column = raw.section[seq] as usize;
-                    if kind == KIND_LOCAL && producer_column != my_column {
+                    let same_section = raw.section[producer] == raw.section[seq];
+                    let remote = matches!(kind, SourceKind::Remote { .. });
+                    if !remote && !same_section {
                         col.push(InvariantViolation::DepPackingBroken {
                             seq,
                             dep,
                             detail: "local producer in a different section",
                         });
                     }
-                    if kind == KIND_REMOTE {
-                        if producer_section != producer_column {
-                            col.push(InvariantViolation::DepPackingBroken {
-                                seq,
-                                dep,
-                                detail:
-                                    "remote section tag disagrees with the producer's section column",
-                            });
-                        } else if producer_column == my_column {
-                            col.push(InvariantViolation::DepPackingBroken {
-                                seq,
-                                dep,
-                                detail: "remote producer in the consumer's own section",
-                            });
-                        }
+                    if remote && same_section {
+                        col.push(InvariantViolation::DepPackingBroken {
+                            seq,
+                            dep,
+                            detail: "remote producer in the consumer's own section",
+                        });
                     }
                 }
-                KIND_FORK_COPY if tag.is_some_and(|tag| tag != LOC_REG) => {
+                SourceKind::ForkCopy if tag.is_some_and(|tag| tag != LOC_REG) => {
                     col.push(InvariantViolation::DepPackingBroken {
                         seq,
                         dep,
                         detail: "fork-copy provenance on a non-register location",
                     });
                 }
-                KIND_INITIAL_REG if tag == Some(LOC_MEM) => {
+                SourceKind::InitialRegister if tag == Some(LOC_MEM) => {
                     col.push(InvariantViolation::DepPackingBroken {
                         seq,
                         dep,
                         detail: "initial-register provenance on a memory location",
                     });
                 }
-                KIND_INITIAL_MEM if tag.is_some_and(|tag| tag != LOC_MEM) => {
+                SourceKind::InitialMemory if tag.is_some_and(|tag| tag != LOC_MEM) => {
                     col.push(InvariantViolation::DepPackingBroken {
                         seq,
                         dep,
                         detail: "initial-memory provenance on a register-class location",
                     });
                 }
-                KIND_FORK_COPY | KIND_INITIAL_REG | KIND_INITIAL_MEM => {}
-                _ => {
-                    col.push(InvariantViolation::DepPackingBroken {
-                        seq,
-                        dep,
-                        detail: "invalid provenance tag",
-                    });
-                }
+                SourceKind::ForkCopy | SourceKind::InitialRegister | SourceKind::InitialMemory => {}
             }
         }
     }
@@ -400,37 +373,40 @@ pub(crate) fn writer_discipline(arena: &TraceArena, col: &mut Collector) {
             .zip(&raw.dep_locs[deps])
             .enumerate()
         {
-            let (producer, section_kind) = packed.raw_parts();
             let tag = loc & 7;
-            let kind = section_kind & 7;
             let writer = match tag {
                 LOC_REG => reg_writer[(loc >> 3) as usize],
                 LOC_FLAGS => reg_writer[FLAGS_SLOT],
                 _ => mem_writer.get(&loc).copied().unwrap_or(NO_WRITER),
             };
-            let (expected_kind, expected_producer) = if writer == NO_WRITER {
-                let kind = if tag == LOC_MEM {
-                    KIND_INITIAL_MEM
+            let expected = if writer == NO_WRITER {
+                if tag == LOC_MEM {
+                    SourceKind::InitialMemory
                 } else {
-                    KIND_INITIAL_REG
-                };
-                (kind, None)
+                    SourceKind::InitialRegister
+                }
             } else if writer.1 == current {
-                (KIND_LOCAL, Some(writer.0 as usize))
+                SourceKind::Local {
+                    producer: writer.0 as usize,
+                }
             } else {
                 let copied = tag == LOC_REG && Reg::ALL[(loc >> 3) as usize].is_fork_copied();
                 if copied && has_creator {
-                    (KIND_FORK_COPY, None)
+                    SourceKind::ForkCopy
                 } else {
-                    (KIND_REMOTE, Some(writer.0 as usize))
+                    SourceKind::Remote {
+                        producer: writer.0 as usize,
+                    }
                 }
             };
-            let claimed = if kind == KIND_LOCAL || kind == KIND_REMOTE {
-                Some(producer as usize)
-            } else {
-                None
-            };
-            if kind != expected_kind || claimed != expected_producer {
+            let kind = packed.kind();
+            if kind != expected {
+                let claimed = match kind {
+                    SourceKind::Local { producer } | SourceKind::Remote { producer } => {
+                        Some(producer)
+                    }
+                    _ => None,
+                };
                 col.push(InvariantViolation::WriterDiscipline {
                     seq,
                     dep,
@@ -456,7 +432,7 @@ pub(crate) fn writer_discipline(arena: &TraceArena, col: &mut Collector) {
 #[cfg(test)]
 mod tests {
     use parsecs_machine::Location;
-    use parsecs_trace::{PackedDep, SectionId, SourceDep, SourceKind};
+    use parsecs_trace::PackedDep;
 
     use super::*;
 
@@ -464,64 +440,17 @@ mod tests {
     #[test]
     fn packing_constants_match_the_arena() {
         let cases = [
+            (Location::Mem(0x40), 0x40 | LOC_MEM),
             (
-                SourceDep {
-                    location: Location::Mem(0x40),
-                    kind: SourceKind::InitialMemory,
-                },
-                0x40 | LOC_MEM,
-                0,
-                KIND_INITIAL_MEM,
-            ),
-            (
-                SourceDep {
-                    location: Location::Reg(Reg::Rbx),
-                    kind: SourceKind::InitialRegister,
-                },
+                Location::Reg(Reg::Rbx),
                 ((Reg::Rbx.index() as u64) << 3) | LOC_REG,
-                0,
-                KIND_INITIAL_REG,
             ),
-            (
-                SourceDep {
-                    location: Location::Flags,
-                    kind: SourceKind::Local { producer: 7 },
-                },
-                LOC_FLAGS,
-                7,
-                KIND_LOCAL,
-            ),
-            (
-                SourceDep {
-                    location: Location::Reg(Reg::Rsp),
-                    kind: SourceKind::ForkCopy,
-                },
-                ((Reg::Rsp.index() as u64) << 3) | LOC_REG,
-                0,
-                KIND_FORK_COPY,
-            ),
-            (
-                SourceDep {
-                    location: Location::Reg(Reg::Rax),
-                    kind: SourceKind::Remote {
-                        producer: 9,
-                        producer_section: SectionId(2),
-                    },
-                },
-                ((Reg::Rax.index() as u64) << 3) | LOC_REG,
-                9,
-                (2 << 3) | KIND_REMOTE,
-            ),
+            (Location::Flags, LOC_FLAGS),
         ];
-        for (dep, loc, producer, section_kind) in cases {
+        for (location, packed) in cases {
             let mut arena = TraceArena::new();
-            arena.push_dep(PackedDep::new(dep.kind), dep.location);
-            let raw = arena.raw();
-            assert_eq!(
-                (raw.dep_locs, raw.deps[0].raw_parts()),
-                (&[loc][..], (producer, section_kind)),
-                "{dep:?}"
-            );
+            arena.push_dep(PackedDep::new(SourceKind::InitialRegister), location);
+            assert_eq!(arena.raw().dep_locs, &[packed][..], "{location:?}");
         }
     }
 }

@@ -70,10 +70,10 @@ pub enum InvariantViolation {
         /// The shared dependence column's length.
         limit: usize,
     },
-    /// A packed dependence decodes inconsistently: an invalid location or
-    /// provenance tag, a producer index or section tag that does not
-    /// match the producer's own columns, or a source in the wrong
-    /// register/memory class slot.
+    /// A packed dependence decodes inconsistently: an invalid location
+    /// tag, a provenance that does not fit its location, a producer index
+    /// out of range or in the wrong section for its local/remote tag, or
+    /// a source in the wrong register/memory class slot.
     DepPackingBroken {
         /// The consumer's trace index.
         seq: usize,

@@ -395,16 +395,14 @@ impl<'a> Resolver<'a> {
                         c
                     }
                 },
-                SourceKind::Remote {
-                    producer,
-                    producer_section,
-                } => {
+                SourceKind::Remote { producer } => {
                     available_at_fetch = false;
                     let c = match self.complete[producer] {
                         c if c >= INCOMPLETE => return self.register_waiter(seq, producer, c),
                         c => c,
                     };
                     remote_reg += 1;
+                    let producer_section = arena.section(producer);
                     let hop = self.request_latency(
                         network,
                         my_core,
@@ -441,15 +439,13 @@ impl<'a> Resolver<'a> {
                         c if c >= INCOMPLETE => return self.register_waiter(seq, producer, c),
                         c => c.max(a + 1),
                     },
-                    SourceKind::Remote {
-                        producer,
-                        producer_section,
-                    } => {
+                    SourceKind::Remote { producer } => {
                         let c = match self.complete[producer] {
                             c if c >= INCOMPLETE => return self.register_waiter(seq, producer, c),
                             c => c,
                         };
                         remote_mem += 1;
+                        let producer_section = arena.section(producer);
                         let hop = self.request_latency(
                             network,
                             my_core,
@@ -565,10 +561,7 @@ pub(crate) mod tests {
                 .iter()
                 .map(|&producer| SourceDep {
                     location: Location::Flags,
-                    kind: SourceKind::Remote {
-                        producer,
-                        producer_section: SectionId(producer),
-                    },
+                    kind: SourceKind::Remote { producer },
                 })
                 .collect();
             let id = SectionId(seq);

@@ -52,12 +52,9 @@ impl SectionDeps {
         let mut weights: Vec<HashMap<usize, u32>> = vec![HashMap::new(); sections];
         for seq in 0..arena.len() {
             for dep in arena.sources(seq) {
-                if let SourceKind::Remote {
-                    producer_section, ..
-                } = dep.kind()
-                {
+                if let SourceKind::Remote { producer } = dep.kind() {
                     *weights[arena.section(seq).0]
-                        .entry(producer_section.0)
+                        .entry(arena.section(producer).0)
                         .or_insert(0) += 1;
                 }
             }
@@ -395,7 +392,8 @@ mod tests {
     use parsecs_trace::SourceDep;
 
     /// An arena of one record per `(section, remote reg sources)` entry —
-    /// all `from_arena` reads.
+    /// all `from_arena` reads. A remote source's section is its
+    /// producer record's.
     fn deps_arena(records: &[(usize, Vec<SourceDep>)]) -> parsecs_trace::TraceArena {
         let mut arena = parsecs_trace::TraceArena::new();
         for (section, reg_sources) in records {
@@ -413,13 +411,10 @@ mod tests {
         arena
     }
 
-    fn remote_dep(producer: usize, producer_section: usize) -> SourceDep {
+    fn remote_dep(producer: usize) -> SourceDep {
         SourceDep {
             location: parsecs_machine::Location::Flags,
-            kind: SourceKind::Remote {
-                producer,
-                producer_section: SectionId(producer_section),
-            },
+            kind: SourceKind::Remote { producer },
         }
     }
 
@@ -427,8 +422,8 @@ mod tests {
     fn section_deps_count_remote_edges_per_producer() {
         let arena = deps_arena(&[
             (0, vec![]),
-            (1, vec![remote_dep(0, 0), remote_dep(0, 0)]),
-            (2, vec![remote_dep(1, 1), remote_dep(0, 0)]),
+            (1, vec![remote_dep(0), remote_dep(0)]),
+            (2, vec![remote_dep(1), remote_dep(0)]),
         ]);
         let deps = SectionDeps::from_arena(3, &arena);
         assert!(deps.producers(SectionId(0)).is_empty());
@@ -446,7 +441,11 @@ mod tests {
         // must land on its producer's core.
         let c = chip_with(4, Topology::Crossbar { size: 4 }, 50);
         let sections = spans(&[4, 4, 4]);
-        let arena = deps_arena(&[(2, (0..4).map(|_| remote_dep(4, 1)).collect())]);
+        let arena = deps_arena(&[
+            (0, vec![]),
+            (1, vec![]),
+            (2, (0..4).map(|_| remote_dep(1)).collect()),
+        ]);
         let deps = SectionDeps::from_arena(3, &arena);
         let assigned = Placement::ChainAffine.assign_with_deps(&sections, &c, &deps);
         assert_eq!(

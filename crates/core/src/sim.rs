@@ -832,7 +832,10 @@ mod tests {
         let mut arena = TraceArena::new();
         let id = arena.intern_mnemonic("bogus");
         arena.begin_record(0, id, SectionId(0), TraceKind::Other, false, false, false);
-        arena.push_dep(PackedDep::from_raw_parts(0, 0), Location::Reg(Reg::Rax));
+        arena.push_dep(
+            PackedDep::new(SourceKind::Local { producer: 0 }),
+            Location::Reg(Reg::Rax),
+        );
         arena.end_record(1);
         arena.push_section(SectionSpan {
             id: SectionId(0),

@@ -10,12 +10,15 @@
 //! runs fit: the arena costs well under 120 bytes per instruction where
 //! the record-per-instruction representation costs ~250–350.
 //!
-//! A [`PackedDep`] squeezes a source dependence's producer, producer
-//! section and provenance into 8 bytes: the provenance tag shares a word
-//! with the producer's section id. The architectural location each
-//! dependence reads lives in a parallel column of packed words (data
-//! addresses are 8-aligned, so a [`Location`] packs into a single `u64`
-//! with a tag in the low three bits), which only a full arena keeps.
+//! A [`PackedDep`] squeezes a source dependence's producer and provenance
+//! into 4 bytes: the producer's trace index, its top bit set when the
+//! producer lies in an earlier section, and the three highest words for
+//! the producer-less provenances. The producer's section is not stored
+//! twice: it is the `section` column's entry for the producer. The
+//! architectural location each dependence reads lives in a parallel
+//! column of packed words (data addresses are 8-aligned, so a
+//! [`Location`] packs into a single `u64` with a tag in the low three
+//! bits), which only a full arena keeps.
 
 use parsecs_isa::Reg;
 use parsecs_machine::{Location, TraceKind};
@@ -55,20 +58,22 @@ fn unpack_location(packed: u64) -> Location {
     }
 }
 
-/// [`SourceKind`] provenance tags (low three bits of
-/// [`PackedDep::section_kind`]).
-const KIND_LOCAL: u32 = 0;
-const KIND_REMOTE: u32 = 1;
-const KIND_FORK_COPY: u32 = 2;
-const KIND_INITIAL_REG: u32 = 3;
-const KIND_INITIAL_MEM: u32 = 4;
+/// Dependence words from here up name a [`SourceKind::Remote`] producer
+/// (the word minus this tag); the words below it a
+/// [`SourceKind::Local`] one.
+const REMOTE: u32 = 1 << 31;
+/// The three highest dependence words: the producer-less provenances.
+const FORK_COPY: u32 = u32::MAX - 2;
+const INITIAL_REG: u32 = u32::MAX - 1;
+const INITIAL_MEM: u32 = u32::MAX;
 
-/// Sections a producer tag can name: 29 bits (the other three carry the
-/// provenance tag).
-const MAX_SECTIONS: usize = (1 << 29) - 1;
+/// Records the arena can hold: every producer, tagged remote, must stay
+/// below the producer-less words.
+pub(crate) const MAX_RECORDS: u64 = (FORK_COPY - REMOTE) as u64;
 
-/// Records the arena can hold (`u32` trace indices, one sentinel spare).
-const MAX_RECORDS: u64 = u32::MAX as u64 - 1;
+/// Sections the `u32` section column can name, below the simulator's
+/// `u32::MAX` no-section sentinel.
+const MAX_SECTIONS: u64 = u32::MAX as u64 - 1;
 
 /// Entries the shared dependence slice can hold (`u32` offsets).
 const MAX_DEPS: u64 = u32::MAX as u64;
@@ -91,10 +96,10 @@ pub(crate) fn check_capacity(
             limit: MAX_RECORDS,
         });
     }
-    if sections > MAX_SECTIONS as u64 {
+    if sections > MAX_SECTIONS {
         return Err(TraceError::CapacityExceeded {
             resource: "sections",
-            limit: MAX_SECTIONS as u64,
+            limit: MAX_SECTIONS,
         });
     }
     if deps > MAX_DEPS {
@@ -112,87 +117,61 @@ pub(crate) fn check_capacity(
     Ok(())
 }
 
-/// One source dependence in 8 bytes: the producer's trace index and
-/// `(producer_section << 3) | provenance`. The location it reads is
-/// stored beside it, in a full arena's location column
-/// ([`TraceArena::source_locations`]).
+/// One source dependence in 4 bytes: the producer's trace index, with
+/// the top bit set for a producer in an earlier section, or one of the
+/// three highest words for a dependence without producer (see the module
+/// docs). The location it reads is stored beside it, in a full arena's
+/// location column ([`TraceArena::source_locations`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PackedDep {
-    producer: u32,
-    section_kind: u32,
-}
+pub struct PackedDep(u32);
 
 impl PackedDep {
     /// Packs a dependence's provenance.
     ///
-    /// Producers past `u32::MAX` and sections past 2^29 cannot be packed;
-    /// the streaming sectioner rejects such traces with a typed
-    /// [`TraceError::CapacityExceeded`] before this point, so overflow
-    /// here is a caller bug (debug-asserted, and detectable after the
-    /// fact by `parsecs-check`'s packing-integrity pass).
+    /// Producers past the arena's record capacity (just under 2^31)
+    /// cannot be packed; the streaming sectioner rejects such traces with
+    /// a typed [`TraceError::CapacityExceeded`] before this point, so
+    /// overflow here is a caller bug (debug-asserted, and detectable after
+    /// the fact by `parsecs-check`'s producer range check).
     pub fn new(kind: SourceKind) -> PackedDep {
-        let (producer, section, kind) = match kind {
-            SourceKind::Local { producer } => (producer, 0, KIND_LOCAL),
-            SourceKind::Remote {
-                producer,
-                producer_section,
-            } => {
-                debug_assert!(
-                    producer_section.0 <= MAX_SECTIONS,
-                    "trace arena supports at most {MAX_SECTIONS} sections"
-                );
-                (producer, producer_section.0, KIND_REMOTE)
-            }
-            SourceKind::ForkCopy => (0, 0, KIND_FORK_COPY),
-            SourceKind::InitialRegister => (0, 0, KIND_INITIAL_REG),
-            SourceKind::InitialMemory => (0, 0, KIND_INITIAL_MEM),
+        let producer_word = |producer: usize| {
+            debug_assert!(
+                (producer as u64) < MAX_RECORDS,
+                "trace arena supports at most {MAX_RECORDS} instructions"
+            );
+            producer as u32
         };
-        debug_assert!(
-            producer < u32::MAX as usize,
-            "trace arena supports at most {} instructions",
-            u32::MAX
-        );
-        PackedDep {
-            producer: producer as u32,
-            section_kind: ((section as u32) << 3) | kind,
-        }
+        PackedDep(match kind {
+            SourceKind::Local { producer } => producer_word(producer),
+            SourceKind::Remote { producer } => REMOTE | producer_word(producer),
+            SourceKind::ForkCopy => FORK_COPY,
+            SourceKind::InitialRegister => INITIAL_REG,
+            SourceKind::InitialMemory => INITIAL_MEM,
+        })
     }
 
-    /// Reassembles a dependence from its raw packed words, with **no**
-    /// validity checks: the fields are stored verbatim. Exists so
-    /// validators and their tests can construct deliberately corrupt
-    /// dependences; normal producers should go through
+    /// A dependence from a raw word, stored verbatim. Every word decodes,
+    /// but its producer may lie past the trace or in the wrong section:
+    /// this exists for validator corpora that build such deliberately
+    /// corrupt dependences. Normal producers go through
     /// [`PackedDep::new`].
-    pub fn from_raw_parts(producer: u32, section_kind: u32) -> PackedDep {
-        PackedDep {
-            producer,
-            section_kind,
-        }
-    }
-
-    /// The raw packed words `(producer, section_kind)` — the producer's
-    /// trace index and `(producer_section << 3) | provenance`. For
-    /// validators (`parsecs-check`) that must inspect the encoding
-    /// itself; [`PackedDep::kind`] assumes a well-formed packing and
-    /// silently misdecodes a corrupt one.
-    pub fn raw_parts(&self) -> (u32, u32) {
-        (self.producer, self.section_kind)
+    pub fn from_bits(word: u32) -> PackedDep {
+        PackedDep(word)
     }
 
     /// Where the value comes from.
     #[inline]
     pub fn kind(&self) -> SourceKind {
-        match self.section_kind & 7 {
-            KIND_LOCAL => SourceKind::Local {
-                producer: self.producer as usize,
+        match self.0 {
+            word if word < REMOTE => SourceKind::Local {
+                producer: word as usize,
             },
-            KIND_REMOTE => SourceKind::Remote {
-                producer: self.producer as usize,
-                producer_section: SectionId((self.section_kind >> 3) as usize),
+            FORK_COPY => SourceKind::ForkCopy,
+            INITIAL_REG => SourceKind::InitialRegister,
+            INITIAL_MEM => SourceKind::InitialMemory,
+            word => SourceKind::Remote {
+                producer: (word - REMOTE) as usize,
             },
-            KIND_FORK_COPY => SourceKind::ForkCopy,
-            KIND_INITIAL_REG => SourceKind::InitialRegister,
-            _ => SourceKind::InitialMemory,
         }
     }
 }
@@ -224,7 +203,7 @@ pub struct RawColumns<'a> {
     /// Offsets into `deps` (one per record, plus a trailing sentinel).
     pub dep_off: &'a [u32],
     /// Register-class prefix length of each record's dep slice.
-    pub reg_deps: &'a [u16],
+    pub reg_deps: &'a [u8],
     /// Offsets into `writes` (empty of meaning on a lean arena:
     /// `[0]` exactly).
     pub write_off: &'a [u32],
@@ -288,7 +267,7 @@ pub struct TraceArena {
     /// first `reg_deps[i]` entries are the register/flags sources, the
     /// rest the memory sources.
     dep_off: Vec<u32>,
-    reg_deps: Vec<u16>,
+    reg_deps: Vec<u8>,
     /// `writes` range of record `i` is `write_off[i]..write_off[i + 1]`.
     write_off: Vec<u32>,
     deps: Vec<PackedDep>,
@@ -403,7 +382,7 @@ impl TraceArena {
             self.deps.len() as u64 + new_deps as u64,
             self.writes.len() as u64 + new_writes as u64,
             // `sections.len()` is the id of the section currently being
-            // recorded; it must itself fit the 29-bit producer tag.
+            // recorded; it must itself fit the section column.
             self.sections.len() as u64 + 1,
         )
     }
@@ -554,7 +533,7 @@ impl TraceArena {
             + self.section.capacity() * size_of::<u32>()
             + self.kind_flags.capacity()
             + self.dep_off.capacity() * size_of::<u32>()
-            + self.reg_deps.capacity() * size_of::<u16>()
+            + self.reg_deps.capacity()
             + self.write_off.capacity() * size_of::<u32>()
             + self.deps.capacity() * size_of::<PackedDep>()
             + self.dep_locs.capacity() * size_of::<u64>()
@@ -709,12 +688,11 @@ impl TraceArena {
         is_store: bool,
     ) {
         debug_assert!(
-            self.ip.len() < u32::MAX as usize - 1,
-            "trace arena supports at most {} instructions",
-            u32::MAX
+            (self.ip.len() as u64) < MAX_RECORDS,
+            "trace arena supports at most {MAX_RECORDS} instructions"
         );
         debug_assert!(
-            section.0 <= MAX_SECTIONS,
+            section.0 as u64 <= MAX_SECTIONS,
             "trace arena supports at most {MAX_SECTIONS} sections"
         );
         self.ip
@@ -744,7 +722,7 @@ impl TraceArena {
 
     /// [`TraceArena::push_dep`] with the location already packed, stored
     /// verbatim with **no** validity checks — like
-    /// [`PackedDep::from_raw_parts`], for corpora that build deliberately
+    /// [`PackedDep::from_bits`], for corpora that build deliberately
     /// corrupt arenas. `location` uses the encoding of
     /// [`RawColumns::dep_locs`].
     #[inline]
@@ -768,7 +746,7 @@ impl TraceArena {
     #[inline]
     pub fn end_record(&mut self, reg_dep_count: usize) {
         self.reg_deps
-            .push(u16::try_from(reg_dep_count).expect("fewer than 65536 sources"));
+            .push(u8::try_from(reg_dep_count).expect("fewer than 256 register-class sources"));
         self.dep_off
             .push(u32::try_from(self.deps.len()).expect("dep slice fits u32 offsets"));
         if !self.lean {
@@ -792,9 +770,12 @@ mod tests {
             Ok(())
         );
         assert_eq!(
-            check_capacity(MAX_RECORDS, MAX_DEPS, MAX_WRITES, MAX_SECTIONS as u64),
+            check_capacity(MAX_RECORDS, MAX_DEPS, MAX_WRITES, MAX_SECTIONS),
             Ok(())
         );
+        // The record cap is where a remote producer's word would reach
+        // the producer-less words: one record more is refused.
+        assert_eq!(u64::from(REMOTE) + MAX_RECORDS, u64::from(FORK_COPY));
         assert_eq!(
             check_capacity(MAX_RECORDS + 1, 0, 0, 1),
             Err(TraceError::CapacityExceeded {
@@ -817,10 +798,10 @@ mod tests {
             })
         );
         assert_eq!(
-            check_capacity(1, 0, 0, MAX_SECTIONS as u64 + 1),
+            check_capacity(1, 0, 0, MAX_SECTIONS + 1),
             Err(TraceError::CapacityExceeded {
                 resource: "sections",
-                limit: MAX_SECTIONS as u64,
+                limit: MAX_SECTIONS,
             })
         );
     }

@@ -8,8 +8,9 @@ use parsecs_machine::MachineError;
 /// Errors produced while building a [`crate::TraceArena`].
 ///
 /// The arena packs trace indices, section ids and column offsets into
-/// `u32`s (and provenance tags into the spare bits) to stay under its
-/// per-instruction memory budget; a run that legitimately outgrows one of
+/// `u32`s (and a dependence's provenance into its producer's word) to
+/// stay under its per-instruction memory budget; a run that legitimately
+/// outgrows one of
 /// those packings — possible from a few hundred million dynamic
 /// instructions on — is reported as [`TraceError::CapacityExceeded`]
 /// instead of aborting the process mid-run, so drivers can fail the one

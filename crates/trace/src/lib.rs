@@ -15,7 +15,7 @@
 //!
 //! * never builds an intermediate trace (two `Vec`s per instruction);
 //! * keeps the per-instruction metadata in flat columns and the
-//!   dependences in **one shared 8-byte-packed slice** indexed by
+//!   dependences in **one shared 4-byte-packed slice** indexed by
 //!   `(offset, len)` ranges, with the locations they read in a parallel
 //!   column only a full arena keeps — well under 120 bytes per
 //!   instruction where the record representation costs ~250–350;
@@ -181,10 +181,8 @@ mod tests {
         assert_eq!(arena.mnemonic(store), "movq");
         assert!(arena.is_store(store));
         match source_on(&arena, store, Location::Reg(Reg::Rax)) {
-            SourceKind::Remote {
-                producer_section, ..
-            } => {
-                assert_eq!(producer_section, SectionId(0));
+            SourceKind::Remote { producer } => {
+                assert_eq!(arena.section(producer), SectionId(0));
             }
             other => panic!("expected a remote source, found {other:?}"),
         }
@@ -214,11 +212,8 @@ mod tests {
         assert_eq!(arena.mnemonic(add), "addq");
         assert!(arena.is_load(add));
         match arena.mem_sources(add)[0].kind() {
-            SourceKind::Remote {
-                producer_section,
-                producer,
-            } => {
-                assert_eq!(producer_section, SectionId(1));
+            SourceKind::Remote { producer } => {
+                assert_eq!(arena.section(producer), SectionId(1));
                 assert_eq!(arena.mnemonic(producer), "movq");
             }
             other => panic!("expected a remote memory source, found {other:?}"),
@@ -330,18 +325,19 @@ mod tests {
 
     #[test]
     fn packed_deps_roundtrip() {
-        let deps = [
-            SourceDep {
+        let last = arena::MAX_RECORDS as usize - 1;
+        let mut deps = Vec::new();
+        for producer in [0, last] {
+            deps.push(SourceDep {
                 location: Location::Reg(parsecs_isa::Reg::R13),
-                kind: SourceKind::Local { producer: 12345 },
-            },
-            SourceDep {
+                kind: SourceKind::Local { producer },
+            });
+            deps.push(SourceDep {
                 location: Location::Flags,
-                kind: SourceKind::Remote {
-                    producer: 99,
-                    producer_section: SectionId(7),
-                },
-            },
+                kind: SourceKind::Remote { producer },
+            });
+        }
+        deps.extend([
             SourceDep {
                 location: Location::Mem(0x1000_0008),
                 kind: SourceKind::InitialMemory,
@@ -354,11 +350,13 @@ mod tests {
                 location: Location::Reg(parsecs_isa::Reg::Rax),
                 kind: SourceKind::InitialRegister,
             },
-        ];
+        ]);
         for dep in &deps {
             assert_eq!(PackedDep::new(dep.kind).kind(), dep.kind, "{dep:?}");
         }
-        assert_eq!(std::mem::size_of::<PackedDep>(), 8);
+        // One word per dependence: the producer's section is the arena's
+        // `section` column, not a second word.
+        assert_eq!(std::mem::size_of::<PackedDep>(), 4);
         // The locations round-trip through a full arena's location column.
         let mut arena = TraceArena::new();
         arena.begin_record(0, 0, SectionId(0), TraceKind::Other, false, true, false);

@@ -66,12 +66,12 @@ pub enum SourceKind {
     },
     /// Produced by an instruction of an earlier section hosted (in
     /// general) on another core: a renaming request travels backward along
-    /// the section order and the value is exported back.
+    /// the section order and the value is exported back. The producer's
+    /// section is not stored with it: read it off the arena,
+    /// `arena.section(producer)`.
     Remote {
         /// Trace index of the producer.
         producer: usize,
-        /// Section of the producer.
-        producer_section: SectionId,
     },
     /// Carried by the section-creation message: the stack pointer and the
     /// non-volatile registers are copied at `fork`, so the value is already

@@ -265,7 +265,6 @@ impl StreamingSectioner {
             } else {
                 SourceKind::Remote {
                     producer: writer.0 as usize,
-                    producer_section: SectionId(writer.1 as usize),
                 }
             }
         };

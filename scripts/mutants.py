@@ -174,7 +174,25 @@ CATALOGUE = [
         "    if !full {\n        return;\n    }\n"
         "    for seq in 0..n {\n",
         "reason": "the validator checks no dependence of a lean arena: "
-        "slice bounds, provenance tags and producer order go unchecked",
+        "slice bounds, producer ranges and producer order go unchecked",
+    },
+    {
+        "name": "dep-remote-tag-ignored",
+        "file": "crates/trace/src/arena.rs",
+        "old": "            word => SourceKind::Remote {\n",
+        "new": "            word => SourceKind::Local {\n",
+        "reason": "a dependence word ignores its remote tag, so every "
+        "dependence decodes as local and no renaming request is sent",
+    },
+    {
+        "name": "dep-sentinels-swapped",
+        "file": "crates/trace/src/arena.rs",
+        "old": "            FORK_COPY => SourceKind::ForkCopy,\n"
+        "            INITIAL_REG => SourceKind::InitialRegister,\n",
+        "new": "            FORK_COPY => SourceKind::InitialRegister,\n"
+        "            INITIAL_REG => SourceKind::ForkCopy,\n",
+        "reason": "the fork-copy and initial-register words decode as each "
+        "other",
     },
     {
         "name": "noc-latency-charged-at-now",

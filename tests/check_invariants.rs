@@ -18,14 +18,9 @@ mod oracle;
 use parsecs::check::{check_arena, InvariantViolation, Progress};
 use parsecs::core::{ManyCoreSim, SimConfig};
 use parsecs::isa::Program;
-use parsecs::trace::{PackedDep, RawColumns, SectionId, SectionSpan, TraceArena};
+use parsecs::trace::{PackedDep, RawColumns, SectionId, SectionSpan, SourceKind, TraceArena};
 use parsecs::workloads::scale;
 use proptest::prelude::*;
-
-/// Mirrors of the arena's packed provenance tags (pinned inside
-/// `parsecs-check` against the arena's encoder).
-const KIND_LOCAL: u32 = 0;
-const KIND_REMOTE: u32 = 1;
 
 /// One dependence as the corpus edits it: the packed provenance word and
 /// the packed location it reads (`RawColumns::dep_locs` encoding).
@@ -212,10 +207,16 @@ fn mutate(src: &TraceArena, mutation: usize) -> Option<(TraceArena, &'static str
         // Swapped dependence edge: a producer at/after its consumer.
         0 => {
             let (seq, j, (dep, loc)) = find_dep(src, |_, _, (d, _)| {
-                matches!(d.raw_parts().1 & 7, KIND_LOCAL | KIND_REMOTE)
+                matches!(
+                    d.kind(),
+                    SourceKind::Local { .. } | SourceKind::Remote { .. }
+                )
             })?;
-            let (_, section_kind) = dep.raw_parts();
-            let cyclic = (PackedDep::from_raw_parts(seq as u32, section_kind), loc);
+            let kind = match dep.kind() {
+                SourceKind::Local { .. } => SourceKind::Local { producer: seq },
+                _ => SourceKind::Remote { producer: seq },
+            };
+            let cyclic = (PackedDep::new(kind), loc);
             Some((
                 identity(src, None, Some((seq, j, cyclic)), None, None),
                 "DependenceCycle",
@@ -248,13 +249,18 @@ fn mutate(src: &TraceArena, mutation: usize) -> Option<(TraceArena, &'static str
         3 => {
             let spans = src.sections();
             let (seq, j, (dep, loc)) = find_dep(src, |seq, _, (d, _)| {
-                let (producer, section_kind) = d.raw_parts();
-                section_kind & 7 == KIND_LOCAL
-                    && seq - spans[src.section(seq).0].start >= 2
-                    && producer as usize + 1 < seq
+                matches!(d.kind(), SourceKind::Local { producer }
+                    if seq - spans[src.section(seq).0].start >= 2 && producer + 1 < seq)
             })?;
-            let (producer, section_kind) = dep.raw_parts();
-            let stale = (PackedDep::from_raw_parts(producer + 1, section_kind), loc);
+            let SourceKind::Local { producer } = dep.kind() else {
+                unreachable!("just matched a local dependence");
+            };
+            let stale = (
+                PackedDep::new(SourceKind::Local {
+                    producer: producer + 1,
+                }),
+                loc,
+            );
             Some((
                 identity(src, None, Some((seq, j, stale)), None, None),
                 "WriterDiscipline",
@@ -393,37 +399,6 @@ fn lean_arenas_report_every_location_free_mutation() {
     for mutation in [0, 2, 4, 5, 6, 7] {
         assert_mutation_detected(name, &src, mutation);
     }
-}
-
-/// A corrupt provenance tag needs no location to be caught: a lean
-/// arena with one is still reported.
-#[test]
-fn lean_arenas_report_a_corrupt_provenance_tag() {
-    let (name, src) = base_lean_arena(0, 11);
-    let (seq, j, (dep, loc)) = find_dep(&src, |_, _, _| true).expect("has dependences");
-    let (producer, section_kind) = dep.raw_parts();
-    let broken = (
-        PackedDep::from_raw_parts(producer, (section_kind & !7) | 7),
-        loc,
-    );
-    let mutated = rebuild(
-        &src,
-        |_, s| s,
-        |s, i, d| if (s, i) == (seq, j) { broken } else { d },
-        |_, r| r,
-        |_, s| s,
-    );
-    let report = check_arena(&mutated);
-    assert!(
-        report.violations.iter().any(|v| matches!(
-            v,
-            InvariantViolation::DepPackingBroken {
-                detail: "invalid provenance tag",
-                ..
-            }
-        )),
-        "{name}: a corrupt provenance tag went unreported: {report}"
-    );
 }
 
 /// Bytes a finished arena holds: the struct plus each column's length
@@ -623,6 +598,53 @@ proptest! {
         // The chain's serial structure shows up in the certificate: the
         // longest producer-edge chain spans at least the link sections.
         prop_assert!(progress.longest_wait_chain().expect("proven") >= sections / 2);
+    }
+
+    /// Every raw dependence word decodes, so a corrupt word is never a
+    /// bad tag: it names a producer, or none. Any word, spliced into a
+    /// lean arena (no location to cross-check), decodes and validates
+    /// without panicking, and the `deps` pass flags it exactly when its
+    /// producer lies past the trace.
+    #[test]
+    fn lean_arenas_report_a_raw_dep_word_past_the_trace(
+        word in prop_oneof![
+            proptest::strategy::any::<u32>(),
+            0u32..512,
+            (1u32 << 31)..(1 << 31) + 512,
+            (u32::MAX - 4)..u32::MAX,
+            Just(u32::MAX),
+        ],
+    ) {
+        let (name, src) = base_lean_arena(0, 11);
+        let dep = PackedDep::from_bits(word);
+        let past_the_trace = match dep.kind() {
+            SourceKind::Local { producer } | SourceKind::Remote { producer } => {
+                producer >= src.len()
+            }
+            SourceKind::ForkCopy | SourceKind::InitialRegister | SourceKind::InitialMemory => false,
+        };
+        let (seq, j, (_, loc)) = find_dep(&src, |_, _, _| true).expect("has dependences");
+        let mutated = rebuild(
+            &src,
+            |_, s| s,
+            |s, i, d| if (s, i) == (seq, j) { (dep, loc) } else { d },
+            |_, r| r,
+            |_, s| s,
+        );
+        let report = check_arena(&mutated);
+        let flagged = report.violations.iter().any(|v| matches!(
+            v,
+            InvariantViolation::DepPackingBroken {
+                seq: s,
+                dep: d,
+                detail: "producer index out of range",
+            } if (*s, *d) == (seq, j)
+        ));
+        prop_assert_eq!(
+            flagged, past_the_trace,
+            "{}: word {:#x} ({:?}) against {} records: {}",
+            name, word, dep.kind(), src.len(), report
+        );
     }
 
     /// The corpus swept across random seeds and all five generators:

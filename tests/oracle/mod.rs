@@ -402,7 +402,7 @@ impl<'a> Oracle<'a> {
             .iter()
             .chain(memory)
             .filter_map(|dep| match dep.kind() {
-                SourceKind::Local { producer } | SourceKind::Remote { producer, .. } => {
+                SourceKind::Local { producer } | SourceKind::Remote { producer } => {
                     assert!(producer < seq, "a producer precedes its consumer");
                     Some(producer)
                 }
@@ -434,13 +434,10 @@ impl<'a> Oracle<'a> {
                     at_fetch &= done <= fd;
                     done
                 }
-                SourceKind::Remote {
-                    producer,
-                    producer_section,
-                } => {
+                SourceKind::Remote { producer } => {
                     at_fetch = false;
                     self.remote_register_requests += 1;
-                    let trip = self.request_leg(seq, producer_section.0);
+                    let trip = self.request_leg(seq, producer);
                     self.complete[producer].expect("known").max(rr + trip) + trip
                 }
             };
@@ -459,12 +456,9 @@ impl<'a> Oracle<'a> {
                     SourceKind::Local { producer } => {
                         self.complete[producer].expect("known").max(ar + 1)
                     }
-                    SourceKind::Remote {
-                        producer,
-                        producer_section,
-                    } => {
+                    SourceKind::Remote { producer } => {
                         self.remote_memory_requests += 1;
-                        let trip = self.request_leg(seq, producer_section.0);
+                        let trip = self.request_leg(seq, producer);
                         self.complete[producer].expect("known").max(ar + trip) + trip
                     }
                     SourceKind::ForkCopy | SourceKind::InitialRegister => ar + 1,
@@ -482,10 +476,11 @@ impl<'a> Oracle<'a> {
     }
 
     /// Cycles for one leg of a renaming request from `seq`'s core to the
-    /// core of `producer_section`: the NoC latency plus the per-section
+    /// core of `producer`'s section: the NoC latency plus the per-section
     /// charge for every section the backward walk passes between them.
-    fn request_leg(&self, seq: usize, producer_section: usize) -> u64 {
+    fn request_leg(&self, seq: usize, producer: usize) -> u64 {
         let section = self.arena.section(seq).0;
+        let producer_section = self.arena.section(producer).0;
         let between = section.saturating_sub(producer_section + 1) as u64;
         let (from, to) = (self.core_of[section], self.core_of[producer_section]);
         self.network.latency(from, to) + self.config.per_section_hop * between

@@ -60,9 +60,7 @@ fn figure6_renaming_matches_the_papers_producer_consumer_pairs() {
     assert_eq!(arena.name(final_add), "5-1");
     assert_eq!(arena.mnemonic(final_add), "addq");
     match arena.mem_sources(final_add)[0].kind() {
-        SourceKind::Remote {
-            producer_section, ..
-        } => assert_eq!(producer_section, SectionId(1)),
+        SourceKind::Remote { producer } => assert_eq!(arena.section(producer), SectionId(1)),
         other => panic!("expected remote memory renaming, found {other:?}"),
     }
     // ... and its %rax comes from section 4 (the second half of the sum).
@@ -73,9 +71,7 @@ fn figure6_renaming_matches_the_papers_producer_consumer_pairs() {
         .find(|&(_, l)| l == Location::Reg(parsecs::isa::Reg::Rax))
         .unwrap();
     match rax.kind() {
-        SourceKind::Remote {
-            producer_section, ..
-        } => assert_eq!(producer_section, SectionId(3)),
+        SourceKind::Remote { producer } => assert_eq!(arena.section(producer), SectionId(3)),
         other => panic!("expected remote register renaming, found {other:?}"),
     }
 }

@@ -298,10 +298,7 @@ fn two_pass_arena(events: &[RecordedStep], outputs: Vec<u64>) -> TraceArena {
                         if copied && creator_fork_of(section).is_some() {
                             SourceKind::ForkCopy
                         } else {
-                            SourceKind::Remote {
-                                producer,
-                                producer_section,
-                            }
+                            SourceKind::Remote { producer }
                         }
                     }
                 }
