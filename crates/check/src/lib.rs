@@ -4,19 +4,25 @@
 //! trace — section spans tiling the record range, one writer per
 //! location version, producers strictly preceding consumers — that the
 //! engines historically enforced only with scattered `assert!`s. This
-//! crate makes them a first-class analysis with four layers:
+//! crate makes them a first-class analysis with five layers:
 //!
 //! 1. **Invariant validator** ([`check_arena`], [`InvariantViolation`]):
-//!    pure passes over the raw columns checking section well-formedness,
-//!    dep-slice bounds and packing integrity, the single-writer
-//!    renaming discipline, dependence acyclicity and lean-arena column
-//!    consistency — returning typed per-violation diagnostics instead of
-//!    aborting.
-//! 2. **Static bounds analyzer** ([`StaticBounds`]): per-section and
+//!    pure passes over the raw columns checking column shape, section
+//!    well-formedness, dep-slice bounds, producer ranges and sections,
+//!    and dependence acyclicity — returning typed per-violation
+//!    diagnostics instead of aborting.
+//! 2. **Location check** ([`LocationCheck`]): the arena stores no
+//!    architectural location, so the single-writer renaming discipline
+//!    is checked while the trace streams. A sink beside the sectioner
+//!    replays each step's reads and writes against its own last-writer
+//!    table and reports every dependence that names the wrong producer
+//!    or provenance, or a provenance that does not fit its location's
+//!    class.
+//! 3. **Static bounds analyzer** ([`StaticBounds`]): per-section and
 //!    whole-program dependence-DAG critical path and ILP width;
 //!    `total_cycles ≥ critical_path` holds for every configuration and
 //!    is cross-checked against the engine in the differential tests.
-//! 3. **Progress prover** ([`Progress`], [`prove_progress`]): given one
+//! 4. **Progress prover** ([`Progress`], [`prove_progress`]): given one
 //!    concrete (placement × chip) configuration, proves the section
 //!    wait-for graph (producer deps ∪ capacity edges of over-subscribed
 //!    cores) admits no cycle, or returns a concrete witness cycle. A
@@ -24,17 +30,18 @@
 //!    "deadlocked with no pending event") must never have been
 //!    [`Progress::Proven`]. The engine refuses every deadlock whatever
 //!    the verdict, and nothing reads the verdict at run time.
-//! 4. **Schedule analyzer** ([`ScheduleBounds`], [`bound_schedule`]):
+//! 5. **Schedule analyzer** ([`ScheduleBounds`], [`bound_schedule`]):
 //!    given a concrete (placement × chip) configuration, a **certified**
 //!    NoC/placement-weighted lower bound on the cycle count (critical
 //!    path re-weighted with per-hop latencies, maxed against per-core
 //!    work and ejection-port contention); the engine checks
 //!    `critical_path ≤ lb ≤ cycles` on every validated run.
 //!
-//! The engine runs the whole analysis before simulating when
-//! `SimConfig::validate` is set; the workspace's
-//! `tests/check_invariants.rs` runs it over every workload generator at
-//! 64, 256 and 1024 cores.
+//! The engine runs layers 1 and 3–5 before simulating when
+//! `SimConfig::validate` is set, and a validated `ManyCoreBackend` run
+//! builds its arena through layer 2; the workspace's
+//! `tests/check_invariants.rs` runs them over every workload generator
+//! at 64, 256 and 1024 cores.
 //!
 //! ## Example
 //!
@@ -63,6 +70,7 @@
 #![warn(missing_docs)]
 
 mod bounds;
+mod locations;
 mod progress;
 mod schedule;
 mod validate;
@@ -73,6 +81,7 @@ use std::fmt;
 use parsecs_trace::TraceArena;
 
 pub use bounds::{SectionBounds, StaticBounds};
+pub use locations::LocationCheck;
 pub use progress::{prove_progress, Progress, WaitEdge, WaitKind};
 pub use schedule::{bound_schedule, BindingTerm, ChipModel, ScheduleBounds};
 pub use violation::InvariantViolation;
@@ -105,10 +114,6 @@ pub struct CheckReport {
     pub instructions: usize,
     /// Sections in the analyzed arena.
     pub sections: usize,
-    /// Whether the single-writer renaming replay ran (`false` for lean
-    /// arenas, which drop the write columns it needs, and when the
-    /// structural passes already failed).
-    pub writer_discipline_checked: bool,
 }
 
 impl CheckReport {
@@ -171,20 +176,16 @@ impl fmt::Display for CheckReport {
     }
 }
 
-/// Runs the full static analysis: the invariant validator always; the
-/// bounds analyzer only once the validator comes back clean (it indexes
-/// the columns through the offsets the validator vouches for).
+/// Runs the static analysis of a finished arena: the invariant validator
+/// always; the bounds analyzer only once the validator comes back clean
+/// (it indexes the columns through the offsets the validator vouches
+/// for). The renaming discipline needs the locations the arena does not
+/// store: [`LocationCheck`] checks it while the arena is built.
 pub fn check_arena(arena: &TraceArena) -> CheckReport {
     let mut col = validate::Collector::new(MAX_VIOLATIONS);
-    let shape_ok = validate::column_shape(arena, &mut col);
-    if shape_ok {
+    if validate::column_shape(arena, &mut col) {
         validate::sections(arena, &mut col);
         validate::deps(arena, &mut col);
-    }
-    let mut writer_discipline_checked = false;
-    if shape_ok && col.out.is_empty() && arena.records_locations() {
-        validate::writer_discipline(arena, &mut col);
-        writer_discipline_checked = true;
     }
     let clean = col.out.is_empty() && !col.truncated;
     CheckReport {
@@ -195,7 +196,6 @@ pub fn check_arena(arena: &TraceArena) -> CheckReport {
         schedule: None,
         instructions: arena.len(),
         sections: arena.sections().len(),
-        writer_discipline_checked,
     }
 }
 
@@ -223,7 +223,6 @@ mod tests {
     fn clean_arenas_certify_and_bound() {
         let report = check_arena(&sum_arena());
         assert!(report.is_clean(), "{report}");
-        assert!(report.writer_discipline_checked);
         let bounds = report.bounds.as_ref().expect("bounds");
         // The three-instruction add chain in `leaf` forces at least four
         // dependence levels (movq feeds addq feeds addq, plus main's
@@ -233,21 +232,6 @@ mod tests {
         assert!(bounds.ilp_width() > 0.0);
         assert_eq!(bounds.per_section.len(), report.sections);
         assert!(report.to_string().contains("clean"));
-    }
-
-    #[test]
-    fn lean_arenas_skip_only_the_writer_replay() {
-        let program = parsecs_asm::assemble(
-            "main: movq $7, %rax
-                   out %rax
-                   halt",
-        )
-        .expect("assembles");
-        let arena = parsecs_trace::TraceArena::from_program_lean(&program, 1_000).expect("runs");
-        let report = check_arena(&arena);
-        assert!(report.is_clean(), "{report}");
-        assert!(!report.writer_discipline_checked);
-        assert!(report.bounds.is_some());
     }
 
     #[test]

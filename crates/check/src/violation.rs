@@ -46,7 +46,7 @@ pub enum InvariantViolation {
     },
     /// A fixed-width column desynchronised from the record count (an
     /// unclosed `begin_record`, a missing sentinel, a dangling mnemonic
-    /// id, write columns on a lean arena, …).
+    /// id, …).
     ColumnBroken {
         /// Which column.
         column: &'static str,
@@ -70,10 +70,12 @@ pub enum InvariantViolation {
         /// The shared dependence column's length.
         limit: usize,
     },
-    /// A packed dependence decodes inconsistently: an invalid location
-    /// tag, a provenance that does not fit its location, a producer index
-    /// out of range or in the wrong section for its local/remote tag, or
-    /// a source in the wrong register/memory class slot.
+    /// A packed dependence decodes inconsistently. The arena validator
+    /// reports a producer index out of range or in the wrong section for
+    /// its local/remote tag; the location check ([`crate::LocationCheck`])
+    /// reports a provenance that does not fit the class of the location
+    /// it reads, and a record whose dependence count or register-class
+    /// prefix differs from its step's reads.
     DepPackingBroken {
         /// The consumer's trace index.
         seq: usize,
@@ -95,7 +97,9 @@ pub enum InvariantViolation {
     },
     /// The single-writer renaming discipline is broken: the dependence
     /// does not name the closest preceding writer of its location (or
-    /// mis-tags the provenance the sectioner would have assigned).
+    /// mis-tags the provenance the sectioner would have assigned). Found
+    /// by the location check ([`crate::LocationCheck`]), which sees the
+    /// locations the arena does not store.
     WriterDiscipline {
         /// The consumer's trace index.
         seq: usize,
@@ -242,7 +246,7 @@ mod tests {
                 InvariantViolation::DepPackingBroken {
                     seq: 5,
                     dep: 1,
-                    detail: "invalid location tag",
+                    detail: "producer index out of range",
                 },
                 "record 5 dep 1",
             ),

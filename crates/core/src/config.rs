@@ -63,10 +63,14 @@ pub struct SimConfig {
     /// the switch that lets 100M-instruction chip-scale cells fit. On by
     /// default.
     pub record_timings: bool,
-    /// Whether the engine runs the full static analysis of
-    /// `parsecs-check` over the arena before simulating: the invariant
-    /// validator, the critical-path bounds, and, once placed, the
-    /// progress proof and the schedule bounds. A violation surfaces as
+    /// Whether the engine runs the static analysis of `parsecs-check`
+    /// over the arena before simulating: the invariant validator, the
+    /// critical-path bounds, and, once placed, the progress proof and the
+    /// schedule bounds. The arena stores no location, so the renaming
+    /// discipline is checked where the arena is built: a validated
+    /// `ManyCoreBackend` run builds it through `parsecs-check`'s
+    /// `LocationCheck` sink and is refused before it simulates when a
+    /// dependence is wrong. A violation surfaces as
     /// [`crate::SimError::Invariant`]; a clean analysis is attached to
     /// [`crate::SimResult::check`], and a finished run that breaks one
     /// of its contracts (`critical_path ≤ lb ≤ total_cycles`) returns

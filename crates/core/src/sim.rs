@@ -134,8 +134,10 @@ impl SimResult {
     /// resolver columns, the per-section cursors (retirement, stall
     /// resume, fork map, placement) and the result views (stage table,
     /// section spans, outputs). The number that, added to
-    /// [`SimStats::trace_arena_bytes`], caps how many instructions a
-    /// chip-scale run can hold resident; a stats-only run keeps no stage
+    /// [`SimStats::trace_arena_bytes`] (21–28 bytes per instruction on
+    /// the benchmark programs, validated or not: there is one arena
+    /// kind), caps how many instructions a chip-scale run can hold
+    /// resident; a stats-only run keeps no stage
     /// columns, cutting this from ~40 to ~9 bytes per instruction on
     /// `synth_histogram` (~47 to ~16 on `fan_chain`, whose many sections
     /// add per-section cursors). Derived from logical sizes (transient
@@ -678,7 +680,7 @@ fn broken_contract(report: &CheckReport, stats: &SimStats) -> Option<&'static st
 mod tests {
     use super::*;
     use crate::format_figure10;
-    use parsecs_isa::{Program, Reg};
+    use parsecs_isa::Program;
     use parsecs_machine::{Location, TraceKind};
 
     /// The paper's running example: Figure 5 preceded by a tiny `main`.
@@ -832,10 +834,7 @@ mod tests {
         let mut arena = TraceArena::new();
         let id = arena.intern_mnemonic("bogus");
         arena.begin_record(0, id, SectionId(0), TraceKind::Other, false, false, false);
-        arena.push_dep(
-            PackedDep::new(SourceKind::Local { producer: 0 }),
-            Location::Reg(Reg::Rax),
-        );
+        arena.push_dep(PackedDep::new(SourceKind::Local { producer: 0 }));
         arena.end_record(1);
         arena.push_section(SectionSpan {
             id: SectionId(0),

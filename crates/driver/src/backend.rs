@@ -1,10 +1,11 @@
 //! The [`ExecutionBackend`] trait and its three engine implementations.
 
+use parsecs_check::{CheckReport, LocationCheck};
 use parsecs_core::{ManyCoreSim, SimConfig, SimError};
 use parsecs_ilp::{IlpModel, IlpScheduler};
 use parsecs_isa::Program;
 use parsecs_machine::Machine;
-use parsecs_trace::TraceArena;
+use parsecs_trace::{TraceArena, TraceError};
 
 use crate::{DriverError, ReportDetail, RunReport};
 
@@ -187,14 +188,13 @@ impl ExecutionBackend for ManyCoreBackend {
     fn execute_fueled(&self, program: &Program, fuel: u64) -> Result<RunReport, DriverError> {
         // A bad configuration fails before the pre-execution runs.
         self.config.validate().map_err(SimError::Config)?;
-        // Only a validated run's writer-discipline check reads the written
-        // locations; every other run builds the arena without them.
+        // A validated run checks the renaming while its arena streams;
+        // `simulate_arena` then checks the finished arena's structure.
         let arena = if self.config.validate {
-            TraceArena::from_program(program, fuel)
+            refuse_renaming_errors(LocationCheck::from_program(program, fuel))?
         } else {
-            TraceArena::from_program_lean(program, fuel)
-        }
-        .map_err(SimError::from)?;
+            TraceArena::from_program(program, fuel).map_err(SimError::from)?
+        };
         let result = ManyCoreSim::new(self.config.clone()).simulate_arena(&arena)?;
         Ok(RunReport {
             backend: self.name(),
@@ -205,6 +205,20 @@ impl ExecutionBackend for ManyCoreBackend {
             retire_ipc: result.stats.retire_ipc,
             detail: ReportDetail::Sim(Box::new(result)),
         })
+    }
+}
+
+/// The arena a validated run built through its [`LocationCheck`], or
+/// [`SimError::Invariant`] carrying the check's report when a dependence
+/// names the wrong producer or provenance.
+fn refuse_renaming_errors(
+    built: Result<(TraceArena, CheckReport), TraceError>,
+) -> Result<TraceArena, SimError> {
+    let (arena, report) = built?;
+    if report.is_clean() {
+        Ok(arena)
+    } else {
+        Err(SimError::Invariant(Box::new(report)))
     }
 }
 
@@ -267,27 +281,111 @@ mod tests {
         assert!(sequential.sim().is_none());
     }
 
+    /// A validated run checks its renaming in a sink beside the
+    /// sectioner and stores no more than an unvalidated one: the two
+    /// runs hold the same arena and report the same result, but for the
+    /// attached check report.
     #[test]
-    fn unvalidated_runs_build_the_lean_arena_with_identical_results() {
+    fn validated_and_unvalidated_runs_hold_the_same_arena() {
         let program = sum::fork_program(&[4, 2, 6, 4, 5]);
         let validated = ManyCoreBackend::new(SimConfig::with_cores(8).validated())
             .execute_fueled(&program, FUEL)
             .unwrap();
-        let lean = ManyCoreBackend::with_cores(8)
+        let plain = ManyCoreBackend::with_cores(8)
             .execute_fueled(&program, FUEL)
             .unwrap();
-        assert_eq!(lean.outputs, validated.outputs);
-        assert_eq!(lean.cycles, validated.cycles);
-        let (validated, lean) = (&validated.sim().unwrap().stats, &lean.sim().unwrap().stats);
-        assert!(
-            lean.trace_arena_bytes < validated.trace_arena_bytes,
-            "lean arena {} B should be below the full {} B",
-            lean.trace_arena_bytes,
-            validated.trace_arena_bytes
+        let (validated, plain) = (validated.sim().unwrap(), plain.sim().unwrap());
+        assert!(validated.check.as_ref().is_some_and(|c| c.is_clean()));
+        assert_eq!(
+            plain.stats.trace_arena_bytes,
+            TraceArena::from_program(&program, FUEL)
+                .unwrap()
+                .memory_bytes() as u64
         );
-        let mut lean = lean.clone();
-        lean.trace_arena_bytes = validated.trace_arena_bytes;
-        assert_eq!(&lean, validated);
+        let mut plain = plain.clone();
+        plain.check.clone_from(&validated.check);
+        assert_eq!(&plain, validated);
+    }
+
+    /// Doctored `(step, deps)` streams, one per shape of renaming error,
+    /// go through the location check and the refusal `execute_fueled`
+    /// applies to it: each is refused as `SimError::Invariant` naming
+    /// the writer-discipline violation. (A program cannot make the
+    /// sectioner emit a wrong dependence, so the streams are fed to the
+    /// check directly.)
+    #[test]
+    fn validated_runs_refuse_every_shape_of_renaming_error() {
+        use parsecs_check::InvariantViolation;
+        use parsecs_machine::{Location, TraceKind, TraceStep};
+        use parsecs_trace::{PackedDep, SourceKind, StreamingSectioner};
+
+        let rax = [Location::Reg(parsecs_isa::Reg::Rax)];
+        let rbx = [Location::Reg(parsecs_isa::Reg::Rbx)];
+        let step = |reads, writes| TraceStep {
+            seq: 0,
+            ip: 0,
+            mnemonic: "movq",
+            reads,
+            writes,
+            is_control: false,
+            updates_stack_pointer: false,
+            kind: TraceKind::Other,
+            out_value: None,
+        };
+        let local = |producer| PackedDep::new(SourceKind::Local { producer });
+        // (stream, claimed producer, closest preceding writer)
+        let shapes = [
+            // A wrong producer: record 2 names record 0, but record 1
+            // wrote %rax since.
+            (
+                vec![
+                    (step(&[], &rax), vec![]),
+                    (step(&[], &rax), vec![]),
+                    (step(&rax, &[]), vec![local(0)]),
+                ],
+                Some(0),
+                Some(1),
+            ),
+            // A wrong provenance: the right producer, tagged remote in
+            // its own section.
+            (
+                vec![
+                    (step(&[], &rax), vec![]),
+                    (
+                        step(&rax, &[]),
+                        vec![PackedDep::new(SourceKind::Remote { producer: 0 })],
+                    ),
+                ],
+                Some(0),
+                Some(0),
+            ),
+            // A missed initial read: %rbx was never written.
+            (
+                vec![(step(&[], &rax), vec![]), (step(&rbx, &[]), vec![local(0)])],
+                Some(0),
+                None,
+            ),
+        ];
+        for (stream, claimed, actual) in shapes {
+            let mut check = LocationCheck::new(StreamingSectioner::new());
+            for (step, deps) in &stream {
+                check.check(step, deps, deps.len());
+            }
+            let Err(SimError::Invariant(report)) = refuse_renaming_errors(check.finish(vec![]))
+            else {
+                panic!("a renaming error must refuse the run");
+            };
+            let seq = stream.len() - 1;
+            assert_eq!(
+                report.violations,
+                [InvariantViolation::WriterDiscipline {
+                    seq,
+                    dep: 0,
+                    claimed,
+                    actual,
+                }]
+            );
+        }
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! [`TraceArena`] holds a sectioned, dependence-annotated dynamic trace in
 //! flat columns instead of one heap object per instruction: every
 //! per-record field is one `Vec` indexed by trace position, and the
-//! variable-length parts — source dependences, their locations and the
-//! written locations — are flattened into **shared slices**, indexed by
-//! `(offset, len)` ranges. Nothing in the arena is pointer-chased and
+//! variable-length part — each record's source dependences — is
+//! flattened into **one shared slice**, indexed by `(offset, len)`
+//! ranges. Nothing in the arena is pointer-chased and
 //! nothing allocates per instruction, which is what lets 10M+-instruction
 //! runs fit: the arena costs well under 120 bytes per instruction where
 //! the record-per-instruction representation costs ~250–350.
@@ -14,49 +14,19 @@
 //! into 4 bytes: the producer's trace index, its top bit set when the
 //! producer lies in an earlier section, and the three highest words for
 //! the producer-less provenances. The producer's section is not stored
-//! twice: it is the `section` column's entry for the producer. The
-//! architectural location each dependence reads lives in a parallel
-//! column of packed words (data addresses are 8-aligned, so a
-//! [`Location`] packs into a single `u64` with a tag in the low three
-//! bits), which only a full arena keeps.
+//! twice: it is the `section` column's entry for the producer.
+//!
+//! The arena stores no architectural location, neither the one a
+//! dependence reads nor the ones a record writes. The timing simulators
+//! never read them: store-ness is a flag bit and every consumer reaches
+//! its producer through its dependence. The renaming the dependences
+//! encode is checked while the trace streams, by `parsecs-check`'s
+//! `LocationCheck` sink beside the sectioner, not replayed from stored
+//! columns afterwards.
 
-use parsecs_isa::Reg;
 use parsecs_machine::{Location, TraceKind};
 
 use crate::{SectionId, SectionSpan, SourceDep, SourceKind, TraceError};
-
-/// A [`Location`] packed into one word: memory addresses are 8-aligned,
-/// so the low three bits carry the variant tag.
-const LOC_MEM: u64 = 0;
-const LOC_REG: u64 = 1;
-const LOC_FLAGS: u64 = 2;
-
-#[inline]
-fn pack_location(loc: Location) -> u64 {
-    match loc {
-        Location::Mem(addr) => {
-            // Release builds rely on the machine's quadword alignment (and
-            // on `parsecs-check` detecting a corrupted tag after the
-            // fact); the low three bits must be free for the variant tag.
-            debug_assert!(
-                addr & 7 == 0,
-                "trace arena requires 8-aligned data addresses, got {addr:#x}"
-            );
-            addr | LOC_MEM
-        }
-        Location::Reg(r) => ((r.index() as u64) << 3) | LOC_REG,
-        Location::Flags => LOC_FLAGS,
-    }
-}
-
-#[inline]
-fn unpack_location(packed: u64) -> Location {
-    match packed & 7 {
-        LOC_MEM => Location::Mem(packed),
-        LOC_REG => Location::Reg(Reg::ALL[(packed >> 3) as usize]),
-        _ => Location::Flags,
-    }
-}
 
 /// Dependence words from here up name a [`SourceKind::Remote`] producer
 /// (the word minus this tag); the words below it a
@@ -78,18 +48,10 @@ const MAX_SECTIONS: u64 = u32::MAX as u64 - 1;
 /// Entries the shared dependence slice can hold (`u32` offsets).
 const MAX_DEPS: u64 = u32::MAX as u64;
 
-/// Entries the shared write slice can hold (`u32` offsets).
-const MAX_WRITES: u64 = u32::MAX as u64;
-
 /// Checks prospective column totals against the arena's packed-index
 /// capacities. A free function over plain counts so the overflow
 /// behaviour is unit-testable without materialising billions of records.
-pub(crate) fn check_capacity(
-    records: u64,
-    deps: u64,
-    writes: u64,
-    sections: u64,
-) -> Result<(), TraceError> {
+pub(crate) fn check_capacity(records: u64, deps: u64, sections: u64) -> Result<(), TraceError> {
     if records > MAX_RECORDS {
         return Err(TraceError::CapacityExceeded {
             resource: "instructions",
@@ -108,20 +70,14 @@ pub(crate) fn check_capacity(
             limit: MAX_DEPS,
         });
     }
-    if writes > MAX_WRITES {
-        return Err(TraceError::CapacityExceeded {
-            resource: "writes",
-            limit: MAX_WRITES,
-        });
-    }
     Ok(())
 }
 
 /// One source dependence in 4 bytes: the producer's trace index, with
 /// the top bit set for a producer in an earlier section, or one of the
 /// three highest words for a dependence without producer (see the module
-/// docs). The location it reads is stored beside it, in a full arena's
-/// location column ([`TraceArena::source_locations`]).
+/// docs). The location it reads is not stored: the order of a record's
+/// dependences is the order of its step's reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PackedDep(u32);
 
@@ -184,12 +140,10 @@ impl PackedDep {
 ///
 /// Layout contract (what `parsecs-check` verifies): `ip`, `mnemonic_id`,
 /// `section`, `kind_flags` and `reg_deps` have one entry per record;
-/// `dep_off` (and, on a full arena, `write_off`) have one per record
-/// plus a trailing sentinel equal to the shared slice's length; record
-/// `i`'s dependences are `deps[dep_off[i]..dep_off[i + 1]]`, the first
-/// `reg_deps[i]` of them register-class. On a full arena `dep_locs` has
-/// one entry per dependence (the same ranges index it); on a lean arena
-/// it is empty.
+/// `dep_off` has one per record plus a trailing sentinel equal to the
+/// shared slice's length; record `i`'s dependences are
+/// `deps[dep_off[i]..dep_off[i + 1]]`, the first `reg_deps[i]` of them
+/// register-class.
 #[derive(Debug, Clone, Copy)]
 pub struct RawColumns<'a> {
     /// Static instruction index per record.
@@ -204,17 +158,8 @@ pub struct RawColumns<'a> {
     pub dep_off: &'a [u32],
     /// Register-class prefix length of each record's dep slice.
     pub reg_deps: &'a [u8],
-    /// Offsets into `writes` (empty of meaning on a lean arena:
-    /// `[0]` exactly).
-    pub write_off: &'a [u32],
     /// The shared dependence slice.
     pub deps: &'a [PackedDep],
-    /// The packed location each dependence reads, parallel to `deps`
-    /// (empty on a lean arena).
-    pub dep_locs: &'a [u64],
-    /// The shared written-locations slice (packed; empty on a lean
-    /// arena).
-    pub writes: &'a [u64],
     /// The interned mnemonic table.
     pub mnemonics: &'a [&'static str],
 }
@@ -268,22 +213,10 @@ pub struct TraceArena {
     /// rest the memory sources.
     dep_off: Vec<u32>,
     reg_deps: Vec<u8>,
-    /// `writes` range of record `i` is `write_off[i]..write_off[i + 1]`.
-    write_off: Vec<u32>,
     deps: Vec<PackedDep>,
-    /// Packed location read by each entry of `deps` (parallel to it).
-    dep_locs: Vec<u64>,
-    writes: Vec<u64>,
     mnemonics: Vec<&'static str>,
     sections: Vec<SectionSpan>,
     outputs: Vec<u64>,
-    /// A *lean* arena stores no architectural locations: neither the
-    /// location each dependence reads (`dep_locs`) nor the written ones
-    /// (`writes`, `write_off`). The timing simulators never read them
-    /// (store-ness is a `kind_flags` bit and every consumer reaches its
-    /// producer through `deps`); only `parsecs-check`'s location checks
-    /// and writer replay do.
-    lean: bool,
 }
 
 impl Default for TraceArena {
@@ -304,49 +237,21 @@ impl TraceArena {
             kind_flags: Vec::new(),
             dep_off: vec![0],
             reg_deps: Vec::new(),
-            write_off: vec![0],
             deps: Vec::new(),
-            dep_locs: Vec::new(),
-            writes: Vec::new(),
             mnemonics: Vec::new(),
             sections: Vec::new(),
             outputs: Vec::new(),
-            lean: false,
         }
-    }
-
-    /// An empty *lean* arena: no architectural location is recorded,
-    /// neither the ones each dependence reads nor the written ones (see
-    /// [`TraceArena::records_locations`]), which saves 8 bytes per
-    /// dependence plus the write columns. Use for stats-oriented
-    /// chip-scale simulation, where those columns would be dead weight;
-    /// `parsecs-check`'s location checks and writer-discipline replay
-    /// need a full arena.
-    pub fn new_lean() -> TraceArena {
-        TraceArena {
-            lean: true,
-            ..TraceArena::new()
-        }
-    }
-
-    /// Whether the arena records architectural locations
-    /// ([`TraceArena::source_locations`] and [`TraceArena::written`]
-    /// yield them). `false` for lean arenas, whose `source_locations` and
-    /// `written` are always empty (the dependences themselves and
-    /// [`TraceArena::is_store`] stay accurate).
-    pub fn records_locations(&self) -> bool {
-        !self.lean
     }
 
     /// Reserves every per-record column once for a run of at most `fuel`
-    /// records, and the shared slices for `max_reads` dependences and
-    /// `max_writes` written locations per record — each clamped to the
-    /// packed-index capacities. A capacity hint only: a refused
+    /// records, and the shared slice for `max_reads` dependences per
+    /// record — each clamped to the packed-index capacities. A capacity hint only: a refused
     /// reservation is ignored and that column then grows on demand, so
     /// the arena's contents never depend on it. Untouched reserved space
     /// is address space, not resident memory, and
     /// [`TraceArena::shrink_to_fit`] releases it in place.
-    pub(crate) fn reserve_for_run(&mut self, fuel: u64, max_reads: usize, max_writes: usize) {
+    pub(crate) fn reserve_for_run(&mut self, fuel: u64, max_reads: usize) {
         fn reserve<T>(column: &mut Vec<T>, additional: u64) {
             // `additional` is clamped to a `u32` capacity, so it fits.
             let _ = column.try_reserve_exact(additional as usize);
@@ -360,27 +265,14 @@ impl TraceArena {
         reserve(&mut self.reg_deps, records);
         let deps = records.saturating_mul(max_reads as u64).min(MAX_DEPS);
         reserve(&mut self.deps, deps);
-        if !self.lean {
-            reserve(&mut self.dep_locs, deps);
-            reserve(&mut self.write_off, records);
-            reserve(
-                &mut self.writes,
-                records.saturating_mul(max_writes as u64).min(MAX_WRITES),
-            );
-        }
     }
 
-    /// Checks that one more record with `new_deps` dependences and
-    /// `new_writes` written locations fits the packed columns.
-    pub(crate) fn capacity_for(
-        &self,
-        new_deps: usize,
-        new_writes: usize,
-    ) -> Result<(), TraceError> {
+    /// Checks that one more record with `new_deps` dependences fits the
+    /// packed columns.
+    pub(crate) fn capacity_for(&self, new_deps: usize) -> Result<(), TraceError> {
         check_capacity(
             self.ip.len() as u64 + 1,
             self.deps.len() as u64 + new_deps as u64,
-            self.writes.len() as u64 + new_writes as u64,
             // `sections.len()` is the id of the section currently being
             // recorded; it must itself fit the section column.
             self.sections.len() as u64 + 1,
@@ -477,29 +369,6 @@ impl TraceArena {
         &self.deps[self.dep_off[seq] as usize..self.dep_off[seq + 1] as usize]
     }
 
-    /// The locations read by record `seq`, parallel to
-    /// [`TraceArena::sources`] (always empty on a lean arena — see
-    /// [`TraceArena::records_locations`]).
-    pub fn source_locations(&self, seq: usize) -> impl Iterator<Item = Location> + '_ {
-        let range = if self.lean {
-            0..0
-        } else {
-            self.dep_off[seq] as usize..self.dep_off[seq + 1] as usize
-        };
-        self.dep_locs[range].iter().map(|&l| unpack_location(l))
-    }
-
-    /// The locations written by record `seq` (always empty on a lean
-    /// arena — see [`TraceArena::records_locations`]).
-    pub fn written(&self, seq: usize) -> impl Iterator<Item = Location> + '_ {
-        let range = if self.lean {
-            0..0
-        } else {
-            self.write_off[seq] as usize..self.write_off[seq + 1] as usize
-        };
-        self.writes[range].iter().map(|&w| unpack_location(w))
-    }
-
     /// The paper's `s-i` name of record `seq` (1-based), e.g. `"2-13"`.
     pub fn name(&self, seq: usize) -> String {
         format!(
@@ -534,10 +403,7 @@ impl TraceArena {
             + self.kind_flags.capacity()
             + self.dep_off.capacity() * size_of::<u32>()
             + self.reg_deps.capacity()
-            + self.write_off.capacity() * size_of::<u32>()
             + self.deps.capacity() * size_of::<PackedDep>()
-            + self.dep_locs.capacity() * size_of::<u64>()
-            + self.writes.capacity() * size_of::<u64>()
             + self.mnemonics.capacity() * size_of::<&'static str>()
             + self.sections.capacity() * size_of::<SectionSpan>()
             + self.outputs.capacity() * size_of::<u64>()
@@ -554,10 +420,7 @@ impl TraceArena {
         self.kind_flags.shrink_to_fit();
         self.dep_off.shrink_to_fit();
         self.reg_deps.shrink_to_fit();
-        self.write_off.shrink_to_fit();
         self.deps.shrink_to_fit();
-        self.dep_locs.shrink_to_fit();
-        self.writes.shrink_to_fit();
         self.mnemonics.shrink_to_fit();
         self.sections.shrink_to_fit();
         self.outputs.shrink_to_fit();
@@ -574,10 +437,7 @@ impl TraceArena {
             kind_flags: &self.kind_flags,
             dep_off: &self.dep_off,
             reg_deps: &self.reg_deps,
-            write_off: &self.write_off,
             deps: &self.deps,
-            dep_locs: &self.dep_locs,
-            writes: &self.writes,
             mnemonics: &self.mnemonics,
         }
     }
@@ -617,7 +477,9 @@ impl TraceArena {
     /// Appends one resolved record. Records must be pushed in sequential
     /// trace order; `is_load`/`is_store` are derived (a memory source
     /// means a load, a written memory location means a store), exactly as
-    /// the sequential analysis derives them.
+    /// the sequential analysis derives them. Of the locations only those
+    /// two flags are kept: each source's [`SourceDep::location`] and the
+    /// `writes` themselves are not stored.
     #[allow(clippy::too_many_arguments)]
     pub fn push_record(
         &mut self,
@@ -642,10 +504,7 @@ impl TraceArena {
             is_store,
         );
         for dep in reg_sources.iter().chain(mem_sources) {
-            self.push_dep(PackedDep::new(dep.kind), dep.location);
-        }
-        for &loc in writes {
-            self.push_write(loc);
+            self.push_dep(PackedDep::new(dep.kind));
         }
         self.end_record(reg_sources.len());
     }
@@ -668,8 +527,8 @@ impl TraceArena {
 
     /// Opens one record at the column level: pushes the fixed-width
     /// per-record columns and nothing else. Pair with
-    /// [`TraceArena::end_record`]; push the record's dependences (and,
-    /// on a full arena, its writes) in between. The record-level
+    /// [`TraceArena::end_record`]; push the record's dependences in
+    /// between. The record-level
     /// [`TraceArena::push_record`] is the convenient surface; this one
     /// exists for streaming producers that already hold packed deps, and
     /// performs **no** capacity checks (callers check
@@ -712,33 +571,12 @@ impl TraceArena {
         self.kind_flags.push(flags);
     }
 
-    /// Appends one dependence of the record being built, reading
-    /// `location` (register-class deps first, then memory deps;
-    /// `end_record` fixes the split). A lean arena drops the location.
+    /// Appends one dependence of the record being built, stored verbatim
+    /// (register-class deps first, then memory deps; `end_record` fixes
+    /// the split).
     #[inline]
-    pub fn push_dep(&mut self, dep: PackedDep, location: Location) {
-        self.push_dep_raw(dep, pack_location(location));
-    }
-
-    /// [`TraceArena::push_dep`] with the location already packed, stored
-    /// verbatim with **no** validity checks — like
-    /// [`PackedDep::from_bits`], for corpora that build deliberately
-    /// corrupt arenas. `location` uses the encoding of
-    /// [`RawColumns::dep_locs`].
-    #[inline]
-    pub fn push_dep_raw(&mut self, dep: PackedDep, location: u64) {
+    pub fn push_dep(&mut self, dep: PackedDep) {
         self.deps.push(dep);
-        if !self.lean {
-            self.dep_locs.push(location);
-        }
-    }
-
-    /// Appends one written location of the record being built. Must not
-    /// be called on a lean arena.
-    #[inline]
-    pub fn push_write(&mut self, loc: Location) {
-        debug_assert!(!self.lean, "lean arenas do not record writes");
-        self.writes.push(pack_location(loc));
     }
 
     /// Closes the record opened by `begin_record`, recording how many of
@@ -749,10 +587,6 @@ impl TraceArena {
             .push(u8::try_from(reg_dep_count).expect("fewer than 256 register-class sources"));
         self.dep_off
             .push(u32::try_from(self.deps.len()).expect("dep slice fits u32 offsets"));
-        if !self.lean {
-            self.write_off
-                .push(u32::try_from(self.writes.len()).expect("write slice fits u32 offsets"));
-        }
     }
 }
 
@@ -765,40 +599,27 @@ mod tests {
     /// four billion records.
     #[test]
     fn capacity_limits_are_reported_as_typed_errors() {
-        assert_eq!(
-            check_capacity(1_000_000, 3_000_000, 1_500_000, 65_536),
-            Ok(())
-        );
-        assert_eq!(
-            check_capacity(MAX_RECORDS, MAX_DEPS, MAX_WRITES, MAX_SECTIONS),
-            Ok(())
-        );
+        assert_eq!(check_capacity(1_000_000, 3_000_000, 65_536), Ok(()));
+        assert_eq!(check_capacity(MAX_RECORDS, MAX_DEPS, MAX_SECTIONS), Ok(()));
         // The record cap is where a remote producer's word would reach
         // the producer-less words: one record more is refused.
         assert_eq!(u64::from(REMOTE) + MAX_RECORDS, u64::from(FORK_COPY));
         assert_eq!(
-            check_capacity(MAX_RECORDS + 1, 0, 0, 1),
+            check_capacity(MAX_RECORDS + 1, 0, 1),
             Err(TraceError::CapacityExceeded {
                 resource: "instructions",
                 limit: MAX_RECORDS,
             })
         );
         assert_eq!(
-            check_capacity(1, MAX_DEPS + 1, 0, 1),
+            check_capacity(1, MAX_DEPS + 1, 1),
             Err(TraceError::CapacityExceeded {
                 resource: "dependences",
                 limit: MAX_DEPS,
             })
         );
         assert_eq!(
-            check_capacity(1, 0, MAX_WRITES + 1, 1),
-            Err(TraceError::CapacityExceeded {
-                resource: "writes",
-                limit: MAX_WRITES,
-            })
-        );
-        assert_eq!(
-            check_capacity(1, 0, 0, MAX_SECTIONS + 1),
+            check_capacity(1, 0, MAX_SECTIONS + 1),
             Err(TraceError::CapacityExceeded {
                 resource: "sections",
                 limit: MAX_SECTIONS,
@@ -806,39 +627,28 @@ mod tests {
         );
     }
 
+    /// The record-level builder keeps the flags the locations imply and
+    /// nothing else of them: a memory source makes a load, a written
+    /// memory word a store.
     #[test]
-    fn lean_arenas_skip_the_location_columns_but_keep_store_flags() {
-        let mut full = TraceArena::new();
-        let mut lean = TraceArena::new_lean();
+    fn push_record_keeps_load_and_store_flags_but_no_locations() {
+        let mut arena = TraceArena::new();
         let dep = SourceDep {
-            location: Location::Reg(Reg::Rax),
-            kind: SourceKind::InitialRegister,
+            location: Location::Mem(0x1000),
+            kind: SourceKind::InitialMemory,
         };
-        let writes = [Location::Mem(0x1000)];
-        full.push_record(
+        arena.push_record(
             0,
             "movq",
             SectionId(0),
             TraceKind::Other,
             false,
-            &[dep],
             &[],
-            &writes,
+            &[dep],
+            &[Location::Mem(0x1008)],
         );
-        // The lean builder surface is the streaming sectioner; emulate it
-        // at the column level (no write pushes).
-        let id = lean.intern_mnemonic("movq");
-        lean.begin_record(0, id, SectionId(0), TraceKind::Other, false, false, true);
-        lean.push_dep(PackedDep::new(dep.kind), dep.location);
-        lean.end_record(1);
-        assert!(full.records_locations());
-        assert!(!lean.records_locations());
-        assert!(full.is_store(0) && lean.is_store(0));
-        assert_eq!(full.written(0).count(), 1);
-        assert_eq!(lean.written(0).count(), 0);
-        assert!(full.source_locations(0).eq([dep.location]));
-        assert_eq!(lean.source_locations(0).count(), 0);
-        assert_eq!(full.sources(0), lean.sources(0));
-        assert!(lean.memory_bytes() < full.memory_bytes());
+        assert!(arena.is_load(0) && arena.is_store(0));
+        assert_eq!(arena.mem_sources(0), &[PackedDep::new(dep.kind)]);
+        assert!(arena.reg_sources(0).is_empty());
     }
 }

@@ -24,7 +24,7 @@ pub enum TraceError {
     /// The trace outgrew one of the arena's packed-index capacities.
     CapacityExceeded {
         /// Which packing overflowed (`"instructions"`, `"sections"`,
-        /// `"dependences"`, `"writes"`).
+        /// `"dependences"`).
         resource: &'static str,
         /// The maximum number of `resource` the arena can hold.
         limit: u64,

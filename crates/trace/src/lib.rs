@@ -16,9 +16,9 @@
 //! * never builds an intermediate trace (two `Vec`s per instruction);
 //! * keeps the per-instruction metadata in flat columns and the
 //!   dependences in **one shared 4-byte-packed slice** indexed by
-//!   `(offset, len)` ranges, with the locations they read in a parallel
-//!   column only a full arena keeps — well under 120 bytes per
-//!   instruction where the record representation costs ~250–350;
+//!   `(offset, len)` ranges, and no architectural location at all —
+//!   21–28 bytes per instruction on the benchmark programs, where the
+//!   record representation costs ~250–350;
 //! * looks registers up in a flat array and memory words in a
 //!   multiply-shift-hashed table, instead of SipHashing `Location` keys.
 //!
@@ -62,7 +62,7 @@ pub use stream::{AddrHasher, StreamingSectioner};
 #[cfg(test)]
 mod tests {
     use parsecs_isa::Reg;
-    use parsecs_machine::{Location, TraceKind};
+    use parsecs_machine::{Location, Machine, TraceKind, TraceSink, TraceStep};
 
     use super::*;
 
@@ -104,16 +104,47 @@ mod tests {
         TraceArena::from_program(&sum_fork_program(data), 1_000_000).expect("runs")
     }
 
-    /// The provenance of record `seq`'s first source on `location`.
-    fn source_on(arena: &TraceArena, seq: usize, location: Location) -> SourceKind {
-        arena
-            .sources(seq)
+    /// A sectioner that also logs the locations each record reads, which
+    /// the arena does not store.
+    struct LocationLog {
+        sectioner: StreamingSectioner,
+        reads: Vec<Vec<Location>>,
+    }
+
+    impl TraceSink for LocationLog {
+        fn record(&mut self, step: &TraceStep<'_>) {
+            self.sectioner.record(step);
+            self.reads.push(step.reads.to_vec());
+        }
+    }
+
+    /// The arena of the sum program over `data`, with each record's reads.
+    fn sectioned_with_reads(data: &[u64]) -> (TraceArena, Vec<Vec<Location>>) {
+        let mut log = LocationLog {
+            sectioner: StreamingSectioner::new(),
+            reads: Vec::new(),
+        };
+        let outcome = Machine::load(&sum_fork_program(data))
+            .expect("loads")
+            .run_with_sink(1_000_000, &mut log)
+            .expect("runs");
+        let arena = log.sectioner.finish(outcome.outputs).expect("fits");
+        assert_eq!(arena.len(), log.reads.len(), "the run ends at its halt");
+        (arena, log.reads)
+    }
+
+    /// The provenance of record `seq`'s source on `location`: the
+    /// record's dependences are in the order of its reads.
+    fn source_on(
+        (arena, reads): &(TraceArena, Vec<Vec<Location>>),
+        seq: usize,
+        location: Location,
+    ) -> SourceKind {
+        let at = reads[seq]
             .iter()
-            .zip(arena.source_locations(seq))
-            .find(|&(_, l)| l == location)
-            .unwrap_or_else(|| panic!("reads {location:?}"))
-            .0
-            .kind()
+            .position(|&l| l == location)
+            .unwrap_or_else(|| panic!("reads {location:?}"));
+        arena.sources(seq)[at].kind()
     }
 
     #[test]
@@ -175,12 +206,13 @@ mod tests {
         // Instruction 2-2 of Figure 6 (movq %rax, 0(%rsp)) consumes the rax
         // produced by the last instruction of the recursive descent hosted
         // in section 1 — the canonical remote renaming example of §4.2.
-        let arena = sectioned(&[4, 2, 6, 4, 5]);
+        let logged = sectioned_with_reads(&[4, 2, 6, 4, 5]);
+        let arena = &logged.0;
         let section2 = arena.sections()[1].start;
         let store = section2 + 1;
         assert_eq!(arena.mnemonic(store), "movq");
         assert!(arena.is_store(store));
-        match source_on(&arena, store, Location::Reg(Reg::Rax)) {
+        match source_on(&logged, store, Location::Reg(Reg::Rax)) {
             SourceKind::Remote { producer } => {
                 assert_eq!(arena.section(producer), SectionId(0));
             }
@@ -189,7 +221,7 @@ mod tests {
         // Its %rsp comes from the `subq $8, %rsp` just before it (2-1),
         // i.e. a local renaming hit.
         assert!(matches!(
-            source_on(&arena, store, Location::Reg(Reg::Rsp)),
+            source_on(&logged, store, Location::Reg(Reg::Rsp)),
             SourceKind::Local { .. }
         ));
         // The array pointer %rdi used by 2-3 (leaq) was written by `main`
@@ -198,7 +230,7 @@ mod tests {
         let lea = section2 + 2;
         assert_eq!(arena.mnemonic(lea), "leaq");
         assert_eq!(
-            source_on(&arena, lea, Location::Reg(Reg::Rdi)),
+            source_on(&logged, lea, Location::Reg(Reg::Rdi)),
             SourceKind::ForkCopy
         );
     }
@@ -276,104 +308,32 @@ mod tests {
     }
 
     #[test]
-    fn lean_arenas_match_full_arenas_except_for_writes() {
-        let program = sum_fork_program(&[3, 1, 4, 1, 5, 9, 2, 6]);
-        let full = TraceArena::from_program(&program, 1_000_000).expect("runs");
-        let lean = TraceArena::from_program_lean(&program, 1_000_000).expect("runs");
-        assert_eq!(full.len(), lean.len());
-        assert_eq!(full.sections(), lean.sections());
-        assert_eq!(full.outputs(), lean.outputs());
-        assert!(lean.memory_bytes() < full.memory_bytes());
-        for seq in 0..full.len() {
-            assert_eq!(full.sources(seq), lean.sources(seq), "record {seq}");
-            assert_eq!(full.reg_sources(seq), lean.reg_sources(seq));
-            assert_eq!(full.kind(seq), lean.kind(seq));
-            assert_eq!(full.is_store(seq), lean.is_store(seq));
-            assert_eq!(full.is_load(seq), lean.is_load(seq));
-            assert_eq!(full.is_control(seq), lean.is_control(seq));
-            assert_eq!(lean.written(seq).count(), 0);
-        }
-    }
-
-    #[test]
-    fn lean_arenas_store_no_locations() {
-        let program = sum_fork_program(&[3, 1, 4, 1, 5, 9, 2, 6]);
-        let full = TraceArena::from_program(&program, 1_000_000).expect("runs");
-        let lean = TraceArena::from_program_lean(&program, 1_000_000).expect("runs");
-        for seq in 0..full.len() {
-            assert_eq!(
-                full.source_locations(seq).count(),
-                full.sources(seq).len(),
-                "record {seq}"
-            );
-            assert_eq!(lean.source_locations(seq).count(), 0, "record {seq}");
-        }
-        // The lean arena drops exactly the 8-byte location of every
-        // dependence and the written-locations columns; every other
-        // column is the same size.
-        let write_bytes = |raw: RawColumns<'_>| raw.write_off.len() * 4 + raw.writes.len() * 8;
-        let (full_raw, lean_raw) = (full.raw(), lean.raw());
-        assert_eq!(full_raw.dep_locs.len(), full_raw.deps.len());
-        assert!(lean_raw.dep_locs.is_empty());
-        assert_eq!(
-            lean.memory_bytes(),
-            full.memory_bytes()
-                - 8 * full_raw.deps.len()
-                - (write_bytes(full_raw) - write_bytes(lean_raw))
-        );
-    }
-
-    #[test]
     fn packed_deps_roundtrip() {
         let last = arena::MAX_RECORDS as usize - 1;
-        let mut deps = Vec::new();
+        let mut kinds = Vec::new();
         for producer in [0, last] {
-            deps.push(SourceDep {
-                location: Location::Reg(parsecs_isa::Reg::R13),
-                kind: SourceKind::Local { producer },
-            });
-            deps.push(SourceDep {
-                location: Location::Flags,
-                kind: SourceKind::Remote { producer },
-            });
+            kinds.push(SourceKind::Local { producer });
+            kinds.push(SourceKind::Remote { producer });
         }
-        deps.extend([
-            SourceDep {
-                location: Location::Mem(0x1000_0008),
-                kind: SourceKind::InitialMemory,
-            },
-            SourceDep {
-                location: Location::Reg(parsecs_isa::Reg::Rsp),
-                kind: SourceKind::ForkCopy,
-            },
-            SourceDep {
-                location: Location::Reg(parsecs_isa::Reg::Rax),
-                kind: SourceKind::InitialRegister,
-            },
+        kinds.extend([
+            SourceKind::InitialMemory,
+            SourceKind::ForkCopy,
+            SourceKind::InitialRegister,
         ]);
-        for dep in &deps {
-            assert_eq!(PackedDep::new(dep.kind).kind(), dep.kind, "{dep:?}");
+        for &kind in &kinds {
+            assert_eq!(PackedDep::new(kind).kind(), kind, "{kind:?}");
         }
         // One word per dependence: the producer's section is the arena's
         // `section` column, not a second word.
         assert_eq!(std::mem::size_of::<PackedDep>(), 4);
-        // The locations round-trip through a full arena's location column.
+        // The words round-trip through the arena's dependence column.
         let mut arena = TraceArena::new();
         arena.begin_record(0, 0, SectionId(0), TraceKind::Other, false, true, false);
-        for dep in &deps {
-            arena.push_dep(PackedDep::new(dep.kind), dep.location);
+        for &kind in &kinds {
+            arena.push_dep(PackedDep::new(kind));
         }
-        arena.end_record(deps.len());
-        let unpacked: Vec<SourceDep> = arena
-            .sources(0)
-            .iter()
-            .zip(arena.source_locations(0))
-            .map(|(d, location)| SourceDep {
-                location,
-                kind: d.kind(),
-            })
-            .collect();
-        assert_eq!(unpacked, deps);
+        arena.end_record(kinds.len());
+        assert!(arena.sources(0).iter().map(PackedDep::kind).eq(kinds));
     }
 
     #[test]
@@ -405,7 +365,6 @@ mod tests {
             arena.reg_sources(3)[0].kind(),
             SourceKind::Local { producer: 2 }
         ));
-        assert!(arena.written(3).any(|l| l.is_mem()));
         // The second load-style source of the add resolves to the movq.
         assert_eq!(arena.mnemonic(3), "movq");
         assert_eq!(arena.kind(4), TraceKind::Halt);

@@ -86,7 +86,9 @@ pub enum SourceKind {
     InitialMemory,
 }
 
-/// A source operand of a dynamic instruction together with its provenance.
+/// A source operand of a dynamic instruction together with its provenance:
+/// the record-level input of [`crate::TraceArena::push_record`], which
+/// stores only the provenance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SourceDep {
     /// The architectural location being read.

@@ -9,7 +9,11 @@
 //! sequential analysis — a property held by a differential proptest
 //! against such an oracle in the workspace's tests — but the pipeline never
 //! builds the event vector, never allocates per instruction, and looks
-//! registers up in a flat array instead of hashing `Location` keys.
+//! registers up in a flat array instead of hashing `Location` keys. The
+//! locations themselves drive the renaming and are then dropped: the
+//! arena stores none. A sink that wraps the sectioner can still see them
+//! — `parsecs-check`'s `LocationCheck` replays the renaming over each
+//! step as it streams.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -160,14 +164,18 @@ impl StreamingSectioner {
         }
     }
 
-    /// A sectioner over a *lean* arena: read and written locations drive
-    /// the renaming (the last-writer state needs them) but are not stored
-    /// in the arena — see [`TraceArena::new_lean`].
-    pub fn lean() -> StreamingSectioner {
-        StreamingSectioner {
-            arena: TraceArena::new_lean(),
-            ..StreamingSectioner::new()
-        }
+    /// A fresh sectioner whose arena is reserved once for a run of
+    /// `program` within `fuel` steps: a run records at most `fuel`
+    /// instructions, each with at most as many reads as the most any of
+    /// `program`'s instructions can make. The
+    /// columns are then written in place instead of being copied as they
+    /// grow; the finished arena is the same either way.
+    pub fn reserved(program: &Program, fuel: u64) -> StreamingSectioner {
+        let mut sectioner = StreamingSectioner::new();
+        sectioner.step_bounds = program.insns().iter().map(step_bound).collect();
+        let reads = sectioner.step_bounds.iter().map(|&(r, _)| r).max();
+        sectioner.arena.reserve_for_run(fuel, reads.unwrap_or(0));
+        sectioner
     }
 
     /// Closes the trailing section (for traces that end without a
@@ -201,18 +209,6 @@ impl StreamingSectioner {
         self.arena.set_outputs(outputs);
         self.arena.shrink_to_fit();
         Ok(self.arena)
-    }
-
-    /// Reserves the arena once for a run of `program` within `fuel`
-    /// steps: a run records at most `fuel` instructions, each with at
-    /// most its [`step_bound`] of reads and writes.
-    fn reserve_for(&mut self, program: &Program, fuel: u64) {
-        self.step_bounds = program.insns().iter().map(step_bound).collect();
-        let (reads, writes) = self
-            .step_bounds
-            .iter()
-            .fold((0, 0), |(r, w), &(sr, sw)| (r.max(sr), w.max(sw)));
-        self.arena.reserve_for_run(fuel, reads, writes);
     }
 
     /// The arena built so far (for inspection; normally use `finish`).
@@ -288,12 +284,7 @@ impl TraceSink for StreamingSectioner {
         // Capacity guard: a trace that outgrows the packed `u32` columns
         // (possible from a few hundred million instructions on) becomes a
         // typed error at `finish` instead of an abort mid-run.
-        let stored_writes = if self.arena.records_locations() {
-            step.writes.len()
-        } else {
-            0
-        };
-        if let Err(e) = self.arena.capacity_for(step.reads.len(), stored_writes) {
+        if let Err(e) = self.arena.capacity_for(step.reads.len()) {
             self.error = Some(e);
             return;
         }
@@ -318,7 +309,7 @@ impl TraceSink for StreamingSectioner {
         let mut mem_dep_count = 0usize;
         for &loc in step.reads {
             let dep = self.resolve(loc, current);
-            self.arena.push_dep(dep, loc);
+            self.arena.push_dep(dep);
             if loc.is_mem() {
                 mem_dep_count += 1;
             } else {
@@ -330,16 +321,7 @@ impl TraceSink for StreamingSectioner {
             }
         }
 
-        let mut is_store = false;
-        if self.arena.records_locations() {
-            for &loc in step.writes {
-                self.arena.push_write(loc);
-                is_store |= loc.is_mem();
-            }
-        } else {
-            is_store = step.writes.iter().any(Location::is_mem);
-        }
-
+        let is_store = step.writes.iter().any(Location::is_mem);
         let mnemonic_id = self.mnemonic_id(step.ip, step.mnemonic);
         self.arena.begin_record(
             step.ip,
@@ -401,9 +383,8 @@ impl TraceArena {
     /// reference machine executes with a [`StreamingSectioner`] sink, so
     /// sectioning, renaming and dependence resolution happen in the same
     /// single pass as the execution — no intermediate trace is ever
-    /// materialised. The arena's columns are reserved once, up front, for
-    /// a run of `fuel` instructions, so they are written in place instead
-    /// of being copied as they grow.
+    /// materialised. The sink is [`StreamingSectioner::reserved`] for a
+    /// run of `fuel` instructions.
     ///
     /// # Errors
     ///
@@ -412,28 +393,8 @@ impl TraceArena {
     /// [`TraceError::CapacityExceeded`] if the trace outgrows the arena's
     /// packed columns.
     pub fn from_program(program: &Program, fuel: u64) -> Result<TraceArena, TraceError> {
-        TraceArena::run_pipeline(program, fuel, StreamingSectioner::new())
-    }
-
-    /// Like [`TraceArena::from_program`] but produces a *lean* arena (no
-    /// architectural location is stored, read or written — see
-    /// [`TraceArena::new_lean`]): the variant unvalidated runs use to
-    /// minimise resident bytes per instruction.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`TraceArena::from_program`].
-    pub fn from_program_lean(program: &Program, fuel: u64) -> Result<TraceArena, TraceError> {
-        TraceArena::run_pipeline(program, fuel, StreamingSectioner::lean())
-    }
-
-    fn run_pipeline(
-        program: &Program,
-        fuel: u64,
-        mut sink: StreamingSectioner,
-    ) -> Result<TraceArena, TraceError> {
         let mut machine = Machine::load(program)?;
-        sink.reserve_for(program, fuel);
+        let mut sink = StreamingSectioner::reserved(program, fuel);
         let outcome = machine.run_with_sink(fuel, &mut sink)?;
         sink.finish(outcome.outputs)
     }

@@ -167,14 +167,33 @@ CATALOGUE = [
         "room, so it places past capacity while another core is free",
     },
     {
-        "name": "lean-dep-checks-skipped",
+        "name": "dep-order-check-skipped",
         "file": "crates/check/src/validate.rs",
-        "old": "    let full = arena.records_locations();\n    for seq in 0..n {\n",
-        "new": "    let full = arena.records_locations();\n"
-        "    if !full {\n        return;\n    }\n"
-        "    for seq in 0..n {\n",
-        "reason": "the validator checks no dependence of a lean arena: "
-        "slice bounds, producer ranges and producer order go unchecked",
+        "old": "            if producer >= seq {\n"
+        "                col.push(InvariantViolation::DependenceCycle { seq, dep, producer });\n"
+        "                continue;\n"
+        "            }\n",
+        "new": "",
+        "reason": "the validator's dependence pass checks no producer "
+        "order, so a producer at or after its consumer goes unreported",
+    },
+    {
+        "name": "location-check-memory-writer-stale",
+        "file": "crates/check/src/locations.rs",
+        "old": "                    self.mem_writer.insert(addr, writer);\n",
+        "new": "                    let _ = addr;\n",
+        "reason": "the location check never updates its memory last-writer "
+        "table, so every renamed memory read looks like an initial one",
+    },
+    {
+        "name": "location-check-fork-copy-as-remote",
+        "file": "crates/check/src/locations.rs",
+        "old": "            } else if self.created && matches!(loc, Location::Reg(r) if r.is_fork_copied()) {\n"
+        "                SourceKind::ForkCopy\n",
+        "new": "            } else if self.created && matches!(loc, Location::Reg(r) if r.is_fork_copied()) {\n"
+        "                SourceKind::Remote { producer: writer.0 as usize }\n",
+        "reason": "the location check expects a fork-copied register read "
+        "in a created section to be a remote dependence",
     },
     {
         "name": "dep-remote-tag-ignored",
@@ -218,14 +237,6 @@ CATALOGUE = [
         "new": "        self.arena.set_outputs(outputs);\n",
         "reason": "a finished arena keeps the whole run's up-front "
         "reservation, so its footprint counts untouched capacity",
-    },
-    {
-        "name": "memory-bytes-drops-dep-locs",
-        "file": "crates/trace/src/arena.rs",
-        "old": "            + self.dep_locs.capacity() * size_of::<u64>()\n",
-        "new": "",
-        "reason": "the arena's footprint leaves out the column of locations "
-        "its dependences read",
     },
     {
         "name": "lone-park-never-requeued",

@@ -16,7 +16,8 @@
 //!   resolves dependences on the fly, into flat [`trace::TraceArena`]
 //!   columns.
 //! * [`check`] — static analysis over trace arenas: the invariant
-//!   validator, the dependence-DAG critical-path / ILP-width bounds the
+//!   validator, the renaming check that streams beside the sectioner
+//!   ([`check::LocationCheck`]), the dependence-DAG critical-path / ILP-width bounds the
 //!   simulator is grounded against, the config-aware progress prover
 //!   ([`check::Progress`]) and the schedule analyzer
 //!   ([`check::ScheduleBounds`]) whose certified NoC/placement-weighted

@@ -2,37 +2,31 @@
 //!
 //! Every workload generator's arena must come back clean, bounded
 //! (`total_cycles ≥ lb ≥ critical_path` on every chip size) and within
-//! its footprint bars. And the validator must actually *detect* broken
-//! invariants: these tests rebuild real arenas record-by-record through
-//! the public column builder, inject one targeted corruption — a swapped
-//! dependence edge, an overlapping section span, a stale writer claim, a
-//! truncated dependence slice, an invalid location packing, a bogus
-//! creator link, an unclosed record — and assert the report names the
-//! matching [`InvariantViolation`] variant. A proptest then sweeps the
-//! same mutations across random seeds and all five generators, and lean
-//! arenas (which store no locations) must still report every mutation
-//! that needs none.
+//! its footprint bars. And the checks must actually *detect* broken
+//! invariants. The arena validator's corpus rebuilds real arenas
+//! record-by-record through the public column builder and injects one
+//! targeted corruption — a swapped dependence edge, a local producer in
+//! another section, an overlapping section span, a truncated dependence
+//! slice, a bogus creator link, an unclosed record. The location check's
+//! corpus replays a real run's logged steps with one doctored dependence
+//! — a stale writer, a wrong provenance, a missed initial read, a
+//! provenance that does not fit its location. Each asserts the report
+//! names the matching [`InvariantViolation`] variant, and proptests
+//! sweep both corpora across random seeds and all five generators.
 
+mod locations;
 mod oracle;
 
-use parsecs::check::{check_arena, InvariantViolation, Progress};
+use parsecs::check::{check_arena, InvariantViolation, LocationCheck, Progress};
 use parsecs::core::{ManyCoreSim, SimConfig};
 use parsecs::isa::Program;
-use parsecs::trace::{PackedDep, RawColumns, SectionId, SectionSpan, SourceKind, TraceArena};
+use parsecs::trace::{
+    PackedDep, SectionId, SectionSpan, SourceKind, StreamingSectioner, TraceArena,
+};
 use parsecs::workloads::scale;
 use proptest::prelude::*;
 
-/// One dependence as the corpus edits it: the packed provenance word and
-/// the packed location it reads (`RawColumns::dep_locs` encoding).
-type Dep = (PackedDep, u64);
-
-/// Entry `k` of the shared dependence slice (location 0 on a lean arena).
-fn dep_at(raw: &RawColumns<'_>, k: usize) -> Dep {
-    (
-        raw.deps[k],
-        raw.dep_locs.get(k).copied().unwrap_or_default(),
-    )
-}
+use locations::Logged;
 
 /// Instance sizes for the five `workloads::scale` generators.
 struct Sizes {
@@ -109,36 +103,23 @@ fn scale_program(which: usize, sizes: &Sizes, seed: u64) -> (&'static str, Progr
     }
 }
 
-/// The full arena of a [`MINIATURE`] instance.
+/// The arena of a [`MINIATURE`] instance.
 fn base_arena(which: usize, seed: u64) -> (&'static str, TraceArena) {
     let (name, program, fuel) = scale_program(which, &MINIATURE, seed);
     let arena = TraceArena::from_program(&program, fuel).expect("workload halts within fuel");
     (name, arena)
 }
 
-/// The lean arena of a [`MINIATURE`] instance: no locations stored.
-fn base_lean_arena(which: usize, seed: u64) -> (&'static str, TraceArena) {
-    let (name, program, fuel) = scale_program(which, &MINIATURE, seed);
-    let arena = TraceArena::from_program_lean(&program, fuel).expect("workload halts within fuel");
-    (name, arena)
-}
-
 /// Rebuilds `src` through the public column builder, mapping each column
-/// through the given hooks (identity hooks reproduce `src` exactly, lean
-/// or full). A lean `src` has no locations, so its hooks see location 0
-/// and the lean rebuild drops whatever they return.
+/// through the given hooks (identity hooks reproduce `src` exactly).
 fn rebuild(
     src: &TraceArena,
     mut map_section_col: impl FnMut(usize, SectionId) -> SectionId,
-    mut map_dep: impl FnMut(usize, usize, Dep) -> Dep,
+    mut map_dep: impl FnMut(usize, usize, PackedDep) -> PackedDep,
     mut map_reg_count: impl FnMut(usize, usize) -> usize,
     mut map_span: impl FnMut(usize, SectionSpan) -> SectionSpan,
 ) -> TraceArena {
-    let mut out = if src.records_locations() {
-        TraceArena::new()
-    } else {
-        TraceArena::new_lean()
-    };
+    let mut out = TraceArena::new();
     let raw = src.raw();
     for seq in 0..src.len() {
         let id = out.intern_mnemonic(src.mnemonic(seq));
@@ -151,13 +132,8 @@ fn rebuild(
             src.is_load(seq),
             src.is_store(seq),
         );
-        let deps = raw.dep_off[seq] as usize..raw.dep_off[seq + 1] as usize;
-        for (j, k) in deps.enumerate() {
-            let (dep, loc) = map_dep(seq, j, dep_at(&raw, k));
-            out.push_dep_raw(dep, loc);
-        }
-        for loc in src.written(seq) {
-            out.push_write(loc);
+        for (j, &dep) in src.sources(seq).iter().enumerate() {
+            out.push_dep(map_dep(seq, j, dep));
         }
         out.end_record(map_reg_count(seq, raw.reg_deps[seq] as usize));
     }
@@ -171,28 +147,26 @@ fn rebuild(
 /// First dependence `(seq, dep, packed)` satisfying the predicate.
 fn find_dep(
     src: &TraceArena,
-    pred: impl Fn(usize, usize, Dep) -> bool,
-) -> Option<(usize, usize, Dep)> {
-    let raw = src.raw();
-    for seq in 0..src.len() {
-        let deps = raw.dep_off[seq] as usize..raw.dep_off[seq + 1] as usize;
-        for (j, k) in deps.enumerate() {
-            let dep = dep_at(&raw, k);
-            if pred(seq, j, dep) {
-                return Some((seq, j, dep));
-            }
-        }
-    }
-    None
+    pred: impl Fn(usize, usize, PackedDep) -> bool,
+) -> Option<(usize, usize, PackedDep)> {
+    (0..src.len()).find_map(|seq| {
+        let (j, &dep) = src
+            .sources(seq)
+            .iter()
+            .enumerate()
+            .find(|&(j, &dep)| pred(seq, j, dep))?;
+        Some((seq, j, dep))
+    })
 }
 
-/// The corpus: each entry corrupts one invariant and names the variant
-/// the validator must report. Returns `None` when `src` has no site for
-/// the mutation (e.g. a single-section trace cannot overlap spans).
+/// The arena corpus: each entry corrupts one invariant and names the
+/// variant the validator must report. Returns `None` when `src` has no
+/// site for the mutation (e.g. a single-section trace cannot overlap
+/// spans).
 fn mutate(src: &TraceArena, mutation: usize) -> Option<(TraceArena, &'static str)> {
     let identity = |src: &TraceArena,
                     sec: Option<(usize, SectionId)>,
-                    dep: Option<(usize, usize, Dep)>,
+                    dep: Option<(usize, usize, PackedDep)>,
                     reg: Option<(usize, usize)>,
                     span: Option<(usize, SectionSpan)>| {
         rebuild(
@@ -203,10 +177,10 @@ fn mutate(src: &TraceArena, mutation: usize) -> Option<(TraceArena, &'static str
             |i, s| span.clone().filter(|m| m.0 == i).map_or(s, |m| m.1),
         )
     };
-    match mutation % 8 {
+    match mutation % ARENA_MUTATIONS {
         // Swapped dependence edge: a producer at/after its consumer.
         0 => {
-            let (seq, j, (dep, loc)) = find_dep(src, |_, _, (d, _)| {
+            let (seq, j, dep) = find_dep(src, |_, _, d| {
                 matches!(
                     d.kind(),
                     SourceKind::Local { .. } | SourceKind::Remote { .. }
@@ -216,20 +190,21 @@ fn mutate(src: &TraceArena, mutation: usize) -> Option<(TraceArena, &'static str
                 SourceKind::Local { .. } => SourceKind::Local { producer: seq },
                 _ => SourceKind::Remote { producer: seq },
             };
-            let cyclic = (PackedDep::new(kind), loc);
             Some((
-                identity(src, None, Some((seq, j, cyclic)), None, None),
+                identity(src, None, Some((seq, j, PackedDep::new(kind))), None, None),
                 "DependenceCycle",
             ))
         }
-        // Invalid location packing: a bogus location tag in the register
-        // prefix.
+        // A producer in an earlier section tagged local.
         1 => {
-            let raw = src.raw();
-            let (seq, j, (dep, loc)) = find_dep(src, |seq, j, _| j < raw.reg_deps[seq] as usize)?;
-            let broken = (dep, (loc & !7) | 5);
+            let (seq, j, dep) =
+                find_dep(src, |_, _, d| matches!(d.kind(), SourceKind::Remote { .. }))?;
+            let SourceKind::Remote { producer } = dep.kind() else {
+                unreachable!("just matched a remote dependence");
+            };
+            let local = PackedDep::new(SourceKind::Local { producer });
             Some((
-                identity(src, None, Some((seq, j, broken)), None, None),
+                identity(src, None, Some((seq, j, local)), None, None),
                 "DepPackingBroken",
             ))
         }
@@ -244,31 +219,9 @@ fn mutate(src: &TraceArena, mutation: usize) -> Option<(TraceArena, &'static str
                 "DepSliceBroken",
             ))
         }
-        // Stale writer: a local dependence re-pointed at a same-section
-        // record that is not the closest preceding writer.
-        3 => {
-            let spans = src.sections();
-            let (seq, j, (dep, loc)) = find_dep(src, |seq, _, (d, _)| {
-                matches!(d.kind(), SourceKind::Local { producer }
-                    if seq - spans[src.section(seq).0].start >= 2 && producer + 1 < seq)
-            })?;
-            let SourceKind::Local { producer } = dep.kind() else {
-                unreachable!("just matched a local dependence");
-            };
-            let stale = (
-                PackedDep::new(SourceKind::Local {
-                    producer: producer + 1,
-                }),
-                loc,
-            );
-            Some((
-                identity(src, None, Some((seq, j, stale)), None, None),
-                "WriterDiscipline",
-            ))
-        }
         // Overlapping sections: the first span ends one record early, so
         // the second no longer starts where the tiling demands.
-        4 => {
+        3 => {
             if src.sections().len() < 2 || src.sections()[0].is_empty() {
                 return None;
             }
@@ -282,7 +235,7 @@ fn mutate(src: &TraceArena, mutation: usize) -> Option<(TraceArena, &'static str
             ))
         }
         // A record's section column disagreeing with the span tiling.
-        5 => {
+        4 => {
             let seq = src.sections().get(1)?.start;
             Some((
                 identity(src, Some((seq, SectionId(0))), None, None, None),
@@ -290,7 +243,7 @@ fn mutate(src: &TraceArena, mutation: usize) -> Option<(TraceArena, &'static str
             ))
         }
         // Bogus creator link: the fork claimed at the section's own start.
-        6 => {
+        5 => {
             let (i, span) = src
                 .sections()
                 .iter()
@@ -317,6 +270,113 @@ fn mutate(src: &TraceArena, mutation: usize) -> Option<(TraceArena, &'static str
     }
 }
 
+/// The stream corpus: each entry doctors one dependence of a real run,
+/// as [`replay`] feeds it to the location check, and names the variant
+/// the check must report. Returns the doctored `(seq, dep, word)` and the
+/// variant, or `None` when the run has no site for the doctoring.
+fn doctor(
+    arena: &TraceArena,
+    doctoring: usize,
+) -> Option<((usize, usize, PackedDep), &'static str)> {
+    let reg_class = |seq: usize, j: usize| j < arena.reg_sources(seq).len();
+    let site = |pred: &dyn Fn(usize, usize, SourceKind) -> bool| {
+        find_dep(arena, |seq, j, d| pred(seq, j, d.kind()))
+    };
+    let doctored = |(seq, j, _), kind| Some(((seq, j, PackedDep::new(kind)), "WriterDiscipline"));
+    let misfit = |(seq, j, _), kind| Some(((seq, j, PackedDep::new(kind)), "DepPackingBroken"));
+    match doctoring % STREAM_DOCTORINGS {
+        // Stale writer: a local dependence re-pointed at a later record,
+        // which cannot have written the location (it would be the
+        // closest preceding writer).
+        0 => {
+            let found = site(
+                &|seq, _, k| matches!(k, SourceKind::Local { producer } if producer + 1 < seq),
+            )?;
+            let SourceKind::Local { producer } = found.2.kind() else {
+                unreachable!("just matched a local dependence");
+            };
+            doctored(
+                found,
+                SourceKind::Local {
+                    producer: producer + 1,
+                },
+            )
+        }
+        // Wrong provenance: the right producer, tagged remote in its own
+        // section.
+        1 => {
+            let found = site(&|_, _, k| matches!(k, SourceKind::Local { .. }))?;
+            let SourceKind::Local { producer } = found.2.kind() else {
+                unreachable!("just matched a local dependence");
+            };
+            doctored(found, SourceKind::Remote { producer })
+        }
+        // Missed initial read: a never-written location given the first
+        // record as its producer.
+        2 => {
+            let found = site(&|seq, _, k| {
+                seq > 0 && matches!(k, SourceKind::InitialRegister | SourceKind::InitialMemory)
+            })?;
+            doctored(found, SourceKind::Local { producer: 0 })
+        }
+        // Missed producer: a renamed location read as never written.
+        3 => {
+            let found =
+                site(&|_, _, k| matches!(k, SourceKind::Local { .. } | SourceKind::Remote { .. }))?;
+            let initial = if reg_class(found.0, found.1) {
+                SourceKind::InitialRegister
+            } else {
+                SourceKind::InitialMemory
+            };
+            doctored(found, initial)
+        }
+        // A fork copy of a memory word.
+        4 => misfit(site(&|seq, j, _| !reg_class(seq, j))?, SourceKind::ForkCopy),
+        // An initial register read from memory.
+        5 => misfit(
+            site(&|seq, j, _| !reg_class(seq, j))?,
+            SourceKind::InitialRegister,
+        ),
+        // An initial memory word read from a register.
+        _ => misfit(
+            site(&|seq, j, _| reg_class(seq, j))?,
+            SourceKind::InitialMemory,
+        ),
+    }
+}
+
+/// Entries of the arena corpus ([`mutate`]).
+const ARENA_MUTATIONS: usize = 7;
+
+/// Entries of the stream corpus ([`doctor`]).
+const STREAM_DOCTORINGS: usize = 7;
+
+/// A [`MINIATURE`] instance's arena and the logged step of each record.
+fn base_run(which: usize, seed: u64) -> (&'static str, TraceArena, Vec<Logged>) {
+    let (name, program, fuel) = scale_program(which, &MINIATURE, seed);
+    let (arena, steps) = locations::logged_arena(&program, fuel);
+    (name, arena, steps)
+}
+
+/// The location check's report on the logged `steps`, each fed with its
+/// record's dependences in `arena`, with `doctored` (`(seq, dep, word)`)
+/// in place if given.
+fn replay(
+    arena: &TraceArena,
+    steps: &[Logged],
+    doctored: Option<(usize, usize, PackedDep)>,
+) -> parsecs::check::CheckReport {
+    let mut check = LocationCheck::new(StreamingSectioner::new());
+    for (seq, logged) in steps.iter().enumerate() {
+        let mut deps = arena.sources(seq).to_vec();
+        if let Some((_, j, word)) = doctored.filter(|d| d.0 == seq) {
+            deps[j] = word;
+        }
+        check.check(&logged.step(), &deps, arena.reg_sources(seq).len());
+    }
+    check.finish(vec![]).expect("fits").1
+}
+
 fn is_variant(violation: &InvariantViolation, name: &str) -> bool {
     match violation {
         InvariantViolation::SectionSpanBroken { .. } => name == "SectionSpanBroken",
@@ -333,11 +393,6 @@ fn is_variant(violation: &InvariantViolation, name: &str) -> bool {
 
 /// Runs one mutation against one base arena and asserts the validator
 /// reports the matching variant (and withholds the bounds).
-fn assert_detected(which: usize, seed: u64, mutation: usize) {
-    let (name, src) = base_arena(which, seed);
-    assert_mutation_detected(name, &src, mutation);
-}
-
 fn assert_mutation_detected(name: &str, src: &TraceArena, mutation: usize) {
     let Some((mutated, expected)) = mutate(src, mutation) else {
         panic!("{name}: no mutation site for corpus entry {mutation}");
@@ -361,43 +416,55 @@ fn assert_mutation_detected(name: &str, src: &TraceArena, mutation: usize) {
     );
 }
 
-/// The identity rebuild is bit-identical to the source and stays clean —
-/// the corpus harness itself introduces no corruption.
+/// Replays one doctored run through the location check and asserts it
+/// reports the matching variant at the doctored dependence.
+fn assert_doctoring_detected(name: &str, arena: &TraceArena, steps: &[Logged], doctoring: usize) {
+    let Some((site, expected)) = doctor(arena, doctoring) else {
+        panic!("{name}: no site for stream doctoring {doctoring}");
+    };
+    let report = replay(arena, steps, Some(site));
+    let (seq, dep, _) = site;
+    assert!(
+        report.violations.iter().any(|v| is_variant(v, expected)
+            && matches!(
+                v,
+                InvariantViolation::WriterDiscipline { seq: s, dep: d, .. }
+                | InvariantViolation::DepPackingBroken { seq: s, dep: d, .. }
+                    if (*s, *d) == (seq, dep)
+            )),
+        "{name}: doctoring {doctoring} at record {seq} dep {dep} should report {expected}, \
+         got: {report}"
+    );
+}
+
+/// The identity rebuild is bit-identical to the source and stays clean,
+/// and the undoctored replay passes the location check — neither corpus
+/// harness introduces a corruption of its own.
 #[test]
 fn identity_rebuild_is_faithful_and_clean() {
     for which in 0..5 {
-        let (name, src) = base_arena(which, 11);
+        let (name, src, steps) = base_run(which, 11);
         let rebuilt = rebuild(&src, |_, s| s, |_, _, d| d, |_, r| r, |_, s| s);
         assert_eq!(rebuilt, src, "{name}: identity rebuild diverged");
         let report = check_arena(&rebuilt);
+        assert!(report.is_clean(), "{name}: {report}");
+        let report = replay(&src, &steps, None);
         assert!(report.is_clean(), "{name}: {report}");
     }
 }
 
 /// Every corpus entry is demonstrably triggered on the fork-heavy
-/// histogram arena — all eight `InvariantViolation` variants fire.
+/// histogram run — all eight `InvariantViolation` variants fire: seven
+/// from the arena validator, and `WriterDiscipline` (with the location
+/// half of `DepPackingBroken`) from the location check.
 #[test]
 fn every_violation_variant_is_detected() {
-    for mutation in 0..8 {
-        assert_detected(0, 11, mutation);
-    }
-}
-
-/// A lean arena stores no locations, so the location-tag mutation (1)
-/// and the writer replay (3) have nothing to check; every other corpus
-/// entry is still reported, and the lean identity rebuild is faithful
-/// and clean.
-#[test]
-fn lean_arenas_report_every_location_free_mutation() {
-    for which in 0..5 {
-        let (name, src) = base_lean_arena(which, 11);
-        let rebuilt = rebuild(&src, |_, s| s, |_, _, d| d, |_, r| r, |_, s| s);
-        assert_eq!(rebuilt, src, "{name}: lean identity rebuild diverged");
-        assert!(check_arena(&rebuilt).is_clean(), "{name}");
-    }
-    let (name, src) = base_lean_arena(0, 11);
-    for mutation in [0, 2, 4, 5, 6, 7] {
+    let (name, src, steps) = base_run(0, 11);
+    for mutation in 0..ARENA_MUTATIONS {
         assert_mutation_detected(name, &src, mutation);
+    }
+    for doctoring in 0..STREAM_DOCTORINGS {
+        assert_doctoring_detected(name, &src, &steps, doctoring);
     }
 }
 
@@ -415,31 +482,29 @@ fn column_bytes(arena: &TraceArena) -> usize {
         + size_of_val(raw.kind_flags)
         + size_of_val(raw.dep_off)
         + size_of_val(raw.reg_deps)
-        + size_of_val(raw.write_off)
         + size_of_val(raw.deps)
-        + size_of_val(raw.dep_locs)
-        + size_of_val(raw.writes)
         + size_of_val(raw.mnemonics)
         + size_of_val(arena.sections())
         + size_of_val(arena.outputs())
 }
 
-/// Arena footprint bar, in bytes per instruction (full and lean arenas
-/// alike).
-const ARENA_BYTES_PER_INSN: f64 = 120.0;
+/// Arena footprint bar, in bytes per instruction: about 10 % above the
+/// largest the generators measure (31.6, the `chain_sum` miniature; 21–31
+/// across both sizes).
+const ARENA_BYTES_PER_INSN: f64 = 35.0;
 
-/// Total footprint bar of a stats-only run over a lean arena (arena plus
+/// Total footprint bar of a stats-only run over the arena (arena plus
 /// simulator state), in bytes per instruction.
 const STATS_ONLY_BYTES_PER_INSN: f64 = 80.0;
 
 /// Every `workloads::scale` generator, at [`MINIATURE`] and [`SCALE`]
-/// sizes, is clean; its arenas' footprint is exactly the columns'
-/// payload; and at 64, 256 and 1024 cores the engine retires at or
-/// above the static critical path and the certified schedule bound,
-/// with a progress verdict attached. The engine refuses a deadlocked
-/// run as `Diverged`, so every cell that simulates made progress. The
-/// arenas stay within
-/// [`ARENA_BYTES_PER_INSN`], and a stats-only run over the lean arena,
+/// sizes, passes the location check and is clean; its arena's footprint
+/// is exactly the columns' payload; and at 64, 256 and 1024 cores the
+/// engine retires at or above the static critical path and the
+/// certified schedule bound, with a progress verdict attached. The
+/// engine refuses a deadlocked run as `Diverged`, so every cell that
+/// simulates made progress. The arena stays within
+/// [`ARENA_BYTES_PER_INSN`], and a stats-only unvalidated run over it,
 /// which must retire in the same cycles, within
 /// [`STATS_ONLY_BYTES_PER_INSN`].
 #[test]
@@ -447,22 +512,19 @@ fn scale_generators_are_certified_and_bounded_across_chip_sizes() {
     for (sizes, seed) in [(&MINIATURE, 23), (&SCALE, 7)] {
         for which in 0..5 {
             let (name, program, fuel) = scale_program(which, sizes, seed);
-            let arena = TraceArena::from_program(&program, fuel).expect("workload halts");
-            let lean = TraceArena::from_program_lean(&program, fuel).expect("workload halts");
-            for built in [&arena, &lean] {
-                assert_eq!(
-                    built.memory_bytes(),
-                    column_bytes(built),
-                    "{name} (lean {}): memory_bytes is not the columns' payload",
-                    !built.records_locations()
-                );
-                assert!(
-                    built.bytes_per_instruction() <= ARENA_BYTES_PER_INSN,
-                    "{name} (lean {}): arena {:.1} B/insn exceeds {ARENA_BYTES_PER_INSN}",
-                    !built.records_locations(),
-                    built.bytes_per_instruction()
-                );
-            }
+            let (arena, located) =
+                LocationCheck::from_program(&program, fuel).expect("workload halts");
+            assert!(located.is_clean(), "{name}: {located}");
+            assert_eq!(
+                arena.memory_bytes(),
+                column_bytes(&arena),
+                "{name}: memory_bytes is not the columns' payload"
+            );
+            assert!(
+                arena.bytes_per_instruction() <= ARENA_BYTES_PER_INSN,
+                "{name}: arena {:.1} B/insn exceeds {ARENA_BYTES_PER_INSN}",
+                arena.bytes_per_instruction()
+            );
             let report = check_arena(&arena);
             assert!(report.is_clean(), "{name}: {report}");
             let bounds = report.bounds.as_ref().expect("clean arenas are bounded");
@@ -505,11 +567,11 @@ fn scale_generators_are_certified_and_bounded_across_chip_sizes() {
                     schedule.binding
                 );
                 let stats_only = ManyCoreSim::new(SimConfig::with_cores(cores).stats_only())
-                    .simulate_arena(&lean)
+                    .simulate_arena(&arena)
                     .expect("stats-only simulation succeeds");
                 assert_eq!(
                     stats_only.stats.total_cycles, result.stats.total_cycles,
-                    "{name} at {cores} cores: the lean arena retires differently"
+                    "{name} at {cores} cores: validation changed the cycles"
                 );
                 assert!(
                     stats_only.total_bytes_per_instruction() <= STATS_ONLY_BYTES_PER_INSN,
@@ -601,12 +663,11 @@ proptest! {
     }
 
     /// Every raw dependence word decodes, so a corrupt word is never a
-    /// bad tag: it names a producer, or none. Any word, spliced into a
-    /// lean arena (no location to cross-check), decodes and validates
-    /// without panicking, and the `deps` pass flags it exactly when its
-    /// producer lies past the trace.
+    /// bad tag: it names a producer, or none. Any word, spliced into an
+    /// arena, decodes and validates without panicking, and the `deps`
+    /// pass flags it exactly when its producer lies past the trace.
     #[test]
-    fn lean_arenas_report_a_raw_dep_word_past_the_trace(
+    fn a_raw_dep_word_past_the_trace_is_reported(
         word in prop_oneof![
             proptest::strategy::any::<u32>(),
             0u32..512,
@@ -615,7 +676,7 @@ proptest! {
             Just(u32::MAX),
         ],
     ) {
-        let (name, src) = base_lean_arena(0, 11);
+        let (name, src) = base_arena(0, 11);
         let dep = PackedDep::from_bits(word);
         let past_the_trace = match dep.kind() {
             SourceKind::Local { producer } | SourceKind::Remote { producer } => {
@@ -623,11 +684,11 @@ proptest! {
             }
             SourceKind::ForkCopy | SourceKind::InitialRegister | SourceKind::InitialMemory => false,
         };
-        let (seq, j, (_, loc)) = find_dep(&src, |_, _, _| true).expect("has dependences");
+        let (seq, j, _) = find_dep(&src, |_, _, _| true).expect("has dependences");
         let mutated = rebuild(
             &src,
             |_, s| s,
-            |s, i, d| if (s, i) == (seq, j) { (dep, loc) } else { d },
+            |s, i, d| if (s, i) == (seq, j) { dep } else { d },
             |_, r| r,
             |_, s| s,
         );
@@ -647,13 +708,14 @@ proptest! {
         );
     }
 
-    /// The corpus swept across random seeds and all five generators:
-    /// whenever a mutation site exists, the matching variant is reported.
+    /// The arena corpus swept across random seeds and all five
+    /// generators: whenever a mutation site exists, the matching variant
+    /// is reported.
     #[test]
     fn mutated_arenas_never_pass_validation(
         seed in proptest::strategy::any::<u64>(),
         which in 0usize..5,
-        mutation in 0usize..8,
+        mutation in 0usize..ARENA_MUTATIONS,
     ) {
         let (name, src) = base_arena(which, seed);
         prop_assert!(check_arena(&src).is_clean(), "{}: base arena dirty", name);
@@ -665,6 +727,23 @@ proptest! {
                 "{}: mutation {} should report {}, got: {}",
                 name, mutation, expected, report
             );
+        }
+    }
+
+    /// The stream corpus swept the same way: the undoctored replay of
+    /// every run is clean, and whenever a doctoring site exists, the
+    /// location check reports the matching variant.
+    #[test]
+    fn doctored_streams_never_pass_the_location_check(
+        seed in proptest::strategy::any::<u64>(),
+        which in 0usize..5,
+        doctoring in 0usize..STREAM_DOCTORINGS,
+    ) {
+        let (name, src, steps) = base_run(which, seed);
+        let report = replay(&src, &steps, None);
+        prop_assert!(report.is_clean(), "{}: undoctored replay dirty: {}", name, report);
+        if doctor(&src, doctoring).is_some() {
+            assert_doctoring_detected(name, &src, &steps, doctoring);
         }
     }
 }

@@ -2,10 +2,12 @@
 //! backends → reference machine / many-core simulator, checked against the
 //! Rust oracles.
 
+mod locations;
+
 use parsecs::cc::Backend;
+use parsecs::check::LocationCheck;
 use parsecs::core::check_arena;
 use parsecs::driver::{ExecutionBackend, ManyCoreBackend, SequentialBackend};
-use parsecs::trace::TraceArena;
 use parsecs::workloads::pbbs::Benchmark;
 
 #[test]
@@ -78,11 +80,15 @@ fn renaming_is_single_assignment_for_fork_compiled_programs() {
     let program = Benchmark::ComparisonSort
         .program(20, 1, Backend::Forks)
         .unwrap();
-    let arena = TraceArena::from_program(&program, 10_000_000).unwrap();
-    // The writer-discipline replay re-derives every producer from the
-    // written locations and checks the resolved one against it.
+    // The location check re-derives every producer from the read and
+    // written locations while the arena streams, and checks the resolved
+    // one against it; the finished arena is then structurally clean.
+    let (arena, report) = LocationCheck::from_program(&program, 10_000_000).unwrap();
+    assert!(report.is_clean(), "{:?}", report.first_violation());
     let report = check_arena(&arena);
     assert!(report.is_clean(), "{:?}", report.first_violation());
-    let writes: usize = (0..arena.len()).map(|seq| arena.written(seq).count()).sum();
+    let (logged, steps) = locations::logged_arena(&program, 10_000_000);
+    assert_eq!(logged, arena);
+    let writes: usize = steps.iter().map(|s| s.step().writes.len()).sum();
     assert!(writes > 0);
 }

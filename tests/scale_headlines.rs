@@ -12,7 +12,7 @@
 //!   gets *slower* as the modeled chip doubles; this gate keeps that
 //!   inversion out.
 //! * **The 100M-instruction cell.** `fan_chain` 1024×6600 at 1024 cores,
-//!   stats-only over a lean arena: at least 100M instructions, the
+//!   stats-only over its arena: at least 100M instructions, the
 //!   oracle's outputs, no forced stall release, and both footprint bars.
 //!
 //! Both cells run in one test, one after the other, so the timed cell
@@ -32,7 +32,7 @@ const SCALING_BAR: f64 = 1.25;
 /// Arena footprint bar, in bytes per instruction.
 const ARENA_BYTES_PER_INSN: f64 = 120.0;
 
-/// Total footprint bar of a stats-only run over a lean arena (arena plus
+/// Total footprint bar of a stats-only run over its arena (arena plus
 /// simulator state), in bytes per instruction.
 const STATS_ONLY_BYTES_PER_INSN: f64 = 80.0;
 
@@ -111,17 +111,17 @@ fn chip_scale_cells_scale_and_fit() {
 
     let (chains, links) = (1024, 6600);
     let name = format!("fan_chain-{chains}x{links}");
-    let (lean, pre_s) = timed(|| {
-        TraceArena::from_program_lean(
+    let (arena, pre_s) = timed(|| {
+        TraceArena::from_program(
             &scale::fan_chain_program(chains, links, seed),
             scale::fan_chain_fuel(chains, links),
         )
         .expect("halts within fuel")
     });
-    println!("{name}: pre-execution {pre_s:.2} s (lean arena)");
+    println!("{name}: pre-execution {pre_s:.2} s");
     let (result, _) = run_cell(
         &name,
-        &lean,
+        &arena,
         SimConfig::with_cores(1024).stats_only(),
         &scale::fan_chain_expected(chains, links, seed),
     );

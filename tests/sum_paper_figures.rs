@@ -1,6 +1,7 @@
 //! Integration tests pinning the paper's concrete numbers for the running
 //! example (Figures 2–6 and 10, §5).
 
+mod locations;
 mod oracle;
 
 use parsecs::core::{analytic, SimConfig};
@@ -54,7 +55,7 @@ fn figure6_renaming_matches_the_papers_producer_consumer_pairs() {
     use parsecs::machine::Location;
     use parsecs::trace::SourceKind;
 
-    let arena = TraceArena::from_program(&sum::fork_program(&PAPER_DATA), 10_000).unwrap();
+    let (arena, steps) = locations::logged_arena(&sum::fork_program(&PAPER_DATA), 10_000);
     // 5-1 (addq 0(%rsp), %rax) reads the stack word written by 2-2.
     let final_add = arena.sections()[4].start;
     assert_eq!(arena.name(final_add), "5-1");
@@ -64,13 +65,14 @@ fn figure6_renaming_matches_the_papers_producer_consumer_pairs() {
         other => panic!("expected remote memory renaming, found {other:?}"),
     }
     // ... and its %rax comes from section 4 (the second half of the sum).
-    let (rax, _) = arena
-        .sources(final_add)
+    // The arena stores no locations; its dependences follow the reads.
+    let rax = steps[final_add]
+        .step()
+        .reads
         .iter()
-        .zip(arena.source_locations(final_add))
-        .find(|&(_, l)| l == Location::Reg(parsecs::isa::Reg::Rax))
+        .position(|&l| l == Location::Reg(parsecs::isa::Reg::Rax))
         .unwrap();
-    match rax.kind() {
+    match arena.sources(final_add)[rax].kind() {
         SourceKind::Remote { producer } => assert_eq!(arena.section(producer), SectionId(3)),
         other => panic!("expected remote register renaming, found {other:?}"),
     }
@@ -89,9 +91,9 @@ fn figure10_the_many_core_run_fetches_fast_and_retires_shortly_after() {
     // Our charge model is more expensive (and the run carries the
     // 5-instruction wrapper); these are the values tests/golden.rs pins.
     // The naive timing oracle derives them from the paper's rules alone
-    // and must agree with the engine on every Figure 10 row. The backend
-    // simulated the lean arena, which this rebuilds.
-    let arena = TraceArena::from_program_lean(&program, 10_000).unwrap();
+    // and must agree with the engine on every Figure 10 row, over the
+    // arena the backend simulated, rebuilt here.
+    let arena = TraceArena::from_program(&program, 10_000).unwrap();
     let stats = oracle::agree(
         &arena,
         &SimConfig::with_cores(8),

@@ -5,10 +5,12 @@
 //! sectioned, dependence-annotated trace as the two-pass sequential
 //! analysis kept here as its oracle ([`two_pass_arena`] over the run a
 //! [`Recorded`] sink materialises) — same sections, same provenance for every
-//! source, same written locations, same outputs. A proptest drives
+//! source, same load and store flags, same outputs. A proptest drives
 //! random fork programs (random arithmetic, scratch-array memory traffic,
 //! forward conditional jumps, nested forks) through both front-ends and
-//! asserts column-for-column equality of the two arenas.
+//! asserts column-for-column equality of the two arenas. Another holds
+//! the location check to observing only: building through it changes
+//! neither the arena nor the run.
 //!
 //! A second set of tests takes the pipeline to chip scale: at 256 cores
 //! the engine must agree with the naive timing oracle in `tests/oracle`
@@ -19,6 +21,7 @@ mod oracle;
 
 use std::collections::HashMap;
 
+use parsecs::check::LocationCheck;
 use parsecs::core::{ManyCoreSim, SimConfig};
 use parsecs::driver::{ExecutionBackend, ManyCoreBackend, SequentialBackend};
 use parsecs::isa::Program;
@@ -355,8 +358,8 @@ proptest! {
         // Streaming: the machine pushes into the sectioner, no trace.
         let arena = TraceArena::from_program(&program, fuel).expect("halts");
 
-        // Column-for-column equality: locations, provenance, writes,
-        // flags, sections, outputs.
+        // Column-for-column equality: provenance, flags, sections,
+        // outputs.
         prop_assert_eq!(&oracle, &arena, "seed {}", seed);
     }
 }
@@ -365,9 +368,8 @@ proptest! {
     /// Arena-backed simulation equals record-backed simulation: the
     /// oracle's arena, assembled record by record, and the streamed arena
     /// must produce the same `SimResult`, the engine must agree with the
-    /// naive timing oracle on the arena path, a stats-only run must
-    /// reproduce the recorded aggregates exactly, and the lean
-    /// (write-free) arena must simulate identically to the full one.
+    /// naive timing oracle on the arena path, and a stats-only run must
+    /// reproduce the recorded aggregates exactly.
     #[test]
     fn arena_and_record_backed_simulation_agree(seed in proptest::strategy::any::<u64>()) {
         let program = random_program(seed.rotate_left(11));
@@ -387,22 +389,39 @@ proptest! {
         prop_assert_eq!(&stats.stats, &via_arena.stats, "seed {} at {} cores", seed, cores);
         prop_assert!(stats.timings().is_empty(), "seed {}", seed);
         prop_assert_eq!(stats.stats.forced_stall_releases, 0, "seed {}", seed);
+    }
+}
 
-        // The lean arena drops only the written-locations columns, which
-        // the simulators never read: identical result modulo the smaller
-        // reported arena footprint — and, on validated runs, modulo the
-        // attached check report (the writer-discipline replay needs the
-        // write columns, so a lean arena's report legitimately skips it).
-        let lean = TraceArena::from_program_lean(&program, 1_000_000).expect("halts");
-        let mut via_lean = sim.simulate_arena(&lean).expect("simulates");
-        prop_assert!(
-            via_lean.stats.trace_arena_bytes <= via_arena.stats.trace_arena_bytes,
-            "seed {}: lean arena is not leaner",
-            seed
-        );
-        via_lean.stats.trace_arena_bytes = via_arena.stats.trace_arena_bytes;
-        via_lean.check.clone_from(&via_arena.check);
-        prop_assert_eq!(&via_lean, &via_arena, "seed {} at {} cores: lean diverges", seed, cores);
+proptest! {
+    /// The location check observes and never steers: building through it
+    /// gives the arena `TraceArena::from_program` builds, record for
+    /// record, with a clean verdict, and a validated `execute_fueled`
+    /// run reports what an unvalidated one does, but for its check
+    /// report (and the backend label that names it).
+    #[test]
+    fn the_location_check_observes_and_never_steers(seed in proptest::strategy::any::<u64>()) {
+        let program = random_program(seed.rotate_left(23));
+        let (checked, report) = LocationCheck::from_program(&program, 1_000_000).expect("halts");
+        prop_assert!(report.is_clean(), "seed {}: {}", seed, report);
+        let arena = TraceArena::from_program(&program, 1_000_000).expect("halts");
+        prop_assert_eq!(&checked, &arena, "seed {}", seed);
+
+        let cores = [1usize, 3, 8, 64][Gen::new(seed).below(4) as usize];
+        let run = |config: SimConfig| {
+            ManyCoreBackend::new(config)
+                .execute_fueled(&program, 1_000_000)
+                .expect("simulates")
+        };
+        let validated = run(SimConfig::with_cores(cores).validated());
+        let mut plain = run(SimConfig::with_cores(cores));
+        let check = &validated.sim().expect("many-core report").check;
+        prop_assert!(check.as_ref().is_some_and(|c| c.is_clean()), "seed {}", seed);
+        let parsecs::driver::ReportDetail::Sim(result) = &mut plain.detail else {
+            unreachable!("a many-core run");
+        };
+        result.check.clone_from(check);
+        plain.backend.clone_from(&validated.backend);
+        prop_assert_eq!(&plain, &validated, "seed {} at {} cores", seed, cores);
     }
 }
 
@@ -422,25 +441,10 @@ fn generated_programs_exercise_forks_and_memory() {
     assert!(deps > 1_000, "only {deps} dependences over 32 programs");
 }
 
-/// `program`'s arena from `TraceArena::from_program{,_lean}`, which
-/// reserves the columns for the whole run up front.
-fn reserved_arena(program: &Program, fuel: u64, lean: bool) -> TraceArena {
-    let build = if lean {
-        TraceArena::from_program_lean
-    } else {
-        TraceArena::from_program
-    };
-    build(program, fuel).expect("halts")
-}
-
 /// `program`'s arena from a bare sectioner, whose columns start empty
 /// and grow on demand.
-fn grown_arena(program: &Program, fuel: u64, lean: bool) -> TraceArena {
-    let mut sink = if lean {
-        StreamingSectioner::lean()
-    } else {
-        StreamingSectioner::new()
-    };
+fn grown_arena(program: &Program, fuel: u64) -> TraceArena {
+    let mut sink = StreamingSectioner::new();
     let outcome = Machine::load(program)
         .expect("loads")
         .run_with_sink(fuel, &mut sink)
@@ -468,26 +472,19 @@ fn reserving_the_arena_never_changes_it() {
         ),
     ];
     for (program, fuel) in &shapes {
-        for lean in [false, true] {
-            let reserved = reserved_arena(program, *fuel, lean);
-            let grown = grown_arena(program, *fuel, lean);
-            assert!(reserved == grown, "lean {lean}: the arenas differ");
-            assert_eq!(reserved.memory_bytes(), grown.memory_bytes());
-        }
+        let reserved = TraceArena::from_program(program, *fuel).expect("halts");
+        let grown = grown_arena(program, *fuel);
+        assert!(reserved == grown, "the arenas differ");
+        assert_eq!(reserved.memory_bytes(), grown.memory_bytes());
     }
 
-    for lean in [false, true] {
-        let grown = grown_arena(&paper, 1_000, lean);
-        let exact = grown.len() as u64;
-        assert!(TraceArena::from_program(&paper, exact - 1).is_err());
-        for fuel in [exact, 100_000_000, u64::MAX] {
-            let reserved = reserved_arena(&paper, fuel, lean);
-            assert!(
-                reserved == grown,
-                "fuel {fuel}, lean {lean}: the arenas differ"
-            );
-            assert_eq!(reserved.memory_bytes(), grown.memory_bytes());
-        }
+    let grown = grown_arena(&paper, 1_000);
+    let exact = grown.len() as u64;
+    assert!(TraceArena::from_program(&paper, exact - 1).is_err());
+    for fuel in [exact, 100_000_000, u64::MAX] {
+        let reserved = TraceArena::from_program(&paper, fuel).expect("halts");
+        assert!(reserved == grown, "fuel {fuel}: the arenas differ");
+        assert_eq!(reserved.memory_bytes(), grown.memory_bytes());
     }
 }
 
