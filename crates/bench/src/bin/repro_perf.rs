@@ -255,8 +255,13 @@ struct GuardRow {
     instructions: u64,
     validate_off_ms: f64,
     validate_on_ms: f64,
-    /// `validate_on_ms / validate_off_ms` — what the full static
-    /// analysis costs on top of the simulation when armed.
+    /// `validate_on_ms / validate_off_ms` — what the engine's own static
+    /// passes (the structural invariants, the bounds, the progress proof
+    /// and the schedule bounds) cost on top of the simulation when armed.
+    /// Both runs call `ManyCoreSim::simulate_arena` on an arena built
+    /// beforehand, so the ratio leaves out the renaming replay that only
+    /// a validated `ManyCoreBackend` run pays, through `LocationCheck`,
+    /// while it builds its arena.
     overhead: f64,
     /// Measured cycles of the validated run, paired with its schedule
     /// bounds below.

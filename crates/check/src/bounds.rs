@@ -74,26 +74,28 @@ pub struct SectionBounds {
 pub(crate) fn analyze(arena: &TraceArena) -> StaticBounds {
     let n = arena.len();
     let spans = arena.sections();
-    let mut fetch_lb = vec![0u64; n];
+    // Fetch within a section is one per cycle, so a record's fetch bound
+    // is its section's first one plus its offset: one `u64` per section.
+    let mut first_fetch: Vec<u64> = Vec::with_capacity(spans.len());
     let mut completion_lb = vec![0u64; n];
     let mut level = vec![0u32; n];
     let mut local_level = vec![0u32; n];
     let mut critical_path = 0u64;
     let mut per_section = Vec::with_capacity(spans.len());
     for (sid, span) in spans.iter().enumerate() {
+        let first = match span.creator {
+            Some((creator, fork_seq)) => {
+                first_fetch[creator.0] + arena.index_in_section(fork_seq) as u64 + 2
+            }
+            None => 1,
+        };
+        first_fetch.push(first);
         let mut retire_last = 0u64;
         let mut local_depth = 0u32;
         for seq in span.start..span.end {
-            fetch_lb[seq] = if seq == span.start {
-                match span.creator {
-                    Some((_, fork_seq)) => fetch_lb[fork_seq] + 2,
-                    None => 1,
-                }
-            } else {
-                fetch_lb[seq - 1] + 1
-            };
+            let fetch = first + (seq - span.start) as u64;
             let is_mem = arena.is_load(seq) || arena.is_store(seq);
-            let mut completion = fetch_lb[seq] + if is_mem { 4 } else { 0 };
+            let mut completion = fetch + if is_mem { 4 } else { 0 };
             let reg = arena.reg_sources(seq).len();
             let mut remote_reg = false;
             for (j, dep) in arena.sources(seq).iter().enumerate() {
@@ -114,7 +116,7 @@ pub(crate) fn analyze(arena: &TraceArena) -> StaticBounds {
                 }
             }
             if !is_mem && remote_reg {
-                completion = completion.max(fetch_lb[seq] + 2);
+                completion = completion.max(fetch + 2);
             }
             completion_lb[seq] = completion;
             local_depth = local_depth.max(local_level[seq] + 1);

@@ -180,31 +180,29 @@ pub fn bound_schedule(arena: &TraceArena, core_of: &[usize], model: &ChipModel) 
     }
 
     let n = arena.len();
-    let mut fetch_lb = vec![0u64; n];
+    // Fetch within a section is one per cycle, so a record's fetch bound
+    // is its section's first one plus its offset: one `u64` per section.
+    let mut first_fetch: Vec<u64> = Vec::with_capacity(spans.len());
     let mut completion_lb = vec![0u64; n];
     let mut work = vec![0u64; model.cores];
     let mut path_bound = 0u64;
     for (sid, span) in spans.iter().enumerate() {
         let my_core = core_of[sid];
         work[my_core] += span.len() as u64;
+        let first = match span.creator {
+            Some((creator, fork_seq)) => {
+                // Creation message transit (at least the cycle boundary
+                // between send and delivery), plus the dequeue cycle.
+                let lat = model
+                    .noc
+                    .hop_latency(CoreId(core_of[creator.0]), CoreId(my_core));
+                first_fetch[creator.0] + arena.index_in_section(fork_seq) as u64 + lat.max(1) + 1
+            }
+            None => 1,
+        };
+        first_fetch.push(first);
         let mut retire_last = 0u64;
         for seq in span.start..span.end {
-            fetch_lb[seq] = if seq == span.start {
-                match span.creator {
-                    Some((creator, fork_seq)) => {
-                        // Creation message transit (at least the cycle
-                        // boundary between send and delivery), plus the
-                        // dequeue cycle.
-                        let lat = model
-                            .noc
-                            .hop_latency(CoreId(core_of[creator.0]), CoreId(my_core));
-                        fetch_lb[fork_seq] + lat.max(1) + 1
-                    }
-                    None => 1,
-                }
-            } else {
-                fetch_lb[seq - 1] + 1
-            };
             completion_lb[seq] = weighted_completion(
                 arena,
                 seq,
@@ -212,7 +210,7 @@ pub fn bound_schedule(arena: &TraceArena, core_of: &[usize], model: &ChipModel) 
                 my_core,
                 core_of,
                 model,
-                fetch_lb[seq],
+                first + (seq - span.start) as u64,
                 &completion_lb,
             );
             retire_last = completion_lb[seq].max(retire_last) + 1;

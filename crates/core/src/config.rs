@@ -2,6 +2,7 @@
 
 use parsecs_noc::{NocConfig, NocModel, Topology};
 
+use crate::drain::CYCLE_LIMIT;
 use crate::placement::{ChipView, Placement};
 
 /// Parameters of the many-core timing model.
@@ -56,21 +57,25 @@ pub struct SimConfig {
     /// table and the per-row accessors
     /// ([`crate::SimResult::section_timings`], `format_figure10`) are
     /// empty. Stats-only runs keep none of the table's columns: the
-    /// resolver's `fd`/`ew`/`ret` columns and the 7 B/instruction a
-    /// recording run copies from the arena, 31 B/instruction in all,
-    /// cutting the simulator's per-instruction resident state from ~40
-    /// to ~9 bytes on `synth_histogram` (~47 to ~16 on `fan_chain`) —
+    /// resolver's `u32` `fd`/`ew`/`ret` columns and the 7 B/instruction a
+    /// recording run copies from the arena, 19 B/instruction in all,
+    /// cutting the simulator's per-instruction resident state from ~24
+    /// to ~5 bytes on `synth_histogram` (~31 to ~12 on `fan_chain`) —
     /// the switch that lets 100M-instruction chip-scale cells fit. On by
     /// default.
     pub record_timings: bool,
     /// Whether the engine runs the static analysis of `parsecs-check`
     /// over the arena before simulating: the invariant validator, the
     /// critical-path bounds, and, once placed, the progress proof and the
-    /// schedule bounds. The arena stores no location, so the renaming
-    /// discipline is checked where the arena is built: a validated
-    /// `ManyCoreBackend` run builds it through `parsecs-check`'s
-    /// `LocationCheck` sink and is refused before it simulates when a
-    /// dependence is wrong. A violation surfaces as
+    /// schedule bounds. The arena stores no location, so these passes
+    /// check only its structure: a bare
+    /// [`crate::ManyCoreSim::simulate_arena`] with `validate` on does not
+    /// check that its dependences follow the program's renaming. Only a
+    /// validated `ManyCoreBackend` run checks that, because it builds
+    /// the arena through `parsecs-check`'s `LocationCheck` sink, which
+    /// replays the renaming over each step's real reads and writes and
+    /// refuses the run before it simulates when a dependence is wrong.
+    /// A violation surfaces as
     /// [`crate::SimError::Invariant`]; a clean analysis is attached to
     /// [`crate::SimResult::check`], and a finished run that breaks one
     /// of its contracts (`critical_path ≤ lb ≤ total_cycles`) returns
@@ -188,8 +193,18 @@ impl SimConfig {
     ///
     /// # Errors
     ///
-    /// Returns a message when the configuration cannot be simulated (zero
-    /// cores, zero section capacity, or a topology smaller than `cores`).
+    /// Returns a message when the configuration cannot be simulated: zero
+    /// cores, zero section capacity, a topology smaller than `cores`, or a
+    /// latency that alone reaches the engine's cycle domain (2^30 cycles):
+    /// `dmh_latency`, `per_section_hop`, or the NoC's longest transit,
+    /// `base_latency + per_hop_latency × the topology's diameter`.
+    ///
+    /// This checks the configuration, not the run: the static analysis
+    /// that the [`SimConfig::validate`] *field* turns on checks only the
+    /// arena's structure when it is called through
+    /// [`crate::ManyCoreSim::simulate_arena`]; only a validated
+    /// `ManyCoreBackend` run also replays the renaming through
+    /// `LocationCheck` (see the field's docs).
     pub fn validate(&self) -> Result<(), String> {
         if self.cores == 0 {
             return Err("the chip needs at least one core".into());
@@ -203,6 +218,22 @@ impl SimConfig {
                 self.effective_topology(),
                 self.cores
             ));
+        }
+        let noc = self
+            .noc
+            .per_hop_latency
+            .checked_mul(self.effective_topology().diameter() as u64)
+            .and_then(|hops| hops.checked_add(self.noc.base_latency));
+        for (what, latency) in [
+            ("dmh_latency", Some(self.dmh_latency)),
+            ("per_section_hop", Some(self.per_section_hop)),
+            ("the NoC's longest transit", noc),
+        ] {
+            if latency.is_none_or(|cycles| cycles >= CYCLE_LIMIT) {
+                return Err(format!(
+                    "{what} must stay below the cycle domain's {CYCLE_LIMIT} cycles"
+                ));
+            }
         }
         Ok(())
     }
@@ -243,6 +274,26 @@ mod tests {
         let mut c = SimConfig::with_cores(16);
         c.topology = Some(Topology::mesh(2, 2));
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn the_noc_transit_is_priced_over_the_topologys_diameter() {
+        // A 4x4 mesh: the longest transit is base + 6 hops x per_hop.
+        let mesh = |base_latency, per_hop_latency| {
+            let mut c = SimConfig::with_cores(16);
+            c.topology = Some(Topology::mesh(4, 4));
+            c.noc.base_latency = base_latency;
+            c.noc.per_hop_latency = per_hop_latency;
+            c.validate()
+        };
+        assert_eq!(mesh(CYCLE_LIMIT - 7, 1), Ok(()));
+        assert!(mesh(CYCLE_LIMIT - 6, 1).is_err());
+        let per_hop = (CYCLE_LIMIT - 2) / 6;
+        assert_eq!(mesh(1, per_hop), Ok(()));
+        let err = mesh(1, per_hop + 1).expect_err("one past the domain");
+        assert!(err.contains("cycle domain"), "{err}");
+        assert!(mesh(1, u64::MAX).is_err());
+        assert!(mesh(u64::MAX, 1).is_err());
     }
 
     #[test]

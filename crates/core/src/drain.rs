@@ -11,34 +11,73 @@
 //! round's completions — sorts it, and resolves each instruction in
 //! ascending trace order with one in-place sweep of its packed dep slice
 //! ([`Resolver::resolve`]).
+//!
+//! Every per-instruction cycle the resolver stores is a `u32` inside the
+//! **cycle domain** `0..CYCLE_LIMIT` (2^30), and every wait-cell index
+//! lies in `0..CELL_LIMIT` (one less): both share the low 30 bits of a
+//! `complete` entry with its two tag bits. Arithmetic stays in `u64`;
+//! each stored value is checked with one comparison ([`in_domain`]), and
+//! a run that would leave the domain is refused as
+//! [`SimError::CapacityExceeded`]. The benchmark's longest run ends at
+//! 143,027 cycles, under 2^18.
 
 use parsecs_noc::{CoreId, Network};
 use parsecs_obs::SimProbe;
 use parsecs_trace::{SectionId, SourceKind, TraceArena};
 
-use crate::SimConfig;
+use crate::{SimConfig, SimError};
+
+/// The exclusive bound of the cycle domain (see the module docs): every
+/// cycle the resolver stores lies below it.
+pub(crate) const CYCLE_LIMIT: u64 = 1 << 30;
+
+/// The exclusive bound of a wait-cell index: one below [`CYCLE_LIMIT`],
+/// because the entry of cell `2^30 − 1`, `INCOMPLETE | WAITED | PAYLOAD`,
+/// is [`UNKNOWN`].
+const CELL_LIMIT: u64 = CYCLE_LIMIT - 1;
 
 /// Sentinel for a cycle that has not been computed yet (the resolver's
-/// columns are flat `u64`s instead of `Option<u64>`s — half the memory,
-/// and the timing columns `rr`/`ar`/`ma` are derived rather than stored).
-pub(crate) const UNKNOWN: u64 = u64::MAX;
+/// columns are flat `u32`s instead of `Option<u64>`s, and the timing
+/// columns `rr`/`ar`/`ma` are derived rather than stored).
+pub(crate) const UNKNOWN: u32 = u32::MAX;
 
 /// Tag bit of the resolver's `complete` column: an entry at or above this
 /// value is *not yet complete*. A fetched-but-unresolved instruction
 /// stores `INCOMPLETE | fetch_cycle`, so the column doubles as the fetch
 /// record and the resolver needs no separate per-instruction `fd` column
-/// in stats-only runs (simulated cycle counts stay far below 2^62 — the
-/// convergence guard caps them at ~200× the instruction count). `UNKNOWN`
-/// (all ones) also has the bit set: a never-fetched instruction is
-/// "not complete" under the same test.
-pub(crate) const INCOMPLETE: u64 = 1 << 63;
+/// in stats-only runs (every stored cycle lies in the cycle domain, below
+/// 2^30, so bits 30 and 31 are free for the tags). `UNKNOWN` (all ones)
+/// also has the bit set: a never-fetched instruction is "not complete"
+/// under the same test.
+pub(crate) const INCOMPLETE: u32 = 1 << 31;
 
 /// Second tag bit of an incomplete `complete` entry: some consumer waits
 /// on this producer, and the entry is `INCOMPLETE | WAITED | cell`, where
-/// `cell` (the low 32 bits) indexes the producer's [`WaitCell`], which
-/// holds its fetch cycle. `UNKNOWN` has the bit set too, so only an entry
-/// other than `UNKNOWN` names a cell.
-const WAITED: u64 = 1 << 62;
+/// `cell` (the low 30 bits, [`PAYLOAD`]) indexes the producer's
+/// [`WaitCell`], which holds its fetch cycle. `UNKNOWN` has the bit set
+/// too, so only an entry other than `UNKNOWN` names a cell.
+const WAITED: u32 = 1 << 30;
+
+/// The low 30 bits of an incomplete entry: a fetch cycle, or a cell.
+const PAYLOAD: u32 = WAITED - 1;
+
+/// `value` as a stored `u32` payload when it lies below `limit`
+/// ([`CYCLE_LIMIT`] for a cycle, [`CELL_LIMIT`] for a wait cell);
+/// otherwise the refusal [`SimError::CapacityExceeded`], naming
+/// `resource` (`"cycles"` or `"wait cells"`) and `limit`.
+#[inline(always)]
+pub(crate) fn in_domain(value: u64, limit: u64, resource: &'static str) -> Result<u32, SimError> {
+    if value < limit {
+        Ok(value as u32)
+    } else {
+        Err(out_of_domain(limit, resource))
+    }
+}
+
+#[cold]
+fn out_of_domain(limit: u64, resource: &'static str) -> SimError {
+    SimError::CapacityExceeded { resource, limit }
+}
 
 /// Empty waiter list, and the end of a free list.
 const NIL: u32 = u32::MAX;
@@ -46,7 +85,7 @@ const NIL: u32 = u32::MAX;
 /// The wait state of one incomplete producer that a consumer waits on.
 struct WaitCell {
     /// The producer's fetch cycle, `UNKNOWN` until it is fetched.
-    fetch: u64,
+    fetch: u32,
     /// The first link of its waiters (`NIL` = none); the next free cell
     /// while the cell is free.
     head: u32,
@@ -86,21 +125,22 @@ impl WaitPool {
 
     /// The cell an incomplete `complete` entry names, if any.
     #[inline]
-    fn cell_of(entry: u64) -> Option<usize> {
-        (entry & WAITED != 0 && entry != UNKNOWN).then_some(entry as u32 as usize)
+    fn cell_of(entry: u32) -> Option<usize> {
+        (entry & WAITED != 0 && entry != UNKNOWN).then_some((entry & PAYLOAD) as usize)
     }
 
     /// Parks `waiter` on the producer whose incomplete `complete` entry is
     /// `entry`, opening the producer's cell on its first waiter. Returns
-    /// the producer's new entry.
-    fn park(&mut self, entry: u64, waiter: u32) -> u64 {
+    /// the producer's new entry, or the refusal of a cell index past the
+    /// cycle domain.
+    fn park(&mut self, entry: u32, waiter: u32) -> Result<u32, SimError> {
         let cell = match WaitPool::cell_of(entry) {
             Some(cell) => cell,
             None => self.open(if entry == UNKNOWN {
                 UNKNOWN
             } else {
-                entry & !INCOMPLETE
-            }),
+                entry & PAYLOAD
+            })?,
         };
         let link = WaitLink {
             waiter,
@@ -116,14 +156,15 @@ impl WaitPool {
             index
         };
         self.cells[cell].head = index as u32;
-        INCOMPLETE | WAITED | cell as u64
+        Ok(INCOMPLETE | WAITED | cell as u32)
     }
 
-    /// A fresh cell with no waiters.
-    fn open(&mut self, fetch: u64) -> usize {
-        self.live += 1;
+    /// A fresh cell with no waiters. Only a cell past the pool's end is
+    /// checked against the domain: a recycled one already passed.
+    fn open(&mut self, fetch: u32) -> Result<usize, SimError> {
         let cell = WaitCell { fetch, head: NIL };
-        if self.free_cell == NIL {
+        let index = if self.free_cell == NIL {
+            in_domain(self.cells.len() as u64, CELL_LIMIT, "wait cells")?;
             self.cells.push(cell);
             self.cells.len() - 1
         } else {
@@ -131,7 +172,9 @@ impl WaitPool {
             self.free_cell = self.cells[index].head;
             self.cells[index] = cell;
             index
-        }
+        };
+        self.live += 1;
+        Ok(index)
     }
 
     /// Queues every waiter of `cell` and frees the cell and its links.
@@ -151,15 +194,15 @@ impl WaitPool {
 
 /// The engine's dependence resolution.
 ///
-/// The always-resident per-instruction state is **one** tagged `u64`
-/// column (8 B/instruction): the `complete` column holds
+/// The always-resident per-instruction state is **one** tagged `u32`
+/// column (4 B/instruction): the `complete` column holds
 /// `INCOMPLETE | fetch_cycle` between fetch and resolution and the
 /// completion cycle after, `rr` is always `fd + 1`, `ar` always `ew + 1`,
 /// and `ma` always the completion cycle of a memory instruction. A
 /// producer that consumers wait on holds `INCOMPLETE | WAITED | cell`
 /// instead, and its wait cell keeps the fetch cycle beside the waiters
 /// ([`WaitPool`], sized by the waits in flight). The `fd`/`ew`/`ret`
-/// stage columns (another 24 B/instruction) are only kept when the run
+/// stage columns (another 12 B/instruction) are only kept when the run
 /// records the per-row stage table, which takes them over with
 /// `complete` when the run finishes ([`Resolver::into_stage_columns`]);
 /// stats-only runs skip them and accumulate `max_fd`/`max_ret`
@@ -173,10 +216,10 @@ pub(crate) struct Resolver<'a> {
     /// Whether the per-instruction stage columns (`fd`/`ew`/`ret`) are
     /// kept for the reported timing table.
     record: bool,
-    fd: Vec<u64>,
-    ew: Vec<u64>,
-    ret: Vec<u64>,
-    pub(crate) complete: Vec<u64>,
+    fd: Vec<u32>,
+    ew: Vec<u32>,
+    ret: Vec<u32>,
+    pub(crate) complete: Vec<u32>,
     /// The consumers waiting on incomplete producers.
     waits: WaitPool,
     /// Per-section retirement cursor: the next trace index to retire.
@@ -232,7 +275,7 @@ impl<'a> Resolver<'a> {
     /// Hands the `[fd, ew, ret, complete]` columns over to the stage
     /// table, dropping the rest of the resolver state (the `fd`/`ew`/`ret`
     /// columns are empty unless the run records timings).
-    pub(crate) fn into_stage_columns(self) -> [Vec<u64>; 4] {
+    pub(crate) fn into_stage_columns(self) -> [Vec<u32>; 4] {
         [self.fd, self.ew, self.ret, self.complete]
     }
 
@@ -243,21 +286,25 @@ impl<'a> Resolver<'a> {
 
     /// Records the fetch of `seq` at `cycle` and queues it for resolution.
     /// A producer that consumers already wait on keeps its entry, and
-    /// its cell takes the cycle.
+    /// its cell takes the cycle. The event loop's clock guard keeps
+    /// `cycle` inside the cycle domain, so the fetch needs no check of
+    /// its own.
     pub(crate) fn fetch(&mut self, seq: usize, cycle: u64) {
+        debug_assert!(cycle < CYCLE_LIMIT, "the clock guard bounds fetch cycles");
+        let stored = cycle as u32;
         let entry = self.complete[seq];
         match WaitPool::cell_of(entry) {
             Some(cell) => {
                 debug_assert_eq!(self.waits.cells[cell].fetch, UNKNOWN, "fetched once");
-                self.waits.cells[cell].fetch = cycle;
+                self.waits.cells[cell].fetch = stored;
             }
             None => {
                 debug_assert_eq!(entry, UNKNOWN, "fetched once");
-                self.complete[seq] = INCOMPLETE | cycle;
+                self.complete[seq] = INCOMPLETE | stored;
             }
         }
         if self.record {
-            self.fd[seq] = cycle;
+            self.fd[seq] = stored;
         }
         if cycle > self.max_fd {
             self.max_fd = cycle;
@@ -270,7 +317,7 @@ impl<'a> Resolver<'a> {
     #[inline]
     pub(crate) fn completion(&self, seq: usize) -> Option<u64> {
         match self.complete[seq] {
-            cycle if cycle < INCOMPLETE => Some(cycle),
+            cycle if cycle < INCOMPLETE => Some(u64::from(cycle)),
             _ => None,
         }
     }
@@ -312,6 +359,9 @@ impl<'a> Resolver<'a> {
     ///
     /// `cycle` is the simulated cycle being drained and `probe` observes
     /// each round's width plus section retirements.
+    ///
+    /// Returns [`SimError::CapacityExceeded`] when a completion or a
+    /// retirement cycle, or a new wait cell, would leave the cycle domain.
     pub(crate) fn drain<P: SimProbe>(
         &mut self,
         network: &Network<SectionId>,
@@ -319,7 +369,7 @@ impl<'a> Resolver<'a> {
         completions: &mut Vec<(usize, u64)>,
         cycle: u64,
         probe: &mut P,
-    ) {
+    ) -> Result<(), SimError> {
         let mut round_index = 0usize;
         while !self.queue.is_empty() {
             let mut batch = std::mem::take(&mut self.batch);
@@ -329,19 +379,21 @@ impl<'a> Resolver<'a> {
                 probe.on_drain_round(cycle, round_index, batch.len());
             }
             for &seq in &batch {
-                self.resolve(seq as usize, network, core_of, completions, probe);
+                self.resolve(seq as usize, network, core_of, completions, probe)?;
             }
             round_index += 1;
             batch.clear();
             self.batch = batch;
         }
+        Ok(())
     }
 
     /// Parks `seq` on the incomplete producer `dep`, whose `complete`
     /// entry is `entry`.
     #[inline]
-    fn register_waiter(&mut self, seq: usize, dep: usize, entry: u64) {
-        self.complete[dep] = self.waits.park(entry, seq as u32);
+    fn register_waiter(&mut self, seq: usize, dep: usize, entry: u32) -> Result<(), SimError> {
+        self.complete[dep] = self.waits.park(entry, seq as u32)?;
+        Ok(())
     }
 
     /// One resolution attempt: a single forward sweep over `seq`'s packed
@@ -359,18 +411,18 @@ impl<'a> Resolver<'a> {
         core_of: &[CoreId],
         completions: &mut Vec<(usize, u64)>,
         probe: &mut P,
-    ) {
+    ) -> Result<(), SimError> {
         let arena = self.arena;
         let tagged = self.complete[seq];
         debug_assert!(
             tagged >= INCOMPLETE && tagged != UNKNOWN,
             "queued instructions are fetched and unresolved"
         );
-        let my_fd = if tagged & WAITED != 0 {
-            self.waits.cells[tagged as u32 as usize].fetch
+        let my_fd = u64::from(if tagged & WAITED != 0 {
+            self.waits.cells[(tagged & PAYLOAD) as usize].fetch
         } else {
-            tagged & !INCOMPLETE
-        };
+            tagged & PAYLOAD
+        });
         let my_section = arena.section(seq);
         let my_rr = my_fd + 1;
         let my_core = core_of[my_section.0];
@@ -389,6 +441,7 @@ impl<'a> Resolver<'a> {
                 SourceKind::Local { producer } => match self.complete[producer] {
                     c if c >= INCOMPLETE => return self.register_waiter(seq, producer, c),
                     c => {
+                        let c = u64::from(c);
                         if c > my_fd {
                             available_at_fetch = false;
                         }
@@ -399,7 +452,7 @@ impl<'a> Resolver<'a> {
                     available_at_fetch = false;
                     let c = match self.complete[producer] {
                         c if c >= INCOMPLETE => return self.register_waiter(seq, producer, c),
-                        c => c,
+                        c => u64::from(c),
                     };
                     remote_reg += 1;
                     let producer_section = arena.section(producer);
@@ -437,12 +490,12 @@ impl<'a> Resolver<'a> {
                     }
                     SourceKind::Local { producer } => match self.complete[producer] {
                         c if c >= INCOMPLETE => return self.register_waiter(seq, producer, c),
-                        c => c.max(a + 1),
+                        c => u64::from(c).max(a + 1),
                     },
                     SourceKind::Remote { producer } => {
                         let c = match self.complete[producer] {
                             c if c >= INCOMPLETE => return self.register_waiter(seq, producer, c),
-                            c => c,
+                            c => u64::from(c),
                         };
                         remote_mem += 1;
                         let producer_section = arena.section(producer);
@@ -466,19 +519,22 @@ impl<'a> Resolver<'a> {
             my_ew
         };
 
+        // `ew` never exceeds the completion, so one check covers both.
+        let stored = in_domain(completion, CYCLE_LIMIT, "cycles")?;
         if self.record {
-            self.ew[seq] = my_ew;
+            self.ew[seq] = my_ew as u32;
         }
-        self.complete[seq] = completion;
+        self.complete[seq] = stored;
         self.remote_register_requests += u64::from(remote_reg);
         self.remote_memory_requests += u64::from(remote_mem);
         self.fork_copied_sources += u64::from(fork_copied);
         self.dmh_accesses += u64::from(dmh);
         completions.push((seq, completion));
         if tagged & WAITED != 0 {
-            self.waits.release(tagged as u32 as usize, &mut self.queue);
+            self.waits
+                .release((tagged & PAYLOAD) as usize, &mut self.queue);
         }
-        self.advance_retirement(seq, probe);
+        self.advance_retirement(seq, probe)
     }
 
     /// Step 2 of dependence resolution: in-order retirement within a
@@ -487,10 +543,16 @@ impl<'a> Resolver<'a> {
     /// instruction's cycle is `max(completion, previous retirement) + 1`.
     /// The cascade replaces per-instruction successor bookkeeping with a
     /// per-section cursor and feeds the streaming `max_ret` accumulator.
-    fn advance_retirement<P: SimProbe>(&mut self, seq: usize, probe: &mut P) {
+    /// Retirement cycles grow along the cascade, so checking its last
+    /// one against the cycle domain covers every one it stored.
+    fn advance_retirement<P: SimProbe>(
+        &mut self,
+        seq: usize,
+        probe: &mut P,
+    ) -> Result<(), SimError> {
         let sid = self.arena.section(seq).0;
         if self.retire_next[sid] as usize != seq {
-            return;
+            return Ok(());
         }
         let end = self.arena.sections()[sid].end;
         let mut cursor = seq;
@@ -500,13 +562,14 @@ impl<'a> Resolver<'a> {
             if completion >= INCOMPLETE {
                 break;
             }
-            last = completion.max(last) + 1;
+            last = u64::from(completion).max(last) + 1;
             if self.record {
-                self.ret[cursor] = last;
+                self.ret[cursor] = last as u32;
             }
             self.resolved += 1;
             cursor += 1;
         }
+        in_domain(last, CYCLE_LIMIT, "cycles")?;
         self.retire_next[sid] = cursor as u32;
         self.retire_last[sid] = last;
         if last > self.max_ret {
@@ -518,6 +581,7 @@ impl<'a> Resolver<'a> {
         if P::ENABLED && cursor == end {
             probe.on_section_retire(sid as u32, last);
         }
+        Ok(())
     }
 }
 
@@ -526,13 +590,13 @@ impl<'a> Resolver<'a> {
 /// local register file (fork-copied, initial, or produced locally and
 /// complete no later than the fetch cycle). The `complete` column's
 /// incomplete encodings (`UNKNOWN`, `INCOMPLETE | fd`,
-/// `INCOMPLETE | WAITED | cell`) all sit at or above 2^63 — far past any
-/// reachable fetch cycle — so the one
-/// comparison below covers them without unpacking.
+/// `INCOMPLETE | WAITED | cell`) all sit at or above 2^31, past every
+/// fetch cycle of the cycle domain, so the one comparison below covers
+/// them without unpacking.
 pub(crate) fn fetch_computable(
     arena: &TraceArena,
     seq: usize,
-    complete: &[u64],
+    complete: &[u32],
     fetch_cycle: u64,
 ) -> bool {
     if arena.is_load(seq) || arena.is_store(seq) {
@@ -540,7 +604,7 @@ pub(crate) fn fetch_computable(
     }
     arena.reg_sources(seq).iter().all(|dep| match dep.kind() {
         SourceKind::ForkCopy | SourceKind::InitialRegister | SourceKind::InitialMemory => true,
-        SourceKind::Local { producer } => complete[producer] <= fetch_cycle,
+        SourceKind::Local { producer } => u64::from(complete[producer]) <= fetch_cycle,
         SourceKind::Remote { .. } => false,
     })
 }
@@ -601,13 +665,15 @@ pub(crate) mod tests {
                 self.resolver.fetch(seq, cycle);
             }
             let mut completions = Vec::new();
-            self.resolver.drain(
-                &self.network,
-                &self.core_of,
-                &mut completions,
-                cycle,
-                &mut NoopProbe,
-            );
+            self.resolver
+                .drain(
+                    &self.network,
+                    &self.core_of,
+                    &mut completions,
+                    cycle,
+                    &mut NoopProbe,
+                )
+                .expect("inside the cycle domain");
             completions.into_iter().map(|(seq, _)| seq).collect()
         }
 
@@ -626,7 +692,7 @@ pub(crate) mod tests {
             waiters
         }
 
-        fn cell_fetch(&self, producer: usize) -> u64 {
+        fn cell_fetch(&self, producer: usize) -> u32 {
             let cell = WaitPool::cell_of(self.resolver.complete[producer]).expect("waited on");
             self.resolver.waits.cells[cell].fetch
         }
@@ -634,6 +700,77 @@ pub(crate) mod tests {
 
     fn config() -> SimConfig {
         SimConfig::with_cores(8)
+    }
+
+    #[test]
+    fn complete_entries_round_trip_at_both_ends_of_the_domain() {
+        for cycle in [0, CYCLE_LIMIT - 1] {
+            let stored = in_domain(cycle, CYCLE_LIMIT, "cycles").expect("inside the domain");
+            assert_eq!(u64::from(stored), cycle);
+            // A completion cycle is complete and names no cell.
+            assert!(stored < INCOMPLETE);
+            assert_eq!(WaitPool::cell_of(stored), None);
+            // A fetched, unresolved instruction keeps its fetch cycle.
+            let fetched = INCOMPLETE | stored;
+            assert!(fetched >= INCOMPLETE && fetched != UNKNOWN);
+            assert_eq!(WaitPool::cell_of(fetched), None);
+            assert_eq!(u64::from(fetched & PAYLOAD), cycle);
+        }
+        for cell in [0, CELL_LIMIT - 1] {
+            let stored = in_domain(cell, CELL_LIMIT, "wait cells").expect("inside the domain");
+            // A producer that consumers wait on names its cell.
+            let waited = INCOMPLETE | WAITED | stored;
+            assert!(waited >= INCOMPLETE && waited != UNKNOWN);
+            assert_eq!(WaitPool::cell_of(waited), Some(cell as usize));
+        }
+        // Never fetched: incomplete, and no cell. It is the entry the
+        // first index past the cell domain would make.
+        assert_eq!(
+            Resolver::new(&config(), &arena_of(&[&[]]), 1).completion(0),
+            None
+        );
+        assert_eq!(WaitPool::cell_of(UNKNOWN), None);
+        assert_eq!(INCOMPLETE | WAITED | CELL_LIMIT as u32, UNKNOWN);
+    }
+
+    #[test]
+    fn values_past_the_domain_are_refused_by_name() {
+        for (limit, resource) in [(CYCLE_LIMIT, "cycles"), (CELL_LIMIT, "wait cells")] {
+            assert_eq!(in_domain(limit - 1, limit, resource), Ok(limit as u32 - 1));
+            for value in [limit, limit + 1, u64::MAX] {
+                assert_eq!(
+                    in_domain(value, limit, resource),
+                    Err(SimError::CapacityExceeded { resource, limit })
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_retirement_past_the_domain_refuses_the_drain() {
+        let arena = arena_of(&[&[]]);
+        let config = config();
+        // A source-free instruction completes in its fetch cycle and
+        // retires one cycle later.
+        let mut h = Harness::new(&config, &arena);
+        assert_eq!(h.cycle(CYCLE_LIMIT - 2, &[0]), [0]);
+        assert_eq!(h.resolver.ret[0], PAYLOAD);
+        let mut h = Harness::new(&config, &arena);
+        h.resolver.fetch(0, CYCLE_LIMIT - 1);
+        let refused = h.resolver.drain(
+            &h.network,
+            &h.core_of,
+            &mut Vec::new(),
+            CYCLE_LIMIT - 1,
+            &mut NoopProbe,
+        );
+        assert_eq!(
+            refused,
+            Err(SimError::CapacityExceeded {
+                resource: "cycles",
+                limit: CYCLE_LIMIT
+            })
+        );
     }
 
     #[test]

@@ -18,8 +18,21 @@ pub enum SimError {
     /// outgrows the arena's packed `u32` columns (reported as an error
     /// instead of aborting mid-run).
     Trace(TraceError),
-    /// The configuration is invalid (e.g. zero cores).
+    /// The configuration is invalid (e.g. zero cores, or a latency that
+    /// alone leaves the cycle domain).
     Config(String),
+    /// The run outgrew the engine's cycle domain: the resolver stores
+    /// every per-instruction cycle, and every wait-cell index, in the low
+    /// 30 bits of a `u32`, so a simulated cycle (or an index) at or past
+    /// `limit` (2^30 for cycles, 2^30 − 1 for wait cells) is refused here
+    /// instead of wrapping. A property of the program and the
+    /// configuration, not a simulator bug.
+    CapacityExceeded {
+        /// What left the domain: `"cycles"` or `"wait cells"`.
+        resource: &'static str,
+        /// The exclusive bound of `resource`.
+        limit: u64,
+    },
     /// The pre-simulation static analysis ([`crate::SimConfig::validate`])
     /// found the trace arena structurally invalid; the full report with
     /// the typed violations is attached.
@@ -56,6 +69,11 @@ impl fmt::Display for SimError {
             SimError::Trace(e) => write!(f, "trace pipeline failed: {e}"),
             SimError::Config(msg) => write!(f, "invalid configuration: {msg}"),
             SimError::Invariant(report) => write!(f, "trace invariants violated: {report}"),
+            SimError::CapacityExceeded { resource, limit } => write!(
+                f,
+                "simulation capacity exceeded: {resource} reach {limit} \
+                 (the engine stores them in 30 bits)"
+            ),
             SimError::Diverged {
                 reason,
                 cycle,
@@ -124,6 +142,18 @@ mod tests {
         .into();
         assert!(matches!(e, SimError::Trace(_)));
         assert!(e.to_string().contains("capacity"));
+    }
+
+    #[test]
+    fn capacity_refusals_name_the_resource_and_the_limit() {
+        let e = SimError::CapacityExceeded {
+            resource: "cycles",
+            limit: 1 << 30,
+        };
+        let s = e.to_string();
+        assert!(s.contains("capacity exceeded"), "{s}");
+        assert!(s.contains("cycles reach 1073741824"), "{s}");
+        assert!(e.source().is_none());
     }
 
     #[test]

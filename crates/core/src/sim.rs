@@ -69,7 +69,7 @@ use parsecs_obs::{CoreBreakdown, CycleAttribution, NoopProbe, SimProbe, StallCau
 use parsecs_trace::{AddrHasher, SectionId, SectionSpan, SourceKind, TraceArena};
 
 use crate::chip::{ChipState, StallTable, NO_SECTION, NO_STALL};
-use crate::drain::Resolver;
+use crate::drain::{in_domain, Resolver, CYCLE_LIMIT};
 use crate::schedule::{walk, Schedule, Walk};
 use crate::timing::StageColumns;
 use crate::{InstTiming, Placement, SectionDeps, SimConfig, SimError, SimStats, StageTable};
@@ -138,18 +138,20 @@ impl SimResult {
     /// the benchmark programs, validated or not: there is one arena
     /// kind), caps how many instructions a chip-scale run can hold
     /// resident; a stats-only run keeps no stage
-    /// columns, cutting this from ~40 to ~9 bytes per instruction on
-    /// `synth_histogram` (~47 to ~16 on `fan_chain`, whose many sections
-    /// add per-section cursors). Derived from logical sizes (transient
+    /// columns, cutting this from ~24 to ~5 bytes per instruction on
+    /// `synth_histogram` (~31 to ~12 on `fan_chain`, whose many sections
+    /// add per-section cursors). The stats-only resolver term is
+    /// `n * 4`: the tagged `u32` completion column. Derived from logical
+    /// sizes (transient
     /// scratch like the wake queue, the wait pool and per-core state is
     /// excluded), so it is deterministic.
     pub fn sim_state_bytes(&self) -> u64 {
         use std::mem::size_of;
         let n = self.stats.instructions;
         let sections = self.sections.len() as u64;
-        // The tagged completion column, which a recording run moves into
-        // the stage table (counted there with the fd/ew/ret columns).
-        let resolver = if self.timings_recorded { 0 } else { n * 8 };
+        // The tagged `u32` completion column, which a recording run moves
+        // into the stage table (counted there with the fd/ew/ret columns).
+        let resolver = if self.timings_recorded { 0 } else { n * 4 };
         // Retirement cursors (u32 + u64), stall resume point, one
         // fork→created-section map entry, placement.
         let per_section = sections * (12 + 8 + 24 + 8);
@@ -286,7 +288,10 @@ impl ManyCoreSim {
         }
 
         let mut cycle: u64 = 0;
-        let safety = 200 * n as u64 + 10_000;
+        // The convergence guard, capped at the cycle domain: a clock that
+        // reaches the domain is refused as a capacity limit, not as a
+        // divergence.
+        let safety = (200 * n as u64 + 10_000).min(CYCLE_LIMIT);
 
         while resolver.fetched < n || resolver.resolved < n {
             // --- pick the next cycle with an event -----------------------
@@ -317,6 +322,7 @@ impl ManyCoreSim {
             };
             cycle = target;
             if cycle >= safety {
+                in_domain(cycle, CYCLE_LIMIT, "cycles")?;
                 return Err(SimError::Diverged {
                     reason: "did not converge",
                     cycle,
@@ -388,7 +394,7 @@ impl ManyCoreSim {
 
             // --- dependence resolution -----------------------------------
             completions.clear();
-            resolver.drain(&network, &core_of, &mut completions, cycle, probe);
+            resolver.drain(&network, &core_of, &mut completions, cycle, probe)?;
 
             // A completion that a parked section stalls on is its modeled
             // release event: requeue the section on the first cycle after
@@ -1007,11 +1013,11 @@ mod tests {
     }
 
     /// The footprint accounting of the stage table: a recording run holds
-    /// exactly the table's documented 31 B/instruction beyond a
-    /// stats-only one (24 B of moved stage columns, 7 B copied from the
-    /// arena), plus the mnemonic table.
+    /// exactly the table's documented 19 B/instruction beyond a
+    /// stats-only one (12 B of moved `u32` stage columns, 7 B copied from
+    /// the arena), plus the mnemonic table.
     #[test]
-    fn the_stage_table_costs_31_bytes_per_instruction() {
+    fn the_stage_table_costs_19_bytes_per_instruction() {
         let data: Vec<u64> = (1..=64).collect();
         let arena = arena_of(&sum_fork_program(&data));
         let full = ManyCoreSim::new(SimConfig::with_cores(16))
@@ -1024,8 +1030,8 @@ mod tests {
         assert!(n > 500, "want a golden-sized program, got {n} instructions");
         let extra = full.sim_state_bytes() - stats.sim_state_bytes();
         let mnemonics = std::mem::size_of_val(arena.raw().mnemonics);
-        assert_eq!(extra, 31 * n + mnemonics as u64);
-        assert_eq!(extra / n, 31);
+        assert_eq!(extra, 19 * n + mnemonics as u64);
+        assert_eq!(extra / n, 19);
     }
 
     /// Rows are derived, not stored: the section, position and core come

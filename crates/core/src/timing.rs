@@ -66,23 +66,25 @@ impl InstTiming {
 /// The storage behind a recording run's Figure 10 table, one entry per
 /// instruction in every column, indexed by trace position.
 ///
-/// The four cycle columns are the resolver's own, moved in when the run
-/// finishes: `fd`, `ew`, `ret` (24 B/instruction, kept only by a
-/// recording run) and the tagged `complete` column every run keeps. The
-/// rest is copied from the arena because the result does not hold it:
-/// the static instruction index (4 B), the interned mnemonic id (2 B)
-/// and whether the instruction accesses data memory (1 B). A recording
-/// run therefore holds 31 B/instruction more than a stats-only one, plus
-/// the tiny mnemonic table. `rr`, `ar` and `ma` are derived, and
+/// The four cycle columns are the resolver's own `u32`s, moved in when
+/// the run finishes: `fd`, `ew`, `ret` (12 B/instruction, kept only by a
+/// recording run) and the tagged `complete` column every run keeps. Every
+/// cycle in them lies in the resolver's cycle domain (below 2^30), and a
+/// row widens it to the `u64` of [`InstTiming`]. The rest is copied from
+/// the arena because the result does not hold it: the static instruction
+/// index (4 B), the interned mnemonic id (2 B) and whether the
+/// instruction accesses data memory (1 B). A recording run therefore
+/// holds 19 B/instruction more than a stats-only one, plus the tiny
+/// mnemonic table. `rr`, `ar` and `ma` are derived, and
 /// `section`, `index_in_section` and `core` come from the result's
 /// sections and placement (see [`StageTable`]). Empty for a stats-only
 /// run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct StageColumns {
-    fd: Vec<u64>,
-    ew: Vec<u64>,
-    ret: Vec<u64>,
-    complete: Vec<u64>,
+    fd: Vec<u32>,
+    ew: Vec<u32>,
+    ret: Vec<u32>,
+    complete: Vec<u32>,
     ip: Vec<u32>,
     mnemonic_id: Vec<u16>,
     mnemonics: Vec<&'static str>,
@@ -96,7 +98,7 @@ impl StageColumns {
     /// unresolved, and sentinels must never reach a reported row.
     pub(crate) fn record(
         arena: &TraceArena,
-        [fd, ew, ret, complete]: [Vec<u64>; 4],
+        [fd, ew, ret, complete]: [Vec<u32>; 4],
     ) -> Option<StageColumns> {
         let unresolved =
             fd.iter()
@@ -197,7 +199,7 @@ impl<'a> StageTable<'a> {
 
     fn row(&self, span: &SectionSpan, seq: usize) -> InstTiming {
         let columns = self.columns;
-        let (fd, ew) = (columns.fd[seq], columns.ew[seq]);
+        let (fd, ew) = (u64::from(columns.fd[seq]), u64::from(columns.ew[seq]));
         let mem = columns.mem[seq];
         InstTiming {
             seq,
@@ -210,8 +212,8 @@ impl<'a> StageTable<'a> {
             rr: fd + 1,
             ew,
             ar: mem.then(|| ew + 1),
-            ma: mem.then_some(columns.complete[seq]),
-            ret: columns.ret[seq],
+            ma: mem.then_some(u64::from(columns.complete[seq])),
+            ret: u64::from(columns.ret[seq]),
         }
     }
 }

@@ -424,10 +424,10 @@ mod tests {
         assert!(!stats.timings_recorded);
         assert!(stats.timings().is_empty());
         // The footprint accounting reflects the dropped columns: the
-        // stage table's 31 B per instruction, plus its mnemonic table.
+        // stage table's 19 B per instruction, plus its mnemonic table.
         let (full_state, stats_state) = (full.sim_state_bytes(), stats.sim_state_bytes());
         assert!(
-            stats_state + 31 * full.stats.instructions <= full_state,
+            stats_state + 19 * full.stats.instructions <= full_state,
             "stats-only state {stats_state} should be the table's bytes below full {full_state}"
         );
         assert!(stats.total_bytes_per_instruction() > 0.0);

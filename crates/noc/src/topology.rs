@@ -48,6 +48,15 @@ impl Topology {
         }
     }
 
+    /// The largest hop count between two of its cores: `(width − 1) +
+    /// (height − 1)` on a mesh, 1 on a crossbar of two or more cores.
+    pub fn diameter(&self) -> usize {
+        match *self {
+            Topology::Mesh { width, height } => width.saturating_sub(1) + height.saturating_sub(1),
+            Topology::Crossbar { size } => usize::from(size > 1),
+        }
+    }
+
     /// The (x, y) coordinates of a core in a mesh; cores are numbered row
     /// by row. On the crossbar, y is always 0.
     pub(crate) fn coordinates(&self, core: CoreId) -> (usize, usize) {
@@ -113,6 +122,14 @@ mod tests {
     }
 
     #[test]
+    fn the_diameter_is_the_farthest_pair() {
+        assert_eq!(Topology::mesh(4, 3).diameter(), 5);
+        assert_eq!(Topology::mesh(1, 1).diameter(), 0);
+        assert_eq!(Topology::crossbar(64).diameter(), 1);
+        assert_eq!(Topology::crossbar(1).diameter(), 0);
+    }
+
+    #[test]
     fn membership_and_enumeration() {
         let t = Topology::mesh(3, 2);
         assert!(t.contains(CoreId(5)));
@@ -130,6 +147,7 @@ mod tests {
             prop_assert_eq!(t.hops(a, b), t.hops(b, a));
             prop_assert_eq!(t.hops(a, a), 0);
             prop_assert!(t.hops(a, c) <= t.hops(a, b) + t.hops(b, c));
+            prop_assert!(t.hops(a, b) <= t.diameter());
         }
     }
 }

@@ -48,8 +48,8 @@ CATALOGUE = [
     {
         "name": "fetch-computable-strict",
         "file": "crates/core/src/drain.rs",
-        "old": "SourceKind::Local { producer } => complete[producer] <= fetch_cycle,",
-        "new": "SourceKind::Local { producer } => complete[producer] < fetch_cycle,",
+        "old": "SourceKind::Local { producer } => u64::from(complete[producer]) <= fetch_cycle,",
+        "new": "SourceKind::Local { producer } => u64::from(complete[producer]) < fetch_cycle,",
         "reason": "a local producer completing on the fetch cycle is not yet "
         "usable, so the control instruction stalls",
     },
@@ -128,15 +128,15 @@ CATALOGUE = [
         match WaitPool::cell_of(entry) {
             Some(cell) => {
                 debug_assert_eq!(self.waits.cells[cell].fetch, UNKNOWN, "fetched once");
-                self.waits.cells[cell].fetch = cycle;
+                self.waits.cells[cell].fetch = stored;
             }
             None => {
                 debug_assert_eq!(entry, UNKNOWN, "fetched once");
-                self.complete[seq] = INCOMPLETE | cycle;
+                self.complete[seq] = INCOMPLETE | stored;
             }
         }
 """,
-        "new": "        self.complete[seq] = INCOMPLETE | cycle;\n",
+        "new": "        self.complete[seq] = INCOMPLETE | stored;\n",
         "reason": "the fetch of a producer that consumers already wait on "
         "overwrites its wait-cell entry, losing the waiters",
     },
@@ -144,7 +144,8 @@ CATALOGUE = [
         "name": "completion-skips-wake-walk",
         "file": "crates/core/src/drain.rs",
         "old": "        if tagged & WAITED != 0 {\n"
-        "            self.waits.release(tagged as u32 as usize, &mut self.queue);\n"
+        "            self.waits\n"
+        "                .release((tagged & PAYLOAD) as usize, &mut self.queue);\n"
         "        }\n",
         "new": "",
         "reason": "a completing producer neither wakes its waiters nor frees "
@@ -228,6 +229,38 @@ CATALOGUE = [
         "new": "",
         "reason": "a recording run that leaves an instruction unresolved "
         "reports sentinel cycles in its stage table instead of failing",
+    },
+    {
+        "name": "cell-of-wrong-tag-bit",
+        "file": "crates/core/src/drain.rs",
+        "old": "(entry & WAITED != 0 && entry != UNKNOWN)",
+        "new": "(entry & INCOMPLETE != 0 && entry != UNKNOWN)",
+        "reason": "a fetched producer that nobody waits on reads as naming a "
+        "wait cell, its fetch cycle taken for a cell index",
+    },
+    {
+        "name": "cycle-domain-never-fires",
+        "file": "crates/core/src/drain.rs",
+        "old": "    if value < limit {\n",
+        "new": "    if true {\n",
+        "reason": "a cycle past 2^30 is truncated into the 30-bit payload "
+        "instead of refusing the run",
+    },
+    {
+        "name": "cell-limit-is-cycle-limit",
+        "file": "crates/core/src/drain.rs",
+        "old": "const CELL_LIMIT: u64 = CYCLE_LIMIT - 1;",
+        "new": "const CELL_LIMIT: u64 = CYCLE_LIMIT;",
+        "reason": "the last cell index of the 30-bit payload is handed out, "
+        "and its waited entry is the never-fetched sentinel",
+    },
+    {
+        "name": "latency-domain-unchecked",
+        "file": "crates/core/src/config.rs",
+        "old": "if latency.is_none_or(|cycles| cycles >= CYCLE_LIMIT) {",
+        "new": "if latency.is_none() {",
+        "reason": "validate accepts a latency that alone carries a cycle "
+        "past the domain",
     },
     {
         "name": "finish-keeps-reservation",

@@ -1,4 +1,5 @@
-//! Hostile assembler text never panics the pipeline.
+//! Hostile assembler text and hostile latencies never panic the
+//! pipeline.
 //!
 //! Random token strings — mnemonics, registers, immediates, memory
 //! operands, labels, directives and stray punctuation — go through the
@@ -9,11 +10,18 @@
 //! half of the generated lines follow the instruction shape (an optional
 //! label, a mnemonic, up to two operands) and half of the texts end in a
 //! `halt`, to carry some of them through to the simulator.
+//!
+//! A latency is hostile when it alone could carry a simulated cycle past
+//! the engine's cycle domain (2^30 cycles): `SimConfig::validate` refuses
+//! it as a configuration error, and a latency just inside the domain runs
+//! into the engine's typed capacity refusal instead of overflowing.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use parsecs::core::{ManyCoreSim, SimConfig};
+use parsecs::core::{ManyCoreSim, SimConfig, SimError};
+use parsecs::driver::{DriverError, ExecutionBackend, ManyCoreBackend};
 use parsecs::trace::TraceArena;
+use parsecs::workloads::sum;
 use proptest::prelude::*;
 
 /// Fuel of the functional pre-execution: small, so that a looping
@@ -191,5 +199,91 @@ proptest! {
         prop_assert!(reach.assembled > 0, "{reach:?}");
         prop_assert!(reach.pre_executed > 0, "{reach:?}");
         prop_assert!(reach.simulated > 0, "{reach:?}");
+    }
+}
+
+/// The engine's cycle domain: every stored cycle lies below it.
+const CYCLE_DOMAIN: u64 = 1 << 30;
+
+/// Sets one latency field of a config.
+type SetLatency = fn(&mut SimConfig, u64);
+
+/// The config fields that set a latency, each with the first value that
+/// reaches the domain on an 8-core crossbar (diameter 1) whose other
+/// latencies are the defaults: the NoC's longest transit is
+/// `base_latency + per_hop_latency`, 1 + 1 by default.
+const LATENCIES: [(&str, SetLatency, u64); 4] = [
+    ("dmh_latency", |c, v| c.dmh_latency = v, CYCLE_DOMAIN),
+    (
+        "per_section_hop",
+        |c, v| c.per_section_hop = v,
+        CYCLE_DOMAIN,
+    ),
+    (
+        "base_latency",
+        |c, v| c.noc.base_latency = v,
+        CYCLE_DOMAIN - 1,
+    ),
+    (
+        "per_hop_latency",
+        |c, v| c.noc.per_hop_latency = v,
+        CYCLE_DOMAIN - 1,
+    ),
+];
+
+fn with_latency(set: SetLatency, value: u64) -> SimConfig {
+    let mut config = SimConfig::with_cores(8);
+    set(&mut config, value);
+    config
+}
+
+#[test]
+fn latencies_past_the_cycle_domain_are_config_errors() {
+    let program = sum::fork_program(&[4, 2, 6, 4, 5]);
+    let arena = TraceArena::from_program(&program, FUEL).expect("runs");
+    for (field, set, first_refused) in LATENCIES {
+        for value in [first_refused, u64::MAX] {
+            let config = with_latency(set, value);
+            let err = config.validate().expect_err(field);
+            assert!(err.contains("cycle domain"), "{field} = {value}: {err}");
+            assert_eq!(
+                ManyCoreSim::new(config.clone()).simulate_arena(&arena),
+                Err(SimError::Config(err.clone())),
+                "{field} = {value}"
+            );
+            assert_eq!(
+                ManyCoreBackend::new(config).execute_fueled(&program, FUEL),
+                Err(DriverError::Sim(SimError::Config(err))),
+                "{field} = {value}"
+            );
+        }
+        assert_eq!(with_latency(set, first_refused - 1).validate(), Ok(()));
+    }
+}
+
+#[test]
+fn a_latency_just_inside_the_domain_reaches_the_cycle_refusal() {
+    let program = sum::fork_program(&[4, 2, 6, 4, 5]);
+    let refused = Err(DriverError::Sim(SimError::CapacityExceeded {
+        resource: "cycles",
+        limit: CYCLE_DOMAIN,
+    }));
+    // The first load from the loaded data waits out the DMH latency; the
+    // first fork's creation message crosses the NoC.
+    for config in [
+        with_latency(|c, v| c.dmh_latency = v, CYCLE_DOMAIN - 1),
+        with_latency(|c, v| c.noc.base_latency = v, CYCLE_DOMAIN - 2),
+    ] {
+        for config in [
+            config.clone(),
+            config.clone().stats_only(),
+            config.validated(),
+        ] {
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                ManyCoreBackend::new(config.clone()).execute_fueled(&program, FUEL)
+            }))
+            .unwrap_or_else(|_| panic!("the engine panicked under {config:?}"));
+            assert_eq!(outcome, refused, "{config:?}");
+        }
     }
 }

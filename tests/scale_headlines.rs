@@ -29,12 +29,14 @@ use parsecs::workloads::scale;
 /// run's simulate time on the same arena.
 const SCALING_BAR: f64 = 1.25;
 
-/// Arena footprint bar, in bytes per instruction.
-const ARENA_BYTES_PER_INSN: f64 = 120.0;
+/// Arena footprint bar, in bytes per instruction: the bar of the tier-1
+/// twin in `tests/check_invariants.rs`.
+const ARENA_BYTES_PER_INSN: f64 = 35.0;
 
 /// Total footprint bar of a stats-only run over its arena (arena plus
-/// simulator state), in bytes per instruction.
-const STATS_ONLY_BYTES_PER_INSN: f64 = 80.0;
+/// simulator state), in bytes per instruction: the bar of the tier-1
+/// twin in `tests/check_invariants.rs`.
+const STATS_ONLY_BYTES_PER_INSN: f64 = 51.0;
 
 /// Runs `build` and returns its result with the wall time in seconds.
 fn timed<T>(build: impl FnOnce() -> T) -> (T, f64) {
