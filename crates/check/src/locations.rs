@@ -6,9 +6,12 @@
 //! [`LocationCheck`] sits beside the [`StreamingSectioner`] as the
 //! machine's sink: after each step the sectioner records, it replays the
 //! step's reads against its own last-writer table and compares the
-//! dependences the sectioner just appended. It shares no renaming code
-//! with the sectioner, the same discipline as the workspace's timing
-//! oracle.
+//! dependences the sectioner just appended. It also compares the step
+//! with the arena's [`InsnEntry`] for its static instruction, which the
+//! sectioner set from that instruction's first step only: the kind, the
+//! control, load and store flags, the register-class read count and the
+//! mnemonic. It shares no renaming code with the sectioner, the same
+//! discipline as the workspace's timing oracle.
 
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
@@ -16,7 +19,7 @@ use std::hash::BuildHasherDefault;
 use parsecs_isa::{Program, Reg};
 use parsecs_machine::{Location, Machine, TraceKind, TraceSink, TraceStep};
 use parsecs_trace::{
-    AddrHasher, PackedDep, SourceKind, StreamingSectioner, TraceArena, TraceError,
+    AddrHasher, InsnEntry, PackedDep, SourceKind, StreamingSectioner, TraceArena, TraceError,
 };
 
 use crate::validate::Collector;
@@ -92,13 +95,19 @@ impl LocationCheck {
         sink.finish(outcome.outputs)
     }
 
-    /// Checks the dependences recorded for the next record, `step`:
-    /// `deps` in the order of `step.reads`, the first `reg_deps` of them
-    /// register-class. [`TraceSink::record`] calls it with what the
-    /// sectioner just appended; corpora call it with doctored
-    /// dependences.
-    pub fn check(&mut self, step: &TraceStep<'_>, deps: &[PackedDep], reg_deps: usize) {
-        self.replay.check(step, deps, reg_deps);
+    /// Checks what is recorded for the next record, `step`: its
+    /// dependences `deps`, in the order of `step.reads`, and the `entry`
+    /// of its static instruction, whose mnemonic id names `mnemonic`.
+    /// [`TraceSink::record`] calls it with what the sectioner just
+    /// appended; corpora call it with doctored dependences and entries.
+    pub fn check(
+        &mut self,
+        step: &TraceStep<'_>,
+        deps: &[PackedDep],
+        entry: InsnEntry,
+        mnemonic: &str,
+    ) {
+        self.replay.check(step, deps, entry, mnemonic);
     }
 
     /// Finishes the sectioner's arena and returns it with the check's
@@ -132,8 +141,9 @@ impl TraceSink for LocationCheck {
         // A step past the halt, or past a capacity error, is not
         // recorded, so there is nothing to check.
         if arena.len() > seq {
+            let entry = arena.raw().insns[step.ip];
             self.replay
-                .check(step, arena.sources(seq), arena.reg_sources(seq).len());
+                .check(step, arena.sources(seq), entry, arena.mnemonic(seq));
         }
     }
 
@@ -151,7 +161,13 @@ impl Replay {
         });
     }
 
-    fn check(&mut self, step: &TraceStep<'_>, deps: &[PackedDep], reg_deps: usize) {
+    fn check(
+        &mut self,
+        step: &TraceStep<'_>,
+        deps: &[PackedDep],
+        entry: InsnEntry,
+        mnemonic: &str,
+    ) {
         let seq = self.seq;
         if deps.len() != step.reads.len() {
             self.violation(
@@ -159,11 +175,42 @@ impl Replay {
                 "dependence count differs from the step's reads",
             );
         }
-        if reg_deps != step.reads.iter().filter(|l| !l.is_mem()).count() {
+        if entry.reg_deps() != step.reads.iter().filter(|l| !l.is_mem()).count() {
             self.violation(
-                reg_deps,
+                entry.reg_deps(),
                 "register-class prefix differs from the step's reads",
             );
+        }
+        let static_facts = [
+            (
+                entry.kind() == step.kind,
+                "kind differs from a step of the instruction",
+            ),
+            (
+                entry.is_control() == step.is_control,
+                "control flag differs from a step of the instruction",
+            ),
+            (
+                entry.is_load() == step.reads.iter().any(Location::is_mem),
+                "load flag differs from a step of the instruction",
+            ),
+            (
+                entry.is_store() == step.writes.iter().any(Location::is_mem),
+                "store flag differs from a step of the instruction",
+            ),
+            (
+                mnemonic == step.mnemonic,
+                "mnemonic differs from a step of the instruction",
+            ),
+        ];
+        for (agrees, detail) in static_facts {
+            if !agrees {
+                self.col.push(InvariantViolation::ColumnBroken {
+                    column: "insns",
+                    index: step.ip,
+                    detail,
+                });
+            }
         }
         for (dep, (packed, &loc)) in deps.iter().zip(step.reads).enumerate() {
             let kind = packed.kind();
@@ -273,13 +320,26 @@ mod tests {
         PackedDep::new(kind)
     }
 
+    /// The entry of `step`'s instruction, claiming `reg_deps`
+    /// register-class reads.
+    fn entry_with(step: &TraceStep<'_>, reg_deps: usize) -> InsnEntry {
+        let e = InsnEntry::of_step(step, 0);
+        InsnEntry::new(
+            0,
+            e.kind(),
+            e.is_control(),
+            e.is_load(),
+            e.is_store(),
+            reg_deps,
+        )
+    }
+
     /// The check's violations on a doctored stream of `(step, deps)`,
-    /// each record's register-class prefix taken from its reads.
+    /// each record's entry taken from its step.
     fn violations(stream: &[(TraceStep<'_>, Vec<PackedDep>)]) -> Vec<InvariantViolation> {
         let mut check = LocationCheck::new(StreamingSectioner::new());
         for (step, deps) in stream {
-            let reg_deps = step.reads.iter().filter(|l| !l.is_mem()).count();
-            check.check(step, deps, reg_deps);
+            check.check(step, deps, InsnEntry::of_step(step, 0), step.mnemonic);
         }
         check.finish(vec![]).expect("fits").1.violations
     }
@@ -368,17 +428,62 @@ mod tests {
     fn every_read_needs_one_dependence_in_its_class() {
         let initial = dep(SourceKind::InitialRegister);
         let mut check = LocationCheck::new(StreamingSectioner::new());
-        check.check(&step(TraceKind::Other, &[RAX, RSP], &[]), &[initial], 2);
+        let two_regs = step(TraceKind::Other, &[RAX, RSP], &[]);
+        check.check(&two_regs, &[initial], entry_with(&two_regs, 2), "movq");
+        let reg_and_word = step(TraceKind::Other, &[RAX, WORD], &[]);
         check.check(
-            &step(TraceKind::Other, &[RAX, WORD], &[]),
+            &reg_and_word,
             &[initial, dep(SourceKind::InitialMemory)],
-            2,
+            entry_with(&reg_and_word, 2),
+            "movq",
         );
         assert_eq!(
             check.finish(vec![]).expect("fits").1.violations,
             [
                 packing(0, 1, "dependence count differs from the step's reads"),
                 packing(1, 2, "register-class prefix differs from the step's reads"),
+            ]
+        );
+    }
+
+    /// The sectioner sets an instruction's entry from its first step
+    /// only; every step of it must then agree with the entry's kind,
+    /// flags and mnemonic.
+    #[test]
+    fn every_step_must_agree_with_its_instructions_entry() {
+        let load = step(TraceKind::Other, &[RAX, WORD], &[]);
+        let entry = InsnEntry::of_step(&load, 0);
+        let with = |kind, control, is_load, is_store| {
+            InsnEntry::new(0, kind, control, is_load, is_store, 1)
+        };
+        let initial = [
+            dep(SourceKind::InitialRegister),
+            dep(SourceKind::InitialMemory),
+        ];
+        let mut check = LocationCheck::new(StreamingSectioner::new());
+        for (entry, mnemonic) in [
+            (entry, "movq"),
+            (with(TraceKind::Call, false, true, false), "movq"),
+            (with(TraceKind::Other, true, true, false), "movq"),
+            (with(TraceKind::Other, false, false, false), "movq"),
+            (with(TraceKind::Other, false, true, true), "movq"),
+            (entry, "addq"),
+        ] {
+            check.check(&load, &initial, entry, mnemonic);
+        }
+        let column = |detail| InvariantViolation::ColumnBroken {
+            column: "insns",
+            index: 0,
+            detail,
+        };
+        assert_eq!(
+            check.finish(vec![]).expect("fits").1.violations,
+            [
+                column("kind differs from a step of the instruction"),
+                column("control flag differs from a step of the instruction"),
+                column("load flag differs from a step of the instruction"),
+                column("store flag differs from a step of the instruction"),
+                column("mnemonic differs from a step of the instruction"),
             ]
         );
     }
@@ -438,7 +543,7 @@ mod tests {
             .collect();
         let mut check = LocationCheck::new(StreamingSectioner::new());
         for (step, deps) in &stream {
-            check.check(step, deps, 1);
+            check.check(step, deps, InsnEntry::of_step(step, 0), step.mnemonic);
         }
         let report = check.finish(vec![]).expect("fits").1;
         assert_eq!(report.violations.len(), MAX_VIOLATIONS);

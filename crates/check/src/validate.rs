@@ -8,7 +8,7 @@
 //! while the trace streams.
 
 use parsecs_machine::TraceKind;
-use parsecs_trace::{SourceKind, TraceArena};
+use parsecs_trace::{InsnEntry, SourceKind, TraceArena};
 
 use crate::violation::InvariantViolation;
 
@@ -41,27 +41,20 @@ impl Collector {
 }
 
 /// Checks that every fixed-width column has one entry per record, that
-/// the offset column carries its sentinels and that every mnemonic id
-/// names a table entry. Returns `false` when later passes must not index
-/// the columns.
+/// the offset column carries its sentinels, that every record's `ip`
+/// names a set entry of the instruction table and that every set entry's
+/// mnemonic id names a mnemonic. Returns `false` when later passes must
+/// not index the columns.
 pub(crate) fn column_shape(arena: &TraceArena, col: &mut Collector) -> bool {
     let raw = arena.raw();
     let n = raw.ip.len();
     let before = col.out.len();
-    let per_record: [(&'static str, usize); 4] = [
-        ("mnemonic_id", raw.mnemonic_id.len()),
-        ("section", raw.section.len()),
-        ("kind_flags", raw.kind_flags.len()),
-        ("reg_deps", raw.reg_deps.len()),
-    ];
-    for (column, len) in per_record {
-        if len != n {
-            col.push(InvariantViolation::ColumnBroken {
-                column,
-                index: len,
-                detail: "length differs from the record count",
-            });
-        }
+    if raw.section.len() != n {
+        col.push(InvariantViolation::ColumnBroken {
+            column: "section",
+            index: raw.section.len(),
+            detail: "length differs from the record count",
+        });
     }
     if raw.dep_off.len() != n + 1 {
         col.push(InvariantViolation::ColumnBroken {
@@ -85,12 +78,25 @@ pub(crate) fn column_shape(arena: &TraceArena, col: &mut Collector) -> bool {
             });
         }
     }
-    for (seq, &id) in raw.mnemonic_id.iter().enumerate() {
-        if id as usize >= raw.mnemonics.len() {
+    for (seq, &ip) in raw.ip.iter().enumerate() {
+        if raw
+            .insns
+            .get(ip as usize)
+            .is_none_or(|entry| *entry == InsnEntry::UNSET)
+        {
             col.push(InvariantViolation::ColumnBroken {
-                column: "mnemonic_id",
+                column: "ip",
                 index: seq,
-                detail: "id points past the mnemonic table",
+                detail: "names no entry of the instruction table",
+            });
+        }
+    }
+    for (ip, entry) in raw.insns.iter().enumerate() {
+        if *entry != InsnEntry::UNSET && entry.mnemonic_id() as usize >= raw.mnemonics.len() {
+            col.push(InvariantViolation::ColumnBroken {
+                column: "insns",
+                index: ip,
+                detail: "mnemonic id points past the mnemonic table",
             });
         }
     }
@@ -168,7 +174,7 @@ pub(crate) fn deps(arena: &TraceArena, col: &mut Collector) {
     for seq in 0..n {
         let start = raw.dep_off[seq] as usize;
         let end = raw.dep_off[seq + 1] as usize;
-        let reg = raw.reg_deps[seq] as usize;
+        let reg = raw.insns[raw.ip[seq] as usize].reg_deps();
         if start > end || end > raw.deps.len() || reg > end - start {
             col.push(InvariantViolation::DepSliceBroken {
                 seq,

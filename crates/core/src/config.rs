@@ -57,10 +57,10 @@ pub struct SimConfig {
     /// table and the per-row accessors
     /// ([`crate::SimResult::section_timings`], `format_figure10`) are
     /// empty. Stats-only runs keep none of the table's columns: the
-    /// resolver's `u32` `fd`/`ew`/`ret` columns and the 7 B/instruction a
-    /// recording run copies from the arena, 19 B/instruction in all,
-    /// cutting the simulator's per-instruction resident state from ~24
-    /// to ~5 bytes on `synth_histogram` (~31 to ~12 on `fan_chain`) —
+    /// resolver's `u32` `fd`/`ew`/`ret` columns and the `ip` column a
+    /// recording run copies from the arena, 16 B/instruction in all,
+    /// cutting the simulator's per-instruction resident state from ~21
+    /// to ~5 bytes on `synth_histogram` (~28 to ~12 on `fan_chain`) —
     /// the switch that lets 100M-instruction chip-scale cells fit. On by
     /// default.
     pub record_timings: bool,
@@ -189,6 +189,28 @@ impl SimConfig {
         }
     }
 
+    /// The NoC's longest transit, `base_latency + per_hop_latency × the
+    /// topology's diameter`; `None` when it overflows a `u64`.
+    fn longest_transit(&self) -> Option<u64> {
+        self.noc
+            .per_hop_latency
+            .checked_mul(self.effective_topology().diameter() as u64)
+            .and_then(|hops| hops.checked_add(self.noc.base_latency))
+    }
+
+    /// The longest single latency one event of a run over `sections`
+    /// sections is charged: the DMH latency, or one leg of a renaming
+    /// exchange — the NoC's longest transit plus `per_section_hop` for
+    /// every section the backward walk can cross. Saturates instead of
+    /// overflowing.
+    pub(crate) fn longest_charge(&self, sections: usize) -> u64 {
+        let leg = self
+            .longest_transit()
+            .unwrap_or(u64::MAX)
+            .saturating_add(self.per_section_hop.saturating_mul(sections as u64));
+        self.dmh_latency.max(leg)
+    }
+
     /// Checks the configuration.
     ///
     /// # Errors
@@ -219,15 +241,10 @@ impl SimConfig {
                 self.cores
             ));
         }
-        let noc = self
-            .noc
-            .per_hop_latency
-            .checked_mul(self.effective_topology().diameter() as u64)
-            .and_then(|hops| hops.checked_add(self.noc.base_latency));
         for (what, latency) in [
             ("dmh_latency", Some(self.dmh_latency)),
             ("per_section_hop", Some(self.per_section_hop)),
-            ("the NoC's longest transit", noc),
+            ("the NoC's longest transit", self.longest_transit()),
         ] {
             if latency.is_none_or(|cycles| cycles >= CYCLE_LIMIT) {
                 return Err(format!(

@@ -396,9 +396,9 @@ mod tests {
     /// producer record's.
     fn deps_arena(records: &[(usize, Vec<SourceDep>)]) -> parsecs_trace::TraceArena {
         let mut arena = parsecs_trace::TraceArena::new();
-        for (section, reg_sources) in records {
+        for (seq, (section, reg_sources)) in records.iter().enumerate() {
             arena.push_record(
-                0,
+                seq,
                 "movq",
                 SectionId(*section),
                 parsecs_machine::TraceKind::Other,

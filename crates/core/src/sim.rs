@@ -134,12 +134,12 @@ impl SimResult {
     /// resolver columns, the per-section cursors (retirement, stall
     /// resume, fork map, placement) and the result views (stage table,
     /// section spans, outputs). The number that, added to
-    /// [`SimStats::trace_arena_bytes`] (21–28 bytes per instruction on
+    /// [`SimStats::trace_arena_bytes`] (17–24 bytes per instruction on
     /// the benchmark programs, validated or not: there is one arena
     /// kind), caps how many instructions a chip-scale run can hold
     /// resident; a stats-only run keeps no stage
-    /// columns, cutting this from ~24 to ~5 bytes per instruction on
-    /// `synth_histogram` (~31 to ~12 on `fan_chain`, whose many sections
+    /// columns, cutting this from ~21 to ~5 bytes per instruction on
+    /// `synth_histogram` (~28 to ~12 on `fan_chain`, whose many sections
     /// add per-section cursors). The stats-only resolver term is
     /// `n * 4`: the tagged `u32` completion column. Derived from logical
     /// sizes (transient
@@ -288,10 +288,16 @@ impl ManyCoreSim {
         }
 
         let mut cycle: u64 = 0;
-        // The convergence guard, capped at the cycle domain: a clock that
-        // reaches the domain is refused as a capacity limit, not as a
-        // divergence.
-        let safety = (200 * n as u64 + 10_000).min(CYCLE_LIMIT);
+        // The convergence guard: 200 cycles per instruction plus the
+        // config's longest single charge, so that long configured
+        // latencies are not taken for a divergence. It is capped at the
+        // cycle domain: a clock that reaches the domain is refused as a
+        // capacity limit, not as a divergence.
+        let allowance = 200u64.saturating_add(self.config.longest_charge(sections.len()));
+        let safety = allowance
+            .saturating_mul(n as u64)
+            .saturating_add(10_000)
+            .min(CYCLE_LIMIT);
 
         while resolver.fetched < n || resolver.resolved < n {
             // --- pick the next cycle with an event -----------------------
@@ -688,6 +694,7 @@ mod tests {
     use crate::format_figure10;
     use parsecs_isa::Program;
     use parsecs_machine::{Location, TraceKind};
+    use parsecs_trace::InsnEntry;
 
     /// The paper's running example: Figure 5 preceded by a tiny `main`.
     fn sum_fork_program(data: &[u64]) -> Program {
@@ -839,9 +846,13 @@ mod tests {
         // cycle the validator must catch before the engine runs.
         let mut arena = TraceArena::new();
         let id = arena.intern_mnemonic("bogus");
-        arena.begin_record(0, id, SectionId(0), TraceKind::Other, false, false, false);
+        arena.set_insn(
+            0,
+            InsnEntry::new(id, TraceKind::Other, false, false, false, 1),
+        );
+        arena.begin_record(0, SectionId(0));
         arena.push_dep(PackedDep::new(SourceKind::Local { producer: 0 }));
-        arena.end_record(1);
+        arena.end_record();
         arena.push_section(SectionSpan {
             id: SectionId(0),
             start: 0,
@@ -870,8 +881,12 @@ mod tests {
     fn finish_refuses_a_recording_run_with_an_unresolved_row() {
         let mut arena = TraceArena::new();
         let id = arena.intern_mnemonic("nop");
-        arena.begin_record(0, id, SectionId(0), TraceKind::Other, false, false, false);
-        arena.end_record(1);
+        arena.set_insn(
+            0,
+            InsnEntry::new(id, TraceKind::Other, false, false, false, 0),
+        );
+        arena.begin_record(0, SectionId(0));
+        arena.end_record();
         arena.push_section(SectionSpan {
             id: SectionId(0),
             start: 0,
@@ -1013,11 +1028,12 @@ mod tests {
     }
 
     /// The footprint accounting of the stage table: a recording run holds
-    /// exactly the table's documented 19 B/instruction beyond a
-    /// stats-only one (12 B of moved `u32` stage columns, 7 B copied from
-    /// the arena), plus the mnemonic table.
+    /// exactly the table's documented 16 B/instruction beyond a
+    /// stats-only one (12 B of moved `u32` stage columns, the 4 B `ip`
+    /// column copied from the arena), plus the instruction and mnemonic
+    /// tables.
     #[test]
-    fn the_stage_table_costs_19_bytes_per_instruction() {
+    fn the_stage_table_costs_16_bytes_per_instruction() {
         let data: Vec<u64> = (1..=64).collect();
         let arena = arena_of(&sum_fork_program(&data));
         let full = ManyCoreSim::new(SimConfig::with_cores(16))
@@ -1029,9 +1045,10 @@ mod tests {
         let n = full.stats.instructions;
         assert!(n > 500, "want a golden-sized program, got {n} instructions");
         let extra = full.sim_state_bytes() - stats.sim_state_bytes();
-        let mnemonics = std::mem::size_of_val(arena.raw().mnemonics);
-        assert_eq!(extra, 19 * n + mnemonics as u64);
-        assert_eq!(extra / n, 19);
+        let raw = arena.raw();
+        let tables = std::mem::size_of_val(raw.insns) + std::mem::size_of_val(raw.mnemonics);
+        assert_eq!(extra, 16 * n + tables as u64);
+        assert_eq!(extra / n, 16);
     }
 
     /// Rows are derived, not stored: the section, position and core come

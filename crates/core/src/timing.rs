@@ -5,7 +5,7 @@ use std::mem::size_of_val;
 
 use parsecs_noc::{CoreId, NocStats};
 use parsecs_obs::CoreBreakdown;
-use parsecs_trace::{SectionId, SectionSpan, TraceArena};
+use parsecs_trace::{InsnEntry, SectionId, SectionSpan, TraceArena};
 
 use crate::drain::{INCOMPLETE, UNKNOWN};
 use crate::SimResult;
@@ -72,10 +72,11 @@ impl InstTiming {
 /// cycle in them lies in the resolver's cycle domain (below 2^30), and a
 /// row widens it to the `u64` of [`InstTiming`]. The rest is copied from
 /// the arena because the result does not hold it: the static instruction
-/// index (4 B), the interned mnemonic id (2 B) and whether the
-/// instruction accesses data memory (1 B). A recording run therefore
-/// holds 19 B/instruction more than a stats-only one, plus the tiny
-/// mnemonic table. `rr`, `ar` and `ma` are derived, and
+/// index (4 B), and the arena's small per-static-instruction tables — the
+/// [`InsnEntry`] table, which gives a row its mnemonic and whether it
+/// accesses data memory, and the mnemonic table. A recording run
+/// therefore holds 16 B/instruction more than a stats-only one, plus the
+/// two tiny tables. `rr`, `ar` and `ma` are derived, and
 /// `section`, `index_in_section` and `core` come from the result's
 /// sections and placement (see [`StageTable`]). Empty for a stats-only
 /// run.
@@ -86,16 +87,16 @@ pub(crate) struct StageColumns {
     ret: Vec<u32>,
     complete: Vec<u32>,
     ip: Vec<u32>,
-    mnemonic_id: Vec<u16>,
+    insns: Vec<InsnEntry>,
     mnemonics: Vec<&'static str>,
-    mem: Vec<bool>,
 }
 
 impl StageColumns {
     /// Takes over the resolver's `[fd, ew, ret, complete]` columns and
-    /// copies the per-record facts a row needs from `arena`. `None` when
-    /// any cycle is still a sentinel: the run left an instruction
-    /// unresolved, and sentinels must never reach a reported row.
+    /// copies the `ip` column and the small tables a row needs from
+    /// `arena`. `None` when any cycle is still a sentinel: the run left
+    /// an instruction unresolved, and sentinels must never reach a
+    /// reported row.
     pub(crate) fn record(
         arena: &TraceArena,
         [fd, ew, ret, complete]: [Vec<u32>; 4],
@@ -118,11 +119,8 @@ impl StageColumns {
             ret,
             complete,
             ip: raw.ip.to_vec(),
-            mnemonic_id: raw.mnemonic_id.to_vec(),
+            insns: raw.insns.to_vec(),
             mnemonics: raw.mnemonics.to_vec(),
-            mem: (0..arena.len())
-                .map(|seq| arena.is_load(seq) || arena.is_store(seq))
-                .collect(),
         })
     }
 
@@ -134,9 +132,8 @@ impl StageColumns {
             + size_of_val(self.ret.as_slice())
             + size_of_val(self.complete.as_slice())
             + size_of_val(self.ip.as_slice())
-            + size_of_val(self.mnemonic_id.as_slice())
-            + size_of_val(self.mnemonics.as_slice())
-            + size_of_val(self.mem.as_slice())) as u64
+            + size_of_val(self.insns.as_slice())
+            + size_of_val(self.mnemonics.as_slice())) as u64
     }
 }
 
@@ -200,12 +197,14 @@ impl<'a> StageTable<'a> {
     fn row(&self, span: &SectionSpan, seq: usize) -> InstTiming {
         let columns = self.columns;
         let (fd, ew) = (u64::from(columns.fd[seq]), u64::from(columns.ew[seq]));
-        let mem = columns.mem[seq];
+        let ip = columns.ip[seq] as usize;
+        let entry = columns.insns[ip];
+        let mem = entry.is_load() || entry.is_store();
         InstTiming {
             seq,
             index_in_section: seq - span.start,
-            ip: columns.ip[seq] as usize,
-            mnemonic: columns.mnemonics[columns.mnemonic_id[seq] as usize],
+            ip,
+            mnemonic: columns.mnemonics[entry.mnemonic_id() as usize],
             section: span.id,
             core: self.core_of[span.id.0],
             fd,

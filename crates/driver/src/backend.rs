@@ -317,7 +317,7 @@ mod tests {
     fn validated_runs_refuse_every_shape_of_renaming_error() {
         use parsecs_check::InvariantViolation;
         use parsecs_machine::{Location, TraceKind, TraceStep};
-        use parsecs_trace::{PackedDep, SourceKind, StreamingSectioner};
+        use parsecs_trace::{InsnEntry, PackedDep, SourceKind, StreamingSectioner};
 
         let rax = [Location::Reg(parsecs_isa::Reg::Rax)];
         let rbx = [Location::Reg(parsecs_isa::Reg::Rbx)];
@@ -369,7 +369,7 @@ mod tests {
         for (stream, claimed, actual) in shapes {
             let mut check = LocationCheck::new(StreamingSectioner::new());
             for (step, deps) in &stream {
-                check.check(step, deps, deps.len());
+                check.check(step, deps, InsnEntry::of_step(step, 0), step.mnemonic);
             }
             let Err(SimError::Invariant(report)) = refuse_renaming_errors(check.finish(vec![]))
             else {
@@ -424,10 +424,11 @@ mod tests {
         assert!(!stats.timings_recorded);
         assert!(stats.timings().is_empty());
         // The footprint accounting reflects the dropped columns: the
-        // stage table's 19 B per instruction, plus its mnemonic table.
+        // stage table's 16 B per instruction, plus its instruction and
+        // mnemonic tables.
         let (full_state, stats_state) = (full.sim_state_bytes(), stats.sim_state_bytes());
         assert!(
-            stats_state + 19 * full.stats.instructions <= full_state,
+            stats_state + 16 * full.stats.instructions <= full_state,
             "stats-only state {stats_state} should be the table's bytes below full {full_state}"
         );
         assert!(stats.total_bytes_per_instruction() > 0.0);

@@ -15,7 +15,7 @@ pub enum ReportDetail {
     Ilp(IlpResult),
     /// The full per-instruction timing of the many-core simulator
     /// (boxed to keep every report small; a recording run's stage table
-    /// is columnar, 19 B/instruction more than a stats-only run, and
+    /// is columnar, 16 B/instruction more than a stats-only run, and
     /// `SimResult::timings` builds its rows on demand). For a
     /// **stats-only** run (`SimConfig::record_timings` off) the stage
     /// table is empty (`SimResult::timings_recorded` is false) —

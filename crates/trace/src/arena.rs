@@ -7,8 +7,17 @@
 //! flattened into **one shared slice**, indexed by `(offset, len)`
 //! ranges. Nothing in the arena is pointer-chased and
 //! nothing allocates per instruction, which is what lets 10M+-instruction
-//! runs fit: the arena costs well under 120 bytes per instruction where
-//! the record-per-instruction representation costs ~250–350.
+//! runs fit: the arena costs 17–24 bytes per instruction on the
+//! benchmark programs where the record-per-instruction representation
+//! costs ~250–350.
+//!
+//! A record stores only what the run decides: its static instruction
+//! index (`ip`), its section and its dependence offset, 12 bytes, plus 4
+//! per dependence. What the program fixes — the mnemonic, the
+//! [`TraceKind`], the control/load/store flags and how many of the
+//! dependences are register-class — is the same on every execution of a
+//! static instruction, so it is stored once per static instruction, in a
+//! table of 4-byte [`InsnEntry`]s that the `ip` column indexes.
 //!
 //! A [`PackedDep`] squeezes a source dependence's producer and provenance
 //! into 4 bytes: the producer's trace index, its top bit set when the
@@ -24,7 +33,7 @@
 //! `LocationCheck` sink beside the sectioner, not replayed from stored
 //! columns afterwards.
 
-use parsecs_machine::{Location, TraceKind};
+use parsecs_machine::{Location, TraceKind, TraceStep};
 
 use crate::{SectionId, SectionSpan, SourceDep, SourceKind, TraceError};
 
@@ -138,37 +147,39 @@ impl PackedDep {
 /// are well-formed; a validator cannot, so [`TraceArena::raw`] hands out
 /// the flat slices for bounds-checked inspection.
 ///
-/// Layout contract (what `parsecs-check` verifies): `ip`, `mnemonic_id`,
-/// `section`, `kind_flags` and `reg_deps` have one entry per record;
-/// `dep_off` has one per record plus a trailing sentinel equal to the
-/// shared slice's length; record `i`'s dependences are
-/// `deps[dep_off[i]..dep_off[i + 1]]`, the first `reg_deps[i]` of them
-/// register-class.
+/// Layout contract (what `parsecs-check` verifies): `ip` and `section`
+/// have one entry per record; `dep_off` has one per record plus a
+/// trailing sentinel equal to the shared slice's length; every record's
+/// `ip` names a set entry of `insns`, whose mnemonic id names an entry of
+/// `mnemonics`; record `i`'s dependences are
+/// `deps[dep_off[i]..dep_off[i + 1]]`, the first
+/// `insns[ip[i]].reg_deps()` of them register-class.
 #[derive(Debug, Clone, Copy)]
 pub struct RawColumns<'a> {
     /// Static instruction index per record.
     pub ip: &'a [u32],
-    /// Mnemonic-table id per record.
-    pub mnemonic_id: &'a [u16],
     /// Section id per record.
     pub section: &'a [u32],
-    /// Packed [`TraceKind`] + control/load/store flags per record.
-    pub kind_flags: &'a [u8],
     /// Offsets into `deps` (one per record, plus a trailing sentinel).
     pub dep_off: &'a [u32],
-    /// Register-class prefix length of each record's dep slice.
-    pub reg_deps: &'a [u8],
     /// The shared dependence slice.
     pub deps: &'a [PackedDep],
+    /// The entry of each static instruction index, [`InsnEntry::UNSET`]
+    /// for one no record executes.
+    pub insns: &'a [InsnEntry],
     /// The interned mnemonic table.
     pub mnemonics: &'a [&'static str],
 }
 
-/// Per-record `kind_flags` layout: low three bits [`TraceKind`], then the
-/// control/load/store flags.
+/// `flags` layout of an [`InsnEntry`]: low three bits [`TraceKind`], then
+/// the control/load/store flags.
 const FLAG_CONTROL: u8 = 1 << 3;
 const FLAG_LOAD: u8 = 1 << 4;
 const FLAG_STORE: u8 = 1 << 5;
+
+/// The mnemonic id of [`InsnEntry::UNSET`]; [`TraceArena::intern_mnemonic`]
+/// never hands it out.
+const NO_MNEMONIC: u16 = u16::MAX;
 
 #[inline]
 fn pack_kind(kind: TraceKind) -> u8 {
@@ -194,6 +205,109 @@ fn unpack_kind(packed: u8) -> TraceKind {
     }
 }
 
+/// What a static instruction fixes for every record that executes it, in
+/// 4 bytes: its mnemonic's id in the arena's mnemonic table, its
+/// [`TraceKind`], whether it is a control-flow instruction, loads or
+/// stores data memory, and how many of its reads are register-class
+/// (registers and the flags; the rest are memory words).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InsnEntry {
+    mnemonic_id: u16,
+    flags: u8,
+    reg_deps: u8,
+}
+
+impl InsnEntry {
+    /// The entry of a static instruction no record executes.
+    pub const UNSET: InsnEntry = InsnEntry {
+        mnemonic_id: NO_MNEMONIC,
+        flags: 0,
+        reg_deps: 0,
+    };
+
+    /// Packs one static instruction's facts.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the instruction reads 256 or more register-class
+    /// locations (no instruction of the ISA reads more than a handful).
+    pub fn new(
+        mnemonic_id: u16,
+        kind: TraceKind,
+        is_control: bool,
+        is_load: bool,
+        is_store: bool,
+        reg_deps: usize,
+    ) -> InsnEntry {
+        let mut flags = pack_kind(kind);
+        if is_control {
+            flags |= FLAG_CONTROL;
+        }
+        if is_load {
+            flags |= FLAG_LOAD;
+        }
+        if is_store {
+            flags |= FLAG_STORE;
+        }
+        InsnEntry {
+            mnemonic_id,
+            flags,
+            reg_deps: u8::try_from(reg_deps).expect("fewer than 256 register-class sources"),
+        }
+    }
+
+    /// The entry of the static instruction `step` executes, its mnemonic
+    /// interned as `mnemonic_id`: a memory-word read makes it a load and
+    /// a written memory word a store.
+    pub fn of_step(step: &TraceStep<'_>, mnemonic_id: u16) -> InsnEntry {
+        InsnEntry::new(
+            mnemonic_id,
+            step.kind,
+            step.is_control,
+            step.reads.iter().any(Location::is_mem),
+            step.writes.iter().any(Location::is_mem),
+            step.reads.iter().filter(|loc| !loc.is_mem()).count(),
+        )
+    }
+
+    /// The mnemonic's id in the arena's mnemonic table.
+    #[inline]
+    pub fn mnemonic_id(&self) -> u16 {
+        self.mnemonic_id
+    }
+
+    /// Classification.
+    #[inline]
+    pub fn kind(&self) -> TraceKind {
+        unpack_kind(self.flags)
+    }
+
+    /// Whether the instruction changes control flow.
+    #[inline]
+    pub fn is_control(&self) -> bool {
+        self.flags & FLAG_CONTROL != 0
+    }
+
+    /// Whether the instruction loads from data memory.
+    #[inline]
+    pub fn is_load(&self) -> bool {
+        self.flags & FLAG_LOAD != 0
+    }
+
+    /// Whether the instruction stores to data memory.
+    #[inline]
+    pub fn is_store(&self) -> bool {
+        self.flags & FLAG_STORE != 0
+    }
+
+    /// How many of a record's dependences, the first ones, are
+    /// register-class.
+    #[inline]
+    pub fn reg_deps(&self) -> usize {
+        self.reg_deps as usize
+    }
+}
+
 /// The sectioned, dependence-annotated trace of one program run, stored
 /// as flat columns (see the module docs).
 ///
@@ -205,15 +319,15 @@ fn unpack_kind(packed: u8) -> TraceKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceArena {
     ip: Vec<u32>,
-    mnemonic_id: Vec<u16>,
     section: Vec<u32>,
-    kind_flags: Vec<u8>,
     /// `deps` range of record `i` is `dep_off[i]..dep_off[i + 1]`; the
-    /// first `reg_deps[i]` entries are the register/flags sources, the
-    /// rest the memory sources.
+    /// first `insns[ip[i]].reg_deps()` entries are the register/flags
+    /// sources, the rest the memory sources.
     dep_off: Vec<u32>,
-    reg_deps: Vec<u8>,
     deps: Vec<PackedDep>,
+    /// One entry per static instruction index up to the largest a record
+    /// executes.
+    insns: Vec<InsnEntry>,
     mnemonics: Vec<&'static str>,
     sections: Vec<SectionSpan>,
     outputs: Vec<u64>,
@@ -232,12 +346,10 @@ impl TraceArena {
     pub fn new() -> TraceArena {
         TraceArena {
             ip: Vec::new(),
-            mnemonic_id: Vec::new(),
             section: Vec::new(),
-            kind_flags: Vec::new(),
             dep_off: vec![0],
-            reg_deps: Vec::new(),
             deps: Vec::new(),
+            insns: Vec::new(),
             mnemonics: Vec::new(),
             sections: Vec::new(),
             outputs: Vec::new(),
@@ -245,26 +357,25 @@ impl TraceArena {
     }
 
     /// Reserves every per-record column once for a run of at most `fuel`
-    /// records, and the shared slice for `max_reads` dependences per
-    /// record — each clamped to the packed-index capacities. A capacity hint only: a refused
+    /// records, the shared slice for `max_reads` dependences per
+    /// record — each clamped to the packed-index capacities — and the
+    /// instruction table for `insns` entries. A capacity hint only: a refused
     /// reservation is ignored and that column then grows on demand, so
     /// the arena's contents never depend on it. Untouched reserved space
     /// is address space, not resident memory, and
     /// [`TraceArena::shrink_to_fit`] releases it in place.
-    pub(crate) fn reserve_for_run(&mut self, fuel: u64, max_reads: usize) {
+    pub(crate) fn reserve_for_run(&mut self, fuel: u64, max_reads: usize, insns: usize) {
         fn reserve<T>(column: &mut Vec<T>, additional: u64) {
             // `additional` is clamped to a `u32` capacity, so it fits.
             let _ = column.try_reserve_exact(additional as usize);
         }
         let records = fuel.min(MAX_RECORDS);
         reserve(&mut self.ip, records);
-        reserve(&mut self.mnemonic_id, records);
         reserve(&mut self.section, records);
-        reserve(&mut self.kind_flags, records);
         reserve(&mut self.dep_off, records);
-        reserve(&mut self.reg_deps, records);
         let deps = records.saturating_mul(max_reads as u64).min(MAX_DEPS);
         reserve(&mut self.deps, deps);
+        reserve(&mut self.insns, insns as u64);
     }
 
     /// Checks that one more record with `new_deps` dependences fits the
@@ -305,10 +416,22 @@ impl TraceArena {
         self.ip[seq] as usize
     }
 
+    /// The [`InsnEntry`] of record `seq`'s static instruction.
+    #[inline]
+    fn entry(&self, seq: usize) -> InsnEntry {
+        self.insns[self.ip[seq] as usize]
+    }
+
+    /// Whether static instruction `ip` has a set entry.
+    #[inline]
+    pub(crate) fn has_insn(&self, ip: usize) -> bool {
+        self.insns.get(ip).is_some_and(|e| *e != InsnEntry::UNSET)
+    }
+
     /// Mnemonic of record `seq`.
     #[inline]
     pub fn mnemonic(&self, seq: usize) -> &'static str {
-        self.mnemonics[self.mnemonic_id[seq] as usize]
+        self.mnemonics[self.entry(seq).mnemonic_id as usize]
     }
 
     /// Section of record `seq`.
@@ -327,38 +450,38 @@ impl TraceArena {
     /// Classification of record `seq`.
     #[inline]
     pub fn kind(&self, seq: usize) -> TraceKind {
-        unpack_kind(self.kind_flags[seq])
+        self.entry(seq).kind()
     }
 
     /// Whether record `seq` is a control-flow instruction.
     #[inline]
     pub fn is_control(&self, seq: usize) -> bool {
-        self.kind_flags[seq] & FLAG_CONTROL != 0
+        self.entry(seq).is_control()
     }
 
     /// Whether record `seq` loads from data memory.
     #[inline]
     pub fn is_load(&self, seq: usize) -> bool {
-        self.kind_flags[seq] & FLAG_LOAD != 0
+        self.entry(seq).is_load()
     }
 
     /// Whether record `seq` stores to data memory.
     #[inline]
     pub fn is_store(&self, seq: usize) -> bool {
-        self.kind_flags[seq] & FLAG_STORE != 0
+        self.entry(seq).is_store()
     }
 
     /// The register and flags sources of record `seq`.
     #[inline]
     pub fn reg_sources(&self, seq: usize) -> &[PackedDep] {
         let start = self.dep_off[seq] as usize;
-        &self.deps[start..start + self.reg_deps[seq] as usize]
+        &self.deps[start..start + self.entry(seq).reg_deps()]
     }
 
     /// The memory-word sources of record `seq`.
     #[inline]
     pub fn mem_sources(&self, seq: usize) -> &[PackedDep] {
-        let start = self.dep_off[seq] as usize + self.reg_deps[seq] as usize;
+        let start = self.dep_off[seq] as usize + self.entry(seq).reg_deps();
         &self.deps[start..self.dep_off[seq + 1] as usize]
     }
 
@@ -398,12 +521,10 @@ impl TraceArena {
         use std::mem::size_of;
         size_of::<TraceArena>()
             + self.ip.capacity() * size_of::<u32>()
-            + self.mnemonic_id.capacity() * size_of::<u16>()
             + self.section.capacity() * size_of::<u32>()
-            + self.kind_flags.capacity()
             + self.dep_off.capacity() * size_of::<u32>()
-            + self.reg_deps.capacity()
             + self.deps.capacity() * size_of::<PackedDep>()
+            + self.insns.capacity() * size_of::<InsnEntry>()
             + self.mnemonics.capacity() * size_of::<&'static str>()
             + self.sections.capacity() * size_of::<SectionSpan>()
             + self.outputs.capacity() * size_of::<u64>()
@@ -415,12 +536,10 @@ impl TraceArena {
     /// grew on demand, which may cost one copy of that column.
     pub fn shrink_to_fit(&mut self) {
         self.ip.shrink_to_fit();
-        self.mnemonic_id.shrink_to_fit();
         self.section.shrink_to_fit();
-        self.kind_flags.shrink_to_fit();
         self.dep_off.shrink_to_fit();
-        self.reg_deps.shrink_to_fit();
         self.deps.shrink_to_fit();
+        self.insns.shrink_to_fit();
         self.mnemonics.shrink_to_fit();
         self.sections.shrink_to_fit();
         self.outputs.shrink_to_fit();
@@ -432,12 +551,10 @@ impl TraceArena {
     pub fn raw(&self) -> RawColumns<'_> {
         RawColumns {
             ip: &self.ip,
-            mnemonic_id: &self.mnemonic_id,
             section: &self.section,
-            kind_flags: &self.kind_flags,
             dep_off: &self.dep_off,
-            reg_deps: &self.reg_deps,
             deps: &self.deps,
+            insns: &self.insns,
             mnemonics: &self.mnemonics,
         }
     }
@@ -459,8 +576,8 @@ impl TraceArena {
     // ------------------------------------------------------------------
 
     /// Interns a mnemonic, returning its table id. The table stays tiny
-    /// (one entry per distinct mnemonic), so the scan is cheap; hot
-    /// producers cache ids per static instruction instead.
+    /// (one entry per distinct mnemonic), so the scan is cheap; it runs
+    /// once per static instruction, when its entry is set.
     pub fn intern_mnemonic(&mut self, mnemonic: &'static str) -> u16 {
         if let Some(found) = self
             .mnemonics
@@ -469,7 +586,10 @@ impl TraceArena {
         {
             return found as u16;
         }
-        let id = u16::try_from(self.mnemonics.len()).expect("fewer than 65536 mnemonics");
+        let id = u16::try_from(self.mnemonics.len())
+            .ok()
+            .filter(|&id| id != NO_MNEMONIC)
+            .expect("fewer than 65535 mnemonics");
         self.mnemonics.push(mnemonic);
         id
     }
@@ -480,6 +600,14 @@ impl TraceArena {
     /// the sequential analysis derives them. Of the locations only those
     /// two flags are kept: each source's [`SourceDep::location`] and the
     /// `writes` themselves are not stored.
+    ///
+    /// The first record of static instruction `ip` sets its
+    /// [`InsnEntry`]; every later one must agree with it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the record's mnemonic, kind, flags or register-class
+    /// source count differ from an earlier record of the same `ip`.
     #[allow(clippy::too_many_arguments)]
     pub fn push_record(
         &mut self,
@@ -492,21 +620,30 @@ impl TraceArena {
         mem_sources: &[SourceDep],
         writes: &[Location],
     ) {
-        let mnemonic_id = self.intern_mnemonic(mnemonic);
-        let is_store = writes.iter().any(Location::is_mem);
-        self.begin_record(
-            ip,
-            mnemonic_id,
-            SectionId(section.0),
+        let entry = InsnEntry::new(
+            self.intern_mnemonic(mnemonic),
             kind,
             is_control,
             !mem_sources.is_empty(),
-            is_store,
+            writes.iter().any(Location::is_mem),
+            reg_sources.len(),
         );
+        if self.has_insn(ip) {
+            let set = self.insns[ip];
+            assert!(
+                set == entry,
+                "record {} disagrees with the entry of static instruction {ip}: {entry:?}, \
+                 set as {set:?}",
+                self.len()
+            );
+        } else {
+            self.set_insn(ip, entry);
+        }
+        self.begin_record(ip, section);
         for dep in reg_sources.iter().chain(mem_sources) {
             self.push_dep(PackedDep::new(dep.kind));
         }
-        self.end_record(reg_sources.len());
+        self.end_record();
     }
 
     /// Appends the next section span. Spans must arrive in total order
@@ -525,27 +662,29 @@ impl TraceArena {
     // public so external corpora — notably the `parsecs-check` mutation
     // tests — can assemble arenas the record-level surface refuses to).
 
+    /// Sets (or replaces) the entry of static instruction `ip`, growing
+    /// the table with [`InsnEntry::UNSET`] entries as needed. Every record
+    /// of `ip`, earlier and later, reads its static facts from it.
+    pub fn set_insn(&mut self, ip: usize, entry: InsnEntry) {
+        if ip >= self.insns.len() {
+            self.insns.resize(ip + 1, InsnEntry::UNSET);
+        }
+        self.insns[ip] = entry;
+    }
+
     /// Opens one record at the column level: pushes the fixed-width
     /// per-record columns and nothing else. Pair with
     /// [`TraceArena::end_record`]; push the record's dependences in
-    /// between. The record-level
+    /// between, register-class ones first, and set `ip`'s entry with
+    /// [`TraceArena::set_insn`]. The record-level
     /// [`TraceArena::push_record`] is the convenient surface; this one
     /// exists for streaming producers that already hold packed deps, and
-    /// performs **no** capacity checks (callers check
+    /// performs **no** checks (callers check
     /// [`crate::TraceError::CapacityExceeded`] conditions up front, as
-    /// the streaming sectioner does) — an unclosed or overflowed record
-    /// is caught by `parsecs-check`, not here.
-    #[allow(clippy::too_many_arguments)]
-    pub fn begin_record(
-        &mut self,
-        ip: usize,
-        mnemonic_id: u16,
-        section: SectionId,
-        kind: TraceKind,
-        is_control: bool,
-        is_load: bool,
-        is_store: bool,
-    ) {
+    /// the streaming sectioner does) — an unclosed or overflowed record,
+    /// or one whose `ip` has no entry, is caught by `parsecs-check`, not
+    /// here.
+    pub fn begin_record(&mut self, ip: usize, section: SectionId) {
         debug_assert!(
             (self.ip.len() as u64) < MAX_RECORDS,
             "trace arena supports at most {MAX_RECORDS} instructions"
@@ -556,35 +695,20 @@ impl TraceArena {
         );
         self.ip
             .push(u32::try_from(ip).expect("static index fits u32"));
-        self.mnemonic_id.push(mnemonic_id);
         self.section.push(section.0 as u32);
-        let mut flags = pack_kind(kind);
-        if is_control {
-            flags |= FLAG_CONTROL;
-        }
-        if is_load {
-            flags |= FLAG_LOAD;
-        }
-        if is_store {
-            flags |= FLAG_STORE;
-        }
-        self.kind_flags.push(flags);
     }
 
     /// Appends one dependence of the record being built, stored verbatim
-    /// (register-class deps first, then memory deps; `end_record` fixes
-    /// the split).
+    /// (register-class deps first, then memory deps; the record's
+    /// [`InsnEntry`] fixes the split).
     #[inline]
     pub fn push_dep(&mut self, dep: PackedDep) {
         self.deps.push(dep);
     }
 
-    /// Closes the record opened by `begin_record`, recording how many of
-    /// the deps pushed since then are register-class sources.
+    /// Closes the record opened by `begin_record`.
     #[inline]
-    pub fn end_record(&mut self, reg_dep_count: usize) {
-        self.reg_deps
-            .push(u8::try_from(reg_dep_count).expect("fewer than 256 register-class sources"));
+    pub fn end_record(&mut self) {
         self.dep_off
             .push(u32::try_from(self.deps.len()).expect("dep slice fits u32 offsets"));
     }
@@ -650,5 +774,65 @@ mod tests {
         assert!(arena.is_load(0) && arena.is_store(0));
         assert_eq!(arena.mem_sources(0), &[PackedDep::new(dep.kind)]);
         assert!(arena.reg_sources(0).is_empty());
+    }
+
+    /// A static instruction's facts are stored once: a second record of
+    /// the same `ip` reads them from the entry the first one set, and
+    /// one that disagrees with it is refused.
+    #[test]
+    #[should_panic(expected = "record 1 disagrees with the entry of static instruction 3")]
+    fn push_record_refuses_a_record_that_disagrees_with_its_entry() {
+        let mut arena = TraceArena::new();
+        let flags = SourceDep {
+            location: Location::Flags,
+            kind: SourceKind::InitialRegister,
+        };
+        let jne = |arena: &mut TraceArena, reads: &[SourceDep]| {
+            arena.push_record(
+                3,
+                "jne",
+                SectionId(0),
+                TraceKind::Other,
+                true,
+                reads,
+                &[],
+                &[],
+            );
+        };
+        jne(&mut arena, &[flags]);
+        assert_eq!(arena.raw().insns.len(), 4);
+        assert_eq!(arena.raw().insns[..3], [InsnEntry::UNSET; 3]);
+        assert!(arena.is_control(0) && !arena.is_load(0));
+        assert_eq!(arena.reg_sources(0).len(), 1);
+        jne(&mut arena, &[]);
+    }
+
+    #[test]
+    fn an_entry_packs_into_four_bytes_and_round_trips() {
+        assert_eq!(std::mem::size_of::<InsnEntry>(), 4);
+        let kinds = [
+            TraceKind::Other,
+            TraceKind::Call,
+            TraceKind::Ret,
+            TraceKind::Fork,
+            TraceKind::EndFork,
+            TraceKind::Halt,
+        ];
+        for (i, kind) in kinds.into_iter().enumerate() {
+            let bits = |b: usize| i & b != 0;
+            let entry = InsnEntry::new(i as u16, kind, bits(1), bits(2), bits(4), 255 - i);
+            assert_eq!(
+                (
+                    entry.mnemonic_id(),
+                    entry.kind(),
+                    entry.is_control(),
+                    entry.is_load(),
+                    entry.is_store(),
+                    entry.reg_deps()
+                ),
+                (i as u16, kind, bits(1), bits(2), bits(4), 255 - i)
+            );
+            assert_ne!(entry, InsnEntry::UNSET);
+        }
     }
 }

@@ -14,10 +14,11 @@
 //! the sequential analysis), the streaming pipeline:
 //!
 //! * never builds an intermediate trace (two `Vec`s per instruction);
-//! * keeps the per-instruction metadata in flat columns and the
+//! * keeps 12 bytes of per-record columns, what each static
+//!   instruction fixes once in a table of 4-byte entries, the
 //!   dependences in **one shared 4-byte-packed slice** indexed by
 //!   `(offset, len)` ranges, and no architectural location at all —
-//!   21–28 bytes per instruction on the benchmark programs, where the
+//!   17–24 bytes per instruction on the benchmark programs, where the
 //!   record representation costs ~250–350;
 //! * looks registers up in a flat array and memory words in a
 //!   multiply-shift-hashed table, instead of SipHashing `Location` keys.
@@ -54,7 +55,7 @@ mod error;
 mod section;
 mod stream;
 
-pub use arena::{PackedDep, RawColumns, TraceArena};
+pub use arena::{InsnEntry, PackedDep, RawColumns, TraceArena};
 pub use error::TraceError;
 pub use section::{SectionId, SectionSpan, SourceDep, SourceKind};
 pub use stream::{AddrHasher, StreamingSectioner};
@@ -328,11 +329,15 @@ mod tests {
         assert_eq!(std::mem::size_of::<PackedDep>(), 4);
         // The words round-trip through the arena's dependence column.
         let mut arena = TraceArena::new();
-        arena.begin_record(0, 0, SectionId(0), TraceKind::Other, false, true, false);
+        arena.set_insn(
+            0,
+            InsnEntry::new(0, TraceKind::Other, false, true, false, kinds.len()),
+        );
+        arena.begin_record(0, SectionId(0));
         for &kind in &kinds {
             arena.push_dep(PackedDep::new(kind));
         }
-        arena.end_record(kinds.len());
+        arena.end_record();
         assert!(arena.sources(0).iter().map(PackedDep::kind).eq(kinds));
     }
 
@@ -371,17 +376,33 @@ mod tests {
         assert_eq!(arena.name(0), "1-1");
     }
 
+    /// A finished arena holds 12 bytes per record (`ip`, `section`,
+    /// `dep_off`) and 4 per dependence, plus the offset sentinel, the
+    /// instruction table, the mnemonic table, the spans and the outputs:
+    /// nothing per record beyond what the run decides.
     #[test]
-    fn memory_accounting_is_far_below_the_record_representation() {
+    fn a_finished_arena_holds_12_bytes_per_record_and_4_per_dependence() {
+        use std::mem::{size_of, size_of_val};
         let data: Vec<u64> = (1..=40).collect();
-        let arena = TraceArena::from_program(&sum_fork_program(&data), 1_000_000).unwrap();
-        assert!(arena.len() > 300);
-        let per_insn = arena.bytes_per_instruction();
-        assert!(
-            per_insn < 120.0,
-            "arena footprint {per_insn:.1} B/insn exceeds the 120 B budget"
+        let program = sum_fork_program(&data);
+        let arena = TraceArena::from_program(&program, 1_000_000).unwrap();
+        let records = arena.len();
+        assert!(records > 300);
+        let raw = arena.raw();
+        assert!(raw.insns.len() <= program.insns().len());
+        let deps = raw.deps.len();
+        assert_eq!(deps, (0..records).map(|seq| arena.sources(seq).len()).sum());
+        assert_eq!(
+            arena.memory_bytes(),
+            size_of::<TraceArena>()
+                + 12 * records
+                + 4
+                + 4 * deps
+                + 4 * raw.insns.len()
+                + size_of_val(raw.mnemonics)
+                + size_of_val(arena.sections())
+                + 8 * arena.outputs().len()
         );
-        assert!(arena.memory_bytes() > 0);
     }
 
     #[test]

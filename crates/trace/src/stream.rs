@@ -21,7 +21,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use parsecs_isa::{Effects, Inst, Operand, Program, Reg};
 use parsecs_machine::{Location, Machine, TraceKind, TraceSink, TraceStep};
 
-use crate::{PackedDep, SectionId, SectionSpan, SourceKind, TraceArena, TraceError};
+use crate::{InsnEntry, PackedDep, SectionId, SectionSpan, SourceKind, TraceArena, TraceError};
 
 /// A multiply-xorshift hasher for the memory last-writer table: the keys
 /// are 8-aligned data addresses, so the default SipHash's collision
@@ -127,9 +127,6 @@ pub struct StreamingSectioner {
     reg_writer: [(u32, u32); REG_SLOTS],
     /// Last writer of each data-memory word.
     mem_writer: AddrMap<(u32, u32)>,
-    /// Mnemonic table id per static instruction (`u16::MAX` = not yet
-    /// interned), so the hot path never hashes strings.
-    ip_mnemonic: Vec<u16>,
     /// [`step_bound`] of each static instruction, when the program is
     /// known up front (empty otherwise); every recorded step is
     /// debug-checked against it.
@@ -158,7 +155,6 @@ impl StreamingSectioner {
             halted: false,
             reg_writer: [NO_WRITER; REG_SLOTS],
             mem_writer: AddrMap::default(),
-            ip_mnemonic: Vec::new(),
             step_bounds: Vec::new(),
             error: None,
         }
@@ -174,7 +170,9 @@ impl StreamingSectioner {
         let mut sectioner = StreamingSectioner::new();
         sectioner.step_bounds = program.insns().iter().map(step_bound).collect();
         let reads = sectioner.step_bounds.iter().map(|&(r, _)| r).max();
-        sectioner.arena.reserve_for_run(fuel, reads.unwrap_or(0));
+        sectioner
+            .arena
+            .reserve_for_run(fuel, reads.unwrap_or(0), program.insns().len());
         sectioner
     }
 
@@ -214,20 +212,6 @@ impl StreamingSectioner {
     /// The arena built so far (for inspection; normally use `finish`).
     pub fn arena(&self) -> &TraceArena {
         &self.arena
-    }
-
-    #[inline]
-    fn mnemonic_id(&mut self, ip: usize, mnemonic: &'static str) -> u16 {
-        if ip >= self.ip_mnemonic.len() {
-            self.ip_mnemonic.resize(ip + 1, u16::MAX);
-        }
-        let cached = self.ip_mnemonic[ip];
-        if cached != u16::MAX {
-            return cached;
-        }
-        let id = self.arena.intern_mnemonic(mnemonic);
-        self.ip_mnemonic[ip] = id;
-        id
     }
 
     /// Resolves one read against the last-writer state, exactly as the
@@ -301,38 +285,33 @@ impl TraceSink for StreamingSectioner {
             self.current_start_ip = step.ip;
         }
 
+        // What the program fixes for this static instruction is stored
+        // once, from its first step; the location check compares every
+        // later step with it.
+        if !self.arena.has_insn(step.ip) {
+            let id = self.arena.intern_mnemonic(step.mnemonic);
+            self.arena.set_insn(step.ip, InsnEntry::of_step(step, id));
+        }
+        debug_assert!(
+            {
+                let set = self.arena.raw().insns[step.ip];
+                set == InsnEntry::of_step(step, set.mnemonic_id())
+            },
+            "step at ip {} disagrees with its instruction's entry",
+            step.ip
+        );
+
         // Resolve sources in read order. `reads` is sorted and
         // `Location` orders registers before the flags before memory
         // words, so this is register-class deps first, then memory deps —
         // the order the sequential analysis emits.
-        let mut reg_dep_count = 0usize;
-        let mut mem_dep_count = 0usize;
+        self.arena
+            .begin_record(step.ip, SectionId(current as usize));
         for &loc in step.reads {
             let dep = self.resolve(loc, current);
             self.arena.push_dep(dep);
-            if loc.is_mem() {
-                mem_dep_count += 1;
-            } else {
-                debug_assert_eq!(
-                    mem_dep_count, 0,
-                    "a memory read precedes a register or flags read"
-                );
-                reg_dep_count += 1;
-            }
         }
-
-        let is_store = step.writes.iter().any(Location::is_mem);
-        let mnemonic_id = self.mnemonic_id(step.ip, step.mnemonic);
-        self.arena.begin_record(
-            step.ip,
-            mnemonic_id,
-            SectionId(current as usize),
-            step.kind,
-            step.is_control,
-            mem_dep_count > 0,
-            is_store,
-        );
-        self.arena.end_record(reg_dep_count);
+        self.arena.end_record();
 
         // This instruction becomes the last writer of everything it
         // wrote (after its own reads resolved against the previous

@@ -215,6 +215,46 @@ CATALOGUE = [
         "other",
     },
     {
+        "name": "entry-counts-memory-reads",
+        "file": "crates/trace/src/arena.rs",
+        "old": "            step.reads.iter().filter(|loc| !loc.is_mem()).count(),\n",
+        "new": "            step.reads.len(),\n",
+        "reason": "the sectioner fills an instruction's register-class count "
+        "from its step's total read count, memory words included",
+    },
+    {
+        "name": "push-record-overwrites-entry",
+        "file": "crates/trace/src/arena.rs",
+        "old": "        if self.has_insn(ip) {\n",
+        "new": "        if false {\n",
+        "reason": "the record-level builder overwrites an instruction's entry "
+        "with each record's facts instead of refusing a disagreeing record",
+    },
+    {
+        "name": "column-shape-skips-ip-entry",
+        "file": "crates/check/src/validate.rs",
+        "old": "            .is_none_or(|entry| *entry == InsnEntry::UNSET)\n",
+        "new": "            .is_none()\n",
+        "reason": "the validator accepts a record whose ip names an unset "
+        "entry of the instruction table",
+    },
+    {
+        "name": "location-check-ignores-kind",
+        "file": "crates/check/src/locations.rs",
+        "old": "                entry.kind() == step.kind,\n",
+        "new": "                true,\n",
+        "reason": "the location check never compares a step's kind with its "
+        "instruction's entry, so a table set from a different step passes",
+    },
+    {
+        "name": "stage-row-stores-not-memory",
+        "file": "crates/core/src/timing.rs",
+        "old": "let mem = entry.is_load() || entry.is_store();",
+        "new": "let mem = entry.is_load();",
+        "reason": "a stage-table row of a store that loads nothing has no "
+        "address-rename or memory-access cycle",
+    },
+    {
         "name": "noc-latency-charged-at-now",
         "file": "crates/noc/src/network.rs",
         "old": "                self.stats.record_delivery(item.arrives_at, &item.envelope);\n",
@@ -261,6 +301,15 @@ CATALOGUE = [
         "new": "if latency.is_none() {",
         "reason": "validate accepts a latency that alone carries a cycle "
         "past the domain",
+    },
+    {
+        "name": "convergence-guard-ignores-latencies",
+        "file": "crates/core/src/sim.rs",
+        "old": "let allowance = 200u64.saturating_add(self.config.longest_charge(sections.len()));",
+        "new": "let allowance = 200u64;",
+        "reason": "the convergence guard allows every instruction 200 cycles "
+        "whatever the configured latencies, so a long valid NoC latency is "
+        "refused as a divergence",
     },
     {
         "name": "finish-keeps-reservation",

@@ -7,7 +7,8 @@
 //! record-by-record through the public column builder and injects one
 //! targeted corruption — a swapped dependence edge, a local producer in
 //! another section, an overlapping section span, a truncated dependence
-//! slice, a bogus creator link, an unclosed record. The location check's
+//! slice, a bogus creator link, a record of an instruction without an
+//! entry, a dangling mnemonic id, an unclosed record. The location check's
 //! corpus replays a real run's logged steps with one doctored dependence
 //! — a stale writer, a wrong provenance, a missed initial read, a
 //! provenance that does not fit its location. Each asserts the report
@@ -21,7 +22,7 @@ use parsecs::check::{check_arena, InvariantViolation, LocationCheck, Progress};
 use parsecs::core::{ManyCoreSim, SimConfig};
 use parsecs::isa::Program;
 use parsecs::trace::{
-    PackedDep, SectionId, SectionSpan, SourceKind, StreamingSectioner, TraceArena,
+    InsnEntry, PackedDep, SectionId, SectionSpan, SourceKind, StreamingSectioner, TraceArena,
 };
 use parsecs::workloads::scale;
 use proptest::prelude::*;
@@ -111,7 +112,9 @@ fn base_arena(which: usize, seed: u64) -> (&'static str, TraceArena) {
 }
 
 /// Rebuilds `src` through the public column builder, mapping each column
-/// through the given hooks (identity hooks reproduce `src` exactly).
+/// through the given hooks (identity hooks reproduce `src` exactly). The
+/// register-class count hook maps each static instruction's entry, by
+/// `ip`.
 fn rebuild(
     src: &TraceArena,
     mut map_section_col: impl FnMut(usize, SectionId) -> SectionId,
@@ -121,21 +124,29 @@ fn rebuild(
 ) -> TraceArena {
     let mut out = TraceArena::new();
     let raw = src.raw();
+    for &mnemonic in raw.mnemonics {
+        out.intern_mnemonic(mnemonic);
+    }
+    for (ip, &e) in raw.insns.iter().enumerate() {
+        if e != InsnEntry::UNSET {
+            let reg_deps = map_reg_count(ip, e.reg_deps());
+            let entry = InsnEntry::new(
+                e.mnemonic_id(),
+                e.kind(),
+                e.is_control(),
+                e.is_load(),
+                e.is_store(),
+                reg_deps,
+            );
+            out.set_insn(ip, entry);
+        }
+    }
     for seq in 0..src.len() {
-        let id = out.intern_mnemonic(src.mnemonic(seq));
-        out.begin_record(
-            src.ip(seq),
-            id,
-            map_section_col(seq, src.section(seq)),
-            src.kind(seq),
-            src.is_control(seq),
-            src.is_load(seq),
-            src.is_store(seq),
-        );
+        out.begin_record(src.ip(seq), map_section_col(seq, src.section(seq)));
         for (j, &dep) in src.sources(seq).iter().enumerate() {
             out.push_dep(map_dep(seq, j, dep));
         }
-        out.end_record(map_reg_count(seq, raw.reg_deps[seq] as usize));
+        out.end_record();
     }
     for (i, span) in src.sections().iter().enumerate() {
         out.push_section(map_span(i, span.clone()));
@@ -173,7 +184,7 @@ fn mutate(src: &TraceArena, mutation: usize) -> Option<(TraceArena, &'static str
             src,
             |seq, s| sec.as_ref().filter(|m| m.0 == seq).map_or(s, |m| m.1),
             |seq, j, d| dep.filter(|m| (m.0, m.1) == (seq, j)).map_or(d, |m| m.2),
-            |seq, r| reg.filter(|m| m.0 == seq).map_or(r, |m| m.1),
+            |ip, r| reg.filter(|m| m.0 == ip).map_or(r, |m| m.1),
             |i, s| span.clone().filter(|m| m.0 == i).map_or(s, |m| m.1),
         )
     };
@@ -208,14 +219,12 @@ fn mutate(src: &TraceArena, mutation: usize) -> Option<(TraceArena, &'static str
                 "DepPackingBroken",
             ))
         }
-        // Truncated dependence slice: the register prefix claims more
-        // sources than the slice holds.
+        // Truncated dependence slice: the register prefix of the first
+        // record's instruction claims more sources than its slice holds.
         2 => {
-            let raw = src.raw();
-            let seq = 0;
-            let len = (raw.dep_off[1] - raw.dep_off[0]) as usize;
+            let len = src.sources(0).len();
             Some((
-                identity(src, None, None, Some((seq, len + 1)), None),
+                identity(src, None, None, Some((src.ip(0), len + 1)), None),
                 "DepSliceBroken",
             ))
         }
@@ -259,12 +268,35 @@ fn mutate(src: &TraceArena, mutation: usize) -> Option<(TraceArena, &'static str
                 "CreatorBroken",
             ))
         }
+        // A record of an instruction without an entry: the first
+        // record's instruction loses its entry.
+        6 => {
+            let mut out = identity(src, None, None, None, None);
+            out.set_insn(src.ip(0), InsnEntry::UNSET);
+            Some((out, "ColumnBroken"))
+        }
+        // A dangling mnemonic id: an entry names a mnemonic past the
+        // table.
+        7 => {
+            let mut out = identity(src, None, None, None, None);
+            let e = out.raw().insns[src.ip(0)];
+            let dangling = out.raw().mnemonics.len() as u16;
+            let entry = InsnEntry::new(
+                dangling,
+                e.kind(),
+                e.is_control(),
+                e.is_load(),
+                e.is_store(),
+                e.reg_deps(),
+            );
+            out.set_insn(src.ip(0), entry);
+            Some((out, "ColumnBroken"))
+        }
         // Unclosed record: `begin_record` with no matching `end_record`
-        // desynchronises every fixed-width column.
+        // desynchronises the offset column.
         _ => {
             let mut out = identity(src, None, None, None, None);
-            let id = out.intern_mnemonic("dangling");
-            out.begin_record(0, id, SectionId(0), src.kind(0), false, false, false);
+            out.begin_record(src.ip(0), SectionId(0));
             Some((out, "ColumnBroken"))
         }
     }
@@ -346,7 +378,7 @@ fn doctor(
 }
 
 /// Entries of the arena corpus ([`mutate`]).
-const ARENA_MUTATIONS: usize = 7;
+const ARENA_MUTATIONS: usize = 9;
 
 /// Entries of the stream corpus ([`doctor`]).
 const STREAM_DOCTORINGS: usize = 7;
@@ -372,7 +404,9 @@ fn replay(
         if let Some((_, j, word)) = doctored.filter(|d| d.0 == seq) {
             deps[j] = word;
         }
-        check.check(&logged.step(), &deps, arena.reg_sources(seq).len());
+        let step = logged.step();
+        let entry = arena.raw().insns[step.ip];
+        check.check(&step, &deps, entry, arena.mnemonic(seq));
     }
     check.finish(vec![]).expect("fits").1
 }
@@ -477,27 +511,25 @@ fn column_bytes(arena: &TraceArena) -> usize {
     let raw = arena.raw();
     size_of::<TraceArena>()
         + size_of_val(raw.ip)
-        + size_of_val(raw.mnemonic_id)
         + size_of_val(raw.section)
-        + size_of_val(raw.kind_flags)
         + size_of_val(raw.dep_off)
-        + size_of_val(raw.reg_deps)
         + size_of_val(raw.deps)
+        + size_of_val(raw.insns)
         + size_of_val(raw.mnemonics)
         + size_of_val(arena.sections())
         + size_of_val(arena.outputs())
 }
 
 /// Arena footprint bar, in bytes per instruction: about 10 % above the
-/// largest the generators measure (31.6, the `chain_sum` miniature; 21–31
-/// across both sizes).
-const ARENA_BYTES_PER_INSN: f64 = 35.0;
+/// largest the generators measure (27.7, the `chain_sum` miniature;
+/// 17–28 across both sizes).
+const ARENA_BYTES_PER_INSN: f64 = 30.5;
 
 /// Total footprint bar of a stats-only run over the arena (arena plus
 /// simulator state), in bytes per instruction: about 10 % above the
-/// largest the generators measure (46.4, the `chain_sum` miniature;
-/// 26–46 across both sizes and every chip size).
-const STATS_ONLY_BYTES_PER_INSN: f64 = 51.0;
+/// largest the generators measure (42.4, the `chain_sum` miniature;
+/// 22–43 across both sizes and every chip size).
+const STATS_ONLY_BYTES_PER_INSN: f64 = 47.0;
 
 /// Every `workloads::scale` generator, at [`MINIATURE`] and [`SCALE`]
 /// sizes, passes the location check and is clean; its arena's footprint

@@ -14,7 +14,11 @@
 //! A latency is hostile when it alone could carry a simulated cycle past
 //! the engine's cycle domain (2^30 cycles): `SimConfig::validate` refuses
 //! it as a configuration error, and a latency just inside the domain runs
-//! into the engine's typed capacity refusal instead of overflowing.
+//! into the engine's typed capacity refusal instead of overflowing. A
+//! long latency well inside the domain is no divergence: the run
+//! converges and agrees with the oracle.
+
+mod oracle;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -258,6 +262,28 @@ fn latencies_past_the_cycle_domain_are_config_errors() {
             );
         }
         assert_eq!(with_latency(set, first_refused - 1).validate(), Ok(()));
+    }
+}
+
+/// A long but valid latency is not a divergence: the convergence guard
+/// allows each instruction the config's longest single charge on top of
+/// its 200 cycles, and the run agrees with the oracle.
+#[test]
+fn a_long_noc_latency_converges_and_agrees_with_the_oracle() {
+    let program = sum::fork_program(&[4, 2, 6, 4, 5]);
+    let arena = TraceArena::from_program(&program, FUEL).expect("runs");
+    let config = with_latency(|c, v| c.noc.base_latency = v, 20_000);
+    for config in [config.clone(), config.stats_only()] {
+        let result = ManyCoreSim::new(config.clone())
+            .simulate_arena(&arena)
+            .expect("a valid config converges");
+        let budget = 200 * arena.len() as u64 + 10_000;
+        assert!(
+            result.stats.total_cycles > budget,
+            "{} cycles fit the latency-blind guard of {budget}",
+            result.stats.total_cycles
+        );
+        oracle::agree(&arena, &config, &result, "noc.base_latency = 20000");
     }
 }
 

@@ -249,7 +249,27 @@ impl<'a> Oracle<'a> {
     /// returns the last cycle stepped.
     fn run(&mut self) -> u64 {
         let n = self.arena.len();
-        let bound = 200 * n as u64 + 10_000;
+        // 200 cycles per instruction plus the longest single charge: the
+        // DMH latency, or a NoC transit across the topology's diameter
+        // plus the per-section hop charge across every section.
+        let config = self.config;
+        let diameter = config
+            .topology
+            .unwrap_or(Topology::Crossbar { size: config.cores })
+            .diameter() as u64;
+        let leg = config
+            .noc
+            .per_hop_latency
+            .saturating_mul(diameter)
+            .saturating_add(config.noc.base_latency)
+            .saturating_add(
+                config
+                    .per_section_hop
+                    .saturating_mul(self.arena.sections().len() as u64),
+            );
+        let bound = (200 + config.dmh_latency.max(leg))
+            .saturating_mul(n as u64)
+            .saturating_add(10_000);
         let mut cycle = 0;
         while self.completed < n {
             cycle += 1;

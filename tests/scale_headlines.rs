@@ -31,12 +31,12 @@ const SCALING_BAR: f64 = 1.25;
 
 /// Arena footprint bar, in bytes per instruction: the bar of the tier-1
 /// twin in `tests/check_invariants.rs`.
-const ARENA_BYTES_PER_INSN: f64 = 35.0;
+const ARENA_BYTES_PER_INSN: f64 = 30.5;
 
 /// Total footprint bar of a stats-only run over its arena (arena plus
 /// simulator state), in bytes per instruction: the bar of the tier-1
 /// twin in `tests/check_invariants.rs`.
-const STATS_ONLY_BYTES_PER_INSN: f64 = 51.0;
+const STATS_ONLY_BYTES_PER_INSN: f64 = 47.0;
 
 /// Runs `build` and returns its result with the wall time in seconds.
 fn timed<T>(build: impl FnOnce() -> T) -> (T, f64) {
